@@ -57,7 +57,6 @@ from .symplectic import (
     identity_map,
     is_classical_closed,
     is_classical_open,
-    verify_symplectic,
 )
 
 __version__ = "0.1.0"

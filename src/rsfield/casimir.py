@@ -60,10 +60,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, InvariantViolationError
-from .kinetics import KineticGenerators, extract_open_generators
+from .errors import (
+    ConfigError, DimensionMismatchError, InvariantViolationError, NotSymplecticError,
+)
+from .kinetics import KineticGenerators, extract_open_generators, open_generator_arrays
 from .numerics import DenseOdeSolution, OdeProblem, solve_ode_dense
-from .symplectic import BogoliubovMap, from_blocks
+from .symplectic import BogoliubovMap, assemble, symplectic_residuals
 
 PROFILE_KINDS = ("constant", "sinusoid", "smooth_pulse", "linear_ramp_windowed")
 CCR_TOL = 1e-8
@@ -170,7 +172,14 @@ class MediumCoefficients:
     profile: VelocityProfile
 
     def at(self, t: float) -> MediumSample:
-        beta = self.profile.beta(t)
+        return self.at_speed(self.profile.beta(t))
+
+    def on_grid(self, times: np.ndarray) -> MediumSample:
+        """The coefficients at each of ``times``, as arrays."""
+        return self.at_speed(np.array([self.profile.beta(t) for t in times.tolist()]))
+
+    def at_speed(self, beta) -> MediumSample:
+        """The coefficients at speed ``beta``; broadcasts over an array of speeds."""
         n2 = self.refractive_index ** 2
         delta = (n2 - 1.0) / (n2 - beta * beta)
         alpha = 1.0 - delta * beta * beta
@@ -243,7 +252,7 @@ def auto_sigma(s: CasimirScenario) -> float:
 
 @dataclass(frozen=True)
 class ModePoint:
-    """Mode amplitudes and extracted phase at one time."""
+    """Mode amplitudes and extracted phase at one time (arrays for an array of times)."""
 
     f_rp: complex
     f_rm: complex
@@ -277,15 +286,13 @@ class ModeSolution:
         self.ccr_residual = np.abs(self.f_rp) ** 2 - np.abs(self.f_rm) ** 2 - 1.0
         self.helicity_residual = np.abs(self.f_lp) - np.abs(self.f_rm)
 
-    def at(self, t: float) -> ModePoint:
-        """Dense-output evaluation anywhere inside the integrated span."""
+    def at(self, t) -> ModePoint:
+        """Dense-output evaluation anywhere inside the integrated span, at a
+        time or a 1-D array of times."""
         if self._dense is None:
             raise DimensionMismatchError("solution carries no dense output")
-        y = self._dense.at(t)
-        return ModePoint(
-            f_rp=complex(y[0]), f_rm=complex(y[1]),
-            f_lp=complex(y[2]), f_lm=complex(y[3]), phi=float(y[4].real),
-        )
+        f_rp, f_rm, f_lp, f_lm, phi = self._dense.at(t).T
+        return ModePoint(f_rp=f_rp, f_rm=f_rm, f_lp=f_lp, f_lm=f_lm, phi=phi.real)
 
     def endpoint_velocity_mismatch(self) -> float:
         """|beta(T) - beta(0)|; nonzero means no clean in/out photon picture."""
@@ -299,9 +306,10 @@ class ModeSolution:
 
 def _mode_rhs(medium: MediumCoefficients):
     omega = medium.omega
+    beta, at_speed = medium.profile.beta, medium.at_speed
 
     def rhs(t, y):
-        m = medium.at(t)
+        m = at_speed(beta(t))
         cp = -1j * omega * (m.eta_plus * y[0] - m.eta_minus * y[1])
         cm = 1j * omega * (m.eta_plus * y[1] - m.eta_minus * y[0])
         lp = -1j * omega * (m.eta_plus * y[2] - m.eta_minus * y[3])
@@ -341,7 +349,7 @@ def solve_modes(
         y0, _mode_rhs(medium), (0.0, s.t_end), rtol=rtol, atol=atol, method=method
     )
     dense = solve_ode_dense(problem)
-    states = dense.sample(times)
+    states = dense.at(times)
     sol = ModeSolution(
         scenario=s,
         sigma=medium.sigma,
@@ -390,6 +398,16 @@ def photon_density(sol: ModeSolution, t_index: int) -> tuple[float, float]:
     )
 
 
+def _casimir_matrices(sol: ModeSolution, index) -> np.ndarray:
+    """The 4x4 map matrices at sample ``index`` (an int, or a slice for a stack)."""
+    em = np.exp(-1j * sol.phi[index])
+    ep = np.conj(em)
+    zero = np.zeros_like(em)
+    x_up = np.stack([em * sol.f_rp[index], zero, zero, ep * np.conj(sol.f_lm[index])], -1)
+    x_down = np.stack([zero, em * sol.f_rm[index], ep * np.conj(sol.f_lp[index]), zero], -1)
+    return assemble(x_up.reshape(em.shape + (2, 2)), x_down.reshape(em.shape + (2, 2)))
+
+
 def casimir_map(sol: ModeSolution, t_index: int, tol: float = MAP_TOL) -> BogoliubovMap:
     """Two-mode Bogoliubov map at a sample (n_sys = n_env = 1).
 
@@ -398,17 +416,20 @@ def casimir_map(sol: ModeSolution, t_index: int, tol: float = MAP_TOL) -> Bogoli
     the map is always open-system classical; it is closed-system
     classical iff there is no production.
     """
-    em = np.exp(-1j * sol.phi[t_index])
-    ep = np.conj(em)
-    x_up = np.array(
-        [[em * sol.f_rp[t_index], 0.0], [0.0, ep * np.conj(sol.f_lm[t_index])]],
-        dtype=complex,
-    )
-    x_down = np.array(
-        [[0.0, em * sol.f_rm[t_index]], [ep * np.conj(sol.f_lp[t_index]), 0.0]],
-        dtype=complex,
-    )
-    return from_blocks(x_up, x_down, n_sys=1, n_env=1, tol=tol)
+    return BogoliubovMap(1, 1, _casimir_matrices(sol, t_index), tol)
+
+
+def casimir_maps(sol: ModeSolution, tol: float = MAP_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices of ``casimir_map`` at every sample, ``(samples, 4, 4)``, and
+    their symplectic residuals; raises ``NotSymplecticError`` as ``casimir_map``
+    would at any sample (the conjugate blocks hold by construction)."""
+    x = _casimir_matrices(sol, slice(None))
+    residuals = symplectic_residuals(x)
+    worst = int(np.argmax(residuals))
+    if residuals[worst] > tol:
+        message = f"map at t={sol.times[worst]:.6g} is not symplectic"
+        raise NotSymplecticError(message, float(residuals[worst]))
+    return x, residuals
 
 
 def _medium_for(s: CasimirScenario, sol: ModeSolution) -> MediumCoefficients:
@@ -422,24 +443,17 @@ def _medium_for(s: CasimirScenario, sol: ModeSolution) -> MediumCoefficients:
     )
 
 
-def _closed_form_from_values(
-    medium: MediumCoefficients, t: float, f_rp: complex, f_rm: complex
-) -> KineticGenerators:
-    m = medium.at(t)
+def _closed_form(medium: MediumCoefficients, m: MediumSample, f_rp, f_rm):
+    """Closed-form (h, gamma_up); broadcasts over the sample axis."""
     omega = medium.omega
-    ap2 = abs(f_rp) ** 2
+    ap2 = np.abs(f_rp) ** 2
     h = omega * (
         m.eta_plus
         - m.eta_minus * (f_rm * np.conj(f_rp)).real / ap2
         + m.delta * m.beta * math.cos(medium.theta)
     )
     gamma_up = 2.0 * omega * m.eta_minus * (f_rp * np.conj(f_rm)).imag / ap2
-    return KineticGenerators(
-        h=np.array([[h]], dtype=complex),
-        zeta=np.zeros(1, dtype=complex),
-        gamma_up=np.array([[gamma_up]], dtype=complex),
-        gamma_down=np.zeros((1, 1), dtype=complex),
-    )
+    return h, gamma_up
 
 
 def casimir_generators_closed_form(
@@ -451,12 +465,16 @@ def casimir_generators_closed_form(
     photons.  |f_R+| >= 1 by the CCR invariant, so no division hazard.
     """
     medium = _medium_for(s, sol)
-    return _closed_form_from_values(
-        medium,
-        float(sol.times[t_index]),
-        complex(sol.f_rp[t_index]),
-        complex(sol.f_rm[t_index]),
-    )
+    m = medium.at(float(sol.times[t_index]))
+    h, up = _closed_form(medium, m, sol.f_rp[t_index], sol.f_rm[t_index])
+    return KineticGenerators(h=[[h]], zeta=[0.0], gamma_up=[[up]], gamma_down=[[0.0]])
+
+
+def closed_form_generators(s: CasimirScenario, sol: ModeSolution) -> tuple:
+    """``casimir_generators_closed_form`` at every sample: real arrays
+    ``(h, gamma_up)`` over the sample axis (gamma_down is zero)."""
+    medium = _medium_for(s, sol)
+    return _closed_form(medium, medium.on_grid(sol.times), sol.f_rp, sol.f_rm)
 
 
 def casimir_generator_callback(
@@ -467,19 +485,30 @@ def casimir_generator_callback(
 
     def gen(t: float) -> KineticGenerators:
         p = sol.at(t)
-        return _closed_form_from_values(medium, t, p.f_rp, p.f_rm)
+        h, up = _closed_form(medium, medium.at(t), p.f_rp, p.f_rm)
+        return KineticGenerators(h=[[h]], zeta=[0.0], gamma_up=[[up]], gamma_down=[[0.0]])
 
     return gen
 
 
+def _family(medium: MediumCoefficients, m: MediumSample, f_rp, f_rm, phi):
+    """(X_up_S, X_down_C, dX_up_S/dt, dX_down_C/dt), the derivatives from the
+    mode equations; broadcasts over the sample axis."""
+    omega = medium.omega
+    em = np.exp(-1j * phi)
+    dfp = -1j * omega * (m.eta_plus * f_rp - m.eta_minus * f_rm)
+    dfm = 1j * omega * (m.eta_plus * f_rm - m.eta_minus * f_rp)
+    return (
+        em * f_rp,
+        em * f_rm,
+        em * (dfp - 1j * m.phase_rate * f_rp),
+        em * (dfm - 1j * m.phase_rate * f_rm),
+    )
+
+
 def casimir_family(
     s: CasimirScenario, sol: ModeSolution
-) -> tuple[
-    Callable[[float], np.ndarray],
-    Callable[[float], np.ndarray],
-    Callable[[float], np.ndarray],
-    Callable[[float], np.ndarray],
-]:
+) -> tuple[Callable[[float], np.ndarray], ...]:
     """The smooth family (X_up_S, X_down_C) and its analytic derivatives.
 
     X_up_S = e^{-i phi} f_R+ and X_down_C = e^{-i phi} f_R- as 1x1
@@ -488,31 +517,16 @@ def casimir_family(
     differences.
     """
     medium = _medium_for(s, sol)
-    omega = s.omega
 
-    def x_up_s(t: float) -> np.ndarray:
-        p = sol.at(t)
-        return np.array([[np.exp(-1j * p.phi) * p.f_rp]], dtype=complex)
+    def member(k: int) -> Callable[[float], np.ndarray]:
+        def callback(t: float) -> np.ndarray:
+            p = sol.at(t)
+            value = _family(medium, medium.at(t), p.f_rp, p.f_rm, p.phi)[k]
+            return np.array([[value]], dtype=complex)
 
-    def x_down_c(t: float) -> np.ndarray:
-        p = sol.at(t)
-        return np.array([[np.exp(-1j * p.phi) * p.f_rm]], dtype=complex)
+        return callback
 
-    def dx_up_s(t: float) -> np.ndarray:
-        p = sol.at(t)
-        m = medium.at(t)
-        dfp = -1j * omega * (m.eta_plus * p.f_rp - m.eta_minus * p.f_rm)
-        val = np.exp(-1j * p.phi) * (dfp - 1j * m.phase_rate * p.f_rp)
-        return np.array([[val]], dtype=complex)
-
-    def dx_down_c(t: float) -> np.ndarray:
-        p = sol.at(t)
-        m = medium.at(t)
-        dfm = 1j * omega * (m.eta_plus * p.f_rm - m.eta_minus * p.f_rp)
-        val = np.exp(-1j * p.phi) * (dfm - 1j * m.phase_rate * p.f_rm)
-        return np.array([[val]], dtype=complex)
-
-    return x_up_s, x_down_c, dx_up_s, dx_down_c
+    return member(0), member(1), member(2), member(3)
 
 
 def casimir_generators_extracted(
@@ -537,6 +551,14 @@ def casimir_generators_extracted(
     )
 
 
+def extracted_generators(s: CasimirScenario, sol: ModeSolution) -> tuple:
+    """``casimir_generators_extracted`` (analytic derivatives) at every
+    sample, batched: ``(h, gamma_up, gamma_down)``, each ``(samples, 1, 1)``."""
+    medium = _medium_for(s, sol)
+    family = _family(medium, medium.on_grid(sol.times), sol.f_rp, sol.f_rm, sol.phi)
+    return open_generator_arrays(*(v[:, None, None] for v in family))
+
+
 @dataclass(frozen=True, eq=False)
 class GrowthLawReport:
     """Residuals of d n/dT = gamma_up (n + 1) along a trajectory."""
@@ -550,7 +572,8 @@ class GrowthLawReport:
 
 
 def growth_law_residual(
-    s: CasimirScenario, sol: ModeSolution, fd_step: float | None = None
+    s: CasimirScenario, sol: ModeSolution, fd_step: float | None = None,
+    gamma_up: np.ndarray | None = None,
 ) -> GrowthLawReport:
     """Check the production growth law by numerical differentiation.
 
@@ -558,34 +581,26 @@ def growth_law_residual(
     |f_R-(t)|^2 (one-sided at the span edges) and compared against
     gamma_up (n + 1) from the closed-form generators; the two sides are
     computed by different routes, so the residual is a genuine
-    consistency check, not an identity.
+    consistency check, not an identity.  ``gamma_up`` takes the
+    closed-form rates at the samples (``closed_form_generators``) from a
+    caller that already has them.
     """
     if fd_step is None:
         scale = max(s.omega, s.profile.drive_frequency)
         fd_step = 5e-4 / scale
-    fd_step = min(fd_step, s.t_end / 8.0)  # keep the 5-point stencil inside
-    t_end = s.t_end
-
-    def density(t: float) -> float:
-        return abs(sol.at(t).f_rm) ** 2
-
-    def rate(t: float) -> float:
-        h = fd_step
-        if t - 2 * h < 0.0:
-            f = [density(t + k * h) for k in range(5)]
-            return (-25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3] - 3 * f[4]) / (12 * h)
-        if t + 2 * h > t_end:
-            f = [density(t - k * h) for k in range(5)]
-            return -(-25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3] - 3 * f[4]) / (12 * h)
-        f = [density(t + k * h) for k in (-2, -1, 1, 2)]
-        return (f[0] - 8 * f[1] + 8 * f[2] - f[3]) / (12 * h)
-
-    rates = np.array([rate(float(t)) for t in sol.times])
-    predicted = np.empty_like(rates)
-    for i in range(sol.times.size):
-        gen = casimir_generators_closed_form(s, sol, i)
-        n_i = abs(sol.f_rm[i]) ** 2
-        predicted[i] = gen.gamma_up[0, 0].real * (n_i + 1.0)
+    h = min(fd_step, s.t_end / 8.0)  # keep the 5-point stencil inside
+    if gamma_up is None:
+        _, gamma_up = closed_form_generators(s, sol)
+    t = sol.times
+    # stencil t + k h: one-sided forward (side 1) at the start, backward (side -1)
+    # at the end, central (side 0, fifth point unused) elsewhere
+    side = np.where(t - 2 * h < 0.0, 1, np.where(t + 2 * h > s.t_end, -1, 0))
+    k = np.where(side[:, None] != 0, side[:, None] * np.arange(5), [-2, -1, 1, 2, 0])
+    f_rm = sol.at((t[:, None] + k * h).ravel()).f_rm.reshape(k.shape)
+    f0, f1, f2, f3, f4 = (np.abs(f_rm) ** 2).T
+    one_sided = (-25 * f0 + 48 * f1 - 36 * f2 + 16 * f3 - 3 * f4) / (12 * h)
+    rates = np.where(side == 0, (f0 - 8 * f1 + 8 * f2 - f3) / (12 * h), side * one_sided)
+    predicted = gamma_up * (sol.density() + 1.0)
     residuals = np.abs(rates - predicted)
     return GrowthLawReport(
         times=sol.times,

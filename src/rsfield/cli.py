@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -34,9 +33,9 @@ from .amplifier import AmplifierSpec, amplified_rsf, amplifier_generators
 from .casimir import (
     CasimirScenario,
     VelocityProfile,
-    casimir_generators_closed_form,
-    casimir_generators_extracted,
-    casimir_map,
+    casimir_maps,
+    closed_form_generators,
+    extracted_generators,
     growth_law_residual,
     solve_modes,
 )
@@ -52,7 +51,7 @@ from .fock import (
 from .kinetics import integrate_kinetics
 from .numerics import max_abs
 from .rsf import expect_additive, vacuum
-from .symplectic import is_classical_closed, is_classical_open, verify_symplectic
+from .symplectic import classical_mask
 
 CCR_LIMIT = 1e-8
 SYMPLECTIC_LIMIT = 1e-8
@@ -188,36 +187,40 @@ class RunReport:
     failures: list
 
 
-def _casimir_rows(s: CasimirScenario, cfg: dict) -> list:
+def _casimir_columns(s: CasimirScenario, cfg: dict) -> dict:
+    """Every per-sample quantity of one run, as arrays over the sample axis;
+    ``casimir`` and ``extract`` both select their CSV columns from it."""
     sol = solve_modes(s, cfg["samples"], rtol=cfg["rel_tol"], atol=cfg["abs_tol"])
-    growth = growth_law_residual(s, sol)
-    rows = []
-    for i, t in enumerate(sol.times):
-        m = casimir_map(sol, i)
-        closed = casimir_generators_closed_form(s, sol, i)
-        ext = casimir_generators_extracted(s, sol, float(t))
-        rows.append({
-            "T": float(t),
-            "re_fRp": sol.f_rp[i].real, "im_fRp": sol.f_rp[i].imag,
-            "re_fRm": sol.f_rm[i].real, "im_fRm": sol.f_rm[i].imag,
-            "re_fLp": sol.f_lp[i].real, "im_fLp": sol.f_lp[i].imag,
-            "re_fLm": sol.f_lm[i].real, "im_fLm": sol.f_lm[i].imag,
-            "phi": sol.phi[i],
-            "n_density": abs(sol.f_rm[i]) ** 2,
-            "ccr_residual": sol.ccr_residual[i],
-            "h": closed.h[0, 0].real,
-            "gamma_up": closed.gamma_up[0, 0].real,
-            "gamma_up_extracted": ext.gamma_up[0, 0].real,
-            "gamma_down_extracted": ext.gamma_down[0, 0].real,
-            "growth_residual": growth.residuals[i],
-            "classical_closed": is_classical_closed(m),
-            "classical_open": is_classical_open(m),
-            "_symplectic_residual": verify_symplectic(m),
-            "_h_extracted": ext.h[0, 0].real,
-            "_growth_rate": growth.density_rate[i],
-            "_endpoint_mismatch": sol.endpoint_velocity_mismatch(),
-        })
-    return rows
+    x, symplectic = casimir_maps(sol)
+    h, gamma_up = closed_form_generators(s, sol)
+    ext_h, ext_up, ext_down = extracted_generators(s, sol)
+    growth = growth_law_residual(s, sol, gamma_up=gamma_up)
+    return {
+        "T": sol.times,
+        "re_fRp": sol.f_rp.real, "im_fRp": sol.f_rp.imag,
+        "re_fRm": sol.f_rm.real, "im_fRm": sol.f_rm.imag,
+        "re_fLp": sol.f_lp.real, "im_fLp": sol.f_lp.imag,
+        "re_fLm": sol.f_lm.real, "im_fLm": sol.f_lm.imag,
+        "phi": sol.phi,
+        "n_density": sol.density(),
+        "ccr_residual": sol.ccr_residual,
+        "h": h,
+        "gamma_up": gamma_up,
+        "h_extracted": ext_h[:, 0, 0].real,
+        "gamma_up_extracted": ext_up[:, 0, 0].real,
+        "gamma_down_extracted": ext_down[:, 0, 0].real,
+        "growth_residual": growth.residuals,
+        "classical_closed": classical_mask(x, n_sys=2),
+        "classical_open": classical_mask(x, n_sys=1),
+        "_symplectic_residual": symplectic,
+        "_growth_rate": growth.density_rate,
+        "_endpoint_mismatch": np.full(sol.times.size, sol.endpoint_velocity_mismatch()),
+    }
+
+
+def _rows(columns: dict) -> list:
+    """One dict of Python scalars per sample."""
+    return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
 
 
 def summarize_rows(rows: list, omega: float) -> tuple[dict, list]:
@@ -234,7 +237,7 @@ def summarize_rows(rows: list, omega: float) -> tuple[dict, list]:
         "growth_law_max_residual": max(r["growth_residual"] for r in rows),
         "growth_law_bound": growth_bound,
         "extraction_max_h_deviation": max(
-            abs(r["h"] - r["_h_extracted"]) for r in rows
+            abs(r["h"] - r["h_extracted"]) for r in rows
         ),
         "extraction_max_gamma_deviation": max(
             abs(r["gamma_up"] - r["gamma_up_extracted"]) for r in rows
@@ -264,7 +267,7 @@ def summarize_rows(rows: list, omega: float) -> tuple[dict, list]:
 
 def run_casimir(cfg: dict, out_dir: Path, csv_name: str = "casimir.csv") -> RunReport:
     s = build_scenario(cfg)
-    rows = _casimir_rows(s, cfg)
+    rows = _rows(_casimir_columns(s, cfg))
     summary, failures = summarize_rows(rows, s.omega)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / csv_name, CSV_COLUMNS, rows)
@@ -310,47 +313,25 @@ def _point_config(cfg: dict, point: dict) -> dict:
     return out
 
 
-def run_sweep(cfg: dict, out_dir: Path, jobs: int = 1) -> RunReport:
+def run_sweep(cfg: dict, out_dir: Path) -> RunReport:
     grid = sweep_grid(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    def solve_point(item):
-        index, point = item
-        name = f"casimir_{index:03d}.csv"
-        try:
-            report = run_casimir(_point_config(cfg, point), out_dir, csv_name=name)
-            return index, point, name, report, None
-        except RsfieldError as exc:
-            return index, point, name, None, f"{type(exc).__name__}: {exc}"
-
-    items = list(enumerate(grid))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(solve_point, items))
-    else:
-        results = [solve_point(item) for item in items]
-    results.sort(key=lambda r: r[0])
-
     rows = []
     failures = []
-    for index, point, name, report, error in results:
-        row = {
-            "index": index,
-            "omega": point["omega"],
-            "theta": point["theta"],
-            "drive_frequency": point["drive_frequency"],
-            "beta0": point["beta0"],
-            "csv": name,
-        }
-        if error is None:
+    for index, point in enumerate(grid):
+        name = f"casimir_{index:03d}.csv"
+        row = {"index": index, **point, "csv": name}
+        try:
+            report = run_casimir(_point_config(cfg, point), out_dir, csv_name=name)
+        except RsfieldError as exc:
+            row["status"] = "error"
+            row["final_photon_density"] = float("nan")
+            failures.append(f"point {index}: {type(exc).__name__}: {exc}")
+        else:
             row["status"] = "ok" if report.ok else "invariant_violation"
             row["final_photon_density"] = report.summary["final_photon_density"]
             if not report.ok:
                 failures.append(f"point {index}: {','.join(report.failures)}")
-        else:
-            row["status"] = "error"
-            row["final_photon_density"] = float("nan")
-            failures.append(f"point {index}: {error}")
         rows.append(row)
     columns = ("index", "omega", "theta", "drive_frequency", "beta0",
                "final_photon_density", "status", "csv")
@@ -442,7 +423,7 @@ FOCK_THRESHOLDS = {
 
 
 def run_fock_check(cfg: dict | None, out_dir: Path) -> RunReport:
-    cfg = _require_keys(cfg or {}, FOCK_KEYS, "config")
+    cfg = _require_keys({} if cfg is None else cfg, FOCK_KEYS, "config")
     known = set(FOCK_THRESHOLDS)
     unknown = set(cfg["checks"]) - known
     if unknown:
@@ -517,41 +498,29 @@ EXTRACT_COLUMNS = (
 
 def run_extract(cfg: dict, out_dir: Path) -> RunReport:
     s = build_scenario(cfg)
-    sol = solve_modes(s, cfg["samples"], rtol=cfg["rel_tol"], atol=cfg["abs_tol"])
-    rows = []
-    for i, t in enumerate(sol.times):
-        closed = casimir_generators_closed_form(s, sol, i)
-        ext = casimir_generators_extracted(s, sol, float(t))
-        up_min, down_min = ext.psd_witnesses()
-        scale = 1.0 + abs(ext.gamma_up[0, 0]) + abs(ext.gamma_down[0, 0])
-        rows.append({
-            "T": float(t),
-            "h": closed.h[0, 0].real,
-            "gamma_up": closed.gamma_up[0, 0].real,
-            "h_extracted": ext.h[0, 0].real,
-            "gamma_up_extracted": ext.gamma_up[0, 0].real,
-            "gamma_down_extracted": ext.gamma_down[0, 0].real,
-            "gamma_up_min_eig": up_min,
-            "gamma_down_min_eig": down_min,
-            "valid": bool(up_min >= -1e-10 * scale and down_min >= -1e-10 * scale),
-        })
-    dev_h = max(abs(r["h"] - r["h_extracted"]) for r in rows)
-    dev_g = max(abs(r["gamma_up"] - r["gamma_up_extracted"]) for r in rows)
+    cols = _casimir_columns(s, cfg)
+    # one-mode rates: each is its own smallest eigenvalue
+    up = cols["gamma_up_min_eig"] = cols["gamma_up_extracted"]
+    down = cols["gamma_down_min_eig"] = cols["gamma_down_extracted"]
+    scale = 1.0 + np.abs(up) + np.abs(down)
+    cols["valid"] = (up >= -1e-10 * scale) & (down >= -1e-10 * scale)
+    dev_h = float(np.max(np.abs(cols["h"] - cols["h_extracted"])))
+    dev_g = float(np.max(np.abs(cols["gamma_up"] - cols["gamma_up_extracted"])))
     failures = []
     if dev_h > EXTRACTION_LIMIT * s.omega:
         failures.append("extraction_h_agreement")
     if dev_g > EXTRACTION_LIMIT * s.omega:
         failures.append("extraction_gamma_agreement")
-    worst_row = min(rows, key=lambda r: min(r["gamma_up_min_eig"], r["gamma_down_min_eig"]))
+    witness = np.minimum(up, down)
+    worst = int(np.argmin(witness))
     summary = {
         "max_h_deviation": dev_h,
         "max_gamma_deviation": dev_g,
-        "all_valid": all(r["valid"] for r in rows),
-        "worst_time": worst_row["T"],
-        "worst_witness": min(
-            worst_row["gamma_up_min_eig"], worst_row["gamma_down_min_eig"]
-        ),
+        "all_valid": bool(np.all(cols["valid"])),
+        "worst_time": float(cols["T"][worst]),
+        "worst_witness": float(witness[worst]),
     }
+    rows = _rows(cols)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "extract.csv", EXTRACT_COLUMNS, rows)
     return RunReport(rows=rows, summary=summary, ok=not failures, failures=failures)
@@ -565,13 +534,17 @@ def _print_report(name: str, report: RunReport) -> None:
         print(f"  violated: {failure}")
 
 
+RUNNERS = {"casimir": run_casimir, "sweep": run_sweep, "amplify": run_amplify,
+           "fock-check": run_fock_check, "extract": run_extract}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rsfield",
         description="moving-medium photon production and reduced-field checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("casimir", "sweep", "amplify", "fock-check", "extract"):
+    for name in RUNNERS:
         p = sub.add_parser(name)
         if name != "fock-check":
             p.add_argument("--config", required=True, help="JSON config path")
@@ -583,43 +556,27 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override integrator relative tolerance")
         p.add_argument("--samples", type=int, default=None,
                        help="override sample count")
-        if name == "sweep":
-            p.add_argument("--jobs", type=int, default=1,
-                           help="parallel sweep width")
     return parser
 
 
-def _resolve_out(args, cfg: dict | None) -> Path:
-    configured = (cfg or {}).get("out_dir")
+def _resolve_out(args, cfg) -> Path:
+    configured = cfg.get("out_dir") if isinstance(cfg, dict) else None
     return Path(args.out or configured or "out")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        cfg = load_config(args.config) if args.config else None
         if args.command in ("casimir", "sweep", "extract"):
-            cfg = parse_casimir_config(load_config(args.config))
+            cfg = parse_casimir_config(cfg)
             if args.rel_tol is not None:
                 cfg["rel_tol"] = args.rel_tol
             if args.samples is not None:
                 if args.samples < 2:
                     raise ConfigError("samples must be an integer >= 2")
                 cfg["samples"] = args.samples
-            out_dir = _resolve_out(args, cfg)
-            if args.command == "casimir":
-                report = run_casimir(cfg, out_dir)
-            elif args.command == "extract":
-                report = run_extract(cfg, out_dir)
-            else:
-                report = run_sweep(cfg, out_dir, jobs=args.jobs)
-        elif args.command == "amplify":
-            cfg = _require_keys(load_config(args.config), AMPLIFY_KEYS, "config")
-            report = run_amplify(cfg, _resolve_out(args, cfg))
-        else:
-            cfg = _require_keys(
-                load_config(args.config) if args.config else {}, FOCK_KEYS, "config"
-            )
-            report = run_fock_check(cfg, _resolve_out(args, cfg))
+        report = RUNNERS[args.command](cfg, _resolve_out(args, cfg))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -87,6 +87,14 @@ def _as_matrix(a, what: str) -> np.ndarray:
     return m
 
 
+def _require_hermitian_generators(h, gamma_up, gamma_down) -> None:
+    """Hermiticity of each matrix, one or a stack, to 1e-9 (1 + its max entry)."""
+    for name, m in (("h", h), ("gamma_up", gamma_up), ("gamma_down", gamma_down)):
+        residual = np.abs(m - np.swapaxes(m, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
+        if np.any(residual > 1e-9 * (1.0 + np.abs(m).max(axis=(-2, -1), initial=0.0))):
+            raise NonHermitianError(f"{name} is not Hermitian")
+
+
 @dataclass(frozen=True, eq=False)
 class KineticGenerators:
     """Generator set (h, zeta, gamma_up, gamma_down, scatterers).
@@ -111,9 +119,7 @@ class KineticGenerators:
         gd = _as_matrix(self.gamma_down, "gamma_down")
         if zeta.size != n or gu.shape != (n, n) or gd.shape != (n, n):
             raise DimensionMismatchError("generator dimensions differ")
-        for name, m in (("h", h), ("gamma_up", gu), ("gamma_down", gd)):
-            if hermiticity_residual(m) > 1e-9 * (1.0 + max_abs(m)):
-                raise NonHermitianError(f"{name} is not Hermitian")
+        _require_hermitian_generators(h, gu, gd)
         scat = []
         for eta_j, u_j in self.scatterers:
             u_j = _as_matrix(u_j, "scatterer")
@@ -231,7 +237,8 @@ def _derivative(family, t, analytic, fd_step):
 
 
 def _checked_inverse(x, what):
-    cond = np.linalg.cond(x)
+    """Inverse of a matrix or of each in a stack; one ill-conditioned matrix fails all."""
+    cond = np.max(np.linalg.cond(x))
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise SingularMatrixError(f"{what} is numerically singular (cond={cond:.3e})")
     return np.linalg.inv(x)
@@ -283,21 +290,25 @@ def extract_open_generators(
     dxc = _derivative(x_down_c, t, dx_down_c, fd_step)
     if dxs.shape != xs.shape or dxc.shape != xc.shape:
         raise DerivativeUnavailableError("derivative shape mismatch")
+    h, gamma_up, gamma_down = open_generator_arrays(xs, xc, dxs, dxc)
+    zeta = np.zeros(xs.shape[0], dtype=complex)
+    return KineticGenerators(h=h, zeta=zeta, gamma_up=gamma_up, gamma_down=gamma_down)
+
+
+def open_generator_arrays(xs, xc, dxs, dxc) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The array core of ``extract_open_generators`` on one matrix or a stack
+    ``(..., n, n)`` each; checks Hermiticity once for the whole stack."""
     y = dxs @ _checked_inverse(xs, "X_up_S")
-    y_r = y + y.conj().T
-    y_i = -1j * (y - y.conj().T)
-    d = xc @ xc.conj().T
-    dd = dxc @ xc.conj().T + xc @ dxc.conj().T
-    w = dd - y @ d - d @ y.conj().T
-    w = 0.5 * (w + w.conj().T)
-    h = -0.5 * HBAR * y_i
-    n = xs.shape[0]
-    return KineticGenerators(
-        h=h,
-        zeta=np.zeros(n, dtype=complex),
-        gamma_up=w,
-        gamma_down=w - y_r,
-    )
+    y_dag = np.swapaxes(y, -1, -2).conj()
+    xc_dag = np.swapaxes(xc, -1, -2).conj()
+    d = xc @ xc_dag
+    dd = dxc @ xc_dag + xc @ np.swapaxes(dxc, -1, -2).conj()
+    w = dd - y @ d - d @ y_dag
+    w = 0.5 * (w + np.swapaxes(w, -1, -2).conj())
+    h = -0.5 * HBAR * (-1j * (y - y_dag))
+    gamma_down = w - (y + y_dag)
+    _require_hermitian_generators(h, w, gamma_down)
+    return h, w, gamma_down
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,9 @@
 """Dense complex linear algebra and adaptive ODE integration helpers.
 
 The heavy lifting is delegated to LAPACK (through ``numpy.linalg``) and to
-the Dormand-Prince 5(4) embedded pair (``scipy.integrate.solve_ivp`` with
-method ``"RK45"``, which provides a quartic dense-output interpolant).
+the Dormand-Prince embedded pairs of ``scipy.integrate.solve_ivp``:
+"RK45" (5(4), quartic dense output; the default) or "DOP853" (8(5,3),
+seventh-order dense output; used for the moving-medium mode equations).
 What this module adds is contract enforcement: explicit Hermiticity
 checks, eigendecomposition residual verification, positive-semidefinite
 witnesses and a common error vocabulary used by the physics modules.
@@ -161,18 +162,20 @@ class DenseOdeSolution:
         self.y_end = np.asarray(y_end, dtype=complex)
         self.n_steps = int(n_steps)
 
-    def at(self, t: float) -> np.ndarray:
-        """State at time ``t`` via the integrator's own interpolant."""
-        t0, t1 = self.problem.t_span
-        if t < t0 - 1e-12 * (1 + abs(t0)) or t > t1 + 1e-12 * (1 + abs(t1)):
-            raise DimensionMismatchError(
-                f"t={t} outside integrated span {self.problem.t_span}"
-            )
-        return np.asarray(self._sol(min(max(t, t0), t1)), dtype=complex)
+    def at(self, t) -> np.ndarray:
+        """State at time ``t`` via the integrator's own interpolant.
 
-    def sample(self, times: Sequence[float]) -> np.ndarray:
-        """States at the given times, shape ``(len(times), dim)``."""
-        return np.array([self.at(t) for t in times])
+        ``t`` is a time or a 1-D array of times (any order); an array
+        gives shape ``(len(t), dim)``.  Every time must lie in the span.
+        """
+        t0, t1 = self.problem.t_span
+        times = np.asarray(t, dtype=float)
+        outside = (times < t0 - 1e-12 * (1 + abs(t0))) | (times > t1 + 1e-12 * (1 + abs(t1)))
+        if np.any(outside):
+            raise DimensionMismatchError(
+                f"t={times[outside].flat[0]} outside integrated span {self.problem.t_span}"
+            )
+        return np.asarray(self._sol(np.clip(times, t0, t1)), dtype=complex).T
 
 
 def _checked_rhs(problem: OdeProblem):
@@ -193,7 +196,10 @@ def solve_ode_dense(problem: OdeProblem) -> DenseOdeSolution:
     """Integrate over the whole span and keep the dense interpolant."""
     t0, t1 = problem.t_span
     if t1 == t0:
-        return DenseOdeSolution(problem, lambda t: problem.y0, t0, problem.y0, 0)
+        def constant(t):
+            return np.multiply.outer(problem.y0, np.ones(np.shape(t)))
+
+        return DenseOdeSolution(problem, constant, t0, problem.y0, 0)
     kwargs = {}
     if problem.first_step is not None:
         kwargs["first_step"] = problem.first_step
@@ -220,15 +226,9 @@ def solve_ode(problem: OdeProblem, sample_times: Sequence[float]) -> np.ndarray:
     times = np.asarray(sample_times, dtype=float)
     if times.size == 0:
         return np.zeros((0, problem.dim), dtype=complex)
-    t0, t1 = problem.t_span
     if np.any(np.diff(times) < 0):
         raise DimensionMismatchError("sample times must be ascending")
-    if times[0] < t0 - 1e-12 * (1 + abs(t0)) or times[-1] > t1 + 1e-12 * (1 + abs(t1)):
-        raise DimensionMismatchError(
-            f"sample times [{times[0]}, {times[-1]}] outside span {problem.t_span}"
-        )
-    dense = solve_ode_dense(problem)
-    return dense.sample(times)
+    return solve_ode_dense(problem).at(times)
 
 
 def central_difference(

@@ -11,7 +11,7 @@ from rsfield.amplifier import (
 from rsfield.kinetics import extract_open_generators, integrate_kinetics
 from rsfield.numerics import is_psd, max_abs
 from rsfield.rsf import transform_open_vacuum_env, vacuum
-from rsfield.symplectic import is_classical_closed, is_classical_open, verify_symplectic
+from rsfield.symplectic import is_classical_closed, is_classical_open
 
 E2_MINUS_1 = 6.389056098930650
 SINH2_03 = 0.09273260912113383
@@ -77,7 +77,7 @@ class TestBogoliubovFamily:
 
     def test_squeeze_point_properties(self):
         m = amplifier_bogoliubov(1.0, 0.3)
-        assert verify_symplectic(m) <= 1e-12
+        assert m.symplectic_residual() <= 1e-12
         assert is_classical_open(m, 1e-9)
         assert not is_classical_closed(m, 1e-9)
 

@@ -18,7 +18,7 @@ from rsfield.errors import ConfigError, InvariantViolationError
 from rsfield.kinetics import integrate_kinetics
 from rsfield.numerics import central_difference, is_psd, max_abs
 from rsfield.rsf import transform_open_vacuum_env, vacuum
-from rsfield.symplectic import is_classical_closed, is_classical_open, verify_symplectic
+from rsfield.symplectic import is_classical_closed, is_classical_open
 
 
 def sinusoid_scenario(theta=np.pi / 4, omega=1.0, beta0=0.2, drive=2.0, t_end=20.0):
@@ -173,7 +173,7 @@ class TestCasimirMap:
     def test_symplectic_residual_along_run(self):
         sol = solve_modes(sinusoid_scenario(), 51)
         for i in range(0, 51, 5):
-            assert verify_symplectic(casimir_map(sol, i)) <= 1e-8
+            assert casimir_map(sol, i).symplectic_residual() <= 1e-8
 
     def test_constant_velocity_map_is_closed_classical(self):
         s = CasimirScenario(1.5, 1.0, 0.8, VelocityProfile.constant(0.3), 10.0)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rsfield import cli
 from rsfield.cli import (
     load_config,
     main,
@@ -151,16 +152,6 @@ class TestRunSweep:
         names = sorted(f.name for f in (tmp_path / "sw").glob("casimir_*.csv"))
         assert names == [f"casimir_{i:03d}.csv" for i in range(9)]
 
-    def test_parallel_matches_serial(self, tmp_path):
-        cfg = parse_casimir_config(write_config(tmp_path / "c.json", samples=11, t_end=5.0))
-        cfg["sweep"] = {"omega": None, "theta": None,
-                        "drive_frequency": [1.0, 2.0], "beta0": [0.1, 0.2]}
-        run_sweep(cfg, tmp_path / "s1", jobs=1)
-        run_sweep(dict(cfg), tmp_path / "s4", jobs=4)
-        a = (tmp_path / "s1" / "sweep_summary.csv").read_bytes()
-        b = (tmp_path / "s4" / "sweep_summary.csv").read_bytes()
-        assert a == b
-
     def test_resonance_scan_reports_empirical_peak(self, tmp_path):
         # scan the drive frequency; the reported best point must be the
         # argmax of the per-point final densities (resonance located by
@@ -263,6 +254,34 @@ class TestExitCodes:
         assert not (tmp_path / "configured").exists()
 
 
+    @pytest.mark.parametrize("command", ["amplify", "fock-check"])
+    @pytest.mark.parametrize("text", ["[]", "[1, 2]"])
+    def test_json_array_config_exits_two(self, tmp_path, capsys, command, text):
+        p = tmp_path / "c.json"
+        p.write_text(text, encoding="utf-8")
+        code = main([command, "--config", str(p), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    def test_non_symplectic_map_exits_one_before_csv(self, tmp_path, capsys, monkeypatch):
+        # a 1e-6 relative error in f_L- passes the CCR and helicity gates of
+        # solve_modes but not the symplectic check of the stacked maps
+        real_solve = cli.solve_modes
+
+        def perturbed(*args, **kwargs):
+            sol = real_solve(*args, **kwargs)
+            sol.f_lm = sol.f_lm * (1 + 1e-6)
+            return sol
+
+        monkeypatch.setattr(cli, "solve_modes", perturbed)
+        p = tmp_path / "c.json"
+        write_config(p)
+        code = main(["casimir", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "NotSymplecticError" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "casimir.csv").exists()
+
+
 class TestExtractCommand:
     def test_extract_writes_trajectory(self, tmp_path):
         p = tmp_path / "c.json"
@@ -272,3 +291,19 @@ class TestExtractCommand:
         lines = (tmp_path / "o" / "extract.csv").read_text().splitlines()
         assert lines[0].split(",")[0] == "T"
         assert len(lines) == 10
+
+    def test_generator_columns_match_casimir(self, tmp_path):
+        p = tmp_path / "c.json"
+        write_config(p)
+        out = str(tmp_path / "o")
+        assert main(["casimir", "--config", str(p), "--out", out]) == 0
+        assert main(["extract", "--config", str(p), "--out", out]) == 0
+
+        def columns(name):
+            header, *rows = (tmp_path / "o" / name).read_text().splitlines()
+            names = header.split(",")
+            return {n: [r.split(",")[names.index(n)] for r in rows] for n in names}
+
+        casimir, extract = columns("casimir.csv"), columns("extract.csv")
+        for name in ("T", "h", "gamma_up", "gamma_up_extracted", "gamma_down_extracted"):
+            assert extract[name] == casimir[name]

@@ -122,6 +122,22 @@ class TestSolveOde:
         for t in (0.3, 1.1, 1.9):
             assert abs(dense.at(t)[0] - np.exp(-1j * t)) < 1e-9
 
+    def test_dense_output_array_matches_scalar_calls(self):
+        # DOP853, the pair the mode equations use, interpolates elementwise:
+        # one call on unsorted, repeated times gives the scalar calls' bits
+        p = OdeProblem(
+            np.array([1.0 + 0j, 0.5j]),
+            lambda t, y: np.array([-1j * np.cos(t) * y[0], y[0] - 0.3 * y[1]]),
+            (0.0, 3.0), method="DOP853",
+        )
+        dense = solve_ode_dense(p)
+        times = np.array([2.9, 0.0, 1.3, 3.0, 0.7, 1.3])
+        states = dense.at(times)
+        assert states.shape == (6, 2)
+        assert np.array_equal(states, np.array([dense.at(float(t)) for t in times]))
+        with pytest.raises(DimensionMismatchError):
+            dense.at(np.array([0.5, 3.5, 1.0]))
+
     def test_rejects_descending_samples(self):
         p = OdeProblem(np.array([1.0 + 0j]), lambda t, y: -y, (0.0, 1.0))
         with pytest.raises(DimensionMismatchError):
