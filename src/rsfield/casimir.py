@@ -147,6 +147,13 @@ class VelocityProfile:
             return self.beta0
         return self.beta0 * (2.0 * ramp + hold - t) / ramp
 
+    def kinks(self) -> tuple[float, ...]:
+        """Times where d beta/dt jumps; n(t) is only C^1 there."""
+        if self.kind != "linear_ramp_windowed":
+            return ()
+        ramp, hold = self.ramp_time, self.hold_time
+        return (ramp, ramp + hold, 2.0 * ramp + hold)
+
 
 @dataclass(frozen=True)
 class MediumSample:
@@ -324,7 +331,6 @@ def solve_modes(
     samples: int | Sequence[float] = 201,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    method: str = "DOP853",
 ) -> ModeSolution:
     """Integrate both helicity pairs and the phase over [0, t_end].
 
@@ -346,7 +352,7 @@ def solve_modes(
     medium = s.medium()
     y0 = np.array([1.0, 0.0, 0.0, 1.0, 0.0], dtype=complex)
     problem = OdeProblem(
-        y0, _mode_rhs(medium), (0.0, s.t_end), rtol=rtol, atol=atol, method=method
+        y0, _mode_rhs(medium), (0.0, s.t_end), rtol=rtol, atol=atol, method="DOP853"
     )
     dense = solve_ode_dense(problem)
     states = dense.at(times)
@@ -534,7 +540,6 @@ def casimir_generators_extracted(
     sol: ModeSolution,
     t: float,
     use_finite_differences: bool = False,
-    fd_step: float = 1e-5,
 ) -> KineticGenerators:
     """Generic open-system extraction applied to the mode family.
 
@@ -545,7 +550,7 @@ def casimir_generators_extracted(
     """
     x_up_s, x_down_c, dx_up_s, dx_down_c = casimir_family(s, sol)
     if use_finite_differences:
-        return extract_open_generators(x_up_s, x_down_c, t, fd_step=fd_step)
+        return extract_open_generators(x_up_s, x_down_c, t, fd_step=1e-5)
     return extract_open_generators(
         x_up_s, x_down_c, t, dx_up_s=dx_up_s, dx_down_c=dx_down_c
     )
@@ -572,29 +577,34 @@ class GrowthLawReport:
 
 
 def growth_law_residual(
-    s: CasimirScenario, sol: ModeSolution, fd_step: float | None = None,
-    gamma_up: np.ndarray | None = None,
+    s: CasimirScenario, sol: ModeSolution, gamma_up: np.ndarray | None = None
 ) -> GrowthLawReport:
     """Check the production growth law by numerical differentiation.
 
     d n/dT is taken from fourth-order finite differences of the dense
-    |f_R-(t)|^2 (one-sided at the span edges) and compared against
+    |f_R-(t)|^2 (one-sided at the span edges, and on the sample's own side
+    within two steps of a kink of the profile) and compared against
     gamma_up (n + 1) from the closed-form generators; the two sides are
     computed by different routes, so the residual is a genuine
     consistency check, not an identity.  ``gamma_up`` takes the
     closed-form rates at the samples (``closed_form_generators``) from a
     caller that already has them.
     """
-    if fd_step is None:
-        scale = max(s.omega, s.profile.drive_frequency)
-        fd_step = 5e-4 / scale
-    h = min(fd_step, s.t_end / 8.0)  # keep the 5-point stencil inside
+    # t_end / 8 keeps a one-sided 5-point stencil inside the span
+    h = min(5e-4 / max(s.omega, s.profile.drive_frequency), s.t_end / 8.0)
     if gamma_up is None:
         _, gamma_up = closed_form_generators(s, sol)
     t = sol.times
     # stencil t + k h: one-sided forward (side 1) at the start, backward (side -1)
     # at the end, central (side 0, fifth point unused) elsewhere
     side = np.where(t - 2 * h < 0.0, 1, np.where(t + 2 * h > s.t_end, -1, 0))
+    for kink in s.profile.kinks():
+        # a central stencil across a kink misses the growth law; go one-sided
+        # on the sample's own side, or the other side where that one would
+        # leave the span (the other side then fits, since t_end >= 8 h)
+        own = np.where(t < kink, -1, 1)
+        own = np.where((t + 4 * h * own < 0.0) | (t + 4 * h * own > s.t_end), -own, own)
+        side = np.where((side == 0) & (np.abs(t - kink) < 2 * h), own, side)
     k = np.where(side[:, None] != 0, side[:, None] * np.arange(5), [-2, -1, 1, 2, 0])
     f_rm = sol.at((t[:, None] + k * h).ravel()).f_rm.reshape(k.shape)
     f0, f1, f2, f3, f4 = (np.abs(f_rm) ** 2).T

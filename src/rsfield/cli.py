@@ -42,8 +42,11 @@ from .casimir import (
 from .errors import ConfigError, RsfieldError
 from .fock import (
     FockState,
+    QuadraticHamiltonian,
+    apply_ladder,
     beam_splitter_pair,
     coherent_state,
+    evolve,
     measure_rsf,
     oracle_check_transform,
     squeeze_pair,
@@ -51,7 +54,7 @@ from .fock import (
 from .kinetics import integrate_kinetics
 from .numerics import max_abs
 from .rsf import expect_additive, vacuum
-from .symplectic import classical_mask
+from .symplectic import classical_mask, identity_map
 
 CCR_LIMIT = 1e-8
 SYMPLECTIC_LIMIT = 1e-8
@@ -70,20 +73,23 @@ CSV_COLUMNS = (
 )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
+def _formatter(value):
+    """The text form of a CSV column, picked from its first value: booleans
+    (Python or numpy) as true/false, integers as integers, strings as they
+    are, anything else as a float with 17 significant digits."""
+    if isinstance(value, (bool, np.bool_)):
+        return lambda v: "true" if v else "false"
     if isinstance(value, str):
-        return value
+        return str
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+        return lambda v: str(int(v))
+    return lambda v: f"{float(v):.17g}"
 
 
 def _write_csv(path: Path, columns, rows) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
+    values = [[row[c] for row in rows] for c in columns]
+    text = zip(*(map(_formatter(v[0]), v) for v in values if v))
+    lines = [",".join(columns), *(",".join(r) for r in text)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -440,9 +446,6 @@ def run_fock_check(cfg: dict | None, out_dir: Path) -> RunReport:
         })
 
     if "identity" in cfg["checks"]:
-        from .symplectic import identity_map
-        from .fock import QuadraticHamiltonian
-
         dev = oracle_check_transform(
             identity_map(1, 1), coherent_state(0.3, -0.2, cutoff),
             QuadraticHamiltonian(), 1.0,
@@ -458,8 +461,6 @@ def run_fock_check(cfg: dict | None, out_dir: Path) -> RunReport:
         record("squeeze", dev)
     if "observables" in cfg["checks"]:
         h, _ = squeeze_pair(float(cfg["squeeze"]), 1.0)
-        from .fock import apply_ladder, evolve
-
         state = evolve(FockState.vacuum(cutoff), h, 1.0)
         rf, _ = measure_rsf(state)
         lowered = [
@@ -476,7 +477,7 @@ def run_fock_check(cfg: dict | None, out_dir: Path) -> RunReport:
                 for k in range(2)
                 for kp in range(2)
             ).real
-            dev = max(dev, abs(expect_additive(rf, o) - direct))
+            dev = max(dev, float(abs(expect_additive(rf, o) - direct)))
         record("observables", dev)
 
     failures = [r["check"] for r in rows if not r["passed"]]

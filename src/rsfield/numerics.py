@@ -122,10 +122,9 @@ def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> tuple[bool, float]:
 class OdeProblem:
     """An initial-value problem ``dy/dt = rhs(t, y)`` on ``t_span``.
 
-    ``first_step`` bounds the initial step of the adaptive integrator;
-    by default the integrator chooses it.  ``method`` selects the
-    embedded pair: "RK45" (Dormand-Prince 5(4)) or "DOP853"
-    (Dormand-Prince 8(5,3), for long smooth runs at tight tolerance).
+    ``method`` selects the embedded pair: "RK45" (Dormand-Prince 5(4))
+    or "DOP853" (Dormand-Prince 8(5,3), for long smooth runs at tight
+    tolerance).
     """
 
     y0: np.ndarray
@@ -133,7 +132,6 @@ class OdeProblem:
     t_span: tuple[float, float]
     rtol: float = DEFAULT_RTOL
     atol: float = DEFAULT_ATOL
-    first_step: float | None = None
     method: str = "RK45"
 
     def __post_init__(self):
@@ -200,13 +198,10 @@ def solve_ode_dense(problem: OdeProblem) -> DenseOdeSolution:
             return np.multiply.outer(problem.y0, np.ones(np.shape(t)))
 
         return DenseOdeSolution(problem, constant, t0, problem.y0, 0)
-    kwargs = {}
-    if problem.first_step is not None:
-        kwargs["first_step"] = problem.first_step
     res = solve_ivp(
         _checked_rhs(problem), (t0, t1), problem.y0,
         method=problem.method, rtol=problem.rtol, atol=problem.atol,
-        dense_output=True, **kwargs,
+        dense_output=True,
     )
     if not res.success:
         msg = res.message or "integration failed"

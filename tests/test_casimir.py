@@ -10,10 +10,12 @@ from rsfield.casimir import (
     casimir_generators_closed_form,
     casimir_generators_extracted,
     casimir_map,
+    closed_form_generators,
     growth_law_residual,
     photon_density,
     solve_modes,
 )
+from rsfield.cli import GROWTH_LIMIT
 from rsfield.errors import ConfigError, InvariantViolationError
 from rsfield.kinetics import integrate_kinetics
 from rsfield.numerics import central_difference, is_psd, max_abs
@@ -29,6 +31,11 @@ def sinusoid_scenario(theta=np.pi / 4, omega=1.0, beta0=0.2, drive=2.0, t_end=20
         profile=VelocityProfile.sinusoid(beta0, drive),
         t_end=t_end,
     )
+
+
+def ramp_scenario():
+    """Kinks of beta(t) at t = 2, 3 and 5, each on a sample of a 31-point grid."""
+    return CasimirScenario(1.5, 1.0, 1.0, VelocityProfile.linear_ramp(0.3, 2.0, 1.0), 6.0)
 
 
 PROFILE_CATALOG = [
@@ -50,6 +57,12 @@ class TestProfiles:
         assert p.beta(5.0) == 0.0
         assert p.beta(7.0) == 0.0
         assert p.beta(2.5) == pytest.approx(0.3)
+
+    def test_kinks(self):
+        assert VelocityProfile.linear_ramp(0.3, 2.0, 1.0).kinks() == (2.0, 3.0, 5.0)
+        for p in (VelocityProfile.constant(0.2), VelocityProfile.sinusoid(0.2, 2.0),
+                  VelocityProfile.smooth_pulse(0.2, 10.0)):
+            assert p.kinks() == ()
 
     def test_ramp_is_continuous(self):
         p = VelocityProfile.linear_ramp(0.4, 1.0, 2.0)
@@ -269,6 +282,40 @@ class TestGrowthLaw:
         sol = solve_modes(s, 41, rtol=1e-12, atol=1e-14)
         rep = growth_law_residual(s, sol)
         assert rep.max_residual <= 1e-6 * rep.max_rate
+
+    @pytest.mark.parametrize("s", [sinusoid_scenario(), ramp_scenario()])
+    def test_central_stencil_away_from_kinks(self, s):
+        # samples at least 2h from every kink (all inner samples of a sinusoid)
+        # keep the plain central stencil, bit for bit
+        sol = solve_modes(s, 31, rtol=1e-11, atol=1e-13)
+        rep = growth_law_residual(s, sol)
+        h = min(5e-4 / max(s.omega, s.profile.drive_frequency), s.t_end / 8.0)
+        t = sol.times
+        far = np.all(np.abs(t[:, None] - np.array([*s.profile.kinks(), np.inf])) >= 2 * h, 1)
+        inner = far & (t - 2 * h >= 0.0) & (t + 2 * h <= s.t_end)
+        f_rm = sol.at((t[inner, None] + np.array([-2, -1, 1, 2]) * h).ravel()).f_rm
+        f0, f1, f2, f3 = (np.abs(f_rm.reshape(-1, 4)) ** 2).T
+        assert np.array_equal(rep.density_rate[inner], (f0 - 8 * f1 + 8 * f2 - f3) / (12 * h))
+        assert inner.sum() == t.size - 2 - (3 if s.profile.kinks() else 0)
+
+    def test_ramp_kinks_meet_the_bound(self):
+        # samples on each kink and 0.6 h to either side of it
+        s = ramp_scenario()
+        near = np.add.outer(s.profile.kinks(), [-3e-4, 0.0, 3e-4]).ravel()
+        times = np.sort(np.concatenate([np.linspace(0.0, 6.0, 31), near]))
+        sol = solve_modes(s, times, rtol=1e-11, atol=1e-13)
+        rep = growth_law_residual(s, sol)
+        assert rep.max_residual <= max(GROWTH_LIMIT * rep.max_rate, 1e-12 * s.omega)
+
+    def test_ramp_kinks_still_catch_a_wrong_rate(self):
+        s = ramp_scenario()
+        sol = solve_modes(s, 31, rtol=1e-11, atol=1e-13)
+        _, gamma_up = closed_form_generators(s, sol)
+        at_kink = np.any(np.isclose(sol.times[:, None], s.profile.kinks()), 1)
+        assert at_kink.sum() == 3
+        wrong = np.where(at_kink, gamma_up * (1 + 1e-3), gamma_up)
+        rep = growth_law_residual(s, sol, gamma_up=wrong)
+        assert rep.max_residual > max(GROWTH_LIMIT * rep.max_rate, 1e-12 * s.omega)
 
     def test_rate_sign_matches_creation_rate_sign(self):
         # wherever gamma_up < 0 the density must actually be decreasing

@@ -207,6 +207,22 @@ class TestRunAmplify:
         assert main(["amplify", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
 
 
+class TestWriteCsv:
+    def test_numpy_scalars_write_as_python_scalars(self, tmp_path):
+        columns = ("passed", "x", "n", "name")
+        py = [{"passed": True, "x": 0.1, "n": 3, "name": "a"},
+              {"passed": False, "x": 2.5, "n": -1, "name": "b"}]
+        npy = [{"passed": np.bool_(r["passed"]), "x": np.float64(r["x"]),
+                "n": np.int64(r["n"]), "name": r["name"]} for r in py]
+        cli._write_csv(tmp_path / "py.csv", columns, py)
+        cli._write_csv(tmp_path / "np.csv", columns, npy)
+        text = (tmp_path / "py.csv").read_text()
+        assert (tmp_path / "np.csv").read_text() == text
+        assert text.splitlines() == [
+            "passed,x,n,name", "true,0.10000000000000001,3,a", "false,2.5,-1,b",
+        ]
+
+
 class TestRunFockCheck:
     def test_default_catalog_passes(self, tmp_path):
         report = run_fock_check(None, tmp_path)
@@ -215,6 +231,17 @@ class TestRunFockCheck:
         assert devs["squeeze"] <= 1e-6
         assert devs["beam_splitter"] <= 1e-8
         assert devs["observables"] <= 1e-6
+
+    def test_nonzero_observables_deviation_writes_true(self, tmp_path, monkeypatch):
+        real = cli.expect_additive
+        monkeypatch.setattr(cli, "expect_additive", lambda rf, o: real(rf, o) + 1e-12)
+        report = run_fock_check({"checks": ["observables"], "cutoff": 8}, tmp_path)
+        assert report.ok
+        check, deviation, _, passed = (
+            (tmp_path / "fock_check.csv").read_text().splitlines()[1].split(",")
+        )
+        assert (check, passed) == ("observables", "true")
+        assert 0.0 < float(deviation) <= 1e-6
 
     def test_check_selection(self, tmp_path):
         report = run_fock_check({"checks": ["identity"]}, tmp_path)
@@ -239,6 +266,15 @@ class TestExitCodes:
                      "--rel-tol", "1e-3"])
         assert code == 1
         assert "CCR" in capsys.readouterr().err
+
+    def test_linear_ramp_kinks_exit_zero(self, tmp_path, capsys):
+        # beta(t) has kinks at t = 2, 3 and 5, all on samples
+        p = tmp_path / "c.json"
+        write_config(p, theta=1.0, t_end=6.0, samples=31,
+                     profile={"kind": "linear_ramp_windowed", "beta0": 0.3,
+                              "ramp_time": 2.0, "hold_time": 1.0})
+        assert main(["casimir", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+        assert "violated" not in capsys.readouterr().out
 
     def test_out_dir_from_config(self, tmp_path):
         p = tmp_path / "c.json"

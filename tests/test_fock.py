@@ -22,6 +22,24 @@ from rsfield.symplectic import identity_map
 SINH2_03 = 0.09273260912113383
 
 
+def dense_hamiltonian(h: QuadraticHamiltonian, n_max: int) -> np.ndarray:
+    """H as a (d^2, d^2) matrix built from Kronecker ladder operators."""
+    d = n_max + 1
+    a1 = np.diag(np.sqrt(np.arange(1, d)), k=1)
+    a, b = np.kron(a1, np.eye(d)), np.kron(np.eye(d), a1)
+    ad, bd = a.T, b.T
+    return (
+        h.number_a * (ad @ a) + h.number_b * (bd @ b)
+        + h.exchange_re * (ad @ b + a @ bd) + h.exchange_im * 1j * (ad @ b - a @ bd)
+        + h.pair_re * (ad @ bd + a @ b) + h.pair_im * 1j * (ad @ bd - a @ b)
+    )
+
+
+def random_amplitudes(d: int, rng) -> np.ndarray:
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return z / np.linalg.norm(z)
+
+
 class TestLadder:
     def test_lower_annihilates_vacuum(self):
         out = apply_ladder(FockState.vacuum(5), 0, "lower")
@@ -54,6 +72,20 @@ class TestLadder:
         out = apply_ladder(st, 0, "raise")
         assert out.norm_squared() == 0.0
         assert out.lost_weight == pytest.approx(6.0)
+
+
+class TestHamiltonianApply:
+    def test_matches_dense_truncated_operator(self, rng):
+        h = QuadraticHamiltonian(*rng.standard_normal(6))
+        hm = dense_hamiltonian(h, 5)
+        for _ in range(3):
+            psi = random_amplitudes(6, rng)
+            assert max_abs(h.apply(psi).ravel() - hm @ psi.ravel()) < 1e-12
+
+    def test_is_hermitian(self, rng):
+        h = QuadraticHamiltonian(*rng.standard_normal(6))
+        phi, psi = random_amplitudes(9, rng), random_amplitudes(9, rng)
+        assert abs(np.vdot(phi, h.apply(psi)) - np.vdot(h.apply(phi), psi)) < 1e-12
 
 
 class TestEvolve:
@@ -172,6 +204,17 @@ class TestComposedEvolution:
         total = compose(m_bs, m_sq)
         predicted = total.x @ g0.g @ total.x.conj().T
         assert max_abs(g1.g - predicted) < 1e-6
+
+
+class TestMeasureRsf:
+    def test_coherent_state_moments(self):
+        # a coherent state is an eigenstate of both lowering operators:
+        # r = |alpha><alpha| and c_kk' = alpha_k alpha_k'
+        z = np.array([0.3 - 0.1j, -0.2 + 0.25j])
+        rf, cf = measure_rsf(coherent_state(z[0], z[1], 10))
+        assert max_abs(rf.alpha - z) < 1e-12
+        assert max_abs(rf.r - np.outer(z, z.conj())) < 1e-12
+        assert max_abs(cf.c - np.outer(z, z)) < 1e-12
 
 
 class TestGeneralizedMeasurement:

@@ -167,7 +167,7 @@ class TestSolveOde:
     def test_higher_order_pair_and_first_step(self):
         p = OdeProblem(
             np.array([1.0 + 0j]), lambda t, y: -1j * y, (0.0, np.pi),
-            rtol=1e-12, atol=1e-14, first_step=1e-3, method="DOP853",
+            rtol=1e-12, atol=1e-14, method="DOP853",
         )
         y = solve_ode(p, [np.pi])
         assert abs(y[0, 0] + 1.0) < 1e-11
