@@ -2,7 +2,8 @@
 
 Subpackages:
 
-* ``numerics``   -- dense complex linear algebra, adaptive integration
+* ``numerics``   -- dense complex linear algebra, adaptive integration,
+                    Magnus propagation
 * ``symplectic`` -- Bogoliubov maps and classicality predicates
 * ``rsf``        -- reduced/conjugate/generalized fields and entropies
 * ``kinetics``   -- reduced kinetic equations and generator extraction

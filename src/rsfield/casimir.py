@@ -17,12 +17,17 @@ with medium coefficients
 sigma > 0 being a free polarization-geometry parameter.  The pair
 (f_R+, f_R-) starts from (1, 0) and (f_L+, f_L-) from (0, 1); exactly,
 f_L- = conj(f_R+) and f_L+ = conj(f_R-), which is checked numerically
-rather than assumed (both pairs are integrated).  An extracted phase
+rather than assumed (both pairs are propagated).  The equations are
+d f/dt = A(t) f with A(t) = -i omega [[eta_plus, -eta_minus],
+[eta_minus, -eta_plus]] in su(1,1); ``solve_modes`` propagates the
+fundamental matrix U, whose columns are the two pairs, by sixth-order
+Magnus steps with the closed-form 2x2 exponential (``numerics.solve_magnus``),
+so every step map lies in SU(1,1) to roundoff.  An extracted phase
 
     phi(t) = omega cos(theta) * integral_0^t delta(tau) beta(tau) dtau
 
-is carried as an extra ODE component so it shares the adaptive error
-control.
+is integrated by Gauss quadrature on the same nodes and shares the
+step-doubling error control.
 
 The CCR invariant |f_R+|^2 - |f_R-|^2 = 1 holds at all times; the
 per-mode photon density produced from vacuum is n(T) = |f_R-(T)|^2
@@ -56,6 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,7 +70,7 @@ from .errors import (
     ConfigError, DimensionMismatchError, InvariantViolationError, NotSymplecticError,
 )
 from .kinetics import KineticGenerators, extract_open_generators, open_generator_arrays
-from .numerics import DenseOdeSolution, OdeProblem, solve_ode_dense
+from .numerics import MagnusSolution, solve_magnus
 from .symplectic import BogoliubovMap, assemble, symplectic_residuals
 
 PROFILE_KINDS = ("constant", "sinusoid", "smooth_pulse", "linear_ramp_windowed")
@@ -129,23 +135,25 @@ class VelocityProfile:
             "linear_ramp_windowed", beta0, ramp_time=ramp_time, hold_time=hold_time
         )
 
-    def beta(self, t: float) -> float:
+    def beta(self, t):
+        """beta at a time (a float) or at an array of times (an array)."""
+        t = np.asarray(t, dtype=float)
         if self.kind == "constant":
-            return self.beta0
-        if self.kind == "sinusoid":
-            return self.beta0 * math.sin(self.drive_frequency * t)
-        if self.kind == "smooth_pulse":
-            if t <= 0.0 or t >= self.duration:
-                return 0.0
-            return self.beta0 * math.sin(math.pi * t / self.duration) ** 2
-        ramp, hold = self.ramp_time, self.hold_time
-        if t <= 0.0 or t >= 2.0 * ramp + hold:
-            return 0.0
-        if t < ramp:
-            return self.beta0 * t / ramp
-        if t <= ramp + hold:
-            return self.beta0
-        return self.beta0 * (2.0 * ramp + hold - t) / ramp
+            out = np.full(t.shape, self.beta0)
+        elif self.kind == "sinusoid":
+            out = self.beta0 * np.sin(self.drive_frequency * t)
+        elif self.kind == "smooth_pulse":
+            inside = (t > 0.0) & (t < self.duration)
+            out = np.where(inside, self.beta0 * np.sin(math.pi * t / self.duration) ** 2, 0.0)
+        else:
+            ramp, end = self.ramp_time, 2.0 * self.ramp_time + self.hold_time
+            out = np.where(
+                t < ramp,
+                self.beta0 * t / ramp,
+                np.where(t <= ramp + self.hold_time, self.beta0, self.beta0 * (end - t) / ramp),
+            )
+            out = np.where((t <= 0.0) | (t >= end), 0.0, out)
+        return float(out) if out.ndim == 0 else out
 
     def kinks(self) -> tuple[float, ...]:
         """Times where d beta/dt jumps; n(t) is only C^1 there."""
@@ -183,7 +191,7 @@ class MediumCoefficients:
 
     def on_grid(self, times: np.ndarray) -> MediumSample:
         """The coefficients at each of ``times``, as arrays."""
-        return self.at_speed(np.array([self.profile.beta(t) for t in times.tolist()]))
+        return self.at_speed(self.profile.beta(times))
 
     def at_speed(self, beta) -> MediumSample:
         """The coefficients at speed ``beta``; broadcasts over an array of speeds."""
@@ -270,11 +278,14 @@ class ModePoint:
 
 @dataclass(eq=False)
 class ModeSolution:
-    """Integrated mode trajectory with conserved-quantity diagnostics.
+    """Propagated mode trajectory with conserved-quantity diagnostics.
 
     ``ccr_residual`` holds |f_R+|^2 - |f_R-|^2 - 1 per sample and
     ``helicity_residual`` holds |f_L+| - |f_R-| per sample; both are
-    validated against their tolerances at construction.
+    validated against their tolerances by ``solve_modes``.  ``steps`` is
+    the number of Magnus steps kept and ``error_estimate`` the largest
+    step-doubling estimate of their global error in any entry of the
+    fundamental matrix or in phi.
     """
 
     scenario: CasimirScenario
@@ -287,19 +298,22 @@ class ModeSolution:
     phi: np.ndarray
     ccr_residual: np.ndarray = field(init=False)
     helicity_residual: np.ndarray = field(init=False)
-    _dense: DenseOdeSolution | None = None
+    steps: int = 0
+    error_estimate: float = 0.0
+    _propagator: MagnusSolution | None = None
 
     def __post_init__(self):
         self.ccr_residual = np.abs(self.f_rp) ** 2 - np.abs(self.f_rm) ** 2 - 1.0
         self.helicity_residual = np.abs(self.f_lp) - np.abs(self.f_rm)
 
     def at(self, t) -> ModePoint:
-        """Dense-output evaluation anywhere inside the integrated span, at a
+        """Dense-output evaluation anywhere inside the propagated span, at a
         time or a 1-D array of times."""
-        if self._dense is None:
+        if self._propagator is None:
             raise DimensionMismatchError("solution carries no dense output")
-        f_rp, f_rm, f_lp, f_lm, phi = self._dense.at(t).T
-        return ModePoint(f_rp=f_rp, f_rm=f_rm, f_lp=f_lp, f_lm=f_lm, phi=phi.real)
+        u, phi = self._propagator.at(t)
+        (f_rp, f_lp), (f_rm, f_lm) = u
+        return ModePoint(f_rp=f_rp, f_rm=f_rm, f_lp=f_lp, f_lm=f_lm, phi=phi)
 
     def endpoint_velocity_mismatch(self) -> float:
         """|beta(T) - beta(0)|; nonzero means no clean in/out photon picture."""
@@ -311,19 +325,25 @@ class ModeSolution:
         return np.abs(self.f_rm) ** 2
 
 
-def _mode_rhs(medium: MediumCoefficients):
-    omega = medium.omega
-    beta, at_speed = medium.profile.beta, medium.at_speed
+def _mode_generator(medium: MediumCoefficients):
+    """A(t) = -i omega [[eta_plus, -eta_minus], [eta_minus, -eta_plus]] as the
+    entries (a, b, c) of ``numerics.magnus_steps``, with the phase rate."""
+    omega, beta, at_speed = medium.omega, medium.profile.beta, medium.at_speed
 
-    def rhs(t, y):
+    def generator(t):
         m = at_speed(beta(t))
-        cp = -1j * omega * (m.eta_plus * y[0] - m.eta_minus * y[1])
-        cm = 1j * omega * (m.eta_plus * y[1] - m.eta_minus * y[0])
-        lp = -1j * omega * (m.eta_plus * y[2] - m.eta_minus * y[3])
-        lm = 1j * omega * (m.eta_plus * y[3] - m.eta_minus * y[2])
-        return np.array([cp, cm, lp, lm, m.phase_rate], dtype=complex)
+        b = 1j * omega * m.eta_minus
+        return -1j * omega * m.eta_plus, b, -b, m.phase_rate
 
-    return rhs
+    return generator
+
+
+def _breakpoints(s: CasimirScenario) -> list:
+    """0, t_end and the times inside the span where beta(t) is not smooth:
+    the corners of a ramp and the end of a smooth pulse (beta'' jumps)."""
+    p = s.profile
+    corners = (*p.kinks(), p.duration) if p.kind == "smooth_pulse" else p.kinks()
+    return [0.0, *sorted(t for t in set(corners) if 0.0 < t < s.t_end), s.t_end]
 
 
 def solve_modes(
@@ -332,10 +352,12 @@ def solve_modes(
     rtol: float = 1e-10,
     atol: float = 1e-12,
 ) -> ModeSolution:
-    """Integrate both helicity pairs and the phase over [0, t_end].
+    """Propagate both helicity pairs and the phase over [0, t_end].
 
     ``samples`` is either a count (uniform grid including both ends) or
-    an explicit ascending array of times within the span.  Raises
+    an explicit ascending array of times within the span.  ``rtol`` and
+    ``atol`` bound the estimated global error of every entry of the
+    fundamental matrix and of phi (``numerics.solve_magnus``).  Raises
     ``InvariantViolationError`` if the CCR or helicity-symmetry residual
     exceeds its tolerance at any sample.
     """
@@ -350,22 +372,26 @@ def solve_modes(
         if times[0] < 0.0 or times[-1] > s.t_end * (1 + 1e-12):
             raise ConfigError("sample times must lie within [0, t_end]")
     medium = s.medium()
-    y0 = np.array([1.0, 0.0, 0.0, 1.0, 0.0], dtype=complex)
-    problem = OdeProblem(
-        y0, _mode_rhs(medium), (0.0, s.t_end), rtol=rtol, atol=atol, method="DOP853"
+    # the first grid takes about one step per radian of the faster of the
+    # mode and the drive; step doubling refines it
+    propagator = solve_magnus(
+        _mode_generator(medium), _breakpoints(s),
+        1.0 / max(s.omega, s.profile.drive_frequency), rtol=rtol, atol=atol,
     )
-    dense = solve_ode_dense(problem)
-    states = dense.at(times)
+    u, phi = propagator.at(times)
+    (f_rp, f_lp), (f_rm, f_lm) = u
     sol = ModeSolution(
         scenario=s,
         sigma=medium.sigma,
         times=times,
-        f_rp=states[:, 0],
-        f_rm=states[:, 1],
-        f_lp=states[:, 2],
-        f_lm=states[:, 3],
-        phi=states[:, 4].real,
-        _dense=dense,
+        f_rp=f_rp,
+        f_rm=f_rm,
+        f_lp=f_lp,
+        f_lm=f_lm,
+        phi=phi,
+        steps=propagator.steps,
+        error_estimate=propagator.error_estimate,
+        _propagator=propagator,
     )
     worst_ccr = int(np.argmax(np.abs(sol.ccr_residual)))
     if abs(sol.ccr_residual[worst_ccr]) > CCR_TOL:
@@ -524,11 +550,15 @@ def casimir_family(
     """
     medium = _medium_for(s, sol)
 
+    # the four members at one time share one dense-output step
+    @lru_cache(maxsize=4)
+    def family(t: float) -> tuple:
+        p = sol.at(t)
+        return _family(medium, medium.at(t), p.f_rp, p.f_rm, p.phi)
+
     def member(k: int) -> Callable[[float], np.ndarray]:
         def callback(t: float) -> np.ndarray:
-            p = sol.at(t)
-            value = _family(medium, medium.at(t), p.f_rp, p.f_rm, p.phi)[k]
-            return np.array([[value]], dtype=complex)
+            return np.array([[family(t)[k]]], dtype=complex)
 
         return callback
 

@@ -18,7 +18,8 @@ class NonHermitianObservableError(NonHermitianError):
 
 
 class ConvergenceError(RsfieldError):
-    """An iterative linear-algebra routine did not converge."""
+    """An iterative routine (an eigensolver, or the step doubling of the
+    Magnus propagator) did not converge."""
 
 
 class StepSizeUnderflowError(RsfieldError):

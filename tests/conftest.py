@@ -1,8 +1,10 @@
-"""Shared helpers: reproducible random states and symplectic maps."""
+"""Shared helpers: reproducible random states and symplectic maps, and a
+reference route for the mode equations."""
 
 import numpy as np
 import pytest
 
+from rsfield.numerics import OdeProblem, solve_ode
 from rsfield.rsf import ConjugateField, ReducedField
 from rsfield.symplectic import BogoliubovMap, from_blocks
 
@@ -49,6 +51,38 @@ def random_physical_fields(
         c = c + np.outer(alpha, alpha)
         c = 0.5 * (c + c.T)
     return ReducedField(r, alpha), ConjugateField(c, alpha.conj())
+
+
+def reference_modes(s, times, rtol=1e-13, atol=1e-15):
+    """(f_R+, f_R-, f_L+, f_L-, phi) at ``times`` from scipy's adaptive DOP853
+    on the mode equations as a 5-component ODE, independent of the Magnus
+    propagator of ``solve_modes``; each entry is an array over ``times``.
+    The integration restarts at every corner of beta(t), where an adaptive
+    step across the corner would lose the tolerance."""
+    medium, omega = s.medium(), s.omega
+
+    def rhs(t, y):
+        m = medium.at(t)
+        return np.array([
+            -1j * omega * (m.eta_plus * y[0] - m.eta_minus * y[1]),
+            1j * omega * (m.eta_plus * y[1] - m.eta_minus * y[0]),
+            -1j * omega * (m.eta_plus * y[2] - m.eta_minus * y[3]),
+            1j * omega * (m.eta_plus * y[3] - m.eta_minus * y[2]),
+            m.phase_rate,
+        ])
+
+    times = np.asarray(times, dtype=float)
+    corners = [t for t in (*s.profile.kinks(), s.profile.duration) if 0.0 < t < s.t_end]
+    edges = [0.0, *sorted(corners), s.t_end]
+    y = np.array([1.0, 0.0, 0.0, 1.0, 0.0], dtype=complex)
+    out = np.empty((times.size, 5), dtype=complex)
+    for t0, t1 in zip(edges[:-1], edges[1:]):
+        inside = (times >= t0) & (times <= t1)
+        problem = OdeProblem(y, rhs, (t0, t1), rtol=rtol, atol=atol, method="DOP853")
+        states = solve_ode(problem, np.append(times[inside], t1))
+        out[inside], y = states[:-1], states[-1]
+    f_rp, f_rm, f_lp, f_lm, phi = out.T
+    return f_rp, f_rm, f_lp, f_lm, phi.real
 
 
 @pytest.fixture

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from conftest import reference_modes
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rsfield import casimir, numerics
 from rsfield.casimir import (
     CasimirScenario,
     VelocityProfile,
@@ -11,12 +15,13 @@ from rsfield.casimir import (
     casimir_generators_extracted,
     casimir_map,
     closed_form_generators,
+    extracted_generators,
     growth_law_residual,
     photon_density,
     solve_modes,
 )
-from rsfield.cli import GROWTH_LIMIT
-from rsfield.errors import ConfigError, InvariantViolationError
+from rsfield.cli import EXTRACTION_LIMIT, GAMMA_DOWN_LIMIT, GROWTH_LIMIT
+from rsfield.errors import ConfigError, DimensionMismatchError, InvariantViolationError
 from rsfield.kinetics import integrate_kinetics
 from rsfield.numerics import central_difference, is_psd, max_abs
 from rsfield.rsf import transform_open_vacuum_env, vacuum
@@ -36,6 +41,40 @@ def sinusoid_scenario(theta=np.pi / 4, omega=1.0, beta0=0.2, drive=2.0, t_end=20
 def ramp_scenario():
     """Kinks of beta(t) at t = 2, 3 and 5, each on a sample of a 31-point grid."""
     return CasimirScenario(1.5, 1.0, 1.0, VelocityProfile.linear_ramp(0.3, 2.0, 1.0), 6.0)
+
+
+# the configs the Magnus propagator is checked on against the DOP853 reference route
+REFERENCE_CONFIGS = {
+    "readme_sinusoid": CasimirScenario(
+        1.5, 1.0, np.pi / 4, VelocityProfile.sinusoid(0.2, 2.0), 40.0
+    ),
+    "resonant_t200": CasimirScenario(
+        1.5, 1.0, np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), 200.0
+    ),
+    "smooth_pulse": CasimirScenario(
+        1.5, 1.0, np.pi / 3, VelocityProfile.smooth_pulse(0.2, 10.0), 12.0
+    ),
+    "ramp_kinks_2_3_5": ramp_scenario(),
+    "ramp_kinks_3_5_8": CasimirScenario(
+        1.5, 1.0, 0.8, VelocityProfile.linear_ramp(0.2, 3.0, 2.0), 10.0
+    ),
+    "constant": CasimirScenario(1.5, 1.0, 0.6, VelocityProfile.constant(0.2), 10.0),
+    "theta_zero": CasimirScenario(1.5, 1.0, 0.0, VelocityProfile.sinusoid(0.2, 2.0), 10.0),
+}
+
+
+def assert_matches_reference(sol, rtol, atol, slack=2.0):
+    """f, phi and n of ``sol`` within ``slack`` times the requested tolerance of
+    the reference route, entry by entry (the reference's own error is ~1e-13)."""
+    ref = reference_modes(sol.scenario, sol.times)
+    bounds = []
+    for value, expected in zip((sol.f_rp, sol.f_rm, sol.f_lp, sol.f_lm, sol.phi), ref):
+        bound = slack * (atol + rtol * np.abs(expected))
+        assert np.all(np.abs(value - expected) <= bound)
+        bounds.append(bound)
+    # n = |f_R-|^2, so its error is bounded through that of f_R-
+    n_ref = np.abs(ref[1]) ** 2
+    assert np.all(np.abs(sol.density() - n_ref) <= bounds[1] * (2 * np.abs(ref[1]) + bounds[1]))
 
 
 PROFILE_CATALOG = [
@@ -63,6 +102,17 @@ class TestProfiles:
         for p in (VelocityProfile.constant(0.2), VelocityProfile.sinusoid(0.2, 2.0),
                   VelocityProfile.smooth_pulse(0.2, 10.0)):
             assert p.kinks() == ()
+
+    @pytest.mark.parametrize("p", PROFILE_CATALOG + [VelocityProfile.linear_ramp(0.3, 2.0, 0.0)])
+    def test_array_calls_match_scalar_calls(self, p):
+        edges = [0.0, p.duration, *p.kinks()]
+        times = np.concatenate([np.linspace(-1.0, 13.0, 57), edges, np.nextafter(edges, 20.0)])
+        batch = p.beta(times)
+        assert isinstance(batch, np.ndarray) and batch.shape == times.shape
+        scalars = [p.beta(float(t)) for t in times]
+        assert all(type(b) is float for b in scalars)
+        assert np.array_equal(batch, scalars)
+        assert np.array_equal(p.beta(times[:, None]), batch[:, None])
 
     def test_ramp_is_continuous(self):
         p = VelocityProfile.linear_ramp(0.4, 1.0, 2.0)
@@ -136,9 +186,41 @@ class TestSolveModes:
         sol = solve_modes(sinusoid_scenario(theta=0.0, t_end=10.0), 21)
         assert np.max(sol.density()) < 1e-20
 
-    def test_loose_tolerance_trips_invariant_gate(self):
-        with pytest.raises(InvariantViolationError):
-            solve_modes(sinusoid_scenario(beta0=0.5, t_end=50.0), 41, rtol=1e-3, atol=1e-6)
+    @pytest.mark.parametrize("perturb", ["scale", "squeeze"])
+    def test_step_maps_off_su11_trip_invariant_gate(self, monkeypatch, perturb):
+        # step maps off SU(1,1) by 1e-6 per unit time: a uniform scaling
+        # (det != 1) or a real squeeze diag(1 + e, 1 - e) (det = 1 to O(e^2),
+        # but not pseudo-unitary); the change is consistent in h, so step
+        # doubling converges and the CCR gate has to catch it
+        real_steps = numerics.magnus_steps
+
+        def perturbed(generator, t0, h):
+            maps, increments = real_steps(generator, t0, h)
+            maps[:, 0] *= 1.0 + 1e-6 * h
+            maps[:, 1] *= 1.0 + 1e-6 * h if perturb == "scale" else 1.0 - 1e-6 * h
+            return maps, increments
+
+        monkeypatch.setattr(numerics, "magnus_steps", perturbed)
+        with pytest.raises(InvariantViolationError, match="CCR"):
+            solve_modes(sinusoid_scenario(t_end=10.0), 21)
+
+    def test_loose_tolerance_stays_within_it(self):
+        # each Magnus map is exact in SU(1,1), so a loose tolerance loosens
+        # accuracy only, and that as far as asked for
+        s = sinusoid_scenario(beta0=0.5, t_end=50.0)
+        sol = solve_modes(s, 41, rtol=1e-3, atol=1e-6)
+        assert np.max(np.abs(sol.ccr_residual)) < 1e-12
+        assert_matches_reference(sol, 1e-3, 1e-6, slack=1.0)
+
+    def test_exposes_steps_and_error_estimate(self):
+        s = sinusoid_scenario(t_end=10.0)
+        sol = solve_modes(s, 11, rtol=1e-10, atol=1e-12)
+        assert sol.steps >= 10
+        peak = max(np.max(np.abs(sol.f_rp)), np.max(np.abs(sol.f_rm)), np.max(np.abs(sol.phi)))
+        assert 0.0 < sol.error_estimate <= 1e-12 + 1e-10 * peak
+        tighter = solve_modes(s, 11, rtol=1e-12, atol=1e-14)
+        assert tighter.steps > sol.steps
+        assert tighter.error_estimate < sol.error_estimate
 
     def test_explicit_sample_times(self):
         s = sinusoid_scenario(t_end=5.0)
@@ -150,6 +232,17 @@ class TestSolveModes:
         sol = solve_modes(s, 11)
         p = sol.at(float(sol.times[7]))
         assert abs(p.f_rp - sol.f_rp[7]) < 1e-12
+
+    def test_dense_output_array_matches_scalar_calls(self):
+        sol = solve_modes(sinusoid_scenario(t_end=5.0), 11)
+        times = np.array([4.95, 0.0, 1.3, 5.0, 0.7, 1.3])
+        batch = sol.at(times)
+        for i, t in enumerate(times):
+            p = sol.at(float(t))
+            for name in ("f_rp", "f_rm", "f_lp", "f_lm", "phi"):
+                assert getattr(p, name) == getattr(batch, name)[i]
+        with pytest.raises(DimensionMismatchError):
+            sol.at(np.array([0.5, 5.5]))
 
     def test_helicity_pairs_are_mirror_conjugates(self):
         sol = solve_modes(sinusoid_scenario(t_end=10.0), 41)
@@ -542,3 +635,67 @@ class TestScenarioValidation:
     def test_rejects_bad_sigma(self):
         with pytest.raises(ConfigError):
             CasimirScenario(1.5, 1.0, 0.3, VelocityProfile.constant(0.1), 5.0, sigma=-1.0)
+
+
+class TestReferenceRoute:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
+    def test_matches_dop853_reference(self, name):
+        s = REFERENCE_CONFIGS[name]
+        sol = solve_modes(s, 41, rtol=1e-10, atol=1e-12)
+        assert_matches_reference(sol, 1e-10, 1e-12)
+
+    def test_observed_order_is_six(self):
+        # fixed grids, no error control: halving h divides the error by ~64
+        s = CasimirScenario(1.5, 1.0, np.pi / 4, VelocityProfile.sinusoid(0.4, 2.0), 10.0)
+        ref = np.array(reference_modes(s, [s.t_end]))[:, 0]
+        generator = casimir._mode_generator(s.medium())
+        errors = []
+        for steps in (40, 80, 160):
+            u, phi = numerics.propagate_magnus(generator, np.linspace(0.0, s.t_end, steps + 1))
+            final = np.array([u[0, 0, -1], u[1, 0, -1], u[0, 1, -1], u[1, 1, -1], phi[-1]])
+            errors.append(np.max(np.abs(final - ref)))
+        assert errors[-1] > 1e-12  # above the reference's own error
+        assert errors[0] / errors[1] >= 40.0 and errors[1] / errors[2] >= 40.0
+
+    def test_kinks_are_nodes(self, monkeypatch):
+        # kinks at t = 2, 2.7 and 4.7, off any uniform grid over [0, 6.1]: a
+        # Magnus step across a corner of beta(t) is only second order
+        s = CasimirScenario(1.5, 1.0, 1.0, VelocityProfile.linear_ramp(0.3, 2.0, 0.7), 6.1)
+        sol = solve_modes(s, 31)
+        assert sol.steps <= 1024
+        assert set(s.profile.kinks()) <= set(sol._propagator.nodes.tolist())
+        assert_matches_reference(sol, 1e-10, 1e-12)
+        monkeypatch.setattr(casimir, "_breakpoints", lambda s: [0.0, s.t_end])
+        assert solve_modes(s, 31).steps > 8192
+
+
+PROPERTY_PROFILES = st.one_of(
+    st.builds(VelocityProfile.sinusoid, st.floats(0.05, 0.5), st.floats(0.5, 3.0)),
+    st.builds(VelocityProfile.smooth_pulse, st.floats(0.05, 0.5), st.floats(1.0, 8.0)),
+    st.builds(
+        VelocityProfile.linear_ramp, st.floats(0.05, 0.5), st.floats(0.5, 3.0), st.floats(0.0, 2.0)
+    ),
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    profile=PROPERTY_PROFILES,
+    refractive_index=st.floats(1.0, 2.5),
+    theta=st.floats(0.0, np.pi),
+    t_end=st.floats(1.0, 10.0),
+)
+def test_invariants_and_reference_over_profiles(profile, refractive_index, theta, t_end):
+    s = CasimirScenario(refractive_index, 1.0, theta, profile, t_end)
+    sol = solve_modes(s, 21, rtol=1e-10, atol=1e-12)
+    scale = 1.0 + np.abs(sol.f_rp) ** 2
+    assert np.all(np.abs(sol.ccr_residual) <= 1e-13 * scale)
+    assert np.all(np.abs(sol.helicity_residual) <= 1e-13 * scale)
+    h, gamma_up = closed_form_generators(s, sol)
+    rep = growth_law_residual(s, sol, gamma_up=gamma_up)
+    assert rep.max_residual <= max(GROWTH_LIMIT * rep.max_rate, 1e-12 * s.omega)
+    ext_h, ext_up, ext_down = extracted_generators(s, sol)
+    assert np.max(np.abs(h - ext_h[:, 0, 0])) <= EXTRACTION_LIMIT * s.omega
+    assert np.max(np.abs(gamma_up - ext_up[:, 0, 0])) <= EXTRACTION_LIMIT * s.omega
+    assert np.max(np.abs(ext_down)) <= GAMMA_DOWN_LIMIT * s.omega
+    assert_matches_reference(sol, 1e-10, 1e-12)

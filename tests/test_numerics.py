@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from rsfield import numerics
 from rsfield.errors import (
+    ConvergenceError,
     DimensionMismatchError,
     NonFiniteStateError,
     NonHermitianError,
@@ -12,6 +14,7 @@ from rsfield.numerics import (
     hermitian_eigenvalues,
     is_psd,
     max_abs,
+    solve_magnus,
     solve_ode,
     solve_ode_dense,
 )
@@ -199,3 +202,39 @@ class TestCentralDifference:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(DimensionMismatchError):
             central_difference(lambda t: np.eye(1), 0.0, 0.0)
+
+
+def boost_generator(t):
+    """A(t) = k(t) [[0, 1], [1, 0]] with k = cos t, rate q = 2t: U(t) =
+    cosh(sin t) I + sinh(sin t) [[0, 1], [1, 0]] and integral t^2."""
+    k = np.cos(t).astype(complex)
+    return np.zeros_like(k), k, k, 2.0 * t
+
+
+class TestSolveMagnus:
+    def test_matches_closed_form(self):
+        sol = solve_magnus(boost_generator, [0.0, 2.0, 5.0], 0.5, rtol=1e-12, atol=1e-14)
+        t = np.array([0.0, 0.3, 2.0, 3.7, 5.0])
+        u, integral = sol.at(t)
+        s = np.sin(t)
+        expected = np.array([[np.cosh(s), np.sinh(s)], [np.sinh(s), np.cosh(s)]])
+        assert u.shape == (2, 2, 5)
+        assert max_abs(u - expected) < 1e-12
+        assert max_abs(integral - t ** 2) < 1e-12
+        assert 2.0 in sol.nodes.tolist()
+        assert sol.error_estimate < 1e-12
+
+    def test_nodes_are_exact_and_scalar_calls_match(self):
+        sol = solve_magnus(boost_generator, [0.0, 3.0], 0.5)
+        u, integral = sol.at(sol.nodes)
+        assert np.array_equal(u, sol.u) and np.array_equal(integral, sol.integral)
+        u1, i1 = sol.at(1.234)
+        u2, i2 = sol.at(np.array([1.234]))
+        assert u1.shape == (2, 2) and np.array_equal(u1, u2[:, :, 0]) and i1 == i2[0]
+        with pytest.raises(DimensionMismatchError):
+            sol.at(3.5)
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics, "MAGNUS_MAX_STEPS", 64)
+        with pytest.raises(ConvergenceError):
+            solve_magnus(boost_generator, [0.0, 30.0], 1.0, rtol=1e-13, atol=1e-15)
