@@ -11,7 +11,7 @@ conserved quantities along the way.
 
 import numpy as np
 
-from rsfield.casimir import CasimirScenario, VelocityProfile, photon_density, solve_modes
+from rsfield.casimir import CasimirScenario, VelocityProfile, solve_modes
 
 OMEGA = 1.0
 
@@ -26,12 +26,13 @@ still = CasimirScenario(
     t_end=10.0,
 )
 sol = solve_modes(still, 11)
-print(f"sigma = {sol.sigma:.6f}")
+print(f"sigma = {sol.medium.sigma:.6f}")
 m = still.medium().at(0.0)
 w_eff = OMEGA * np.sqrt(m.alpha * m.big_delta)
 print(f"effective mode frequency omega * sqrt(alpha * Delta) = {w_eff:.6f}")
+n_right, n_left = sol.density(), np.abs(sol.f_lp) ** 2
 for i in (0, 5, 10):
-    n_r, n_l = photon_density(sol, i)
+    n_r, n_l = n_right[i], n_left[i]
     print(f"  t = {sol.times[i]:5.1f}   n_R = {n_r:.3e}   n_L = {n_l:.3e}")
 print("the mode just rotates:"
       f"  max |f_R+ - exp(-i w_eff t)| = "
@@ -50,8 +51,9 @@ driven = CasimirScenario(
 )
 sol = solve_modes(driven, 9)
 print("time     n_R          n_L          |f_R+|^2 - |f_R-|^2 - 1")
+n_right, n_left = sol.density(), np.abs(sol.f_lp) ** 2
 for i in range(9):
-    n_r, n_l = photon_density(sol, i)
+    n_r, n_l = n_right[i], n_left[i]
     print(f"{sol.times[i]:5.1f}   {n_r:.6e} {n_l:.6e}   {sol.ccr_residual[i]:+.2e}")
 print(f"\nhelicity symmetry: max | |f_L+| - |f_R-| | = "
       f"{np.max(np.abs(sol.helicity_residual)):.2e}")
@@ -71,7 +73,7 @@ pulse = CasimirScenario(
 )
 sol = solve_modes(pulse, 7)
 for i in range(7):
-    n_r, _ = photon_density(sol, i)
+    n_r = sol.density()[i]
     beta = pulse.profile.beta(float(sol.times[i]))
     print(f"  t = {sol.times[i]:5.1f}   beta = {beta:+.3f}   n_R = {n_r:.3e}")
 print(f"endpoint velocity mismatch = {sol.endpoint_velocity_mismatch():.1e} "

@@ -20,15 +20,15 @@ from .casimir import (
     ModeSolution,
     VelocityProfile,
     auto_sigma,
-    casimir_generators_closed_form,
     casimir_generators_extracted,
     casimir_map,
+    casimir_maps,
+    closed_form_generators,
+    extracted_generators,
     growth_law_residual,
-    photon_density,
     solve_modes,
 )
 from .kinetics import (
-    GeneratorTrajectory,
     KineticGenerators,
     extract_closed_generator,
     extract_open_generators,

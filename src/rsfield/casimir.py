@@ -55,13 +55,21 @@ generators
 
 equal to the generic open-system extraction on the same family, and the
 photon density obeys the growth law d n/dT = gamma_up (n + 1).
+
+Every per-sample quantity is one function of a ``ModeSolution``, which
+carries its resolved ``MediumCoefficients``, evaluated over the whole
+sample axis: ``ModeSolution.density``, ``casimir_maps``,
+``closed_form_generators``, ``extracted_generators`` and
+``growth_law_residual``.  For ``integrate_kinetics``,
+``casimir_generator_callback`` and ``casimir_generators_extracted`` feed one
+dense-output point ``sol.at(t)`` to the same formulas; ``casimir_map`` is
+the validated ``BogoliubovMap`` at one sample.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,7 +77,7 @@ import numpy as np
 from .errors import (
     ConfigError, DimensionMismatchError, InvariantViolationError, NotSymplecticError,
 )
-from .kinetics import KineticGenerators, extract_open_generators, open_generator_arrays
+from .kinetics import KineticGenerators, open_generator_arrays
 from .numerics import MagnusSolution, solve_magnus
 from .symplectic import BogoliubovMap, assemble, symplectic_residuals
 
@@ -165,7 +173,7 @@ class VelocityProfile:
 
 @dataclass(frozen=True)
 class MediumSample:
-    """Medium coefficients at one instant."""
+    """Medium coefficients at one instant (arrays for an array of instants)."""
 
     beta: float
     delta: float
@@ -186,15 +194,9 @@ class MediumCoefficients:
     sigma: float
     profile: VelocityProfile
 
-    def at(self, t: float) -> MediumSample:
-        return self.at_speed(self.profile.beta(t))
-
-    def on_grid(self, times: np.ndarray) -> MediumSample:
-        """The coefficients at each of ``times``, as arrays."""
-        return self.at_speed(self.profile.beta(times))
-
-    def at_speed(self, beta) -> MediumSample:
-        """The coefficients at speed ``beta``; broadcasts over an array of speeds."""
+    def at(self, t) -> MediumSample:
+        """The coefficients at a time, or as arrays at an array of times."""
+        beta = self.profile.beta(t)
         n2 = self.refractive_index ** 2
         delta = (n2 - 1.0) / (n2 - beta * beta)
         alpha = 1.0 - delta * beta * beta
@@ -280,7 +282,9 @@ class ModePoint:
 class ModeSolution:
     """Propagated mode trajectory with conserved-quantity diagnostics.
 
-    ``ccr_residual`` holds |f_R+|^2 - |f_R-|^2 - 1 per sample and
+    ``medium`` holds the coefficients it was propagated with (including the
+    resolved sigma, ``medium.sigma``).  ``ccr_residual`` holds
+    |f_R+|^2 - |f_R-|^2 - 1 per sample and
     ``helicity_residual`` holds |f_L+| - |f_R-| per sample; both are
     validated against their tolerances by ``solve_modes``.  ``steps`` is
     the number of Magnus steps kept and ``error_estimate`` the largest
@@ -289,7 +293,7 @@ class ModeSolution:
     """
 
     scenario: CasimirScenario
-    sigma: float
+    medium: MediumCoefficients
     times: np.ndarray
     f_rp: np.ndarray
     f_rm: np.ndarray
@@ -328,10 +332,10 @@ class ModeSolution:
 def _mode_generator(medium: MediumCoefficients):
     """A(t) = -i omega [[eta_plus, -eta_minus], [eta_minus, -eta_plus]] as the
     entries (a, b, c) of ``numerics.magnus_steps``, with the phase rate."""
-    omega, beta, at_speed = medium.omega, medium.profile.beta, medium.at_speed
+    omega = medium.omega
 
     def generator(t):
-        m = at_speed(beta(t))
+        m = medium.at(t)
         b = 1j * omega * m.eta_minus
         return -1j * omega * m.eta_plus, b, -b, m.phase_rate
 
@@ -382,7 +386,7 @@ def solve_modes(
     (f_rp, f_lp), (f_rm, f_lm) = u
     sol = ModeSolution(
         scenario=s,
-        sigma=medium.sigma,
+        medium=medium,
         times=times,
         f_rp=f_rp,
         f_rm=f_rm,
@@ -422,14 +426,6 @@ def solve_modes(
     return sol
 
 
-def photon_density(sol: ModeSolution, t_index: int) -> tuple[float, float]:
-    """Per-mode densities (n_R, n_L) = (|f_R-|^2, |f_L+|^2) at a sample."""
-    return (
-        float(abs(sol.f_rm[t_index]) ** 2),
-        float(abs(sol.f_lp[t_index]) ** 2),
-    )
-
-
 def _casimir_matrices(sol: ModeSolution, index) -> np.ndarray:
     """The 4x4 map matrices at sample ``index`` (an int, or a slice for a stack)."""
     em = np.exp(-1j * sol.phi[index])
@@ -464,134 +460,71 @@ def casimir_maps(sol: ModeSolution, tol: float = MAP_TOL) -> tuple[np.ndarray, n
     return x, residuals
 
 
-def _medium_for(s: CasimirScenario, sol: ModeSolution) -> MediumCoefficients:
-    if s != sol.scenario:
-        raise DimensionMismatchError(
-            "scenario does not match the one the mode solution was produced from"
-        )
-    return MediumCoefficients(
-        refractive_index=s.refractive_index, omega=s.omega, theta=s.theta,
-        sigma=sol.sigma, profile=s.profile,
-    )
-
-
-def _closed_form(medium: MediumCoefficients, m: MediumSample, f_rp, f_rm):
-    """Closed-form (h, gamma_up); broadcasts over the sample axis."""
-    omega = medium.omega
-    ap2 = np.abs(f_rp) ** 2
-    h = omega * (
-        m.eta_plus
-        - m.eta_minus * (f_rm * np.conj(f_rp)).real / ap2
-        + m.delta * m.beta * math.cos(medium.theta)
-    )
-    gamma_up = 2.0 * omega * m.eta_minus * (f_rp * np.conj(f_rm)).imag / ap2
-    return h, gamma_up
-
-
-def casimir_generators_closed_form(
-    s: CasimirScenario, sol: ModeSolution, t_index: int
-) -> KineticGenerators:
-    """Scalar kinetic generators at a sample, in closed form.
+def _closed_form(medium: MediumCoefficients, t, p):
+    """Closed-form (h, gamma_up) of the mode amplitudes ``p`` (a ``ModeSolution``
+    or a ``ModePoint``) at times ``t``; broadcasts over the sample axis.
 
     gamma_down is exactly zero: the production process never destroys
     photons.  |f_R+| >= 1 by the CCR invariant, so no division hazard.
     """
-    medium = _medium_for(s, sol)
-    m = medium.at(float(sol.times[t_index]))
-    h, up = _closed_form(medium, m, sol.f_rp[t_index], sol.f_rm[t_index])
-    return KineticGenerators(h=[[h]], zeta=[0.0], gamma_up=[[up]], gamma_down=[[0.0]])
+    m = medium.at(t)
+    omega = medium.omega
+    ap2 = np.abs(p.f_rp) ** 2
+    h = omega * (
+        m.eta_plus
+        - m.eta_minus * (p.f_rm * np.conj(p.f_rp)).real / ap2
+        + m.delta * m.beta * math.cos(medium.theta)
+    )
+    gamma_up = 2.0 * omega * m.eta_minus * (p.f_rp * np.conj(p.f_rm)).imag / ap2
+    return h, gamma_up
 
 
-def closed_form_generators(s: CasimirScenario, sol: ModeSolution) -> tuple:
-    """``casimir_generators_closed_form`` at every sample: real arrays
+def closed_form_generators(sol: ModeSolution) -> tuple:
+    """Scalar kinetic generators in closed form at every sample: real arrays
     ``(h, gamma_up)`` over the sample axis (gamma_down is zero)."""
-    medium = _medium_for(s, sol)
-    return _closed_form(medium, medium.on_grid(sol.times), sol.f_rp, sol.f_rm)
+    return _closed_form(sol.medium, sol.times, sol)
 
 
-def casimir_generator_callback(
-    s: CasimirScenario, sol: ModeSolution
-) -> Callable[[float], KineticGenerators]:
-    """Closed-form generators as a function of time (dense evaluation)."""
-    medium = _medium_for(s, sol)
+def casimir_generator_callback(sol: ModeSolution) -> Callable[[float], KineticGenerators]:
+    """``closed_form_generators`` as a function of time (dense evaluation)."""
 
     def gen(t: float) -> KineticGenerators:
-        p = sol.at(t)
-        h, up = _closed_form(medium, medium.at(t), p.f_rp, p.f_rm)
+        h, up = _closed_form(sol.medium, t, sol.at(t))
         return KineticGenerators(h=[[h]], zeta=[0.0], gamma_up=[[up]], gamma_down=[[0.0]])
 
     return gen
 
 
-def _family(medium: MediumCoefficients, m: MediumSample, f_rp, f_rm, phi):
-    """(X_up_S, X_down_C, dX_up_S/dt, dX_down_C/dt), the derivatives from the
-    mode equations; broadcasts over the sample axis."""
+def _family(medium: MediumCoefficients, t, p) -> tuple:
+    """The smooth family X_up_S = e^{-i phi} f_R+, X_down_C = e^{-i phi} f_R- of
+    the mode amplitudes ``p`` at times ``t`` and its time derivatives, taken
+    from the mode equations instead of finite differences: (X_up_S, X_down_C,
+    dX_up_S/dt, dX_down_C/dt) as 1x1 matrices, each ``shape(t) + (1, 1)``."""
+    m = medium.at(t)
     omega = medium.omega
-    em = np.exp(-1j * phi)
-    dfp = -1j * omega * (m.eta_plus * f_rp - m.eta_minus * f_rm)
-    dfm = 1j * omega * (m.eta_plus * f_rm - m.eta_minus * f_rp)
-    return (
-        em * f_rp,
-        em * f_rm,
-        em * (dfp - 1j * m.phase_rate * f_rp),
-        em * (dfm - 1j * m.phase_rate * f_rm),
+    em = np.exp(-1j * p.phi)
+    dfp = -1j * omega * (m.eta_plus * p.f_rp - m.eta_minus * p.f_rm)
+    dfm = 1j * omega * (m.eta_plus * p.f_rm - m.eta_minus * p.f_rp)
+    family = (
+        em * p.f_rp,
+        em * p.f_rm,
+        em * (dfp - 1j * m.phase_rate * p.f_rp),
+        em * (dfm - 1j * m.phase_rate * p.f_rm),
     )
+    return tuple(np.asarray(v)[..., None, None] for v in family)
 
 
-def casimir_family(
-    s: CasimirScenario, sol: ModeSolution
-) -> tuple[Callable[[float], np.ndarray], ...]:
-    """The smooth family (X_up_S, X_down_C) and its analytic derivatives.
-
-    X_up_S = e^{-i phi} f_R+ and X_down_C = e^{-i phi} f_R- as 1x1
-    matrices; the derivative callbacks substitute the mode equations for
-    d f/dt, so generic generator extraction can run without finite
-    differences.
-    """
-    medium = _medium_for(s, sol)
-
-    # the four members at one time share one dense-output step
-    @lru_cache(maxsize=4)
-    def family(t: float) -> tuple:
-        p = sol.at(t)
-        return _family(medium, medium.at(t), p.f_rp, p.f_rm, p.phi)
-
-    def member(k: int) -> Callable[[float], np.ndarray]:
-        def callback(t: float) -> np.ndarray:
-            return np.array([[family(t)[k]]], dtype=complex)
-
-        return callback
-
-    return member(0), member(1), member(2), member(3)
+def extracted_generators(sol: ModeSolution) -> tuple:
+    """Generic open-system extraction on the mode family at every sample, the
+    independent route against which the closed forms are checked:
+    ``(h, gamma_up, gamma_down)``, each ``(samples, 1, 1)``."""
+    return open_generator_arrays(*_family(sol.medium, sol.times, sol))
 
 
-def casimir_generators_extracted(
-    s: CasimirScenario,
-    sol: ModeSolution,
-    t: float,
-    use_finite_differences: bool = False,
-) -> KineticGenerators:
-    """Generic open-system extraction applied to the mode family.
-
-    This is the independent route against which the closed forms are
-    checked; with ``use_finite_differences`` the time derivatives come
-    from central differences on the dense output instead of the mode
-    equations.
-    """
-    x_up_s, x_down_c, dx_up_s, dx_down_c = casimir_family(s, sol)
-    if use_finite_differences:
-        return extract_open_generators(x_up_s, x_down_c, t, fd_step=1e-5)
-    return extract_open_generators(
-        x_up_s, x_down_c, t, dx_up_s=dx_up_s, dx_down_c=dx_down_c
-    )
-
-
-def extracted_generators(s: CasimirScenario, sol: ModeSolution) -> tuple:
-    """``casimir_generators_extracted`` (analytic derivatives) at every
-    sample, batched: ``(h, gamma_up, gamma_down)``, each ``(samples, 1, 1)``."""
-    medium = _medium_for(s, sol)
-    family = _family(medium, medium.on_grid(sol.times), sol.f_rp, sol.f_rm, sol.phi)
-    return open_generator_arrays(*(v[:, None, None] for v in family))
+def casimir_generators_extracted(sol: ModeSolution, t: float) -> KineticGenerators:
+    """``extracted_generators`` at one time of the dense output."""
+    h, up, down = open_generator_arrays(*_family(sol.medium, t, sol.at(t)))
+    return KineticGenerators(h=h, zeta=[0.0], gamma_up=up, gamma_down=down)
 
 
 @dataclass(frozen=True, eq=False)
@@ -606,9 +539,7 @@ class GrowthLawReport:
     max_rate: float
 
 
-def growth_law_residual(
-    s: CasimirScenario, sol: ModeSolution, gamma_up: np.ndarray | None = None
-) -> GrowthLawReport:
+def growth_law_residual(sol: ModeSolution, gamma_up: np.ndarray | None = None) -> GrowthLawReport:
     """Check the production growth law by numerical differentiation.
 
     d n/dT is taken from fourth-order finite differences of the dense
@@ -620,10 +551,11 @@ def growth_law_residual(
     closed-form rates at the samples (``closed_form_generators``) from a
     caller that already has them.
     """
+    s = sol.scenario
     # t_end / 8 keeps a one-sided 5-point stencil inside the span
     h = min(5e-4 / max(s.omega, s.profile.drive_frequency), s.t_end / 8.0)
     if gamma_up is None:
-        _, gamma_up = closed_form_generators(s, sol)
+        _, gamma_up = closed_form_generators(sol)
     t = sol.times
     # stencil t + k h: one-sided forward (side 1) at the start, backward (side -1)
     # at the end, central (side 0, fifth point unused) elsewhere

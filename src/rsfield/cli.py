@@ -31,6 +31,8 @@ import numpy as np
 
 from .amplifier import AmplifierSpec, amplified_rsf, amplifier_generators
 from .casimir import (
+    CCR_TOL,
+    MAP_TOL,
     CasimirScenario,
     VelocityProfile,
     casimir_maps,
@@ -51,13 +53,11 @@ from .fock import (
     oracle_check_transform,
     squeeze_pair,
 )
-from .kinetics import integrate_kinetics
+from .kinetics import integrate_kinetics, validity_report
 from .numerics import max_abs
 from .rsf import expect_additive, vacuum
 from .symplectic import classical_mask, identity_map
 
-CCR_LIMIT = 1e-8
-SYMPLECTIC_LIMIT = 1e-8
 EXTRACTION_LIMIT = 1e-7  # relative to omega
 GAMMA_DOWN_LIMIT = 1e-8  # relative to omega
 GROWTH_LIMIT = 1e-6  # relative to the peak density rate
@@ -198,9 +198,9 @@ def _casimir_columns(s: CasimirScenario, cfg: dict) -> dict:
     ``casimir`` and ``extract`` both select their CSV columns from it."""
     sol = solve_modes(s, cfg["samples"], rtol=cfg["rel_tol"], atol=cfg["abs_tol"])
     x, symplectic = casimir_maps(sol)
-    h, gamma_up = closed_form_generators(s, sol)
-    ext_h, ext_up, ext_down = extracted_generators(s, sol)
-    growth = growth_law_residual(s, sol, gamma_up=gamma_up)
+    h, gamma_up = closed_form_generators(sol)
+    ext_h, ext_up, ext_down = extracted_generators(sol)
+    growth = growth_law_residual(sol, gamma_up=gamma_up)
     return {
         "T": sol.times,
         "re_fRp": sol.f_rp.real, "im_fRp": sol.f_rp.imag,
@@ -254,9 +254,9 @@ def summarize_rows(rows: list, omega: float) -> tuple[dict, list]:
         "endpoint_velocity_mismatch": rows[-1]["_endpoint_mismatch"],
     }
     failures = []
-    if summary["max_ccr_residual"] > CCR_LIMIT:
+    if summary["max_ccr_residual"] > CCR_TOL:
         failures.append("ccr_invariant")
-    if summary["max_symplectic_residual"] > SYMPLECTIC_LIMIT:
+    if summary["max_symplectic_residual"] > MAP_TOL:
         failures.append("symplectic_residual")
     if not summary["classical_open_always"]:
         failures.append("open_classicality")
@@ -500,11 +500,13 @@ EXTRACT_COLUMNS = (
 def run_extract(cfg: dict, out_dir: Path) -> RunReport:
     s = build_scenario(cfg)
     cols = _casimir_columns(s, cfg)
-    # one-mode rates: each is its own smallest eigenvalue
-    up = cols["gamma_up_min_eig"] = cols["gamma_up_extracted"]
-    down = cols["gamma_down_min_eig"] = cols["gamma_down_extracted"]
-    scale = 1.0 + np.abs(up) + np.abs(down)
-    cols["valid"] = (up >= -1e-10 * scale) & (down >= -1e-10 * scale)
+    validity = validity_report(
+        cols["T"], cols["gamma_up_extracted"][:, None, None],
+        cols["gamma_down_extracted"][:, None, None],
+    )
+    cols["gamma_up_min_eig"] = validity.gamma_up_min_eig
+    cols["gamma_down_min_eig"] = validity.gamma_down_min_eig
+    cols["valid"] = validity.valid
     dev_h = float(np.max(np.abs(cols["h"] - cols["h_extracted"])))
     dev_g = float(np.max(np.abs(cols["gamma_up"] - cols["gamma_up_extracted"])))
     failures = []
@@ -512,14 +514,12 @@ def run_extract(cfg: dict, out_dir: Path) -> RunReport:
         failures.append("extraction_h_agreement")
     if dev_g > EXTRACTION_LIMIT * s.omega:
         failures.append("extraction_gamma_agreement")
-    witness = np.minimum(up, down)
-    worst = int(np.argmin(witness))
     summary = {
         "max_h_deviation": dev_h,
         "max_gamma_deviation": dev_g,
-        "all_valid": bool(np.all(cols["valid"])),
-        "worst_time": float(cols["T"][worst]),
-        "worst_witness": float(witness[worst]),
+        "all_valid": validity.all_valid,
+        "worst_time": validity.worst_time,
+        "worst_witness": validity.worst_witness,
     }
     rows = _rows(cols)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -48,7 +48,7 @@ there), not a numerical error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -87,9 +87,9 @@ def _as_matrix(a, what: str) -> np.ndarray:
     return m
 
 
-def _require_hermitian_generators(h, gamma_up, gamma_down) -> None:
-    """Hermiticity of each matrix, one or a stack, to 1e-9 (1 + its max entry)."""
-    for name, m in (("h", h), ("gamma_up", gamma_up), ("gamma_down", gamma_down)):
+def _require_hermitian_generators(**generators) -> None:
+    """Hermiticity of each named matrix, one or a stack, to 1e-9 (1 + its max entry)."""
+    for name, m in generators.items():
         residual = np.abs(m - np.swapaxes(m, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
         if np.any(residual > 1e-9 * (1.0 + np.abs(m).max(axis=(-2, -1), initial=0.0))):
             raise NonHermitianError(f"{name} is not Hermitian")
@@ -119,7 +119,7 @@ class KineticGenerators:
         gd = _as_matrix(self.gamma_down, "gamma_down")
         if zeta.size != n or gu.shape != (n, n) or gd.shape != (n, n):
             raise DimensionMismatchError("generator dimensions differ")
-        _require_hermitian_generators(h, gu, gd)
+        _require_hermitian_generators(h=h, gamma_up=gu, gamma_down=gd)
         scat = []
         for eta_j, u_j in self.scatterers:
             u_j = _as_matrix(u_j, "scatterer")
@@ -307,42 +307,17 @@ def open_generator_arrays(xs, xc, dxs, dxc) -> tuple[np.ndarray, np.ndarray, np.
     w = 0.5 * (w + np.swapaxes(w, -1, -2).conj())
     h = -0.5 * HBAR * (-1j * (y - y_dag))
     gamma_down = w - (y + y_dag)
-    _require_hermitian_generators(h, w, gamma_down)
+    _require_hermitian_generators(h=h, gamma_up=w, gamma_down=gamma_down)
     return h, w, gamma_down
 
 
 @dataclass(frozen=True, eq=False)
-class GeneratorTrajectory:
-    """Generators sampled along a strictly ascending time grid."""
-
-    times: np.ndarray
-    generators: tuple
-    gamma_up_witness: np.ndarray = field(init=False)
-    gamma_down_witness: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1 or times.size != len(self.generators):
-            raise DimensionMismatchError("times/generators lengths differ")
-        if times.size > 1 and np.any(np.diff(times) <= 0):
-            raise DimensionMismatchError("times must be strictly ascending")
-        wit = np.array([g.psd_witnesses() for g in self.generators], dtype=float)
-        wit = wit.reshape(-1, 2)
-        times.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "gamma_up_witness", wit[:, 0])
-        object.__setattr__(self, "gamma_down_witness", wit[:, 1])
-
-
-@dataclass(frozen=True, eq=False)
 class ValidityReport:
-    """Per-time positivity and Hermiticity scan of a generator trajectory."""
+    """Per-time positivity scan of the rates along a trajectory."""
 
     times: np.ndarray
     gamma_up_min_eig: np.ndarray
     gamma_down_min_eig: np.ndarray
-    hermiticity_residuals: np.ndarray
     valid: np.ndarray
     all_valid: bool
     worst_time: float
@@ -350,33 +325,30 @@ class ValidityReport:
 
 
 def validity_report(
-    traj: GeneratorTrajectory, tol: float = 1e-10
+    times, gamma_up: np.ndarray, gamma_down: np.ndarray, tol: float = 1e-10
 ) -> ValidityReport:
-    """Scan a trajectory against the rate-positivity conditions."""
-    herm = np.array(
-        [
-            max(
-                hermiticity_residual(g.h),
-                hermiticity_residual(g.gamma_up),
-                hermiticity_residual(g.gamma_down),
-            )
-            for g in traj.generators
-        ]
-    )
-    scale = np.array(
-        [1.0 + max_abs(g.gamma_up) + max_abs(g.gamma_down) for g in traj.generators]
-    )
-    up, dn = traj.gamma_up_witness, traj.gamma_down_witness
+    """Scan rates sampled at strictly ascending ``times`` against the positivity
+    conditions.  Each rate is a ``(samples, n, n)`` stack of Hermitian matrices
+    (checked); a sample is valid iff the smallest eigenvalue of each rate is at
+    least ``-tol (1 + max|gamma_up| + max|gamma_down|)`` at that sample."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not times.size == len(gamma_up) == len(gamma_down):
+        raise DimensionMismatchError("times/generators lengths differ")
+    if np.any(np.diff(times) <= 0):
+        raise DimensionMismatchError("times must be strictly ascending")
+    _require_hermitian_generators(gamma_up=gamma_up, gamma_down=gamma_down)
+    up = np.linalg.eigvalsh(gamma_up)[:, 0]
+    dn = np.linalg.eigvalsh(gamma_down)[:, 0]
+    scale = 1.0 + np.abs(gamma_up).max(axis=(1, 2)) + np.abs(gamma_down).max(axis=(1, 2))
     valid = (up >= -tol * scale) & (dn >= -tol * scale)
     witness = np.minimum(up, dn)
     worst = int(np.argmin(witness)) if witness.size else 0
     return ValidityReport(
-        times=traj.times,
+        times=times,
         gamma_up_min_eig=up,
         gamma_down_min_eig=dn,
-        hermiticity_residuals=herm,
         valid=valid,
         all_valid=bool(np.all(valid)),
-        worst_time=float(traj.times[worst]) if witness.size else float("nan"),
+        worst_time=float(times[worst]) if witness.size else float("nan"),
         worst_witness=float(witness[worst]) if witness.size else 0.0,
     )

@@ -403,13 +403,17 @@ def solve_magnus(
     until the Richardson estimate |X_2N - X_N| / 63 of the global error meets
     ``atol + rtol |X|`` for every entry X of U and for the integral at every
     node the two grids share; the finer solution is kept.  Raises
-    ``ConvergenceError`` past ``MAGNUS_MAX_STEPS`` steps.
+    ``ConvergenceError`` past ``MAGNUS_MAX_STEPS`` steps, or as soon as two
+    consecutive doublings each cut the estimate by less than half (in the
+    asymptotic range each cuts it by about 64): the tolerance then lies
+    below the roundoff floor of the propagation.
     """
     if rtol <= 0 or atol <= 0:
         raise DimensionMismatchError("tolerances must be positive")
     breaks = np.asarray(breakpoints, dtype=float)
     counts = np.maximum(1, np.ceil(np.diff(breaks) / initial_step)).astype(int)
     u, integral = propagate_magnus(generator, _grid(breaks, counts))
+    estimates = []
     while True:
         counts = 2 * counts
         if counts.sum() > MAGNUS_MAX_STEPS:
@@ -422,5 +426,12 @@ def solve_magnus(
         u, integral = propagate_magnus(generator, nodes)
         err_u, ok_u = _doubling_error(u, coarse, rtol, atol)
         err_integral, ok_integral = _doubling_error(integral, coarse_integral, rtol, atol)
+        estimates.append(max(err_u, err_integral))
         if ok_u and ok_integral:
-            return MagnusSolution(generator, nodes, u, integral, max(err_u, err_integral))
+            return MagnusSolution(generator, nodes, u, integral, estimates[-1])
+        if len(estimates) >= 3 and all(2.0 * b > a for a, b in zip(estimates[-3:], estimates[-2:])):
+            raise ConvergenceError(
+                f"Magnus propagation stalled at the roundoff floor: error estimate "
+                f"{estimates[-1]:.3g} not within rtol={rtol:g}, atol={atol:g} "
+                f"at {nodes.size - 1} steps"
+            )

@@ -3,13 +3,14 @@ import pytest
 
 from conftest import haar_unitary
 from rsfield.errors import (
+    DimensionMismatchError,
     InvalidMomentsError,
+    NonHermitianError,
     NotClassicalClosedError,
     PhysicalityLostError,
     SingularMatrixError,
 )
 from rsfield.kinetics import (
-    GeneratorTrajectory,
     KineticGenerators,
     extract_closed_generator,
     extract_open_generators,
@@ -336,25 +337,42 @@ class TestExtractOpen:
 class TestValidityReport:
     def test_all_zero_trajectory_is_valid(self):
         times = np.array([0.0, 1.0, 2.0])
-        traj = GeneratorTrajectory(times, tuple(KineticGenerators.zeros(1) for _ in times))
-        rep = validity_report(traj)
+        zeros = np.zeros((3, 2, 2), dtype=complex)
+        rep = validity_report(times, zeros, zeros)
         assert rep.all_valid
 
     def test_amplifier_trajectory_valid(self):
         times = np.linspace(0.0, 1.0, 5)
-        gens = tuple(scalar_gens(g_up=2.0, g_dn=0.6) for _ in times)
-        rep = validity_report(GeneratorTrajectory(times, gens))
+        rep = validity_report(times, np.full((5, 1, 1), 2.0), np.full((5, 1, 1), 0.6))
         assert rep.all_valid
         assert np.all(rep.gamma_up_min_eig == 2.0)
 
     def test_worst_time_reported(self):
         times = np.array([0.0, 1.0, 2.0])
-        gens = (
-            scalar_gens(g_up=1.0),
-            scalar_gens(g_up=-0.3),
-            scalar_gens(g_up=0.5),
-        )
-        rep = validity_report(GeneratorTrajectory(times, gens))
+        gamma_up = np.array([1.0, -0.3, 0.5]).reshape(3, 1, 1)
+        rep = validity_report(times, gamma_up, np.zeros((3, 1, 1)))
         assert not rep.all_valid
+        assert rep.valid.tolist() == [True, False, True]
         assert rep.worst_time == 1.0
         assert rep.worst_witness == pytest.approx(-0.3)
+
+    def test_matches_per_generator_witnesses(self, rng):
+        # batched eigvalsh gives the witnesses KineticGenerators reports one by one
+        z = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
+        rates = z @ np.swapaxes(z, -1, -2).conj() - 1.5 * np.eye(3)
+        rep = validity_report(np.arange(6.0), rates, rates[::-1])
+        for i in range(6):
+            gen = KineticGenerators(np.zeros((3, 3)), np.zeros(3), rates[i], rates[5 - i])
+            assert np.allclose([rep.gamma_up_min_eig[i], rep.gamma_down_min_eig[i]],
+                               gen.psd_witnesses(), rtol=0.0, atol=1e-12)
+
+    def test_rejects_bad_inputs(self):
+        ok = np.zeros((3, 1, 1))
+        with pytest.raises(DimensionMismatchError):
+            validity_report([0.0, 1.0], ok, ok)
+        with pytest.raises(DimensionMismatchError):
+            validity_report([0.0, 1.0, 1.0], ok, ok)
+        skew = np.zeros((3, 2, 2), dtype=complex)
+        skew[:, 0, 1] = 1.0
+        with pytest.raises(NonHermitianError):
+            validity_report([0.0, 1.0, 2.0], skew, np.zeros((3, 2, 2)))
