@@ -2,7 +2,7 @@
 
 Subpackages:
 
-* ``numerics``   -- dense complex linear algebra, adaptive integration,
+* ``numerics``   -- dense complex linear algebra, matrix exponentials,
                     Magnus propagation
 * ``symplectic`` -- Bogoliubov maps and classicality predicates
 * ``rsf``        -- reduced/conjugate/generalized fields and entropies

@@ -61,9 +61,9 @@ carries its resolved ``MediumCoefficients``, evaluated over the whole
 sample axis: ``ModeSolution.density``, ``casimir_maps``,
 ``closed_form_generators``, ``extracted_generators`` and
 ``growth_law_residual``.  For ``integrate_kinetics``,
-``casimir_generator_callback`` and ``casimir_generators_extracted`` feed one
-dense-output point ``sol.at(t)`` to the same formulas; ``casimir_map`` is
-the validated ``BogoliubovMap`` at one sample.
+``casimir_generator_callback`` and ``casimir_generators_extracted`` feed the
+dense output ``sol.at(t)`` at arrays of node times to the same formulas;
+``casimir_map`` is the validated ``BogoliubovMap`` at one sample.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ import numpy as np
 from .errors import (
     ConfigError, DimensionMismatchError, InvariantViolationError, NotSymplecticError,
 )
-from .kinetics import KineticGenerators, open_generator_arrays
+from .kinetics import open_generator_arrays
 from .numerics import MagnusSolution, solve_magnus
 from .symplectic import BogoliubovMap, assemble, symplectic_residuals
 
@@ -485,12 +485,16 @@ def closed_form_generators(sol: ModeSolution) -> tuple:
     return _closed_form(sol.medium, sol.times, sol)
 
 
-def casimir_generator_callback(sol: ModeSolution) -> Callable[[float], KineticGenerators]:
-    """``closed_form_generators`` as a function of time (dense evaluation)."""
+def casimir_generator_callback(sol: ModeSolution) -> Callable:
+    """``closed_form_generators`` as a function of time for ``integrate_kinetics``:
+    ``gen(t)`` evaluates the dense output at a time or an array of times and
+    returns the stacks ``(h, zeta, gamma_up, gamma_down)``, shaped
+    ``shape(t) + (1, 1)`` (zeta ``shape(t) + (1,)``)."""
 
-    def gen(t: float) -> KineticGenerators:
+    def gen(t):
         h, up = _closed_form(sol.medium, t, sol.at(t))
-        return KineticGenerators(h=[[h]], zeta=[0.0], gamma_up=[[up]], gamma_down=[[0.0]])
+        zero = np.zeros_like(h)
+        return h[..., None, None], zero[..., None], up[..., None, None], zero[..., None, None]
 
     return gen
 
@@ -521,10 +525,12 @@ def extracted_generators(sol: ModeSolution) -> tuple:
     return open_generator_arrays(*_family(sol.medium, sol.times, sol))
 
 
-def casimir_generators_extracted(sol: ModeSolution, t: float) -> KineticGenerators:
-    """``extracted_generators`` at one time of the dense output."""
+def casimir_generators_extracted(sol: ModeSolution, t) -> tuple:
+    """``extracted_generators`` at a time or an array of times of the dense
+    output, as the stacks ``(h, zeta, gamma_up, gamma_down)`` that
+    ``integrate_kinetics`` takes from a callable."""
     h, up, down = open_generator_arrays(*_family(sol.medium, t, sol.at(t)))
-    return KineticGenerators(h=h, zeta=[0.0], gamma_up=up, gamma_down=down)
+    return h, np.zeros(h.shape[:-1], dtype=complex), up, down
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,10 +22,6 @@ class ConvergenceError(RsfieldError):
     Magnus propagator) did not converge."""
 
 
-class StepSizeUnderflowError(RsfieldError):
-    """The adaptive integrator step collapsed below machine resolution."""
-
-
 class NonFiniteStateError(RsfieldError):
     """NaN or overflow encountered during integration."""
 

@@ -63,12 +63,11 @@ from .errors import (
     SingularMatrixError,
 )
 from .numerics import (
-    OdeProblem,
     central_difference,
     hermiticity_residual,
     is_psd,
     max_abs,
-    solve_ode,
+    solve_linear,
 )
 from .rsf import ReducedField
 
@@ -164,11 +163,7 @@ def kinetic_rhs(
         raise DimensionMismatchError(
             f"generators act on {gen.n_modes} modes, field has {rf.n_modes}"
         )
-    return _raw_rhs(rf.r, rf.alpha, gen)
-
-
-def _raw_rhs(r, alpha, gen):
-    h, zeta = gen.h, gen.zeta
+    r, alpha, h, zeta = rf.r, rf.alpha, gen.h, gen.zeta
     diff = gen.gamma_up - gen.gamma_down
     dr = (
         -1j * (h @ r - r @ h)
@@ -184,6 +179,41 @@ def _raw_rhs(r, alpha, gen):
     return dr, dalpha
 
 
+def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Kronecker products of matrices, broadcasting over leading axes."""
+    out = x[..., :, None, :, None] * y[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (out.shape[-4] * out.shape[-3], -1))
+
+
+def _kinetic_matrix(h, zeta, gamma_up, gamma_down, scatterers=()) -> np.ndarray:
+    """The kinetic equations as one linear map of y = (r, alpha, conj(alpha), 1),
+    with r flattened row by row: dy/dt = M y.  The source terms zeta alpha^dag
+    and alpha zeta^dag make the equations affine and antilinear in alpha, so
+    y carries conj(alpha) and a constant 1.  Broadcasts over leading axes of
+    the generators, ``(..., n, n)`` and ``(..., n)``; M is ``(..., d, d)``
+    with d = n^2 + 2n + 1.
+    """
+    n = h.shape[-1]
+    eye = np.eye(n)
+    # dr/dt = k r + r k^dag + ..., dalpha/dt = k alpha + ... without scatterers
+    k = -1j * h + 0.5 * (gamma_up - gamma_down)
+    k_rr = _kron(k, eye) + _kron(eye, k.conj())
+    for eta_j, u_j in scatterers:
+        k = k + eta_j * (u_j - eye)
+        k_rr = k_rr + eta_j * (_kron(u_j, u_j.conj()) - np.eye(n * n))
+    r, a, ac = slice(0, n * n), slice(n * n, n * n + n), slice(n * n + n, n * n + 2 * n)
+    m = np.zeros(h.shape[:-2] + (n * n + 2 * n + 1,) * 2, dtype=complex)
+    m[..., r, r] = k_rr
+    m[..., r, a] = _kron(eye, zeta.conj()[..., :, None])
+    m[..., r, ac] = _kron(zeta[..., :, None], eye)
+    m[..., r, -1] = gamma_up.reshape(gamma_up.shape[:-2] + (n * n,))
+    m[..., a, a] = k
+    m[..., a, -1] = zeta
+    m[..., ac, ac] = k.conj()
+    m[..., ac, -1] = zeta.conj()
+    return m
+
+
 def integrate_kinetics(
     rf0: ReducedField,
     gen,
@@ -194,39 +224,50 @@ def integrate_kinetics(
 ) -> list[ReducedField]:
     """Integrate the kinetic equations; returns snapshots at sample times.
 
-    ``gen`` is either a constant ``KineticGenerators`` or a callable
-    ``t -> KineticGenerators`` evaluated inside the integrator, so
-    adaptive steps see the exact time dependence.  Each snapshot is
-    re-validated; positivity loss beyond the drift tolerance raises
-    ``PhysicalityLostError`` with the offending time.
+    The equations are linear in y = (r, alpha, conj(alpha), 1)
+    (``_kinetic_matrix``) and are propagated by ``numerics.solve_linear``.
+    ``gen`` is either a constant ``KineticGenerators``, propagated by one
+    exact matrix exponential per sample interval, or a callable that takes
+    a 1-D array of times and returns the generators there as stacks
+    ``(h, zeta, gamma_up, gamma_down)``, shaped ``(times, n, n)``,
+    ``(times, n)``, ``(times, n, n)`` and ``(times, n, n)`` (no
+    scatterers), propagated by sixth-order Magnus steps whose global error
+    ``rtol``/``atol`` bound.  Each snapshot is re-validated; positivity
+    loss beyond the drift tolerance raises ``PhysicalityLostError`` with
+    the offending time.
     """
     n = rf0.n_modes
-    gen_at = gen if callable(gen) else (lambda _t: gen)
-    if gen_at(t_span[0]).n_modes != n:
+    times = np.asarray(sample_times, dtype=float)
+    t0, t1 = t_span
+    if np.any(times < t0) or np.any(times > t1):
+        raise DimensionMismatchError(f"sample times outside integrated span {t_span}")
+    if callable(gen):
+        def matrices(t):
+            h, zeta, up, down = (np.asarray(x, dtype=complex) for x in gen(t))
+            if h.shape != t.shape + (n, n) or zeta.shape != t.shape + (n,) \
+                    or up.shape != h.shape or down.shape != h.shape:
+                raise DimensionMismatchError("generator/field mode counts differ")
+            _require_hermitian_generators(h=h, gamma_up=up, gamma_down=down)
+            return _kinetic_matrix(h, zeta, up, down)
+    elif gen.n_modes != n:
         raise DimensionMismatchError("generator/field mode counts differ")
-
-    def rhs(t, y):
-        r = y[: n * n].reshape(n, n)
-        alpha = y[n * n:]
-        dr, dalpha = _raw_rhs(r, alpha, gen_at(t))
-        return np.concatenate([dr.ravel(), dalpha])
-
-    y0 = np.concatenate([rf0.r.ravel(), rf0.alpha])
-    problem = OdeProblem(y0, rhs, t_span, rtol=rtol, atol=atol)
-    snapshots = solve_ode(problem, sample_times)
+    else:
+        matrices = _kinetic_matrix(gen.h, gen.zeta, gen.gamma_up, gen.gamma_down, gen.scatterers)
+    y0 = np.concatenate([rf0.r.ravel(), rf0.alpha, rf0.alpha.conj(), [1.0]])
+    snapshots = solve_linear(matrices, y0, np.append(t0, times), rtol=rtol, atol=atol)[1:]
     out = []
-    for t, y in zip(sample_times, snapshots):
+    for t, y in zip(times, snapshots):
         r = y[: n * n].reshape(n, n)
-        alpha = y[n * n:]
+        alpha = y[n * n:n * n + n]
         herm = hermiticity_residual(r)
         if herm > 1e-9 * (1.0 + max_abs(r)):
-            raise PhysicalityLostError("Hermiticity lost", herm, t)
+            raise PhysicalityLostError("Hermiticity lost", herm, float(t))
         r = 0.5 * (r + r.conj().T)
         try:
             out.append(ReducedField(r, alpha, psd_tol=DRIFT_PSD_TOL))
         except Exception as exc:
             _, witness = is_psd(r, 0.0)
-            raise PhysicalityLostError(f"positivity lost: {exc}", witness, t)
+            raise PhysicalityLostError(f"positivity lost: {exc}", witness, float(t))
     return out
 
 

@@ -1,22 +1,33 @@
-"""Dense complex linear algebra, ODE integration and a Magnus propagator.
+"""Dense complex linear algebra and exponential integrators.
 
-The heavy lifting is delegated to LAPACK (through ``numpy.linalg``) and to
-the Dormand-Prince embedded pairs of ``scipy.integrate.solve_ivp``:
-"RK45" (5(4), quartic dense output; the default) or "DOP853" (8(5,3),
-seventh-order dense output), used by the kinetic equations and the Fock
-oracle.  What this module adds is contract enforcement: explicit
-Hermiticity checks, eigendecomposition residual verification,
-positive-semidefinite witnesses and a common error vocabulary used by the
-physics modules.
+Eigensolves go to LAPACK through ``numpy.linalg``.  What this module
+adds is contract enforcement: explicit Hermiticity checks,
+eigendecomposition residual verification, positive-semidefinite
+witnesses and a common error vocabulary used by the physics modules.
 
-Linear 2x2 systems dU/dt = A(t) U with traceless A (the moving-medium
-mode equations) are propagated by ``solve_magnus`` instead: a
-sixth-order Magnus step on three Gauss-Legendre nodes, whose map is the
-closed-form exponential exp(W) = cosh(r) I + sinh(r)/r W with r^2 =
--det W, so a generator in su(1,1) gives an SU(1,1) map to roundoff at
-any step size.  A scalar rate is integrated alongside by Gauss
-quadrature on the same nodes.  The error is controlled by step
-doubling on a grid that is uniform between breakpoints.
+Every evolution the package integrates is linear, so it is propagated
+by exponentials rather than by a general-purpose ODE solver:
+
+* ``expmv`` applies exp(A) to a vector through a truncated Taylor series
+  of a matrix-free A, in substeps whose number and degree follow from a
+  bound on ||A||_1 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)
+  488); each series stops once its terms fall below unit roundoff.
+  The truncated-Fock oracle uses it.
+* ``expm`` is the dense exponential of a matrix or a stack of them, by
+  scaling and squaring of the same Taylor series.
+* ``solve_magnus`` propagates the traceless 2x2 systems dU/dt = A(t) U
+  of the moving-medium mode equations: a sixth-order Magnus step on
+  three Gauss-Legendre nodes, whose map is the closed-form exponential
+  exp(W) = cosh(r) I + sinh(r)/r W with r^2 = -det W, so a generator in
+  su(1,1) gives an SU(1,1) map to roundoff at any step size.  A scalar
+  rate is integrated alongside by Gauss quadrature on the same nodes.
+* ``solve_linear`` propagates dy/dt = A y of any dimension (the kinetic
+  equations): by one exact ``expm`` per interval when A is constant,
+  and by the same sixth-order Magnus steps, exponentiated by ``expm``,
+  when A depends on time.
+
+Both Magnus solvers control the error by step doubling on a grid that
+is uniform between breakpoints.
 
 All quantities are dimensionless or expressed in natural units
 (hbar = c = 1); matrices and vectors are plain complex numpy arrays.
@@ -25,11 +36,9 @@ All quantities are dimensionless or expressed in natural units
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     ConvergenceError,
@@ -37,7 +46,6 @@ from .errors import (
     DimensionMismatchError,
     NonFiniteStateError,
     NonHermitianError,
-    StepSizeUnderflowError,
 )
 
 HERMITIAN_TOL = 1e-12
@@ -52,6 +60,13 @@ GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
 GAUSS_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 MAGNUS_CHUNK = 1024  # steps (or dense-output times) built at once, bounding temporaries
 MAGNUS_MAX_STEPS = 2 ** 20
+
+# theta_m of Al-Mohy & Higham (2011), Table 3.1, for unit roundoff 2^-53: the
+# degree-m Taylor polynomial T_m satisfies T_m(A / s)^s = exp(A + dA) with
+# ||dA||_1 <= 2^-53 ||A||_1 whenever ||A / s||_1 <= theta_m
+TAYLOR_THETA = {5: 2.4e-3, 10: 0.144, 15: 0.641, 20: 1.44, 25: 2.43, 30: 3.54,
+                35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9}
+UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -135,57 +150,60 @@ def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> tuple[bool, float]:
     return lam_min >= -tol * (1.0 + max_abs(sym)), lam_min
 
 
-@dataclass(frozen=True, eq=False)
-class OdeProblem:
-    """An initial-value problem ``dy/dt = rhs(t, y)`` on ``t_span``.
+def _taylor(apply, v, degree: int, scale: float):
+    """sum_{k <= degree} (scale A)^k v / k! for A = ``apply``, stopped once two
+    consecutive terms together fall below unit roundoff relative to the
+    partial sum (max-entry norms, Al-Mohy & Higham's test)."""
+    total = term = v
+    previous = max_abs(v)
+    for k in range(1, degree + 1):
+        term = apply(term) * (scale / k)
+        total = total + term
+        size = max_abs(term)
+        if previous + size <= UNIT_ROUNDOFF * max_abs(total):
+            break
+        previous = size
+    return total
 
-    ``method`` selects the embedded pair: "RK45" (Dormand-Prince 5(4))
-    or "DOP853" (Dormand-Prince 8(5,3), for long smooth runs at tight
-    tolerance).
+
+def expmv(apply: Callable[[np.ndarray], np.ndarray], v: np.ndarray, norm: float) -> np.ndarray:
+    """exp(A) v for the linear map A = ``apply`` with ||A||_1 <= ``norm``.
+
+    Takes s substeps of the degree-m Taylor series, the pair of
+    ``TAYLOR_THETA`` with the fewest applications of A (m s) such that
+    norm / s <= theta_m.  A zero ``norm`` takes no substep and returns ``v``
+    itself.
     """
-
-    y0: np.ndarray
-    rhs: Callable[[float, np.ndarray], np.ndarray]
-    t_span: tuple[float, float]
-    rtol: float = DEFAULT_RTOL
-    atol: float = DEFAULT_ATOL
-    method: str = "RK45"
-
-    def __post_init__(self):
-        y0 = np.asarray(self.y0, dtype=complex).ravel()
-        object.__setattr__(self, "y0", y0)
-        t0, t1 = self.t_span
-        if t1 < t0:
-            raise DimensionMismatchError(f"time span reversed: {self.t_span}")
-        if self.rtol <= 0 or self.atol <= 0:
-            raise DimensionMismatchError("tolerances must be positive")
-        if self.method not in ("RK45", "DOP853"):
-            raise DimensionMismatchError(f"unsupported method {self.method!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.y0.size
+    substeps, degree = min(
+        ((math.ceil(norm / theta), m) for m, theta in TAYLOR_THETA.items()),
+        key=lambda plan: plan[0] * plan[1],
+    )
+    for _ in range(substeps):
+        v = _taylor(apply, v, degree, 1.0 / substeps)
+    return v
 
 
-class DenseOdeSolution:
-    """Adaptive Dormand-Prince solution with dense-output evaluation."""
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp of a square matrix, or of each matrix of a stack ``(..., d, d)``.
 
-    def __init__(self, problem: OdeProblem, interpolant, t_end, y_end, n_steps):
-        self.problem = problem
-        self._sol = interpolant
-        self.t_end = float(t_end)
-        self.y_end = np.asarray(y_end, dtype=complex)
-        self.n_steps = int(n_steps)
-
-    def at(self, t) -> np.ndarray:
-        """State at time ``t`` via the integrator's own interpolant.
-
-        ``t`` is a time or a 1-D array of times (any order); an array
-        gives shape ``(len(t), dim)``.  Every time must lie in the span.
-        """
-        t0, t1 = self.problem.t_span
-        times = _clip_to_span(t, t0, t1)
-        return np.asarray(self._sol(times), dtype=complex).T
+    Scaling and squaring of the Taylor series: the stack is scaled by 2^-s
+    until its largest 1-norm is at most theta_20, so the degree-20 series
+    (stopped early once converged) meets unit roundoff, and the result is
+    squared s times.  Bounding the norm by theta_20 rather than by a larger
+    theta keeps the series' terms from growing before they decay.  A zero
+    matrix maps to the identity exactly; a non-finite entry raises
+    ``NonFiniteStateError``.
+    """
+    a = np.asarray(a, dtype=complex)
+    norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
+    if not math.isfinite(norm):
+        raise NonFiniteStateError("non-finite matrix to exponentiate")
+    squarings = max(0, math.ceil(math.log2(norm / TAYLOR_THETA[20]))) if norm else 0
+    eye = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
+    x = _taylor(lambda y: a @ y, eye, 20, 0.5 ** squarings)
+    for _ in range(squarings):
+        x = x @ x
+    return x
 
 
 def _clip_to_span(t, t0: float, t1: float) -> np.ndarray:
@@ -198,56 +216,6 @@ def _clip_to_span(t, t0: float, t1: float) -> np.ndarray:
             f"t={times[outside].flat[0]} outside integrated span {(t0, t1)}"
         )
     return np.clip(times, t0, t1)
-
-
-def _checked_rhs(problem: OdeProblem):
-    def rhs(t, y):
-        dy = np.asarray(problem.rhs(t, y), dtype=complex).ravel()
-        if dy.size != problem.dim:
-            raise DimensionMismatchError(
-                f"rhs returned size {dy.size}, expected {problem.dim}"
-            )
-        if not np.all(np.isfinite(dy)):
-            raise NonFiniteStateError(f"non-finite derivative at t={t:.6g}")
-        return dy
-
-    return rhs
-
-
-def solve_ode_dense(problem: OdeProblem) -> DenseOdeSolution:
-    """Integrate over the whole span and keep the dense interpolant."""
-    t0, t1 = problem.t_span
-    if t1 == t0:
-        def constant(t):
-            return np.multiply.outer(problem.y0, np.ones(np.shape(t)))
-
-        return DenseOdeSolution(problem, constant, t0, problem.y0, 0)
-    res = solve_ivp(
-        _checked_rhs(problem), (t0, t1), problem.y0,
-        method=problem.method, rtol=problem.rtol, atol=problem.atol,
-        dense_output=True,
-    )
-    if not res.success:
-        msg = res.message or "integration failed"
-        if "step size" in msg.lower():
-            raise StepSizeUnderflowError(msg)
-        raise NonFiniteStateError(msg)
-    if not np.all(np.isfinite(res.y)):
-        raise NonFiniteStateError("non-finite state in integrator output")
-    return DenseOdeSolution(problem, res.sol, res.t[-1], res.y[:, -1], res.t.size - 1)
-
-
-def solve_ode(problem: OdeProblem, sample_times: Sequence[float]) -> np.ndarray:
-    """State snapshots at ``sample_times`` (ascending, within the span).
-
-    Returns an array of shape ``(len(sample_times), dim)``.
-    """
-    times = np.asarray(sample_times, dtype=float)
-    if times.size == 0:
-        return np.zeros((0, problem.dim), dtype=complex)
-    if np.any(np.diff(times) < 0):
-        raise DimensionMismatchError("sample times must be ascending")
-    return solve_ode_dense(problem).at(times)
 
 
 def central_difference(
@@ -282,6 +250,17 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, :, None] * y[None]).sum(axis=1)
 
 
+def _omega6(g0, g1, g2, bracket):
+    """The sixth-order Magnus exponent of one step (Blanes, Casas & Ros) from
+    h A at the step's three Gauss nodes, with ``bracket`` the commutator."""
+    a1 = g1
+    a2 = math.sqrt(15.0) / 3.0 * (g2 - g0)
+    a3 = 10.0 / 3.0 * (g2 - 2.0 * g1 + g0)
+    c1 = bracket(a1, a2)
+    c2 = bracket(a1, 2.0 * a3 + c1) / -60.0
+    return a1 + a3 / 12.0 + bracket(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+
+
 def magnus_steps(generator, t0: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sixth-order Magnus maps of the steps [t0, t0 + h] and the Gauss
     quadrature of the rate over each (1-D arrays of steps).
@@ -293,12 +272,7 @@ def magnus_steps(generator, t0: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, 
     """
     a, b, c, q = generator(t0 + h * GAUSS_NODES[:, None])
     g = np.stack([a, b, c]) * h  # (component, node, step)
-    a1 = g[:, 1]
-    a2 = math.sqrt(15.0) / 3.0 * (g[:, 2] - g[:, 0])
-    a3 = 10.0 / 3.0 * (g[:, 2] - 2.0 * g[:, 1] + g[:, 0])
-    c1 = _bracket(a1, a2)
-    c2 = _bracket(a1, 2.0 * a3 + c1) / -60.0
-    w = a1 + a3 / 12.0 + _bracket(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+    w = _omega6(g[:, 0], g[:, 1], g[:, 2], _bracket)
     # exp(W) = cosh(r) I + sinh(r)/r W; both are even in r, so any root of
     # r^2 = -det W serves, and the series takes over where r/r is 0/0
     r2 = w[0] * w[0] + w[1] * w[2]
@@ -388,6 +362,51 @@ class MagnusSolution:
         return u.reshape((2, 2) + times.shape), integral.reshape(times.shape)[()]
 
 
+def _refine(propagate, breakpoints, initial_step: float, rtol: float, atol: float):
+    """Step doubling shared by the Magnus solvers.  ``propagate(nodes)``
+    returns a tuple of arrays whose last axis runs over the nodes; the grid
+    is uniform between ``breakpoints`` (ascending; each one is a node).
+
+    Starting from steps of about ``initial_step``, the step count doubles
+    until the Richardson estimate |X_2N - X_N| / 63 of the global error meets
+    ``atol + rtol |X|`` for every entry X of every array at every node the
+    two grids share; returns the finer grid, its arrays and the largest
+    estimate.  Raises ``ConvergenceError`` past ``MAGNUS_MAX_STEPS`` steps,
+    or as soon as two consecutive doublings each cut the estimate by less
+    than half (in the asymptotic range each cuts it by about 64): the
+    tolerance then lies below the roundoff floor of the propagation.
+    """
+    breaks = np.asarray(breakpoints, dtype=float)
+    counts = np.maximum(1, np.ceil(np.diff(breaks) / initial_step)).astype(int)
+    values = propagate(_grid(breaks, counts))
+    estimates = []
+    while True:
+        counts = 2 * counts
+        if counts.sum() > MAGNUS_MAX_STEPS:
+            raise ConvergenceError(
+                f"Magnus propagation not within rtol={rtol:g}, atol={atol:g} "
+                f"at {MAGNUS_MAX_STEPS} steps"
+            )
+        coarse = values
+        nodes = _grid(breaks, counts)
+        values = propagate(nodes)
+        checks = [_doubling_error(f, c, rtol, atol) for f, c in zip(values, coarse)]
+        estimates.append(max(err for err, _ in checks))
+        if all(ok for _, ok in checks):
+            return nodes, values, estimates[-1]
+        if len(estimates) >= 3 and all(2.0 * b > a for a, b in zip(estimates[-3:], estimates[-2:])):
+            raise ConvergenceError(
+                f"Magnus propagation stalled at the roundoff floor: error estimate "
+                f"{estimates[-1]:.3g} not within rtol={rtol:g}, atol={atol:g} "
+                f"at {nodes.size - 1} steps"
+            )
+
+
+def _check_tolerances(rtol: float, atol: float) -> None:
+    if rtol <= 0 or atol <= 0:
+        raise DimensionMismatchError("tolerances must be positive")
+
+
 def solve_magnus(
     generator,
     breakpoints: Sequence[float],
@@ -399,39 +418,76 @@ def solve_magnus(
     of ``breakpoints`` (ascending; each one is a node, and the nodes are
     uniform between them), and integrate the generator's rate alongside.
 
-    Starting from steps of about ``initial_step``, the step count doubles
-    until the Richardson estimate |X_2N - X_N| / 63 of the global error meets
-    ``atol + rtol |X|`` for every entry X of U and for the integral at every
-    node the two grids share; the finer solution is kept.  Raises
-    ``ConvergenceError`` past ``MAGNUS_MAX_STEPS`` steps, or as soon as two
-    consecutive doublings each cut the estimate by less than half (in the
-    asymptotic range each cuts it by about 64): the tolerance then lies
-    below the roundoff floor of the propagation.
+    The step count doubles from steps of about ``initial_step`` until the
+    error estimate of every entry of U and of the integral meets ``atol +
+    rtol |X|`` (``_refine``); the finer solution is kept.
     """
-    if rtol <= 0 or atol <= 0:
-        raise DimensionMismatchError("tolerances must be positive")
-    breaks = np.asarray(breakpoints, dtype=float)
-    counts = np.maximum(1, np.ceil(np.diff(breaks) / initial_step)).astype(int)
-    u, integral = propagate_magnus(generator, _grid(breaks, counts))
-    estimates = []
-    while True:
-        counts = 2 * counts
-        if counts.sum() > MAGNUS_MAX_STEPS:
-            raise ConvergenceError(
-                f"Magnus propagation not within rtol={rtol:g}, atol={atol:g} "
-                f"at {MAGNUS_MAX_STEPS} steps"
-            )
-        coarse, coarse_integral = u, integral
-        nodes = _grid(breaks, counts)
-        u, integral = propagate_magnus(generator, nodes)
-        err_u, ok_u = _doubling_error(u, coarse, rtol, atol)
-        err_integral, ok_integral = _doubling_error(integral, coarse_integral, rtol, atol)
-        estimates.append(max(err_u, err_integral))
-        if ok_u and ok_integral:
-            return MagnusSolution(generator, nodes, u, integral, estimates[-1])
-        if len(estimates) >= 3 and all(2.0 * b > a for a, b in zip(estimates[-3:], estimates[-2:])):
-            raise ConvergenceError(
-                f"Magnus propagation stalled at the roundoff floor: error estimate "
-                f"{estimates[-1]:.3g} not within rtol={rtol:g}, atol={atol:g} "
-                f"at {nodes.size - 1} steps"
-            )
+    _check_tolerances(rtol, atol)
+    nodes, (u, integral), estimate = _refine(
+        lambda grid: propagate_magnus(generator, grid), breakpoints, initial_step, rtol, atol
+    )
+    return MagnusSolution(generator, nodes, u, integral, estimate)
+
+
+def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x @ y - y @ x
+
+
+def _chain(maps: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """y, E_0 y, E_1 E_0 y, ... for the stack of maps E_k: ``(len(maps) + 1, dim)``."""
+    out = np.empty((len(maps) + 1, y.size), dtype=complex)
+    out[0] = y
+    for k, e in enumerate(maps):
+        out[k + 1] = e @ out[k]
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteStateError("non-finite state in linear propagation")
+    return out
+
+
+def _propagate_linear(generator, nodes: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """y at every node of an ascending grid, shape ``(dim, nodes)``, by one
+    sixth-order Magnus step per interval, each exponentiated by ``expm``."""
+    pieces = [y0[None]]
+    n = nodes.size - 1
+    for k0 in range(0, n, MAGNUS_CHUNK):
+        k1 = min(k0 + MAGNUS_CHUNK, n)
+        t0, h = nodes[k0:k1], nodes[k0 + 1:k1 + 1] - nodes[k0:k1]
+        g = generator((t0 + h * GAUSS_NODES[:, None]).ravel())
+        g = g.reshape((3, h.size) + g.shape[-2:]) * h[:, None, None]
+        pieces.append(_chain(expm(_omega6(g[0], g[1], g[2], _commutator)), pieces[-1][-1])[1:])
+    return np.concatenate(pieces).T
+
+
+def solve_linear(
+    generator,
+    y0: np.ndarray,
+    times: Sequence[float],
+    rtol: float = DEFAULT_RTOL,
+    atol: float = DEFAULT_ATOL,
+) -> np.ndarray:
+    """States of dy/dt = A(t) y with y(times[0]) = y0 at ascending ``times``,
+    shape ``(len(times), dim)``.
+
+    ``generator`` is either a constant ``(dim, dim)`` array, propagated by
+    one exact ``expm`` per interval (the tolerances are then unused), or a
+    callable taking a 1-D array of times and returning the stack of A at
+    them, ``(times, dim, dim)``.  The callable form takes sixth-order
+    Magnus steps on a grid that has every sample time as a node, from steps
+    of about 1 / max ||A(t)||_1 over the sample times, with the step
+    doubling of ``_refine`` on every component of y.
+    """
+    _check_tolerances(rtol, atol)
+    times = np.asarray(times, dtype=float)
+    y0 = np.asarray(y0, dtype=complex)
+    if np.any(np.diff(times) < 0):
+        raise DimensionMismatchError("sample times must be ascending")
+    if not callable(generator):
+        return _chain(expm(np.asarray(generator) * np.diff(times)[:, None, None]), y0)
+    norm = float(np.abs(generator(times)).sum(axis=-2).max())
+    if not math.isfinite(norm):
+        raise NonFiniteStateError("non-finite generator at the sample times")
+    nodes, (y,), _ = _refine(
+        lambda grid: (_propagate_linear(generator, grid, y0),),
+        times, 1.0 / norm if norm > 0 else math.inf, rtol, atol,
+    )
+    return y[:, np.searchsorted(nodes, times)].T

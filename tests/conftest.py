@@ -1,10 +1,10 @@
-"""Shared helpers: reproducible random states and symplectic maps, and a
-reference route for the mode equations."""
+"""Shared helpers: reproducible random states and symplectic maps, and
+scipy's DOP853 as the reference route for the package's integrators."""
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from rsfield.numerics import OdeProblem, solve_ode
 from rsfield.rsf import ConjugateField, ReducedField
 from rsfield.symplectic import BogoliubovMap, from_blocks
 
@@ -53,6 +53,17 @@ def random_physical_fields(
     return ReducedField(r, alpha), ConjugateField(c, alpha.conj())
 
 
+def dop853(rhs, y0, t_span, times, rtol=1e-13, atol=1e-15):
+    """States of dy/dt = rhs(t, y) at ``times`` (within ``t_span``) from scipy's
+    adaptive DOP853 and its dense output, shape ``(len(times), dim)``."""
+    y0 = np.asarray(y0, dtype=complex)
+    if t_span[1] == t_span[0]:
+        return np.tile(y0, (len(times), 1))
+    res = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=rtol, atol=atol, dense_output=True)
+    assert res.success, res.message
+    return res.sol(np.asarray(times, dtype=float)).T
+
+
 def reference_modes(s, times, rtol=1e-13, atol=1e-15):
     """(f_R+, f_R-, f_L+, f_L-, phi) at ``times`` from scipy's adaptive DOP853
     on the mode equations as a 5-component ODE, independent of the Magnus
@@ -78,8 +89,7 @@ def reference_modes(s, times, rtol=1e-13, atol=1e-15):
     out = np.empty((times.size, 5), dtype=complex)
     for t0, t1 in zip(edges[:-1], edges[1:]):
         inside = (times >= t0) & (times <= t1)
-        problem = OdeProblem(y, rhs, (t0, t1), rtol=rtol, atol=atol, method="DOP853")
-        states = solve_ode(problem, np.append(times[inside], t1))
+        states = dop853(rhs, y, (t0, t1), np.append(times[inside], t1), rtol, atol)
         out[inside], y = states[:-1], states[-1]
     f_rp, f_rm, f_lp, f_lm, phi = out.T
     return f_rp, f_rm, f_lp, f_lm, phi.real

@@ -1,4 +1,10 @@
 import json
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +23,7 @@ from rsfield.cli import (
 from rsfield.errors import ConfigError
 
 E2_MINUS_1 = 6.389056098930650
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(path, **overrides):
@@ -360,3 +367,30 @@ class TestExtractCommand:
         casimir, extract = columns("casimir.csv"), columns("extract.csv")
         for name in ("T", "h", "gamma_up", "gamma_up_extracted", "gamma_down_extracted"):
             assert extract[name] == casimir[name]
+
+
+class TestImportHygiene:
+    def test_commands_run_without_scipy(self, tmp_path):
+        # scipy is a test dependency only: the runtime, imports and the
+        # casimir, fock-check and amplify commands included, never loads it
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        (tmp_path / "run.json").write_text(
+            re.search(r"```json\n(.*?)```", readme, re.S).group(1), encoding="utf-8"
+        )
+        (tmp_path / "amp.json").write_text(json.dumps({"kappa": 1.0, "m": 0.5}), encoding="utf-8")
+        code = textwrap.dedent("""
+            import sys
+            import rsfield.cli as cli
+            for argv in (["casimir", "--config", "run.json", "--out", "c"],
+                         ["fock-check", "--out", "f"],
+                         ["amplify", "--config", "amp.json", "--out", "a"]):
+                assert cli.main(argv) == 0, argv
+            loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+            assert not loaded, loaded
+        """)
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr

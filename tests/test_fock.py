@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import dop853
 from rsfield.errors import TruncationOverflowError
 from rsfield.fock import (
     FockState,
@@ -92,7 +93,37 @@ class TestEvolve:
     def test_zero_hamiltonian_is_identity(self):
         st = coherent_state(0.3, 0.0, 10)
         out = evolve(st, QuadraticHamiltonian(), 1.0)
-        assert max_abs(out.amplitudes - st.amplitudes) < 1e-12
+        assert np.array_equal(out.amplitudes, st.amplitudes)
+
+    def test_zero_time_is_identity(self):
+        st = coherent_state(0.3, -0.2j, 10)
+        out = evolve(st, QuadraticHamiltonian(0.7, -0.4, 0.25, -0.15, 0.12, 0.08), 0.0)
+        assert np.array_equal(out.amplitudes, st.amplitudes)
+
+    def test_matches_dop853_with_every_coefficient(self):
+        h = QuadraticHamiltonian(0.7, -0.4, 0.25, -0.15, 0.12, 0.08)
+        st = coherent_state(0.3 - 0.1j, 0.2j, 12)
+        out = evolve(st, h, 1.5)
+        hm = dense_hamiltonian(h, 12)
+        ref = dop853(lambda _t, y: -1j * (hm @ y), st.amplitudes.ravel(), (0.0, 1.5), [1.5])[0]
+        assert max_abs(out.amplitudes.ravel() - ref) < 1e-11
+
+    def test_squeeze_matches_closed_form_state(self):
+        # exp(kappa t (a^dag b^dag - a b)) |0, 0> = sum_n tanh^n(kappa t) |n, n> / cosh(kappa t);
+        # at n_max = 24 the truncation moves no amplitude by more than 1e-13
+        h, _ = squeeze_pair(0.3, 1.0)
+        out = evolve(FockState.vacuum(24), h, 1.0)
+        expected = np.diag(np.tanh(0.3) ** np.arange(25) / np.cosh(0.3))
+        assert max_abs(out.amplitudes - expected) < 1e-13
+
+    def test_beam_splitter_matches_closed_form_state(self):
+        # a -> cos a + sin b in the Heisenberg picture takes |1, 0> to
+        # cos |1, 0> - sin |0, 1>; one photon never reaches the cutoff
+        h, _ = beam_splitter_pair(0.7)
+        out = evolve(FockState.number_state(1, 0, 10), h, 1.0)
+        expected = np.zeros((11, 11))
+        expected[1, 0], expected[0, 1] = np.cos(0.7), -np.sin(0.7)
+        assert max_abs(out.amplitudes - expected) < 1e-14
 
     def test_passive_exchange_conserves_total_number(self):
         st = FockState.number_state(1, 0, 8)
@@ -123,6 +154,13 @@ class TestEvolve:
         h, _ = squeeze_pair(1.2, 1.0)  # far too much squeezing for n_max=4
         with pytest.raises(TruncationOverflowError):
             evolve(FockState.vacuum(4), h, 1.0)
+
+    def test_truncation_overflow_names_the_checkpoint(self):
+        # squeezing 0.3 t: the n_max = 8 shell holds 3e-9 at t = 1 and 5e-5
+        # at t = 2, the second of the eight checkpoints of t = 8
+        h, _ = squeeze_pair(0.3, 1.0)
+        with pytest.raises(TruncationOverflowError, match=r"at t=2; raise the cutoff"):
+            evolve(FockState.vacuum(8), h, 8.0)
 
 
 class TestOracleCheckTransform:

@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from conftest import haar_unitary
+from conftest import dop853, haar_unitary, random_physical_fields
 from rsfield.errors import (
     DimensionMismatchError,
     InvalidMomentsError,
@@ -20,6 +22,29 @@ from rsfield.kinetics import (
 )
 from rsfield.numerics import central_difference, max_abs
 from rsfield.rsf import ReducedField, vacuum
+
+
+def dop853_kinetics(rf0, gen_at, times):
+    """(r, alpha) at ``times`` from scipy's DOP853 on ``kinetic_rhs`` with the
+    generators ``gen_at(t)``, the reference route for ``integrate_kinetics``."""
+    n = rf0.n_modes
+
+    def rhs(t, y):
+        field = SimpleNamespace(r=y[:n * n].reshape(n, n), alpha=y[n * n:], n_modes=n)
+        dr, dalpha = kinetic_rhs(field, gen_at(t))
+        return np.concatenate([dr.ravel(), dalpha])
+
+    y0 = np.concatenate([rf0.r.ravel(), rf0.alpha])
+    ys = dop853(rhs, y0, (0.0, times[-1]), times)
+    return [(y[:n * n].reshape(n, n), y[n * n:]) for y in ys]
+
+
+def stacked(generators) -> tuple:
+    """Per-time ``KineticGenerators`` as the stacks ``(h, zeta, gamma_up,
+    gamma_down)`` that ``integrate_kinetics`` takes from a callable."""
+    g = list(generators)
+    return tuple(np.array([getattr(k, f) for k in g])
+                 for f in ("h", "zeta", "gamma_up", "gamma_down"))
 
 E2_MINUS_1 = 6.389056098930650  # e^2 - 1
 
@@ -174,6 +199,49 @@ class TestIntegrateKinetics:
         with pytest.raises(PhysicalityLostError):
             integrate_kinetics(rf, bad, (0.0, 1.0), [0.5, 1.0])
 
+    def test_rejects_samples_outside_span(self):
+        rf = ReducedField(np.array([[0.5]], dtype=complex), np.array([0.2]))
+        with pytest.raises(DimensionMismatchError):
+            integrate_kinetics(rf, KineticGenerators.zeros(1), (0.0, 1.0), [0.5, 2.0])
+
+    def test_constant_generators_match_dop853(self, rng):
+        rf0, _ = random_physical_fields(2, rng)
+        gens = KineticGenerators(
+            h=np.array([[0.4, 0.3 - 0.2j], [0.3 + 0.2j, -0.7]]),
+            zeta=np.array([0.2 + 0.1j, -0.3j]),
+            gamma_up=np.array([[0.6, 0.1j], [-0.1j, 0.3]]),
+            gamma_down=np.array([[0.2, 0.05], [0.05, 0.4]]),
+            scatterers=((0.3, haar_unitary(2, rng)), (0.7, haar_unitary(2, rng))),
+        )
+        times = [0.0, 0.4, 1.1, 2.0]
+        snaps = integrate_kinetics(rf0, gens, (0.0, 2.0), times)
+        ref = dop853_kinetics(rf0, lambda _t: gens, times)
+        for s, (r, alpha) in zip(snaps, ref):
+            assert max_abs(s.r - r) < 1e-11 * (1.0 + max_abs(r))
+            assert max_abs(s.alpha - alpha) < 1e-11 * (1.0 + max_abs(r))
+
+    def test_time_dependent_generators_match_dop853(self, rng):
+        rf0, _ = random_physical_fields(2, rng)
+        h0 = np.array([[0.4, 0.3 - 0.2j], [0.3 + 0.2j, -0.7]])
+        h1 = np.array([[0.0, 1.0], [1.0, 0.5]])
+        up = np.array([[0.6, 0.1j], [-0.1j, 0.3]])
+        down = np.array([[0.2, 0.05], [0.05, 0.4]])
+
+        def gen(t):
+            c, s = np.cos(1.3 * t)[:, None, None], np.sin(t)[:, None, None]
+            zeta = np.exp(-1j * t)[:, None] * np.array([0.2 + 0.1j, -0.3j])
+            return h0 + c * h1, zeta, (1.0 + 0.5 * s) * up, (1.0 - 0.5 * s) * down
+
+        def gen_at(t):
+            return KineticGenerators(*(x[0] for x in gen(np.array([t]))))
+
+        times = [0.0, 0.4, 1.1, 2.0]
+        snaps = integrate_kinetics(rf0, gen, (0.0, 2.0), times, rtol=1e-12, atol=1e-14)
+        ref = dop853_kinetics(rf0, gen_at, times)
+        for s, (r, alpha) in zip(snaps, ref):
+            assert max_abs(s.r - r) < 1e-10 * (1.0 + max_abs(r))
+            assert max_abs(s.alpha - alpha) < 1e-10 * (1.0 + max_abs(r))
+
 
 class TestExtractClosed:
     def test_global_phase(self):
@@ -224,9 +292,11 @@ class TestExtractClosed:
         rf0 = ReducedField(r0, np.array([0.3, -0.1j]))
 
         def gens(t):
-            h = extract_closed_generator(fam, t, fd_step=1e-6)
-            z = np.zeros((2, 2), dtype=complex)
-            return KineticGenerators(h, np.zeros(2, dtype=complex), z, z)
+            return stacked(
+                KineticGenerators(extract_closed_generator(fam, s, fd_step=1e-6),
+                                  np.zeros(2), np.zeros((2, 2)), np.zeros((2, 2)))
+                for s in t
+            )
 
         snaps = integrate_kinetics(rf0, gens, (0.0, 1.0), [0.5, 1.0], rtol=1e-10)
         for t, s in zip((0.5, 1.0), snaps):
@@ -317,7 +387,9 @@ class TestExtractOpen:
         rf0 = ReducedField(r0, alpha0)
 
         def gens(t):
-            return extract_open_generators(xs, xc, t, dx_up_s=dxs, dx_down_c=dxc)
+            return stacked(
+                extract_open_generators(xs, xc, s, dx_up_s=dxs, dx_down_c=dxc) for s in t
+            )
 
         times = [0.4, 1.0, 1.6]
         snaps = integrate_kinetics(rf0, gens, (0.0, 1.6), times, rtol=1e-11, atol=1e-13)

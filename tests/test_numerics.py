@@ -9,14 +9,14 @@ from rsfield.errors import (
     NonHermitianError,
 )
 from rsfield.numerics import (
-    OdeProblem,
     central_difference,
+    expm,
+    expmv,
     hermitian_eigenvalues,
     is_psd,
     max_abs,
+    solve_linear,
     solve_magnus,
-    solve_ode,
-    solve_ode_dense,
 )
 
 
@@ -97,88 +97,99 @@ class TestIsPsd:
         assert ok
 
 
-class TestSolveOde:
-    def test_complex_exponential(self):
-        p = OdeProblem(np.array([1.0 + 0j]), lambda t, y: -1j * y, (0.0, np.pi))
-        y = solve_ode(p, [np.pi])
-        assert abs(y[0, 0] + 1.0) < 1e-9
+class TestExpm:
+    def test_matches_eigendecomposition(self, rng):
+        # exp(-i H s) = V exp(-i w s) V^dag, from numpy's eigh, over norms
+        # from small (no squaring) to large (many squarings); a stack at once
+        z = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+        h = 0.5 * (z + np.swapaxes(z, -1, -2).conj())
+        w, v = np.linalg.eigh(h)
+        for s in (1e-4, 0.1, 1.0, 7.0, 40.0):
+            expected = (v * np.exp(-1j * w * s)[:, None, :]) @ np.swapaxes(v, -1, -2).conj()
+            assert max_abs(expm(-1j * s * h) - expected) < 1e-13 * (1.0 + s)
 
-    def test_zero_rhs_constant(self):
+    def test_nilpotent_and_zero_are_exact(self):
+        a = np.zeros((2, 2, 2), dtype=complex)
+        a[1, 0, 1] = 2.5
+        out = expm(a)
+        assert np.array_equal(out[0], np.eye(2))
+        assert np.array_equal(out[1], np.array([[1.0, 2.5], [0.0, 1.0]]))
+
+    def test_real_growth(self):
+        out = expm(np.array([[0.0, 3.0], [3.0, 0.0]]))
+        expected = np.array([[np.cosh(3.0), np.sinh(3.0)], [np.sinh(3.0), np.cosh(3.0)]])
+        assert max_abs(out - expected) <= 1e-14 * np.cosh(3.0)
+
+    def test_non_finite_raises(self):
+        with pytest.raises(NonFiniteStateError):
+            expm(np.array([[np.nan]]))
+
+
+class TestExpmv:
+    def test_matches_eigendecomposition(self, rng):
+        z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        h = 0.5 * (z + z.conj().T)
+        w, v = np.linalg.eigh(h)
+        psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        bound = float(np.abs(h).sum(axis=0).max())
+        for t in (0.01, 1.0, 25.0):
+            out = expmv(lambda x: -1j * t * (h @ x), psi, bound * t)
+            expected = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi))
+            assert max_abs(out - expected) < 1e-13 * (1.0 + t)
+
+    def test_zero_norm_returns_the_vector(self):
+        psi = np.array([1.0 + 2j, 0.5])
+        assert expmv(lambda x: 0.0 * x, psi, 0.0) is psi
+
+
+def cosine_generator(t):
+    """A(t) = -i cos(t) on one component: y(t) = exp(-i sin t) y(0)."""
+    return (-1j * np.cos(t))[:, None, None]
+
+
+class TestSolveLinear:
+    def test_complex_exponential(self):
+        y = solve_linear(np.array([[-1j]]), [1.0], [0.0, np.pi])
+        assert abs(y[-1, 0] + 1.0) < 1e-14
+
+    def test_zero_generator_constant(self):
         y0 = np.array([1.0 + 2j, -3.0 + 0j])
-        p = OdeProblem(y0, lambda t, y: np.zeros_like(y), (0.0, 5.0))
-        snaps = solve_ode(p, [0.0, 2.5, 5.0])
-        assert np.allclose(snaps, y0[None, :])
+        for gen in (np.zeros((2, 2)), lambda t: np.zeros((t.size, 2, 2))):
+            snaps = solve_linear(gen, y0, [0.0, 2.5, 5.0])
+            assert np.array_equal(snaps, np.tile(y0, (3, 1)))
 
     def test_norm_preserved_anti_hermitian(self, rng):
         z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         h = 0.5 * (z + z.conj().T)
         y0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         y0 = y0 / np.linalg.norm(y0)
-        p = OdeProblem(y0, lambda t, y: -1j * (h @ y), (0.0, 10.0), rtol=1e-10)
-        snaps = solve_ode(p, np.linspace(0.0, 10.0, 11))
-        norms = np.linalg.norm(snaps, axis=1)
-        assert np.max(np.abs(norms - 1.0)) < 10 * 1e-10 * 10.0
+        times = np.linspace(0.0, 10.0, 11)
+        for gen in (-1j * h, lambda t: -1j * np.cos(t)[:, None, None] * h):
+            snaps = solve_linear(gen, y0, times, rtol=1e-10)
+            assert np.max(np.abs(np.linalg.norm(snaps, axis=1) - 1.0)) < 1e-13
 
-    def test_dense_output_matches_samples(self):
-        p = OdeProblem(np.array([1.0 + 0j]), lambda t, y: -1j * y, (0.0, 2.0))
-        dense = solve_ode_dense(p)
-        for t in (0.3, 1.1, 1.9):
-            assert abs(dense.at(t)[0] - np.exp(-1j * t)) < 1e-9
-
-    def test_dense_output_array_matches_scalar_calls(self):
-        # DOP853, the pair the mode equations use, interpolates elementwise:
-        # one call on unsorted, repeated times gives the scalar calls' bits
-        p = OdeProblem(
-            np.array([1.0 + 0j, 0.5j]),
-            lambda t, y: np.array([-1j * np.cos(t) * y[0], y[0] - 0.3 * y[1]]),
-            (0.0, 3.0), method="DOP853",
-        )
-        dense = solve_ode_dense(p)
-        times = np.array([2.9, 0.0, 1.3, 3.0, 0.7, 1.3])
-        states = dense.at(times)
-        assert states.shape == (6, 2)
-        assert np.array_equal(states, np.array([dense.at(float(t)) for t in times]))
-        with pytest.raises(DimensionMismatchError):
-            dense.at(np.array([0.5, 3.5, 1.0]))
+    def test_time_dependent_matches_closed_form(self):
+        times = np.linspace(0.0, 3.0, 7)
+        y = solve_linear(cosine_generator, [1.0], times, rtol=1e-12, atol=1e-14)
+        assert max_abs(y[:, 0] - np.exp(-1j * np.sin(times))) < 1e-12
 
     def test_rejects_descending_samples(self):
-        p = OdeProblem(np.array([1.0 + 0j]), lambda t, y: -y, (0.0, 1.0))
         with pytest.raises(DimensionMismatchError):
-            solve_ode(p, [0.5, 0.2])
+            solve_linear(np.array([[-1.0]]), [1.0], [0.5, 0.2])
 
-    def test_rejects_samples_outside_span(self):
-        p = OdeProblem(np.array([1.0 + 0j]), lambda t, y: -y, (0.0, 1.0))
-        with pytest.raises(DimensionMismatchError):
-            solve_ode(p, [0.5, 2.0])
-
-    def test_non_finite_rhs_raises(self):
-        def rhs(t, y):
-            return np.full_like(y, np.inf)
-
-        p = OdeProblem(np.array([1.0 + 0j]), rhs, (0.0, 1.0))
-        with pytest.raises(NonFiniteStateError):
-            solve_ode(p, [1.0])
+    def test_non_finite_generator_raises(self):
+        for gen in (np.array([[np.inf]]), lambda t: np.full((t.size, 1, 1), np.nan)):
+            with pytest.raises(NonFiniteStateError):
+                solve_linear(gen, [1.0], [0.0, 1.0])
 
     def test_rejects_bad_tolerances(self):
         with pytest.raises(DimensionMismatchError):
-            OdeProblem(np.array([1.0]), lambda t, y: y, (0.0, 1.0), rtol=-1.0)
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(DimensionMismatchError):
-            OdeProblem(np.array([1.0]), lambda t, y: y, (0.0, 1.0), method="Euler")
-
-    def test_higher_order_pair_and_first_step(self):
-        p = OdeProblem(
-            np.array([1.0 + 0j]), lambda t, y: -1j * y, (0.0, np.pi),
-            rtol=1e-12, atol=1e-14, method="DOP853",
-        )
-        y = solve_ode(p, [np.pi])
-        assert abs(y[0, 0] + 1.0) < 1e-11
+            solve_linear(np.array([[1.0]]), [1.0], [0.0, 1.0], rtol=-1.0)
 
     def test_zero_span_returns_initial_state(self):
-        p = OdeProblem(np.array([2.0 + 1j]), lambda t, y: -y, (0.0, 0.0))
-        snaps = solve_ode(p, [0.0])
-        assert snaps[0, 0] == 2.0 + 1j
+        for gen in (np.array([[-1.0]]), cosine_generator):
+            snaps = solve_linear(gen, [2.0 + 1j], [0.0, 0.0])
+            assert np.array_equal(snaps, np.array([[2.0 + 1j], [2.0 + 1j]]))
 
 
 class TestCentralDifference:
