@@ -147,12 +147,14 @@ def cosine_generator(t):
     return (-1j * np.cos(t))[:, None, None]
 
 
-class TestSolveLinear:
+class TestSolveOde:
+    """solve_linear, the solver of the linear ODE dy/dt = A y."""
+
     def test_complex_exponential(self):
         y = solve_linear(np.array([[-1j]]), [1.0], [0.0, np.pi])
         assert abs(y[-1, 0] + 1.0) < 1e-14
 
-    def test_zero_generator_constant(self):
+    def test_zero_rhs_constant(self):
         y0 = np.array([1.0 + 2j, -3.0 + 0j])
         for gen in (np.zeros((2, 2)), lambda t: np.zeros((t.size, 2, 2))):
             snaps = solve_linear(gen, y0, [0.0, 2.5, 5.0])
@@ -177,7 +179,7 @@ class TestSolveLinear:
         with pytest.raises(DimensionMismatchError):
             solve_linear(np.array([[-1.0]]), [1.0], [0.5, 0.2])
 
-    def test_non_finite_generator_raises(self):
+    def test_non_finite_rhs_raises(self):
         for gen in (np.array([[np.inf]]), lambda t: np.full((t.size, 1, 1), np.nan)):
             with pytest.raises(NonFiniteStateError):
                 solve_linear(gen, [1.0], [0.0, 1.0])
