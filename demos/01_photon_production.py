@@ -55,8 +55,8 @@ n_right, n_left = sol.density(), np.abs(sol.f_lp) ** 2
 for i in range(9):
     n_r, n_l = n_right[i], n_left[i]
     print(f"{sol.times[i]:5.1f}   {n_r:.6e} {n_l:.6e}   {sol.ccr_residual[i]:+.2e}")
-print(f"\nhelicity symmetry: max | |f_L+| - |f_R-| | = "
-      f"{np.max(np.abs(sol.helicity_residual)):.2e}")
+print(f"\nhelicity symmetry: max ||f_L+| - |f_R-||, ||f_L-| - |f_R+|| = "
+      f"{np.max(sol.helicity_residual):.2e}")
 print(f"drive interrupted mid-swing? endpoint velocity mismatch = "
       f"{sol.endpoint_velocity_mismatch():.3f}")
 

@@ -14,8 +14,11 @@ Configuration is a single JSON document; unknown keys are rejected so
 that a typo in a physics parameter cannot silently fall back to a
 default.  All floats are written with 17 significant digits and the
 integrator is deterministic, so identical configs produce bitwise
-identical CSVs.  Exit status: 0 all checks passed, 1 an invariant or
-threshold failed, 2 configuration error.
+identical CSVs.  A run is one dict of column arrays, from the solution to
+the CSV and the summary; ``_gates`` compares every invariant with its limit,
+and a violating run still writes both before it names the invariant, value,
+limit and time.  Exit status: 0 all checks passed, 1 an invariant or
+threshold failed (or the solver gave up), 2 configuration error.
 """
 
 from __future__ import annotations
@@ -31,9 +34,8 @@ import numpy as np
 
 from .amplifier import AmplifierSpec, amplified_rsf, amplifier_generators
 from .casimir import (
-    CCR_TOL,
-    MAP_TOL,
     CasimirScenario,
+    ModeSolution,
     VelocityProfile,
     casimir_maps,
     closed_form_generators,
@@ -58,12 +60,14 @@ from .numerics import max_abs
 from .rsf import expect_additive, vacuum
 from .symplectic import classical_mask, identity_map
 
+INVARIANT_LIMIT = 1e-8  # CCR, helicity symmetry and symplectic residuals
+# roundoff in the CCR and map residuals grows with the photon number: measured
+# at 6-47 eps (|f_+|^2 + |f_-|^2) and eps max|X|^2, up to n ~ 3e7
+ROUNDOFF_FACTOR = 256.0
 EXTRACTION_LIMIT = 1e-7  # relative to omega
 GAMMA_DOWN_LIMIT = 1e-8  # relative to omega
 GROWTH_LIMIT = 1e-6  # relative to the peak density rate
 AMPLIFY_LIMIT = 1e-8
-DEFAULT_REL_TOL = 1e-11
-DEFAULT_ABS_TOL = 1e-13
 
 CSV_COLUMNS = (
     "T", "re_fRp", "im_fRp", "re_fRm", "im_fRm", "re_fLp", "im_fLp",
@@ -75,19 +79,18 @@ CSV_COLUMNS = (
 
 def _formatter(value):
     """The text form of a CSV column, picked from its first value: booleans
-    (Python or numpy) as true/false, integers as integers, strings as they
-    are, anything else as a float with 17 significant digits."""
-    if isinstance(value, (bool, np.bool_)):
+    as true/false, integers as integers, strings as they are, anything else
+    as a float with 17 significant digits."""
+    if isinstance(value, bool):
         return lambda v: "true" if v else "false"
-    if isinstance(value, str):
+    if isinstance(value, (str, int)):
         return str
-    if isinstance(value, (int, np.integer)):
-        return lambda v: str(int(v))
-    return lambda v: f"{float(v):.17g}"
+    return lambda v: f"{v:.17g}"
 
 
-def _write_csv(path: Path, columns, rows) -> None:
-    values = [[row[c] for row in rows] for c in columns]
+def _write_csv(path: Path, columns: dict) -> None:
+    """Write ``columns`` (name -> values, lists or arrays, one per row) as CSV."""
+    values = [np.asarray(v).tolist() for v in columns.values()]
     text = zip(*(map(_formatter(v[0]), v) for v in values if v))
     lines = [",".join(columns), *(",".join(r) for r in text)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -129,8 +132,8 @@ CASIMIR_KEYS = {
     "profile": ...,
     "t_end": ...,
     "samples": 201,
-    "rel_tol": DEFAULT_REL_TOL,
-    "abs_tol": DEFAULT_ABS_TOL,
+    "rel_tol": 1e-11,
+    "abs_tol": 1e-13,
     "sweep": None,
     "out_dir": None,
 }
@@ -187,16 +190,89 @@ def build_scenario(cfg: dict) -> CasimirScenario:
 
 @dataclass
 class RunReport:
-    rows: list
+    columns: dict
     summary: dict
-    ok: bool
     failures: list
 
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
-def _casimir_columns(s: CasimirScenario, cfg: dict) -> dict:
+
+@dataclass(frozen=True)
+class Gate:
+    """One invariant of a run at its worst sample: the one where the residual
+    is largest relative to its limit."""
+
+    value: float
+    limit: float
+    time: float
+
+    @property
+    def ok(self) -> bool:
+        return abs(self.value) <= self.limit
+
+
+def _gate(times: np.ndarray, residual, limit) -> Gate:
+    """``residual`` against ``limit`` at every sample; ``residual`` may stack
+    several residuals, ``(k, samples)``.  A zero limit takes a verdict column
+    (1 where the sample fails); its first failing sample is the worst."""
+    res = np.asarray(residual, dtype=float)
+    mag = np.abs(res)
+    lim = np.broadcast_to(np.asarray(limit, dtype=float), res.shape)
+    ratio = np.divide(mag, lim, out=np.where(mag > 0.0, np.inf, 0.0), where=lim > 0.0)
+    worst = np.unravel_index(np.argmax(ratio), res.shape)
+    return Gate(float(res[worst]), float(lim[worst]), float(times[worst[-1]]))
+
+
+def _gates(cols: dict, omega: float) -> dict:
+    """Every invariant of a ``casimir`` run as a ``Gate``, by name; the only
+    place where one is compared with its limit."""
+    t = cols["T"]
+    rp, rm, lp, lm = (
+        cols[f"re_{f}"] ** 2 + cols[f"im_{f}"] ** 2
+        for f in ("fRp", "fRm", "fLp", "fLm")
+    )
+    roundoff = ROUNDOFF_FACTOR * np.finfo(float).eps
+    extraction, gamma_down = EXTRACTION_LIMIT * omega, GAMMA_DOWN_LIMIT * omega
+    growth = max(GROWTH_LIMIT * float(np.max(np.abs(cols["_growth_rate"]))), 1e-12 * omega)
+    return {
+        "ccr_invariant": _gate(
+            t, [cols["ccr_residual"], cols["_ccr_residual_left"]],
+            np.maximum(INVARIANT_LIMIT, roundoff * np.array([rp + rm, lp + lm])),
+        ),
+        "helicity_symmetry": _gate(t, cols["_helicity_residual"], INVARIANT_LIMIT),
+        "symplectic_residual": _gate(
+            t, cols["_symplectic_residual"],
+            np.maximum(INVARIANT_LIMIT, roundoff * np.max([rp, rm, lp, lm], axis=0)),
+        ),
+        "open_classicality": _gate(t, ~cols["classical_open"], 0.0),
+        "extraction_h_agreement": _gate(t, cols["h"] - cols["h_extracted"], extraction),
+        "extraction_gamma_agreement": _gate(
+            t, cols["gamma_up"] - cols["gamma_up_extracted"], extraction,
+        ),
+        "extraction_gamma_down_zero": _gate(t, cols["gamma_down_extracted"], gamma_down),
+        "growth_law": _gate(t, cols["growth_residual"], growth),
+    }
+
+
+def _violations(gates: dict) -> list:
+    """The failed gates, each with its worst value, limit and time."""
+    return [
+        f"{name} (value {g.value:.3e}, limit {g.limit:.3e}, t={g.time:.6g})"
+        for name, g in gates.items() if not g.ok
+    ]
+
+
+def _solve(cfg: dict) -> ModeSolution:
+    s = build_scenario(cfg)
+    return solve_modes(s, cfg["samples"], rtol=cfg["rel_tol"], atol=cfg["abs_tol"])
+
+
+def _casimir_columns(sol: ModeSolution) -> dict:
     """Every per-sample quantity of one run, as arrays over the sample axis;
-    ``casimir`` and ``extract`` both select their CSV columns from it."""
-    sol = solve_modes(s, cfg["samples"], rtol=cfg["rel_tol"], atol=cfg["abs_tol"])
+    ``casimir`` and ``extract`` both select their CSV columns from it, and
+    the names starting with ``_`` feed only the gates and the summary."""
     x, symplectic = casimir_maps(sol)
     h, gamma_up = closed_form_generators(sol)
     ext_h, ext_up, ext_down = extracted_generators(sol)
@@ -218,66 +294,36 @@ def _casimir_columns(s: CasimirScenario, cfg: dict) -> dict:
         "growth_residual": growth.residuals,
         "classical_closed": classical_mask(x, n_sys=2),
         "classical_open": classical_mask(x, n_sys=1),
+        "_ccr_residual_left": sol.ccr_residual_left,
+        "_helicity_residual": sol.helicity_residual,
         "_symplectic_residual": symplectic,
         "_growth_rate": growth.density_rate,
-        "_endpoint_mismatch": np.full(sol.times.size, sol.endpoint_velocity_mismatch()),
     }
-
-
-def _rows(columns: dict) -> list:
-    """One dict of Python scalars per sample."""
-    return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
-
-
-def summarize_rows(rows: list, omega: float) -> tuple[dict, list]:
-    """Summary and failed-invariant list, recomputed purely from the rows."""
-    max_rate = max(abs(r["_growth_rate"]) for r in rows)
-    growth_bound = max(GROWTH_LIMIT * max_rate, 1e-12 * omega)
-    summary = {
-        "final_photon_density": rows[-1]["n_density"],
-        "max_ccr_residual": max(abs(r["ccr_residual"]) for r in rows),
-        "max_symplectic_residual": max(r["_symplectic_residual"] for r in rows),
-        "classical_closed_final": rows[-1]["classical_closed"],
-        "classical_open_always": all(r["classical_open"] for r in rows),
-        "gamma_up_min": min(r["gamma_up"] for r in rows),
-        "growth_law_max_residual": max(r["growth_residual"] for r in rows),
-        "growth_law_bound": growth_bound,
-        "extraction_max_h_deviation": max(
-            abs(r["h"] - r["h_extracted"]) for r in rows
-        ),
-        "extraction_max_gamma_deviation": max(
-            abs(r["gamma_up"] - r["gamma_up_extracted"]) for r in rows
-        ),
-        "extraction_max_gamma_down": max(
-            abs(r["gamma_down_extracted"]) for r in rows
-        ),
-        "endpoint_velocity_mismatch": rows[-1]["_endpoint_mismatch"],
-    }
-    failures = []
-    if summary["max_ccr_residual"] > CCR_TOL:
-        failures.append("ccr_invariant")
-    if summary["max_symplectic_residual"] > MAP_TOL:
-        failures.append("symplectic_residual")
-    if not summary["classical_open_always"]:
-        failures.append("open_classicality")
-    if summary["extraction_max_h_deviation"] > EXTRACTION_LIMIT * omega:
-        failures.append("extraction_h_agreement")
-    if summary["extraction_max_gamma_deviation"] > EXTRACTION_LIMIT * omega:
-        failures.append("extraction_gamma_agreement")
-    if summary["extraction_max_gamma_down"] > GAMMA_DOWN_LIMIT * omega:
-        failures.append("extraction_gamma_down_zero")
-    if summary["growth_law_max_residual"] > growth_bound:
-        failures.append("growth_law")
-    return summary, failures
 
 
 def run_casimir(cfg: dict, out_dir: Path, csv_name: str = "casimir.csv") -> RunReport:
-    s = build_scenario(cfg)
-    rows = _rows(_casimir_columns(s, cfg))
-    summary, failures = summarize_rows(rows, s.omega)
+    sol = _solve(cfg)
+    cols = _casimir_columns(sol)
+    gates = _gates(cols, sol.scenario.omega)
+    summary = {
+        "final_photon_density": float(cols["n_density"][-1]),
+        "max_ccr_residual": float(np.max(np.abs(cols["ccr_residual"]))),
+        "max_symplectic_residual": float(np.max(cols["_symplectic_residual"])),
+        "classical_closed_final": bool(cols["classical_closed"][-1]),
+        "classical_open_always": bool(np.all(cols["classical_open"])),
+        "gamma_up_min": float(np.min(cols["gamma_up"])),
+        "growth_law_max_residual": float(np.max(cols["growth_residual"])),
+        "growth_law_bound": gates["growth_law"].limit,
+        "extraction_max_h_deviation": float(np.max(np.abs(cols["h"] - cols["h_extracted"]))),
+        "extraction_max_gamma_deviation": float(
+            np.max(np.abs(cols["gamma_up"] - cols["gamma_up_extracted"]))
+        ),
+        "extraction_max_gamma_down": float(np.max(np.abs(cols["gamma_down_extracted"]))),
+        "endpoint_velocity_mismatch": sol.endpoint_velocity_mismatch(),
+    }
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / csv_name, CSV_COLUMNS, rows)
-    return RunReport(rows=rows, summary=summary, ok=not failures, failures=failures)
+    _write_csv(out_dir / csv_name, {c: cols[c] for c in CSV_COLUMNS})
+    return RunReport(columns=cols, summary=summary, failures=_violations(gates))
 
 
 def sweep_grid(cfg: dict) -> list:
@@ -322,39 +368,39 @@ def _point_config(cfg: dict, point: dict) -> dict:
 def run_sweep(cfg: dict, out_dir: Path) -> RunReport:
     grid = sweep_grid(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    failures = []
-    for index, point in enumerate(grid):
-        name = f"casimir_{index:03d}.csv"
-        row = {"index": index, **point, "csv": name}
+    names = [f"casimir_{index:03d}.csv" for index in range(len(grid))]
+    density, status, failures = [], [], []
+    for index, (point, name) in enumerate(zip(grid, names)):
         try:
             report = run_casimir(_point_config(cfg, point), out_dir, csv_name=name)
         except RsfieldError as exc:
-            row["status"] = "error"
-            row["final_photon_density"] = float("nan")
+            status.append("error")
+            density.append(float("nan"))
             failures.append(f"point {index}: {type(exc).__name__}: {exc}")
         else:
-            row["status"] = "ok" if report.ok else "invariant_violation"
-            row["final_photon_density"] = report.summary["final_photon_density"]
+            status.append("ok" if report.ok else "invariant_violation")
+            density.append(report.summary["final_photon_density"])
             if not report.ok:
                 failures.append(f"point {index}: {','.join(report.failures)}")
-        rows.append(row)
-    columns = ("index", "omega", "theta", "drive_frequency", "beta0",
-               "final_photon_density", "status", "csv")
-    _write_csv(out_dir / "sweep_summary.csv", columns, rows)
-    solved = [r for r in rows if r["status"] != "error"]
-    best = max(solved, key=lambda r: r["final_photon_density"]) if solved else None
+    columns = {
+        "index": list(range(len(grid))),
+        **{axis: [point[axis] for point in grid] for axis in SWEEP_AXES},
+        "final_photon_density": density,
+        "status": status,
+        "csv": names,
+    }
+    _write_csv(out_dir / "sweep_summary.csv", columns)
+    solved = [i for i, st in enumerate(status) if st != "error"]
+    best = max(solved, key=density.__getitem__) if solved else None
     summary = {
-        "points": len(rows),
+        "points": len(grid),
         "failed_points": len(failures),
-        "best_index": best["index"] if best else -1,
-        "best_final_photon_density": best["final_photon_density"] if best else float("nan"),
+        "best_index": best if best is not None else -1,
+        "best_final_photon_density": density[best] if best is not None else float("nan"),
     }
     if best is not None:
-        summary["best_point"] = {
-            axis: best[axis] for axis in ("omega", "theta", "drive_frequency", "beta0")
-        }
-    return RunReport(rows=rows, summary=summary, ok=not failures, failures=failures)
+        summary["best_point"] = dict(grid[best])
+    return RunReport(columns=columns, summary=summary, failures=failures)
 
 
 AMPLIFY_KEYS = {
@@ -362,8 +408,6 @@ AMPLIFY_KEYS = {
     "m": ...,
     "t_end": 1.0,
     "samples": 11,
-    "rel_tol": DEFAULT_REL_TOL,
-    "abs_tol": DEFAULT_ABS_TOL,
     "out_dir": None,
 }
 
@@ -380,35 +424,27 @@ def run_amplify(cfg: dict, out_dir: Path) -> RunReport:
         raise ConfigError("samples must be an integer >= 2")
     times = np.linspace(0.0, float(cfg["t_end"]), cfg["samples"])
     rf0, _ = vacuum(spec.n_modes)
-    snaps = integrate_kinetics(
-        rf0, amplifier_generators(spec), (0.0, float(cfg["t_end"])), times,
-        rtol=float(cfg["rel_tol"]), atol=float(cfg["abs_tol"]),
-    )
-    rows = []
-    worst = 0.0
+    snaps = integrate_kinetics(rf0, amplifier_generators(spec), (0.0, float(cfg["t_end"])), times)
+    deviation, closed_number = [], []
     for t, snap in zip(times, snaps):
         closed = amplified_rsf(spec, rf0, float(t))
         scale = 1.0 + max_abs(closed.r)
-        deviation = max(
+        deviation.append(max(
             max_abs(snap.r - closed.r) / scale,
             max_abs(snap.alpha - closed.alpha) / scale,
-        )
-        worst = max(worst, deviation)
-        rows.append({
-            "t": float(t),
-            "relative_deviation": deviation,
-            "closed_total_number": np.trace(closed.r).real,
-            "kinetic_total_number": np.trace(snap.r).real,
-        })
-    summary = {"max_relative_deviation": worst, "threshold": AMPLIFY_LIMIT}
-    failures = [] if worst <= AMPLIFY_LIMIT else ["closed_form_mismatch"]
+        ))
+        closed_number.append(np.trace(closed.r).real)
+    columns = {
+        "t": times,
+        "relative_deviation": deviation,
+        "closed_total_number": closed_number,
+        "kinetic_total_number": [np.trace(snap.r).real for snap in snaps],
+    }
+    summary = {"max_relative_deviation": max(deviation), "threshold": AMPLIFY_LIMIT}
+    gates = {"closed_form_mismatch": _gate(times, deviation, AMPLIFY_LIMIT)}
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out_dir / "amplify.csv",
-        ("t", "relative_deviation", "closed_total_number", "kinetic_total_number"),
-        rows,
-    )
-    return RunReport(rows=rows, summary=summary, ok=not failures, failures=failures)
+    _write_csv(out_dir / "amplify.csv", columns)
+    return RunReport(columns=columns, summary=summary, failures=_violations(gates))
 
 
 FOCK_KEYS = {
@@ -435,30 +471,20 @@ def run_fock_check(cfg: dict | None, out_dir: Path) -> RunReport:
     if unknown:
         raise ConfigError(f"unknown fock checks: {', '.join(sorted(unknown))}")
     cutoff = int(cfg["cutoff"])
-    rows = []
-
-    def record(name, deviation):
-        rows.append({
-            "check": name,
-            "deviation": deviation,
-            "threshold": FOCK_THRESHOLDS[name],
-            "passed": deviation <= FOCK_THRESHOLDS[name],
-        })
-
+    deviation = {}
     if "identity" in cfg["checks"]:
-        dev = oracle_check_transform(
+        deviation["identity"] = oracle_check_transform(
             identity_map(1, 1), coherent_state(0.3, -0.2, cutoff),
             QuadraticHamiltonian(), 1.0,
         )
-        record("identity", dev)
     if "beam_splitter" in cfg["checks"]:
         h, m = beam_splitter_pair(float(cfg["angle"]))
-        dev = oracle_check_transform(m, FockState.number_state(1, 0, cutoff), h, 1.0)
-        record("beam_splitter", dev)
+        deviation["beam_splitter"] = oracle_check_transform(
+            m, FockState.number_state(1, 0, cutoff), h, 1.0,
+        )
     if "squeeze" in cfg["checks"]:
         h, m = squeeze_pair(float(cfg["squeeze"]), 1.0)
-        dev = oracle_check_transform(m, FockState.vacuum(cutoff), h, 1.0)
-        record("squeeze", dev)
+        deviation["squeeze"] = oracle_check_transform(m, FockState.vacuum(cutoff), h, 1.0)
     if "observables" in cfg["checks"]:
         h, _ = squeeze_pair(float(cfg["squeeze"]), 1.0)
         state = evolve(FockState.vacuum(cutoff), h, 1.0)
@@ -478,17 +504,19 @@ def run_fock_check(cfg: dict | None, out_dir: Path) -> RunReport:
                 for kp in range(2)
             ).real
             dev = max(dev, float(abs(expect_additive(rf, o) - direct)))
-        record("observables", dev)
+        deviation["observables"] = dev
 
-    failures = [r["check"] for r in rows if not r["passed"]]
+    checks = list(deviation)
+    columns = {
+        "check": checks,
+        "deviation": [deviation[c] for c in checks],
+        "threshold": [FOCK_THRESHOLDS[c] for c in checks],
+        "passed": [deviation[c] <= FOCK_THRESHOLDS[c] for c in checks],
+    }
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out_dir / "fock_check.csv",
-        ("check", "deviation", "threshold", "passed"),
-        rows,
-    )
-    summary = {r["check"]: r["deviation"] for r in rows}
-    return RunReport(rows=rows, summary=summary, ok=not failures, failures=failures)
+    _write_csv(out_dir / "fock_check.csv", columns)
+    failures = [c for c, passed in zip(checks, columns["passed"]) if not passed]
+    return RunReport(columns=columns, summary=deviation, failures=failures)
 
 
 EXTRACT_COLUMNS = (
@@ -497,9 +525,16 @@ EXTRACT_COLUMNS = (
 )
 
 
+# the gates of extract; the growth law and open classicality are casimir's
+EXTRACT_GATES = (
+    "ccr_invariant", "helicity_symmetry", "symplectic_residual",
+    "extraction_h_agreement", "extraction_gamma_agreement",
+)
+
+
 def run_extract(cfg: dict, out_dir: Path) -> RunReport:
-    s = build_scenario(cfg)
-    cols = _casimir_columns(s, cfg)
+    sol = _solve(cfg)
+    cols = _casimir_columns(sol)
     validity = validity_report(
         cols["T"], cols["gamma_up_extracted"][:, None, None],
         cols["gamma_down_extracted"][:, None, None],
@@ -507,24 +542,20 @@ def run_extract(cfg: dict, out_dir: Path) -> RunReport:
     cols["gamma_up_min_eig"] = validity.gamma_up_min_eig
     cols["gamma_down_min_eig"] = validity.gamma_down_min_eig
     cols["valid"] = validity.valid
-    dev_h = float(np.max(np.abs(cols["h"] - cols["h_extracted"])))
-    dev_g = float(np.max(np.abs(cols["gamma_up"] - cols["gamma_up_extracted"])))
-    failures = []
-    if dev_h > EXTRACTION_LIMIT * s.omega:
-        failures.append("extraction_h_agreement")
-    if dev_g > EXTRACTION_LIMIT * s.omega:
-        failures.append("extraction_gamma_agreement")
+    gates = _gates(cols, sol.scenario.omega)
     summary = {
-        "max_h_deviation": dev_h,
-        "max_gamma_deviation": dev_g,
+        "max_h_deviation": float(np.max(np.abs(cols["h"] - cols["h_extracted"]))),
+        "max_gamma_deviation": float(
+            np.max(np.abs(cols["gamma_up"] - cols["gamma_up_extracted"]))
+        ),
         "all_valid": validity.all_valid,
         "worst_time": validity.worst_time,
         "worst_witness": validity.worst_witness,
     }
-    rows = _rows(cols)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "extract.csv", EXTRACT_COLUMNS, rows)
-    return RunReport(rows=rows, summary=summary, ok=not failures, failures=failures)
+    _write_csv(out_dir / "extract.csv", {c: cols[c] for c in EXTRACT_COLUMNS})
+    failures = _violations({name: gates[name] for name in EXTRACT_GATES})
+    return RunReport(columns=cols, summary=summary, failures=failures)
 
 
 def _print_report(name: str, report: RunReport) -> None:
@@ -535,6 +566,7 @@ def _print_report(name: str, report: RunReport) -> None:
         print(f"  violated: {failure}")
 
 
+CASIMIR_COMMANDS = ("casimir", "sweep", "extract")
 RUNNERS = {"casimir": run_casimir, "sweep": run_sweep, "amplify": run_amplify,
            "fock-check": run_fock_check, "extract": run_extract}
 
@@ -547,16 +579,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in RUNNERS:
         p = sub.add_parser(name)
-        if name != "fock-check":
-            p.add_argument("--config", required=True, help="JSON config path")
-        else:
-            p.add_argument("--config", default=None, help="JSON config path")
+        p.add_argument("--config", required=name != "fock-check", help="JSON config path")
         p.add_argument("--out", default=None,
                        help="output directory (default: config out_dir or ./out)")
-        p.add_argument("--rel-tol", type=float, default=None,
-                       help="override integrator relative tolerance")
-        p.add_argument("--samples", type=int, default=None,
-                       help="override sample count")
+        if name in CASIMIR_COMMANDS:
+            p.add_argument("--rel-tol", type=float, default=None,
+                           help="override integrator relative tolerance")
+        if name != "fock-check":
+            p.add_argument("--samples", type=int, default=None,
+                           help="override sample count")
     return parser
 
 
@@ -569,14 +600,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else None
-        if args.command in ("casimir", "sweep", "extract"):
+        # flags override config keys before validation, so one check covers both
+        overrides = {key: value for key, value in vars(args).items()
+                     if key in ("rel_tol", "samples") and value is not None}
+        if overrides and isinstance(cfg, dict):
+            cfg = {**cfg, **overrides}
+        if args.command in CASIMIR_COMMANDS:
             cfg = parse_casimir_config(cfg)
-            if args.rel_tol is not None:
-                cfg["rel_tol"] = args.rel_tol
-            if args.samples is not None:
-                if args.samples < 2:
-                    raise ConfigError("samples must be an integer >= 2")
-                cfg["samples"] = args.samples
         report = RUNNERS[args.command](cfg, _resolve_out(args, cfg))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

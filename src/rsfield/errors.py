@@ -78,14 +78,5 @@ class TruncationOverflowError(RsfieldError):
     """Fock-space amplitude leaked into the cutoff boundary."""
 
 
-class InvariantViolationError(RsfieldError):
-    """A conserved-quantity check failed along a trajectory."""
-
-    def __init__(self, message: str, residual: float, time: float):
-        super().__init__(f"{message} (residual {residual:.3e} at t={time:.6g})")
-        self.residual = residual
-        self.time = time
-
-
 class ConfigError(RsfieldError):
     """A run configuration document is invalid."""

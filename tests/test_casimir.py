@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from conftest import dop853, reference_modes
@@ -18,9 +21,7 @@ from rsfield.casimir import (
     solve_modes,
 )
 from rsfield.cli import EXTRACTION_LIMIT, GAMMA_DOWN_LIMIT, GROWTH_LIMIT
-from rsfield.errors import (
-    ConfigError, ConvergenceError, DimensionMismatchError, InvariantViolationError,
-)
+from rsfield.errors import ConfigError, ConvergenceError, DimensionMismatchError
 from rsfield.kinetics import extract_open_generators, integrate_kinetics
 from rsfield.numerics import central_difference, is_psd, max_abs
 from rsfield.rsf import transform_open_vacuum_env, vacuum
@@ -195,11 +196,12 @@ class TestSolveModes:
         assert np.max(sol.density()) < 1e-20
 
     @pytest.mark.parametrize("perturb", ["scale", "squeeze"])
-    def test_step_maps_off_su11_trip_invariant_gate(self, monkeypatch, perturb):
+    def test_step_maps_off_su11_trip_invariant_gate(self, tmp_path, capsys, monkeypatch, perturb):
         # step maps off SU(1,1) by 1e-6 per unit time: a uniform scaling
         # (det != 1) or a real squeeze diag(1 + e, 1 - e) (det = 1 to O(e^2),
         # but not pseudo-unitary); the change is consistent in h, so step
-        # doubling converges and the CCR gate has to catch it
+        # doubling converges and the CCR gate has to catch it, after the
+        # run has written the CSV that shows the violation
         real_steps = numerics.magnus_steps
 
         def perturbed(generator, t0, h):
@@ -209,8 +211,21 @@ class TestSolveModes:
             return maps, increments
 
         monkeypatch.setattr(numerics, "magnus_steps", perturbed)
-        with pytest.raises(InvariantViolationError, match="CCR"):
-            solve_modes(sinusoid_scenario(t_end=10.0), 21)
+        s = sinusoid_scenario(t_end=10.0)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "refractive_index": s.refractive_index, "omega": s.omega, "theta": s.theta,
+            "profile": {"kind": "sinusoid", "beta0": 0.2, "drive_frequency": 2.0},
+            "t_end": s.t_end, "samples": 21,
+        }), encoding="utf-8")
+        assert cli.main(["casimir", "--config", str(config), "--out", str(tmp_path)]) == 1
+        gate = re.search(r"violated: ccr_invariant \(value (\S+), limit (\S+), t=(\S+)\)",
+                         capsys.readouterr().out)
+        assert gate and float(gate[3]) == s.t_end  # the error grows with t
+        header, *rows = (tmp_path / "casimir.csv").read_text().splitlines()
+        ccr = [abs(float(r.split(",")[header.split(",").index("ccr_residual")])) for r in rows]
+        assert max(ccr) > float(gate[2]) == cli.INVARIANT_LIMIT
+        assert abs(float(gate[1])) == pytest.approx(max(ccr), rel=1e-3)
 
     def test_loose_tolerance_stays_within_it(self):
         # each Magnus map is exact in SU(1,1), so a loose tolerance loosens
@@ -499,7 +514,7 @@ class TestExactNoProduction:
         # theta in {0, pi} makes Delta = alpha bitwise, so auto sigma = 1 and
         # eta_minus = 0: every Magnus step map is diagonal
         s = CasimirScenario(refractive_index, 1.0, theta, profile, t_end)
-        cols = cli._casimir_columns(s, {"samples": 21, "rel_tol": 1e-10, "abs_tol": 1e-12})
+        cols = cli._casimir_columns(solve_modes(s, 21, rtol=1e-10, atol=1e-12))
         for name in ("re_fRm", "im_fRm", "n_density", "gamma_up"):
             assert np.all(cols[name] == 0.0), name
         assert np.all(cols["classical_closed"])
@@ -513,7 +528,7 @@ class TestExactNoProduction:
     )
     def test_constant_profile(self, beta0, refractive_index, theta, t_end):
         s = CasimirScenario(refractive_index, 1.0, theta, VelocityProfile.constant(beta0), t_end)
-        cols = cli._casimir_columns(s, {"samples": 21, "rel_tol": 1e-10, "abs_tol": 1e-12})
+        cols = cli._casimir_columns(solve_modes(s, 21, rtol=1e-10, atol=1e-12))
         assert np.max(cols["n_density"]) <= 1e-24
 
 

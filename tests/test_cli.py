@@ -18,7 +18,6 @@ from rsfield.cli import (
     run_casimir,
     run_fock_check,
     run_sweep,
-    summarize_rows,
 )
 from rsfield.errors import ConfigError
 
@@ -98,14 +97,35 @@ class TestRunCasimir:
         assert report.summary["max_ccr_residual"] <= 1e-8
         assert report.summary["max_symplectic_residual"] <= 1e-8
 
-    def test_summary_recomputes_from_rows(self, tmp_path):
+    def test_summary_recomputes_from_columns(self, tmp_path):
+        # the summary's numpy reductions against plain loops over the columns
         cfg = write_config(tmp_path / "c.json")
         report = run_casimir(parse_casimir_config(cfg), tmp_path)
-        again, failures = summarize_rows(report.rows, 1.0)
-        assert not failures
+        assert report.ok
+        cols = {name: c.tolist() for name, c in report.columns.items()}
+        max_rate = max(abs(r) for r in cols["_growth_rate"])
+        again = {
+            "final_photon_density": cols["n_density"][-1],
+            "max_ccr_residual": max(abs(r) for r in cols["ccr_residual"]),
+            "max_symplectic_residual": max(cols["_symplectic_residual"]),
+            "classical_closed_final": cols["classical_closed"][-1],
+            "classical_open_always": all(cols["classical_open"]),
+            "gamma_up_min": min(cols["gamma_up"]),
+            "growth_law_max_residual": max(cols["growth_residual"]),
+            "growth_law_bound": max(cli.GROWTH_LIMIT * max_rate, 1e-12),
+            "extraction_max_h_deviation": max(
+                abs(a - b) for a, b in zip(cols["h"], cols["h_extracted"])
+            ),
+            "extraction_max_gamma_deviation": max(
+                abs(a - b) for a, b in zip(cols["gamma_up"], cols["gamma_up_extracted"])
+            ),
+            "extraction_max_gamma_down": max(abs(r) for r in cols["gamma_down_extracted"]),
+            "endpoint_velocity_mismatch": abs(0.2 * np.sin(2.0 * cols["T"][-1])),
+        }
+        assert again.keys() == report.summary.keys()
         for key, value in report.summary.items():
             if isinstance(value, bool):
-                assert again[key] == value
+                assert again[key] is value
             else:
                 assert abs(again[key] - value) <= 1e-12
 
@@ -123,8 +143,8 @@ class TestRunCasimir:
         assert len(lines) == 1 + 21
         # 17 significant digits make the round trip exact
         row5 = lines[6].split(",")
-        assert float(row5[1]) == report.rows[5]["re_fRp"]
-        assert float(row5[10]) == report.rows[5]["n_density"]
+        assert float(row5[1]) == report.columns["re_fRp"][5]
+        assert float(row5[10]) == report.columns["n_density"][5]
         assert row5[17] in ("true", "false")
 
     def test_bitwise_reproducible(self, tmp_path):
@@ -169,7 +189,7 @@ class TestRunSweep:
         cfg["sweep"] = {"omega": None, "theta": None,
                         "drive_frequency": [0.6, 1.0, 1.6, 2.0, 2.6], "beta0": None}
         report = run_sweep(cfg, tmp_path / "sw")
-        densities = [r["final_photon_density"] for r in report.rows]
+        densities = report.columns["final_photon_density"]
         assert report.summary["best_index"] == int(np.argmax(densities))
         # the peak sits at the drive nearest the effective mode frequency
         assert report.summary["best_point"]["drive_frequency"] == 1.0
@@ -180,7 +200,7 @@ class TestRunSweep:
                         "beta0": [0.2, 1.5]}
         report = run_sweep(cfg, tmp_path / "sw")
         assert not report.ok
-        statuses = [r["status"] for r in report.rows]
+        statuses = report.columns["status"]
         assert statuses.count("ok") == 1
         assert statuses.count("error") == 1
         assert (tmp_path / "sw" / "casimir_000.csv").exists()
@@ -192,7 +212,7 @@ class TestRunAmplify:
         report = run_amplify(cfg, tmp_path)
         assert report.ok
         assert report.summary["max_relative_deviation"] <= 1e-8
-        assert report.rows[-1]["closed_total_number"] == pytest.approx(
+        assert report.columns["closed_total_number"][-1] == pytest.approx(
             E2_MINUS_1, rel=1e-10
         )
 
@@ -213,16 +233,30 @@ class TestRunAmplify:
         p.write_text(json.dumps({"kappa": [1.0], "m": [0.0]}), encoding="utf-8")
         assert main(["amplify", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
 
+    def test_samples_flag(self, tmp_path, capsys):
+        p = tmp_path / "a.json"
+        p.write_text(json.dumps({"kappa": [1.0], "m": [0.0]}), encoding="utf-8")
+        out = str(tmp_path / "o")
+        assert main(["amplify", "--config", str(p), "--out", out, "--samples", "3"]) == 0
+        assert len((tmp_path / "o" / "amplify.csv").read_text().splitlines()) == 1 + 3
+        assert main(["amplify", "--config", str(p), "--out", out, "--samples", "1"]) == 2
+        assert "samples must be an integer >= 2" in capsys.readouterr().err
+
+    def test_tolerance_keys_rejected(self, tmp_path, capsys):
+        # the constant generators are propagated exactly; no tolerance applies
+        p = tmp_path / "a.json"
+        p.write_text(json.dumps({"kappa": [1.0], "m": [0.0], "rel_tol": 1e-30}), encoding="utf-8")
+        assert main(["amplify", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "rel_tol" in capsys.readouterr().err
+
 
 class TestWriteCsv:
     def test_numpy_scalars_write_as_python_scalars(self, tmp_path):
-        columns = ("passed", "x", "n", "name")
-        py = [{"passed": True, "x": 0.1, "n": 3, "name": "a"},
-              {"passed": False, "x": 2.5, "n": -1, "name": "b"}]
-        npy = [{"passed": np.bool_(r["passed"]), "x": np.float64(r["x"]),
-                "n": np.int64(r["n"]), "name": r["name"]} for r in py]
-        cli._write_csv(tmp_path / "py.csv", columns, py)
-        cli._write_csv(tmp_path / "np.csv", columns, npy)
+        py = {"passed": [True, False], "x": [0.1, 2.5], "n": [3, -1], "name": ["a", "b"]}
+        npy = {"passed": np.array(py["passed"]), "x": np.array(py["x"]),
+               "n": np.array(py["n"], dtype=np.int64), "name": py["name"]}
+        cli._write_csv(tmp_path / "py.csv", py)
+        cli._write_csv(tmp_path / "np.csv", npy)
         text = (tmp_path / "py.csv").read_text()
         assert (tmp_path / "np.csv").read_text() == text
         assert text.splitlines() == [
@@ -234,7 +268,7 @@ class TestRunFockCheck:
     def test_default_catalog_passes(self, tmp_path):
         report = run_fock_check(None, tmp_path)
         assert report.ok
-        devs = {r["check"]: r["deviation"] for r in report.rows}
+        devs = dict(zip(report.columns["check"], report.columns["deviation"]))
         assert devs["squeeze"] <= 1e-6
         assert devs["beam_splitter"] <= 1e-8
         assert devs["observables"] <= 1e-6
@@ -252,7 +286,7 @@ class TestRunFockCheck:
 
     def test_check_selection(self, tmp_path):
         report = run_fock_check({"checks": ["identity"]}, tmp_path)
-        assert [r["check"] for r in report.rows] == ["identity"]
+        assert report.columns["check"] == ["identity"]
 
     def test_unknown_check_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="wigner"):
@@ -276,6 +310,11 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "violated: growth_law" in out
         assert "violated: ccr_invariant" not in out
+        # extract answers for the extraction gates only, and those hold
+        code = main(["extract", "--config", str(p), "--out", str(tmp_path / "o"),
+                     "--rel-tol", "1e-3"])
+        assert code == 0
+        assert "violated" not in capsys.readouterr().out
 
     def test_resonant_run_at_rel_tol_1e8_exits_zero(self, tmp_path, capsys):
         # the resonant medium at T=100 (n ~ 2.3) once failed CCR at this
@@ -290,6 +329,22 @@ class TestExitCodes:
         header, *rows = (tmp_path / "o" / "casimir.csv").read_text().splitlines()
         ccr = [float(r.split(",")[header.split(",").index("ccr_residual")]) for r in rows]
         assert max(map(abs, ccr)) < 1e-12
+
+    def test_resonant_run_at_large_photon_number_exits_zero(self, tmp_path, capsys):
+        # W3 at T=800 (n ~ 3.4e7): the CCR residual, about 35 eps (2n + 1),
+        # exceeds 1e-8 on a correct trajectory and must not fail the run
+        p = tmp_path / "c.json"
+        write_config(p, theta=np.pi / 2, t_end=800.0, samples=201,
+                     profile={"kind": "sinusoid", "beta0": 0.4,
+                              "drive_frequency": 0.98})
+        assert main(["casimir", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+        assert "violated" not in capsys.readouterr().out
+        header, *rows = (tmp_path / "o" / "casimir.csv").read_text().splitlines()
+        names = header.split(",")
+        last = rows[-1].split(",")
+        assert float(last[names.index("n_density")]) > 1e7
+        ccr = [abs(float(r.split(",")[names.index("ccr_residual")])) for r in rows]
+        assert max(ccr) > cli.INVARIANT_LIMIT
 
     def test_linear_ramp_kinks_exit_zero(self, tmp_path, capsys):
         # beta(t) has kinks at t = 2, 3 and 5, all on samples
@@ -323,14 +378,24 @@ class TestExitCodes:
         assert code == 2
         assert "must be a JSON object" in capsys.readouterr().err
 
-    def test_non_symplectic_map_exits_one_before_csv(self, tmp_path, capsys, monkeypatch):
-        # a 1e-6 relative error in f_L- passes the CCR and helicity gates of
-        # solve_modes but not the symplectic check of the stacked maps
+    @pytest.mark.parametrize("argv", [
+        ["amplify", "--rel-tol", "-5"],
+        ["fock-check", "--rel-tol", "0"],
+        ["fock-check", "--samples", "1"],
+    ])
+    def test_flag_the_command_does_not_read_exits_two(self, tmp_path, argv):
+        p = tmp_path / "a.json"
+        p.write_text(json.dumps({"kappa": [1.0], "m": [0.0]}), encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(p), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
+    def _run_perturbed(self, tmp_path, capsys, monkeypatch, amplitude, change):
         real_solve = cli.solve_modes
 
         def perturbed(*args, **kwargs):
             sol = real_solve(*args, **kwargs)
-            sol.f_lm = sol.f_lm * (1 + 1e-6)
+            setattr(sol, amplitude, change(getattr(sol, amplitude)))
             return sol
 
         monkeypatch.setattr(cli, "solve_modes", perturbed)
@@ -338,8 +403,20 @@ class TestExitCodes:
         write_config(p)
         code = main(["casimir", "--config", str(p), "--out", str(tmp_path / "o")])
         assert code == 1
-        assert "NotSymplecticError" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "casimir.csv").exists()
+        assert (tmp_path / "o" / "casimir.csv").exists()
+        return capsys.readouterr().out
+
+    def test_non_symplectic_map_exits_one_with_csv(self, tmp_path, capsys, monkeypatch):
+        # a 1e-6 relative error in f_L- breaks the symplectic check of the
+        # stacked maps; the run still leaves its CSV and summary
+        out = self._run_perturbed(tmp_path, capsys, monkeypatch, "f_lm", lambda f: f * (1 + 1e-6))
+        assert "max_symplectic_residual" in out
+        gate = r"violated: symplectic_residual \(value 2\.\d+e-06, limit 1\.000e-08, t="
+        assert re.search(gate, out)
+
+    def test_broken_helicity_symmetry_exits_one(self, tmp_path, capsys, monkeypatch):
+        out = self._run_perturbed(tmp_path, capsys, monkeypatch, "f_lp", lambda f: f + 1e-6)
+        assert re.search(r"violated: helicity_symmetry \(value \S+, limit 1\.000e-08, t=\S+\)", out)
 
 
 class TestExtractCommand:
