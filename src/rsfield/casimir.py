@@ -339,14 +339,14 @@ class ModeSolution:
 
 
 def _mode_generator(medium: MediumCoefficients):
-    """A(t) = -i omega [[eta_plus, -eta_minus], [eta_minus, -eta_plus]] as the
-    entries (a, b, c) of ``numerics.magnus_steps``, with the phase rate."""
+    """A(t) = -i omega [[eta_plus, -eta_minus], [eta_minus, -eta_plus]] in the
+    real su(1,1) coordinates (a, p, q) of ``numerics.magnus_steps``, a =
+    -omega eta_plus, p = 0, q = omega eta_minus, with the phase rate."""
     omega = medium.omega
 
     def generator(t):
         m = medium.at(t)
-        b = 1j * omega * m.eta_minus
-        return -1j * omega * m.eta_plus, b, -b, m.phase_rate
+        return -omega * m.eta_plus, np.zeros_like(t), omega * m.eta_minus, m.phase_rate
 
     return generator
 

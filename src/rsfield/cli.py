@@ -62,7 +62,9 @@ from .symplectic import classical_mask, identity_map
 
 INVARIANT_LIMIT = 1e-8  # CCR, helicity symmetry and symplectic residuals
 # roundoff in the CCR and map residuals grows with the photon number: measured
-# at 6-47 eps (|f_+|^2 + |f_-|^2) and eps max|X|^2, up to n ~ 3e7
+# at 6-47 eps (|f_+|^2 + |f_-|^2) and eps max|X|^2, up to n ~ 3e7; the
+# extracted gamma_down and gamma_up - gamma_up_extracted follow at about
+# 1-1.4 eps (|f_+|^2 + |f_-|^2) omega
 ROUNDOFF_FACTOR = 256.0
 EXTRACTION_LIMIT = 1e-7  # relative to omega
 GAMMA_DOWN_LIMIT = 1e-8  # relative to omega
@@ -234,7 +236,8 @@ def _gates(cols: dict, omega: float) -> dict:
         for f in ("fRp", "fRm", "fLp", "fLm")
     )
     roundoff = ROUNDOFF_FACTOR * np.finfo(float).eps
-    extraction, gamma_down = EXTRACTION_LIMIT * omega, GAMMA_DOWN_LIMIT * omega
+    # the extracted rates carry the CCR's roundoff, in units of omega
+    rates = roundoff * (rp + rm) * omega
     growth = max(GROWTH_LIMIT * float(np.max(np.abs(cols["_growth_rate"]))), 1e-12 * omega)
     return {
         "ccr_invariant": _gate(
@@ -247,11 +250,16 @@ def _gates(cols: dict, omega: float) -> dict:
             np.maximum(INVARIANT_LIMIT, roundoff * np.max([rp, rm, lp, lm], axis=0)),
         ),
         "open_classicality": _gate(t, ~cols["classical_open"], 0.0),
-        "extraction_h_agreement": _gate(t, cols["h"] - cols["h_extracted"], extraction),
-        "extraction_gamma_agreement": _gate(
-            t, cols["gamma_up"] - cols["gamma_up_extracted"], extraction,
+        "extraction_h_agreement": _gate(
+            t, cols["h"] - cols["h_extracted"], EXTRACTION_LIMIT * omega,
         ),
-        "extraction_gamma_down_zero": _gate(t, cols["gamma_down_extracted"], gamma_down),
+        "extraction_gamma_agreement": _gate(
+            t, cols["gamma_up"] - cols["gamma_up_extracted"],
+            np.maximum(EXTRACTION_LIMIT * omega, rates),
+        ),
+        "extraction_gamma_down_zero": _gate(
+            t, cols["gamma_down_extracted"], np.maximum(GAMMA_DOWN_LIMIT * omega, rates),
+        ),
         "growth_law": _gate(t, cols["growth_residual"], growth),
     }
 

@@ -245,6 +245,17 @@ class TestSolveModes:
         assert tighter.steps > sol.steps
         assert tighter.error_estimate < sol.error_estimate
 
+    @pytest.mark.parametrize("samples", [2, 401, 1201])
+    def test_readme_sinusoid_step_count(self, samples):
+        # the grid depends on the tolerances and the profile, not the samples
+        s = CasimirScenario(1.5, 1.0, np.pi / 4, VelocityProfile.sinusoid(0.2, 2.0), 40.0)
+        assert solve_modes(s, samples, rtol=1e-11, atol=1e-13).steps == 1280
+
+    def test_resonant_step_count(self):
+        # ROADMAP's W3 medium at T=600 (n ~ 3e5)
+        s = CasimirScenario(1.5, 1.0, np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), 600.0)
+        assert solve_modes(s, 201, rtol=1e-11, atol=1e-13).steps == 38400
+
     @pytest.mark.parametrize("t_end, max_steps", [(20.0, 16384), (40.0, 32768)])
     def test_tolerance_below_roundoff_stops_early(self, monkeypatch, t_end, max_steps):
         # the README sinusoid: past ~2560 steps the doubling estimate stays

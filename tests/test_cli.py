@@ -346,6 +346,19 @@ class TestExitCodes:
         ccr = [abs(float(r.split(",")[names.index("ccr_residual")])) for r in rows]
         assert max(ccr) > cli.INVARIANT_LIMIT
 
+    def test_resonant_run_past_extraction_floor_exits_zero(self, tmp_path, capsys):
+        # W3 at T=850 (n ~ 1.1e8): the extracted gamma_down, zero exactly,
+        # reads about eps (2n + 1) omega, past the absolute 1e-8 omega
+        p = tmp_path / "c.json"
+        write_config(p, theta=np.pi / 2, t_end=850.0, samples=201,
+                     profile={"kind": "sinusoid", "beta0": 0.4,
+                              "drive_frequency": 0.98})
+        assert main(["casimir", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+        assert "violated" not in capsys.readouterr().out
+        header, *rows = (tmp_path / "o" / "casimir.csv").read_text().splitlines()
+        column = header.split(",").index("gamma_down_extracted")
+        assert max(abs(float(r.split(",")[column])) for r in rows) > cli.GAMMA_DOWN_LIMIT
+
     def test_linear_ramp_kinks_exit_zero(self, tmp_path, capsys):
         # beta(t) has kinks at t = 2, 3 and 5, all on samples
         p = tmp_path / "c.json"
@@ -417,6 +430,22 @@ class TestExitCodes:
     def test_broken_helicity_symmetry_exits_one(self, tmp_path, capsys, monkeypatch):
         out = self._run_perturbed(tmp_path, capsys, monkeypatch, "f_lp", lambda f: f + 1e-6)
         assert re.search(r"violated: helicity_symmetry \(value \S+, limit 1\.000e-08, t=\S+\)", out)
+
+    def test_nonzero_gamma_down_exits_one(self, tmp_path, capsys, monkeypatch):
+        # the README sinusoid with gamma_down off zero by 1e-6: the roundoff
+        # floor of the gate stays far below its 1e-8 limit at n ~ 1
+        real_extract = cli.extracted_generators
+
+        def perturbed(sol):
+            h, gamma_up, gamma_down = real_extract(sol)
+            return h, gamma_up, gamma_down + 1e-6
+
+        monkeypatch.setattr(cli, "extracted_generators", perturbed)
+        p = tmp_path / "c.json"
+        write_config(p, t_end=40.0, samples=401)
+        assert main(["casimir", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+        gate = r"violated: extraction_gamma_down_zero \(value 1\.000e-06, limit 1\.000e-08, t=\S+\)"
+        assert re.search(gate, capsys.readouterr().out)
 
 
 class TestExtractCommand:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rsfield import numerics
+from rsfield import casimir, numerics
+from rsfield.casimir import CasimirScenario, VelocityProfile
 from rsfield.errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -218,10 +219,87 @@ class TestCentralDifference:
 
 
 def boost_generator(t):
-    """A(t) = k(t) [[0, 1], [1, 0]] with k = cos t, rate q = 2t: U(t) =
-    cosh(sin t) I + sinh(sin t) [[0, 1], [1, 0]] and integral t^2."""
-    k = np.cos(t).astype(complex)
-    return np.zeros_like(k), k, k, 2.0 * t
+    """A(t) = k(t) [[0, 1], [1, 0]] with k = cos t, so (a, p, q) = (0, k, 0),
+    and rate 2t: U(t) = cosh(sin t) I + sinh(sin t) [[0, 1], [1, 0]] and
+    integral t^2."""
+    k = np.cos(t)
+    return np.zeros_like(k), k, np.zeros_like(k), 2.0 * t
+
+
+def mixed_generator(t):
+    """All three su(1,1) coordinates nonzero, crossing between elliptic
+    (a^2 > p^2 + q^2) and hyperbolic steps."""
+    return 1.0 + 0.5 * np.cos(t), 0.8 * np.sin(2.0 * t), 0.6 * np.cos(3.0 * t), np.sin(t)
+
+
+def su11_matrix(a, p, q):
+    return np.array([[1j * a, p + 1j * q], [p - 1j * q, -1j * a]])
+
+
+W3_MEDIUM = CasimirScenario(
+    1.5, 1.0, np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), 600.0
+).medium()
+
+
+class TestMagnusSteps:
+    def test_su11_bracket_is_the_commutator(self, rng):
+        x, y = rng.normal(size=(2, 3))
+        expected = su11_matrix(*x) @ su11_matrix(*y) - su11_matrix(*y) @ su11_matrix(*x)
+        assert max_abs(su11_matrix(*numerics._su11_bracket(x, y)) - expected) < 1e-14
+
+    @pytest.mark.parametrize("coordinates, h", [
+        ((0.3, 1.0, 0.4), 0.7),  # hyperbolic: r^2 = p^2 + q^2 - a^2 > 0
+        ((1.0, 0.3, 0.4), 0.7),  # elliptic: r^2 < 0
+        ((1.0, 0.3, 0.4), 1.1e-4),  # r^2 = -9.1e-9, just inside the series' range
+    ], ids=["hyperbolic", "elliptic", "series"])
+    def test_constant_generator_maps_by_the_exponential(self, coordinates, h):
+        # a constant generator's Magnus exponent is h A exactly
+        def generator(t):
+            one = np.ones_like(t)
+            return tuple(c * one for c in coordinates) + (one,)
+
+        maps, integral = numerics.magnus_steps(generator, np.array([0.0]), np.array([h]))
+        assert max_abs(maps[:, :, 0] - expm(h * su11_matrix(*coordinates))) < 1e-15
+        assert integral[0] == pytest.approx(h, rel=1e-15)
+
+    @pytest.mark.parametrize("branch", ["hyperbolic", "elliptic", "series"])
+    def test_step_maps_lie_in_su11(self, branch):
+        if branch == "hyperbolic":
+            generator, t0, h = boost_generator, np.linspace(0.0, 5.0, 50), 0.1
+        else:
+            generator = casimir._mode_generator(W3_MEDIUM)
+            t0 = np.linspace(0.0, 600.0, 600)
+            h = 1.0 / 64.0 if branch == "elliptic" else 1e-5  # W3's steps; dense output
+        maps, _ = numerics.magnus_steps(generator, t0, np.full(t0.shape, h))
+        (u, v), (v_bar, u_bar) = maps
+        cosine = u.real  # cosh r > 1 on the hyperbolic branch, cos r < 1 on the elliptic
+        if branch == "hyperbolic":
+            assert np.all(cosine > 1.0)
+        elif branch == "elliptic":
+            assert np.all(cosine < 1.0 - 1e-8)
+        else:
+            assert np.all(np.abs(cosine - 1.0) < 1e-9)
+        assert np.array_equal(v_bar, v.conj()) and np.array_equal(u_bar, u.conj())
+        det = u * u_bar - v * v_bar
+        scale = np.abs(u) ** 2 + np.abs(v) ** 2
+        assert np.all(np.abs(det - 1.0) <= 4.0 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("steps", [
+        1, 2, 31, 32, 33, 64, 65,
+        numerics.MAGNUS_CHUNK - 1, numerics.MAGNUS_CHUNK, numerics.MAGNUS_CHUNK + 1,
+    ])
+    def test_prefix_scan_matches_sequential_product(self, steps):
+        nodes = np.linspace(0.0, 0.01 * steps, steps + 1)
+        u, integral = numerics.propagate_magnus(mixed_generator, nodes)
+        maps, increments = numerics.magnus_steps(mixed_generator, nodes[:-1], np.diff(nodes))
+        expected = [np.eye(2)]
+        for k in range(steps):
+            expected.append(maps[:, :, k] @ expected[-1])
+        expected = np.stack(expected, axis=-1)
+        assert u.shape == (2, 2, steps + 1)
+        # roundoff of a product of `steps` maps, at most about eps per factor
+        assert max_abs(u - expected) <= 2.0 * steps * np.finfo(float).eps * max_abs(expected)
+        assert max_abs(integral - np.concatenate([[0.0], np.cumsum(increments)])) < 1e-13
 
 
 class TestSolveMagnus:
