@@ -366,12 +366,14 @@ class ValidityReport:
 
 
 def validity_report(
-    times, gamma_up: np.ndarray, gamma_down: np.ndarray, tol: float = 1e-10
+    times, gamma_up: np.ndarray, gamma_down: np.ndarray, tol: float = 1e-10, floor=0.0
 ) -> ValidityReport:
     """Scan rates sampled at strictly ascending ``times`` against the positivity
     conditions.  Each rate is a ``(samples, n, n)`` stack of Hermitian matrices
     (checked); a sample is valid iff the smallest eigenvalue of each rate is at
-    least ``-tol (1 + max|gamma_up| + max|gamma_down|)`` at that sample."""
+    least ``-max(tol (1 + max|gamma_up| + max|gamma_down|), floor)`` at that
+    sample.  ``floor`` (a scalar or one value per sample) is the absolute
+    roundoff the rates carry, for rates extracted from large amplitudes."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not times.size == len(gamma_up) == len(gamma_down):
         raise DimensionMismatchError("times/generators lengths differ")
@@ -381,7 +383,8 @@ def validity_report(
     up = np.linalg.eigvalsh(gamma_up)[:, 0]
     dn = np.linalg.eigvalsh(gamma_down)[:, 0]
     scale = 1.0 + np.abs(gamma_up).max(axis=(1, 2)) + np.abs(gamma_down).max(axis=(1, 2))
-    valid = (up >= -tol * scale) & (dn >= -tol * scale)
+    limit = np.maximum(tol * scale, floor)
+    valid = (up >= -limit) & (dn >= -limit)
     witness = np.minimum(up, dn)
     worst = int(np.argmin(witness)) if witness.size else 0
     return ValidityReport(

@@ -160,21 +160,24 @@ def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> tuple[bool, float]:
 def _taylor(apply, v, degree: int, scale: float):
     """sum_{k <= degree} (scale A)^k v / k! for A = ``apply``, stopped once two
     consecutive terms together fall below unit roundoff relative to the
-    partial sum (max-entry norms, Al-Mohy & Higham's test)."""
+    partial sum (max-entry norms, Al-Mohy & Higham's test).  ``apply``
+    must return a fresh array: the term is scaled in place."""
     total = term = v
-    previous = max_abs(v)
+    previous = np.abs(v).max(initial=0.0)
     for k in range(1, degree + 1):
-        term = apply(term) * (scale / k)
+        term = apply(term)
+        term *= scale / k
         total = total + term
-        size = max_abs(term)
-        if previous + size <= UNIT_ROUNDOFF * max_abs(total):
+        size = np.abs(term).max(initial=0.0)
+        if previous + size <= UNIT_ROUNDOFF * np.abs(total).max(initial=0.0):
             break
         previous = size
     return total
 
 
 def expmv(apply: Callable[[np.ndarray], np.ndarray], v: np.ndarray, norm: float) -> np.ndarray:
-    """exp(A) v for the linear map A = ``apply`` with ||A||_1 <= ``norm``.
+    """exp(A) v for the linear map A = ``apply`` (which returns a fresh
+    array) with ||A||_1 <= ``norm``.
 
     Takes s substeps of the degree-m Taylor series, the pair of
     ``TAYLOR_THETA`` with the fewest applications of A (m s) such that

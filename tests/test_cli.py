@@ -284,6 +284,16 @@ class TestRunFockCheck:
         assert (check, passed) == ("observables", "true")
         assert 0.0 < float(deviation) <= 1e-6
 
+    def test_squeeze_and_observables_share_one_squeezed_state(self, tmp_path):
+        cfg = {"checks": ["identity", "beam_splitter", "squeeze", "observables"]}
+        devs = dict(zip(*(run_fock_check(cfg, tmp_path / "all").columns[c]
+                          for c in ("check", "deviation"))))
+        for check in ("squeeze", "observables"):
+            alone = run_fock_check({"checks": [check]}, tmp_path / check)
+            assert alone.ok
+            assert alone.columns["check"] == [check]
+            assert alone.columns["deviation"][0] == devs[check]
+
     def test_check_selection(self, tmp_path):
         report = run_fock_check({"checks": ["identity"]}, tmp_path)
         assert report.columns["check"] == ["identity"]
@@ -473,6 +483,30 @@ class TestExtractCommand:
         casimir, extract = columns("casimir.csv"), columns("extract.csv")
         for name in ("T", "h", "gamma_up", "gamma_up_extracted", "gamma_down_extracted"):
             assert extract[name] == casimir[name]
+
+    def test_valid_column_does_not_depend_on_tolerance_at_large_photon_number(
+        self, tmp_path
+    ):
+        # W3 at T=800 (n ~ 3.4e7): gamma_down_min_eig is roundoff of a few
+        # 1e-9 that changes with the tolerance; judged against the rates'
+        # roundoff floor, both tolerances give the same verdicts
+        p = tmp_path / "c.json"
+        write_config(p, theta=np.pi / 2, t_end=800.0, samples=201,
+                     profile={"kind": "sinusoid", "beta0": 0.4,
+                              "drive_frequency": 0.98})
+        valid, down = {}, {}
+        for tol in ("1e-11", "1e-13"):
+            out = tmp_path / tol
+            assert main(["extract", "--config", str(p), "--rel-tol", tol,
+                         "--out", str(out)]) == 0
+            header, *rows = (out / "extract.csv").read_text().splitlines()
+            names = header.split(",")
+            valid[tol] = [r.split(",")[names.index("valid")] for r in rows]
+            down[tol] = [float(r.split(",")[names.index("gamma_down_min_eig")]) for r in rows]
+        assert valid["1e-11"] == valid["1e-13"]
+        # the roundoff is there, and the genuinely negative gamma_up stays invalid
+        assert min(down["1e-11"] + down["1e-13"]) < -1e-9
+        assert "true" in valid["1e-11"] and "false" in valid["1e-11"]
 
 
 class TestImportHygiene:

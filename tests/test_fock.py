@@ -83,6 +83,21 @@ class TestHamiltonianApply:
             psi = random_amplitudes(6, rng)
             assert max_abs(h.apply(psi).ravel() - hm @ psi.ravel()) < 1e-12
 
+    @pytest.mark.parametrize("d", [2, 3, 9])
+    def test_operator_term_by_term(self, d, rng):
+        # each coefficient alone, all six and none: zero terms are skipped and
+        # the edge slices hold at the smallest cutoff
+        coefficients = rng.standard_normal(6)
+        cases = [np.zeros(6), coefficients] + [
+            np.where(np.arange(6) == i, coefficients, 0.0) for i in range(6)
+        ]
+        scale = 0.3 - 0.7j
+        for c in cases:
+            h = QuadraticHamiltonian(*c)
+            hm = scale * dense_hamiltonian(h, d - 1)
+            psi = random_amplitudes(d, rng)
+            assert max_abs(h.operator(d, scale)(psi).ravel() - hm @ psi.ravel()) < 1e-12
+
     def test_is_hermitian(self, rng):
         h = QuadraticHamiltonian(*rng.standard_normal(6))
         phi, psi = random_amplitudes(9, rng), random_amplitudes(9, rng)

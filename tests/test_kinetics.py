@@ -428,6 +428,18 @@ class TestValidityReport:
         assert rep.worst_time == 1.0
         assert rep.worst_witness == pytest.approx(-0.3)
 
+    def test_floor_per_sample(self):
+        # an eigenvalue of -1e-9 is roundoff where the floor covers it, and a
+        # violation where only the relative 1e-10 (1 + max|gamma|) applies
+        times = np.array([0.0, 1.0, 2.0])
+        gamma_down = np.full((3, 1, 1), -1e-9)
+        up = np.zeros((3, 1, 1))
+        assert not validity_report(times, up, gamma_down).valid.any()
+        rep = validity_report(times, up, gamma_down, floor=np.array([2e-9, 5e-10, 2e-9]))
+        assert rep.valid.tolist() == [True, False, True]
+        rep = validity_report(times, gamma_down, up, floor=2e-9)
+        assert rep.all_valid
+
     def test_matches_per_generator_witnesses(self, rng):
         # batched eigvalsh gives the witnesses KineticGenerators reports one by one
         z = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))

@@ -125,6 +125,9 @@ class TestExpm:
         with pytest.raises(NonFiniteStateError):
             expm(np.array([[np.nan]]))
 
+    def test_empty_stack(self):
+        assert expm(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
 
 class TestExpmv:
     def test_matches_eigendecomposition(self, rng):
@@ -193,6 +196,10 @@ class TestSolveOde:
         for gen in (np.array([[-1.0]]), cosine_generator):
             snaps = solve_linear(gen, [2.0 + 1j], [0.0, 0.0])
             assert np.array_equal(snaps, np.array([[2.0 + 1j], [2.0 + 1j]]))
+
+    def test_single_sample_returns_initial_state(self):
+        y0 = np.array([1.0 - 2j, 0.5])
+        assert np.array_equal(solve_linear(np.eye(2), y0, [0.5]), [y0])
 
 
 class TestCentralDifference:
