@@ -12,7 +12,10 @@ Subcommands (console script ``rsfield``):
 
 Configuration is a single JSON document; unknown keys are rejected so
 that a typo in a physics parameter cannot silently fall back to a
-default.  All floats are written with 17 significant digits and the
+default.  Every CSV goes through ``csvtext.write_csv``, which writes each
+float exactly as ``f"{v:.17g}"``: a table of 256 or more floats and booleans
+gets its digits from numpy, and Python formats a smaller table and any value
+next to a rounding tie, non-finite, or nonzero outside [1e-280, 1e280].  The
 integrator is deterministic, so identical configs produce bitwise
 identical CSVs.  A run is one dict of column arrays, from the solution to
 the CSV and the summary; ``_gates`` compares every invariant with its limit,
@@ -43,6 +46,7 @@ from .casimir import (
     growth_law_residual,
     solve_modes,
 )
+from .csvtext import write_csv as _write_csv
 from .errors import ConfigError, RsfieldError
 from . import fock
 from .fock import (
@@ -78,25 +82,6 @@ CSV_COLUMNS = (
     "gamma_up_extracted", "gamma_down_extracted", "growth_residual",
     "classical_closed", "classical_open",
 )
-
-
-def _formatter(value):
-    """The text form of a CSV column, picked from its first value: booleans
-    as true/false, integers as integers, strings as they are, anything else
-    as a float with 17 significant digits."""
-    if isinstance(value, bool):
-        return lambda v: "true" if v else "false"
-    if isinstance(value, (str, int)):
-        return str
-    return lambda v: f"{v:.17g}"
-
-
-def _write_csv(path: Path, columns: dict) -> None:
-    """Write ``columns`` (name -> values, lists or arrays, one per row) as CSV."""
-    values = [np.asarray(v).tolist() for v in columns.values()]
-    text = zip(*(map(_formatter(v[0]), v) for v in values if v))
-    lines = [",".join(columns), *(",".join(r) for r in text)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _require_keys(cfg: dict, allowed: dict, where: str) -> dict:

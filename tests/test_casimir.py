@@ -447,6 +447,23 @@ class TestGrowthLaw:
         assert np.array_equal(rep.density_rate[inner], (f0 - 8 * f1 + 8 * f2 - f3) / (12 * h))
         assert inner.sum() == t.size - 2 - (3 if s.profile.kinks() else 0)
 
+    @pytest.mark.parametrize("s", [sinusoid_scenario(), ramp_scenario()])
+    def test_evaluates_only_the_points_a_stencil_reads(self, s, monkeypatch):
+        # a central stencil reads four points, a one-sided one five: the two
+        # span edges, and on the ramp the three samples on a kink
+        sol = solve_modes(s, 31, rtol=1e-11, atol=1e-13)
+        points = []
+        real = casimir.ModeSolution.at
+
+        def at(self, t):
+            points.append(np.size(t))
+            return real(self, t)
+
+        monkeypatch.setattr(casimir.ModeSolution, "at", at)
+        growth_law_residual(sol)
+        one_sided = 2 + len(s.profile.kinks())
+        assert points == [4 * (31 - one_sided) + 5 * one_sided]
+
     def test_ramp_kinks_meet_the_bound(self):
         # samples on each kink and 0.6 h to either side of it
         s = ramp_scenario()

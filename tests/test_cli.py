@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rsfield import cli
+from rsfield import cli, csvtext
 from rsfield.cli import (
     load_config,
     main,
@@ -509,10 +509,63 @@ class TestExtractCommand:
         assert "true" in valid["1e-11"] and "false" in valid["1e-11"]
 
 
+def reference_csv(columns: dict) -> str:
+    """CSV text written one value at a time: booleans as true/false, floats
+    with 17 significant digits, anything else as ``str``."""
+    def text(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+    rows = zip(*(np.asarray(v).tolist() for v in columns.values()))
+    return "".join(",".join(map(text, row)) + "\n" for row in [list(columns), *rows])
+
+
+class TestCsvBytes:
+    def test_every_command_matches_the_reference_writer(self, tmp_path, monkeypatch):
+        written = []
+        real = cli._write_csv
+
+        def record(path, columns):
+            written.append((path, columns))
+            real(path, columns)
+
+        monkeypatch.setattr(cli, "_write_csv", record)
+        write_config(tmp_path / "long.json", t_end=20.0, samples=401)
+        write_config(tmp_path / "sweep.json", samples=41,
+                     sweep={"beta0": [0.2, 1.5], "omega": [0.8, 1.0]})
+        (tmp_path / "amp.json").write_text(json.dumps(
+            {"kappa": [1.0, 0.5], "m": 0.5, "t_end": 2.0, "samples": 101}), encoding="utf-8")
+        (tmp_path / "amp_small.json").write_text(json.dumps({"kappa": 1.0, "m": 0.5}),
+                                                 encoding="utf-8")
+        runs = [("casimir", "long"), ("extract", "long"), ("sweep", "sweep"),
+                ("amplify", "amp"), ("amplify", "amp_small"), ("fock-check", None)]
+        for i, (command, config) in enumerate(runs):
+            argv = [command, "--out", str(tmp_path / str(i))]
+            if config:
+                argv += ["--config", str(tmp_path / f"{config}.json")]
+            # the sweep's points at beta0 = 1.5 are superluminal: exit 1
+            assert main(argv) == (1 if command == "sweep" else 0)
+        names = sorted(Path(path).name for path, _ in written)
+        assert names == ["amplify.csv", "amplify.csv", "casimir.csv", "casimir_000.csv",
+                         "casimir_002.csv", "extract.csv", "fock_check.csv",
+                         "sweep_summary.csv"]
+        sizes = [sum(np.asarray(v).size for v in cols.values()) for _, cols in written]
+        # tables on both sides of the bound between the two writers
+        assert min(sizes) < csvtext.SMALL_TABLE <= max(sizes)
+        for path, columns in written:
+            assert Path(path).read_text(encoding="utf-8") == reference_csv(columns), path
+        summary = (tmp_path / "2" / "sweep_summary.csv").read_text().splitlines()
+        rows = [line.split(",") for line in summary[1:]]
+        assert [row[-2] for row in rows] == ["ok", "error", "ok", "error"]
+        assert [row[-3] for row in rows[1::2]] == ["nan", "nan"]
+
+
 class TestImportHygiene:
     def test_commands_run_without_scipy(self, tmp_path):
-        # scipy is a test dependency only: the runtime, imports and the
-        # casimir, fock-check and amplify commands included, never loads it
+        # scipy is a test dependency only: the runtime, imports and every
+        # command included, never loads it; nor do the commands load fractions,
+        # decimal or numpy.ma, whose imports would cost the first op or set-up
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
         (tmp_path / "run.json").write_text(
             re.search(r"```json\n(.*?)```", readme, re.S).group(1), encoding="utf-8"
@@ -522,10 +575,14 @@ class TestImportHygiene:
             import sys
             import rsfield.cli as cli
             for argv in (["casimir", "--config", "run.json", "--out", "c"],
+                         ["extract", "--config", "run.json", "--out", "e"],
+                         ["sweep", "--config", "run.json", "--out", "s"],
                          ["fock-check", "--out", "f"],
                          ["amplify", "--config", "amp.json", "--out", "a"]):
                 assert cli.main(argv) == 0, argv
-            loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+            heavy = ("scipy", "fractions", "decimal", "numpy.ma")
+            loaded = sorted(m for m in sys.modules
+                            if any(m == h or m.startswith(h + ".") for h in heavy))
             assert not loaded, loaded
         """)
         path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
