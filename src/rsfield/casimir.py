@@ -78,11 +78,10 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError
 from .kinetics import open_generator_arrays
-from .numerics import MagnusSolution, solve_magnus
+from .numerics import DEFAULT_ATOL, DEFAULT_RTOL, MagnusSolution, solve_magnus
 from .symplectic import BogoliubovMap, assemble, symplectic_residuals
 
 PROFILE_KINDS = ("constant", "sinusoid", "smooth_pulse", "linear_ramp_windowed")
-MAP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -362,8 +361,8 @@ def _breakpoints(s: CasimirScenario) -> list:
 def solve_modes(
     s: CasimirScenario,
     samples: int | Sequence[float] = 201,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
+    rtol: float = DEFAULT_RTOL,
+    atol: float = DEFAULT_ATOL,
 ) -> ModeSolution:
     """Propagate both helicity pairs and the phase over [0, t_end].
 
@@ -418,15 +417,19 @@ def _casimir_matrices(sol: ModeSolution, index) -> np.ndarray:
     return assemble(x_up.reshape(em.shape + (2, 2)), x_down.reshape(em.shape + (2, 2)))
 
 
-def casimir_map(sol: ModeSolution, t_index: int, tol: float = MAP_TOL) -> BogoliubovMap:
+def casimir_map(sol: ModeSolution, t_index: int) -> BogoliubovMap:
     """Two-mode Bogoliubov map at a sample (n_sys = n_env = 1).
 
     Mode 1 is the right-helicity mode at k, mode 2 the left-helicity
     mode at -k.  The system sub-block X_down_S is identically zero, so
     the map is always open-system classical; it is closed-system
-    classical iff there is no production.
+    classical iff there is no production.  Its residuals are checked
+    against ``symplectic.roundoff_limit(max|X|^2, SYMPLECTIC_TOL)``, the
+    limit of the CLI's ``symplectic_residual`` gate: max|X|^2 is about
+    the photon number n, so the limit is 1e-8 up to n ~ 1.8e5 and
+    256 eps n above, where a correct map carries residuals of a few eps n.
     """
-    return BogoliubovMap(1, 1, _casimir_matrices(sol, t_index), tol)
+    return BogoliubovMap(1, 1, _casimir_matrices(sol, t_index))
 
 
 def casimir_maps(sol: ModeSolution) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,12 @@ integrator is deterministic, so identical configs produce bitwise
 identical CSVs.  A run is one dict of column arrays, from the solution to
 the CSV and the summary; ``_gates`` compares every invariant with its limit,
 and a violating run still writes both before it names the invariant, value,
-limit and time.  Exit status: 0 all checks passed, 1 an invariant or
+limit and time.  The CCR, helicity and symplectic limits, and the
+roundoff floor of the extraction-rate limits, are
+``symplectic.roundoff_limit``, the limit the library's ``BogoliubovMap``
+uses: 1e-8, or 256 eps times the photon-number scale where that is larger.
+Every numeric config key goes through ``_number``, so a malformed value is
+a configuration error.  Exit status: 0 all checks passed, 1 an invariant or
 threshold failed (or the solver gave up), 2 configuration error.
 """
 
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from itertools import product
@@ -63,14 +69,8 @@ from .fock import (
 from .kinetics import integrate_kinetics, validity_report
 from .numerics import max_abs
 from .rsf import expect_additive, vacuum
-from .symplectic import classical_mask, identity_map
+from .symplectic import SYMPLECTIC_TOL, classical_mask, identity_map, roundoff_limit
 
-INVARIANT_LIMIT = 1e-8  # CCR, helicity symmetry and symplectic residuals
-# roundoff in the CCR and map residuals grows with the photon number: measured
-# at 6-47 eps (|f_+|^2 + |f_-|^2) and eps max|X|^2, up to n ~ 3e7; the
-# extracted gamma_down and gamma_up - gamma_up_extracted follow at about
-# 1-1.4 eps (|f_+|^2 + |f_-|^2) omega
-ROUNDOFF_FACTOR = 256.0
 EXTRACTION_LIMIT = 1e-7  # relative to omega
 GAMMA_DOWN_LIMIT = 1e-8  # relative to omega
 GROWTH_LIMIT = 1e-6  # relative to the peak density rate
@@ -101,6 +101,22 @@ def _require_keys(cfg: dict, allowed: dict, where: str) -> dict:
         else:
             out[key] = default
     return out
+
+
+def _number(value, name: str, integer: bool = False):
+    """``value`` of config key ``name`` as a finite float, or with ``integer``
+    as a JSON integer; anything else is a ``ConfigError``, not a traceback."""
+    if integer:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        return value
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 PROFILE_KEYS = {
@@ -142,20 +158,16 @@ def load_config(path: str | Path) -> dict:
 def parse_casimir_config(cfg: dict) -> dict:
     out = _require_keys(cfg, CASIMIR_KEYS, "config")
     prof = _require_keys(out["profile"], PROFILE_KEYS, "config.profile")
-    try:
-        out["profile"] = VelocityProfile(
-            kind=prof["kind"],
-            beta0=float(prof["beta0"]),
-            drive_frequency=float(prof["drive_frequency"]),
-            duration=float(prof["duration"]),
-            ramp_time=float(prof["ramp_time"]),
-            hold_time=float(prof["hold_time"]),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config.profile: {exc}") from exc
-    if not isinstance(out["samples"], int) or out["samples"] < 2:
+    out["profile"] = VelocityProfile(kind=prof["kind"], **{
+        key: _number(prof[key], f"config.profile.{key}") for key in PROFILE_KEYS if key != "kind"
+    })
+    for key in ("refractive_index", "omega", "theta", "t_end", "rel_tol", "abs_tol"):
+        out[key] = _number(out[key], f"config.{key}")
+    if out["rel_tol"] <= 0 or out["abs_tol"] <= 0:
+        raise ConfigError("config.rel_tol and config.abs_tol must be positive")
+    if not isinstance(out["sigma"], str):  # "auto", or a name CasimirScenario rejects
+        out["sigma"] = _number(out["sigma"], "config.sigma")
+    if _number(out["samples"], "config.samples", integer=True) < 2:
         raise ConfigError("samples must be an integer >= 2")
     if out["sweep"] is not None:
         out["sweep"] = _require_keys(
@@ -165,14 +177,13 @@ def parse_casimir_config(cfg: dict) -> dict:
 
 
 def build_scenario(cfg: dict) -> CasimirScenario:
-    sigma = cfg["sigma"]
     return CasimirScenario(
-        refractive_index=float(cfg["refractive_index"]),
-        omega=float(cfg["omega"]),
-        theta=float(cfg["theta"]),
+        refractive_index=cfg["refractive_index"],
+        omega=cfg["omega"],
+        theta=cfg["theta"],
         profile=cfg["profile"],
-        t_end=float(cfg["t_end"]),
-        sigma=sigma if isinstance(sigma, str) else float(sigma),
+        t_end=cfg["t_end"],
+        sigma=cfg["sigma"],
     )
 
 
@@ -213,11 +224,11 @@ def _gate(times: np.ndarray, residual, limit) -> Gate:
     return Gate(float(res[worst]), float(lim[worst]), float(times[worst[-1]]))
 
 
-def _rate_roundoff(cols: dict, omega: float) -> np.ndarray:
-    """The roundoff the extracted rates carry per sample: the CCR's,
-    ROUNDOFF_FACTOR eps (|f_R+|^2 + |f_R-|^2), in units of omega."""
+def _rate_roundoff(cols: dict, omega: float, floor: float = 0.0) -> np.ndarray:
+    """The limit of an extracted rate per sample: the CCR's roundoff,
+    256 eps (|f_R+|^2 + |f_R-|^2), in units of omega, above ``floor``."""
     rp, rm = (cols[f"re_{f}"] ** 2 + cols[f"im_{f}"] ** 2 for f in ("fRp", "fRm"))
-    return ROUNDOFF_FACTOR * np.finfo(float).eps * (rp + rm) * omega
+    return roundoff_limit((rp + rm) * omega, floor)
 
 
 def _gates(cols: dict, omega: float) -> dict:
@@ -228,18 +239,17 @@ def _gates(cols: dict, omega: float) -> dict:
         cols[f"re_{f}"] ** 2 + cols[f"im_{f}"] ** 2
         for f in ("fRp", "fRm", "fLp", "fLm")
     )
-    roundoff = ROUNDOFF_FACTOR * np.finfo(float).eps
-    rates = _rate_roundoff(cols, omega)
     growth = max(GROWTH_LIMIT * float(np.max(np.abs(cols["_growth_rate"]))), 1e-12 * omega)
     return {
         "ccr_invariant": _gate(
             t, [cols["ccr_residual"], cols["_ccr_residual_left"]],
-            np.maximum(INVARIANT_LIMIT, roundoff * np.array([rp + rm, lp + lm])),
+            roundoff_limit(np.array([rp + rm, lp + lm]), SYMPLECTIC_TOL),
         ),
-        "helicity_symmetry": _gate(t, cols["_helicity_residual"], INVARIANT_LIMIT),
+        "helicity_symmetry": _gate(t, cols["_helicity_residual"], SYMPLECTIC_TOL),
+        # max|X_ij|^2 of the map, as in ``BogoliubovMap``
         "symplectic_residual": _gate(
             t, cols["_symplectic_residual"],
-            np.maximum(INVARIANT_LIMIT, roundoff * np.max([rp, rm, lp, lm], axis=0)),
+            roundoff_limit(np.max([rp, rm, lp, lm], axis=0), SYMPLECTIC_TOL),
         ),
         "open_classicality": _gate(t, ~cols["classical_open"], 0.0),
         "extraction_h_agreement": _gate(
@@ -247,10 +257,11 @@ def _gates(cols: dict, omega: float) -> dict:
         ),
         "extraction_gamma_agreement": _gate(
             t, cols["gamma_up"] - cols["gamma_up_extracted"],
-            np.maximum(EXTRACTION_LIMIT * omega, rates),
+            _rate_roundoff(cols, omega, EXTRACTION_LIMIT * omega),
         ),
         "extraction_gamma_down_zero": _gate(
-            t, cols["gamma_down_extracted"], np.maximum(GAMMA_DOWN_LIMIT * omega, rates),
+            t, cols["gamma_down_extracted"],
+            _rate_roundoff(cols, omega, GAMMA_DOWN_LIMIT * omega),
         ),
         "growth_law": _gate(t, cols["growth_residual"], growth),
     }
@@ -341,7 +352,7 @@ def sweep_grid(cfg: dict) -> list:
                 values = [cfg["profile"].beta0]
         if not isinstance(values, (list, tuple)) or not values:
             raise ConfigError(f"sweep.{axis} must be a nonempty list")
-        axes.append([float(v) for v in values])
+        axes.append([_number(v, f"config.sweep.{axis}") for v in values])
     return [
         {"omega": w, "theta": th, "drive_frequency": dr, "beta0": b}
         for w, th, dr, b in product(*axes)
@@ -420,11 +431,14 @@ def run_amplify(cfg: dict, out_dir: Path) -> RunReport:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config.kappa/m: {exc}") from exc
-    if not isinstance(cfg["samples"], int) or cfg["samples"] < 2:
+    if _number(cfg["samples"], "config.samples", integer=True) < 2:
         raise ConfigError("samples must be an integer >= 2")
-    times = np.linspace(0.0, float(cfg["t_end"]), cfg["samples"])
+    t_end = _number(cfg["t_end"], "config.t_end")
+    if t_end < 0:
+        raise ConfigError(f"config.t_end must be nonnegative, got {t_end}")
+    times = np.linspace(0.0, t_end, cfg["samples"])
     rf0, _ = vacuum(spec.n_modes)
-    snaps = integrate_kinetics(rf0, amplifier_generators(spec), (0.0, float(cfg["t_end"])), times)
+    snaps = integrate_kinetics(rf0, amplifier_generators(spec), (0.0, t_end), times)
     deviation, closed_number = [], []
     for t, snap in zip(times, snaps):
         closed = amplified_rsf(spec, rf0, float(t))
@@ -466,37 +480,42 @@ FOCK_THRESHOLDS = {
 
 def run_fock_check(cfg: dict | None, out_dir: Path) -> RunReport:
     cfg = _require_keys({} if cfg is None else cfg, FOCK_KEYS, "config")
-    known = set(FOCK_THRESHOLDS)
-    unknown = set(cfg["checks"]) - known
+    checks = cfg["checks"]
+    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
+        raise ConfigError(f"config.checks must be a list of check names, got {checks!r}")
+    unknown = set(checks) - set(FOCK_THRESHOLDS)
     if unknown:
         raise ConfigError(f"unknown fock checks: {', '.join(sorted(unknown))}")
-    cutoff = int(cfg["cutoff"])
+    cutoff = _number(cfg["cutoff"], "config.cutoff", integer=True)
+    seed = _number(cfg["seed"], "config.seed", integer=True)
+    squeeze = _number(cfg["squeeze"], "config.squeeze")
+    angle = _number(cfg["angle"], "config.angle")
     deviation = {}
-    if "identity" in cfg["checks"]:
+    if "identity" in checks:
         deviation["identity"] = oracle_check_transform(
             identity_map(1, 1), coherent_state(0.3, -0.2, cutoff),
             QuadraticHamiltonian(), 1.0,
         )
-    if "beam_splitter" in cfg["checks"]:
-        h, m = beam_splitter_pair(float(cfg["angle"]))
+    if "beam_splitter" in checks:
+        h, m = beam_splitter_pair(angle)
         deviation["beam_splitter"] = oracle_check_transform(
             m, FockState.number_state(1, 0, cutoff), h, 1.0,
         )
-    if {"squeeze", "observables"} & set(cfg["checks"]):
+    if {"squeeze", "observables"} & set(checks):
         # both checks read one squeezed vacuum; ``evolve`` is looked up on its
         # module so that a profiler wrapping ``rsfield.fock.evolve`` sees it
-        h, m = squeeze_pair(float(cfg["squeeze"]), 1.0)
+        h, m = squeeze_pair(squeeze, 1.0)
         vac = FockState.vacuum(cutoff)
         state = fock.evolve(vac, h, 1.0)
-    if "squeeze" in cfg["checks"]:
+    if "squeeze" in checks:
         deviation["squeeze"] = oracle_deviation(m, vac, state)
-    if "observables" in cfg["checks"]:
+    if "observables" in checks:
         rf, _ = measure_rsf(state)
         lowered = [
             apply_ladder(state, 0, "lower").amplitudes.ravel(),
             apply_ladder(state, 1, "lower").amplitudes.ravel(),
         ]
-        rng = np.random.default_rng(int(cfg["seed"]))
+        rng = np.random.default_rng(seed)
         dev = 0.0
         for _ in range(20):
             z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))

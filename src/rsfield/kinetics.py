@@ -63,6 +63,8 @@ from .errors import (
     SingularMatrixError,
 )
 from .numerics import (
+    DEFAULT_ATOL,
+    DEFAULT_RTOL,
     central_difference,
     hermiticity_residual,
     is_psd,
@@ -73,6 +75,7 @@ from .rsf import ReducedField
 
 HBAR = 1.0
 UNITARY_TOL = 1e-10
+PASSIVE_UNITARY_TOL = 1e-8  # |X_up X_up^dag - 1| of a family for extract_closed_generator
 ETA_SUM_TOL = 1e-10
 CONDITION_LIMIT = 1e12
 DEFAULT_FD_STEP = 1e-6
@@ -219,8 +222,8 @@ def integrate_kinetics(
     gen,
     t_span: tuple[float, float],
     sample_times: Sequence[float],
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
+    rtol: float = DEFAULT_RTOL,
+    atol: float = DEFAULT_ATOL,
 ) -> list[ReducedField]:
     """Integrate the kinetic equations; returns snapshots at sample times.
 
@@ -290,17 +293,16 @@ def extract_closed_generator(
     t: float,
     dx_up: Callable[[float], np.ndarray] | None = None,
     fd_step: float = DEFAULT_FD_STEP,
-    unitary_tol: float = 1e-8,
 ) -> np.ndarray:
     """Hamiltonian of a smooth passive family: h = (i/2)(Y - Y^dag).
 
-    ``x_up`` must evaluate to a unitary matrix near ``t`` (checked); the
-    derivative is taken from ``dx_up`` when supplied, otherwise by
-    central differences with step ``fd_step``.
+    ``x_up`` must evaluate to a unitary matrix near ``t`` (checked to
+    ``PASSIVE_UNITARY_TOL``); the derivative is taken from ``dx_up`` when
+    supplied, otherwise by central differences with step ``fd_step``.
     """
     x = _as_matrix(x_up(t), "X_up")
     n = x.shape[0]
-    if max_abs(x @ x.conj().T - np.eye(n)) > unitary_tol:
+    if max_abs(x @ x.conj().T - np.eye(n)) > PASSIVE_UNITARY_TOL:
         raise NotClassicalClosedError(
             "family is not passive: X_up is not unitary at the requested time"
         )

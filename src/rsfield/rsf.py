@@ -41,10 +41,9 @@ from .errors import (
     NotPhysicalError,
     StructureViolationError,
 )
-from .numerics import hermitian_eigh, hermiticity_residual, is_psd, max_abs
+from .numerics import HERMITIAN_TOL, hermitian_eigh, hermiticity_residual, is_psd, max_abs
 from .symplectic import BogoliubovMap, is_classical_open
 
-HERMITIAN_TOL = 1e-12
 PHYSICAL_TOL = 1e-8
 STRUCTURE_TOL = 1e-8
 
@@ -256,12 +255,11 @@ def reduce_to_system(
     )
 
 
-def transform_open_vacuum_env(
-    rf_sys: ReducedField, m: BogoliubovMap, tol: float = 1e-9
-) -> ReducedField:
+def transform_open_vacuum_env(rf_sys: ReducedField, m: BogoliubovMap) -> ReducedField:
     """System update for an open map acting on a vacuum environment.
 
-    Requires the open-system classicality condition X_down_S = 0; then
+    Requires the open-system classicality condition X_down_S = 0
+    (``symplectic.is_classical_open``, within the map's roundoff limit); then
 
         r_S' = Xu_S r_S Xu_S^dag + Xd_C Xd_C^dag,
         alpha_S' = Xu_S alpha_S.
@@ -270,7 +268,7 @@ def transform_open_vacuum_env(
         raise DimensionMismatchError(
             f"system field has {rf_sys.n_modes} modes, map n_sys={m.n_sys}"
         )
-    if not is_classical_open(m, tol):
+    if not is_classical_open(m):
         raise NotClassicalOpenError(
             "map couples system creation/annihilation sectors (X_down_S != 0)"
         )

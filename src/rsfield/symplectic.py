@@ -24,6 +24,16 @@ Classicality in the reduced-field sense is decided on these blocks: a
 closed-system map preserves the reduced degrees of freedom iff
 X_down = 0 (it is then passive, i.e. unitary), while an open-system map
 with a vacuum environment needs only X_down_S = 0.
+
+In floating point each of these tests compares a residual with one
+roundoff limit, ``roundoff_limit(scale, floor) = max(floor, 256 eps scale)``.
+The floor is ``SYMPLECTIC_TOL`` for the symplectic and conjugate-block
+residuals and ``CLASSICAL_TOL`` for |X_down| and |X_down_S|.  The scale is
+what the residual's roundoff grows with: max|X_ij|^2 for a map built from
+its entries, which is about the photon number of a squeezer; a product takes
+its scale from its factors (``compose``), since a product near the identity
+still carries its factors' roundoff.  The CLI's invariant gates use the same
+function, so a map the library accepts is one the CLI accepts.
 """
 
 from __future__ import annotations
@@ -35,8 +45,21 @@ import numpy as np
 from .errors import DimensionMismatchError, NotSymplecticError
 from .numerics import max_abs
 
-SYMPLECTIC_TOL = 1e-8
-CLASSICAL_TOL = 1e-9
+# roundoff in the CCR and map residuals grows with the photon number: measured
+# at 6-47 eps (|f_+|^2 + |f_-|^2) and eps max|X|^2, up to n ~ 3e7; the
+# extracted gamma_down and gamma_up - gamma_up_extracted follow at about
+# 1-1.4 eps (|f_+|^2 + |f_-|^2) omega
+ROUNDOFF_FACTOR = 256.0
+SYMPLECTIC_TOL = 1e-8  # floor of the symplectic, CCR and helicity residuals
+CLASSICAL_TOL = 1e-9  # floor of |X_down| and |X_down_S|
+
+
+def roundoff_limit(scale, floor):
+    """``max(floor, 256 eps scale)``, elementwise over an array of scales.
+
+    256 eps is a power of two, so the scaled term is ``scale`` times 256 eps
+    exactly, whatever the order of the products that formed ``scale``."""
+    return np.maximum(floor, ROUNDOFF_FACTOR * np.finfo(float).eps * scale)
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -69,12 +92,17 @@ class BogoliubovMap:
     The full 2N x 2N matrix is stored even though the lower half is
     redundant; this makes the structural checks direct and the
     generalized-field products cheap.
+
+    The symplectic and conjugate-block residuals must lie within
+    ``roundoff_limit(scale, tol)``: ``tol`` is the floor and ``scale`` the
+    size of the roundoff, max|X_ij|^2 unless given (``compose`` gives it).
     """
 
     n_sys: int
     n_env: int
     x: np.ndarray
     tol: float = field(default=SYMPLECTIC_TOL, compare=False, repr=False)
+    scale: float | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n_sys < 0 or self.n_env < 0 or self.n_modes < 1:
@@ -89,16 +117,20 @@ class BogoliubovMap:
             )
         x.setflags(write=False)
         object.__setattr__(self, "x", x)
+        if self.scale is None:
+            object.__setattr__(self, "scale", max_abs(x) ** 2)
+        limit = float(roundoff_limit(self.scale, self.tol))
         res = self.symplectic_residual()
-        if res > self.tol:
-            raise NotSymplecticError("matrix is not symplectic", res)
+        if res > limit:
+            raise NotSymplecticError(f"matrix is not symplectic (limit {limit:.3e})", res)
         conj_res = max(
             max_abs(x[n:, :n] - x[:n, n:].conj()),
             max_abs(x[n:, n:] - x[:n, :n].conj()),
         )
-        if conj_res > self.tol:
+        if conj_res > limit:
             raise NotSymplecticError(
-                "lower blocks are not conjugates of the upper blocks", conj_res
+                f"lower blocks are not conjugates of the upper blocks (limit {limit:.3e})",
+                conj_res,
             )
 
     @property
@@ -132,7 +164,9 @@ class BogoliubovMap:
     def inverse(self) -> "BogoliubovMap":
         """Group inverse, computed as S X^dag S (no matrix inversion)."""
         s = symplectic_form(self.n_modes)
-        return BogoliubovMap(self.n_sys, self.n_env, s @ self.x.conj().T @ s, self.tol)
+        return BogoliubovMap(
+            self.n_sys, self.n_env, s @ self.x.conj().T @ s, self.tol, self.scale
+        )
 
 
 def symplectic_residuals(x: np.ndarray) -> np.ndarray:
@@ -172,29 +206,59 @@ def from_blocks(
 
 
 def compose(a: BogoliubovMap, b: BogoliubovMap) -> BogoliubovMap:
-    """Matrix product ``a.x @ b.x`` (apply b first), re-validated."""
+    """Matrix product ``a.x @ b.x`` (apply b first), re-validated.
+
+    The product's roundoff follows its factors, not its own entries: an
+    entry of A carries an error of about ``s_A / max|A|``, which B spreads
+    by ``max|B|`` (and likewise for B), and the residuals multiply that by
+    ``max|AB|``.  So ``compose(m, m.inverse())`` is the identity with a scale
+    of about 2 max|X|^2, not 1.  The floor is the larger of the two."""
     if (a.n_sys, a.n_env) != (b.n_sys, b.n_env):
         raise DimensionMismatchError(
             f"partition mismatch: ({a.n_sys},{a.n_env}) vs ({b.n_sys},{b.n_env})"
         )
-    return BogoliubovMap(a.n_sys, a.n_env, a.x @ b.x, max(a.tol, b.tol))
+    x = a.x @ b.x
+    size_a, size_b = max_abs(a.x), max_abs(b.x)
+    scale = max_abs(x) * (a.scale / size_a * size_b + size_a * b.scale / size_b)
+    return BogoliubovMap(a.n_sys, a.n_env, x, max(a.tol, b.tol), scale)
 
 
-def classical_mask(x: np.ndarray, n_sys: int, tol: float = CLASSICAL_TOL) -> np.ndarray:
-    """``max |X_down_S| <= tol`` for each matrix in a stack ``(..., 2N, 2N)``
-    whose first ``n_sys`` modes are the system; ``n_sys = N`` (no
-    environment) makes it the closed-system condition ``max |X_down| <= tol``."""
-    n = x.shape[-1] // 2
-    return np.max(np.abs(x[..., :n_sys, n:n + n_sys]), axis=(-2, -1)) <= tol
+def _stack_max(a: np.ndarray) -> np.ndarray:
+    """Max over the last two axes of a real stack ``(..., m, k)``, reduced over
+    the leading axis of a contiguous copy: numpy reduces short trailing axes
+    several times slower than that."""
+    flat = a.reshape(a.shape[:-2] + (-1,))
+    return np.max(np.ascontiguousarray(np.moveaxis(flat, -1, 0)), axis=0)
 
 
-def is_classical_closed(m: BogoliubovMap, tol: float = CLASSICAL_TOL) -> bool:
-    """True iff the map is passive: ``max |X_down| <= tol``."""
-    return bool(classical_mask(m.x, m.n_modes, tol))
+def _down_s(a: np.ndarray, n_sys: int) -> np.ndarray:
+    """``max |X_down_S|`` of each matrix in a stack ``a = |X|``, ``(..., 2N, 2N)``."""
+    n = a.shape[-1] // 2
+    return _stack_max(a[..., :n_sys, n:n + n_sys])
 
 
-def is_classical_open(m: BogoliubovMap, tol: float = CLASSICAL_TOL) -> bool:
-    """True iff the system sub-block vanishes: ``max |X_down_S| <= tol``."""
+def classical_mask(x: np.ndarray, n_sys: int) -> np.ndarray:
+    """``max |X_down_S| <= roundoff_limit(max |X|^2, CLASSICAL_TOL)`` for each
+    matrix in a stack ``(..., 2N, 2N)`` whose first ``n_sys`` modes are the
+    system; ``n_sys = N`` (no environment) makes it the closed-system
+    condition on ``max |X_down|``."""
+    a = np.abs(x)
+    return _down_s(a, n_sys) <= roundoff_limit(_stack_max(a) ** 2, CLASSICAL_TOL)
+
+
+def _classical(m: BogoliubovMap, n_sys: int) -> bool:
+    return bool(_down_s(np.abs(m.x), n_sys) <= roundoff_limit(m.scale, CLASSICAL_TOL))
+
+
+def is_classical_closed(m: BogoliubovMap) -> bool:
+    """True iff the map is passive: ``max |X_down|`` within
+    ``roundoff_limit(m.scale, CLASSICAL_TOL)``."""
+    return _classical(m, m.n_modes)
+
+
+def is_classical_open(m: BogoliubovMap) -> bool:
+    """True iff the system sub-block vanishes: ``max |X_down_S|`` within
+    ``roundoff_limit(m.scale, CLASSICAL_TOL)``."""
     if m.n_sys < 1:
         raise DimensionMismatchError("open-system classicality needs n_sys >= 1")
-    return bool(classical_mask(m.x, m.n_sys, tol))
+    return _classical(m, m.n_sys)

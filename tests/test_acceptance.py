@@ -204,16 +204,16 @@ def test_criterion_09_classicality_predicates(drive_runs, rng):
     worst_unitarity = 0.0
     for _ in range(100):
         m = random_passive(3, rng)
-        assert is_classical_closed(m, 1e-9)
+        assert is_classical_closed(m)
         worst_unitarity = max(
             worst_unitarity, max_abs(m.x_up @ m.x_up.conj().T - np.eye(3))
         )
     verdicts_ok = True
     for _, sol in drive_runs:
         x, _ = casimir_maps(sol)
-        if not np.all(classical_mask(x, n_sys=1, tol=1e-9)):
+        if not np.all(classical_mask(x, n_sys=1)):
             verdicts_ok = False
-        if np.any(classical_mask(x, n_sys=2, tol=1e-9) & (sol.density() > 1e-10)):
+        if np.any(classical_mask(x, n_sys=2) & (sol.density() > 1e-10)):
             verdicts_ok = False
     passed = worst_unitarity <= 1e-8 and verdicts_ok
     report(

@@ -78,8 +78,8 @@ class TestBogoliubovFamily:
     def test_squeeze_point_properties(self):
         m = amplifier_bogoliubov(1.0, 0.3)
         assert m.symplectic_residual() <= 1e-12
-        assert is_classical_open(m, 1e-9)
-        assert not is_classical_closed(m, 1e-9)
+        assert is_classical_open(m)
+        assert not is_classical_closed(m)
 
     def test_vacuum_occupation_through_map(self):
         rf, _ = vacuum(1)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from rsfield import cli, csvtext
+from rsfield.casimir import CasimirScenario, VelocityProfile, solve_modes
 from rsfield.cli import (
     load_config,
     main,
@@ -20,6 +21,7 @@ from rsfield.cli import (
     run_sweep,
 )
 from rsfield.errors import ConfigError
+from rsfield.symplectic import SYMPLECTIC_TOL
 
 E2_MINUS_1 = 6.389056098930650
 ROOT = Path(__file__).resolve().parents[1]
@@ -354,7 +356,7 @@ class TestExitCodes:
         last = rows[-1].split(",")
         assert float(last[names.index("n_density")]) > 1e7
         ccr = [abs(float(r.split(",")[names.index("ccr_residual")])) for r in rows]
-        assert max(ccr) > cli.INVARIANT_LIMIT
+        assert max(ccr) > SYMPLECTIC_TOL
 
     def test_resonant_run_past_extraction_floor_exits_zero(self, tmp_path, capsys):
         # W3 at T=850 (n ~ 1.1e8): the extracted gamma_down, zero exactly,
@@ -456,6 +458,67 @@ class TestExitCodes:
         assert main(["casimir", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
         gate = r"violated: extraction_gamma_down_zero \(value 1\.000e-06, limit 1\.000e-08, t=\S+\)"
         assert re.search(gate, capsys.readouterr().out)
+
+    @pytest.mark.parametrize("command,change", [
+        ("casimir", {"omega": "fast"}),
+        ("casimir", {"omega": None}),
+        ("casimir", {"rel_tol": "tight"}),
+        ("casimir", {"rel_tol": 0.0}),
+        ("casimir", {"rel_tol": -1e-3}),
+        ("casimir", {"t_end": float("nan")}),
+        ("sweep", {"sweep": {"drive_frequency": [1.0, "x"]}}),
+        ("fock-check", {"cutoff": "big"}),
+        ("fock-check", {"cutoff": 12.7}),
+        ("fock-check", {"squeeze": "x"}),
+        ("fock-check", {"angle": None}),
+        ("fock-check", {"seed": "a"}),
+        ("fock-check", {"checks": "squeeze"}),
+        ("amplify", {"t_end": "x"}),
+        ("amplify", {"t_end": -1.0}),
+    ])
+    def test_malformed_value_exits_two(self, tmp_path, capsys, command, change):
+        # a bad value is a configuration error (exit 2) naming the key, not a
+        # traceback, a "run failed" (exit 1) or a silently rounded number
+        p = tmp_path / "c.json"
+        if command in ("casimir", "sweep"):
+            write_config(p, **change)
+        else:
+            base = {"amplify": {"kappa": [1.0], "m": [0.0]}}.get(command, {})
+            p.write_text(json.dumps({**base, **change}), encoding="utf-8")
+        code = main([command, "--config", str(p), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: config.") and next(iter(change)) in err
+
+    def test_gate_limits_are_the_explicit_formulas(self, monkeypatch):
+        # W3 at T=800 (n ~ 3.4e7), where the scaled term sets the limits: the
+        # CCR, symplectic and extraction-rate limits equal, bit for bit,
+        # max(floor, 256 eps scale) written out with the scales of each gate
+        s = CasimirScenario(1.5, 1.0, np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), 800.0)
+        cols = cli._casimir_columns(solve_modes(s, 201, rtol=1e-11, atol=1e-13))
+        recorded = []
+        real_gate = cli._gate
+
+        def recording(times, residual, limit):
+            recorded.append(np.broadcast_to(limit, np.shape(residual)))
+            return real_gate(times, residual, limit)
+
+        monkeypatch.setattr(cli, "_gate", recording)
+        limits = dict(zip(cli._gates(cols, 1.0), recorded))
+        eps = np.finfo(float).eps
+        rp, rm, lp, lm = (cols[f"re_{f}"] ** 2 + cols[f"im_{f}"] ** 2
+                          for f in ("fRp", "fRm", "fLp", "fLm"))
+        rates = 256.0 * eps * (rp + rm) * 1.0
+        expected = {
+            "ccr_invariant": np.maximum(1e-8, 256.0 * eps * np.array([rp + rm, lp + lm])),
+            "symplectic_residual": np.maximum(1e-8, 256.0 * eps * np.max([rp, rm, lp, lm], axis=0)),
+            "extraction_gamma_agreement": np.maximum(1e-7, rates),
+            "extraction_gamma_down_zero": np.maximum(1e-8, rates),
+        }
+        for name, limit in expected.items():
+            assert np.max(limit) > 1e-6, name
+            assert np.array_equal(limits[name], limit), name
+        assert np.array_equal(cli._rate_roundoff(cols, 1.0), rates)
 
 
 class TestExtractCommand:

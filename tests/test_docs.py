@@ -6,6 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from rsfield import cli
+from rsfield.casimir import CasimirScenario, VelocityProfile, solve_modes
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
@@ -22,3 +25,15 @@ def test_readme_quick_tour_runs(capsys):
     exec(compile(block, "README.md", "exec"), {})
     # the closed/open classicality verdicts printed last, as the comments say
     assert capsys.readouterr().out.split()[-2:] == ["False", "True"]
+
+
+def test_readme_gate_list_names_every_gate():
+    # the bullets under "The invariants of a run" name exactly the gates of
+    # cli._gates, in its order: the names before each bullet's colon
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"The invariants of a run .*?:\n\n(.*?)\n\n", readme, re.S).group(1)
+    bullets = re.findall(r"^\* (.*?):", block, re.M)
+    listed = [name for bullet in bullets for name in re.findall(r"`(\w+)`", bullet)]
+    run = CasimirScenario(1.5, 1.0, 0.7, VelocityProfile.constant(0.2), 1.0)
+    cols = cli._casimir_columns(solve_modes(run, 5))
+    assert listed == list(cli._gates(cols, 1.0))

@@ -5,11 +5,14 @@ from conftest import random_passive, random_symplectic
 from rsfield.errors import DimensionMismatchError, NotSymplecticError
 from rsfield.numerics import max_abs
 from rsfield.symplectic import (
+    CLASSICAL_TOL,
+    SYMPLECTIC_TOL,
     compose,
     from_blocks,
     identity_map,
     is_classical_closed,
     is_classical_open,
+    roundoff_limit,
     symplectic_form,
 )
 
@@ -109,20 +112,20 @@ class TestCompose:
 class TestClassicality:
     def test_identity_is_classical_both_ways(self):
         m = identity_map(1, 1)
-        assert is_classical_closed(m, 1e-9)
-        assert is_classical_open(m, 1e-9)
+        assert is_classical_closed(m)
+        assert is_classical_open(m)
 
     def test_squeeze_is_not_closed_classical(self):
-        assert not is_classical_closed(squeeze_map(0.3), 1e-9)
+        assert not is_classical_closed(squeeze_map(0.3))
 
     def test_rotation_is_closed_classical(self):
         th = 0.7
         u = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]], dtype=complex)
         m = from_blocks(u, np.zeros((2, 2), dtype=complex), 2, 0)
-        assert is_classical_closed(m, 1e-9)
+        assert is_classical_closed(m)
 
     def test_squeeze_is_open_classical(self):
-        assert is_classical_open(squeeze_map(0.3), 1e-9)
+        assert is_classical_open(squeeze_map(0.3))
 
     def test_relabelled_partition_changes_verdict(self):
         # Interleave system and environment modes of a two-group squeeze:
@@ -133,28 +136,84 @@ class TestClassicality:
             perm[new, old] = 1.0
         p = from_blocks(perm, np.zeros((4, 4), dtype=complex), 2, 2, tol=1e-12)
         relabelled = compose(compose(p, m), p.inverse())
-        assert is_classical_open(m, 1e-9)
-        assert not is_classical_open(relabelled, 1e-9)
+        assert is_classical_open(m)
+        assert not is_classical_open(relabelled)
 
     def test_closed_implies_open_for_every_partition(self, rng):
         for n_sys in (1, 2, 3):
             u = random_passive(3, rng)
             m = from_blocks(u.x_up, np.zeros((3, 3), dtype=complex), n_sys, 3 - n_sys)
-            assert is_classical_closed(m, 1e-9)
-            assert is_classical_open(m, 1e-9)
+            assert is_classical_closed(m)
+            assert is_classical_open(m)
 
     def test_closed_classical_maps_are_unitary(self, rng):
-        tol = 1e-9
         for _ in range(100):
             m = random_passive(3, rng)
-            if is_classical_closed(m, tol):
+            if is_classical_closed(m):
                 res = max_abs(m.x_up @ m.x_up.conj().T - np.eye(3))
-                assert res <= 10 * tol
+                assert res <= 1e-8
 
     def test_open_needs_system_modes(self):
         m = identity_map(0, 2)
         with pytest.raises(DimensionMismatchError):
-            is_classical_open(m, 1e-9)
+            is_classical_open(m)
+
+
+def beam_splitter(angle: float):
+    """The passive two-mode rotation by ``angle``, one system mode."""
+    c, s = np.cos(angle), np.sin(angle)
+    return from_blocks(np.array([[c, -s], [s, c]], dtype=complex),
+                       np.zeros((2, 2), dtype=complex), 1, 1)
+
+
+class TestRoundoffLimit:
+    """The limit max(floor, 256 eps scale) of maps and verdicts: it grows
+    with the photon number, follows the factors of a product, and still
+    catches a real defect."""
+
+    def test_limit_is_floor_or_scaled_roundoff(self):
+        eps = np.finfo(float).eps
+        assert roundoff_limit(1.0, SYMPLECTIC_TOL) == SYMPLECTIC_TOL
+        assert roundoff_limit(1e9, SYMPLECTIC_TOL) == 256 * eps * 1e9
+        assert np.array_equal(roundoff_limit(np.array([1.0, 1e12]), CLASSICAL_TOL),
+                              [CLASSICAL_TOL, 256 * eps * 1e12])
+
+    def test_scale_defaults_to_largest_entry_squared(self):
+        m = squeeze_map(2.0)
+        assert m.scale == max_abs(m.x) ** 2 == m.inverse().scale
+
+    @pytest.mark.parametrize("r", [10.0, 12.0])
+    def test_compose_beam_splitter_and_squeezer_at_large_squeezing(self, r):
+        # n = sinh(12)^2 ~ 6.6e9: the product's residual is roundoff of about
+        # eps n, far above the 1e-8 floor
+        m = compose(beam_splitter(0.7), squeeze_map(r))
+        assert SYMPLECTIC_TOL < m.symplectic_residual() <= roundoff_limit(m.scale, m.tol)
+
+    @pytest.mark.parametrize("n", [1e6, 1e9, 1e12])
+    def test_product_with_inverse_is_closed_classical(self, n):
+        # the identity, with about 0.26 eps n in X_down: the product's scale
+        # comes from its factors, not from its own entries (which are ~1)
+        m = squeeze_map(np.arcsinh(np.sqrt(n)))
+        one = compose(m, m.inverse())
+        assert max_abs(one.x - np.eye(4)) < 1e-4
+        assert is_classical_closed(one)
+        assert is_classical_closed(compose(one, one))
+        assert is_classical_closed(compose(compose(one, m), m.inverse()))
+        if n == 1e9:
+            assert max_abs(one.x_down) > CLASSICAL_TOL
+
+    @pytest.mark.parametrize("n", [0.1, 3e7])
+    def test_perturbation_beyond_limit_raises(self, n):
+        # X_up scaled by (1 + d / cosh r), d = 1e3 times the limit: the
+        # residual |X_up|^2 - |X_down|^2 - 1 is then about 2 cosh(r) d
+        r = np.arcsinh(np.sqrt(n))
+        c, s = np.cosh(r) * np.eye(2), np.sinh(r) * np.array([[0.0, 1.0], [1.0, 0.0]])
+        m = from_blocks(c, s, 1, 1)
+        limit = roundoff_limit(m.scale, m.tol)
+        assert m.symplectic_residual() <= limit
+        assert (limit == SYMPLECTIC_TOL) == (n < 1e5)
+        with pytest.raises(NotSymplecticError):
+            from_blocks(c * (1.0 + 1e3 * limit / np.cosh(r)), s, 1, 1)
 
 
 class TestInvariants:
