@@ -69,7 +69,7 @@ from .fock import (
 from .kinetics import integrate_kinetics, validity_report
 from .numerics import max_abs
 from .rsf import expect_additive, vacuum
-from .symplectic import SYMPLECTIC_TOL, classical_mask, identity_map, roundoff_limit
+from .symplectic import CLASSICAL_TOL, SYMPLECTIC_TOL, identity_map, roundoff_limit
 
 EXTRACTION_LIMIT = 1e-7  # relative to omega
 GAMMA_DOWN_LIMIT = 1e-8  # relative to omega
@@ -105,18 +105,22 @@ def _require_keys(cfg: dict, allowed: dict, where: str) -> dict:
 
 def _number(value, name: str, integer: bool = False):
     """``value`` of config key ``name`` as a finite float, or with ``integer``
-    as a JSON integer; anything else is a ``ConfigError``, not a traceback."""
-    if integer:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        return value
+    as an int (``12``, ``12.0`` and ``"12"`` alike, not ``12.7``); anything
+    else is a ``ConfigError``, not a traceback."""
     try:
         number = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(number):
         raise ConfigError(f"{name} must be finite, got {value!r}")
-    return number
+    if not integer:
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    try:
+        return int(value)  # exact for large ints and integer strings
+    except ValueError:  # "1e3"
+        return int(number)
 
 
 PROFILE_KEYS = {
@@ -167,7 +171,8 @@ def parse_casimir_config(cfg: dict) -> dict:
         raise ConfigError("config.rel_tol and config.abs_tol must be positive")
     if not isinstance(out["sigma"], str):  # "auto", or a name CasimirScenario rejects
         out["sigma"] = _number(out["sigma"], "config.sigma")
-    if _number(out["samples"], "config.samples", integer=True) < 2:
+    out["samples"] = _number(out["samples"], "config.samples", integer=True)
+    if out["samples"] < 2:
         raise ConfigError("samples must be an integer >= 2")
     if out["sweep"] is not None:
         out["sweep"] = _require_keys(
@@ -246,10 +251,9 @@ def _gates(cols: dict, omega: float) -> dict:
             roundoff_limit(np.array([rp + rm, lp + lm]), SYMPLECTIC_TOL),
         ),
         "helicity_symmetry": _gate(t, cols["_helicity_residual"], SYMPLECTIC_TOL),
-        # max|X_ij|^2 of the map, as in ``BogoliubovMap``
         "symplectic_residual": _gate(
             t, cols["_symplectic_residual"],
-            roundoff_limit(np.max([rp, rm, lp, lm], axis=0), SYMPLECTIC_TOL),
+            roundoff_limit(cols["_map_scale"], SYMPLECTIC_TOL),
         ),
         "open_classicality": _gate(t, ~cols["classical_open"], 0.0),
         "extraction_h_agreement": _gate(
@@ -285,6 +289,13 @@ def _casimir_columns(sol: ModeSolution) -> dict:
     ``casimir`` and ``extract`` both select their CSV columns from it, and
     the names starting with ``_`` feed only the gates and the summary."""
     x, symplectic = casimir_maps(sol)
+    # the map's entries are the f's times unit phases, so its scales, as in
+    # ``symplectic.BogoliubovMap``, are max|f|^2 over the system row (R) and
+    # over the whole map; the masks are ``symplectic.classical_mask``'s
+    rp, rm, lp, lm = (f.real ** 2 + f.imag ** 2 for f in (sol.f_rp, sol.f_rm, sol.f_lp, sol.f_lm))
+    system_scale = np.maximum(rp, rm)
+    scale = np.maximum(system_scale, np.maximum(lp, lm))
+    down = np.abs(x[:, :2, 2:])
     h, gamma_up = closed_form_generators(sol)
     ext_h, ext_up, ext_down = extracted_generators(sol)
     growth = growth_law_residual(sol, gamma_up=gamma_up)
@@ -303,11 +314,14 @@ def _casimir_columns(sol: ModeSolution) -> dict:
         "gamma_up_extracted": ext_up[:, 0, 0].real,
         "gamma_down_extracted": ext_down[:, 0, 0].real,
         "growth_residual": growth.residuals,
-        "classical_closed": classical_mask(x, n_sys=2),
-        "classical_open": classical_mask(x, n_sys=1),
+        "classical_closed": (
+            np.max(down, axis=(-2, -1)) <= roundoff_limit(scale, CLASSICAL_TOL)
+        ),
+        "classical_open": down[:, 0, 0] <= roundoff_limit(system_scale, CLASSICAL_TOL),
         "_ccr_residual_left": sol.ccr_residual_left,
         "_helicity_residual": sol.helicity_residual,
         "_symplectic_residual": symplectic,
+        "_map_scale": scale,
         "_growth_rate": growth.density_rate,
     }
 
@@ -431,12 +445,13 @@ def run_amplify(cfg: dict, out_dir: Path) -> RunReport:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config.kappa/m: {exc}") from exc
-    if _number(cfg["samples"], "config.samples", integer=True) < 2:
+    samples = _number(cfg["samples"], "config.samples", integer=True)
+    if samples < 2:
         raise ConfigError("samples must be an integer >= 2")
     t_end = _number(cfg["t_end"], "config.t_end")
     if t_end < 0:
         raise ConfigError(f"config.t_end must be nonnegative, got {t_end}")
-    times = np.linspace(0.0, t_end, cfg["samples"])
+    times = np.linspace(0.0, t_end, samples)
     rf0, _ = vacuum(spec.n_modes)
     snaps = integrate_kinetics(rf0, amplifier_generators(spec), (0.0, t_end), times)
     deviation, closed_number = [], []

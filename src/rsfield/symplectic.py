@@ -32,13 +32,15 @@ residuals and ``CLASSICAL_TOL`` for |X_down| and |X_down_S|.  The scale is
 what the residual's roundoff grows with: max|X_ij|^2 for a map built from
 its entries, which is about the photon number of a squeezer; a product takes
 its scale from its factors (``compose``), since a product near the identity
-still carries its factors' roundoff.  The CLI's invariant gates use the same
-function, so a map the library accepts is one the CLI accepts.
+still carries its factors' roundoff.  The open verdict reads the system's
+own rows only (``system_scale``), so a large environment does not widen the
+limit of |X_down_S|.  The CLI's invariant gates use the same function, so a
+map the library accepts is one the CLI accepts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -95,16 +97,22 @@ class BogoliubovMap:
 
     The symplectic and conjugate-block residuals must lie within
     ``roundoff_limit(scale, tol)``: ``tol`` is the floor and ``scale`` the
-    size of the roundoff, max|X_ij|^2 unless given (``compose`` gives it).
+    size of the roundoff.  Each entry of a row carries a roundoff of about
+    eps times the row's largest entry, so ``scale`` is max|X_ij|^2 and
+    ``system_scale``, which bounds |X_down_S|, is the same over the system
+    rows.  Products and inverses derive both from the map they come from
+    (``compose``, ``inverse``), through the private ``_scales``.
     """
 
     n_sys: int
     n_env: int
     x: np.ndarray
     tol: float = field(default=SYMPLECTIC_TOL, compare=False, repr=False)
-    scale: float | None = field(default=None, compare=False, repr=False)
+    _scales: InitVar[tuple | None] = None
+    scale: float = field(init=False, compare=False, repr=False)
+    system_scale: float = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _scales=None):
         if self.n_sys < 0 or self.n_env < 0 or self.n_modes < 1:
             raise DimensionMismatchError(
                 f"invalid partition ({self.n_sys}, {self.n_env})"
@@ -117,17 +125,20 @@ class BogoliubovMap:
             )
         x.setflags(write=False)
         object.__setattr__(self, "x", x)
-        if self.scale is None:
-            object.__setattr__(self, "scale", max_abs(x) ** 2)
+        if _scales is None:
+            _scales = (max_abs(x) ** 2, max_abs(x[:self.n_sys]) ** 2)
+        object.__setattr__(self, "scale", float(_scales[0]))
+        object.__setattr__(self, "system_scale", float(_scales[1]))
+        # ``not res <= limit`` also rejects a NaN residual or limit
         limit = float(roundoff_limit(self.scale, self.tol))
         res = self.symplectic_residual()
-        if res > limit:
+        if not res <= limit:
             raise NotSymplecticError(f"matrix is not symplectic (limit {limit:.3e})", res)
         conj_res = max(
             max_abs(x[n:, :n] - x[:n, n:].conj()),
             max_abs(x[n:, n:] - x[:n, :n].conj()),
         )
-        if conj_res > limit:
+        if not conj_res <= limit:
             raise NotSymplecticError(
                 f"lower blocks are not conjugates of the upper blocks (limit {limit:.3e})",
                 conj_res,
@@ -162,11 +173,15 @@ class BogoliubovMap:
         return float(symplectic_residuals(self.x))
 
     def inverse(self) -> "BogoliubovMap":
-        """Group inverse, computed as S X^dag S (no matrix inversion)."""
+        """Group inverse, computed as S X^dag S (no matrix inversion).
+
+        Its entries are the map's, so it keeps ``scale``; its system rows
+        are the map's system columns, whose entries carry the roundoff of
+        every row, so ``system_scale`` is their size times scale/max|X|."""
         s = symplectic_form(self.n_modes)
-        return BogoliubovMap(
-            self.n_sys, self.n_env, s @ self.x.conj().T @ s, self.tol, self.scale
-        )
+        x = s @ self.x.conj().T @ s
+        system = max_abs(x[:self.n_sys]) * self.scale / max_abs(self.x)
+        return BogoliubovMap(self.n_sys, self.n_env, x, self.tol, (self.scale, system))
 
 
 def symplectic_residuals(x: np.ndarray) -> np.ndarray:
@@ -212,7 +227,9 @@ def compose(a: BogoliubovMap, b: BogoliubovMap) -> BogoliubovMap:
     entry of A carries an error of about ``s_A / max|A|``, which B spreads
     by ``max|B|`` (and likewise for B), and the residuals multiply that by
     ``max|AB|``.  So ``compose(m, m.inverse())`` is the identity with a scale
-    of about 2 max|X|^2, not 1.  The floor is the larger of the two."""
+    of about 2 max|X|^2, not 1.  The system rows of AB are A's system rows
+    times B, which reach every row of B: ``system_scale`` takes A's system
+    rows and all of B.  The floor is the larger of the factors' floors."""
     if (a.n_sys, a.n_env) != (b.n_sys, b.n_env):
         raise DimensionMismatchError(
             f"partition mismatch: ({a.n_sys},{a.n_env}) vs ({b.n_sys},{b.n_env})"
@@ -220,45 +237,41 @@ def compose(a: BogoliubovMap, b: BogoliubovMap) -> BogoliubovMap:
     x = a.x @ b.x
     size_a, size_b = max_abs(a.x), max_abs(b.x)
     scale = max_abs(x) * (a.scale / size_a * size_b + size_a * b.scale / size_b)
-    return BogoliubovMap(a.n_sys, a.n_env, x, max(a.tol, b.tol), scale)
-
-
-def _stack_max(a: np.ndarray) -> np.ndarray:
-    """Max over the last two axes of a real stack ``(..., m, k)``, reduced over
-    the leading axis of a contiguous copy: numpy reduces short trailing axes
-    several times slower than that."""
-    flat = a.reshape(a.shape[:-2] + (-1,))
-    return np.max(np.ascontiguousarray(np.moveaxis(flat, -1, 0)), axis=0)
-
-
-def _down_s(a: np.ndarray, n_sys: int) -> np.ndarray:
-    """``max |X_down_S|`` of each matrix in a stack ``a = |X|``, ``(..., 2N, 2N)``."""
-    n = a.shape[-1] // 2
-    return _stack_max(a[..., :n_sys, n:n + n_sys])
+    system = 0.0
+    if a.n_sys:
+        rows_a = max_abs(a.x[:a.n_sys])
+        system = max_abs(x[:a.n_sys]) * (
+            a.system_scale / rows_a * size_b + rows_a * b.scale / size_b
+        )
+    return BogoliubovMap(a.n_sys, a.n_env, x, max(a.tol, b.tol), (scale, system))
 
 
 def classical_mask(x: np.ndarray, n_sys: int) -> np.ndarray:
-    """``max |X_down_S| <= roundoff_limit(max |X|^2, CLASSICAL_TOL)`` for each
-    matrix in a stack ``(..., 2N, 2N)`` whose first ``n_sys`` modes are the
-    system; ``n_sys = N`` (no environment) makes it the closed-system
-    condition on ``max |X_down|``."""
-    a = np.abs(x)
-    return _down_s(a, n_sys) <= roundoff_limit(_stack_max(a) ** 2, CLASSICAL_TOL)
+    """``max |X_down_S| <= roundoff_limit(max |X_sys|^2, CLASSICAL_TOL)`` for
+    each matrix in a stack ``(..., 2N, 2N)`` whose first ``n_sys`` modes are
+    the system, X_sys being its system rows; ``n_sys = N`` (no environment)
+    makes it the closed-system condition on ``max |X_down|``."""
+    n = x.shape[-1] // 2
+    rows = np.abs(x[..., :n_sys, :])
+    down_s = np.max(rows[..., n:n + n_sys], axis=(-2, -1))
+    return down_s <= roundoff_limit(np.max(rows, axis=(-2, -1)) ** 2, CLASSICAL_TOL)
 
 
-def _classical(m: BogoliubovMap, n_sys: int) -> bool:
-    return bool(_down_s(np.abs(m.x), n_sys) <= roundoff_limit(m.scale, CLASSICAL_TOL))
+def _classical(m: BogoliubovMap, n_sys: int, scale: float) -> bool:
+    n = m.n_modes
+    return bool(max_abs(m.x[:n_sys, n:n + n_sys]) <= roundoff_limit(scale, CLASSICAL_TOL))
 
 
 def is_classical_closed(m: BogoliubovMap) -> bool:
     """True iff the map is passive: ``max |X_down|`` within
     ``roundoff_limit(m.scale, CLASSICAL_TOL)``."""
-    return _classical(m, m.n_modes)
+    return _classical(m, m.n_modes, m.scale)
 
 
 def is_classical_open(m: BogoliubovMap) -> bool:
     """True iff the system sub-block vanishes: ``max |X_down_S|`` within
-    ``roundoff_limit(m.scale, CLASSICAL_TOL)``."""
+    ``roundoff_limit(m.system_scale, CLASSICAL_TOL)``, a limit the
+    environment's rows do not widen."""
     if m.n_sys < 1:
         raise DimensionMismatchError("open-system classicality needs n_sys >= 1")
-    return _classical(m, m.n_sys)
+    return _classical(m, m.n_sys, m.system_scale)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rsfield import cli, csvtext
-from rsfield.casimir import CasimirScenario, VelocityProfile, solve_modes
+from rsfield.casimir import CasimirScenario, VelocityProfile, casimir_maps, solve_modes
 from rsfield.cli import (
     load_config,
     main,
@@ -21,7 +21,7 @@ from rsfield.cli import (
     run_sweep,
 )
 from rsfield.errors import ConfigError
-from rsfield.symplectic import SYMPLECTIC_TOL
+from rsfield.symplectic import SYMPLECTIC_TOL, classical_mask
 
 E2_MINUS_1 = 6.389056098930650
 ROOT = Path(__file__).resolve().parents[1]
@@ -489,6 +489,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error: config.") and next(iter(change)) in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("cutoff", 12.0), ("cutoff", "12"), ("seed", 3.0), ("seed", "3"),
+    ])
+    def test_integral_value_of_an_integer_key_runs(self, tmp_path, key, value):
+        # an integral float or an integer string is the integer, as int()
+        # read it before; only a fractional or non-numeric value is an error
+        report = run_fock_check({"checks": ["observables"], "cutoff": 8, key: value}, tmp_path)
+        expected = run_fock_check(
+            {"checks": ["observables"], "cutoff": 8, key: int(float(value))}, tmp_path / "int"
+        )
+        assert report.columns == expected.columns and not report.failures
+
+    def test_integral_samples_value_runs(self, tmp_path):
+        cfg = parse_casimir_config(write_config(tmp_path / "c.json", samples=5.0, t_end=2.0))
+        assert cfg["samples"] == 5 and isinstance(cfg["samples"], int)
+        cfg = {"kappa": [1.0], "m": [0.0], "t_end": 1.0, "samples": "4"}
+        assert len(cli.run_amplify(cfg, tmp_path).columns["t"]) == 4
+
+    def test_classicality_columns_are_the_library_masks(self):
+        # _casimir_columns reads the map scales off the f's; its masks are
+        # classical_mask's on the map stack, sample for sample
+        s = CasimirScenario(1.5, 1.0, np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), 300.0)
+        sol = solve_modes(s, 201)
+        cols = cli._casimir_columns(sol)
+        x, _ = casimir_maps(sol)
+        assert cols["classical_closed"][0] and not cols["classical_closed"][-1]
+        assert np.array_equal(cols["classical_closed"], classical_mask(x, n_sys=2))
+        assert np.array_equal(cols["classical_open"], classical_mask(x, n_sys=1))
+        np.testing.assert_allclose(cols["_map_scale"], np.max(np.abs(x), axis=(-2, -1)) ** 2,
+                                   rtol=1e-14)
 
     def test_gate_limits_are_the_explicit_formulas(self, monkeypatch):
         # W3 at T=800 (n ~ 3.4e7), where the scaled term sets the limits: the

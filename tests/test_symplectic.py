@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import random_passive, random_symplectic
-from rsfield.errors import DimensionMismatchError, NotSymplecticError
+from rsfield.errors import DimensionMismatchError, NotClassicalOpenError, NotSymplecticError
 from rsfield.numerics import max_abs
+from rsfield.rsf import transform_open_vacuum_env, vacuum
 from rsfield.symplectic import (
     CLASSICAL_TOL,
     SYMPLECTIC_TOL,
+    BogoliubovMap,
     compose,
     from_blocks,
     identity_map,
@@ -181,6 +183,23 @@ class TestRoundoffLimit:
     def test_scale_defaults_to_largest_entry_squared(self):
         m = squeeze_map(2.0)
         assert m.scale == max_abs(m.x) ** 2 == m.inverse().scale
+        assert m.system_scale == max_abs(m.x[:1]) ** 2
+
+    def test_scales_are_not_constructor_options(self):
+        # only compose and inverse set the scales: a caller cannot widen a
+        # validated map's limit, and a NaN scale or residual is rejected
+        x = squeeze_map(0.3).x
+        with pytest.raises(TypeError):
+            BogoliubovMap(1, 1, x, scale=1e30)
+        with pytest.raises(NotSymplecticError):
+            BogoliubovMap(1, 1, x, 1e-8, (float("nan"), 1.0))
+        with pytest.raises(NotSymplecticError):
+            BogoliubovMap(1, 1, np.where(np.eye(4) == 1, np.nan, x))
+
+    def test_without_environment_both_scales_agree(self):
+        m = from_blocks(np.cosh(3.0) * np.eye(2), np.sinh(3.0) * np.eye(2)[::-1], 2)
+        for k in (m, m.inverse(), compose(m, m.inverse()), compose(m.inverse(), m)):
+            assert k.system_scale == pytest.approx(k.scale, rel=1e-12)
 
     @pytest.mark.parametrize("r", [10.0, 12.0])
     def test_compose_beam_splitter_and_squeezer_at_large_squeezing(self, r):
@@ -199,6 +218,7 @@ class TestRoundoffLimit:
         assert is_classical_closed(one)
         assert is_classical_closed(compose(one, one))
         assert is_classical_closed(compose(compose(one, m), m.inverse()))
+        assert is_classical_open(one)
         if n == 1e9:
             assert max_abs(one.x_down) > CLASSICAL_TOL
 
@@ -235,3 +255,33 @@ class TestInvariants:
         assert b.up_cp.shape == (3, 2)
         assert b.up_e.shape == (3, 3)
         assert b.down_s.shape == (2, 2)
+
+
+class TestOpenLimitIgnoresEnvironment:
+    """|X_down_S| is judged against the roundoff of the system's own rows: a
+    huge environment squeeze must not hide a small system squeeze."""
+
+    @staticmethod
+    def block_diagonal(sinh_sys: float, n_env: float = 1e12):
+        r_s, r_e = np.arcsinh(sinh_sys), np.arcsinh(np.sqrt(n_env))
+        return from_blocks(np.diag([np.cosh(r_s), np.cosh(r_e)]),
+                           np.diag([np.sinh(r_s), np.sinh(r_e)]), 1, 1)
+
+    @pytest.mark.parametrize("sinh_sys", [0.05, 1e-6])
+    def test_small_system_squeeze_is_not_open_classical(self, sinh_sys):
+        m = self.block_diagonal(sinh_sys)
+        # the whole map's limit, 256 eps 1e12 = 0.057, would call it classical
+        assert roundoff_limit(m.scale, CLASSICAL_TOL) > 0.05
+        for k in (m, m.inverse(), compose(identity_map(1, 1), m),
+                  compose(m, identity_map(1, 1))):
+            assert not is_classical_open(k)
+        rf, _ = vacuum(1)
+        with pytest.raises(NotClassicalOpenError):
+            transform_open_vacuum_env(rf, m)
+
+    def test_environment_squeeze_alone_is_open_classical(self):
+        m = self.block_diagonal(0.0)
+        assert is_classical_open(m) and not is_classical_closed(m)
+        rf, _ = vacuum(1)
+        out = transform_open_vacuum_env(rf, m)
+        assert max_abs(out.r) == 0.0
