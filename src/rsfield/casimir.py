@@ -16,8 +16,16 @@ with medium coefficients
 
 sigma > 0 being a free polarization-geometry parameter.  The pair
 (f_R+, f_R-) starts from (1, 0) and (f_L+, f_L-) from (0, 1); exactly,
-f_L- = conj(f_R+) and f_L+ = conj(f_R-), which is checked numerically
-rather than assumed (both pairs are propagated).  The equations are
+f_L- = conj(f_R+) and f_L+ = conj(f_R-).  Both pairs are propagated, as
+the columns of one fundamental matrix, but each step map is built with
+row 1 mirroring row 0, so the symmetry holds by construction: up to 4096
+steps (one chunk of the prefix scan) ``helicity_residual`` is exactly 0,
+and beyond that it reads only the rounding of the product ``@ u0`` that
+starts each chunk (5.1e-13 on ROADMAP's W3 medium at T=600, and 0 if that
+product is taken with ``numerics._matmul`` instead).  The
+``helicity_symmetry`` gate therefore checks the propagation's bookkeeping
+rather than the physics; the moving-medium Fock oracle of ROADMAP item 2
+is what gives the symmetry independent backing.  The equations are
 d f/dt = A(t) f with A(t) = -i omega [[eta_plus, -eta_minus],
 [eta_minus, -eta_plus]] in su(1,1); ``solve_modes`` propagates the
 fundamental matrix U, whose columns are the two pairs, by sixth-order

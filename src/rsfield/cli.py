@@ -67,7 +67,7 @@ from .fock import (
     squeeze_pair,
 )
 from .kinetics import integrate_kinetics, validity_report
-from .numerics import max_abs
+from .numerics import matrix_max, max_abs
 from .rsf import expect_additive, vacuum
 from .symplectic import CLASSICAL_TOL, SYMPLECTIC_TOL, identity_map, roundoff_limit
 
@@ -314,9 +314,7 @@ def _casimir_columns(sol: ModeSolution) -> dict:
         "gamma_up_extracted": ext_up[:, 0, 0].real,
         "gamma_down_extracted": ext_down[:, 0, 0].real,
         "growth_residual": growth.residuals,
-        "classical_closed": (
-            np.max(down, axis=(-2, -1)) <= roundoff_limit(scale, CLASSICAL_TOL)
-        ),
+        "classical_closed": matrix_max(down) <= roundoff_limit(scale, CLASSICAL_TOL),
         "classical_open": down[:, 0, 0] <= roundoff_limit(system_scale, CLASSICAL_TOL),
         "_ccr_residual_left": sol.ccr_residual_left,
         "_helicity_residual": sol.helicity_residual,
@@ -502,6 +500,8 @@ def run_fock_check(cfg: dict | None, out_dir: Path) -> RunReport:
     if unknown:
         raise ConfigError(f"unknown fock checks: {', '.join(sorted(unknown))}")
     cutoff = _number(cfg["cutoff"], "config.cutoff", integer=True)
+    if cutoff < 2:
+        raise ConfigError(f"config.cutoff must be at least 2, got {cutoff}")
     seed = _number(cfg["seed"], "config.seed", integer=True)
     squeeze = _number(cfg["squeeze"], "config.squeeze")
     angle = _number(cfg["angle"], "config.angle")

@@ -68,6 +68,7 @@ from .numerics import (
     central_difference,
     hermiticity_residual,
     is_psd,
+    matrix_max,
     max_abs,
     solve_linear,
 )
@@ -384,7 +385,7 @@ def validity_report(
     _require_hermitian_generators(gamma_up=gamma_up, gamma_down=gamma_down)
     up = np.linalg.eigvalsh(gamma_up)[:, 0]
     dn = np.linalg.eigvalsh(gamma_down)[:, 0]
-    scale = 1.0 + np.abs(gamma_up).max(axis=(1, 2)) + np.abs(gamma_down).max(axis=(1, 2))
+    scale = 1.0 + matrix_max(np.abs(gamma_up)) + matrix_max(np.abs(gamma_down))
     limit = np.maximum(tol * scale, floor)
     valid = (up >= -limit) & (dn >= -limit)
     witness = np.minimum(up, dn)

@@ -45,13 +45,11 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, NotSymplecticError
-from .numerics import max_abs
+from .numerics import ROUNDOFF_FACTOR, matrix_max, max_abs
 
-# roundoff in the CCR and map residuals grows with the photon number: measured
-# at 6-47 eps (|f_+|^2 + |f_-|^2) and eps max|X|^2, up to n ~ 3e7; the
-# extracted gamma_down and gamma_up - gamma_up_extracted follow at about
-# 1-1.4 eps (|f_+|^2 + |f_-|^2) omega
-ROUNDOFF_FACTOR = 256.0
+# roundoff in the CCR and map residuals grows with the photon number
+# (``numerics.ROUNDOFF_FACTOR``); the extracted gamma_down and gamma_up -
+# gamma_up_extracted follow at about 1-1.4 eps (|f_+|^2 + |f_-|^2) omega
 SYMPLECTIC_TOL = 1e-8  # floor of the symplectic, CCR and helicity residuals
 CLASSICAL_TOL = 1e-9  # floor of |X_down| and |X_down_S|
 
@@ -187,7 +185,7 @@ class BogoliubovMap:
 def symplectic_residuals(x: np.ndarray) -> np.ndarray:
     """``max |X S X^dag - S|`` of each 2N x 2N matrix in a stack ``(..., 2N, 2N)``."""
     s = symplectic_form(x.shape[-1] // 2)
-    return np.max(np.abs(x @ s @ np.swapaxes(x, -1, -2).conj() - s), axis=(-2, -1))
+    return matrix_max(np.abs(x @ s @ np.swapaxes(x, -1, -2).conj() - s))
 
 
 def assemble(x_up: np.ndarray, x_down: np.ndarray) -> np.ndarray:
@@ -253,8 +251,8 @@ def classical_mask(x: np.ndarray, n_sys: int) -> np.ndarray:
     makes it the closed-system condition on ``max |X_down|``."""
     n = x.shape[-1] // 2
     rows = np.abs(x[..., :n_sys, :])
-    down_s = np.max(rows[..., n:n + n_sys], axis=(-2, -1))
-    return down_s <= roundoff_limit(np.max(rows, axis=(-2, -1)) ** 2, CLASSICAL_TOL)
+    down_s = matrix_max(rows[..., n:n + n_sys])
+    return down_s <= roundoff_limit(matrix_max(rows) ** 2, CLASSICAL_TOL)
 
 
 def _classical(m: BogoliubovMap, n_sys: int, scale: float) -> bool:

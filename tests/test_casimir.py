@@ -261,6 +261,15 @@ class TestSolveModes:
         s = CasimirScenario(1.5, 1.0, np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), 600.0)
         assert solve_modes(s, 201, rtol=1e-11, atol=1e-13).steps == 38400
 
+    def test_resonant_grids_skip_the_doublings_the_error_law_rules_out(self):
+        # W3 at T=600: after the pair (1200, 2400) the estimate has fallen by
+        # about 64 per doubling, and the law puts the first passing pair at
+        # (19200, 38400), the grid plain doubling ends on
+        s = CasimirScenario(1.5, 1.0, np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), 600.0)
+        sol = solve_modes(s, 201, rtol=1e-11, atol=1e-13)
+        assert sol._propagator.grids == (600, 1200, 2400, 19200, 38400)
+        assert sol.steps == 38400
+
     @pytest.mark.parametrize("t_end, max_steps", [(20.0, 16384), (40.0, 32768)])
     def test_tolerance_below_roundoff_stops_early(self, monkeypatch, t_end, max_steps):
         # the README sinusoid: past ~2560 steps the doubling estimate stays

@@ -475,6 +475,9 @@ class TestExitCodes:
         ("fock-check", {"checks": "squeeze"}),
         ("amplify", {"t_end": "x"}),
         ("amplify", {"t_end": -1.0}),
+        ("fock-check", {"cutoff": 0}),
+        ("fock-check", {"cutoff": 1}),
+        ("fock-check", {"cutoff": -3}),
     ])
     def test_malformed_value_exits_two(self, tmp_path, capsys, command, change):
         # a bad value is a configuration error (exit 2) naming the key, not a

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -336,3 +338,73 @@ class TestSolveMagnus:
         monkeypatch.setattr(numerics, "MAGNUS_MAX_STEPS", 64)
         with pytest.raises(ConvergenceError):
             solve_magnus(boost_generator, [0.0, 30.0], 1.0, rtol=1e-13, atol=1e-15)
+
+
+class TestSkippedDoublings:
+    def test_landing_pair_that_fails_doubles_on_to_the_stall(self, monkeypatch):
+        # a relative error of 1e-2 / 64^k on the k-th grid, the sixth-order
+        # law, plus an alternating 1e-7 too small to show in the first two pairs:
+        # the law predicts the pair (128, 256) to pass, the plateau fails it,
+        # and doubling goes on until the estimate has stalled twice
+        propagated = []
+
+        def plateau(generator, nodes):
+            steps = nodes.size - 1
+            propagated.append(steps)
+            level = round(math.log2(steps / 8))
+            error = 1e-2 * 64.0 ** -level + 1e-7 * (-1) ** level
+            u = np.broadcast_to(np.eye(2, dtype=complex)[:, :, None], (2, 2, nodes.size))
+            return u, nodes * (1.0 + error)
+
+        monkeypatch.setattr(numerics, "propagate_magnus", plateau)
+        stalled = r"stalled at the roundoff floor: .* at 1024 steps"
+        with pytest.raises(ConvergenceError, match=stalled):
+            solve_magnus(boost_generator, [0.0, 1.0], 1.0 / 8.0, rtol=1e-10, atol=1e-12)
+        assert propagated == [8, 16, 32, 128, 256, 512, 1024]
+
+    def test_solve_linear_matches_plain_doubling(self, monkeypatch):
+        # W3's mode equations as a 2x2 linear system: from the third grid on,
+        # the error law rules out two doublings, and the final grid and the
+        # states are those of doubling one level at a time
+        def generator(t):
+            a, p, q, _ = casimir._mode_generator(W3_MEDIUM)(t)
+            return np.moveaxis(su11_matrix(a, p, q), (0, 1), (-2, -1))
+
+        real_propagate = numerics._propagate_linear
+
+        def solve(skip):
+            propagated = []
+
+            def counting(generator, nodes, y0):
+                propagated.append(nodes.size - 1)
+                return real_propagate(generator, nodes, y0)
+
+            monkeypatch.setattr(numerics, "_propagate_linear", counting)
+            if not skip:
+                monkeypatch.setattr(numerics, "_levels_to_skip", lambda *args: 0)
+            times = np.linspace(0.0, 300.0, 3)
+            return solve_linear(generator, [1.0, 0.0], times, rtol=1e-11, atol=1e-13), propagated
+
+        skipping, skipping_grids = solve(True)
+        plain, plain_grids = solve(False)
+        assert skipping_grids == [300, 600, 1200, 9600, 19200]
+        assert plain_grids == [300, 600, 1200, 2400, 4800, 9600, 19200]
+        assert np.array_equal(skipping, plain)
+
+    def test_no_skip_past_the_step_cap(self, monkeypatch):
+        # the fine grid of the predicted pair would pass the cap: doubling
+        # goes on one level at a time and the cap's error is unchanged
+        real_propagate = numerics.propagate_magnus
+        propagated = []
+
+        def counting(generator, nodes):
+            propagated.append(nodes.size - 1)
+            return real_propagate(generator, nodes)
+
+        monkeypatch.setattr(numerics, "propagate_magnus", counting)
+        monkeypatch.setattr(numerics, "MAGNUS_MAX_STEPS", 4800)
+        generator = casimir._mode_generator(W3_MEDIUM)
+        capped = r"not within rtol=1e-11, atol=1e-13 at 4800 steps"
+        with pytest.raises(ConvergenceError, match=capped):
+            solve_magnus(generator, [0.0, 600.0], 1.0, rtol=1e-11, atol=1e-13)
+        assert propagated == [600, 1200, 2400, 4800]
