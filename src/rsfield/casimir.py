@@ -14,23 +14,19 @@ with medium coefficients
     Delta = 1 - delta beta^2 cos^2(theta),
     eta_pm = (alpha / sigma^2 +/- sigma^2 Delta) / 2,
 
-sigma > 0 being a free polarization-geometry parameter.  The pair
-(f_R+, f_R-) starts from (1, 0) and (f_L+, f_L-) from (0, 1); exactly,
-f_L- = conj(f_R+) and f_L+ = conj(f_R-).  Both pairs are propagated, as
-the columns of one fundamental matrix, but each step map is built with
-row 1 mirroring row 0, so the symmetry holds by construction: up to 4096
-steps (one chunk of the prefix scan) ``helicity_residual`` is exactly 0,
-and beyond that it reads only the rounding of the product ``@ u0`` that
-starts each chunk (5.1e-13 on ROADMAP's W3 medium at T=600, and 0 if that
-product is taken with ``numerics._matmul`` instead).  The
-``helicity_symmetry`` gate therefore checks the propagation's bookkeeping
-rather than the physics; the moving-medium Fock oracle of ROADMAP item 2
-is what gives the symmetry independent backing.  The equations are
-d f/dt = A(t) f with A(t) = -i omega [[eta_plus, -eta_minus],
-[eta_minus, -eta_plus]] in su(1,1); ``solve_modes`` propagates the
-fundamental matrix U, whose columns are the two pairs, by sixth-order
-Magnus steps with the closed-form 2x2 exponential (``numerics.solve_magnus``),
-so every step map lies in SU(1,1) to roundoff.  An extracted phase
+sigma > 0 being a free polarization-geometry parameter.  The equations
+are d f/dt = A(t) f with A(t) = -i omega [[eta_plus, -eta_minus],
+[eta_minus, -eta_plus]] in su(1,1), so the fundamental matrix
+U = [[f_R+, f_L+], [f_R-, f_L-]], whose columns are the pairs from (1, 0)
+and (0, 1), lies in SU(1,1): f_L- = conj(f_R+) and f_L+ = conj(f_R-)
+exactly.  ``solve_modes`` propagates U, stored as its first row
+(f_R+, conj(f_R-)), by sixth-order Magnus steps with the closed-form
+exponential (``numerics.solve_magnus``), so every step map lies in
+SU(1,1) to roundoff and the helicity symmetry holds by representation:
+``ModeSolution`` stores the right pair only.  The DOP853 reference route
+of the tests, which propagates the left pair on its own, and the
+moving-medium Fock oracle of ROADMAP item 2 back the symmetry
+independently.  An extracted phase
 
     phi(t) = omega cos(theta) * integral_0^t delta(tau) beta(tau) dtau
 
@@ -47,8 +43,8 @@ picks up the phase exp(-i omega sqrt(alpha Delta) t): no production.
 The two modes (right helicity at k, left helicity at -k) assemble into
 a two-mode Bogoliubov map (system = first mode, environment = second):
 
-    X_up   = [[e^{-i phi} f_R+, 0], [0, e^{i phi} conj(f_L-)]],
-    X_down = [[0, e^{-i phi} f_R-], [e^{i phi} conj(f_L+), 0]].
+    X_up   = [[e^{-i phi} f_R+, 0], [0, e^{i phi} conj(f_L-) = e^{i phi} f_R+]],
+    X_down = [[0, e^{-i phi} f_R-], [e^{i phi} conj(f_L+) = e^{i phi} f_R-, 0]].
 
 Its system sub-block X_down_S is identically zero, so the open-system
 classicality condition always holds, while the closed-system (passive)
@@ -79,6 +75,7 @@ the CLI's gate table (``cli._gates``).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -90,6 +87,14 @@ from .numerics import DEFAULT_ATOL, DEFAULT_RTOL, MagnusSolution, solve_magnus
 from .symplectic import BogoliubovMap, assemble, symplectic_residuals
 
 PROFILE_KINDS = ("constant", "sinusoid", "smooth_pulse", "linear_ramp_windowed")
+
+
+def _require_finite(owner, names) -> None:
+    """Raise ``ConfigError`` unless each named attribute is a finite real."""
+    for name in names:
+        value = getattr(owner, name)
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -117,6 +122,7 @@ class VelocityProfile:
     def __post_init__(self):
         if self.kind not in PROFILE_KINDS:
             raise ConfigError(f"unknown profile kind {self.kind!r}")
+        _require_finite(self, ("beta0", "drive_frequency", "duration", "ramp_time", "hold_time"))
         if abs(self.beta0) >= 1.0:
             raise ConfigError(f"profile must stay subluminal: |beta0|={abs(self.beta0)} >= 1")
         if self.kind == "sinusoid" and self.drive_frequency <= 0:
@@ -236,6 +242,8 @@ class CasimirScenario:
     sigma: float | str = "auto"
 
     def __post_init__(self):
+        _require_finite(self, ("refractive_index", "omega", "theta", "t_end")
+                        + (() if isinstance(self.sigma, str) else ("sigma",)))
         if self.refractive_index < 1.0:
             raise ConfigError(f"refractive_index must be >= 1, got {self.refractive_index}")
         if self.omega <= 0:
@@ -272,14 +280,17 @@ def auto_sigma(s: CasimirScenario) -> float:
     return (probe.alpha / probe.big_delta) ** 0.25
 
 
+def _conj(z):
+    """conj(z) with every zero part +0 (an exact zero is written 0, not -0)."""
+    return np.conj(z) + 0.0
+
+
 @dataclass(frozen=True)
 class ModePoint:
-    """Mode amplitudes and extracted phase at one time (arrays for an array of times)."""
+    """Right-pair amplitudes and phase at one time (arrays for an array of times)."""
 
     f_rp: complex
     f_rm: complex
-    f_lp: complex
-    f_lm: complex
     phi: float
 
 
@@ -288,12 +299,12 @@ class ModeSolution:
     """Propagated mode trajectory with conserved-quantity diagnostics.
 
     ``medium`` holds the coefficients it was propagated with (including the
-    resolved sigma, ``medium.sigma``).  ``ccr_residual``,
-    ``ccr_residual_left`` and ``helicity_residual`` are the conserved-quantity
-    residuals per sample, computed from the current amplitudes and not
-    checked here.  ``steps`` is the number of Magnus steps kept and
-    ``error_estimate`` the largest step-doubling estimate of their global
-    error in any entry of the fundamental matrix or in phi.
+    resolved sigma, ``medium.sigma``).  The left pair (``f_lp``, ``f_lm``)
+    is the right pair's conjugate.  ``ccr_residual`` is the CCR residual per
+    sample, computed from the current amplitudes and not checked here.
+    ``steps`` is the number of Magnus steps kept and ``error_estimate`` the
+    largest step-doubling estimate of their global error in any amplitude
+    or in phi.
     """
 
     scenario: CasimirScenario
@@ -301,39 +312,33 @@ class ModeSolution:
     times: np.ndarray
     f_rp: np.ndarray
     f_rm: np.ndarray
-    f_lp: np.ndarray
-    f_lm: np.ndarray
     phi: np.ndarray
     steps: int = 0
     error_estimate: float = 0.0
     _propagator: MagnusSolution | None = None
 
     @property
+    def f_lp(self) -> np.ndarray:
+        """f_L+ = conj(f_R-) per sample."""
+        return _conj(self.f_rm)
+
+    @property
+    def f_lm(self) -> np.ndarray:
+        """f_L- = conj(f_R+) per sample."""
+        return _conj(self.f_rp)
+
+    @property
     def ccr_residual(self) -> np.ndarray:
         """|f_R+|^2 - |f_R-|^2 - 1 per sample."""
         return np.abs(self.f_rp) ** 2 - np.abs(self.f_rm) ** 2 - 1.0
-
-    @property
-    def ccr_residual_left(self) -> np.ndarray:
-        """|f_L-|^2 - |f_L+|^2 - 1 per sample."""
-        return np.abs(self.f_lm) ** 2 - np.abs(self.f_lp) ** 2 - 1.0
-
-    @property
-    def helicity_residual(self) -> np.ndarray:
-        """The larger of ||f_L+| - |f_R-|| and ||f_L-| - |f_R+|| per sample."""
-        return np.maximum(
-            np.abs(np.abs(self.f_lp) - np.abs(self.f_rm)),
-            np.abs(np.abs(self.f_lm) - np.abs(self.f_rp)),
-        )
 
     def at(self, t) -> ModePoint:
         """Dense-output evaluation anywhere inside the propagated span, at a
         time or a 1-D array of times."""
         if self._propagator is None:
             raise DimensionMismatchError("solution carries no dense output")
-        u, phi = self._propagator.at(t)
-        (f_rp, f_lp), (f_rm, f_lm) = u
-        return ModePoint(f_rp=f_rp, f_rm=f_rm, f_lp=f_lp, f_lm=f_lm, phi=phi)
+        (f_rp, v), phi = self._propagator.at(t)
+        return ModePoint(f_rp=f_rp, f_rm=_conj(v), phi=phi)
 
     def endpoint_velocity_mismatch(self) -> float:
         """|beta(T) - beta(0)|; nonzero means no clean in/out photon picture."""
@@ -372,18 +377,17 @@ def solve_modes(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> ModeSolution:
-    """Propagate both helicity pairs and the phase over [0, t_end].
+    """Propagate the helicity pairs and the phase over [0, t_end].
 
-    ``samples`` is either a count (uniform grid including both ends) or
-    an explicit ascending array of times within the span.  ``rtol`` and
-    ``atol`` bound the estimated global error of every entry of the
-    fundamental matrix and of phi (``numerics.solve_magnus``).  The
-    conserved-quantity residuals of the result are not checked here; see
-    ``ModeSolution``.
+    ``samples`` is either an integer count (uniform grid including both
+    ends) or an explicit ascending array of times within the span.
+    ``rtol`` and ``atol`` bound the estimated global error of f_R+, f_R-
+    and phi (``numerics.solve_magnus``).  The conserved-quantity residuals
+    of the result are not checked here; see ``ModeSolution``.
     """
-    if isinstance(samples, int):
-        if samples < 2:
-            raise ConfigError("need at least 2 samples")
+    if np.ndim(samples) == 0:
+        if not isinstance(samples, numbers.Integral) or samples < 2:
+            raise ConfigError(f"need an integer count of at least 2 samples, got {samples!r}")
         times = np.linspace(0.0, s.t_end, samples)
     else:
         times = np.asarray(samples, dtype=float)
@@ -398,16 +402,13 @@ def solve_modes(
         _mode_generator(medium), _breakpoints(s),
         1.0 / max(s.omega, s.profile.drive_frequency), rtol=rtol, atol=atol,
     )
-    u, phi = propagator.at(times)
-    (f_rp, f_lp), (f_rm, f_lm) = u
+    (f_rp, v), phi = propagator.at(times)
     return ModeSolution(
         scenario=s,
         medium=medium,
         times=times,
         f_rp=f_rp,
-        f_rm=f_rm,
-        f_lp=f_lp,
-        f_lm=f_lm,
+        f_rm=_conj(v),
         phi=phi,
         steps=propagator.steps,
         error_estimate=propagator.error_estimate,
@@ -420,8 +421,9 @@ def _casimir_matrices(sol: ModeSolution, index) -> np.ndarray:
     em = np.exp(-1j * sol.phi[index])
     ep = np.conj(em)
     zero = np.zeros_like(em)
-    x_up = np.stack([em * sol.f_rp[index], zero, zero, ep * np.conj(sol.f_lm[index])], -1)
-    x_down = np.stack([zero, em * sol.f_rm[index], ep * np.conj(sol.f_lp[index]), zero], -1)
+    f_rp, f_rm = sol.f_rp[index], sol.f_rm[index]
+    x_up = np.stack([em * f_rp, zero, zero, ep * f_rp], -1)
+    x_down = np.stack([zero, em * f_rm, ep * f_rm, zero], -1)
     return assemble(x_up.reshape(em.shape + (2, 2)), x_down.reshape(em.shape + (2, 2)))
 
 

@@ -20,8 +20,8 @@ integrator is deterministic, so identical configs produce bitwise
 identical CSVs.  A run is one dict of column arrays, from the solution to
 the CSV and the summary; ``_gates`` compares every invariant with its limit,
 and a violating run still writes both before it names the invariant, value,
-limit and time.  The CCR, helicity and symplectic limits, and the
-roundoff floor of the extraction-rate limits, are
+limit and time.  The CCR and symplectic limits, and the roundoff floor
+of the extraction-rate limits, are
 ``symplectic.roundoff_limit``, the limit the library's ``BogoliubovMap``
 uses: 1e-8, or 256 eps times the photon-number scale where that is larger.
 Every numeric config key goes through ``_number``, so a malformed value is
@@ -240,17 +240,12 @@ def _gates(cols: dict, omega: float) -> dict:
     """Every invariant of a ``casimir`` run as a ``Gate``, by name; the only
     place where one is compared with its limit."""
     t = cols["T"]
-    rp, rm, lp, lm = (
-        cols[f"re_{f}"] ** 2 + cols[f"im_{f}"] ** 2
-        for f in ("fRp", "fRm", "fLp", "fLm")
-    )
+    rp, rm = (cols[f"re_{f}"] ** 2 + cols[f"im_{f}"] ** 2 for f in ("fRp", "fRm"))
     growth = max(GROWTH_LIMIT * float(np.max(np.abs(cols["_growth_rate"]))), 1e-12 * omega)
     return {
         "ccr_invariant": _gate(
-            t, [cols["ccr_residual"], cols["_ccr_residual_left"]],
-            roundoff_limit(np.array([rp + rm, lp + lm]), SYMPLECTIC_TOL),
+            t, cols["ccr_residual"], roundoff_limit(rp + rm, SYMPLECTIC_TOL),
         ),
-        "helicity_symmetry": _gate(t, cols["_helicity_residual"], SYMPLECTIC_TOL),
         "symplectic_residual": _gate(
             t, cols["_symplectic_residual"],
             roundoff_limit(cols["_map_scale"], SYMPLECTIC_TOL),
@@ -289,12 +284,12 @@ def _casimir_columns(sol: ModeSolution) -> dict:
     ``casimir`` and ``extract`` both select their CSV columns from it, and
     the names starting with ``_`` feed only the gates and the summary."""
     x, symplectic = casimir_maps(sol)
-    # the map's entries are the f's times unit phases, so its scales, as in
-    # ``symplectic.BogoliubovMap``, are max|f|^2 over the system row (R) and
-    # over the whole map; the masks are ``symplectic.classical_mask``'s
-    rp, rm, lp, lm = (f.real ** 2 + f.imag ** 2 for f in (sol.f_rp, sol.f_rm, sol.f_lp, sol.f_lm))
-    system_scale = np.maximum(rp, rm)
-    scale = np.maximum(system_scale, np.maximum(lp, lm))
+    # the map's entries are f_R+ and f_R- times unit phases, in the system
+    # row and the environment row alike, so both of its scales, as in
+    # ``symplectic.BogoliubovMap``, are max(|f_R+|^2, |f_R-|^2); the masks
+    # are ``symplectic.classical_mask``'s
+    f_lp, f_lm = sol.f_lp, sol.f_lm
+    scale = np.maximum(*(f.real ** 2 + f.imag ** 2 for f in (sol.f_rp, sol.f_rm)))
     down = np.abs(x[:, :2, 2:])
     h, gamma_up = closed_form_generators(sol)
     ext_h, ext_up, ext_down = extracted_generators(sol)
@@ -303,8 +298,8 @@ def _casimir_columns(sol: ModeSolution) -> dict:
         "T": sol.times,
         "re_fRp": sol.f_rp.real, "im_fRp": sol.f_rp.imag,
         "re_fRm": sol.f_rm.real, "im_fRm": sol.f_rm.imag,
-        "re_fLp": sol.f_lp.real, "im_fLp": sol.f_lp.imag,
-        "re_fLm": sol.f_lm.real, "im_fLm": sol.f_lm.imag,
+        "re_fLp": f_lp.real, "im_fLp": f_lp.imag,
+        "re_fLm": f_lm.real, "im_fLm": f_lm.imag,
         "phi": sol.phi,
         "n_density": sol.density(),
         "ccr_residual": sol.ccr_residual,
@@ -315,9 +310,7 @@ def _casimir_columns(sol: ModeSolution) -> dict:
         "gamma_down_extracted": ext_down[:, 0, 0].real,
         "growth_residual": growth.residuals,
         "classical_closed": matrix_max(down) <= roundoff_limit(scale, CLASSICAL_TOL),
-        "classical_open": down[:, 0, 0] <= roundoff_limit(system_scale, CLASSICAL_TOL),
-        "_ccr_residual_left": sol.ccr_residual_left,
-        "_helicity_residual": sol.helicity_residual,
+        "classical_open": down[:, 0, 0] <= roundoff_limit(scale, CLASSICAL_TOL),
         "_symplectic_residual": symplectic,
         "_map_scale": scale,
         "_growth_rate": growth.density_rate,
@@ -564,7 +557,7 @@ EXTRACT_COLUMNS = (
 
 # the gates of extract; the growth law and open classicality are casimir's
 EXTRACT_GATES = (
-    "ccr_invariant", "helicity_symmetry", "symplectic_residual",
+    "ccr_invariant", "symplectic_residual",
     "extraction_h_agreement", "extraction_gamma_agreement",
 )
 
@@ -631,6 +624,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_out(args, cfg) -> Path:
     configured = cfg.get("out_dir") if isinstance(cfg, dict) else None
+    if configured is not None and not isinstance(configured, str):
+        raise ConfigError(f"config.out_dir must be a path string, got {configured!r}")
     return Path(args.out or configured or "out")
 
 

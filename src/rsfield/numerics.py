@@ -22,9 +22,11 @@ by exponentials rather than by a general-purpose ODE solver:
   su(1,1) bracket, whose map is the closed-form exponential
   exp(W) = C I + S W, (C, S) = (cosh r, sinh(r)/r) or (cos r, sin(r)/r)
   as r^2 = p^2 + q^2 - a^2 is positive or negative, so every step map
-  lies in SU(1,1) to roundoff at any step size.  The running products of
-  the step maps are a two-level (blocked) prefix scan.  A scalar rate is
-  integrated alongside by Gauss quadrature on the same nodes.
+  lies in SU(1,1) to roundoff at any step size.  Each element
+  [[u, v], [conj(v), conj(u)]], a step map or U, is stored and multiplied
+  as its first row (u, v); the running products of the step maps are a
+  two-level (blocked) prefix scan.  A scalar rate is integrated alongside
+  by Gauss quadrature on the same nodes.
 * ``solve_linear`` propagates dy/dt = A y of any dimension (the kinetic
   equations): by one exact ``expm`` per interval when A is constant,
   and by the same sixth-order Magnus steps, exponentiated by ``expm``,
@@ -276,9 +278,10 @@ def _su11_bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Products of 2x2 matrices stored as ``(2, 2, ...)``, broadcasting over
-    the trailing axes (much faster than ``@`` on stacks of tiny matrices)."""
-    return x[:, 0, None] * y[0] + x[:, 1, None] * y[1]
+    """Products of SU(1,1) elements stored as their first rows ``(2, ...)``:
+    (u1, v1) (u2, v2) = (u1 u2 + v1 conj(v2), u1 v2 + v1 conj(u2)),
+    broadcasting over the trailing axes of arrays of equal rank."""
+    return x[0] * y + x[1] * y[::-1].conj()
 
 
 def _omega6(g0, g1, g2, bracket):
@@ -298,9 +301,9 @@ def magnus_steps(generator, t0: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, 
 
     ``generator(t)`` returns real ``(a, p, q, rate)`` shaped like ``t``: the
     generator A(t) = [[i a, p + i q], [p - i q, -i a]] in su(1,1) and a
-    scalar rate.  Returns the maps [[u, v], [conj(v), conj(u)]] in SU(1,1),
-    shape ``(2, 2, steps)``, and the integrals of the rate.  A step of
-    length 0 maps by the identity exactly.
+    scalar rate.  Returns the maps [[u, v], [conj(v), conj(u)]] in SU(1,1)
+    as their rows (u, v), shape ``(2, steps)``, and the integrals of the
+    rate.  A step of length 0 maps by the identity exactly.
     """
     a, p, q, rate = generator(t0 + h * GAUSS_NODES[:, None])
     g = np.stack([a, p, q]) * h  # (coordinate, node, step)
@@ -317,16 +320,15 @@ def magnus_steps(generator, t0: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, 
     s /= np.where(small, 1.0, r)
     x = r2[small]
     c[small], s[small] = 1.0 + x / 2.0 + x * x / 24.0, 1.0 + x / 6.0 + x * x / 120.0
-    maps = np.empty((2, 2) + r2.shape, dtype=complex)
-    maps[0, 0].real, maps[0, 0].imag = c, a * s
-    maps[0, 1].real, maps[0, 1].imag = p * s, q * s
-    maps[1] = maps[0, ::-1].conj()
+    maps = np.empty((2,) + r2.shape, dtype=complex)
+    maps[0].real, maps[0].imag = c, a * s
+    maps[1].real, maps[1].imag = p * s, q * s
     return maps, h * (GAUSS_WEIGHTS @ rate)
 
 
 def _scan(maps: np.ndarray) -> None:
-    """Prefix products E_j ... E_0 along the last axis of the maps ``(2, 2,
-    ..., n)``, in place, by doubling (Hillis-Steele): log2(n) passes."""
+    """Prefix products E_j ... E_0 along the last axis of the maps ``(2, ...,
+    n)``, in place, by doubling (Hillis-Steele): log2(n) passes."""
     shift = 1
     while shift < maps.shape[-1]:
         maps[..., shift:] = _matmul(maps[..., shift:], maps[..., :-shift])
@@ -334,8 +336,8 @@ def _scan(maps: np.ndarray) -> None:
 
 
 def _prefix_products(maps: np.ndarray, u0: np.ndarray) -> np.ndarray:
-    """E_j ... E_0 u0 for every j, shape ``(2, 2, n)``, in place of the step
-    maps E_j ``(2, 2, n)``.
+    """E_j ... E_0 u0 for every j, shape ``(2, n)``, in place of the step
+    maps E_j ``(2, n)``.
 
     Past two blocks, a two-level scan over the whole blocks of
     ``SCAN_BLOCK`` steps: a scan within each block, a scan of the block
@@ -344,11 +346,11 @@ def _prefix_products(maps: np.ndarray, u0: np.ndarray) -> np.ndarray:
     long the chunk.  The steps past the last whole block, or all of them
     in a short chunk, are scanned from the product before them.
     """
-    maps[:, :, 0] = maps[:, :, 0] @ u0
+    maps[:, 0] = _matmul(maps[:, 0], u0)
     n = maps.shape[-1]
     whole = n - n % SCAN_BLOCK if n > 2 * SCAN_BLOCK else 0
     if whole:
-        blocks = maps[..., :whole].reshape(2, 2, -1, SCAN_BLOCK)  # a view
+        blocks = maps[:, :whole].reshape(2, -1, SCAN_BLOCK)  # a view
         _scan(blocks)
         _scan(blocks[..., -1])
         blocks[..., 1:, :-1] = _matmul(blocks[..., 1:, :-1], blocks[..., :-1, -1:])
@@ -357,19 +359,19 @@ def _prefix_products(maps: np.ndarray, u0: np.ndarray) -> np.ndarray:
 
 
 def propagate_magnus(generator, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The fundamental matrix U (U = I at ``nodes[0]``), shape ``(2, 2, nodes)``,
-    and the running integral of the rate at every node of an ascending grid,
-    one Magnus step per interval."""
+    """The fundamental matrix U (U = I at ``nodes[0]``) as its rows (u, v),
+    shape ``(2, nodes)``, and the running integral of the rate at every node
+    of an ascending grid, one Magnus step per interval."""
     n = nodes.size - 1
-    u = np.empty((2, 2, n + 1), dtype=complex)
-    u[:, :, 0] = np.eye(2)
+    u = np.empty((2, n + 1), dtype=complex)
+    u[:, 0] = 1.0, 0.0
     integral = np.zeros(n + 1)
     for k0 in range(0, n, MAGNUS_CHUNK):
         k1 = min(k0 + MAGNUS_CHUNK, n)
         maps, integral[k0 + 1:k1 + 1] = magnus_steps(
             generator, nodes[k0:k1], nodes[k0 + 1:k1 + 1] - nodes[k0:k1]
         )
-        u[:, :, k0 + 1:k1 + 1] = _prefix_products(maps, u[:, :, k0])
+        u[:, k0 + 1:k1 + 1] = _prefix_products(maps, u[:, k0])
     if not np.all(np.isfinite(u)):
         raise NonFiniteStateError("non-finite state in Magnus propagation")
     np.cumsum(integral, out=integral)
@@ -403,7 +405,8 @@ def _doubling_error(fine, coarse, rtol, atol) -> tuple[float, bool, float, float
 
 
 class MagnusSolution:
-    """Fundamental matrix and rate integral on a node grid, with dense output.
+    """Fundamental matrix rows (u, v) and rate integral on a node grid, with
+    dense output.
 
     ``grids`` are the step counts the step doubling propagated, in order;
     the last is ``steps``."""
@@ -423,19 +426,19 @@ class MagnusSolution:
     def at(self, t) -> tuple[np.ndarray, np.ndarray]:
         """``(U, integral)`` at a time or an array of times (any order), by one
         partial Magnus step from the node at or before each time; ``U`` has
-        shape ``(2, 2) + shape(t)``.  Every time must lie in the span."""
+        shape ``(2,) + shape(t)``.  Every time must lie in the span."""
         times = _clip_to_span(t, self.nodes[0], self.nodes[-1])
         flat = times.ravel()
-        u = np.empty((2, 2, flat.size), dtype=complex)
+        u = np.empty((2, flat.size), dtype=complex)
         integral = np.empty(flat.size)
         for i in range(0, flat.size, MAGNUS_CHUNK):
             chunk = slice(i, i + MAGNUS_CHUNK)
             k = np.searchsorted(self.nodes, flat[chunk], side="right") - 1
             start = self.nodes[k]
             maps, increments = magnus_steps(self._generator, start, flat[chunk] - start)
-            u[:, :, chunk] = _matmul(maps, self.u[:, :, k])
+            u[:, chunk] = _matmul(maps, self.u[:, k])
             integral[chunk] = self.integral[k] + increments
-        return u.reshape((2, 2) + times.shape), integral.reshape(times.shape)[()]
+        return u.reshape((2,) + times.shape), integral.reshape(times.shape)[()]
 
 
 def _levels_to_skip(ratios, estimate: float, peak: float, steps: int) -> int:
@@ -537,8 +540,8 @@ def solve_magnus(
     uniform between them), and integrate the generator's rate alongside.
 
     The step count doubles from steps of about ``initial_step`` until the
-    error estimate of every entry of U and of the integral meets ``atol +
-    rtol |X|`` (``_refine``); the finer solution is kept.
+    error estimate of u, v and the integral meets ``atol + rtol |X|``
+    (``_refine``); the finer solution is kept.
     """
     _check_tolerances(rtol, atol)
     nodes, (u, integral), estimate, grids = _refine(

@@ -50,7 +50,7 @@ from .numerics import ROUNDOFF_FACTOR, matrix_max, max_abs
 # roundoff in the CCR and map residuals grows with the photon number
 # (``numerics.ROUNDOFF_FACTOR``); the extracted gamma_down and gamma_up -
 # gamma_up_extracted follow at about 1-1.4 eps (|f_+|^2 + |f_-|^2) omega
-SYMPLECTIC_TOL = 1e-8  # floor of the symplectic, CCR and helicity residuals
+SYMPLECTIC_TOL = 1e-8  # floor of the symplectic and CCR residuals
 CLASSICAL_TOL = 1e-9  # floor of |X_down| and |X_down_S|
 
 

@@ -202,17 +202,17 @@ class TestSolveModes:
 
     @pytest.mark.parametrize("perturb", ["scale", "squeeze"])
     def test_step_maps_off_su11_trip_invariant_gate(self, tmp_path, capsys, monkeypatch, perturb):
-        # step maps off SU(1,1) by 1e-6 per unit time: a uniform scaling
-        # (det != 1) or a real squeeze diag(1 + e, 1 - e) (det = 1 to O(e^2),
-        # but not pseudo-unitary); the change is consistent in h, so step
-        # doubling converges and the CCR gate has to catch it, after the
-        # run has written the CSV that shows the violation
+        # step maps (u, v) off SU(1,1) by 1e-6 per unit time: u and v scaled
+        # alike, or u scaled up and v down (det |u|^2 - |v|^2 != 1 either
+        # way); the change is consistent in h, so step doubling converges
+        # and the CCR gate has to catch it, after the run has written the
+        # CSV that shows the violation
         real_steps = numerics.magnus_steps
 
         def perturbed(generator, t0, h):
             maps, increments = real_steps(generator, t0, h)
-            maps[:, 0] *= 1.0 + 1e-6 * h
-            maps[:, 1] *= 1.0 + 1e-6 * h if perturb == "scale" else 1.0 - 1e-6 * h
+            maps[0] *= 1.0 + 1e-6 * h
+            maps[1] *= 1.0 + 1e-6 * h if perturb == "scale" else 1.0 - 1e-6 * h
             return maps, increments
 
         monkeypatch.setattr(numerics, "magnus_steps", perturbed)
@@ -304,15 +304,19 @@ class TestSolveModes:
         batch = sol.at(times)
         for i, t in enumerate(times):
             p = sol.at(float(t))
-            for name in ("f_rp", "f_rm", "f_lp", "f_lm", "phi"):
+            for name in ("f_rp", "f_rm", "phi"):
                 assert getattr(p, name) == getattr(batch, name)[i]
         with pytest.raises(DimensionMismatchError):
             sol.at(np.array([0.5, 5.5]))
 
     def test_helicity_pairs_are_mirror_conjugates(self):
-        sol = solve_modes(sinusoid_scenario(t_end=10.0), 41)
-        assert max_abs(sol.f_lm - np.conj(sol.f_rp)) < 1e-9
-        assert max_abs(sol.f_lp - np.conj(sol.f_rm)) < 1e-9
+        # exactly, also past the first chunk of the prefix scan: W3 at T=600
+        # propagates 38,400 steps
+        s = CasimirScenario(1.5, 1.0, np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), 600.0)
+        sol = solve_modes(s, 201, rtol=1e-11, atol=1e-13)
+        assert sol.steps > numerics.MAGNUS_CHUNK
+        assert np.array_equal(sol.f_lm, np.conj(sol.f_rp))
+        assert np.array_equal(sol.f_lp, np.conj(sol.f_rm))
 
 
 class TestPhotonDensity:
@@ -366,13 +370,16 @@ class TestCasimirMap:
 
     @pytest.mark.parametrize("t_end", [800.0, 900.0, 1000.0])
     def test_map_builds_at_large_photon_number(self, t_end):
-        # the resonant medium (W3): n = 3.4e7, 3.6e8 and 3.6e9, where a
-        # correct map's residual (3e-8 to 5e-7) exceeds the 1e-8 floor
+        # the resonant medium (W3): n = 3.4e7, 3.6e8 and 3.6e9; a correct
+        # map's residual (7.5e-9, 3.7e-7 and 9.5e-7) exceeds the 1e-8 floor
+        # at T=900 and 1000
         s = sinusoid_scenario(theta=np.pi / 2, beta0=0.4, drive=0.98, t_end=t_end)
         sol = solve_modes(s, 2, rtol=1e-11, atol=1e-13)
         m = casimir_map(sol, 1)
         assert sol.density()[-1] > 3e7
-        assert SYMPLECTIC_TOL < m.symplectic_residual() <= roundoff_limit(m.scale, m.tol)
+        assert m.symplectic_residual() <= roundoff_limit(m.scale, m.tol)
+        if t_end > 800.0:
+            assert SYMPLECTIC_TOL < m.symplectic_residual()
         assert not is_classical_closed(m)
         assert is_classical_open(m)
 
@@ -536,12 +543,11 @@ class TestGrowthLaw:
 
 class TestProfileCatalogRuns:
     def test_ccr_and_symmetry_hold_for_every_profile(self):
-        # solve_modes gates these invariants internally; assert the margins
+        # the CCR margin; the helicity symmetry holds by representation
         for profile in PROFILE_CATALOG:
             s = CasimirScenario(1.5, 1.0, np.pi / 3, profile, 12.0)
             sol = solve_modes(s, 25)
             assert np.max(np.abs(sol.ccr_residual)) < 1e-9
-            assert np.max(np.abs(sol.helicity_residual)) < 1e-9
 
     def test_only_varying_speed_produces(self):
         final = {}
@@ -751,6 +757,35 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError):
             CasimirScenario(1.5, 1.0, 0.3, VelocityProfile.constant(0.1), 5.0, sigma=-1.0)
 
+    @pytest.mark.parametrize("key", ["refractive_index", "omega", "theta", "t_end", "sigma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_scenario_numbers(self, key, value):
+        # nan passes every comparison and inf reached numpy before
+        args = {"refractive_index": 1.5, "omega": 1.0, "theta": 0.3,
+                "profile": VelocityProfile.constant(0.1), "t_end": 5.0, key: value}
+        with pytest.raises(ConfigError, match=f"{key} must be a finite number"):
+            CasimirScenario(**args)
+
+    @pytest.mark.parametrize("key", ["beta0", "drive_frequency", "duration", "ramp_time",
+                                     "hold_time"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_profile_numbers(self, key, value):
+        args = {"kind": "sinusoid", "beta0": 0.2, "drive_frequency": 2.0, key: value}
+        with pytest.raises(ConfigError, match=f"{key} must be a finite number"):
+            VelocityProfile(**args)
+
+    def test_numpy_integer_sample_count(self):
+        s = sinusoid_scenario(t_end=5.0)
+        sol = solve_modes(s, np.int64(11))
+        assert np.array_equal(sol.times, np.linspace(0.0, 5.0, 11))
+        assert np.array_equal(sol.f_rm, solve_modes(s, 11).f_rm)
+
+    @pytest.mark.parametrize("samples", [11.0, np.float64(11.0), "11", np.int64(1)],
+                             ids=["float", "numpy_float", "string", "numpy_one"])
+    def test_rejects_a_scalar_that_is_no_sample_count(self, samples):
+        with pytest.raises(ConfigError):
+            solve_modes(sinusoid_scenario(t_end=5.0), samples)
+
 
 class TestReferenceRoute:
     @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
@@ -766,8 +801,11 @@ class TestReferenceRoute:
         generator = casimir._mode_generator(s.medium())
         errors = []
         for steps in (40, 80, 160):
-            u, phi = numerics.propagate_magnus(generator, np.linspace(0.0, s.t_end, steps + 1))
-            final = np.array([u[0, 0, -1], u[1, 0, -1], u[0, 1, -1], u[1, 1, -1], phi[-1]])
+            nodes = np.linspace(0.0, s.t_end, steps + 1)
+            (u, v), phi = numerics.propagate_magnus(generator, nodes)
+            # (f_R+, f_R-, f_L+, f_L-) = (u, conj v, v, conj u); the reference
+            # propagates the left pair on its own
+            final = np.array([u[-1], np.conj(v[-1]), v[-1], np.conj(u[-1]), phi[-1]])
             errors.append(np.max(np.abs(final - ref)))
         assert errors[-1] > 1e-12  # above the reference's own error
         assert errors[0] / errors[1] >= 40.0 and errors[1] / errors[2] >= 40.0
@@ -796,7 +834,6 @@ def test_invariants_and_reference_over_profiles(profile, refractive_index, theta
     sol = solve_modes(s, 21, rtol=1e-10, atol=1e-12)
     scale = 1.0 + np.abs(sol.f_rp) ** 2
     assert np.all(np.abs(sol.ccr_residual) <= 1e-13 * scale)
-    assert np.all(np.abs(sol.helicity_residual) <= 1e-13 * scale)
     h, gamma_up = closed_form_generators(sol)
     rep = growth_law_residual(sol, gamma_up=gamma_up)
     assert rep.max_residual <= max(GROWTH_LIMIT * rep.max_rate, 1e-12 * s.omega)

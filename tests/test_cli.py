@@ -21,7 +21,7 @@ from rsfield.cli import (
     run_sweep,
 )
 from rsfield.errors import ConfigError
-from rsfield.symplectic import SYMPLECTIC_TOL, classical_mask
+from rsfield.symplectic import SYMPLECTIC_TOL, classical_mask, symplectic_residuals
 
 E2_MINUS_1 = 6.389056098930650
 ROOT = Path(__file__).resolve().parents[1]
@@ -415,33 +415,26 @@ class TestExitCodes:
             main([*argv, "--config", str(p), "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
 
-    def _run_perturbed(self, tmp_path, capsys, monkeypatch, amplitude, change):
-        real_solve = cli.solve_modes
+    def test_non_symplectic_map_exits_one_with_csv(self, tmp_path, capsys, monkeypatch):
+        # a 1e-6 relative error in the environment's X_up entry (and its
+        # conjugate) breaks the symplectic check of the stacked maps; the run
+        # still leaves its CSV and summary
+        real_maps = cli.casimir_maps
 
-        def perturbed(*args, **kwargs):
-            sol = real_solve(*args, **kwargs)
-            setattr(sol, amplitude, change(getattr(sol, amplitude)))
-            return sol
+        def perturbed(sol):
+            x, _ = real_maps(sol)
+            x[:, [1, 3], [1, 3]] *= 1 + 1e-6
+            return x, symplectic_residuals(x)
 
-        monkeypatch.setattr(cli, "solve_modes", perturbed)
+        monkeypatch.setattr(cli, "casimir_maps", perturbed)
         p = tmp_path / "c.json"
         write_config(p)
-        code = main(["casimir", "--config", str(p), "--out", str(tmp_path / "o")])
-        assert code == 1
+        assert main(["casimir", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
         assert (tmp_path / "o" / "casimir.csv").exists()
-        return capsys.readouterr().out
-
-    def test_non_symplectic_map_exits_one_with_csv(self, tmp_path, capsys, monkeypatch):
-        # a 1e-6 relative error in f_L- breaks the symplectic check of the
-        # stacked maps; the run still leaves its CSV and summary
-        out = self._run_perturbed(tmp_path, capsys, monkeypatch, "f_lm", lambda f: f * (1 + 1e-6))
+        out = capsys.readouterr().out
         assert "max_symplectic_residual" in out
         gate = r"violated: symplectic_residual \(value 2\.\d+e-06, limit 1\.000e-08, t="
         assert re.search(gate, out)
-
-    def test_broken_helicity_symmetry_exits_one(self, tmp_path, capsys, monkeypatch):
-        out = self._run_perturbed(tmp_path, capsys, monkeypatch, "f_lp", lambda f: f + 1e-6)
-        assert re.search(r"violated: helicity_symmetry \(value \S+, limit 1\.000e-08, t=\S+\)", out)
 
     def test_nonzero_gamma_down_exits_one(self, tmp_path, capsys, monkeypatch):
         # the README sinusoid with gamma_down off zero by 1e-6: the roundoff
@@ -478,6 +471,8 @@ class TestExitCodes:
         ("fock-check", {"cutoff": 0}),
         ("fock-check", {"cutoff": 1}),
         ("fock-check", {"cutoff": -3}),
+        ("casimir", {"out_dir": 5}),
+        ("fock-check", {"out_dir": ["x"]}),
     ])
     def test_malformed_value_exits_two(self, tmp_path, capsys, command, change):
         # a bad value is a configuration error (exit 2) naming the key, not a
@@ -544,7 +539,7 @@ class TestExitCodes:
                           for f in ("fRp", "fRm", "fLp", "fLm"))
         rates = 256.0 * eps * (rp + rm) * 1.0
         expected = {
-            "ccr_invariant": np.maximum(1e-8, 256.0 * eps * np.array([rp + rm, lp + lm])),
+            "ccr_invariant": np.maximum(1e-8, 256.0 * eps * (rp + rm)),
             "symplectic_residual": np.maximum(1e-8, 256.0 * eps * np.max([rp, rm, lp, lm], axis=0)),
             "extraction_gamma_agreement": np.maximum(1e-7, rates),
             "extraction_gamma_down_zero": np.maximum(1e-8, rates),
@@ -556,6 +551,12 @@ class TestExitCodes:
 
 
 class TestExtractCommand:
+    def test_extract_gates_are_casimir_gates_in_order(self):
+        # a stale name in EXTRACT_GATES is a KeyError when extract runs
+        s = CasimirScenario(1.5, 1.0, 0.7, VelocityProfile.sinusoid(0.2, 2.0), 1.0)
+        gates = list(cli._gates(cli._casimir_columns(solve_modes(s, 5)), 1.0))
+        assert [name for name in gates if name in cli.EXTRACT_GATES] == list(cli.EXTRACT_GATES)
+
     def test_extract_writes_trajectory(self, tmp_path):
         p = tmp_path / "c.json"
         write_config(p, samples=9)

@@ -245,6 +245,13 @@ def su11_matrix(a, p, q):
     return np.array([[1j * a, p + 1j * q], [p - 1j * q, -1j * a]])
 
 
+def su11_element(rows):
+    """The matrices [[u, v], [conj(v), conj(u)]] of rows (u, v), ``(2, ...)``,
+    with the matrix axes last: ``(..., 2, 2)``."""
+    u, v = rows
+    return np.moveaxis(np.array([[u, v], [np.conj(v), np.conj(u)]]), (0, 1), (-2, -1))
+
+
 W3_MEDIUM = CasimirScenario(
     1.5, 1.0, np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), 600.0
 ).medium()
@@ -268,7 +275,8 @@ class TestMagnusSteps:
             return tuple(c * one for c in coordinates) + (one,)
 
         maps, integral = numerics.magnus_steps(generator, np.array([0.0]), np.array([h]))
-        assert max_abs(maps[:, :, 0] - expm(h * su11_matrix(*coordinates))) < 1e-15
+        assert maps.shape == (2, 1)
+        assert max_abs(su11_element(maps[:, 0]) - expm(h * su11_matrix(*coordinates))) < 1e-15
         assert integral[0] == pytest.approx(h, rel=1e-15)
 
     @pytest.mark.parametrize("branch", ["hyperbolic", "elliptic", "series"])
@@ -280,7 +288,7 @@ class TestMagnusSteps:
             t0 = np.linspace(0.0, 600.0, 600)
             h = 1.0 / 64.0 if branch == "elliptic" else 1e-5  # W3's steps; dense output
         maps, _ = numerics.magnus_steps(generator, t0, np.full(t0.shape, h))
-        (u, v), (v_bar, u_bar) = maps
+        u, v = maps
         cosine = u.real  # cosh r > 1 on the hyperbolic branch, cos r < 1 on the elliptic
         if branch == "hyperbolic":
             assert np.all(cosine > 1.0)
@@ -288,24 +296,26 @@ class TestMagnusSteps:
             assert np.all(cosine < 1.0 - 1e-8)
         else:
             assert np.all(np.abs(cosine - 1.0) < 1e-9)
-        assert np.array_equal(v_bar, v.conj()) and np.array_equal(u_bar, u.conj())
-        det = u * u_bar - v * v_bar
+        det = u * u.conj() - v * v.conj()
         scale = np.abs(u) ** 2 + np.abs(v) ** 2
         assert np.all(np.abs(det - 1.0) <= 4.0 * np.finfo(float).eps * scale)
 
     @pytest.mark.parametrize("steps", [
         1, 2, 31, 32, 33, 64, 65,
         numerics.MAGNUS_CHUNK - 1, numerics.MAGNUS_CHUNK, numerics.MAGNUS_CHUNK + 1,
+        2 * numerics.MAGNUS_CHUNK + 1,
     ])
     def test_prefix_scan_matches_sequential_product(self, steps):
+        # the rows (u, v) of the running products against the products of
+        # the assembled 2x2 step maps
         nodes = np.linspace(0.0, 0.01 * steps, steps + 1)
         u, integral = numerics.propagate_magnus(mixed_generator, nodes)
         maps, increments = numerics.magnus_steps(mixed_generator, nodes[:-1], np.diff(nodes))
         expected = [np.eye(2)]
-        for k in range(steps):
-            expected.append(maps[:, :, k] @ expected[-1])
-        expected = np.stack(expected, axis=-1)
-        assert u.shape == (2, 2, steps + 1)
+        for step in su11_element(maps):
+            expected.append(step @ expected[-1])
+        expected = np.stack(expected, axis=-1)[0]
+        assert u.shape == (2, steps + 1)
         # roundoff of a product of `steps` maps, at most about eps per factor
         assert max_abs(u - expected) <= 2.0 * steps * np.finfo(float).eps * max_abs(expected)
         assert max_abs(integral - np.concatenate([[0.0], np.cumsum(increments)])) < 1e-13
@@ -317,8 +327,8 @@ class TestSolveMagnus:
         t = np.array([0.0, 0.3, 2.0, 3.7, 5.0])
         u, integral = sol.at(t)
         s = np.sin(t)
-        expected = np.array([[np.cosh(s), np.sinh(s)], [np.sinh(s), np.cosh(s)]])
-        assert u.shape == (2, 2, 5)
+        expected = np.array([np.cosh(s), np.sinh(s)])
+        assert u.shape == (2, 5)
         assert max_abs(u - expected) < 1e-12
         assert max_abs(integral - t ** 2) < 1e-12
         assert 2.0 in sol.nodes.tolist()
@@ -330,7 +340,7 @@ class TestSolveMagnus:
         assert np.array_equal(u, sol.u) and np.array_equal(integral, sol.integral)
         u1, i1 = sol.at(1.234)
         u2, i2 = sol.at(np.array([1.234]))
-        assert u1.shape == (2, 2) and np.array_equal(u1, u2[:, :, 0]) and i1 == i2[0]
+        assert u1.shape == (2,) and np.array_equal(u1, u2[:, 0]) and i1 == i2[0]
         with pytest.raises(DimensionMismatchError):
             sol.at(3.5)
 
@@ -353,7 +363,7 @@ class TestSkippedDoublings:
             propagated.append(steps)
             level = round(math.log2(steps / 8))
             error = 1e-2 * 64.0 ** -level + 1e-7 * (-1) ** level
-            u = np.broadcast_to(np.eye(2, dtype=complex)[:, :, None], (2, 2, nodes.size))
+            u = np.broadcast_to(np.array([1.0, 0.0], dtype=complex)[:, None], (2, nodes.size))
             return u, nodes * (1.0 + error)
 
         monkeypatch.setattr(numerics, "propagate_magnus", plateau)
