@@ -25,8 +25,8 @@ by exponentials rather than by a general-purpose ODE solver:
   lies in SU(1,1) to roundoff at any step size.  Each element
   [[u, v], [conj(v), conj(u)]], a step map or U, is stored and multiplied
   as its first row (u, v); the running products of the step maps are a
-  two-level (blocked) prefix scan.  A scalar rate is integrated alongside
-  by Gauss quadrature on the same nodes.
+  work-efficient (up-sweep, down-sweep) prefix scan.  A scalar rate is
+  integrated alongside by Gauss quadrature on the same nodes.
 * ``solve_linear`` propagates dy/dt = A y of any dimension (the kinetic
   equations): by one exact ``expm`` per interval when A is constant,
   and by the same sixth-order Magnus steps, exponentiated by ``expm``,
@@ -36,11 +36,13 @@ Both Magnus solvers control the error by step doubling on a grid that
 is uniform between breakpoints (``_refine``).  Once two consecutive pairs
 of grids show the estimate, relative to its limit, falling at the method's
 rate (by at least 32 per doubling, where the sixth-order law gives 64),
-the doublings that the law predicts to fail are skipped: the solver
-propagates the pair predicted to pass first, and doubles on from there if
-that pair fails.  No skip
-leaps below the roundoff floor (256 eps times the largest entry) or past
-``MAGNUS_MAX_STEPS``, and the acceptance test is the same either way.
+the solver lands on the step count the law predicts: it propagates next
+the pair (M, 2M) predicted to bring that ratio to ``LANDING_TARGET``,
+when that costs fewer steps than the doublings to the first power-of-two
+pair predicted to pass, and doubles on from there if that pair fails.  No
+landing goes below the roundoff floor (256 eps times the largest entry)
+or past ``MAGNUS_MAX_STEPS``, and the acceptance test is the same either
+way.
 
 All quantities are dimensionless or expressed in natural units
 (hbar = c = 1); matrices and vectors are plain complex numpy arrays.
@@ -71,11 +73,16 @@ DEFAULT_ATOL = 1e-12
 # Gauss-Legendre nodes and weights on [0, 1]
 GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
 GAUSS_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
-# steps (or dense-output times) built at once, bounding temporaries; the
-# blocked scan's pass count does not grow with it, and 4096 ran fastest
+# steps (or dense-output times) built at once, bounding temporaries.  The
+# scan's passes grow as 2 log2 of it; W3 at T=600 (45,018 steps propagated)
+# solved in a median 20.5, 16.3, 13.9, 15.1 and 17.1 ms at 1024, 2048, 4096,
+# 8192 and 16384 (2-vCPU Xeon, numpy 2.4.6, 11 runs each)
 MAGNUS_CHUNK = 4096
-SCAN_BLOCK = 32  # steps per block of the two-level prefix scan
 MAGNUS_MAX_STEPS = 2 ** 20
+# estimate-to-limit ratio a landed pair aims at (``_landing``): the 22 pairs
+# landed on by W3 at T=50-1000 and five other configs, each at rtol 1e-8,
+# 1e-11 and 1e-13, read 0.33-0.50, and every one passed
+LANDING_TARGET = 0.5
 
 # theta_m of Al-Mohy & Higham (2011), Table 3.1, for unit roundoff 2^-53: the
 # degree-m Taylor polynomial T_m satisfies T_m(A / s)^s = exp(A + dA) with
@@ -326,35 +333,27 @@ def magnus_steps(generator, t0: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, 
     return maps, h * (GAUSS_WEIGHTS @ rate)
 
 
-def _scan(maps: np.ndarray) -> None:
-    """Prefix products E_j ... E_0 along the last axis of the maps ``(2, ...,
-    n)``, in place, by doubling (Hillis-Steele): log2(n) passes."""
-    shift = 1
-    while shift < maps.shape[-1]:
-        maps[..., shift:] = _matmul(maps[..., shift:], maps[..., :-shift])
-        shift *= 2
-
-
 def _prefix_products(maps: np.ndarray, u0: np.ndarray) -> np.ndarray:
     """E_j ... E_0 u0 for every j, shape ``(2, n)``, in place of the step
     maps E_j ``(2, n)``.
 
-    Past two blocks, a two-level scan over the whole blocks of
-    ``SCAN_BLOCK`` steps: a scan within each block, a scan of the block
-    ends, then one pass that multiplies each block by the end of the one
-    before, so the full-length passes number log2(SCAN_BLOCK) + 1 however
-    long the chunk.  The steps past the last whole block, or all of them
-    in a short chunk, are scanned from the product before them.
+    A work-efficient scan (Brent-Kung) over strided views of the chunk:
+    the up-sweep leaves at each index i = k 2d - 1 the product of the 2d
+    maps ending there, for d = 1, 2, 4, ...; the down-sweep then completes
+    the indices in between from the nearest complete product before them.
+    About 2n products in 2 log2(n) passes.
     """
     maps[:, 0] = _matmul(maps[:, 0], u0)
     n = maps.shape[-1]
-    whole = n - n % SCAN_BLOCK if n > 2 * SCAN_BLOCK else 0
-    if whole:
-        blocks = maps[:, :whole].reshape(2, -1, SCAN_BLOCK)  # a view
-        _scan(blocks)
-        _scan(blocks[..., -1])
-        blocks[..., 1:, :-1] = _matmul(blocks[..., 1:, :-1], blocks[..., :-1, -1:])
-    _scan(maps[..., max(whole - 1, 0):])
+    d = 1
+    while 2 * d <= n:
+        ends = maps[:, 2 * d - 1::2 * d]
+        ends[:] = _matmul(ends, maps[:, d - 1::2 * d][:, :ends.shape[-1]])
+        d *= 2
+    while d > 1:
+        d //= 2
+        inner = maps[:, 3 * d - 1::2 * d]
+        inner[:] = _matmul(inner, maps[:, 2 * d - 1::2 * d][:, :inner.shape[-1]])
     return maps
 
 
@@ -441,31 +440,41 @@ class MagnusSolution:
         return u.reshape((2,) + times.shape), integral.reshape(times.shape)[()]
 
 
-def _levels_to_skip(ratios, estimate: float, peak: float, steps: int) -> int:
-    """Doublings to skip after a failed pair whose fine grid has ``steps``
-    steps, as the sixth-order error law predicts them to fail too; 0 for none.
+def _landing(counts: np.ndarray, ratios, estimate: float, peak: float):
+    """The coarse counts per segment of the next pair to propagate after a
+    failed pair whose fine grid has ``counts`` steps per segment, or None to
+    double as usual.
 
     ``ratios`` are the worst estimate-to-limit ratios of the pairs since the
-    last skip.  In the asymptotic range each doubling divides the ratio by 64
-    (2^6); when the last two ratios contracted by at least 32 (half of that),
-    the first pair predicted to pass is the j-th doubling from here, j =
-    ceil(log_c R) for the last ratio R and c = max(64, the observed
-    contraction): a pair that contracted faster than the law takes the
-    shorter leap, so that, should it keep contracting that fast, the skip
-    does not pass over the pair where plain doubling would stop.  Skipping
-    j - 1 levels saves propagations from j = 3 on.  No skip when the
-    predicted ``estimate`` there falls below the roundoff floor 256 eps
-    ``peak`` (a tolerance below roundoff is left to the stall rule) or when
-    the fine grid there would pass ``MAGNUS_MAX_STEPS``.
+    last landing.  In the asymptotic range each doubling divides the ratio by
+    64 (2^6); once the last two ratios contracted by at least 32 (half of
+    that), the law predicts the ratio R of the last pair to fall to
+    ``LANDING_TARGET`` on the pair (M, 2M), M = ceil(N (R / target)^(1/p))
+    per segment, with N the failed pair's coarse count and p = log2(min(64,
+    observed contraction)): a pair that contracted slower than the law takes
+    the finer grid.  That pair is taken when its 3 M steps cost less than the
+    route of whole doublings: j = ceil(log_c R) more levels at c = max(64,
+    observed contraction), propagated as the pair (2^(j-1), 2^j) times the
+    fine grid from j = 3 on, or one level at a time.  No pair is taken whose
+    predicted estimate falls below the roundoff floor 256 eps ``peak`` (a
+    tolerance below roundoff is left to the stall rule) or whose fine grid
+    would pass ``MAGNUS_MAX_STEPS``.
     """
-    if len(ratios) < 2 or ratios[-2] < 32.0 * ratios[-1]:
-        return 0
-    contraction = max(64.0, ratios[-2] / ratios[-1])
-    j = math.ceil(math.log(ratios[-1], contraction))
+    if len(ratios) < 2 or not 32.0 * ratios[-1] <= ratios[-2] < math.inf:
+        return None
+    ratio, contraction = ratios[-1], ratios[-2] / ratios[-1]
     floor = ROUNDOFF_FACTOR * np.finfo(float).eps * peak
-    if j < 3 or steps << j > MAGNUS_MAX_STEPS or estimate / contraction ** j < floor:
-        return 0
-    return j - 1
+    fine = int(counts.sum())
+    rate = max(64.0, contraction)
+    j = math.ceil(math.log(ratio, rate))
+    leap = j >= 3 and fine << j <= MAGNUS_MAX_STEPS and estimate / rate ** j >= floor
+    doublings = 3 * (fine << (j - 1)) if leap else (2 ** (j + 1) - 2) * fine
+    order = math.log2(min(64.0, contraction))
+    landed = np.ceil(counts // 2 * (ratio / LANDING_TARGET) ** (1.0 / order))
+    if (3.0 * landed.sum() < doublings and 2.0 * landed.sum() <= MAGNUS_MAX_STEPS
+            and estimate * LANDING_TARGET / ratio >= floor):
+        return landed.astype(int)
+    return counts << (j - 1) if leap else None
 
 
 def _refine(propagate, breakpoints, initial_step: float, rtol: float, atol: float):
@@ -478,13 +487,13 @@ def _refine(propagate, breakpoints, initial_step: float, rtol: float, atol: floa
     ``atol + rtol |X|`` for every entry X of every array at every node the
     two grids share; returns the finer grid, its arrays, the largest
     estimate and the step counts propagated, in order.  After a failed pair,
-    the doublings that the sixth-order error law predicts to fail as well are
-    skipped (``_levels_to_skip``): the next coarse grid is then the one the
-    law predicts to pass once doubled.  If that pair fails, doubling goes
-    on.  Raises ``ConvergenceError`` past ``MAGNUS_MAX_STEPS`` steps, or as
-    soon as two consecutive pairs each cut the estimate by less than half (in
-    the asymptotic range each doubling cuts it by about 64): the tolerance
-    then lies below the roundoff floor of the propagation.
+    the next pair may instead be the one the sixth-order error law predicts
+    to pass (``_landing``): its coarse grid is propagated afresh and then
+    doubled.  If that pair fails, doubling goes on.  Raises
+    ``ConvergenceError`` past ``MAGNUS_MAX_STEPS`` steps, or as soon as two
+    consecutive pairs each cut the estimate by less than half (in the
+    asymptotic range each doubling cuts it by about 64): the tolerance then
+    lies below the roundoff floor of the propagation.
     """
     breaks = np.asarray(breakpoints, dtype=float)
     counts = np.maximum(1, np.ceil(np.diff(breaks) / initial_step)).astype(int)
@@ -515,9 +524,9 @@ def _refine(propagate, breakpoints, initial_step: float, rtol: float, atol: floa
                 f"at {nodes.size - 1} steps"
             )
         ratios.append(max(ratio))
-        skip = _levels_to_skip(ratios, estimates[-1], max(peak), grids[-1])
-        if skip:
-            counts = counts << skip
+        landed = _landing(counts, ratios, estimates[-1], max(peak))
+        if landed is not None:
+            counts = landed
             values = propagate(_grid(breaks, counts))
             grids.append(int(counts.sum()))
             ratios = []

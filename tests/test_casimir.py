@@ -254,21 +254,41 @@ class TestSolveModes:
     def test_readme_sinusoid_step_count(self, samples):
         # the grid depends on the tolerances and the profile, not the samples
         s = CasimirScenario(1.5, 1.0, np.pi / 4, VelocityProfile.sinusoid(0.2, 2.0), 40.0)
-        assert solve_modes(s, samples, rtol=1e-11, atol=1e-13).steps == 1280
+        assert solve_modes(s, samples, rtol=1e-11, atol=1e-13).steps == 1100
 
     def test_resonant_step_count(self):
         # ROADMAP's W3 medium at T=600 (n ~ 3e5)
         s = CasimirScenario(1.5, 1.0, np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), 600.0)
-        assert solve_modes(s, 201, rtol=1e-11, atol=1e-13).steps == 38400
+        assert solve_modes(s, 201, rtol=1e-11, atol=1e-13).steps == 27212
 
     def test_resonant_grids_skip_the_doublings_the_error_law_rules_out(self):
-        # W3 at T=600: after the pair (1200, 2400) the estimate has fallen by
-        # about 64 per doubling, and the law puts the first passing pair at
-        # (19200, 38400), the grid plain doubling ends on
+        # W3 at T=600: after the pair (1200, 2400) the ratio of estimate to
+        # limit has fallen by about 57 per doubling, and the law puts it at
+        # 1/2 on the pair (13606, 27212), whose 40,818 steps cost less than
+        # the 57,600 of the doublings to (19200, 38400)
         s = CasimirScenario(1.5, 1.0, np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), 600.0)
         sol = solve_modes(s, 201, rtol=1e-11, atol=1e-13)
-        assert sol._propagator.grids == (600, 1200, 2400, 19200, 38400)
-        assert sol.steps == 38400
+        assert sol._propagator.grids == (600, 1200, 2400, 13606, 27212)
+        assert sol.steps == 27212
+
+    @pytest.mark.parametrize("theta, profile, t_end, rtol, grids", [
+        # W3: a landing pair would cost 5082 steps against these 4800
+        (np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), 100.0, 1e-11,
+         (100, 200, 400, 1600, 3200)),
+        # W3: the landing pair's predicted estimate lies below the roundoff
+        # floor after every pair
+        (np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), 200.0, 1e-13,
+         (200, 400, 800, 1600, 3200, 6400, 12800, 25600)),
+        # the README medium: below the floor after the second pair, and
+        # dearer than one doubling after the third
+        (np.pi / 4, VelocityProfile.sinusoid(0.2, 2.0), 200.0, 1e-11,
+         (400, 800, 1600, 3200, 6400)),
+    ])
+    def test_grids_of_whole_doublings_where_landing_gains_nothing(
+        self, theta, profile, t_end, rtol, grids
+    ):
+        s = CasimirScenario(1.5, 1.0, theta, profile, t_end)
+        assert solve_modes(s, 201, rtol=rtol, atol=1e-2 * rtol)._propagator.grids == grids
 
     @pytest.mark.parametrize("t_end, max_steps", [(20.0, 16384), (40.0, 32768)])
     def test_tolerance_below_roundoff_stops_early(self, monkeypatch, t_end, max_steps):
@@ -311,7 +331,7 @@ class TestSolveModes:
 
     def test_helicity_pairs_are_mirror_conjugates(self):
         # exactly, also past the first chunk of the prefix scan: W3 at T=600
-        # propagates 38,400 steps
+        # propagates 27,212 steps
         s = CasimirScenario(1.5, 1.0, np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), 600.0)
         sol = solve_modes(s, 201, rtol=1e-11, atol=1e-13)
         assert sol.steps > numerics.MAGNUS_CHUNK

@@ -683,9 +683,28 @@ class TestImportHygiene:
                             if any(m == h or m.startswith(h + ".") for h in heavy))
             assert not loaded, loaded
         """)
-        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-c", code], cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
-            capture_output=True, text=True, timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
+        run_python(code, tmp_path)
+
+    def test_fock_check_draws_without_numpy_random(self, tmp_path):
+        # the observables are drawn by stdlib random: a first fock-check op
+        # pays for no numpy.random import (11 modules, secrets and hmac)
+        code = textwrap.dedent("""
+            import sys
+            import rsfield.cli as cli
+            assert cli.main(["fock-check", "--out", "f"]) == 0
+            loaded = sorted(m for m in sys.modules
+                            if m in ("numpy.random", "secrets", "hmac")
+                            or m.startswith("numpy.random."))
+            assert not loaded, loaded
+        """)
+        run_python(code, tmp_path)
+
+
+def run_python(code, cwd):
+    """Run ``code`` in a fresh interpreter that imports rsfield from src/."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -4,6 +4,7 @@ import re
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rsfield import cli
@@ -37,3 +38,13 @@ def test_readme_gate_list_names_every_gate():
     run = CasimirScenario(1.5, 1.0, 0.7, VelocityProfile.constant(0.2), 1.0)
     cols = cli._casimir_columns(solve_modes(run, 5))
     assert listed == list(cli._gates(cols, 1.0))
+
+
+def test_readme_resonant_grids_are_the_solvers():
+    # the step counts the solver paragraph quotes for W3 at T=600 are the
+    # grids solve_modes propagates there, in order
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    quoted = re.search(r"resonant medium at T=600 the solver propagates ([\d, and]+?) steps", readme)
+    grids = tuple(int(n) for n in re.findall(r"\d+", quoted.group(1)))
+    s = CasimirScenario(1.5, 1.0, np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), 600.0)
+    assert grids == solve_modes(s, 201, rtol=1e-11, atol=1e-13)._propagator.grids
