@@ -84,7 +84,7 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatchError
 from .kinetics import open_generator_arrays
 from .numerics import DEFAULT_ATOL, DEFAULT_RTOL, MagnusSolution, solve_magnus
-from .symplectic import BogoliubovMap, assemble, symplectic_residuals
+from .symplectic import BogoliubovMap, symplectic_residuals
 
 PROFILE_KINDS = ("constant", "sinusoid", "smooth_pulse", "linear_ramp_windowed")
 
@@ -417,14 +417,20 @@ def solve_modes(
 
 
 def _casimir_matrices(sol: ModeSolution, index) -> np.ndarray:
-    """The 4x4 map matrices at sample ``index`` (an int, or a slice for a stack)."""
+    """The 4x4 map matrices at sample ``index`` (an int, or a slice for a stack),
+    ``symplectic.assemble(X_up, X_down)`` written into one zeroed stack: the
+    lower blocks are the upper ones conjugated, zeros included (0 - 0j)."""
     em = np.exp(-1j * sol.phi[index])
     ep = np.conj(em)
-    zero = np.zeros_like(em)
     f_rp, f_rm = sol.f_rp[index], sol.f_rm[index]
-    x_up = np.stack([em * f_rp, zero, zero, ep * f_rp], -1)
-    x_down = np.stack([zero, em * f_rm, ep * f_rm, zero], -1)
-    return assemble(x_up.reshape(em.shape + (2, 2)), x_down.reshape(em.shape + (2, 2)))
+    x = np.zeros(em.shape + (4, 4), dtype=complex)
+    x[..., 0, 0] = em * f_rp
+    x[..., 0, 3] = em * f_rm
+    x[..., 1, 1] = ep * f_rp
+    x[..., 1, 2] = ep * f_rm
+    np.conjugate(x[..., :2, 2:], out=x[..., 2:, :2])
+    np.conjugate(x[..., :2, :2], out=x[..., 2:, 2:])
+    return x
 
 
 def casimir_map(sol: ModeSolution, t_index: int) -> BogoliubovMap:

@@ -32,6 +32,7 @@ threshold failed (or the solver gave up), 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -626,6 +627,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first call of ``main`` and reused: a
+    parse leaves the parser as it was, and building one costs about 1 ms."""
+    return build_parser()
+
+
 def _resolve_out(args, cfg) -> Path:
     configured = cfg.get("out_dir") if isinstance(cfg, dict) else None
     if configured is not None and not isinstance(configured, str):
@@ -634,7 +642,7 @@ def _resolve_out(args, cfg) -> Path:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else None
         # flags override config keys before validation, so one check covers both

@@ -23,7 +23,8 @@ class ConvergenceError(RsfieldError):
 
 
 class NonFiniteStateError(RsfieldError):
-    """NaN or overflow encountered during integration."""
+    """NaN or overflow encountered during integration, or in a matrix family
+    whose generators are extracted."""
 
 
 class NotSymplecticError(RsfieldError):

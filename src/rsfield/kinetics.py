@@ -57,6 +57,7 @@ from .errors import (
     DerivativeUnavailableError,
     DimensionMismatchError,
     InvalidMomentsError,
+    NonFiniteStateError,
     NonHermitianError,
     NotClassicalClosedError,
     PhysicalityLostError,
@@ -78,7 +79,7 @@ HBAR = 1.0
 UNITARY_TOL = 1e-10
 PASSIVE_UNITARY_TOL = 1e-8  # |X_up X_up^dag - 1| of a family for extract_closed_generator
 ETA_SUM_TOL = 1e-10
-CONDITION_LIMIT = 1e12
+CONDITION_LIMIT = 1e12  # on kappa_1 = ||X||_1 ||X^-1||_1 of a matrix to invert
 DEFAULT_FD_STEP = 1e-6
 DRIFT_PSD_TOL = 1e-6
 
@@ -275,18 +276,42 @@ def integrate_kinetics(
     return out
 
 
-def _derivative(family, t, analytic, fd_step):
+def _finite(m, what):
+    """``m``, once every entry is checked finite: a NaN or an infinity in a
+    family would otherwise reach numpy's linear algebra or pass as NaN rates."""
+    if not np.all(np.isfinite(m)):
+        raise NonFiniteStateError(f"{what} has non-finite entries")
+    return m
+
+
+def _derivative(family, t, analytic, fd_step, what):
     if analytic is not None:
-        return np.atleast_2d(np.asarray(analytic(t), dtype=complex))
-    return np.atleast_2d(central_difference(lambda s: family(s), t, fd_step))
+        d = np.asarray(analytic(t), dtype=complex)
+    else:
+        d = central_difference(family, t, fd_step)
+    return _finite(np.atleast_2d(d), f"d{what}/dt")
+
+
+def _one_norms(x):
+    """The 1-norm ``max_j sum_i |x_ij|`` of each matrix of a stack ``(..., n, n)``."""
+    return np.abs(x).sum(axis=-2).max(axis=-1)
 
 
 def _checked_inverse(x, what):
-    """Inverse of a matrix or of each in a stack; one ill-conditioned matrix fails all."""
-    cond = np.max(np.linalg.cond(x))
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+    """Inverse of a matrix or of each in a stack; one ill-conditioned matrix fails all.
+
+    The condition number is kappa_1 = ||X||_1 ||X^-1||_1, read from the one
+    inverse that is returned, so no SVD is taken; it lies within a factor n
+    of kappa_2 for an n x n matrix and equals it for a 1 x 1 one.
+    """
+    try:
+        inverse = np.linalg.inv(_finite(x, what))
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError(f"{what} is singular") from None
+    cond = np.max(_one_norms(x) * _one_norms(inverse))
+    if not cond <= CONDITION_LIMIT:
         raise SingularMatrixError(f"{what} is numerically singular (cond={cond:.3e})")
-    return np.linalg.inv(x)
+    return inverse
 
 
 def extract_closed_generator(
@@ -301,13 +326,13 @@ def extract_closed_generator(
     ``PASSIVE_UNITARY_TOL``); the derivative is taken from ``dx_up`` when
     supplied, otherwise by central differences with step ``fd_step``.
     """
-    x = _as_matrix(x_up(t), "X_up")
+    x = _finite(_as_matrix(x_up(t), "X_up"), "X_up")
     n = x.shape[0]
     if max_abs(x @ x.conj().T - np.eye(n)) > PASSIVE_UNITARY_TOL:
         raise NotClassicalClosedError(
             "family is not passive: X_up is not unitary at the requested time"
         )
-    y = _derivative(x_up, t, dx_up, fd_step) @ _checked_inverse(x, "X_up")
+    y = _derivative(x_up, t, dx_up, fd_step, "X_up") @ _checked_inverse(x, "X_up")
     h = 0.5j * (y - y.conj().T) * HBAR
     return h
 
@@ -327,11 +352,11 @@ def extract_open_generators(
     ``psd_witnesses`` or ``validity_report``, never silently enforced.
     """
     xs = _as_matrix(x_up_s(t), "X_up_S")
-    xc = _as_matrix(x_down_c(t), "X_down_C")
+    xc = _finite(_as_matrix(x_down_c(t), "X_down_C"), "X_down_C")
     if xs.shape[0] != xc.shape[0]:
         raise DimensionMismatchError("X_up_S / X_down_C row counts differ")
-    dxs = _derivative(x_up_s, t, dx_up_s, fd_step)
-    dxc = _derivative(x_down_c, t, dx_down_c, fd_step)
+    dxs = _derivative(x_up_s, t, dx_up_s, fd_step, "X_up_S")
+    dxc = _derivative(x_down_c, t, dx_down_c, fd_step, "X_down_C")
     if dxs.shape != xs.shape or dxc.shape != xc.shape:
         raise DerivativeUnavailableError("derivative shape mismatch")
     h, gamma_up, gamma_down = open_generator_arrays(xs, xc, dxs, dxc)

@@ -271,6 +271,8 @@ def central_difference(
         raise DerivativeUnavailableError(
             f"cannot evaluate function at t={t} +/- {h}: {exc}"
         ) from exc
+    if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
+        raise NonFiniteStateError(f"non-finite function value at t={t} +/- {h}")
     return (fp - fm) / (2.0 * h)
 
 

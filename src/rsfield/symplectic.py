@@ -62,11 +62,16 @@ def roundoff_limit(scale, floor):
     return np.maximum(floor, ROUNDOFF_FACTOR * np.finfo(float).eps * scale)
 
 
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """The metric S = diag(1_N, -1_N)."""
+def _metric_diagonal(n_modes: int) -> np.ndarray:
+    """The diagonal (1_N, -1_N) of S, real."""
     s = np.ones(2 * n_modes)
     s[n_modes:] = -1.0
-    return np.diag(s).astype(complex)
+    return s
+
+
+def symplectic_form(n_modes: int) -> np.ndarray:
+    """The metric S = diag(1_N, -1_N)."""
+    return np.diag(_metric_diagonal(n_modes)).astype(complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,9 +188,16 @@ class BogoliubovMap:
 
 
 def symplectic_residuals(x: np.ndarray) -> np.ndarray:
-    """``max |X S X^dag - S|`` of each 2N x 2N matrix in a stack ``(..., 2N, 2N)``."""
-    s = symplectic_form(x.shape[-1] // 2)
-    return matrix_max(np.abs(x @ s @ np.swapaxes(x, -1, -2).conj() - s))
+    """``max |X S X^dag - S|`` of each 2N x 2N matrix in a stack ``(..., 2N, 2N)``.
+
+    X S only scales the columns of X by +-1, which is exact, so
+    ``(X * diag S) @ X^dag`` with diag S subtracted from its diagonal in place
+    gives the explicit residuals bit for bit with one matrix product, not two."""
+    s = _metric_diagonal(x.shape[-1] // 2)
+    r = (x * s) @ np.swapaxes(x, -1, -2).conj()
+    diagonal = np.arange(s.size)
+    r[..., diagonal, diagonal] -= s
+    return matrix_max(np.abs(r))
 
 
 def assemble(x_up: np.ndarray, x_down: np.ndarray) -> np.ndarray:

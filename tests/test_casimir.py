@@ -15,6 +15,7 @@ from rsfield.casimir import (
     casimir_generator_callback,
     casimir_generators_extracted,
     casimir_map,
+    casimir_maps,
     closed_form_generators,
     extracted_generators,
     growth_law_residual,
@@ -27,9 +28,12 @@ from rsfield.numerics import central_difference, is_psd, max_abs
 from rsfield.rsf import transform_open_vacuum_env, vacuum
 from rsfield.symplectic import (
     SYMPLECTIC_TOL,
+    assemble,
     is_classical_closed,
     is_classical_open,
     roundoff_limit,
+    symplectic_form,
+    symplectic_residuals,
 )
 
 
@@ -408,6 +412,51 @@ class TestCasimirMap:
         rf, _ = vacuum(1)
         out = transform_open_vacuum_env(rf, casimir_map(sol, 10))
         assert out.r[0, 0].real == pytest.approx(sol.density()[-1], abs=1e-12)
+
+
+# the README sinusoid and the resonant medium (W3) at T=600, n = 3.4e5
+MAP_STACKS = {
+    "readme": (sinusoid_scenario(t_end=40.0), 401),
+    "w3_t600": (sinusoid_scenario(theta=np.pi / 2, beta0=0.4, drive=0.98, t_end=600.0), 201),
+}
+
+
+@pytest.fixture(scope="module", params=list(MAP_STACKS))
+def map_stack_solution(request):
+    scenario, samples = MAP_STACKS[request.param]
+    return solve_modes(scenario, samples, rtol=1e-11, atol=1e-13)
+
+
+def assembled_matrices(sol, index):
+    """The map matrices through ``symplectic.assemble``, block by block."""
+    em = np.exp(-1j * sol.phi[index])
+    ep = np.conj(em)
+    zero = np.zeros_like(em)
+    f_rp, f_rm = sol.f_rp[index], sol.f_rm[index]
+    x_up = np.stack([em * f_rp, zero, zero, ep * f_rp], -1).reshape(em.shape + (2, 2))
+    x_down = np.stack([zero, em * f_rm, ep * f_rm, zero], -1).reshape(em.shape + (2, 2))
+    return assemble(x_up, x_down)
+
+
+class TestMapStack:
+    """The per-sample map stage equals its explicit formulas bit for bit."""
+
+    def test_matrices_are_the_assembled_blocks(self, map_stack_solution):
+        sol = map_stack_solution
+        for index in (slice(None), 0, len(sol.times) - 1):
+            x = casimir._casimir_matrices(sol, index)
+            expected = assembled_matrices(sol, index)
+            assert x.shape == expected.shape
+            # the parts, zeros included: the lower blocks' zeros are 0 - 0j
+            assert np.array_equal(x.view(float), expected.view(float))
+            assert np.array_equal(np.signbit(x.view(float)), np.signbit(expected.view(float)))
+
+    def test_residuals_are_the_explicit_product(self, map_stack_solution):
+        x, residuals = casimir_maps(map_stack_solution)
+        s = symplectic_form(2)
+        explicit = np.abs(x @ s @ np.swapaxes(x, -1, -2).conj() - s).max(axis=(-2, -1))
+        assert np.array_equal(residuals, explicit)
+        assert np.array_equal(symplectic_residuals(x[7]), explicit[7])
 
 
 class TestClosedFormGenerators:

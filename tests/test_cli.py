@@ -700,6 +700,76 @@ class TestImportHygiene:
         run_python(code, tmp_path)
 
 
+class TestParserReuse:
+    def test_one_process_matches_fresh_runs(self, tmp_path):
+        # main builds its parser once per process and reuses it: a sequence
+        # of calls in one process writes the CSVs of separate fresh runs, and
+        # no flag of one call (--rel-tol, a rejected argv) reaches the next
+        write_config(tmp_path / "c.json")
+        calls = [
+            ["casimir", "--config", "c.json", "--out", "{}/tight", "--rel-tol", "1e-9"],
+            ["casimir", "--config", "c.json", "--out", "{}/plain"],
+            ["casimir", "--config", "c.json", "--out", "{}/bad", "--cutoff", "3"],
+            ["fock-check", "--out", "{}/fock"],
+        ]
+        codes = [0, 0, 2, 0]
+        code = textwrap.dedent(f"""
+            import rsfield.cli as cli
+            built = []
+            build = cli.build_parser
+            cli.build_parser = lambda: built.append(1) or build()
+            codes = []
+            for argv in {calls!r}:
+                try:
+                    codes.append(cli.main([a.format("same") for a in argv]))
+                except SystemExit as exc:
+                    codes.append(exc.code)
+            assert codes == {codes!r}, codes
+            assert len(built) == 1, built
+        """)
+        run_python(code, tmp_path)
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        for argv, expected in zip(calls, codes):
+            result = subprocess.run(
+                [sys.executable, "-m", "rsfield.cli", *(a.format("fresh") for a in argv)],
+                cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+                capture_output=True, timeout=120,
+            )
+            assert result.returncode == expected, result.stderr
+        for out, name in (("tight", "casimir.csv"), ("plain", "casimir.csv"),
+                          ("fock", "fock_check.csv")):
+            same = (tmp_path / "same" / out / name).read_bytes()
+            assert same == (tmp_path / "fresh" / out / name).read_bytes(), out
+        assert not (tmp_path / "same" / "bad").exists()
+        tight, plain = ((tmp_path / "same" / d / "casimir.csv").read_bytes()
+                        for d in ("tight", "plain"))
+        assert tight != plain  # so a leaked --rel-tol would show
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+
+class TestNoSvd:
+    def test_casimir_runs_with_svd_unavailable(self, tmp_path, monkeypatch):
+        # the per-sample stage inverts and takes condition numbers without an
+        # SVD: a casimir run writes the same CSV with every SVD route raising
+        write_config(tmp_path / "c.json", t_end=20.0, samples=201)
+        argv = ["casimir", "--config", str(tmp_path / "c.json"), "--out"]
+        assert main(argv + [str(tmp_path / "plain")]) == 0
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD called in a casimir run")
+
+        monkeypatch.setattr(np.linalg, "cond", no_svd)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        # the function that numpy's cond and 2-norms call internally
+        internal = np.linalg._linalg if hasattr(np.linalg, "_linalg") else np.linalg.linalg
+        monkeypatch.setattr(internal, "svd", no_svd)
+        assert main(argv + [str(tmp_path / "guarded")]) == 0
+        assert ((tmp_path / "guarded" / "casimir.csv").read_bytes()
+                == (tmp_path / "plain" / "casimir.csv").read_bytes())
+
+
 def run_python(code, cwd):
     """Run ``code`` in a fresh interpreter that imports rsfield from src/."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

@@ -7,13 +7,16 @@ from conftest import dop853, haar_unitary, random_physical_fields
 from rsfield.errors import (
     DimensionMismatchError,
     InvalidMomentsError,
+    NonFiniteStateError,
     NonHermitianError,
     NotClassicalClosedError,
     PhysicalityLostError,
     SingularMatrixError,
 )
 from rsfield.kinetics import (
+    CONDITION_LIMIT,
     KineticGenerators,
+    _checked_inverse,
     extract_closed_generator,
     extract_open_generators,
     integrate_kinetics,
@@ -280,6 +283,16 @@ class TestExtractClosed:
         with pytest.raises(NotClassicalClosedError):
             extract_closed_generator(fam, 0.5)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_non_finite_family_rejected(self, value):
+        bad = lambda t: np.array([[1.0, 0.0], [0.0, value]], dtype=complex)
+        rotation = lambda t: np.diag(np.exp(-1j * np.array([1.0, 2.0]) * t))
+        for x_up, dx_up in ((bad, None), (rotation, bad)):
+            with pytest.raises(NonFiniteStateError):
+                extract_closed_generator(x_up, 0.3, dx_up=dx_up)
+        with pytest.raises(NonFiniteStateError):  # finite at t, not at t +/- h
+            extract_closed_generator(lambda t: rotation(t) if t == 0.3 else bad(t), 0.3)
+
     def test_closed_round_trip(self):
         # integrating with the extracted h reproduces r(t) = X r0 X^dag
         def fam(t):
@@ -404,6 +417,51 @@ class TestExtractOpen:
         xc = lambda t: np.zeros((1, 1), dtype=complex)
         with pytest.raises(SingularMatrixError):
             extract_open_generators(xs, xc, 0.0, fd_step=1e-6)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("where", ["x_up_s", "x_down_c", "dx_up_s", "dx_down_c"])
+    def test_non_finite_family_rejected(self, value, where):
+        # a NaN once escaped as numpy's "SVD did not converge", an infinity as
+        # a RuntimeWarning of the finite differences, and a NaN in X_down_C or
+        # a derivative as NaN rates
+        family = {
+            "x_up_s": lambda t: np.array([[np.cosh(t)]], dtype=complex),
+            "x_down_c": lambda t: np.array([[np.sinh(t)]], dtype=complex),
+            "dx_up_s": lambda t: np.array([[np.sinh(t)]], dtype=complex),
+            "dx_down_c": lambda t: np.array([[np.cosh(t)]], dtype=complex),
+        }
+        family[where] = lambda t: np.array([[value]], dtype=complex)
+        derivatives = {k: family[k] for k in ("dx_up_s", "dx_down_c")}
+        with pytest.raises(NonFiniteStateError):
+            extract_open_generators(family["x_up_s"], family["x_down_c"], 0.3, **derivatives)
+        if where.startswith("x"):  # and through the finite differences
+            with pytest.raises(NonFiniteStateError):
+                extract_open_generators(family["x_up_s"], family["x_down_c"], 0.3)
+
+
+class TestCheckedInverse:
+    @pytest.mark.parametrize("x", [
+        [[0.0]],
+        [[1.0, 2.0], [2.0, 4.0]],
+        [[[2.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]],  # one singular in a stack
+    ])
+    def test_exactly_singular_raises(self, x):
+        with pytest.raises(SingularMatrixError):
+            _checked_inverse(np.array(x, dtype=complex), "X")
+
+    def test_limit_is_on_kappa_1(self):
+        # kappa_1 = ||X||_1 ||X^-1||_1 = 1/d for diag(1, d)
+        with pytest.raises(SingularMatrixError):
+            _checked_inverse(np.diag([1.0, 1e-13]).astype(complex), "X")
+        with pytest.raises(SingularMatrixError):
+            _checked_inverse(np.diag([1.0, 0.5 / CONDITION_LIMIT]).astype(complex), "X")
+        x = np.diag([1.0, 2.0 / CONDITION_LIMIT]).astype(complex)
+        assert np.array_equal(_checked_inverse(x, "X"), np.linalg.inv(x))
+
+    def test_well_conditioned_stack_is_numpys_inverse(self, rng):
+        for n in (1, 2, 3):
+            x = rng.standard_normal((40, n, n)) + 1j * rng.standard_normal((40, n, n))
+            assert np.array_equal(_checked_inverse(x, "X"), np.linalg.inv(x))
 
 
 class TestValidityReport:

@@ -16,6 +16,7 @@ from rsfield.symplectic import (
     is_classical_open,
     roundoff_limit,
     symplectic_form,
+    symplectic_residuals,
 )
 
 
@@ -76,6 +77,15 @@ class TestVerifySymplectic:
         for _ in range(20):
             m = random_symplectic(4, rng)
             assert m.symplectic_residual() <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stack_residuals_are_the_explicit_product(self, rng, n):
+        # X S is X with its columns scaled by +-1, so the residuals of a stack
+        # are those of the explicit X S X^dag - S, bit for bit
+        x = np.stack([random_symplectic(n, rng, squeeze_scale=3.0).x for _ in range(30)])
+        s = symplectic_form(n)
+        explicit = np.abs(x @ s @ np.swapaxes(x, -1, -2).conj() - s).max(axis=(-2, -1))
+        assert np.array_equal(symplectic_residuals(x), explicit)
 
 
 class TestCompose:
