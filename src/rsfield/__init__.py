@@ -25,6 +25,7 @@ from .casimir import (
     casimir_maps,
     closed_form_generators,
     extracted_generators,
+    floquet_exponent,
     growth_law_residual,
     solve_modes,
 )

@@ -23,7 +23,10 @@ exactly.  ``solve_modes`` propagates U, stored as its first row
 (f_R+, conj(f_R-)), by sixth-order Magnus steps with the closed-form
 exponential (``numerics.solve_magnus``), so every step map lies in
 SU(1,1) to roundoff and the helicity symmetry holds by representation:
-``ModeSolution`` stores the right pair only.  The DOP853 reference route
+``ModeSolution`` stores the right pair only.  A sinusoid drive makes the
+equations periodic, and a run over two or more periods is composed from
+one (the Floquet route, ``numerics.solve_floquet``); ``floquet_exponent``
+reads the growth rate off its monodromy.  The DOP853 reference route
 of the tests, which propagates the left pair on its own, and the
 moving-medium Fock oracle of ROADMAP item 2 back the symmetry
 independently.  An extracted phase
@@ -81,9 +84,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError, ConvergenceError, DimensionMismatchError
 from .kinetics import open_generator_arrays
-from .numerics import DEFAULT_ATOL, DEFAULT_RTOL, MagnusSolution, solve_magnus
+from .numerics import (
+    DEFAULT_ATOL,
+    DEFAULT_RTOL,
+    FloquetSolution,
+    MagnusSolution,
+    solve_floquet,
+    solve_magnus,
+)
 from .symplectic import BogoliubovMap, symplectic_residuals
 
 PROFILE_KINDS = ("constant", "sinusoid", "smooth_pulse", "linear_ramp_windowed")
@@ -302,9 +312,10 @@ class ModeSolution:
     resolved sigma, ``medium.sigma``).  The left pair (``f_lp``, ``f_lm``)
     is the right pair's conjugate.  ``ccr_residual`` is the CCR residual per
     sample, computed from the current amplitudes and not checked here.
-    ``steps`` is the number of Magnus steps kept and ``error_estimate`` the
-    largest step-doubling estimate of their global error in any amplitude
-    or in phi.
+    ``steps`` is the number of Magnus steps kept (over one period, on the
+    Floquet route) and ``error_estimate`` the largest step-doubling estimate
+    of their global error in any amplitude or in phi (on the Floquet route,
+    of the composed values, roundoff included).
     """
 
     scenario: CasimirScenario
@@ -315,7 +326,7 @@ class ModeSolution:
     phi: np.ndarray
     steps: int = 0
     error_estimate: float = 0.0
-    _propagator: MagnusSolution | None = None
+    _propagator: MagnusSolution | FloquetSolution | None = None
 
     @property
     def f_lp(self) -> np.ndarray:
@@ -363,6 +374,30 @@ def _mode_generator(medium: MediumCoefficients):
     return generator
 
 
+def _period(p: VelocityProfile) -> float | None:
+    """The period 2 pi / drive_frequency of the mode equations and the phase
+    rate under a sinusoid (A(t), even in beta, has half of it), or None for a
+    profile that is not periodic."""
+    return 2.0 * math.pi / p.drive_frequency if p.kind == "sinusoid" else None
+
+
+def floquet_exponent(sol: ModeSolution) -> float | None:
+    """The Floquet exponent mu = acosh|Re u_M| / P of a periodic run, from its
+    monodromy M = U(P) = [[u_M, v_M], [conj(v_M), conj(u_M)]]: the photon
+    number grows as e^{2 mu t} inside a resonance zone, |Re u_M| > 1, and
+    mu = 0 outside one.  None for a profile that is not periodic or a run
+    shorter than one period."""
+    period = _period(sol.scenario.profile)
+    if period is None or period > sol.scenario.t_end:
+        return None
+    propagator = sol._propagator
+    # the Floquet route holds M itself, the direct route U(P)
+    u_m = (propagator.powers[0, 1] if isinstance(propagator, FloquetSolution)
+           else sol.at(period).f_rp)
+    half_trace = abs(float(u_m.real))
+    return math.acosh(half_trace) / period if half_trace > 1.0 else 0.0
+
+
 def _breakpoints(s: CasimirScenario) -> list:
     """0, t_end and the times inside the span where beta(t) is not smooth:
     the corners of a ramp and the end of a smooth pulse (beta'' jumps)."""
@@ -382,9 +417,34 @@ def solve_modes(
     ``samples`` is either an integer count (uniform grid including both
     ends) or an explicit ascending array of times within the span.
     ``rtol`` and ``atol`` bound the estimated global error of f_R+, f_R-
-    and phi (``numerics.solve_magnus``).  The conserved-quantity residuals
-    of the result are not checked here; see ``ModeSolution``.
+    and phi.  The conserved-quantity residuals of the result are not
+    checked here; see ``ModeSolution``.
+
+    A sinusoid whose span holds two or more whole periods P = 2 pi /
+    drive_frequency takes the Floquet route (``numerics.solve_floquet``):
+    the mode equations have period P, so one period is solved and every
+    sample and dense-output time composed from it and the powers of the
+    monodromy U(P), with the step-doubling estimate checked on the composed
+    values.  Any other run, and a sinusoid whose composed estimate cannot
+    meet the tolerance above roundoff, takes the direct route of
+    ``solve_modes_direct``.
     """
+    return _solve_modes(s, samples, rtol, atol, floquet=True)
+
+
+def solve_modes_direct(
+    s: CasimirScenario,
+    samples: int | Sequence[float] = 201,
+    rtol: float = DEFAULT_RTOL,
+    atol: float = DEFAULT_ATOL,
+) -> ModeSolution:
+    """``solve_modes`` by step doubling over the whole span
+    (``numerics.solve_magnus``), whatever the profile: the route of every
+    profile but the sinusoid, and the reference of the Floquet route."""
+    return _solve_modes(s, samples, rtol, atol, floquet=False)
+
+
+def _solve_modes(s, samples, rtol, atol, floquet: bool) -> ModeSolution:
     if np.ndim(samples) == 0:
         if not isinstance(samples, numbers.Integral) or samples < 2:
             raise ConfigError(f"need an integer count of at least 2 samples, got {samples!r}")
@@ -396,13 +456,21 @@ def solve_modes(
         if times[0] < 0.0 or times[-1] > s.t_end * (1 + 1e-12):
             raise ConfigError("sample times must lie within [0, t_end]")
     medium = s.medium()
+    generator = _mode_generator(medium)
     # the first grid takes about one step per radian of the faster of the
     # mode and the drive; step doubling refines it
-    propagator = solve_magnus(
-        _mode_generator(medium), _breakpoints(s),
-        1.0 / max(s.omega, s.profile.drive_frequency), rtol=rtol, atol=atol,
-    )
-    (f_rp, v), phi = propagator.at(times)
+    step = 1.0 / max(s.omega, s.profile.drive_frequency)
+    period = _period(s.profile)
+    propagator = None
+    if floquet and period is not None and s.t_end >= 2.0 * period:
+        try:
+            propagator, values = solve_floquet(generator, period, s.t_end, step, times, rtol, atol)
+        except ConvergenceError:
+            pass  # the tolerance lies below the composition's roundoff
+    if propagator is None:
+        propagator = solve_magnus(generator, _breakpoints(s), step, rtol=rtol, atol=atol)
+        values = propagator.at(times)
+    (f_rp, v), phi = values
     return ModeSolution(
         scenario=s,
         medium=medium,

@@ -51,6 +51,7 @@ from .casimir import (
     casimir_maps,
     closed_form_generators,
     extracted_generators,
+    floquet_exponent,
     growth_law_residual,
     solve_modes,
 )
@@ -339,6 +340,7 @@ def run_casimir(cfg: dict, out_dir: Path, csv_name: str = "casimir.csv") -> RunR
         ),
         "extraction_max_gamma_down": float(np.max(np.abs(cols["gamma_down_extracted"]))),
         "endpoint_velocity_mismatch": sol.endpoint_velocity_mismatch(),
+        "floquet_exponent": floquet_exponent(sol),
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / csv_name, {c: cols[c] for c in CSV_COLUMNS})

@@ -92,10 +92,13 @@ def _as_matrix(a, what: str) -> np.ndarray:
 
 
 def _require_hermitian_generators(**generators) -> None:
-    """Hermiticity of each named matrix, one or a stack, to 1e-9 (1 + its max entry)."""
+    """Hermiticity of each named matrix, one or a stack, to 1e-9 (1 + its max
+    entry); ``not residual <= limit`` also rejects a NaN, and an infinity,
+    whose residual inf - inf is NaN."""
     for name, m in generators.items():
-        residual = np.abs(m - np.swapaxes(m, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
-        if np.any(residual > 1e-9 * (1.0 + np.abs(m).max(axis=(-2, -1), initial=0.0))):
+        with np.errstate(invalid="ignore"):
+            residual = np.abs(m - np.swapaxes(m, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
+        if not np.all(residual <= 1e-9 * (1.0 + np.abs(m).max(axis=(-2, -1), initial=0.0))):
             raise NonHermitianError(f"{name} is not Hermitian")
 
 

@@ -27,6 +27,9 @@ by exponentials rather than by a general-purpose ODE solver:
   as its first row (u, v); the running products of the step maps are a
   work-efficient (up-sweep, down-sweep) prefix scan.  A scalar rate is
   integrated alongside by Gauss quadrature on the same nodes.
+* ``solve_floquet`` does the same for a periodic generator over many
+  periods from one: U(kP + r) = U(r) M^k with the monodromy M = U(P), the
+  powers M^k from the same prefix scan (``FloquetSolution``).
 * ``solve_linear`` propagates dy/dt = A y of any dimension (the kinetic
   equations): by one exact ``expm`` per interval when A is constant,
   and by the same sixth-order Magnus steps, exponentiated by ``expm``,
@@ -487,11 +490,12 @@ def _refine(propagate, breakpoints, initial_step: float, rtol: float, atol: floa
     Starting from steps of about ``initial_step``, the step count doubles
     until the Richardson estimate |X_2N - X_N| / 63 of the global error meets
     ``atol + rtol |X|`` for every entry X of every array at every node the
-    two grids share; returns the finer grid, its arrays, the largest
-    estimate and the step counts propagated, in order.  After a failed pair,
-    the next pair may instead be the one the sixth-order error law predicts
-    to pass (``_landing``): its coarse grid is propagated afresh and then
-    doubled.  If that pair fails, doubling goes on.  Raises
+    two grids share; returns the finer grid and its arrays, the coarser grid
+    and its arrays, the largest estimate and the step counts propagated, in
+    order.  After a failed pair, the next pair may instead be the one the
+    sixth-order error law predicts to pass (``_landing``): its coarse grid
+    is propagated afresh and then doubled.  If that pair fails, doubling
+    goes on.  Raises
     ``ConvergenceError`` past ``MAGNUS_MAX_STEPS`` steps, or as soon as two
     consecutive pairs each cut the estimate by less than half (in the
     asymptotic range each doubling cuts it by about 64): the tolerance then
@@ -499,7 +503,8 @@ def _refine(propagate, breakpoints, initial_step: float, rtol: float, atol: floa
     """
     breaks = np.asarray(breakpoints, dtype=float)
     counts = np.maximum(1, np.ceil(np.diff(breaks) / initial_step)).astype(int)
-    values = propagate(_grid(breaks, counts))
+    nodes = _grid(breaks, counts)
+    values = propagate(nodes)
     grids = [int(counts.sum())]
     estimates, ratios = [], []
     while True:
@@ -509,16 +514,16 @@ def _refine(propagate, breakpoints, initial_step: float, rtol: float, atol: floa
                 f"Magnus propagation not within rtol={rtol:g}, atol={atol:g} "
                 f"at {MAGNUS_MAX_STEPS} steps"
             )
-        coarse = values
+        coarse = nodes, values
         nodes = _grid(breaks, counts)
         values = propagate(nodes)
         grids.append(nodes.size - 1)
         worst, ok, ratio, peak = zip(
-            *(_doubling_error(f, c, rtol, atol) for f, c in zip(values, coarse))
+            *(_doubling_error(f, c, rtol, atol) for f, c in zip(values, coarse[1]))
         )
         estimates.append(max(worst))
         if all(ok):
-            return nodes, values, estimates[-1], tuple(grids)
+            return (nodes, values), coarse, estimates[-1], tuple(grids)
         if len(estimates) >= 3 and all(2.0 * b > a for a, b in zip(estimates[-3:], estimates[-2:])):
             raise ConvergenceError(
                 f"Magnus propagation stalled at the roundoff floor: error estimate "
@@ -529,8 +534,9 @@ def _refine(propagate, breakpoints, initial_step: float, rtol: float, atol: floa
         landed = _landing(counts, ratios, estimates[-1], max(peak))
         if landed is not None:
             counts = landed
-            values = propagate(_grid(breaks, counts))
-            grids.append(int(counts.sum()))
+            nodes = _grid(breaks, counts)
+            values = propagate(nodes)
+            grids.append(nodes.size - 1)
             ratios = []
 
 
@@ -554,11 +560,122 @@ def solve_magnus(
     error estimate of u, v and the integral meets ``atol + rtol |X|``
     (``_refine``); the finer solution is kept.
     """
+    return _magnus_pair(generator, breakpoints, initial_step, rtol, atol)[0]
+
+
+def _magnus_pair(generator, breakpoints, initial_step, rtol, atol):
+    """``solve_magnus``'s solution and the coarse solution of the step-doubling
+    pair it was accepted on, both as ``MagnusSolution``."""
     _check_tolerances(rtol, atol)
-    nodes, (u, integral), estimate, grids = _refine(
+    fine, coarse, estimate, grids = _refine(
         lambda grid: propagate_magnus(generator, grid), breakpoints, initial_step, rtol, atol
     )
-    return MagnusSolution(generator, nodes, u, integral, estimate, grids)
+    return tuple(MagnusSolution(generator, nodes, *values, estimate, grids)
+                 for nodes, values in (fine, coarse))
+
+
+class FloquetSolution:
+    """Dense output over [0, ``end``] of dU/dt = A(t) U, U(0) = I, for a
+    generator of period P, composed from ``period``, a ``MagnusSolution`` over
+    [0, P]: with the monodromy M = U(P),
+
+        U(k P + r) = U(r) M^k,    I(k P + r) = I(r) + k I(P)
+
+    for the rate integral I, at k = min(floor(t / P), K) (``periods``), K =
+    floor(end / P) the whole periods in the span, and r = t - k P clipped to
+    [0, P].  ``powers`` holds the rows of M^k for k = 0..K, the running
+    products of K copies of M (``_prefix_products``).  ``steps``, ``nodes``
+    and ``grids`` are the period's; ``solve_floquet`` sets
+    ``error_estimate``."""
+
+    def __init__(self, period: MagnusSolution, end: float):
+        self.period = period
+        self.nodes = period.nodes
+        self.end = float(end)
+        self.cycles = int(self.end // self.nodes[-1])
+        self.error_estimate = period.error_estimate
+        self.grids = period.grids
+        self.powers = np.empty((2, self.cycles + 1), dtype=complex)
+        self.powers[:, 0] = 1.0, 0.0
+        self.powers[:, 1:] = period.u[:, -1:]
+        _prefix_products(self.powers[:, 1:], self.powers[:, 0])
+
+    @property
+    def steps(self) -> int:
+        return self.period.steps
+
+    def periods(self, times: np.ndarray) -> np.ndarray:
+        """k = min(floor(t / P), K) at each of the ``times`` in the span."""
+        return np.minimum((times / self.nodes[-1]).astype(int), self.cycles)
+
+    def at(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """``(U, integral)`` at a time or an array of times in [0, ``end``], as
+        ``MagnusSolution.at``."""
+        times = _clip_to_span(t, 0.0, self.end)
+        k = self.periods(times)
+        length = self.nodes[-1]
+        u, integral = self.period.at(np.clip(times - k * length, 0.0, length))
+        return _matmul(u, self.powers[:, k]), integral + k * self.period.integral[-1]
+
+
+def solve_floquet(
+    generator,
+    period: float,
+    end: float,
+    initial_step: float,
+    times: np.ndarray,
+    rtol: float = DEFAULT_RTOL,
+    atol: float = DEFAULT_ATOL,
+) -> tuple[FloquetSolution, tuple[np.ndarray, np.ndarray]]:
+    """Propagate dU/dt = A(t) U, U(0) = I, and the rate integral over [0,
+    ``end``] for a generator of period ``period``, from one period: returns
+    the ``FloquetSolution`` and its ``at(times)`` at the ascending ``times``.
+
+    The error of M^k grows about linearly in k, so the period is solved
+    (``solve_magnus``) at rtol / K and atol / K first, K the whole periods in
+    the span, from steps of about ``initial_step`` / K^(1/6), the sixth-order
+    error law's step for a tolerance K times tighter.  Both solutions of its
+    accepted step-doubling pair are composed, into M^k for k = 0..K and into
+    U and the integral at ``times``.  The estimate of each composed entry X
+    of U is the larger of the step-doubling estimate |fine - coarse| / 63
+    and its roundoff, (k + 1) d |X| for the k + 1 factors of U(r) M^k, each
+    carrying the period's relative roundoff d, the largest CCR defect
+    ||u|^2 - |v|^2 - 1| / (|u|^2 + |v|^2) on the period's nodes; that of the
+    integral is its step-doubling estimate.  Every estimate must meet ``atol
+    + rtol |X|``.  Where only the step-doubling estimate misses, the period is
+    solved again, the same way, at tolerances tighter by twice the worst
+    ratio of estimate to limit; where the roundoff misses, no finer period
+    helps, and ``ConvergenceError`` is raised, as where a period solve
+    raises it.  ``error_estimate`` is the largest composed estimate and
+    ``grids`` the period's step counts over every solve, in order.
+    """
+    _check_tolerances(rtol, atol)
+    tighter, grids = float(end // period), ()
+    while True:
+        solution, coarse_solution = [FloquetSolution(sol, end) for sol in _magnus_pair(
+            generator, [0.0, period], initial_step / tighter ** (1.0 / 6.0),
+            rtol / tighter, atol / tighter,
+        )]
+        grids += solution.grids
+        fine, coarse = ((sol.powers, *sol.at(times)) for sol in (solution, coarse_solution))
+        u, v = np.abs(solution.period.u) ** 2
+        defect = float(np.max(np.abs(u - v - 1.0) / (u + v)))
+        factors = (np.arange(1, solution.cycles + 2), solution.periods(times) + 1)
+        roundoff = [k * defect * np.abs(x) for k, x in zip(factors, fine)] + [0.0]
+        limits = [atol + rtol * np.abs(x) for x in fine]
+        if not all(np.all(r <= limit) for r, limit in zip(roundoff, limits)):
+            raise ConvergenceError(
+                f"Floquet composition over {solution.cycles} periods not within "
+                f"rtol={rtol:g}, atol={atol:g}: roundoff {defect:.3g} per period"
+            )
+        estimates = [np.maximum(np.abs(f - c) / 63.0, r)
+                     for f, c, r in zip(fine, coarse, roundoff)]
+        ratio = max(float(np.max(e / limit)) for e, limit in zip(estimates, limits))
+        if ratio <= 1.0:
+            solution.error_estimate = max(float(np.max(e)) for e in estimates)
+            solution.grids = grids
+            return solution, fine[1:]
+        tighter *= 2.0 * ratio
 
 
 def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -618,7 +735,7 @@ def solve_linear(
     norm = float(np.abs(generator(times)).sum(axis=-2).max())
     if not math.isfinite(norm):
         raise NonFiniteStateError("non-finite generator at the sample times")
-    nodes, (y,), _, _ = _refine(
+    (nodes, (y,)), _, _, _ = _refine(
         lambda grid: (_propagate_linear(generator, grid, y0),),
         times, 1.0 / norm if norm > 0 else math.inf, rtol, atol,
     )

@@ -1,4 +1,6 @@
+import functools
 import json
+import math
 import re
 
 import numpy as np
@@ -18,8 +20,10 @@ from rsfield.casimir import (
     casimir_maps,
     closed_form_generators,
     extracted_generators,
+    floquet_exponent,
     growth_law_residual,
     solve_modes,
+    solve_modes_direct,
 )
 from rsfield.cli import EXTRACTION_LIMIT, GAMMA_DOWN_LIMIT, GROWTH_LIMIT
 from rsfield.errors import ConfigError, ConvergenceError, DimensionMismatchError
@@ -72,18 +76,22 @@ REFERENCE_CONFIGS = {
 }
 
 
-def assert_matches_reference(sol, rtol, atol, slack=2.0):
+def assert_matches_reference(sol, rtol, atol, slack=2.0, ref=None):
     """f, phi and n of ``sol`` within ``slack`` times the requested tolerance of
-    the reference route, entry by entry (the reference's own error is ~1e-13)."""
-    ref = reference_modes(sol.scenario, sol.times)
-    bounds = []
+    the reference route (``ref``, or ``reference_modes`` at its default
+    tolerances, whose own error is ~1e-13 relative), entry by entry; returns
+    the largest gap |sol - ref| over the amplitudes and phi."""
+    ref = reference_modes(sol.scenario, sol.times) if ref is None else ref
+    bounds, gap = [], 0.0
     for value, expected in zip((sol.f_rp, sol.f_rm, sol.f_lp, sol.f_lm, sol.phi), ref):
         bound = slack * (atol + rtol * np.abs(expected))
         assert np.all(np.abs(value - expected) <= bound)
         bounds.append(bound)
+        gap = max(gap, float(np.max(np.abs(value - expected))))
     # n = |f_R-|^2, so its error is bounded through that of f_R-
     n_ref = np.abs(ref[1]) ** 2
     assert np.all(np.abs(sol.density() - n_ref) <= bounds[1] * (2 * np.abs(ref[1]) + bounds[1]))
+    return gap
 
 
 PROFILE_CATALOG = [
@@ -256,14 +264,15 @@ class TestSolveModes:
 
     @pytest.mark.parametrize("samples", [2, 401, 1201])
     def test_readme_sinusoid_step_count(self, samples):
-        # the grid depends on the tolerances and the profile, not the samples
+        # the direct route's grid depends on the tolerances and the profile,
+        # not the samples
         s = CasimirScenario(1.5, 1.0, np.pi / 4, VelocityProfile.sinusoid(0.2, 2.0), 40.0)
-        assert solve_modes(s, samples, rtol=1e-11, atol=1e-13).steps == 1100
+        assert solve_modes_direct(s, samples, rtol=1e-11, atol=1e-13).steps == 1100
 
     def test_resonant_step_count(self):
-        # ROADMAP's W3 medium at T=600 (n ~ 3e5)
+        # ROADMAP's W3 medium at T=600 (n ~ 3e5), by the direct route
         s = CasimirScenario(1.5, 1.0, np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), 600.0)
-        assert solve_modes(s, 201, rtol=1e-11, atol=1e-13).steps == 27212
+        assert solve_modes_direct(s, 201, rtol=1e-11, atol=1e-13).steps == 27212
 
     def test_resonant_grids_skip_the_doublings_the_error_law_rules_out(self):
         # W3 at T=600: after the pair (1200, 2400) the ratio of estimate to
@@ -271,7 +280,7 @@ class TestSolveModes:
         # 1/2 on the pair (13606, 27212), whose 40,818 steps cost less than
         # the 57,600 of the doublings to (19200, 38400)
         s = CasimirScenario(1.5, 1.0, np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), 600.0)
-        sol = solve_modes(s, 201, rtol=1e-11, atol=1e-13)
+        sol = solve_modes_direct(s, 201, rtol=1e-11, atol=1e-13)
         assert sol._propagator.grids == (600, 1200, 2400, 13606, 27212)
         assert sol.steps == 27212
 
@@ -292,7 +301,8 @@ class TestSolveModes:
         self, theta, profile, t_end, rtol, grids
     ):
         s = CasimirScenario(1.5, 1.0, theta, profile, t_end)
-        assert solve_modes(s, 201, rtol=rtol, atol=1e-2 * rtol)._propagator.grids == grids
+        sol = solve_modes_direct(s, 201, rtol=rtol, atol=1e-2 * rtol)
+        assert sol._propagator.grids == grids
 
     @pytest.mark.parametrize("t_end, max_steps", [(20.0, 16384), (40.0, 32768)])
     def test_tolerance_below_roundoff_stops_early(self, monkeypatch, t_end, max_steps):
@@ -308,7 +318,7 @@ class TestSolveModes:
         monkeypatch.setattr(numerics, "propagate_magnus", counting)
         s = CasimirScenario(1.5, 1.0, np.pi / 4, VelocityProfile.sinusoid(0.2, 2.0), t_end)
         with pytest.raises(ConvergenceError, match=r"estimate .* rtol=1e-16, atol=1e-18 at \d+ steps"):
-            solve_modes(s, 21, rtol=1e-16, atol=1e-18)
+            solve_modes_direct(s, 21, rtol=1e-16, atol=1e-18)
         assert max(steps) <= max_steps
 
     def test_explicit_sample_times(self):
@@ -335,9 +345,9 @@ class TestSolveModes:
 
     def test_helicity_pairs_are_mirror_conjugates(self):
         # exactly, also past the first chunk of the prefix scan: W3 at T=600
-        # propagates 27,212 steps
+        # propagates 27,212 steps by the direct route
         s = CasimirScenario(1.5, 1.0, np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), 600.0)
-        sol = solve_modes(s, 201, rtol=1e-11, atol=1e-13)
+        sol = solve_modes_direct(s, 201, rtol=1e-11, atol=1e-13)
         assert sol.steps > numerics.MAGNUS_CHUNK
         assert np.array_equal(sol.f_lm, np.conj(sol.f_rp))
         assert np.array_equal(sol.f_lp, np.conj(sol.f_rm))
@@ -911,3 +921,196 @@ def test_invariants_and_reference_over_profiles(profile, refractive_index, theta
     assert np.max(np.abs(gamma_up - ext_up[:, 0, 0])) <= EXTRACTION_LIMIT * s.omega
     assert np.max(np.abs(ext_down)) <= GAMMA_DOWN_LIMIT * s.omega
     assert_matches_reference(sol, 1e-10, 1e-12)
+
+
+def w3_scenario(t_end):
+    """ROADMAP's resonant medium W3: theta = pi/2, beta0 = 0.4, drive 0.98."""
+    return sinusoid_scenario(theta=np.pi / 2, beta0=0.4, drive=0.98, t_end=t_end)
+
+
+def sample_times(s, samples):
+    return np.linspace(0.0, s.t_end, samples) if np.ndim(samples) == 0 else samples
+
+
+# sinusoids the Floquet route is checked on: (scenario, samples, rtol), at
+# atol = rtol / 100
+FLOQUET_CONFIGS = {
+    "readme_t200": (sinusoid_scenario(t_end=200.0), 201, 1e-11),
+    "w3_t600": (w3_scenario(600.0), 201, 1e-11),
+    "w3_t1000": (w3_scenario(1000.0), 201, 1e-11),
+    "theta_pi4_t400": (sinusoid_scenario(beta0=0.4, drive=0.98, t_end=400.0), 201, 1e-10),
+    # outside every resonance zone: |Re u_M| = 0.9996
+    "stable_zone": (sinusoid_scenario(theta=np.pi / 2, beta0=0.4, drive=1.5, t_end=300.0),
+                    201, 1e-11),
+    # K = 2, the fewest whole periods the route takes
+    "two_periods": (sinusoid_scenario(t_end=2.5 * np.pi), 201, 1e-11),
+    # T = 10 P, sampled at every kP
+    "whole_periods": (sinusoid_scenario(t_end=10 * np.pi), np.arange(11) * np.pi, 1e-11),
+}
+
+
+@functools.cache
+def floquet_reference(name):
+    """DOP853 at its tightest tolerance: at the default 1e-13 its own error on
+    W3 at T=600, 6e-10, would hide the Floquet route's (5e-11)."""
+    s, samples, _ = FLOQUET_CONFIGS[name]
+    return reference_modes(s, sample_times(s, samples), rtol=2.5e-14, atol=1e-17)
+
+
+class TestFloquetRoute:
+    @pytest.mark.parametrize("name", sorted(FLOQUET_CONFIGS))
+    def test_matches_dop853_reference(self, name):
+        s, samples, rtol = FLOQUET_CONFIGS[name]
+        sol = solve_modes(s, samples, rtol=rtol, atol=1e-2 * rtol)
+        assert isinstance(sol._propagator, numerics.FloquetSolution)
+        gap = assert_matches_reference(sol, rtol, 1e-2 * rtol, slack=1.0,
+                                       ref=floquet_reference(name))
+        # the composed estimate accounts for the error it reports
+        assert sol.error_estimate >= 0.5 * gap
+
+    @pytest.mark.parametrize("name, cycles", [("two_periods", 2), ("whole_periods", 10)])
+    def test_whole_periods_in_the_span(self, name, cycles):
+        s, samples, _ = FLOQUET_CONFIGS[name]
+        sol = solve_modes(s, samples, rtol=1e-11, atol=1e-13)
+        assert sol._propagator.cycles == cycles
+        if name == "whole_periods":  # the sample at kP is M^k itself
+            powers = sol._propagator.powers
+            assert np.array_equal(sol.f_rp[1:], powers[0, 1:])
+
+    @pytest.mark.parametrize("scenario, grids", [
+        (w3_scenario(600.0), (14, 28, 56, 112, 224, 448)),
+        (sinusoid_scenario(t_end=40.0), (10, 20, 40, 80, 160)),
+        (sinusoid_scenario(t_end=200.0), (13, 26, 52, 104, 208)),
+    ], ids=["w3_t600", "readme_t40", "readme_t200"])
+    def test_period_grids(self, scenario, grids):
+        # one period, from steps K^(1/6) shorter than the direct route's first
+        # grid; W3 at T=600 propagates 882 steps against the direct 45,018
+        sol = solve_modes(scenario, 201, rtol=1e-11, atol=1e-13)
+        assert sol._propagator.grids == grids
+        assert sol.steps == grids[-1]
+
+    def test_dense_output_matches_direct_route_across_period_ends(self):
+        # the growth-law stencil's points around every kP, on both sides
+        s = w3_scenario(600.0)
+        floquet = solve_modes(s, 201, rtol=1e-11, atol=1e-13)
+        direct = solve_modes_direct(s, 201, rtol=1e-11, atol=1e-13)
+        period, h = 2.0 * np.pi / 0.98, 5e-4 / 1.0
+        ends = period * np.arange(1, floquet._propagator.cycles + 1)
+        times = (ends[:, None] + h * np.arange(-2, 3)).ravel()
+        got, expected = floquet.at(times), direct.at(times)
+        for name in ("f_rp", "f_rm", "phi"):
+            x, y = getattr(got, name), getattr(expected, name)
+            assert np.all(np.abs(x - y) <= 2.0 * (1e-13 + 1e-11 * np.abs(y)))
+
+    @pytest.mark.parametrize("s", [
+        sinusoid_scenario(t_end=1.9 * np.pi),  # K = 1
+        ramp_scenario(),
+        CasimirScenario(1.5, 1.0, np.pi / 3, VelocityProfile.smooth_pulse(0.2, 10.0), 12.0),
+        CasimirScenario(1.5, 1.0, 0.6, VelocityProfile.constant(0.2), 10.0),
+    ], ids=["sinusoid_one_period", "ramp", "pulse", "constant"])
+    def test_other_runs_take_the_direct_route(self, s):
+        sol, direct = solve_modes(s, 21), solve_modes_direct(s, 21)
+        assert isinstance(sol._propagator, numerics.MagnusSolution)
+        assert sol._propagator.grids == direct._propagator.grids
+        for name in ("f_rp", "f_rm", "phi"):
+            assert np.array_equal(getattr(sol, name), getattr(direct, name))
+
+    def test_roundoff_past_the_tolerance_takes_the_direct_route(self):
+        # the README sinusoid over 63 periods: the period's CCR defect, about
+        # 4e-15, puts the roundoff of M^63 near 2.7e-13, past rtol 1e-13; the
+        # composed values do miss the direct route's by 1.2 tolerances there,
+        # while the step-doubling estimate alone reads 1e-15
+        s = sinusoid_scenario(t_end=200.0)
+        times = np.linspace(0.0, s.t_end, 201)
+        generator = casimir._mode_generator(s.medium())
+        with pytest.raises(ConvergenceError, match="roundoff"):
+            numerics.solve_floquet(generator, np.pi, s.t_end, 0.5, times, 1e-13, 1e-15)
+        sol = solve_modes(s, 201, rtol=1e-13, atol=1e-15)
+        direct = solve_modes_direct(s, 201, rtol=1e-13, atol=1e-15)
+        assert isinstance(sol._propagator, numerics.MagnusSolution)
+        assert np.array_equal(sol.f_rp, direct.f_rp)
+
+    def test_tolerance_below_roundoff_raises_the_direct_routes_error(self):
+        s = sinusoid_scenario(t_end=20.0)
+        with pytest.raises(ConvergenceError, match=r"estimate .* rtol=1e-16, atol=1e-18 at \d+ steps"):
+            solve_modes(s, 21, rtol=1e-16, atol=1e-18)
+
+    def test_missed_composed_estimate_solves_the_period_again(self, monkeypatch):
+        # a first period solve 1e4 times too loose misses on the composed
+        # values; the second, tighter one meets them
+        real_pair, tolerances = numerics._magnus_pair, []
+
+        def loose_first(generator, breakpoints, initial_step, rtol, atol):
+            tolerances.append(rtol)
+            scale = 1e4 if len(tolerances) == 1 else 1.0
+            return real_pair(generator, breakpoints, initial_step, scale * rtol, scale * atol)
+
+        monkeypatch.setattr(numerics, "_magnus_pair", loose_first)
+        sol = solve_modes(w3_scenario(600.0), 201, rtol=1e-11, atol=1e-13)
+        assert len(tolerances) == 2 and tolerances[1] < tolerances[0]
+        # grids lists both solves', the last one's at its end
+        grids, last = sol._propagator.grids, sol._propagator.period.grids
+        assert len(grids) > len(last) and grids[-len(last):] == last
+        assert_matches_reference(sol, 1e-11, 1e-13, slack=1.0, ref=floquet_reference("w3_t600"))
+
+
+class TestFloquetExponent:
+    def test_resonant_medium(self):
+        sol = solve_modes(w3_scenario(600.0), 201, rtol=1e-11, atol=1e-13)
+        assert sol.at(2.0 * np.pi / 0.98).f_rp.real == pytest.approx(1.0027865, abs=1e-7)
+        mu = floquet_exponent(sol)
+        assert mu == pytest.approx(0.011641, abs=5e-7)
+        # inside the zone n grows as e^(2 mu T) / 4: 2.9e5 against n(600) = 3.2e5
+        assert math.exp(2.0 * mu * 600.0) / 4.0 == pytest.approx(2.9e5, rel=0.01)
+        assert sol.density()[-1] == pytest.approx(3.2e5, rel=0.01)
+        direct = solve_modes_direct(w3_scenario(600.0), 201, rtol=1e-11, atol=1e-13)
+        assert floquet_exponent(direct) == pytest.approx(mu, rel=1e-9)
+
+    def test_stable_zone_is_zero(self):
+        # the README medium: |Re u_M| = 0.99965 < 1
+        sol = solve_modes(sinusoid_scenario(t_end=40.0), 201, rtol=1e-11, atol=1e-13)
+        assert sol.at(np.pi).f_rp.real == pytest.approx(-0.99965, abs=1e-5)
+        assert floquet_exponent(sol) == 0.0
+
+    @pytest.mark.parametrize("s", [
+        sinusoid_scenario(t_end=0.9 * np.pi),  # shorter than one period
+        ramp_scenario(),
+        CasimirScenario(1.5, 1.0, 0.6, VelocityProfile.constant(0.2), 10.0),
+    ], ids=["short", "ramp", "constant"])
+    def test_none_without_a_period(self, s):
+        assert floquet_exponent(solve_modes(s, 11)) is None
+
+
+def _verdicts(tmp_path, command, cfg, monkeypatch, solve):
+    """Whether a run with ``cli.solve_modes`` bound to ``solve`` passed (exit 0
+    or 1), the gates it violated (per point, for a sweep) and the files it
+    wrote."""
+    monkeypatch.setattr(cli, "solve_modes", solve)
+    out = tmp_path / solve.__name__
+    report = cli.RUNNERS[command](cli.parse_casimir_config(cfg), out)
+    gates = [re.findall(r"(\w+) \(value", failure) for failure in report.failures]
+    return report.ok, gates, sorted(p.name for p in out.iterdir())
+
+
+def _sinusoid_config(theta, beta0, drive, t_end, rel_tol=1e-11, **extra):
+    return {"refractive_index": 1.5, "omega": 1.0, "theta": theta, "t_end": t_end,
+            "profile": {"kind": "sinusoid", "beta0": beta0, "drive_frequency": drive},
+            "samples": 201, "rel_tol": rel_tol, "abs_tol": 1e-2 * rel_tol, **extra}
+
+
+class TestFloquetCliVerdicts:
+    @pytest.mark.parametrize("command, cfg", [
+        ("casimir", _sinusoid_config(np.pi / 2, 0.4, 0.98, 600.0)),
+        ("casimir", _sinusoid_config(np.pi / 2, 0.4, 0.98, 800.0, rel_tol=1e-8)),
+        # a hopeless tolerance fails the growth law on either route
+        ("casimir", _sinusoid_config(np.pi / 4, 0.5, 2.0, 50.0, rel_tol=1e-3, samples=11)),
+        ("extract", _sinusoid_config(np.pi / 2, 0.4, 0.98, 1000.0)),
+        ("extract", _sinusoid_config(np.pi / 4, 0.2, 2.0, 40.0)),
+        ("sweep", _sinusoid_config(np.pi / 4, 0.2, 2.0, 60.0, samples=61,
+                                   sweep={"drive_frequency": [0.98, 1.5, 2.0, 2.5]})),
+    ], ids=["w3_t600", "w3_t800_loose", "hopeless", "extract_w3_t1000", "extract_readme",
+            "sweep"])
+    def test_verdicts_match_the_direct_route(self, tmp_path, monkeypatch, command, cfg):
+        floquet = _verdicts(tmp_path, command, cfg, monkeypatch, solve_modes)
+        direct = _verdicts(tmp_path, command, cfg, monkeypatch, solve_modes_direct)
+        assert floquet == direct

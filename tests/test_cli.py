@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,7 +11,13 @@ import numpy as np
 import pytest
 
 from rsfield import cli, csvtext
-from rsfield.casimir import CasimirScenario, VelocityProfile, casimir_maps, solve_modes
+from rsfield.casimir import (
+    CasimirScenario,
+    VelocityProfile,
+    casimir_maps,
+    solve_modes,
+    solve_modes_direct,
+)
 from rsfield.cli import (
     load_config,
     main,
@@ -88,6 +95,7 @@ class TestRunCasimir:
         assert report.summary["final_photon_density"] <= 1e-12
         assert report.summary["classical_closed_final"] is True
         assert report.summary["classical_open_always"] is True
+        assert report.summary["floquet_exponent"] is None  # no period
 
     def test_sinusoid_run_produces_and_stays_open_classical(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
@@ -105,6 +113,8 @@ class TestRunCasimir:
         report = run_casimir(parse_casimir_config(cfg), tmp_path)
         assert report.ok
         cols = {name: c.tolist() for name, c in report.columns.items()}
+        period_end = solve_modes_direct(cli.build_scenario(parse_casimir_config(cfg)),
+                                        [0.0, np.pi], rtol=1e-11, atol=1e-13)
         max_rate = max(abs(r) for r in cols["_growth_rate"])
         again = {
             "final_photon_density": cols["n_density"][-1],
@@ -123,7 +133,10 @@ class TestRunCasimir:
             ),
             "extraction_max_gamma_down": max(abs(r) for r in cols["gamma_down_extracted"]),
             "endpoint_velocity_mismatch": abs(0.2 * np.sin(2.0 * cols["T"][-1])),
+            # from the direct route's U(P), P = pi: |Re u_M| = 0.99965 < 1
+            "floquet_exponent": math.acosh(max(1.0, abs(period_end.f_rp[-1].real))) / np.pi,
         }
+        assert report.summary["floquet_exponent"] == 0.0
         assert again.keys() == report.summary.keys()
         for key, value in report.summary.items():
             if isinstance(value, bool):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rsfield import cli
-from rsfield.casimir import CasimirScenario, VelocityProfile, solve_modes
+from rsfield.casimir import CasimirScenario, VelocityProfile, solve_modes, solve_modes_direct
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -40,11 +40,26 @@ def test_readme_gate_list_names_every_gate():
     assert listed == list(cli._gates(cols, 1.0))
 
 
-def test_readme_resonant_grids_are_the_solvers():
-    # the step counts the solver paragraph quotes for W3 at T=600 are the
-    # grids solve_modes propagates there, in order
+def _quoted_resonant_grids(route: str) -> tuple:
+    """The step counts the README quotes for W3 at T=600 on the named route."""
     readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
-    quoted = re.search(r"resonant medium at T=600 the solver propagates ([\d, and]+?) steps", readme)
-    grids = tuple(int(n) for n in re.findall(r"\d+", quoted.group(1)))
-    s = CasimirScenario(1.5, 1.0, np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), 600.0)
-    assert grids == solve_modes(s, 201, rtol=1e-11, atol=1e-13)._propagator.grids
+    quoted = re.search(
+        rf"resonant medium at T=600 the {route} route propagates ([\d, and]+?) steps", readme
+    )
+    return tuple(int(n) for n in re.findall(r"\d+", quoted.group(1)))
+
+
+W3_T600 = CasimirScenario(1.5, 1.0, np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), 600.0)
+
+
+def test_readme_resonant_grids_are_the_solvers():
+    # the step counts the solver paragraph quotes for the direct route are
+    # the grids solve_modes_direct propagates there, in order
+    grids = solve_modes_direct(W3_T600, 201, rtol=1e-11, atol=1e-13)._propagator.grids
+    assert _quoted_resonant_grids("direct") == grids
+
+
+def test_readme_floquet_grids_are_the_solvers():
+    # and those it quotes for the Floquet route are solve_modes's period grids
+    grids = solve_modes(W3_T600, 201, rtol=1e-11, atol=1e-13)._propagator.grids
+    assert _quoted_resonant_grids("Floquet") == grids

@@ -76,6 +76,15 @@ class TestGeneratorValidation:
                 gamma_down=np.zeros((2, 2)),
             )
 
+    @pytest.mark.parametrize("field", ["h", "gamma_up", "gamma_down"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_generator(self, field, value):
+        # a NaN residual once compared false with its limit and passed
+        gens = {"h": [[0.0]], "zeta": [0.0], "gamma_up": [[0.0]], "gamma_down": [[0.0]]}
+        gens[field] = np.array([[value]])
+        with pytest.raises(NonHermitianError, match=field):
+            KineticGenerators(**gens)
+
     def test_rejects_non_unitary_scatterer(self):
         with pytest.raises(InvalidMomentsError):
             KineticGenerators(
@@ -159,6 +168,20 @@ class TestKineticRhs:
 
 
 class TestIntegrateKinetics:
+    @pytest.mark.parametrize("field", [0, 2, 3])
+    def test_callable_rejects_non_finite_generator(self, field):
+        # the callable path checks each node's stacks with the constructor's test
+        rf, _ = vacuum(1)
+
+        def gen(t):
+            stacks = [np.zeros(t.shape + (1, 1)), np.zeros(t.shape + (1,)),
+                      np.full(t.shape + (1, 1), 0.5), np.zeros(t.shape + (1, 1))]
+            stacks[field] = np.where(t[:, None, None] > 0.5, np.nan, stacks[field])
+            return stacks
+
+        with pytest.raises(NonHermitianError):
+            integrate_kinetics(rf, gen, (0.0, 1.0), [1.0])
+
     def test_zero_generators_constant(self):
         rf = ReducedField(np.array([[0.5]], dtype=complex), np.array([0.2 + 0.1j]))
         snaps = integrate_kinetics(rf, KineticGenerators.zeros(1), (0.0, 2.0), [0.0, 1.0, 2.0])
