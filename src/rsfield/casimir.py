@@ -312,8 +312,9 @@ class ModeSolution:
     resolved sigma, ``medium.sigma``).  The left pair (``f_lp``, ``f_lm``)
     is the right pair's conjugate.  ``ccr_residual`` is the CCR residual per
     sample, computed from the current amplitudes and not checked here.
-    ``steps`` is the number of Magnus steps kept (over one period, on the
-    Floquet route) and ``error_estimate`` the largest step-doubling estimate
+    ``route`` names the route that solved it (``solve_modes``), ``steps``
+    is the number of Magnus steps kept (over one period, on the Floquet
+    route) and ``error_estimate`` the largest step-doubling estimate
     of their global error in any amplitude or in phi (on the Floquet route,
     of the composed values, roundoff included).
     """
@@ -327,6 +328,12 @@ class ModeSolution:
     steps: int = 0
     error_estimate: float = 0.0
     _propagator: MagnusSolution | FloquetSolution | None = None
+
+    @property
+    def route(self) -> str:
+        """The route that solved the run: "floquet" where it was composed from
+        one period, else "direct"."""
+        return "floquet" if isinstance(self._propagator, FloquetSolution) else "direct"
 
     @property
     def f_lp(self) -> np.ndarray:
@@ -390,10 +397,8 @@ def floquet_exponent(sol: ModeSolution) -> float | None:
     period = _period(sol.scenario.profile)
     if period is None or period > sol.scenario.t_end:
         return None
-    propagator = sol._propagator
     # the Floquet route holds M itself, the direct route U(P)
-    u_m = (propagator.powers[0, 1] if isinstance(propagator, FloquetSolution)
-           else sol.at(period).f_rp)
+    u_m = sol._propagator.powers[0, 1] if sol.route == "floquet" else sol.at(period).f_rp
     half_trace = abs(float(u_m.real))
     return math.acosh(half_trace) / period if half_trace > 1.0 else 0.0
 
@@ -458,7 +463,8 @@ def _solve_modes(s, samples, rtol, atol, floquet: bool) -> ModeSolution:
     medium = s.medium()
     generator = _mode_generator(medium)
     # the first grid takes about one step per radian of the faster of the
-    # mode and the drive; step doubling refines it
+    # mode and the drive (doubled up to numerics.FIRST_GRID_STEPS steps);
+    # step doubling refines it
     step = 1.0 / max(s.omega, s.profile.drive_frequency)
     period = _period(s.profile)
     propagator = None

@@ -341,6 +341,8 @@ def run_casimir(cfg: dict, out_dir: Path, csv_name: str = "casimir.csv") -> RunR
         "extraction_max_gamma_down": float(np.max(np.abs(cols["gamma_down_extracted"]))),
         "endpoint_velocity_mismatch": sol.endpoint_velocity_mismatch(),
         "floquet_exponent": floquet_exponent(sol),
+        "route": sol.route,
+        "steps": sol.steps,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / csv_name, {c: cols[c] for c in CSV_COLUMNS})
@@ -489,6 +491,30 @@ FOCK_THRESHOLDS = {
 }
 
 
+def _observables_deviation(state: FockState, rf, seed: int) -> float:
+    """The largest |tr(r o) - <psi| sum_kk' o_kk' a_k^dag a_k' |psi>| over 20
+    random Hermitian 2x2 observables o, r from ``rf``.  The brute-force side
+    takes the four moments <psi| a_k^dag a_k' psi> by raising the lowered
+    states (``apply_ladder``) and overlapping them with psi, not from the
+    Gram matrix of lowered states that ``measure_rsf`` builds r from."""
+    psi = state.amplitudes.ravel()
+    lowered = [apply_ladder(state, k, "lower") for k in range(2)]
+    moments = np.array([
+        [np.vdot(psi, apply_ladder(lowered[kp], k, "raise").amplitudes.ravel())
+         for kp in range(2)]
+        for k in range(2)
+    ])
+    # 20 complex 2x2 matrices of standard normal parts from stdlib ``random``:
+    # importing ``numpy.random`` would cost more than the draws
+    rng = random.Random(seed)
+    draws = np.array([rng.gauss(0.0, 1.0) for _ in range(160)]).view(complex)
+    dev = 0.0
+    for z in draws.reshape(20, 2, 2):
+        o = 0.5 * (z + z.conj().T)
+        dev = max(dev, float(abs(expect_additive(rf, o) - np.sum(o * moments).real)))
+    return dev
+
+
 def run_fock_check(cfg: dict | None, out_dir: Path) -> RunReport:
     cfg = _require_keys({} if cfg is None else cfg, FOCK_KEYS, "config")
     checks = cfg["checks"]
@@ -523,25 +549,7 @@ def run_fock_check(cfg: dict | None, out_dir: Path) -> RunReport:
     if "squeeze" in checks:
         deviation["squeeze"] = oracle_deviation(m, vac, state)
     if "observables" in checks:
-        rf, _ = measure_rsf(state)
-        lowered = [
-            apply_ladder(state, 0, "lower").amplitudes.ravel(),
-            apply_ladder(state, 1, "lower").amplitudes.ravel(),
-        ]
-        # 20 complex 2x2 matrices of standard normal parts from stdlib
-        # ``random``: importing ``numpy.random`` would cost more than the draws
-        rng = random.Random(seed)
-        draws = np.array([rng.gauss(0.0, 1.0) for _ in range(160)]).view(complex)
-        dev = 0.0
-        for z in draws.reshape(20, 2, 2):
-            o = 0.5 * (z + z.conj().T)
-            direct = sum(
-                o[k, kp] * np.vdot(lowered[k], lowered[kp])
-                for k in range(2)
-                for kp in range(2)
-            ).real
-            dev = max(dev, float(abs(expect_additive(rf, o) - direct)))
-        deviation["observables"] = dev
+        deviation["observables"] = _observables_deviation(state, measure_rsf(state)[0], seed)
 
     checks = list(deviation)
     columns = {

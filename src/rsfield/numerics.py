@@ -36,16 +36,20 @@ by exponentials rather than by a general-purpose ODE solver:
   when A depends on time.
 
 Both Magnus solvers control the error by step doubling on a grid that
-is uniform between breakpoints (``_refine``).  Once two consecutive pairs
-of grids show the estimate, relative to its limit, falling at the method's
-rate (by at least 32 per doubling, where the sixth-order law gives 64),
-the solver lands on the step count the law predicts: it propagates next
-the pair (M, 2M) predicted to bring that ratio to ``LANDING_TARGET``,
-when that costs fewer steps than the doublings to the first power-of-two
-pair predicted to pass, and doubles on from there if that pair fails.  No
-landing goes below the roundoff floor (256 eps times the largest entry)
-or past ``MAGNUS_MAX_STEPS``, and the acceptance test is the same either
-way.
+is uniform between breakpoints (``_refine``).  ``solve_magnus`` and the
+period of ``solve_floquet`` start on the first grid of the ladder
+N0 2^j, N0 their first grid, that holds at least ``FIRST_GRID_STEPS``
+steps: below it a level costs little more than its fixed overhead.  ``solve_linear``,
+whose every step is a dense ``expm``, starts on its first grid.  Once two
+consecutive pairs of grids show the estimate, relative to its limit,
+falling at the method's rate (by at least 32 per doubling, where the
+sixth-order law gives 64), the solver lands on the step count the law
+predicts: it propagates next the pair (M, 2M) predicted to bring that
+ratio to ``LANDING_TARGET``, when that costs fewer steps than the
+doublings to the first power-of-two pair predicted to pass, and doubles
+on from there if that pair fails.  No landing goes below the roundoff
+floor (256 eps times the largest entry) or past ``MAGNUS_MAX_STEPS``, and
+the acceptance test is the same either way.
 
 All quantities are dimensionless or expressed in natural units
 (hbar = c = 1); matrices and vectors are plain complex numpy arrays.
@@ -82,6 +86,16 @@ GAUSS_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 # 8192 and 16384 (2-vCPU Xeon, numpy 2.4.6, 11 runs each)
 MAGNUS_CHUNK = 4096
 MAGNUS_MAX_STEPS = 2 ** 20
+# fewest steps of the first grid the Magnus solvers propagate (``_refine``'s
+# ``first_steps``).  A level of N steps costs about c0 + c1 N: one period of
+# W3 propagated in 233 us at 28 steps and 361 us at 448 (10th percentiles of
+# 300 runs, 2-vCPU Xeon, numpy 2.4.6), and each level adds 55-70 us of
+# ``_doubling_error`` and ``_landing``, so c0 ~ 0.28 ms and c1 ~ 0.3 us per
+# step.  The first grid propagated holds fewer than 2F steps, so a run
+# whose first pair would have passed below F pays at most 6 F c1; F is the
+# largest power of two with 6 F c1 <= c0, one level's fixed cost, which is
+# also what each level skipped saves
+FIRST_GRID_STEPS = 128
 # estimate-to-limit ratio a landed pair aims at (``_landing``): the 22 pairs
 # landed on by W3 at T=50-1000 and five other configs, each at rtol 1e-8,
 # 1e-11 and 1e-13, read 0.33-0.50, and every one passed
@@ -482,13 +496,15 @@ def _landing(counts: np.ndarray, ratios, estimate: float, peak: float):
     return counts << (j - 1) if leap else None
 
 
-def _refine(propagate, breakpoints, initial_step: float, rtol: float, atol: float):
+def _refine(propagate, breakpoints, initial_step: float, rtol: float, atol: float,
+            first_steps: int = 1):
     """Step doubling shared by the Magnus solvers.  ``propagate(nodes)``
     returns a tuple of arrays whose last axis runs over the nodes; the grid
     is uniform between ``breakpoints`` (ascending; each one is a node).
 
-    Starting from steps of about ``initial_step``, the step count doubles
-    until the Richardson estimate |X_2N - X_N| / 63 of the global error meets
+    Starting from steps of about ``initial_step``, doubled until the grid
+    holds at least ``first_steps`` steps, the step count doubles until the
+    Richardson estimate |X_2N - X_N| / 63 of the global error meets
     ``atol + rtol |X|`` for every entry X of every array at every node the
     two grids share; returns the finer grid and its arrays, the coarser grid
     and its arrays, the largest estimate and the step counts propagated, in
@@ -503,6 +519,8 @@ def _refine(propagate, breakpoints, initial_step: float, rtol: float, atol: floa
     """
     breaks = np.asarray(breakpoints, dtype=float)
     counts = np.maximum(1, np.ceil(np.diff(breaks) / initial_step)).astype(int)
+    while counts.sum() < first_steps:
+        counts = 2 * counts
     nodes = _grid(breaks, counts)
     values = propagate(nodes)
     grids = [int(counts.sum())]
@@ -556,9 +574,10 @@ def solve_magnus(
     of ``breakpoints`` (ascending; each one is a node, and the nodes are
     uniform between them), and integrate the generator's rate alongside.
 
-    The step count doubles from steps of about ``initial_step`` until the
-    error estimate of u, v and the integral meets ``atol + rtol |X|``
-    (``_refine``); the finer solution is kept.
+    The step count doubles from steps of about ``initial_step``, or from
+    the first of their doublings that holds ``FIRST_GRID_STEPS`` steps,
+    until the error estimate of u, v and the integral meets ``atol + rtol
+    |X|`` (``_refine``); the finer solution is kept.
     """
     return _magnus_pair(generator, breakpoints, initial_step, rtol, atol)[0]
 
@@ -568,7 +587,8 @@ def _magnus_pair(generator, breakpoints, initial_step, rtol, atol):
     pair it was accepted on, both as ``MagnusSolution``."""
     _check_tolerances(rtol, atol)
     fine, coarse, estimate, grids = _refine(
-        lambda grid: propagate_magnus(generator, grid), breakpoints, initial_step, rtol, atol
+        lambda grid: propagate_magnus(generator, grid), breakpoints, initial_step, rtol, atol,
+        FIRST_GRID_STEPS,
     )
     return tuple(MagnusSolution(generator, nodes, *values, estimate, grids)
                  for nodes, values in (fine, coarse))

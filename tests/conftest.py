@@ -1,6 +1,8 @@
 """Shared helpers: reproducible random states and symplectic maps, and
 scipy's DOP853 as the reference route for the package's integrators."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -64,22 +66,55 @@ def dop853(rhs, y0, t_span, times, rtol=1e-13, atol=1e-15):
     return res.sol(np.asarray(times, dtype=float)).T
 
 
+def _beta(p, t: float) -> float:
+    """beta(t) of a ``VelocityProfile`` by its docstring's formulas, in
+    ``math`` scalars."""
+    if p.kind == "constant":
+        return p.beta0
+    if p.kind == "sinusoid":
+        return p.beta0 * math.sin(p.drive_frequency * t)
+    if p.kind == "smooth_pulse":
+        return p.beta0 * math.sin(math.pi * t / p.duration) ** 2 if 0.0 < t < p.duration else 0.0
+    ramp, hold = p.ramp_time, p.hold_time
+    if t <= 0.0 or t >= 2.0 * ramp + hold:
+        return 0.0
+    return p.beta0 * min(t / ramp, 1.0, (2.0 * ramp + hold - t) / ramp)
+
+
 def reference_modes(s, times, rtol=1e-13, atol=1e-15):
     """(f_R+, f_R-, f_L+, f_L-, phi) at ``times`` from scipy's adaptive DOP853
     on the mode equations as a 5-component ODE, independent of the Magnus
-    propagator of ``solve_modes``; each entry is an array over ``times``.
-    The integration restarts at every corner of beta(t), where an adaptive
-    step across the corner would lose the tolerance."""
-    medium, omega = s.medium(), s.omega
+    propagator of ``solve_modes`` and of the package's coefficient code: delta,
+    alpha, Delta, eta_pm, sigma = "auto" and the phase rate come from the
+    formulas of the ``casimir`` docstring, in ``math`` scalars.  Each entry
+    is an array over ``times``.  The integration restarts at every corner
+    of beta(t), where an adaptive step across the corner would lose the
+    tolerance."""
+    omega, n2, cos2 = s.omega, s.refractive_index ** 2, math.cos(s.theta) ** 2
+
+    def coefficients(beta):
+        delta = (n2 - 1.0) / (n2 - beta * beta)
+        return delta, 1.0 - delta * beta * beta, 1.0 - delta * beta * beta * cos2
+
+    if s.sigma == "auto":
+        _, alpha, big_delta = coefficients(_beta(s.profile, 0.0))
+        s2 = math.sqrt(alpha / big_delta)
+    else:
+        s2 = s.sigma ** 2
+    phase = omega * math.cos(s.theta)
 
     def rhs(t, y):
-        m = medium.at(t)
+        beta = _beta(s.profile, t)
+        delta, alpha, big_delta = coefficients(beta)
+        plus = -1j * omega * 0.5 * (alpha / s2 + s2 * big_delta)
+        minus = -1j * omega * 0.5 * (alpha / s2 - s2 * big_delta)
+        f_rp, f_rm, f_lp, f_lm, _ = y.tolist()
         return np.array([
-            -1j * omega * (m.eta_plus * y[0] - m.eta_minus * y[1]),
-            1j * omega * (m.eta_plus * y[1] - m.eta_minus * y[0]),
-            -1j * omega * (m.eta_plus * y[2] - m.eta_minus * y[3]),
-            1j * omega * (m.eta_plus * y[3] - m.eta_minus * y[2]),
-            m.phase_rate,
+            plus * f_rp - minus * f_rm,
+            minus * f_rp - plus * f_rm,
+            plus * f_lp - minus * f_lm,
+            minus * f_lp - plus * f_lm,
+            phase * delta * beta,
         ])
 
     times = np.asarray(times, dtype=float)

@@ -253,7 +253,9 @@ class TestSolveModes:
         assert_matches_reference(sol, 1e-3, 1e-6, slack=1.0)
 
     def test_exposes_steps_and_error_estimate(self):
-        s = sinusoid_scenario(t_end=10.0)
+        # a period that takes more than one pair at the tighter tolerance: the
+        # first pair holds at least numerics.FIRST_GRID_STEPS steps
+        s = sinusoid_scenario(omega=5.0, t_end=40.0)
         sol = solve_modes(s, 11, rtol=1e-10, atol=1e-12)
         assert sol.steps >= 10
         peak = max(np.max(np.abs(sol.f_rp)), np.max(np.abs(sol.f_rm)), np.max(np.abs(sol.phi)))
@@ -267,7 +269,7 @@ class TestSolveModes:
         # the direct route's grid depends on the tolerances and the profile,
         # not the samples
         s = CasimirScenario(1.5, 1.0, np.pi / 4, VelocityProfile.sinusoid(0.2, 2.0), 40.0)
-        assert solve_modes_direct(s, samples, rtol=1e-11, atol=1e-13).steps == 1100
+        assert solve_modes_direct(s, samples, rtol=1e-11, atol=1e-13).steps == 1280
 
     def test_resonant_step_count(self):
         # ROADMAP's W3 medium at T=600 (n ~ 3e5), by the direct route
@@ -285,9 +287,10 @@ class TestSolveModes:
         assert sol.steps == 27212
 
     @pytest.mark.parametrize("theta, profile, t_end, rtol, grids", [
-        # W3: a landing pair would cost 5082 steps against these 4800
+        # W3: after the pair (400, 800) a landing pair would cost 4887 steps
+        # against the 4800 of the doublings to (1600, 3200)
         (np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), 100.0, 1e-11,
-         (100, 200, 400, 1600, 3200)),
+         (200, 400, 800, 1600, 3200)),
         # W3: the landing pair's predicted estimate lies below the roundoff
         # floor after every pair
         (np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), 200.0, 1e-13,
@@ -978,13 +981,14 @@ class TestFloquetRoute:
             assert np.array_equal(sol.f_rp[1:], powers[0, 1:])
 
     @pytest.mark.parametrize("scenario, grids", [
-        (w3_scenario(600.0), (14, 28, 56, 112, 224, 448)),
-        (sinusoid_scenario(t_end=40.0), (10, 20, 40, 80, 160)),
-        (sinusoid_scenario(t_end=200.0), (13, 26, 52, 104, 208)),
+        (w3_scenario(600.0), (224, 448)),
+        (sinusoid_scenario(t_end=40.0), (160, 320)),
+        (sinusoid_scenario(t_end=200.0), (208, 416)),
     ], ids=["w3_t600", "readme_t40", "readme_t200"])
     def test_period_grids(self, scenario, grids):
         # one period, from steps K^(1/6) shorter than the direct route's first
-        # grid; W3 at T=600 propagates 882 steps against the direct 45,018
+        # grid, doubled up to numerics.FIRST_GRID_STEPS; W3 at T=600 propagates
+        # 672 steps against the direct 45,018
         sol = solve_modes(scenario, 201, rtol=1e-11, atol=1e-13)
         assert sol._propagator.grids == grids
         assert sol.steps == grids[-1]
@@ -1037,7 +1041,9 @@ class TestFloquetRoute:
 
     def test_missed_composed_estimate_solves_the_period_again(self, monkeypatch):
         # a first period solve 1e4 times too loose misses on the composed
-        # values; the second, tighter one meets them
+        # values; the second, tighter one meets them.  The slow drive's
+        # period passes only on its fourth grid, so the loose solve stops
+        # short of it (on W3 the first pair already passes)
         real_pair, tolerances = numerics._magnus_pair, []
 
         def loose_first(generator, breakpoints, initial_step, rtol, atol):
@@ -1046,12 +1052,63 @@ class TestFloquetRoute:
             return real_pair(generator, breakpoints, initial_step, scale * rtol, scale * atol)
 
         monkeypatch.setattr(numerics, "_magnus_pair", loose_first)
-        sol = solve_modes(w3_scenario(600.0), 201, rtol=1e-11, atol=1e-13)
+        s = sinusoid_scenario(drive=0.1, t_end=200.0)
+        sol = solve_modes(s, 201, rtol=1e-11, atol=1e-13)
         assert len(tolerances) == 2 and tolerances[1] < tolerances[0]
         # grids lists both solves', the last one's at its end
         grids, last = sol._propagator.grids, sol._propagator.period.grids
         assert len(grids) > len(last) and grids[-len(last):] == last
-        assert_matches_reference(sol, 1e-11, 1e-13, slack=1.0, ref=floquet_reference("w3_t600"))
+        ref = reference_modes(s, sol.times, rtol=2.5e-14, atol=1e-17)
+        assert_matches_reference(sol, 1e-11, 1e-13, slack=1.0, ref=ref)
+
+
+# solves whose first grid the floor numerics.FIRST_GRID_STEPS raises, or not
+FIRST_GRID_CONFIGS = {
+    "w3_t600": (solve_modes, w3_scenario(600.0), 1e-11),  # period 14 -> 224
+    "readme_t40": (solve_modes, sinusoid_scenario(t_end=40.0), 1e-11),  # 10 -> 160
+    "readme_t40_direct": (solve_modes_direct, sinusoid_scenario(t_end=40.0), 1e-11),
+    "w3_t100_direct": (solve_modes_direct, w3_scenario(100.0), 1e-11),
+    "w3_t600_direct": (solve_modes_direct, w3_scenario(600.0), 1e-11),  # 600: kept
+    "slow_drive": (solve_modes, sinusoid_scenario(drive=0.1, t_end=200.0), 1e-11),  # 76 -> 152
+    "ramp": (solve_modes, ramp_scenario(), 1e-10),  # segments (2, 1, 2, 1) -> 192
+    "pulse": (solve_modes, REFERENCE_CONFIGS["smooth_pulse"], 1e-10),
+}
+
+
+def _grids_and_solution(monkeypatch, name, floor):
+    solve, s, rtol = FIRST_GRID_CONFIGS[name]
+    monkeypatch.setattr(numerics, "FIRST_GRID_STEPS", floor)
+    sol = solve(s, 201, rtol=rtol, atol=1e-2 * rtol)
+    return sol._propagator.grids, sol
+
+
+class TestFirstGrid:
+    @pytest.mark.parametrize("name", sorted(FIRST_GRID_CONFIGS))
+    def test_grids_are_the_ladder_from_its_first_rung_at_the_floor(self, monkeypatch, name):
+        # the ladder N0 2^j of the first grid N0 loses only its rungs below
+        # the floor F; where no landing looked back past them (whole
+        # doublings without the floor), the grids are the same from there on
+        floor = numerics.FIRST_GRID_STEPS
+        plain, _ = _grids_and_solution(monkeypatch, name, 1)
+        grids, _ = _grids_and_solution(monkeypatch, name, floor)
+        rung = plain[0]
+        while rung < floor:
+            rung *= 2
+        assert grids[0] == rung
+        if plain[0] >= floor:
+            assert grids == plain
+        elif all(b == 2 * a for a, b in zip(plain, plain[1:])) and plain[-2] >= floor:
+            assert grids == tuple(n for n in plain if n >= floor)
+
+    def test_accepted_pair_above_the_floor_is_kept_bitwise(self, monkeypatch):
+        # W3 at T=600, resonant_long's config: the period climbs 14..448 steps
+        # without the floor and 224, 448 with it, to the same accepted pair
+        grids, sol = _grids_and_solution(monkeypatch, "w3_t600", numerics.FIRST_GRID_STEPS)
+        plain_grids, plain = _grids_and_solution(monkeypatch, "w3_t600", 1)
+        assert grids == (224, 448) and plain_grids == (14, 28, 56, 112, 224, 448)
+        for name in ("f_rp", "f_rm", "phi"):
+            assert np.array_equal(getattr(sol, name), getattr(plain, name))
+        assert sol.error_estimate == plain.error_estimate
 
 
 class TestFloquetExponent:
@@ -1102,8 +1159,10 @@ class TestFloquetCliVerdicts:
     @pytest.mark.parametrize("command, cfg", [
         ("casimir", _sinusoid_config(np.pi / 2, 0.4, 0.98, 600.0)),
         ("casimir", _sinusoid_config(np.pi / 2, 0.4, 0.98, 800.0, rel_tol=1e-8)),
-        # a hopeless tolerance fails the growth law on either route
-        ("casimir", _sinusoid_config(np.pi / 4, 0.5, 2.0, 50.0, rel_tol=1e-3, samples=11)),
+        # a hopeless tolerance fails the growth law on either route: a slow
+        # drive, whose period grid already holds more than
+        # numerics.FIRST_GRID_STEPS steps of about one radian
+        ("casimir", _sinusoid_config(np.pi / 4, 0.5, 0.05, 300.0, rel_tol=1e-3, samples=11)),
         ("extract", _sinusoid_config(np.pi / 2, 0.4, 0.98, 1000.0)),
         ("extract", _sinusoid_config(np.pi / 4, 0.2, 2.0, 40.0)),
         ("sweep", _sinusoid_config(np.pi / 4, 0.2, 2.0, 60.0, samples=61,

@@ -19,6 +19,8 @@ from rsfield.casimir import (
     solve_modes_direct,
 )
 from rsfield.cli import (
+    FOCK_KEYS,
+    FOCK_THRESHOLDS,
     load_config,
     main,
     parse_casimir_config,
@@ -28,6 +30,9 @@ from rsfield.cli import (
     run_sweep,
 )
 from rsfield.errors import ConfigError
+from rsfield.fock import coherent_state, measure_rsf
+from rsfield.numerics import FloquetSolution
+from rsfield.rsf import ReducedField
 from rsfield.symplectic import SYMPLECTIC_TOL, classical_mask, symplectic_residuals
 
 E2_MINUS_1 = 6.389056098930650
@@ -135,12 +140,17 @@ class TestRunCasimir:
             "endpoint_velocity_mismatch": abs(0.2 * np.sin(2.0 * cols["T"][-1])),
             # from the direct route's U(P), P = pi: |Re u_M| = 0.99965 < 1
             "floquet_exponent": math.acosh(max(1.0, abs(period_end.f_rp[-1].real))) / np.pi,
+            # three whole periods: the period's last grid is the one kept
+            "route": "floquet",
+            "steps": cli._solve(parse_casimir_config(cfg))._propagator.grids[-1],
         }
         assert report.summary["floquet_exponent"] == 0.0
         assert again.keys() == report.summary.keys()
         for key, value in report.summary.items():
             if isinstance(value, bool):
                 assert again[key] is value
+            elif isinstance(value, str):
+                assert again[key] == value
             else:
                 assert abs(again[key] - value) <= 1e-12
 
@@ -170,6 +180,32 @@ class TestRunCasimir:
         a = (tmp_path / "a" / "casimir.csv").read_bytes()
         b = (tmp_path / "b" / "casimir.csv").read_bytes()
         assert a == b
+
+
+class TestRouteReport:
+    RAMP = {"kind": "linear_ramp_windowed", "beta0": 0.3, "ramp_time": 2.0, "hold_time": 1.0}
+
+    @pytest.mark.parametrize("overrides, route, steps", [
+        ({}, "floquet", 256),  # three periods: the period's kept grid
+        ({"profile": RAMP, "t_end": 6.0}, "direct", 384),
+        # the README medium over 63 periods at rel_tol 1e-13: the roundoff of
+        # M^63 misses the tolerance, so the run falls back to the direct route
+        ({"t_end": 200.0, "rel_tol": 1e-13, "abs_tol": 1e-15}, "direct", 12800),
+    ], ids=["floquet", "ramp", "roundoff_fallback"])
+    def test_summary_and_report_name_the_route(self, tmp_path, capsys, overrides, route, steps):
+        cfg = parse_casimir_config(write_config(tmp_path / "c.json", **overrides))
+        report = run_casimir(cfg, tmp_path / "run")
+        assert (report.summary["route"], report.summary["steps"]) == (route, steps)
+        sol = cli._solve(cfg)
+        assert (sol.route, sol.steps) == (route, steps)
+        assert (route == "floquet") == isinstance(sol._propagator, FloquetSolution)
+        assert main(["casimir", "--config", str(tmp_path / "c.json"),
+                     "--out", str(tmp_path / "main")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert f"  route: {route}" in out and f"  steps: {steps}" in out
+        # the CSV keeps its columns
+        header = (tmp_path / "main" / "casimir.csv").read_text().splitlines()[0]
+        assert header.split(",") == list(cli.CSV_COLUMNS)
 
 
 class TestRunSweep:
@@ -299,6 +335,18 @@ class TestRunFockCheck:
         assert (check, passed) == ("observables", "true")
         assert 0.0 < float(deviation) <= 1e-6
 
+    def test_observables_check_catches_a_transposed_r(self):
+        # r_kk' = <a_k'^dag a_k>: a coherent state with z1 conj(z2) not real has
+        # r_12 != r_21, so the brute-force side, from raised lowered states,
+        # tells r from its transpose; the squeezed vacuum's r is diagonal
+        state = coherent_state(0.4 + 0.1j, -0.2 + 0.3j, 12)
+        rf, _ = measure_rsf(state)
+        assert abs(rf.r[0, 1].imag) > 0.05
+        seed = FOCK_KEYS["seed"]
+        assert cli._observables_deviation(state, rf, seed) <= 1e-12
+        transposed = ReducedField(rf.r.T, rf.alpha)
+        assert cli._observables_deviation(state, transposed, seed) > FOCK_THRESHOLDS["observables"]
+
     def test_squeeze_and_observables_share_one_squeezed_state(self, tmp_path):
         cfg = {"checks": ["identity", "beam_splitter", "squeeze", "observables"]}
         devs = dict(zip(*(run_fock_check(cfg, tmp_path / "all").columns[c]
@@ -324,11 +372,13 @@ class TestRunFockCheck:
 class TestExitCodes:
     def test_loose_tolerance_exits_one_on_growth_law(self, tmp_path, capsys):
         # at a hopeless tolerance CCR still holds (every Magnus step map is
-        # in SU(1,1)), but the dense output no longer follows the growth law
+        # in SU(1,1)), but the dense output no longer follows the growth law:
+        # a slow drive, whose period grid already holds more than
+        # numerics.FIRST_GRID_STEPS steps of about one radian each
         p = tmp_path / "c.json"
-        write_config(p, t_end=50.0, samples=11,
+        write_config(p, t_end=300.0, samples=11,
                      profile={"kind": "sinusoid", "beta0": 0.5,
-                              "drive_frequency": 2.0})
+                              "drive_frequency": 0.05})
         code = main(["casimir", "--config", str(p), "--out", str(tmp_path / "o"),
                      "--rel-tol", "1e-3"])
         assert code == 1
@@ -717,8 +767,9 @@ class TestParserReuse:
     def test_one_process_matches_fresh_runs(self, tmp_path):
         # main builds its parser once per process and reuses it: a sequence
         # of calls in one process writes the CSVs of separate fresh runs, and
-        # no flag of one call (--rel-tol, a rejected argv) reaches the next
-        write_config(tmp_path / "c.json")
+        # no flag of one call (--rel-tol, a rejected argv) reaches the next;
+        # at omega = 5 the period's grids at the two tolerances differ
+        write_config(tmp_path / "c.json", omega=5.0)
         calls = [
             ["casimir", "--config", "c.json", "--out", "{}/tight", "--rel-tol", "1e-9"],
             ["casimir", "--config", "c.json", "--out", "{}/plain"],

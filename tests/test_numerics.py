@@ -352,26 +352,27 @@ class TestSolveMagnus:
 
 class TestSkippedDoublings:
     def test_landing_pair_that_fails_doubles_on_to_the_stall(self, monkeypatch):
-        # a relative error of 1e-2 (8 / N)^6 on a grid of N steps, the
-        # sixth-order law, plus a 1e-7 whose sign alternates with the nearest
-        # power of two, too small to show in the first two pairs: the law
-        # predicts the pair (97, 194) to pass, the plateau fails it, and
-        # doubling goes on until the estimate has stalled twice
+        # a relative error of 1e-2 (128 / N)^6 on a grid of N steps, the
+        # sixth-order law from the first grid (numerics.FIRST_GRID_STEPS) on,
+        # plus a 1e-7 whose sign alternates with the nearest power of two,
+        # too small to show in the first two pairs: the law predicts the
+        # pair (1545, 3090) to pass, the plateau fails it, and doubling goes
+        # on until the estimate has stalled twice
         propagated = []
 
         def plateau(generator, nodes):
             steps = nodes.size - 1
             propagated.append(steps)
-            level = round(math.log2(steps / 8))
-            error = 1e-2 * (8 / steps) ** 6 + 1e-7 * (-1) ** level
+            level = round(math.log2(steps / 128))
+            error = 1e-2 * (128 / steps) ** 6 + 1e-7 * (-1) ** level
             u = np.broadcast_to(np.array([1.0, 0.0], dtype=complex)[:, None], (2, nodes.size))
             return u, nodes * (1.0 + error)
 
         monkeypatch.setattr(numerics, "propagate_magnus", plateau)
-        stalled = r"stalled at the roundoff floor: .* at 776 steps"
+        stalled = r"stalled at the roundoff floor: .* at 12360 steps"
         with pytest.raises(ConvergenceError, match=stalled):
-            solve_magnus(boost_generator, [0.0, 1.0], 1.0 / 8.0, rtol=1e-10, atol=1e-12)
-        assert propagated == [8, 16, 32, 97, 194, 388, 776]
+            solve_magnus(boost_generator, [0.0, 1.0], 1.0 / 128.0, rtol=1e-10, atol=1e-12)
+        assert propagated == [128, 256, 512, 1545, 3090, 6180, 12360]
 
     def test_solve_linear_matches_plain_doubling(self, monkeypatch):
         # W3's mode equations as a 2x2 linear system: from the third grid on,
@@ -404,6 +405,31 @@ class TestSkippedDoublings:
         assert plain_grids == [300, 600, 1200, 2400, 4800, 9600, 19200]
         assert np.all(np.abs(landed - plain) <= atol + rtol * np.abs(plain))
         assert sum(landed_grids) < sum(plain_grids)
+
+    def test_solve_linear_keeps_its_first_grid(self, monkeypatch):
+        # every sample time is a node and every step costs a dense expm, so
+        # the floor of the Magnus solvers' first grid does not apply
+        real_propagate = numerics._propagate_linear
+
+        def generator(t):
+            return np.multiply.outer(np.cos(t), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+        def grids(floor):
+            propagated = []
+
+            def counting(generator, nodes, y0):
+                propagated.append(nodes.size - 1)
+                return real_propagate(generator, nodes, y0)
+
+            monkeypatch.setattr(numerics, "_propagate_linear", counting)
+            monkeypatch.setattr(numerics, "FIRST_GRID_STEPS", floor)
+            y = solve_linear(generator, [1.0, 0.0], np.linspace(0.0, 3.0, 4), rtol=1e-10, atol=1e-12)
+            return propagated, y
+
+        floor = numerics.FIRST_GRID_STEPS
+        (floored, y), (plain, y_plain) = grids(floor), grids(1)
+        assert floored == plain and floored[0] == 3 < floor
+        assert np.array_equal(y, y_plain)
 
     def test_no_skip_past_the_step_cap(self, monkeypatch):
         # the fine grid of the predicted pair would pass the cap: doubling
