@@ -23,7 +23,8 @@ and a violating run still writes both before it names the invariant, value,
 limit and time.  The CCR and symplectic limits, and the roundoff floor
 of the extraction-rate limits, are
 ``symplectic.roundoff_limit``, the limit the library's ``BogoliubovMap``
-uses: 1e-8, or 256 eps times the photon-number scale where that is larger.
+uses: 1e-8, or 256 eps times the photon-number scale where that is larger;
+the classicality columns are ``symplectic.classical_mask``'s.
 Every numeric config key goes through ``_number``, so a malformed value is
 a configuration error.  Exit status: 0 all checks passed, 1 an invariant or
 threshold failed (or the solver gave up), 2 configuration error.
@@ -70,9 +71,9 @@ from .fock import (
     squeeze_pair,
 )
 from .kinetics import integrate_kinetics, validity_report
-from .numerics import matrix_max, max_abs
+from .numerics import max_abs
 from .rsf import expect_additive, vacuum
-from .symplectic import CLASSICAL_TOL, SYMPLECTIC_TOL, identity_map, roundoff_limit
+from .symplectic import SYMPLECTIC_TOL, classical_mask, identity_map, roundoff_limit
 
 EXTRACTION_LIMIT = 1e-7  # relative to omega
 GAMMA_DOWN_LIMIT = 1e-8  # relative to omega
@@ -287,13 +288,11 @@ def _casimir_columns(sol: ModeSolution) -> dict:
     x, symplectic = casimir_maps(sol)
     # the map's entries are f_R+ and f_R- times unit phases, in the system
     # row and the environment row alike, so both of its scales, as in
-    # ``symplectic.BogoliubovMap``, are max(|f_R+|^2, |f_R-|^2); the masks
-    # are ``symplectic.classical_mask``'s; |f_R+|^2 + |f_R-|^2 scales the CCR
-    # and extraction-rate limits
+    # ``symplectic.BogoliubovMap``, are max(|f_R+|^2, |f_R-|^2);
+    # |f_R+|^2 + |f_R-|^2 scales the CCR and extraction-rate limits
     f_lp, f_lm = sol.f_lp, sol.f_lm
     rp, rm = (f.real ** 2 + f.imag ** 2 for f in (sol.f_rp, sol.f_rm))
     scale = np.maximum(rp, rm)
-    down = np.abs(x[:, :2, 2:])
     h, gamma_up = closed_form_generators(sol)
     ext_h, ext_up, ext_down = extracted_generators(sol)
     growth = growth_law_residual(sol, gamma_up=gamma_up)
@@ -312,8 +311,8 @@ def _casimir_columns(sol: ModeSolution) -> dict:
         "gamma_up_extracted": ext_up[:, 0, 0].real,
         "gamma_down_extracted": ext_down[:, 0, 0].real,
         "growth_residual": growth.residuals,
-        "classical_closed": matrix_max(down) <= roundoff_limit(scale, CLASSICAL_TOL),
-        "classical_open": down[:, 0, 0] <= roundoff_limit(scale, CLASSICAL_TOL),
+        "classical_closed": classical_mask(x, 2),
+        "classical_open": classical_mask(x, 1),
         "_symplectic_residual": symplectic,
         "_map_scale": scale,
         "_photon_sum": rp + rm,
@@ -540,15 +539,16 @@ def run_fock_check(cfg: dict | None, out_dir: Path) -> RunReport:
         deviation["beam_splitter"] = oracle_check_transform(
             m, FockState.number_state(1, 0, cutoff), h, 1.0,
         )
-    if {"squeeze", "observables"} & set(checks):
-        # both checks read one squeezed vacuum; ``evolve`` is looked up on its
-        # module so that a profiler wrapping ``rsfield.fock.evolve`` sees it
+    if "squeeze" in checks:
+        # ``evolve`` is looked up on its module so that a profiler wrapping
+        # ``rsfield.fock.evolve`` sees it
         h, m = squeeze_pair(squeeze, 1.0)
         vac = FockState.vacuum(cutoff)
-        state = fock.evolve(vac, h, 1.0)
-    if "squeeze" in checks:
-        deviation["squeeze"] = oracle_deviation(m, vac, state)
+        deviation["squeeze"] = oracle_deviation(m, vac, fock.evolve(vac, h, 1.0))
     if "observables" in checks:
+        # z1 conj(z2) is not real, so r_01 = <a_1^dag a_0> is complex and a
+        # transposed or conjugated r shows in the deviation
+        state = coherent_state(0.3, 0.2j, cutoff)
         deviation["observables"] = _observables_deviation(state, measure_rsf(state)[0], seed)
 
     checks = list(deviation)

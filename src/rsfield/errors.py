@@ -23,8 +23,8 @@ class ConvergenceError(RsfieldError):
 
 
 class NonFiniteStateError(RsfieldError):
-    """NaN or overflow encountered during integration, or in a matrix family
-    whose generators are extracted."""
+    """NaN or overflow encountered during integration, in a matrix family
+    whose generators are extracted, or in a field amplitude."""
 
 
 class NotSymplecticError(RsfieldError):

@@ -465,9 +465,11 @@ def _landing(counts: np.ndarray, ratios, estimate: float, peak: float):
     double as usual.
 
     ``ratios`` are the worst estimate-to-limit ratios of the pairs since the
-    last landing.  In the asymptotic range each doubling divides the ratio by
-    64 (2^6); once the last two ratios contracted by at least 32 (half of
-    that), the law predicts the ratio R of the last pair to fall to
+    last landing; a pair whose ratio is within 1 (one ``_refine``'s
+    ``accept`` turned down) predicts no landing.  In the asymptotic range
+    each doubling divides the ratio by 64 (2^6); once the last two ratios
+    contracted by at least 32 (half of that), the law predicts the ratio R
+    of the last pair to fall to
     ``LANDING_TARGET`` on the pair (M, 2M), M = ceil(N (R / target)^(1/p))
     per segment, with N the failed pair's coarse count and p = log2(min(64,
     observed contraction)): a pair that contracted slower than the law takes
@@ -479,7 +481,7 @@ def _landing(counts: np.ndarray, ratios, estimate: float, peak: float):
     tolerance below roundoff is left to the stall rule) or whose fine grid
     would pass ``MAGNUS_MAX_STEPS``.
     """
-    if len(ratios) < 2 or not 32.0 * ratios[-1] <= ratios[-2] < math.inf:
+    if len(ratios) < 2 or not (ratios[-1] > 1.0 and 32.0 * ratios[-1] <= ratios[-2] < math.inf):
         return None
     ratio, contraction = ratios[-1], ratios[-2] / ratios[-1]
     floor = ROUNDOFF_FACTOR * np.finfo(float).eps * peak
@@ -497,7 +499,7 @@ def _landing(counts: np.ndarray, ratios, estimate: float, peak: float):
 
 
 def _refine(propagate, breakpoints, initial_step: float, rtol: float, atol: float,
-            first_steps: int = 1):
+            first_steps: int = 1, accept=lambda fine, coarse: True):
     """Step doubling shared by the Magnus solvers.  ``propagate(nodes)``
     returns a tuple of arrays whose last axis runs over the nodes; the grid
     is uniform between ``breakpoints`` (ascending; each one is a node).
@@ -506,12 +508,13 @@ def _refine(propagate, breakpoints, initial_step: float, rtol: float, atol: floa
     holds at least ``first_steps`` steps, the step count doubles until the
     Richardson estimate |X_2N - X_N| / 63 of the global error meets
     ``atol + rtol |X|`` for every entry X of every array at every node the
-    two grids share; returns the finer grid and its arrays, the coarser grid
-    and its arrays, the largest estimate and the step counts propagated, in
-    order.  After a failed pair, the next pair may instead be the one the
-    sixth-order error law predicts to pass (``_landing``): its coarse grid
-    is propagated afresh and then doubled.  If that pair fails, doubling
-    goes on.  Raises
+    two grids share and ``accept(fine, coarse)`` passes the pair (each grid
+    as ``(nodes, arrays)``; a pair it turns down fails like any other);
+    returns the finer grid and its arrays, the largest estimate and the step
+    counts propagated, in order.  After a failed pair, the next pair may
+    instead be the one the sixth-order error law predicts to pass
+    (``_landing``): its coarse grid is propagated afresh and then doubled.
+    If that pair fails, doubling goes on.  Raises
     ``ConvergenceError`` past ``MAGNUS_MAX_STEPS`` steps, or as soon as two
     consecutive pairs each cut the estimate by less than half (in the
     asymptotic range each doubling cuts it by about 64): the tolerance then
@@ -540,8 +543,8 @@ def _refine(propagate, breakpoints, initial_step: float, rtol: float, atol: floa
             *(_doubling_error(f, c, rtol, atol) for f, c in zip(values, coarse[1]))
         )
         estimates.append(max(worst))
-        if all(ok):
-            return (nodes, values), coarse, estimates[-1], tuple(grids)
+        if all(ok) and accept((nodes, values), coarse):
+            return (nodes, values), estimates[-1], tuple(grids)
         if len(estimates) >= 3 and all(2.0 * b > a for a, b in zip(estimates[-3:], estimates[-2:])):
             raise ConvergenceError(
                 f"Magnus propagation stalled at the roundoff floor: error estimate "
@@ -579,19 +582,12 @@ def solve_magnus(
     until the error estimate of u, v and the integral meets ``atol + rtol
     |X|`` (``_refine``); the finer solution is kept.
     """
-    return _magnus_pair(generator, breakpoints, initial_step, rtol, atol)[0]
-
-
-def _magnus_pair(generator, breakpoints, initial_step, rtol, atol):
-    """``solve_magnus``'s solution and the coarse solution of the step-doubling
-    pair it was accepted on, both as ``MagnusSolution``."""
     _check_tolerances(rtol, atol)
-    fine, coarse, estimate, grids = _refine(
+    (nodes, values), estimate, grids = _refine(
         lambda grid: propagate_magnus(generator, grid), breakpoints, initial_step, rtol, atol,
         FIRST_GRID_STEPS,
     )
-    return tuple(MagnusSolution(generator, nodes, *values, estimate, grids)
-                 for nodes, values in (fine, coarse))
+    return MagnusSolution(generator, nodes, *values, estimate, grids)
 
 
 class FloquetSolution:
@@ -604,9 +600,9 @@ class FloquetSolution:
     for the rate integral I, at k = min(floor(t / P), K) (``periods``), K =
     floor(end / P) the whole periods in the span, and r = t - k P clipped to
     [0, P].  ``powers`` holds the rows of M^k for k = 0..K, the running
-    products of K copies of M (``_prefix_products``).  ``steps``, ``nodes``
-    and ``grids`` are the period's; ``solve_floquet`` sets
-    ``error_estimate``."""
+    products of K copies of M (``_prefix_products``).  ``steps``, ``nodes``,
+    ``grids`` and ``error_estimate`` are the period's (``solve_floquet``
+    gives its period the estimate of the composed values)."""
 
     def __init__(self, period: MagnusSolution, end: float):
         self.period = period
@@ -651,32 +647,32 @@ def solve_floquet(
     ``end``] for a generator of period ``period``, from one period: returns
     the ``FloquetSolution`` and its ``at(times)`` at the ascending ``times``.
 
-    The error of M^k grows about linearly in k, so the period is solved
-    (``solve_magnus``) at rtol / K and atol / K first, K the whole periods in
-    the span, from steps of about ``initial_step`` / K^(1/6), the sixth-order
-    error law's step for a tolerance K times tighter.  Both solutions of its
-    accepted step-doubling pair are composed, into M^k for k = 0..K and into
-    U and the integral at ``times``.  The estimate of each composed entry X
-    of U is the larger of the step-doubling estimate |fine - coarse| / 63
-    and its roundoff, (k + 1) d |X| for the k + 1 factors of U(r) M^k, each
-    carrying the period's relative roundoff d, the largest CCR defect
+    The error of M^k grows about linearly in k, so the period is solved by
+    the step doubling of ``_refine`` at rtol / K and atol / K, K the whole
+    periods in the span, from steps of about ``initial_step`` / K^(1/6), the
+    sixth-order error law's step for a tolerance K times tighter.  A pair
+    whose period nodes pass is accepted only if its composed values pass
+    too: both solutions of the pair are composed, into M^k for k = 0..K and
+    into U and the integral at ``times``.  The estimate of each composed
+    entry X of U is the larger of the step-doubling estimate |fine - coarse|
+    / 63 and its roundoff, (k + 1) d |X| for the k + 1 factors of U(r) M^k,
+    each carrying the period's relative roundoff d, the largest CCR defect
     ||u|^2 - |v|^2 - 1| / (|u|^2 + |v|^2) on the period's nodes; that of the
     integral is its step-doubling estimate.  Every estimate must meet ``atol
-    + rtol |X|``.  Where only the step-doubling estimate misses, the period is
-    solved again, the same way, at tolerances tighter by twice the worst
-    ratio of estimate to limit; where the roundoff misses, no finer period
-    helps, and ``ConvergenceError`` is raised, as where a period solve
-    raises it.  ``error_estimate`` is the largest composed estimate and
-    ``grids`` the period's step counts over every solve, in order.
+    + rtol |X|``.  Where only the step-doubling estimate misses, the pair
+    fails like any other and the period's grid refines on from it; where
+    the roundoff misses, no finer period helps, and ``ConvergenceError`` is
+    raised, as where the period's step doubling raises it.
+    ``error_estimate`` is the largest composed estimate and ``grids`` the
+    period's step counts, in order.
     """
     _check_tolerances(rtol, atol)
-    tighter, grids = float(end // period), ()
-    while True:
-        solution, coarse_solution = [FloquetSolution(sol, end) for sol in _magnus_pair(
-            generator, [0.0, period], initial_step / tighter ** (1.0 / 6.0),
-            rtol / tighter, atol / tighter,
-        )]
-        grids += solution.grids
+    cycles = float(end // period)
+    composed = {}
+
+    def composed_check(*pair):
+        solution, coarse_solution = (FloquetSolution(MagnusSolution(
+            generator, nodes, *values, 0.0, ()), end) for nodes, values in pair)
         fine, coarse = ((sol.powers, *sol.at(times)) for sol in (solution, coarse_solution))
         u, v = np.abs(solution.period.u) ** 2
         defect = float(np.max(np.abs(u - v - 1.0) / (u + v)))
@@ -690,12 +686,16 @@ def solve_floquet(
             )
         estimates = [np.maximum(np.abs(f - c) / 63.0, r)
                      for f, c, r in zip(fine, coarse, roundoff)]
-        ratio = max(float(np.max(e / limit)) for e, limit in zip(estimates, limits))
-        if ratio <= 1.0:
-            solution.error_estimate = max(float(np.max(e)) for e in estimates)
-            solution.grids = grids
-            return solution, fine[1:]
-        tighter *= 2.0 * ratio
+        composed.update(estimate=max(float(np.max(e)) for e in estimates), values=fine[1:])
+        return all(np.all(e <= limit) for e, limit in zip(estimates, limits))
+
+    (nodes, values), _, grids = _refine(
+        lambda grid: propagate_magnus(generator, grid), [0.0, period],
+        initial_step / cycles ** (1.0 / 6.0), rtol / cycles, atol / cycles,
+        FIRST_GRID_STEPS, composed_check,
+    )
+    solution = MagnusSolution(generator, nodes, *values, composed["estimate"], grids)
+    return FloquetSolution(solution, end), composed["values"]
 
 
 def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -755,7 +755,7 @@ def solve_linear(
     norm = float(np.abs(generator(times)).sum(axis=-2).max())
     if not math.isfinite(norm):
         raise NonFiniteStateError("non-finite generator at the sample times")
-    (nodes, (y,)), _, _, _ = _refine(
+    (nodes, (y,)), _, _ = _refine(
         lambda grid: (_propagate_linear(generator, grid, y0),),
         times, 1.0 / norm if norm > 0 else math.inf, rtol, atol,
     )

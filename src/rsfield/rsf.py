@@ -35,6 +35,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidMomentsError,
+    NonFiniteStateError,
     NonHermitianError,
     NonHermitianObservableError,
     NotClassicalOpenError,
@@ -52,6 +53,8 @@ def _as_vector(v, n: int | None = None, what: str = "vector") -> np.ndarray:
     v = np.asarray(v, dtype=complex).ravel()
     if n is not None and v.size != n:
         raise DimensionMismatchError(f"{what} has size {v.size}, expected {n}")
+    if not np.isfinite(v).all():
+        raise NonFiniteStateError(f"{what} is not finite")
     return v
 
 
@@ -67,7 +70,7 @@ class ReducedField:
         r = np.array(self.r, dtype=complex)
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise DimensionMismatchError(f"r must be square, got {r.shape}")
-        if hermiticity_residual(r) > HERMITIAN_TOL * (1.0 + max_abs(r)):
+        if not hermiticity_residual(r) <= HERMITIAN_TOL * (1.0 + max_abs(r)):
             raise NonHermitianError("single-particle density matrix not Hermitian")
         ok, witness = is_psd(r, self.psd_tol)
         if not ok:
@@ -98,7 +101,7 @@ class ConjugateField:
         c = np.array(self.c, dtype=complex)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise DimensionMismatchError(f"c must be square, got {c.shape}")
-        if max_abs(c - c.T) > HERMITIAN_TOL * (1.0 + max_abs(c)):
+        if not max_abs(c - c.T) <= HERMITIAN_TOL * (1.0 + max_abs(c)):
             raise InvalidMomentsError("anomalous moment matrix is not symmetric")
         alpha_star = _as_vector(self.alpha_star, c.shape[0], "alpha_star")
         c.setflags(write=False)
@@ -125,18 +128,18 @@ class GeneralizedField:
             raise DimensionMismatchError(f"g must be 2Nx2N, got {g.shape}")
         n = g.shape[0] // 2
         a_vec = _as_vector(self.a_vec, 2 * n, "A")
-        if hermiticity_residual(g) > self.structure_tol * (1.0 + max_abs(g)):
+        if not hermiticity_residual(g) <= self.structure_tol * (1.0 + max_abs(g)):
             raise StructureViolationError("generalized moment matrix not Hermitian")
         scale = 1.0 + max_abs(g)
         r, c = g[:n, :n], g[:n, n:]
-        if max_abs(g[n:, :n] - c.conj()) > self.structure_tol * scale:
+        if not max_abs(g[n:, :n] - c.conj()) <= self.structure_tol * scale:
             raise StructureViolationError("lower-left block is not conj(c)")
-        if max_abs(g[n:, n:] - (r.T + np.eye(n))) > self.structure_tol * scale:
+        if not max_abs(g[n:, n:] - (r.T + np.eye(n))) <= self.structure_tol * scale:
             raise StructureViolationError(
                 "lower-right block differs from transpose(r) + 1; "
                 "the applied transformation was likely not symplectic"
             )
-        if max_abs(a_vec[n:] - a_vec[:n].conj()) > self.structure_tol * (
+        if not max_abs(a_vec[n:] - a_vec[:n].conj()) <= self.structure_tol * (
             1.0 + max_abs(a_vec)
         ):
             raise StructureViolationError("amplitude halves are not conjugate")
@@ -283,10 +286,10 @@ def expect_additive(rf: ReducedField, o: np.ndarray) -> float:
     o = np.asarray(o, dtype=complex)
     if o.shape != rf.r.shape:
         raise DimensionMismatchError(f"observable shape {o.shape} != {rf.r.shape}")
-    if hermiticity_residual(o) > HERMITIAN_TOL * (1.0 + max_abs(o)):
+    if not hermiticity_residual(o) <= HERMITIAN_TOL * (1.0 + max_abs(o)):
         raise NonHermitianObservableError("additive observable must be Hermitian")
     val = complex(np.trace(rf.r @ o))
-    if abs(val.imag) > 1e-10 * (1.0 + abs(val)):
+    if not abs(val.imag) <= 1e-10 * (1.0 + abs(val)):
         raise NonHermitianObservableError(
             f"expectation has spurious imaginary part {val.imag:.3e}"
         )

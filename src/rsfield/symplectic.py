@@ -32,10 +32,16 @@ residuals and ``CLASSICAL_TOL`` for |X_down| and |X_down_S|.  The scale is
 what the residual's roundoff grows with: max|X_ij|^2 for a map built from
 its entries, which is about the photon number of a squeezer; a product takes
 its scale from its factors (``compose``), since a product near the identity
-still carries its factors' roundoff.  The open verdict reads the system's
-own rows only (``system_scale``), so a large environment does not widen the
-limit of |X_down_S|.  The CLI's invariant gates use the same function, so a
-map the library accepts is one the CLI accepts.
+still carries its factors' roundoff.  The classicality verdicts compare
+entries, not a product of two of them, so their scale is linear, the entry
+scale ``scale / max|X_ij|``: max|X_ij| for a map built from its entries,
+and for a product its factors' roundoff, as above, so ``compose(m,
+m.inverse())`` stays closed-classical while a squeezer with
+|X_down| ~ sqrt(n) is not called passive at any n.  The open verdict reads
+the system's own rows only (``system_scale``), so a large environment does
+not widen the limit of |X_down_S|.  The CLI's invariant gates and
+classicality columns use the same functions, so a map the library accepts
+is one the CLI accepts.
 """
 
 from __future__ import annotations
@@ -102,9 +108,10 @@ class BogoliubovMap:
     ``roundoff_limit(scale, tol)``: ``tol`` is the floor and ``scale`` the
     size of the roundoff.  Each entry of a row carries a roundoff of about
     eps times the row's largest entry, so ``scale`` is max|X_ij|^2 and
-    ``system_scale``, which bounds |X_down_S|, is the same over the system
-    rows.  Products and inverses derive both from the map they come from
-    (``compose``, ``inverse``), through the private ``_scales``.
+    ``system_scale``, from which the limit of |X_down_S| derives, is the
+    same over the system rows.  Products and inverses derive both from the
+    map they come from (``compose``, ``inverse``), through the private
+    ``_scales``.
     """
 
     n_sys: int
@@ -257,31 +264,35 @@ def compose(a: BogoliubovMap, b: BogoliubovMap) -> BogoliubovMap:
 
 
 def classical_mask(x: np.ndarray, n_sys: int) -> np.ndarray:
-    """``max |X_down_S| <= roundoff_limit(max |X_sys|^2, CLASSICAL_TOL)`` for
+    """``max |X_down_S| <= roundoff_limit(max |X_sys|, CLASSICAL_TOL)`` for
     each matrix in a stack ``(..., 2N, 2N)`` whose first ``n_sys`` modes are
     the system, X_sys being its system rows; ``n_sys = N`` (no environment)
     makes it the closed-system condition on ``max |X_down|``."""
     n = x.shape[-1] // 2
     rows = np.abs(x[..., :n_sys, :])
     down_s = matrix_max(rows[..., n:n + n_sys])
-    return down_s <= roundoff_limit(matrix_max(rows) ** 2, CLASSICAL_TOL)
+    return down_s <= roundoff_limit(matrix_max(rows), CLASSICAL_TOL)
 
 
 def _classical(m: BogoliubovMap, n_sys: int, scale: float) -> bool:
+    """``max |X_down_S|`` over the first ``n_sys`` modes within the roundoff
+    limit of the entry scale ``scale / max |X_sys|``, X_sys their rows."""
     n = m.n_modes
-    return bool(max_abs(m.x[:n_sys, n:n + n_sys]) <= roundoff_limit(scale, CLASSICAL_TOL))
+    rows = m.x[:n_sys]
+    limit = roundoff_limit(scale / max_abs(rows), CLASSICAL_TOL)
+    return bool(max_abs(rows[:, n:n + n_sys]) <= limit)
 
 
 def is_classical_closed(m: BogoliubovMap) -> bool:
     """True iff the map is passive: ``max |X_down|`` within
-    ``roundoff_limit(m.scale, CLASSICAL_TOL)``."""
+    ``roundoff_limit(m.scale / max |X|, CLASSICAL_TOL)``."""
     return _classical(m, m.n_modes, m.scale)
 
 
 def is_classical_open(m: BogoliubovMap) -> bool:
     """True iff the system sub-block vanishes: ``max |X_down_S|`` within
-    ``roundoff_limit(m.system_scale, CLASSICAL_TOL)``, a limit the
-    environment's rows do not widen."""
+    ``roundoff_limit(m.system_scale / max |X_S|, CLASSICAL_TOL)``, X_S the
+    system rows, a limit the environment's rows do not widen."""
     if m.n_sys < 1:
         raise DimensionMismatchError("open-system classicality needs n_sys >= 1")
     return _classical(m, m.n_sys, m.system_scale)

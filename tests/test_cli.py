@@ -14,6 +14,7 @@ from rsfield import cli, csvtext
 from rsfield.casimir import (
     CasimirScenario,
     VelocityProfile,
+    casimir_map,
     casimir_maps,
     solve_modes,
     solve_modes_direct,
@@ -33,7 +34,12 @@ from rsfield.errors import ConfigError
 from rsfield.fock import coherent_state, measure_rsf
 from rsfield.numerics import FloquetSolution
 from rsfield.rsf import ReducedField
-from rsfield.symplectic import SYMPLECTIC_TOL, classical_mask, symplectic_residuals
+from rsfield.symplectic import (
+    SYMPLECTIC_TOL,
+    classical_mask,
+    is_classical_closed,
+    symplectic_residuals,
+)
 
 E2_MINUS_1 = 6.389056098930650
 ROOT = Path(__file__).resolve().parents[1]
@@ -581,6 +587,17 @@ class TestExitCodes:
         assert np.array_equal(cols["classical_open"], classical_mask(x, n_sys=1))
         np.testing.assert_allclose(cols["_map_scale"], np.max(np.abs(x), axis=(-2, -1)) ** 2,
                                    rtol=1e-14)
+
+    def test_resonant_map_past_n_3e26_is_not_passive(self):
+        # W3 at T=3000 (n = 6.1e29): |X_down| ~ 7.8e14 is far above the
+        # entry scale's limit, though below 256 eps n, the limit of a
+        # quadratic scale
+        s = CasimirScenario(1.5, 1.0, np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), 3000.0)
+        sol = solve_modes(s, 201, rtol=1e-11, atol=1e-13)
+        cols = cli._casimir_columns(sol)
+        assert sol.density()[-1] > 3.1e26
+        assert not np.any(cols["classical_closed"][1:])
+        assert not is_classical_closed(casimir_map(sol, -1))
 
     def test_gate_limits_are_the_explicit_formulas(self, monkeypatch):
         # W3 at T=800 (n ~ 3.4e7), where the scaled term sets the limits: the

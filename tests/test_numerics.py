@@ -406,6 +406,45 @@ class TestSkippedDoublings:
         assert np.all(np.abs(landed - plain) <= atol + rtol * np.abs(plain))
         assert sum(landed_grids) < sum(plain_grids)
 
+    @staticmethod
+    def _law(nodes):
+        # a relative error of 1e-3 (8 / N)^6 on a grid of N steps: the pair
+        # (8, 16) fails at rtol 1e-6 and every later one passes
+        return (nodes * (1.0 + 1e-3 * (8 / (nodes.size - 1)) ** 6),)
+
+    def test_turned_down_pair_doubles_on(self):
+        # the hook sees only pairs whose nodes pass, and a pair it turns down
+        # is failed: the grid doubles on from it, on the same ladder
+        seen = []
+
+        def accept(fine, coarse):
+            seen.append((fine[0].size - 1, coarse[0].size - 1))
+            return fine[0].size - 1 >= 64
+
+        (nodes, _), _, grids = numerics._refine(self._law, [0.0, 1.0], 1.0 / 8.0,
+                                                1e-6, 1e-12, accept=accept)
+        assert seen == [(32, 16), (64, 32)]
+        assert grids == (8, 16, 32, 64) and nodes.size == 65
+
+    def test_turned_down_pairs_of_equal_grids_double_on(self):
+        # grids whose values agree exactly give estimates of 0, which predict
+        # no landing pair
+        seen = []
+
+        def accept(fine, coarse):
+            seen.append(fine[0].size - 1)
+            return len(seen) == 3
+
+        _, estimate, grids = numerics._refine(lambda nodes: (np.ones(nodes.size),), [0.0, 1.0],
+                                              1.0 / 8.0, 1e-6, 1e-12, accept=accept)
+        assert estimate == 0.0 and grids == (8, 16, 32, 64)
+
+    def test_turned_down_pairs_count_against_the_step_limit(self, monkeypatch):
+        monkeypatch.setattr(numerics, "MAGNUS_MAX_STEPS", 256)
+        with pytest.raises(ConvergenceError, match=r"^Magnus propagation not within .* at 256 steps"):
+            numerics._refine(self._law, [0.0, 1.0], 1.0 / 8.0, 1e-6, 1e-12,
+                             accept=lambda fine, coarse: False)
+
     def test_solve_linear_keeps_its_first_grid(self, monkeypatch):
         # every sample time is a node and every step costs a dense expm, so
         # the floor of the Magnus solvers' first grid does not apply

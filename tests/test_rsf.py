@@ -5,6 +5,7 @@ from conftest import random_passive, random_physical_fields, random_symplectic
 from rsfield.errors import (
     DimensionMismatchError,
     InvalidMomentsError,
+    NonFiniteStateError,
     NonHermitianObservableError,
     NotClassicalOpenError,
     NotPhysicalError,
@@ -13,6 +14,7 @@ from rsfield.errors import (
 from rsfield.numerics import is_psd, max_abs
 from rsfield.rsf import (
     ConjugateField,
+    GeneralizedField,
     ReducedField,
     entropy_v,
     entropy_w,
@@ -63,6 +65,21 @@ class TestFieldValidation:
     def test_rejects_asymmetric_conjugate(self):
         with pytest.raises(InvalidMomentsError):
             ConjugateField(np.array([[0.0, 1.0], [0.5, 0.0]]), np.zeros(2))
+
+    # a NaN residual compares false with any limit, so each check reads
+    # ``not residual <= limit``; a NaN amplitude has no residual to show it
+
+    def test_rejects_nan_generalized_field(self):
+        with pytest.raises(StructureViolationError):
+            GeneralizedField(np.full((2, 2), np.nan), [0, 0])
+
+    def test_rejects_nan_conjugate_field(self):
+        with pytest.raises(InvalidMomentsError):
+            ConjugateField([[np.nan]], [0])
+
+    def test_rejects_nan_amplitude(self):
+        with pytest.raises(NonFiniteStateError):
+            ReducedField([[1.0]], [np.nan])
 
     def test_occupations_are_real_nonnegative(self, rng):
         rf, _ = random_physical_fields(3, rng)
@@ -299,6 +316,11 @@ class TestObservables:
         rf, _ = random_physical_fields(2, rng)
         with pytest.raises(NonHermitianObservableError):
             expect_additive(rf, np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_rejects_nan_observable(self):
+        rf = ReducedField([[1.0]], [0])
+        with pytest.raises(NonHermitianObservableError):
+            expect_additive(rf, [[np.nan]])
 
     def test_linear_vanishes_without_displacement(self):
         rf, _ = vacuum(2)

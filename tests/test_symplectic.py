@@ -9,6 +9,7 @@ from rsfield.symplectic import (
     CLASSICAL_TOL,
     SYMPLECTIC_TOL,
     BogoliubovMap,
+    classical_mask,
     compose,
     from_blocks,
     identity_map,
@@ -164,6 +165,17 @@ class TestClassicality:
             if is_classical_closed(m):
                 res = max_abs(m.x_up @ m.x_up.conj().T - np.eye(3))
                 assert res <= 1e-8
+
+    @pytest.mark.parametrize("n", [1e26, 3.9e26, 6.1e29])
+    def test_large_squeeze_is_never_closed_classical(self, n):
+        # |X_down| = sqrt(n): a limit of 256 eps n, from the residual's
+        # quadratic scale, would pass it from n = 3.1e26 on; the entry
+        # scale's 256 eps sqrt(n + 1) never does
+        m = squeeze_map(np.arcsinh(np.sqrt(n)))
+        assert not is_classical_closed(m)
+        assert not is_classical_closed(m.inverse())
+        assert not classical_mask(m.x, 2)
+        assert is_classical_open(m) and classical_mask(m.x, 1)
 
     def test_open_needs_system_modes(self):
         m = identity_map(0, 2)
