@@ -4,11 +4,12 @@ Pure states of two bosonic modes are stored as amplitude arrays
 ``psi[n1, n2]`` over the basis |n1, n2> with 0 <= n_i <= n_max.  States
 are evolved as exp(-i H t) psi for quadratic Hamiltonians by a truncated
 Taylor series of H (``numerics.expmv``).  H is built once per evolution
-(``QuadraticHamiltonian.operator``) from its nonzero terms only: a number
-diagonal plus one coefficient table per ladder term, each added onto a
-shifted slice of the (d, d) amplitude array (O(d^2) memory; no d^2 x d^2
-operator is ever formed).  The reduced/conjugate field moments are then
-measured as plain expectation values:
+(``QuadraticHamiltonian.operator``) from its nonzero terms only and acts on
+the flattened amplitude array: a number diagonal plus one coefficient
+table per ladder term, each term one contiguous update of the flat array
+at a fixed shift (O(d^2) memory; no d^2 x d^2 operator is ever formed).
+The reduced/conjugate field moments are then measured as plain
+expectation values:
 
     r_kk' = <a_k'^dag a_k>,   alpha_k = <a_k>,   c_kk' = <a_k' a_k>.
 
@@ -34,6 +35,13 @@ BOUNDARY_PRE_TOL = 1e-8
 BOUNDARY_POST_TOL = 1e-6
 DEFAULT_CUTOFF = 12
 CHECKPOINTS = 8
+
+
+def _boundary_population(amp: np.ndarray) -> float:
+    """Total probability on the n1 = n_max or n2 = n_max shell of a (d, d)
+    amplitude array."""
+    edge = np.sum(np.abs(amp[-1, :]) ** 2) + np.sum(np.abs(amp[:-1, -1]) ** 2)
+    return float(edge)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,9 +90,7 @@ class FockState:
 
     def boundary_population(self) -> float:
         """Total probability on the n1 = n_max or n2 = n_max shell."""
-        amp = self.amplitudes
-        edge = np.sum(np.abs(amp[-1, :]) ** 2) + np.sum(np.abs(amp[:-1, -1]) ** 2)
-        return float(edge)
+        return _boundary_population(self.amplitudes)
 
 
 def _shift(amp: np.ndarray, mode: int, step: int) -> np.ndarray:
@@ -148,41 +154,58 @@ class QuadraticHamiltonian:
     pair_im: float = 0.0
 
     def operator(self, d: int, scale: complex) -> Callable[[np.ndarray], np.ndarray]:
-        """The map psi -> scale H psi on (d, d) amplitude arrays, built once.
+        """The map psi -> scale H psi on the d^2 amplitudes of a (d, d) array,
+        read as ``psi.ravel()``; built once, it returns a fresh flat array.
 
         H = a^dag (E b + P b^dag) + a (E* b^dag + P* b) plus the number
         terms, with E = exchange_re + i exchange_im and P = pair_re +
-        i pair_im.  The number terms are one precomputed diagonal; each
-        nonzero ladder term is one (d-1, d-1) table scale c sqrt(i+1)
-        sqrt(j+1) added onto a shifted slice, which is exactly H projected
-        onto the truncated basis (a raise off the n_max shell is dropped).
-        Terms with a zero coefficient are never applied.
+        i pair_im.  In the flat index n1 d + n2 each ladder term moves
+        amplitude by a fixed shift: d - 1 for a^dag b, -(d - 1) for a b^dag,
+        d + 1 for a^dag b^dag and -(d + 1) for a b.  So each nonzero term is
+        one contiguous update ``out[s:] += C * p[:-s]`` (or ``out[:s] +=
+        C * p[-s:]``), whose table C holds scale c sqrt(i+1) sqrt(j+1) at
+        the source index and zero where the shift would wrap across a row
+        or raise off the n_max shell.  That is exactly H projected onto the
+        truncated basis.  Terms with a zero coefficient, and a zero number
+        diagonal, are never applied.
         """
         n = np.arange(d)
         root = np.sqrt(np.arange(1, d))
         ladder = np.outer(root, root)
-        diag = np.asarray(
-            scale * (self.number_a * n[:, None] + self.number_b * n[None, :]), dtype=complex
-        )
+        # (destination, source, table) of each term applied, the first written
+        # and the others added
+        terms = []
+        if self.number_a != 0 or self.number_b != 0:
+            diag = scale * (self.number_a * n[:, None] + self.number_b * n[None, :])
+            terms.append((slice(None), slice(None), np.asarray(diag, dtype=complex).ravel()))
         exchange = complex(self.exchange_re, self.exchange_im)
         pair = complex(self.pair_re, self.pair_im)
-        lo, hi = slice(None, -1), slice(1, None)
-        # (coefficient, destination, source) of a^dag b, a b^dag, a^dag b^dag, a b
-        terms = [
-            (scale * c * ladder, dst, src)
-            for c, dst, src in (
-                (exchange, (hi, lo), (lo, hi)),
-                (exchange.conjugate(), (lo, hi), (hi, lo)),
-                (pair, (hi, hi), (lo, lo)),
-                (pair.conjugate(), (lo, lo), (hi, hi)),
-            )
-            if c != 0
-        ]
+        # (coefficient, destination offsets, source offsets) in (n1, n2) of
+        # a^dag b, a b^dag, a^dag b^dag, a b
+        for c, (dst1, dst2), (src1, src2) in (
+            (exchange, (1, 0), (0, 1)),
+            (exchange.conjugate(), (0, 1), (1, 0)),
+            (pair, (1, 1), (0, 0)),
+            (pair.conjugate(), (0, 0), (1, 1)),
+        ):
+            if c == 0:
+                continue
+            table = np.zeros((d, d), dtype=complex)
+            table[src1:src1 + d - 1, src2:src2 + d - 1] = scale * c * ladder
+            shift = (dst1 - src1) * d + dst2 - src2
+            if shift > 0:
+                terms.append((slice(shift, None), slice(None, -shift), table.ravel()[:-shift]))
+            else:
+                terms.append((slice(None, shift), slice(-shift, None), table.ravel()[-shift:]))
 
         def apply(psi: np.ndarray) -> np.ndarray:
-            out = diag * psi
-            for coef, dst, src in terms:
-                out[dst] += coef * psi[src]
+            p = psi.ravel()
+            out = np.zeros(p.size, dtype=complex)
+            if terms:
+                dst, src, coef = terms[0]
+                np.multiply(coef, p[src], out=out[dst])
+            for dst, src, coef in terms[1:]:
+                out[dst] += coef * p[src]
             return out
 
         return apply
@@ -190,7 +213,7 @@ class QuadraticHamiltonian:
     def apply(self, amp: np.ndarray) -> np.ndarray:
         """H psi on the truncated (d, d) amplitude array, through
         ``operator`` (the one definition of H psi)."""
-        return self.operator(amp.shape[0], 1.0)(amp)
+        return self.operator(amp.shape[0], 1.0)(amp).reshape(amp.shape)
 
 
 def evolve(state: FockState, h: QuadraticHamiltonian, t: float) -> FockState:
@@ -198,13 +221,15 @@ def evolve(state: FockState, h: QuadraticHamiltonian, t: float) -> FockState:
     ``CHECKPOINTS`` equal substeps.
 
     The operator -i step H is built once (``QuadraticHamiltonian.operator``,
-    nonzero terms only) and serves every substep.  The Taylor steps are
-    sized from ||H||_1 <= n_max (|number_a| + |number_b| + 2 |E| + 2 |P|) on
-    the truncated basis (every ladder matrix element is at most n_max), so
-    H = 0 or t = 0 returns the state exactly.
+    nonzero terms only) and serves every substep, on the flattened
+    amplitudes.  The Taylor steps are sized from ||H||_1 <= n_max
+    (|number_a| + |number_b| + 2 |E| + 2 |P|) on the truncated basis (every
+    ladder matrix element is at most n_max), so H = 0 or t = 0 returns the
+    state exactly.
     Raises ``TruncationOverflowError`` if the boundary population exceeds
-    its threshold before the evolution or at any checkpoint; checks norm
-    preservation at the end.
+    its threshold before the evolution or at any checkpoint (read from the
+    raw amplitudes); checks norm preservation at the end, on the one
+    ``FockState`` it returns.
     """
     if t < 0:
         raise DimensionMismatchError(f"evolution time must be nonnegative, got {t}")
@@ -218,20 +243,21 @@ def evolve(state: FockState, h: QuadraticHamiltonian, t: float) -> FockState:
         + 2.0 * abs(complex(h.exchange_re, h.exchange_im))
         + 2.0 * abs(complex(h.pair_re, h.pair_im))
     )
-    amp = state.amplitudes
-    apply = h.operator(amp.shape[0], -1j * step)
+    shape = state.amplitudes.shape
+    amp = state.amplitudes.ravel()
+    apply = h.operator(shape[0], -1j * step)
     for k in range(1, CHECKPOINTS + 1):
         amp = expmv(apply, amp, norm * step)
-        mid = FockState(amp, lost_weight=state.lost_weight)
-        if mid.boundary_population() > BOUNDARY_POST_TOL:
+        edge = _boundary_population(amp.reshape(shape))
+        if edge > BOUNDARY_POST_TOL:
             raise TruncationOverflowError(
-                f"boundary population {mid.boundary_population():.3e} at t={k * step:.4g}; "
-                "raise the cutoff"
+                f"boundary population {edge:.3e} at t={k * step:.4g}; raise the cutoff"
             )
-    drift = abs(mid.norm_squared() - state.norm_squared())
+    out = FockState(amp.reshape(shape), lost_weight=state.lost_weight)
+    drift = abs(out.norm_squared() - state.norm_squared())
     if drift > 1e-9:
         raise TruncationOverflowError(f"norm drifted by {drift:.3e} during evolution")
-    return mid
+    return out
 
 
 def measure_rsf(state: FockState) -> tuple[ReducedField, ConjugateField]:

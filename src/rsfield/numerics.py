@@ -147,10 +147,16 @@ def require_square(m: np.ndarray, what: str = "matrix") -> np.ndarray:
 def require_hermitian(
     m: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "matrix"
 ) -> np.ndarray:
-    """Validate ``M = M^dag`` within ``tol * (1 + max|M|)`` and return M."""
+    """Validate ``M = M^dag`` within ``tol * (1 + max|M|)`` and return M.
+
+    A non-finite entry is rejected before the residual, whose inf - inf
+    would be NaN; ``not residual <= limit`` rejects a NaN all the same."""
     m = require_square(m, what)
+    scale = max_abs(m)
+    if not math.isfinite(scale):
+        raise NonHermitianError(f"{what} is not Hermitian: it has a non-finite entry")
     res = hermiticity_residual(m)
-    if res > tol * (1.0 + max_abs(m)):
+    if not res <= tol * (1.0 + scale):
         raise NonHermitianError(
             f"{what} is not Hermitian: residual {res:.3e} exceeds tolerance"
         )
@@ -174,7 +180,7 @@ def hermitian_eigh(
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
     res = max_abs((v * w) @ v.conj().T - sym)
-    if res > EIG_RECONSTRUCTION_TOL * (1.0 + max_abs(sym)):
+    if not res <= EIG_RECONSTRUCTION_TOL * (1.0 + max_abs(sym)):
         raise ConvergenceError(
             f"eigendecomposition reconstruction residual {res:.3e} too large"
         )
@@ -208,15 +214,24 @@ def _taylor(apply, v, degree: int, scale: float):
     """sum_{k <= degree} (scale A)^k v / k! for A = ``apply``, stopped once two
     consecutive terms together fall below unit roundoff relative to the
     partial sum (max-entry norms, Al-Mohy & Higham's test).  ``apply``
-    must return a fresh array: the term is scaled in place."""
+    must return a fresh array: the term is scaled in place.
+
+    The partial sum's norm, one more reduction, is read only once the two
+    terms fall below 2 u times the sum of all terms' norms so far: that sum
+    bounds the partial sum's norm (the factor 2 spares the rounding of
+    both sums), so until then the test cannot pass.
+    """
     total = term = v
-    previous = np.abs(v).max(initial=0.0)
+    previous = bound = np.abs(v).max(initial=0.0)
     for k in range(1, degree + 1):
         term = apply(term)
         term *= scale / k
         total = total + term
         size = np.abs(term).max(initial=0.0)
-        if previous + size <= UNIT_ROUNDOFF * np.abs(total).max(initial=0.0):
+        bound += size
+        if previous + size <= 2.0 * UNIT_ROUNDOFF * bound and (
+            previous + size <= UNIT_ROUNDOFF * np.abs(total).max(initial=0.0)
+        ):
             break
         previous = size
     return total

@@ -28,6 +28,7 @@ floating-point noise are clamped to zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,13 @@ from .symplectic import BogoliubovMap, is_classical_open
 
 PHYSICAL_TOL = 1e-8
 STRUCTURE_TOL = 1e-8
+
+
+def _hermitian(m: np.ndarray, tol: float) -> bool:
+    """``max|M - M^dag| <= tol (1 + max|M|)``; false for a NaN, and for an
+    infinity, which is tested first so that no inf - inf is formed."""
+    scale = max_abs(m)
+    return math.isfinite(scale) and hermiticity_residual(m) <= tol * (1.0 + scale)
 
 
 def _as_vector(v, n: int | None = None, what: str = "vector") -> np.ndarray:
@@ -70,7 +78,7 @@ class ReducedField:
         r = np.array(self.r, dtype=complex)
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise DimensionMismatchError(f"r must be square, got {r.shape}")
-        if not hermiticity_residual(r) <= HERMITIAN_TOL * (1.0 + max_abs(r)):
+        if not _hermitian(r, HERMITIAN_TOL):
             raise NonHermitianError("single-particle density matrix not Hermitian")
         ok, witness = is_psd(r, self.psd_tol)
         if not ok:
@@ -101,7 +109,10 @@ class ConjugateField:
         c = np.array(self.c, dtype=complex)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise DimensionMismatchError(f"c must be square, got {c.shape}")
-        if not max_abs(c - c.T) <= HERMITIAN_TOL * (1.0 + max_abs(c)):
+        scale = max_abs(c)
+        if not math.isfinite(scale):
+            raise InvalidMomentsError("anomalous moment matrix is not finite")
+        if not max_abs(c - c.T) <= HERMITIAN_TOL * (1.0 + scale):
             raise InvalidMomentsError("anomalous moment matrix is not symmetric")
         alpha_star = _as_vector(self.alpha_star, c.shape[0], "alpha_star")
         c.setflags(write=False)
@@ -128,7 +139,7 @@ class GeneralizedField:
             raise DimensionMismatchError(f"g must be 2Nx2N, got {g.shape}")
         n = g.shape[0] // 2
         a_vec = _as_vector(self.a_vec, 2 * n, "A")
-        if not hermiticity_residual(g) <= self.structure_tol * (1.0 + max_abs(g)):
+        if not _hermitian(g, self.structure_tol):
             raise StructureViolationError("generalized moment matrix not Hermitian")
         scale = 1.0 + max_abs(g)
         r, c = g[:n, :n], g[:n, n:]
@@ -286,7 +297,7 @@ def expect_additive(rf: ReducedField, o: np.ndarray) -> float:
     o = np.asarray(o, dtype=complex)
     if o.shape != rf.r.shape:
         raise DimensionMismatchError(f"observable shape {o.shape} != {rf.r.shape}")
-    if not hermiticity_residual(o) <= HERMITIAN_TOL * (1.0 + max_abs(o)):
+    if not _hermitian(o, HERMITIAN_TOL):
         raise NonHermitianObservableError("additive observable must be Hermitian")
     val = complex(np.trace(rf.r @ o))
     if not abs(val.imag) <= 1e-10 * (1.0 + abs(val)):

@@ -86,17 +86,22 @@ class TestHamiltonianApply:
     @pytest.mark.parametrize("d", [2, 3, 9])
     def test_operator_term_by_term(self, d, rng):
         # each coefficient alone, all six and none: zero terms are skipped and
-        # the edge slices hold at the smallest cutoff
+        # the edge slices hold at the smallest cutoff; amplitudes on the first
+        # or last column or row alone catch a flat shift that wraps a row
         coefficients = rng.standard_normal(6)
         cases = [np.zeros(6), coefficients] + [
             np.where(np.arange(6) == i, coefficients, 0.0) for i in range(6)
         ]
+        edges = [np.zeros((d, d)) for _ in range(4)]
+        edges[0][:, 0] = edges[1][:, -1] = edges[2][0, :] = edges[3][-1, :] = 1.0
         scale = 0.3 - 0.7j
         for c in cases:
             h = QuadraticHamiltonian(*c)
             hm = scale * dense_hamiltonian(h, d - 1)
-            psi = random_amplitudes(d, rng)
-            assert max_abs(h.operator(d, scale)(psi).ravel() - hm @ psi.ravel()) < 1e-12
+            apply = h.operator(d, scale)
+            for support in [np.ones((d, d))] + edges:
+                psi = support * random_amplitudes(d, rng)
+                assert max_abs(apply(psi) - hm @ psi.ravel()) < 1e-12
 
     def test_is_hermitian(self, rng):
         h = QuadraticHamiltonian(*rng.standard_normal(6))
@@ -164,6 +169,32 @@ class TestEvolve:
         h, _ = squeeze_pair(0.3, 1.0)
         out = evolve(FockState.vacuum(12), h, 1.0)
         assert abs(out.norm_squared() - 1.0) < 1e-9
+
+    @pytest.mark.parametrize(
+        "h, state, applications",
+        [
+            # eight checkpoints, each one series stopped after 13 or 11 terms
+            (squeeze_pair(0.3, 1.0)[0], FockState.vacuum(28), 104),
+            (beam_splitter_pair(0.7)[0], FockState.number_state(1, 0, 28), 88),
+            (QuadraticHamiltonian(), FockState.vacuum(28), 0),
+        ],
+    )
+    def test_h_applications_at_cutoff_28(self, h, state, applications, monkeypatch):
+        counts = []
+        build = QuadraticHamiltonian.operator
+
+        def counting(self, d, scale):
+            apply = build(self, d, scale)
+
+            def counted(psi):
+                counts.append(psi.size)
+                return apply(psi)
+
+            return counted
+
+        monkeypatch.setattr(QuadraticHamiltonian, "operator", counting)
+        evolve(state, h, 1.0)
+        assert len(counts) == applications
 
     def test_truncation_overflow_detected(self):
         h, _ = squeeze_pair(1.2, 1.0)  # far too much squeezing for n_max=4

@@ -16,8 +16,10 @@ from rsfield.numerics import (
     expm,
     expmv,
     hermitian_eigenvalues,
+    hermitian_eigh,
     is_psd,
     max_abs,
+    require_hermitian,
     solve_linear,
     solve_magnus,
 )
@@ -82,6 +84,18 @@ class TestHermitianEigenvalues:
         with pytest.raises(DimensionMismatchError):
             hermitian_eigenvalues(np.zeros((2, 3)))
 
+    # a NaN residual compares false with any limit, and an infinity's
+    # residual would be inf - inf: each is rejected as not Hermitian
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_require_hermitian_rejects_non_finite(self, bad):
+        with pytest.raises(NonHermitianError):
+            require_hermitian(np.array([[bad]]))
+
+    def test_eigh_rejects_nan(self):
+        with pytest.raises(NonHermitianError):
+            hermitian_eigh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
 
 class TestIsPsd:
     def test_zero_matrix(self):
@@ -98,6 +112,10 @@ class TestIsPsd:
         m = np.diag([1e6, -1e-6]).astype(complex)
         ok, _ = is_psd(m, 1e-10)
         assert ok
+
+    def test_rejects_nan(self):
+        with pytest.raises(NonHermitianError):
+            is_psd(np.array([[np.nan]]))
 
 
 class TestExpm:
@@ -146,6 +164,82 @@ class TestExpmv:
     def test_zero_norm_returns_the_vector(self):
         psi = np.array([1.0 + 2j, 0.5])
         assert expmv(lambda x: 0.0 * x, psi, 0.0) is psi
+
+
+def reading_taylor(apply, v, degree, scale):
+    """The Taylor series with the stop test reading the partial sum's norm at
+    every term, the reference for ``numerics._taylor``'s stop decisions."""
+    total = term = v
+    previous = np.abs(v).max(initial=0.0)
+    for k in range(1, degree + 1):
+        term = apply(term)
+        term *= scale / k
+        total = total + term
+        size = np.abs(term).max(initial=0.0)
+        if previous + size <= numerics.UNIT_ROUNDOFF * np.abs(total).max(initial=0.0):
+            break
+        previous = size
+    return total
+
+
+class TestTaylorStop:
+    """The running bound on the partial sum only gates the stop test: each
+    series stops at the same term, with the same sum, as the reference."""
+
+    @staticmethod
+    def both(monkeypatch, call):
+        """(result, applications of A) of ``call()`` with ``numerics._taylor``
+        and with ``reading_taylor``."""
+        runs = []
+        for taylor in (numerics._taylor, reading_taylor):
+            count = [0]
+
+            def counted_taylor(apply, v, degree, scale, taylor=taylor, count=count):
+                def counted(x):
+                    count[0] += 1
+                    return apply(x)
+
+                return taylor(counted, v, degree, scale)
+
+            monkeypatch.setattr(numerics, "_taylor", counted_taylor)
+            runs.append((call(), count[0]))
+        return runs
+
+    def assert_same(self, monkeypatch, call):
+        """Assert equal results and applications; return the applications."""
+        (result, applications), (expected, expected_applications) = self.both(monkeypatch, call)
+        assert applications == expected_applications > 0
+        assert np.array_equal(result, expected)
+        return applications
+
+    def test_expm_cases(self, rng, monkeypatch):
+        z = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+        h = 0.5 * (z + np.swapaxes(z, -1, -2).conj())
+        nilpotent = np.zeros((2, 2, 2), dtype=complex)
+        nilpotent[1, 0, 1] = 2.5
+        for a in [-1j * s * h for s in (1e-4, 0.1, 1.0, 7.0, 40.0)] + [
+            nilpotent, np.array([[0.0, 3.0], [3.0, 0.0]]),
+        ]:
+            self.assert_same(monkeypatch, lambda: expm(a))
+
+    def test_expmv_cases(self, rng, monkeypatch):
+        z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        h = 0.5 * (z + z.conj().T)
+        psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        bound = float(np.abs(h).sum(axis=0).max())
+        for t in (0.01, 1.0, 25.0):
+            self.assert_same(
+                monkeypatch, lambda: expmv(lambda x: -1j * t * (h @ x), psi, bound * t)
+            )
+
+    def test_cancelling_terms(self, monkeypatch):
+        # exp(-3) to degree 40: the terms' norms sum to e^3 while the sum is
+        # e^-3, so the bound passes from term 28 on and the sum at term 31
+        v = np.array([1.0 + 0j, 0.5j])
+        applications = self.assert_same(
+            monkeypatch, lambda: numerics._taylor(lambda x: -3.0 * x, v, 40, 1.0)
+        )
+        assert applications == 31
 
 
 def cosine_generator(t):

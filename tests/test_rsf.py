@@ -6,6 +6,7 @@ from rsfield.errors import (
     DimensionMismatchError,
     InvalidMomentsError,
     NonFiniteStateError,
+    NonHermitianError,
     NonHermitianObservableError,
     NotClassicalOpenError,
     NotPhysicalError,
@@ -67,7 +68,8 @@ class TestFieldValidation:
             ConjugateField(np.array([[0.0, 1.0], [0.5, 0.0]]), np.zeros(2))
 
     # a NaN residual compares false with any limit, so each check reads
-    # ``not residual <= limit``; a NaN amplitude has no residual to show it
+    # ``not residual <= limit``; a NaN amplitude has no residual to show it;
+    # an infinity is rejected before its residual, inf - inf, is formed
 
     def test_rejects_nan_generalized_field(self):
         with pytest.raises(StructureViolationError):
@@ -76,6 +78,16 @@ class TestFieldValidation:
     def test_rejects_nan_conjugate_field(self):
         with pytest.raises(InvalidMomentsError):
             ConjugateField([[np.nan]], [0])
+
+    def test_rejects_infinite_conjugate_field(self):
+        with pytest.raises(InvalidMomentsError):
+            ConjugateField([[np.inf]], [0])
+
+    def test_rejects_infinite_fields(self):
+        with pytest.raises(NonHermitianError):
+            ReducedField([[np.inf]], [0])
+        with pytest.raises(StructureViolationError):
+            GeneralizedField(np.full((2, 2), np.inf), [0, 0])
 
     def test_rejects_nan_amplitude(self):
         with pytest.raises(NonFiniteStateError):
@@ -321,6 +333,11 @@ class TestObservables:
         rf = ReducedField([[1.0]], [0])
         with pytest.raises(NonHermitianObservableError):
             expect_additive(rf, [[np.nan]])
+
+    def test_rejects_infinite_observable(self):
+        rf = ReducedField([[1.0]], [0])
+        with pytest.raises(NonHermitianObservableError):
+            expect_additive(rf, [[np.inf]])
 
     def test_linear_vanishes_without_displacement(self):
         rf, _ = vacuum(2)
