@@ -26,10 +26,10 @@ SU(1,1) to roundoff and the helicity symmetry holds by representation:
 ``ModeSolution`` stores the right pair only.  A sinusoid drive makes the
 equations periodic, and a run over two or more periods is composed from
 one (the Floquet route, ``numerics.solve_floquet``); ``floquet_exponent``
-reads the growth rate off its monodromy.  The DOP853 reference route
-of the tests, which propagates the left pair on its own, and the
-moving-medium Fock oracle of ROADMAP item 2 back the symmetry
-independently.  An extracted phase
+reads the growth rate off the monodromy U(P).  Only the DOP853 reference
+route of the tests, which propagates the left pair on its own, backs the
+symmetry independently: no Fock oracle evolves the moving medium yet.
+An extracted phase
 
     phi(t) = omega cos(theta) * integral_0^t delta(tau) beta(tau) dtau
 
@@ -67,9 +67,10 @@ Every per-sample quantity is one function of a ``ModeSolution``, which
 carries its resolved ``MediumCoefficients``, evaluated over the whole
 sample axis: ``ModeSolution.density``, ``casimir_maps``,
 ``closed_form_generators``, ``extracted_generators`` and
-``growth_law_residual``.  For ``integrate_kinetics``,
-``casimir_generator_callback`` and ``casimir_generators_extracted`` feed the
-dense output ``sol.at(t)`` at arrays of node times to the same formulas;
+``growth_law_residual``.  The dense output ``sol.at(t)`` is the same
+solution at other times, so for ``integrate_kinetics``
+``casimir_generator_callback`` and ``casimir_generators_extracted`` apply
+the same functions to ``sol.at(t)`` at arrays of node times;
 ``casimir_map`` is the validated, raising ``BogoliubovMap`` at one sample.
 ``solve_modes`` and ``casimir_maps`` leave their residuals unchecked, for
 the CLI's gate table (``cli._gates``).
@@ -77,6 +78,7 @@ the CLI's gate table (``cli._gates``).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -84,7 +86,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, DimensionMismatchError
+from .errors import ConfigError, ConvergenceError
 from .kinetics import open_generator_arrays
 from .numerics import (
     DEFAULT_ATOL,
@@ -295,15 +297,6 @@ def _conj(z):
     return np.conj(z) + 0.0
 
 
-@dataclass(frozen=True)
-class ModePoint:
-    """Right-pair amplitudes and phase at one time (arrays for an array of times)."""
-
-    f_rp: complex
-    f_rm: complex
-    phi: float
-
-
 @dataclass(eq=False)
 class ModeSolution:
     """Propagated mode trajectory with conserved-quantity diagnostics.
@@ -312,11 +305,13 @@ class ModeSolution:
     resolved sigma, ``medium.sigma``).  The left pair (``f_lp``, ``f_lm``)
     is the right pair's conjugate.  ``ccr_residual`` is the CCR residual per
     sample, computed from the current amplitudes and not checked here.
-    ``route`` names the route that solved it (``solve_modes``), ``steps``
-    is the number of Magnus steps kept (over one period, on the Floquet
-    route) and ``error_estimate`` the largest step-doubling estimate
-    of their global error in any amplitude or in phi (on the Floquet route,
-    of the composed values, roundoff included).
+    ``propagator`` is the ``numerics`` solution it was sampled from, the
+    dense output of ``at``; ``route`` names the route that solved it
+    (``solve_modes``), and ``steps`` (the Magnus steps kept, over one period
+    on the Floquet route) and ``error_estimate`` (the largest step-doubling
+    estimate of their global error in any amplitude or in phi; on the
+    Floquet route, of the composed values, roundoff included) are the
+    propagator's.
     """
 
     scenario: CasimirScenario
@@ -325,15 +320,21 @@ class ModeSolution:
     f_rp: np.ndarray
     f_rm: np.ndarray
     phi: np.ndarray
-    steps: int = 0
-    error_estimate: float = 0.0
-    _propagator: MagnusSolution | FloquetSolution | None = None
+    propagator: MagnusSolution | FloquetSolution
 
     @property
     def route(self) -> str:
         """The route that solved the run: "floquet" where it was composed from
         one period, else "direct"."""
-        return "floquet" if isinstance(self._propagator, FloquetSolution) else "direct"
+        return "floquet" if isinstance(self.propagator, FloquetSolution) else "direct"
+
+    @property
+    def steps(self) -> int:
+        return self.propagator.steps
+
+    @property
+    def error_estimate(self) -> float:
+        return self.propagator.error_estimate
 
     @property
     def f_lp(self) -> np.ndarray:
@@ -350,13 +351,16 @@ class ModeSolution:
         """|f_R+|^2 - |f_R-|^2 - 1 per sample."""
         return np.abs(self.f_rp) ** 2 - np.abs(self.f_rm) ** 2 - 1.0
 
-    def at(self, t) -> ModePoint:
-        """Dense-output evaluation anywhere inside the propagated span, at a
-        time or a 1-D array of times."""
-        if self._propagator is None:
-            raise DimensionMismatchError("solution carries no dense output")
-        (f_rp, v), phi = self._propagator.at(t)
-        return ModePoint(f_rp=f_rp, f_rm=_conj(v), phi=phi)
+    def at(self, t) -> "ModeSolution":
+        """The solution at a time or a 1-D array of times inside the propagated
+        span, from the dense output: ``times`` is ``t`` as an array (0-d for a
+        time) and the amplitudes and phase are shaped like it.  A node of the
+        propagator is read as stored; any other time takes one partial Magnus
+        step."""
+        (f_rp, v), phi = self.propagator.at(t)
+        return dataclasses.replace(
+            self, times=np.asarray(t, dtype=float), f_rp=f_rp, f_rm=_conj(v), phi=phi
+        )
 
     def endpoint_velocity_mismatch(self) -> float:
         """|beta(T) - beta(0)|; nonzero means no clean in/out photon picture."""
@@ -397,9 +401,7 @@ def floquet_exponent(sol: ModeSolution) -> float | None:
     period = _period(sol.scenario.profile)
     if period is None or period > sol.scenario.t_end:
         return None
-    # the Floquet route holds M itself, the direct route U(P)
-    u_m = sol._propagator.powers[0, 1] if sol.route == "floquet" else sol.at(period).f_rp
-    half_trace = abs(float(u_m.real))
+    half_trace = abs(float(sol.at(period).f_rp.real))
     return math.acosh(half_trace) / period if half_trace > 1.0 else 0.0
 
 
@@ -477,17 +479,7 @@ def _solve_modes(s, samples, rtol, atol, floquet: bool) -> ModeSolution:
         propagator = solve_magnus(generator, _breakpoints(s), step, rtol=rtol, atol=atol)
         values = propagator.at(times)
     (f_rp, v), phi = values
-    return ModeSolution(
-        scenario=s,
-        medium=medium,
-        times=times,
-        f_rp=f_rp,
-        f_rm=_conj(v),
-        phi=phi,
-        steps=propagator.steps,
-        error_estimate=propagator.error_estimate,
-        _propagator=propagator,
-    )
+    return ModeSolution(s, medium, times, f_rp, _conj(v), phi, propagator)
 
 
 def _casimir_matrices(sol: ModeSolution, index) -> np.ndarray:
@@ -530,29 +522,23 @@ def casimir_maps(sol: ModeSolution) -> tuple[np.ndarray, np.ndarray]:
     return x, symplectic_residuals(x)
 
 
-def _closed_form(medium: MediumCoefficients, t, p):
-    """Closed-form (h, gamma_up) of the mode amplitudes ``p`` (a ``ModeSolution``
-    or a ``ModePoint``) at times ``t``; broadcasts over the sample axis.
+def closed_form_generators(sol: ModeSolution) -> tuple:
+    """Scalar kinetic generators in closed form at every sample: real arrays
+    ``(h, gamma_up)`` over the sample axis.
 
     gamma_down is exactly zero: the production process never destroys
     photons.  |f_R+| >= 1 by the CCR invariant, so no division hazard.
     """
-    m = medium.at(t)
-    omega = medium.omega
-    ap2 = np.abs(p.f_rp) ** 2
+    m = sol.medium.at(sol.times)
+    omega = sol.medium.omega
+    ap2 = np.abs(sol.f_rp) ** 2
     h = omega * (
         m.eta_plus
-        - m.eta_minus * (p.f_rm * np.conj(p.f_rp)).real / ap2
-        + m.delta * m.beta * math.cos(medium.theta)
+        - m.eta_minus * (sol.f_rm * np.conj(sol.f_rp)).real / ap2
+        + m.delta * m.beta * math.cos(sol.medium.theta)
     )
-    gamma_up = 2.0 * omega * m.eta_minus * (p.f_rp * np.conj(p.f_rm)).imag / ap2
+    gamma_up = 2.0 * omega * m.eta_minus * (sol.f_rp * np.conj(sol.f_rm)).imag / ap2
     return h, gamma_up
-
-
-def closed_form_generators(sol: ModeSolution) -> tuple:
-    """Scalar kinetic generators in closed form at every sample: real arrays
-    ``(h, gamma_up)`` over the sample axis (gamma_down is zero)."""
-    return _closed_form(sol.medium, sol.times, sol)
 
 
 def casimir_generator_callback(sol: ModeSolution) -> Callable:
@@ -562,28 +548,28 @@ def casimir_generator_callback(sol: ModeSolution) -> Callable:
     ``shape(t) + (1, 1)`` (zeta ``shape(t) + (1,)``)."""
 
     def gen(t):
-        h, up = _closed_form(sol.medium, t, sol.at(t))
+        h, up = closed_form_generators(sol.at(t))
         zero = np.zeros_like(h)
         return h[..., None, None], zero[..., None], up[..., None, None], zero[..., None, None]
 
     return gen
 
 
-def _family(medium: MediumCoefficients, t, p) -> tuple:
+def _family(sol: ModeSolution) -> tuple:
     """The smooth family X_up_S = e^{-i phi} f_R+, X_down_C = e^{-i phi} f_R- of
-    the mode amplitudes ``p`` at times ``t`` and its time derivatives, taken
-    from the mode equations instead of finite differences: (X_up_S, X_down_C,
-    dX_up_S/dt, dX_down_C/dt) as 1x1 matrices, each ``shape(t) + (1, 1)``."""
-    m = medium.at(t)
-    omega = medium.omega
-    em = np.exp(-1j * p.phi)
-    dfp = -1j * omega * (m.eta_plus * p.f_rp - m.eta_minus * p.f_rm)
-    dfm = 1j * omega * (m.eta_plus * p.f_rm - m.eta_minus * p.f_rp)
+    a solution at its times and its time derivatives, taken from the mode
+    equations instead of finite differences: (X_up_S, X_down_C, dX_up_S/dt,
+    dX_down_C/dt) as 1x1 matrices, each ``shape(times) + (1, 1)``."""
+    m = sol.medium.at(sol.times)
+    omega = sol.medium.omega
+    em = np.exp(-1j * sol.phi)
+    dfp = -1j * omega * (m.eta_plus * sol.f_rp - m.eta_minus * sol.f_rm)
+    dfm = 1j * omega * (m.eta_plus * sol.f_rm - m.eta_minus * sol.f_rp)
     family = (
-        em * p.f_rp,
-        em * p.f_rm,
-        em * (dfp - 1j * m.phase_rate * p.f_rp),
-        em * (dfm - 1j * m.phase_rate * p.f_rm),
+        em * sol.f_rp,
+        em * sol.f_rm,
+        em * (dfp - 1j * m.phase_rate * sol.f_rp),
+        em * (dfm - 1j * m.phase_rate * sol.f_rm),
     )
     return tuple(np.asarray(v)[..., None, None] for v in family)
 
@@ -591,15 +577,15 @@ def _family(medium: MediumCoefficients, t, p) -> tuple:
 def extracted_generators(sol: ModeSolution) -> tuple:
     """Generic open-system extraction on the mode family at every sample, the
     independent route against which the closed forms are checked:
-    ``(h, gamma_up, gamma_down)``, each ``(samples, 1, 1)``."""
-    return open_generator_arrays(*_family(sol.medium, sol.times, sol))
+    ``(h, gamma_up, gamma_down)``, each ``shape(times) + (1, 1)``."""
+    return open_generator_arrays(*_family(sol))
 
 
 def casimir_generators_extracted(sol: ModeSolution, t) -> tuple:
     """``extracted_generators`` at a time or an array of times of the dense
     output, as the stacks ``(h, zeta, gamma_up, gamma_down)`` that
     ``integrate_kinetics`` takes from a callable."""
-    h, up, down = open_generator_arrays(*_family(sol.medium, t, sol.at(t)))
+    h, up, down = extracted_generators(sol.at(t))
     return h, np.zeros(h.shape[:-1], dtype=complex), up, down
 
 
@@ -648,7 +634,7 @@ def growth_law_residual(sol: ModeSolution, gamma_up: np.ndarray | None = None) -
     read = np.ones(k.shape, dtype=bool)
     read[side == 0, 4] = False
     density = np.zeros(k.shape)
-    density[read] = np.abs(sol.at((t[:, None] + k * h)[read]).f_rm) ** 2
+    density[read] = sol.at((t[:, None] + k * h)[read]).density()
     f0, f1, f2, f3, f4 = density.T
     one_sided = (-25 * f0 + 48 * f1 - 36 * f2 + 16 * f3 - 3 * f4) / (12 * h)
     rates = np.where(side == 0, (f0 - 8 * f1 + 8 * f2 - f3) / (12 * h), side * one_sided)

@@ -260,8 +260,8 @@ def evolve(state: FockState, h: QuadraticHamiltonian, t: float) -> FockState:
     return out
 
 
-def measure_rsf(state: FockState) -> tuple[ReducedField, ConjugateField]:
-    """Reduced and conjugate field moments of the state.
+def _moments(state: FockState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The moments (r, alpha, c) of the state, unvalidated.
 
     r is assembled as a Gram matrix of the lowered states, so it is
     positive semidefinite by construction.
@@ -281,14 +281,19 @@ def measure_rsf(state: FockState) -> tuple[ReducedField, ConjugateField]:
             r[k, kp] = np.vdot(lowered[kp], lowered[k])
             # c_kk' = <a_k' a_k>: lower twice, then overlap with psi
             c[k, kp] = np.vdot(psi, _shift(lowered[k], kp, -1))
-    r = 0.5 * (r + r.conj().T)
-    c = 0.5 * (c + c.T)
+    return 0.5 * (r + r.conj().T), alpha, 0.5 * (c + c.T)
+
+
+def measure_rsf(state: FockState) -> tuple[ReducedField, ConjugateField]:
+    """Reduced and conjugate field moments of the state (``_moments``)."""
+    r, alpha, c = _moments(state)
     return ReducedField(r, alpha), ConjugateField(c, np.conj(alpha))
 
 
 def measure_generalized(state: FockState) -> GeneralizedField:
-    rf, cf = measure_rsf(state)
-    return from_state_moments(rf.r, rf.alpha, cf.c)
+    """Generalized field moments of the state, each moment set validated once
+    (by ``from_state_moments``)."""
+    return from_state_moments(*_moments(state))
 
 
 def oracle_deviation(m: BogoliubovMap, initial: FockState, evolved: FockState) -> float:

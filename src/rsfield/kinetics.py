@@ -132,14 +132,14 @@ class KineticGenerators:
             u_j = _as_matrix(u_j, "scatterer")
             if u_j.shape != (n, n):
                 raise DimensionMismatchError("scatterer dimension differs")
-            if eta_j < 0:
-                raise InvalidMomentsError(f"scattering rate eta={eta_j} < 0")
-            if max_abs(u_j @ u_j.conj().T - np.eye(n)) > UNITARY_TOL:
+            if not eta_j >= 0:
+                raise InvalidMomentsError(f"scattering rate eta={eta_j} is not >= 0")
+            if not max_abs(u_j @ u_j.conj().T - np.eye(n)) <= UNITARY_TOL:
                 raise InvalidMomentsError("scatterer is not unitary")
             scat.append((float(eta_j), u_j))
         if scat:
             total = sum(eta for eta, _ in scat)
-            if abs(total - 1.0) > ETA_SUM_TOL:
+            if not abs(total - 1.0) <= ETA_SUM_TOL:
                 raise InvalidMomentsError(f"scattering rates sum to {total}, not 1")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "zeta", zeta)

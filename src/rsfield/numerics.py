@@ -457,20 +457,24 @@ class MagnusSolution:
         return self.nodes.size - 1
 
     def at(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """``(U, integral)`` at a time or an array of times (any order), by one
-        partial Magnus step from the node at or before each time; ``U`` has
-        shape ``(2,) + shape(t)``.  Every time must lie in the span."""
+        """``(U, integral)`` at a time or an array of times (any order); ``U``
+        has shape ``(2,) + shape(t)``.  A node is read straight from ``u`` and
+        ``integral``; any other time takes one partial Magnus step from the
+        node before it (a step of length 0 would map by the identity, so the
+        values are the same).  Every time must lie in the span."""
         times = _clip_to_span(t, self.nodes[0], self.nodes[-1])
         flat = times.ravel()
-        u = np.empty((2, flat.size), dtype=complex)
-        integral = np.empty(flat.size)
-        for i in range(0, flat.size, MAGNUS_CHUNK):
-            chunk = slice(i, i + MAGNUS_CHUNK)
-            k = np.searchsorted(self.nodes, flat[chunk], side="right") - 1
-            start = self.nodes[k]
-            maps, increments = magnus_steps(self._generator, start, flat[chunk] - start)
-            u[:, chunk] = _matmul(maps, self.u[:, k])
-            integral[chunk] = self.integral[k] + increments
+        k = np.searchsorted(self.nodes, flat, side="right") - 1
+        start = self.nodes[k]
+        u, integral = self.u[:, k], self.integral[k]
+        inside = np.flatnonzero(flat != start)
+        for i in range(0, inside.size, MAGNUS_CHUNK):
+            chunk = inside[i:i + MAGNUS_CHUNK]
+            maps, increments = magnus_steps(
+                self._generator, start[chunk], flat[chunk] - start[chunk]
+            )
+            u[:, chunk] = _matmul(maps, u[:, chunk])
+            integral[chunk] += increments
         return u.reshape((2,) + times.shape), integral.reshape(times.shape)[()]
 
 

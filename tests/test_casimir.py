@@ -283,7 +283,7 @@ class TestSolveModes:
         # the 57,600 of the doublings to (19200, 38400)
         s = CasimirScenario(1.5, 1.0, np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), 600.0)
         sol = solve_modes_direct(s, 201, rtol=1e-11, atol=1e-13)
-        assert sol._propagator.grids == (600, 1200, 2400, 13606, 27212)
+        assert sol.propagator.grids == (600, 1200, 2400, 13606, 27212)
         assert sol.steps == 27212
 
     @pytest.mark.parametrize("theta, profile, t_end, rtol, grids", [
@@ -305,7 +305,7 @@ class TestSolveModes:
     ):
         s = CasimirScenario(1.5, 1.0, theta, profile, t_end)
         sol = solve_modes_direct(s, 201, rtol=rtol, atol=1e-2 * rtol)
-        assert sol._propagator.grids == grids
+        assert sol.propagator.grids == grids
 
     @pytest.mark.parametrize("t_end, max_steps", [(20.0, 16384), (40.0, 32768)])
     def test_tolerance_below_roundoff_stops_early(self, monkeypatch, t_end, max_steps):
@@ -510,7 +510,7 @@ class TestClosedFormGenerators:
         h, gamma_up = closed_form_generators(sol)
 
         def member(k):
-            return lambda t: casimir._family(sol.medium, t, sol.at(t))[k]
+            return lambda t: casimir._family(sol.at(t))[k]
 
         ext = extract_open_generators(member(0), member(1), float(sol.times[13]), fd_step=1e-5)
         assert abs(h[13] - ext.h[0, 0]) < 1e-5
@@ -521,7 +521,7 @@ class TestClosedFormGenerators:
         sol = solve_modes(s, 21, rtol=1e-12, atol=1e-14)
 
         def family(t):
-            return casimir._family(sol.medium, t, sol.at(t))
+            return casimir._family(sol.at(t))
 
         t = 4.7
         fd = central_difference(lambda t: family(t)[0], t, 1e-4)
@@ -898,7 +898,7 @@ class TestReferenceRoute:
         s = CasimirScenario(1.5, 1.0, 1.0, VelocityProfile.linear_ramp(0.3, 2.0, 0.7), 6.1)
         sol = solve_modes(s, 31)
         assert sol.steps <= 1024
-        assert set(s.profile.kinks()) <= set(sol._propagator.nodes.tolist())
+        assert set(s.profile.kinks()) <= set(sol.propagator.nodes.tolist())
         assert_matches_reference(sol, 1e-10, 1e-12)
         monkeypatch.setattr(casimir, "_breakpoints", lambda s: [0.0, s.t_end])
         assert solve_modes(s, 31).steps > 8192
@@ -965,7 +965,7 @@ class TestFloquetRoute:
     def test_matches_dop853_reference(self, name):
         s, samples, rtol = FLOQUET_CONFIGS[name]
         sol = solve_modes(s, samples, rtol=rtol, atol=1e-2 * rtol)
-        assert isinstance(sol._propagator, numerics.FloquetSolution)
+        assert isinstance(sol.propagator, numerics.FloquetSolution)
         gap = assert_matches_reference(sol, rtol, 1e-2 * rtol, slack=1.0,
                                        ref=floquet_reference(name))
         # the composed estimate accounts for the error it reports
@@ -975,9 +975,9 @@ class TestFloquetRoute:
     def test_whole_periods_in_the_span(self, name, cycles):
         s, samples, _ = FLOQUET_CONFIGS[name]
         sol = solve_modes(s, samples, rtol=1e-11, atol=1e-13)
-        assert sol._propagator.cycles == cycles
+        assert sol.propagator.cycles == cycles
         if name == "whole_periods":  # the sample at kP is M^k itself
-            powers = sol._propagator.powers
+            powers = sol.propagator.powers
             assert np.array_equal(sol.f_rp[1:], powers[0, 1:])
 
     @pytest.mark.parametrize("scenario, grids", [
@@ -990,7 +990,7 @@ class TestFloquetRoute:
         # grid, doubled up to numerics.FIRST_GRID_STEPS; W3 at T=600 propagates
         # 672 steps against the direct 45,018
         sol = solve_modes(scenario, 201, rtol=1e-11, atol=1e-13)
-        assert sol._propagator.grids == grids
+        assert sol.propagator.grids == grids
         assert sol.steps == grids[-1]
 
     def test_dense_output_matches_direct_route_across_period_ends(self):
@@ -999,7 +999,7 @@ class TestFloquetRoute:
         floquet = solve_modes(s, 201, rtol=1e-11, atol=1e-13)
         direct = solve_modes_direct(s, 201, rtol=1e-11, atol=1e-13)
         period, h = 2.0 * np.pi / 0.98, 5e-4 / 1.0
-        ends = period * np.arange(1, floquet._propagator.cycles + 1)
+        ends = period * np.arange(1, floquet.propagator.cycles + 1)
         times = (ends[:, None] + h * np.arange(-2, 3)).ravel()
         got, expected = floquet.at(times), direct.at(times)
         for name in ("f_rp", "f_rm", "phi"):
@@ -1014,8 +1014,8 @@ class TestFloquetRoute:
     ], ids=["sinusoid_one_period", "ramp", "pulse", "constant"])
     def test_other_runs_take_the_direct_route(self, s):
         sol, direct = solve_modes(s, 21), solve_modes_direct(s, 21)
-        assert isinstance(sol._propagator, numerics.MagnusSolution)
-        assert sol._propagator.grids == direct._propagator.grids
+        assert isinstance(sol.propagator, numerics.MagnusSolution)
+        assert sol.propagator.grids == direct.propagator.grids
         for name in ("f_rp", "f_rm", "phi"):
             assert np.array_equal(getattr(sol, name), getattr(direct, name))
 
@@ -1031,7 +1031,7 @@ class TestFloquetRoute:
             numerics.solve_floquet(generator, np.pi, s.t_end, 0.5, times, 1e-13, 1e-15)
         sol = solve_modes(s, 201, rtol=1e-13, atol=1e-15)
         direct = solve_modes_direct(s, 201, rtol=1e-13, atol=1e-15)
-        assert isinstance(sol._propagator, numerics.MagnusSolution)
+        assert isinstance(sol.propagator, numerics.MagnusSolution)
         assert np.array_equal(sol.f_rp, direct.f_rp)
 
     def test_tolerance_below_roundoff_raises_the_direct_routes_error(self):
@@ -1049,8 +1049,8 @@ class TestFloquetRoute:
         # direct route is the reference
         s = sinusoid_scenario(theta=np.pi / 2, beta0=0.6, drive=0.98, t_end=400.0)
         sol = solve_modes(s, 201, rtol=1e-11, atol=1e-13)
-        assert isinstance(sol._propagator, numerics.FloquetSolution)
-        grids = sol._propagator.grids
+        assert isinstance(sol.propagator, numerics.FloquetSolution)
+        grids = sol.propagator.grids
         assert grids[:2] == (208, 416) and len(grids) > 2
         assert all(b == 2 * a for a, b in zip(grids, grids[1:]))
         assert sum(grids) < 1688
@@ -1077,7 +1077,7 @@ def _grids_and_solution(monkeypatch, name, floor):
     solve, s, rtol = FIRST_GRID_CONFIGS[name]
     monkeypatch.setattr(numerics, "FIRST_GRID_STEPS", floor)
     sol = solve(s, 201, rtol=rtol, atol=1e-2 * rtol)
-    return sol._propagator.grids, sol
+    return sol.propagator.grids, sol
 
 
 class TestFirstGrid:

@@ -148,7 +148,7 @@ class TestRunCasimir:
             "floquet_exponent": math.acosh(max(1.0, abs(period_end.f_rp[-1].real))) / np.pi,
             # three whole periods: the period's last grid is the one kept
             "route": "floquet",
-            "steps": cli._solve(parse_casimir_config(cfg))._propagator.grids[-1],
+            "steps": cli._solve(parse_casimir_config(cfg)).propagator.grids[-1],
         }
         assert report.summary["floquet_exponent"] == 0.0
         assert again.keys() == report.summary.keys()
@@ -204,7 +204,7 @@ class TestRouteReport:
         assert (report.summary["route"], report.summary["steps"]) == (route, steps)
         sol = cli._solve(cfg)
         assert (sol.route, sol.steps) == (route, steps)
-        assert (route == "floquet") == isinstance(sol._propagator, FloquetSolution)
+        assert (route == "floquet") == isinstance(sol.propagator, FloquetSolution)
         assert main(["casimir", "--config", str(tmp_path / "c.json"),
                      "--out", str(tmp_path / "main")]) == 0
         out = capsys.readouterr().out.splitlines()
@@ -542,6 +542,13 @@ class TestExitCodes:
         ("fock-check", {"cutoff": -3}),
         ("casimir", {"out_dir": 5}),
         ("fock-check", {"out_dir": ["x"]}),
+        ("fock-check", {"checks": []}),
+        ("amplify", {"kappa": float("nan")}),
+        ("amplify", {"kappa": [float("inf")]}),
+        ("amplify", {"kappa": -1.0}),
+        ("amplify", {"m": [float("nan")]}),
+        ("amplify", {"m": float("-inf")}),
+        ("amplify", {"m": [-1.0]}),
     ])
     def test_malformed_value_exits_two(self, tmp_path, capsys, command, change):
         # a bad value is a configuration error (exit 2) naming the key, not a

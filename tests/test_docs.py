@@ -55,11 +55,11 @@ W3_T600 = CasimirScenario(1.5, 1.0, np.pi / 2, VelocityProfile.sinusoid(0.4, 0.9
 def test_readme_resonant_grids_are_the_solvers():
     # the step counts the solver paragraph quotes for the direct route are
     # the grids solve_modes_direct propagates there, in order
-    grids = solve_modes_direct(W3_T600, 201, rtol=1e-11, atol=1e-13)._propagator.grids
+    grids = solve_modes_direct(W3_T600, 201, rtol=1e-11, atol=1e-13).propagator.grids
     assert _quoted_resonant_grids("direct") == grids
 
 
 def test_readme_floquet_grids_are_the_solvers():
     # and those it quotes for the Floquet route are solve_modes's period grids
-    grids = solve_modes(W3_T600, 201, rtol=1e-11, atol=1e-13)._propagator.grids
+    grids = solve_modes(W3_T600, 201, rtol=1e-11, atol=1e-13).propagator.grids
     assert _quoted_resonant_grids("Floquet") == grids

@@ -85,17 +85,21 @@ class TestGeneratorValidation:
         with pytest.raises(NonHermitianError, match=field):
             KineticGenerators(**gens)
 
-    def test_rejects_non_unitary_scatterer(self):
+    # a NaN fails every comparison, so each check must reject what does not pass
+    @pytest.mark.parametrize("scatterer", [2.0 * np.eye(2), np.diag([np.nan, 1.0])],
+                             ids=["scaled", "nan"])
+    def test_rejects_non_unitary_scatterer(self, scatterer):
         with pytest.raises(InvalidMomentsError):
             KineticGenerators(
                 h=np.zeros((2, 2)),
                 zeta=np.zeros(2),
                 gamma_up=np.zeros((2, 2)),
                 gamma_down=np.zeros((2, 2)),
-                scatterers=((1.0, 2.0 * np.eye(2)),),
+                scatterers=((1.0, scatterer),),
             )
 
-    def test_rejects_bad_eta_sum(self, rng):
+    @pytest.mark.parametrize("etas", [(0.4, 0.4), (np.nan,)], ids=["sum", "nan"])
+    def test_rejects_bad_eta_sum(self, rng, etas):
         u = haar_unitary(2, rng)
         with pytest.raises(InvalidMomentsError):
             KineticGenerators(
@@ -103,7 +107,7 @@ class TestGeneratorValidation:
                 zeta=np.zeros(2),
                 gamma_up=np.zeros((2, 2)),
                 gamma_down=np.zeros((2, 2)),
-                scatterers=((0.4, u), (0.4, np.eye(2))),
+                scatterers=tuple(zip(etas, (u, np.eye(2)))),
             )
 
     def test_psd_witnesses_expose_indefinite_rates(self):

@@ -438,6 +438,39 @@ class TestSolveMagnus:
         with pytest.raises(DimensionMismatchError):
             sol.at(3.5)
 
+    def test_node_reads_take_no_magnus_step(self, monkeypatch):
+        # a node, the period P included, is read as stored, not by a partial
+        # step of length 0; a time between nodes still takes one
+        period = 2.0 * math.pi / 0.98
+        generator = casimir._mode_generator(W3_MEDIUM)
+        direct = solve_magnus(generator, [0.0, period], 0.5)
+        floquet = numerics.solve_floquet(
+            generator, period, 3.5 * period, 0.5, np.array([0.0, 3.5 * period])
+        )[0]
+        calls = []
+        real_steps = numerics.magnus_steps
+
+        def counting(*args):
+            calls.append(args)
+            return real_steps(*args)
+
+        monkeypatch.setattr(numerics, "magnus_steps", counting)
+        u, integral = direct.at(direct.nodes[::-1])
+        assert np.array_equal(u, direct.u[:, ::-1])
+        assert np.array_equal(integral, direct.integral[::-1])
+        (u_p, v_p), i_p = direct.at(period)
+        assert (u_p, v_p, i_p) == (*direct.u[:, -1], direct.integral[-1])
+        # the nodes of the first period, and the multiples of P, which read M^k
+        u, integral = floquet.at(floquet.nodes)
+        assert np.array_equal(u, floquet.period.u)
+        assert np.array_equal(integral, floquet.period.integral)
+        u, integral = floquet.at(period * np.arange(4))
+        assert np.array_equal(u, floquet.powers)
+        assert np.array_equal(integral, floquet.period.integral[-1] * np.arange(4))
+        assert calls == []
+        direct.at(0.5 * (direct.nodes[0] + direct.nodes[1]))
+        assert len(calls) == 1
+
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(numerics, "MAGNUS_MAX_STEPS", 64)
         with pytest.raises(ConvergenceError):
