@@ -39,6 +39,8 @@ def _rates(values, what: str) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(values, dtype=float))
     if arr.ndim != 1:
         raise DimensionMismatchError(f"{what} must be scalar or 1-d")
+    if arr.size == 0:
+        raise DimensionMismatchError(f"{what} needs at least one mode")
     if np.any(arr < 0):
         raise InvalidMomentsError(f"{what} must be nonnegative")
     return arr

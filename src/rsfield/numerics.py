@@ -39,17 +39,9 @@ Both Magnus solvers control the error by step doubling on a grid that
 is uniform between breakpoints (``_refine``).  ``solve_magnus`` and the
 period of ``solve_floquet`` start on the first grid of the ladder
 N0 2^j, N0 their first grid, that holds at least ``FIRST_GRID_STEPS``
-steps: below it a level costs little more than its fixed overhead.  ``solve_linear``,
-whose every step is a dense ``expm``, starts on its first grid.  Once two
-consecutive pairs of grids show the estimate, relative to its limit,
-falling at the method's rate (by at least 32 per doubling, where the
-sixth-order law gives 64), the solver lands on the step count the law
-predicts: it propagates next the pair (M, 2M) predicted to bring that
-ratio to ``LANDING_TARGET``, when that costs fewer steps than the
-doublings to the first power-of-two pair predicted to pass, and doubles
-on from there if that pair fails.  No landing goes below the roundoff
-floor (256 eps times the largest entry) or past ``MAGNUS_MAX_STEPS``, and
-the acceptance test is the same either way.
+steps: below it a level costs little more than its fixed overhead.
+``solve_linear``, whose every step is a dense ``expm``, starts on its
+first grid.  Every grid propagated is a rung of that ladder.
 
 All quantities are dimensionless or expressed in natural units
 (hbar = c = 1); matrices and vectors are plain complex numpy arrays.
@@ -81,25 +73,23 @@ DEFAULT_ATOL = 1e-12
 GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
 GAUSS_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 # steps (or dense-output times) built at once, bounding temporaries.  The
-# scan's passes grow as 2 log2 of it; W3 at T=600 (45,018 steps propagated)
-# solved in a median 20.5, 16.3, 13.9, 15.1 and 17.1 ms at 1024, 2048, 4096,
-# 8192 and 16384 (2-vCPU Xeon, numpy 2.4.6, 11 runs each)
+# scan's passes grow as 2 log2 of it; W3 at T=600 on the direct route (76,200
+# steps propagated) solved in a median 34-35, 25-27, 23-24, 22 and 24 ms at
+# 1024, 2048, 4096, 8192 and 16384 (2-vCPU Xeon, numpy 2.4.6, two passes of
+# 11 interleaved runs each)
 MAGNUS_CHUNK = 4096
 MAGNUS_MAX_STEPS = 2 ** 20
 # fewest steps of the first grid the Magnus solvers propagate (``_refine``'s
 # ``first_steps``).  A level of N steps costs about c0 + c1 N: one period of
 # W3 propagated in 233 us at 28 steps and 361 us at 448 (10th percentiles of
-# 300 runs, 2-vCPU Xeon, numpy 2.4.6), and each level adds 55-70 us of
-# ``_doubling_error`` and ``_landing``, so c0 ~ 0.28 ms and c1 ~ 0.3 us per
-# step.  The first grid propagated holds fewer than 2F steps, so a run
+# 300 runs, 2-vCPU Xeon, numpy 2.4.6), and each level adds at most 55-70 us
+# of ``_doubling_error`` and the loop around it (``_doubling_error`` alone:
+# 17 and 23 us on those grids), so c0 ~ 0.28 ms and c1 ~ 0.3 us per step.
+# The first grid propagated holds fewer than 2F steps, so a run
 # whose first pair would have passed below F pays at most 6 F c1; F is the
 # largest power of two with 6 F c1 <= c0, one level's fixed cost, which is
 # also what each level skipped saves
 FIRST_GRID_STEPS = 128
-# estimate-to-limit ratio a landed pair aims at (``_landing``): the 22 pairs
-# landed on by W3 at T=50-1000 and five other configs, each at rtol 1e-8,
-# 1e-11 and 1e-13, read 0.33-0.50, and every one passed
-LANDING_TARGET = 0.5
 
 # theta_m of Al-Mohy & Higham (2011), Table 3.1, for unit roundoff 2^-53: the
 # degree-m Taylor polynomial T_m satisfies T_m(A / s)^s = exp(A + dA) with
@@ -107,11 +97,6 @@ LANDING_TARGET = 0.5
 TAYLOR_THETA = {5: 2.4e-3, 10: 0.144, 15: 0.641, 20: 1.44, 25: 2.43, 30: 3.54,
                 35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9}
 UNIT_ROUNDOFF = 2.0 ** -53
-# roundoff that grows with a value's size, in units of eps times that size:
-# the floor below which step doubling no longer predicts an error, and (in
-# ``symplectic``) the CCR and map residuals, measured at 6-47 eps
-# (|f_+|^2 + |f_-|^2) and eps max|X|^2 up to n ~ 3e7
-ROUNDOFF_FACTOR = 256.0
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -418,23 +403,18 @@ def _grid(breakpoints: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.concatenate(pieces + [breakpoints[-1:]])
 
 
-def _doubling_error(fine, coarse, rtol, atol) -> tuple[float, bool, float, float]:
+def _doubling_error(fine, coarse, rtol, atol) -> tuple[float, bool]:
     """Compare two grids' arrays at the nodes they share (the last axis runs
     over nodes; the fine grid halves every step), in chunks so the temporaries
-    stay small.  Returns the largest estimate |fine - coarse| / 63, whether
-    each one meets ``atol + rtol |fine|``, the largest ratio of an estimate to
-    that limit, and the largest |fine|."""
-    worst, ok, ratio, peak = 0.0, True, 0.0, 0.0
+    stay small.  Returns the largest estimate |fine - coarse| / 63 and whether
+    each one meets ``atol + rtol |fine|``."""
+    worst, ok = 0.0, True
     for i in range(0, coarse.shape[-1], MAGNUS_CHUNK):
         f = fine[..., 2 * i:2 * (i + MAGNUS_CHUNK):2]
         err = np.abs(f - coarse[..., i:i + MAGNUS_CHUNK]) / 63.0
-        size = np.abs(f)
-        limit = atol + rtol * size
         worst = max(worst, float(err.max()))
-        ok = ok and bool(np.all(err <= limit))
-        ratio = max(ratio, float((err / limit).max()))
-        peak = max(peak, float(size.max()))
-    return worst, ok, ratio, peak
+        ok = ok and bool(np.all(err <= atol + rtol * np.abs(f)))
+    return worst, ok
 
 
 class MagnusSolution:
@@ -478,45 +458,6 @@ class MagnusSolution:
         return u.reshape((2,) + times.shape), integral.reshape(times.shape)[()]
 
 
-def _landing(counts: np.ndarray, ratios, estimate: float, peak: float):
-    """The coarse counts per segment of the next pair to propagate after a
-    failed pair whose fine grid has ``counts`` steps per segment, or None to
-    double as usual.
-
-    ``ratios`` are the worst estimate-to-limit ratios of the pairs since the
-    last landing; a pair whose ratio is within 1 (one ``_refine``'s
-    ``accept`` turned down) predicts no landing.  In the asymptotic range
-    each doubling divides the ratio by 64 (2^6); once the last two ratios
-    contracted by at least 32 (half of that), the law predicts the ratio R
-    of the last pair to fall to
-    ``LANDING_TARGET`` on the pair (M, 2M), M = ceil(N (R / target)^(1/p))
-    per segment, with N the failed pair's coarse count and p = log2(min(64,
-    observed contraction)): a pair that contracted slower than the law takes
-    the finer grid.  That pair is taken when its 3 M steps cost less than the
-    route of whole doublings: j = ceil(log_c R) more levels at c = max(64,
-    observed contraction), propagated as the pair (2^(j-1), 2^j) times the
-    fine grid from j = 3 on, or one level at a time.  No pair is taken whose
-    predicted estimate falls below the roundoff floor 256 eps ``peak`` (a
-    tolerance below roundoff is left to the stall rule) or whose fine grid
-    would pass ``MAGNUS_MAX_STEPS``.
-    """
-    if len(ratios) < 2 or not (ratios[-1] > 1.0 and 32.0 * ratios[-1] <= ratios[-2] < math.inf):
-        return None
-    ratio, contraction = ratios[-1], ratios[-2] / ratios[-1]
-    floor = ROUNDOFF_FACTOR * np.finfo(float).eps * peak
-    fine = int(counts.sum())
-    rate = max(64.0, contraction)
-    j = math.ceil(math.log(ratio, rate))
-    leap = j >= 3 and fine << j <= MAGNUS_MAX_STEPS and estimate / rate ** j >= floor
-    doublings = 3 * (fine << (j - 1)) if leap else (2 ** (j + 1) - 2) * fine
-    order = math.log2(min(64.0, contraction))
-    landed = np.ceil(counts // 2 * (ratio / LANDING_TARGET) ** (1.0 / order))
-    if (3.0 * landed.sum() < doublings and 2.0 * landed.sum() <= MAGNUS_MAX_STEPS
-            and estimate * LANDING_TARGET / ratio >= floor):
-        return landed.astype(int)
-    return counts << (j - 1) if leap else None
-
-
 def _refine(propagate, breakpoints, initial_step: float, rtol: float, atol: float,
             first_steps: int = 1, accept=lambda fine, coarse: True):
     """Step doubling shared by the Magnus solvers.  ``propagate(nodes)``
@@ -530,14 +471,11 @@ def _refine(propagate, breakpoints, initial_step: float, rtol: float, atol: floa
     two grids share and ``accept(fine, coarse)`` passes the pair (each grid
     as ``(nodes, arrays)``; a pair it turns down fails like any other);
     returns the finer grid and its arrays, the largest estimate and the step
-    counts propagated, in order.  After a failed pair, the next pair may
-    instead be the one the sixth-order error law predicts to pass
-    (``_landing``): its coarse grid is propagated afresh and then doubled.
-    If that pair fails, doubling goes on.  Raises
-    ``ConvergenceError`` past ``MAGNUS_MAX_STEPS`` steps, or as soon as two
-    consecutive pairs each cut the estimate by less than half (in the
-    asymptotic range each doubling cuts it by about 64): the tolerance then
-    lies below the roundoff floor of the propagation.
+    counts propagated, in order.  Raises ``ConvergenceError`` past
+    ``MAGNUS_MAX_STEPS`` steps, or as soon as two consecutive pairs each cut
+    the estimate by less than half (in the asymptotic range each doubling
+    cuts it by about 64): the tolerance then lies below the roundoff floor
+    of the propagation.
     """
     breaks = np.asarray(breakpoints, dtype=float)
     counts = np.maximum(1, np.ceil(np.diff(breaks) / initial_step)).astype(int)
@@ -546,7 +484,7 @@ def _refine(propagate, breakpoints, initial_step: float, rtol: float, atol: floa
     nodes = _grid(breaks, counts)
     values = propagate(nodes)
     grids = [int(counts.sum())]
-    estimates, ratios = [], []
+    estimates = []
     while True:
         counts = 2 * counts
         if counts.sum() > MAGNUS_MAX_STEPS:
@@ -558,9 +496,7 @@ def _refine(propagate, breakpoints, initial_step: float, rtol: float, atol: floa
         nodes = _grid(breaks, counts)
         values = propagate(nodes)
         grids.append(nodes.size - 1)
-        worst, ok, ratio, peak = zip(
-            *(_doubling_error(f, c, rtol, atol) for f, c in zip(values, coarse[1]))
-        )
+        worst, ok = zip(*(_doubling_error(f, c, rtol, atol) for f, c in zip(values, coarse[1])))
         estimates.append(max(worst))
         if all(ok) and accept((nodes, values), coarse):
             return (nodes, values), estimates[-1], tuple(grids)
@@ -570,14 +506,6 @@ def _refine(propagate, breakpoints, initial_step: float, rtol: float, atol: floa
                 f"{estimates[-1]:.3g} not within rtol={rtol:g}, atol={atol:g} "
                 f"at {nodes.size - 1} steps"
             )
-        ratios.append(max(ratio))
-        landed = _landing(counts, ratios, estimates[-1], max(peak))
-        if landed is not None:
-            counts = landed
-            nodes = _grid(breaks, counts)
-            values = propagate(nodes)
-            grids.append(nodes.size - 1)
-            ratios = []
 
 
 def _check_tolerances(rtol: float, atol: float) -> None:

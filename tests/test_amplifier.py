@@ -8,6 +8,7 @@ from rsfield.amplifier import (
     amplifier_bogoliubov,
     amplifier_generators,
 )
+from rsfield.errors import DimensionMismatchError
 from rsfield.kinetics import extract_open_generators, integrate_kinetics
 from rsfield.numerics import is_psd, max_abs
 from rsfield.rsf import transform_open_vacuum_env, vacuum
@@ -68,6 +69,18 @@ class TestGenerators:
         g = amplifier_generators(AmplifierSpec(kappa=[1.0, 2.0], m=[0.5, 0.0]))
         up, dn = g.psd_witnesses()
         assert up >= 0.0 and dn >= 0.0
+
+
+class TestSpec:
+    @pytest.mark.parametrize("kappa, m", [([], []), ([], 0.0), ([1.0], [])])
+    def test_rejects_empty_rates(self, kappa, m):
+        # a spec of no mode has no field to amplify
+        with pytest.raises(DimensionMismatchError, match="at least one mode"):
+            AmplifierSpec(kappa=kappa, m=m)
+
+    def test_family_rejects_empty_rates(self):
+        with pytest.raises(DimensionMismatchError, match="at least one mode"):
+            amplifier_bogoliubov([], 1.0)
 
 
 class TestBogoliubovFamily:

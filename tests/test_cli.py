@@ -549,6 +549,7 @@ class TestExitCodes:
         ("amplify", {"m": [float("nan")]}),
         ("amplify", {"m": float("-inf")}),
         ("amplify", {"m": [-1.0]}),
+        ("amplify", {"kappa": [], "m": []}),
     ])
     def test_malformed_value_exits_two(self, tmp_path, capsys, command, change):
         # a bad value is a configuration error (exit 2) naming the key, not a

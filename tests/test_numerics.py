@@ -478,13 +478,15 @@ class TestSolveMagnus:
 
 
 class TestSkippedDoublings:
-    def test_landing_pair_that_fails_doubles_on_to_the_stall(self, monkeypatch):
+    """``_refine`` skips no doubling: every grid it propagates is the first
+    one times a power of two."""
+
+    def test_plateau_above_the_tolerance_doubles_on_to_the_stall(self, monkeypatch):
         # a relative error of 1e-2 (128 / N)^6 on a grid of N steps, the
         # sixth-order law from the first grid (numerics.FIRST_GRID_STEPS) on,
-        # plus a 1e-7 whose sign alternates with the nearest power of two,
-        # too small to show in the first two pairs: the law predicts the
-        # pair (1545, 3090) to pass, the plateau fails it, and doubling goes
-        # on until the estimate has stalled twice
+        # plus a 1e-7 whose sign alternates with each doubling: the estimate
+        # falls by 64 per doubling until the plateau takes over, and doubling
+        # goes on until it has stalled twice
         propagated = []
 
         def plateau(generator, nodes):
@@ -496,42 +498,10 @@ class TestSkippedDoublings:
             return u, nodes * (1.0 + error)
 
         monkeypatch.setattr(numerics, "propagate_magnus", plateau)
-        stalled = r"stalled at the roundoff floor: .* at 12360 steps"
+        stalled = r"stalled at the roundoff floor: .* at 8192 steps"
         with pytest.raises(ConvergenceError, match=stalled):
             solve_magnus(boost_generator, [0.0, 1.0], 1.0 / 128.0, rtol=1e-10, atol=1e-12)
-        assert propagated == [128, 256, 512, 1545, 3090, 6180, 12360]
-
-    def test_solve_linear_matches_plain_doubling(self, monkeypatch):
-        # W3's mode equations as a 2x2 linear system: from the third grid on,
-        # the error law predicts the pair that passes, and its states agree
-        # with those of doubling one level at a time within the tolerance,
-        # for fewer propagated steps
-        def generator(t):
-            a, p, q, _ = casimir._mode_generator(W3_MEDIUM)(t)
-            return np.moveaxis(su11_matrix(a, p, q), (0, 1), (-2, -1))
-
-        real_propagate = numerics._propagate_linear
-        rtol, atol = 1e-11, 1e-13
-
-        def solve(land):
-            propagated = []
-
-            def counting(generator, nodes, y0):
-                propagated.append(nodes.size - 1)
-                return real_propagate(generator, nodes, y0)
-
-            monkeypatch.setattr(numerics, "_propagate_linear", counting)
-            if not land:
-                monkeypatch.setattr(numerics, "_landing", lambda *args: None)
-            times = np.linspace(0.0, 300.0, 3)
-            return solve_linear(generator, [1.0, 0.0], times, rtol=rtol, atol=atol), propagated
-
-        landed, landed_grids = solve(True)
-        plain, plain_grids = solve(False)
-        assert landed_grids == [300, 600, 1200, 6008, 12016]
-        assert plain_grids == [300, 600, 1200, 2400, 4800, 9600, 19200]
-        assert np.all(np.abs(landed - plain) <= atol + rtol * np.abs(plain))
-        assert sum(landed_grids) < sum(plain_grids)
+        assert propagated == [128, 256, 512, 1024, 2048, 4096, 8192]
 
     @staticmethod
     def _law(nodes):
@@ -554,8 +524,8 @@ class TestSkippedDoublings:
         assert grids == (8, 16, 32, 64) and nodes.size == 65
 
     def test_turned_down_pairs_of_equal_grids_double_on(self):
-        # grids whose values agree exactly give estimates of 0, which predict
-        # no landing pair
+        # grids whose values agree exactly give estimates of 0, which never
+        # stall
         seen = []
 
         def accept(fine, coarse):
@@ -598,8 +568,8 @@ class TestSkippedDoublings:
         assert np.array_equal(y, y_plain)
 
     def test_no_skip_past_the_step_cap(self, monkeypatch):
-        # the fine grid of the predicted pair would pass the cap: doubling
-        # goes on one level at a time and the cap's error is unchanged
+        # W3 over 600 passes only at 38400 steps: with the cap at 4800 the
+        # doubling reaches the cap and stops there with the cap's error
         real_propagate = numerics.propagate_magnus
         propagated = []
 
