@@ -528,6 +528,9 @@ def run_fock_check(cfg: dict | None, out_dir: Path) -> RunReport:
     seed = _number(cfg["seed"], "config.seed", integer=True)
     squeeze = _number(cfg["squeeze"], "config.squeeze")
     angle = _number(cfg["angle"], "config.angle")
+    # one turn holds every beam-splitter map; the evolution's work grows with |angle|
+    if not abs(angle) <= 2.0 * math.pi:
+        raise ConfigError(f"config.angle must lie in [-2 pi, 2 pi], got {angle}")
     deviation = {}
     if "identity" in checks:
         deviation["identity"] = oracle_check_transform(

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError, TruncationOverflowError
-from .numerics import expmv, max_abs
+from .numerics import expmv, max_abs, require_finite, require_square
 from .rsf import ConjugateField, GeneralizedField, ReducedField, from_state_moments
 from .symplectic import BogoliubovMap, from_blocks
 
@@ -57,11 +57,10 @@ class FockState:
     lost_weight: float = 0.0
 
     def __post_init__(self):
-        amp = np.array(self.amplitudes, dtype=complex)
-        if amp.ndim != 2 or amp.shape[0] != amp.shape[1] or amp.shape[0] < 2:
-            raise DimensionMismatchError(
-                f"amplitudes must be square (d x d, d >= 2), got {amp.shape}"
-            )
+        amp = require_square(np.array(self.amplitudes, dtype=complex), "amplitudes")
+        if amp.shape[0] < 2:
+            raise DimensionMismatchError(f"amplitudes must be d x d with d >= 2, got {amp.shape}")
+        require_finite(amp, "amplitudes")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 
@@ -143,7 +142,7 @@ class QuadraticHamiltonian:
         + pair_re (a^dag b^dag + a b)     + pair_im   i(a^dag b^dag - a b)
 
     The first four terms are passive (particle-number conserving), the
-    last two active.
+    last two active.  Every coefficient must be finite.
     """
 
     number_a: float = 0.0
@@ -152,6 +151,9 @@ class QuadraticHamiltonian:
     exchange_im: float = 0.0
     pair_re: float = 0.0
     pair_im: float = 0.0
+
+    def __post_init__(self):
+        require_finite(list(vars(self).values()), "Hamiltonian coefficients")
 
     def operator(self, d: int, scale: complex) -> Callable[[np.ndarray], np.ndarray]:
         """The map psi -> scale H psi on the d^2 amplitudes of a (d, d) array,
@@ -233,7 +235,7 @@ def evolve(state: FockState, h: QuadraticHamiltonian, t: float) -> FockState:
     """
     if t < 0:
         raise DimensionMismatchError(f"evolution time must be nonnegative, got {t}")
-    if state.boundary_population() > BOUNDARY_PRE_TOL:
+    if not state.boundary_population() <= BOUNDARY_PRE_TOL:
         raise TruncationOverflowError(
             f"initial boundary population {state.boundary_population():.3e} too large"
         )
@@ -249,13 +251,13 @@ def evolve(state: FockState, h: QuadraticHamiltonian, t: float) -> FockState:
     for k in range(1, CHECKPOINTS + 1):
         amp = expmv(apply, amp, norm * step)
         edge = _boundary_population(amp.reshape(shape))
-        if edge > BOUNDARY_POST_TOL:
+        if not edge <= BOUNDARY_POST_TOL:
             raise TruncationOverflowError(
                 f"boundary population {edge:.3e} at t={k * step:.4g}; raise the cutoff"
             )
     out = FockState(amp.reshape(shape), lost_weight=state.lost_weight)
     drift = abs(out.norm_squared() - state.norm_squared())
-    if drift > 1e-9:
+    if not drift <= 1e-9:
         raise TruncationOverflowError(f"norm drifted by {drift:.3e} during evolution")
     return out
 
@@ -266,7 +268,7 @@ def _moments(state: FockState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     r is assembled as a Gram matrix of the lowered states, so it is
     positive semidefinite by construction.
     """
-    if state.boundary_population() > BOUNDARY_POST_TOL:
+    if not state.boundary_population() <= BOUNDARY_POST_TOL:
         raise TruncationOverflowError(
             f"boundary population {state.boundary_population():.3e} too large to trust moments"
         )
@@ -336,13 +338,13 @@ def squeeze_pair(kappa: float, t: float):
     return h, from_blocks(x_up, x_down, n_sys=1, n_env=1, tol=1e-10)
 
 
-def beam_splitter_pair(angle: float, t: float = 1.0):
-    """Real-rotation beam splitter H = i g (a^dag b - a b^dag), g = angle/t.
+def beam_splitter_pair(angle: float):
+    """Real-rotation beam splitter H = i angle (a^dag b - a b^dag) and its map
+    over unit time.
 
-    Heisenberg action: a -> cos(g t) a + sin(g t) b.
+    Heisenberg action: a -> cos(angle) a + sin(angle) b.
     """
-    g = angle / t
-    h = QuadraticHamiltonian(exchange_im=g)
+    h = QuadraticHamiltonian(exchange_im=angle)
     co, si = np.cos(angle), np.sin(angle)
     x_up = np.array([[co, si], [-si, co]], dtype=complex)
     x_down = np.zeros((2, 2), dtype=complex)

@@ -57,8 +57,6 @@ from .errors import (
     DerivativeUnavailableError,
     DimensionMismatchError,
     InvalidMomentsError,
-    NonFiniteStateError,
-    NonHermitianError,
     NotClassicalClosedError,
     PhysicalityLostError,
     SingularMatrixError,
@@ -67,10 +65,13 @@ from .numerics import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
     central_difference,
-    hermiticity_residual,
+    is_hermitian,
     is_psd,
     matrix_max,
     max_abs,
+    require_finite,
+    require_hermitian,
+    require_square,
     solve_linear,
 )
 from .rsf import ReducedField
@@ -82,24 +83,14 @@ ETA_SUM_TOL = 1e-10
 CONDITION_LIMIT = 1e12  # on kappa_1 = ||X||_1 ||X^-1||_1 of a matrix to invert
 DEFAULT_FD_STEP = 1e-6
 DRIFT_PSD_TOL = 1e-6
-
-
-def _as_matrix(a, what: str) -> np.ndarray:
-    m = np.atleast_2d(np.asarray(a, dtype=complex))
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"{what} must be square, got {m.shape}")
-    return m
+GENERATOR_HERMITIAN_TOL = 1e-9  # of generators and kinetic snapshots
+RATE_PSD_TOL = 1e-10  # of the rates validity_report scans
 
 
 def _require_hermitian_generators(**generators) -> None:
-    """Hermiticity of each named matrix, one or a stack, to 1e-9 (1 + its max
-    entry); ``not residual <= limit`` also rejects a NaN, and an infinity,
-    whose residual inf - inf is NaN."""
+    """``require_hermitian`` of each named matrix or stack at ``GENERATOR_HERMITIAN_TOL``."""
     for name, m in generators.items():
-        with np.errstate(invalid="ignore"):
-            residual = np.abs(m - np.swapaxes(m, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
-        if not np.all(residual <= 1e-9 * (1.0 + np.abs(m).max(axis=(-2, -1), initial=0.0))):
-            raise NonHermitianError(f"{name} is not Hermitian")
+        require_hermitian(m, GENERATOR_HERMITIAN_TOL, name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,17 +110,17 @@ class KineticGenerators:
     scatterers: tuple = ()
 
     def __post_init__(self):
-        h = _as_matrix(self.h, "h")
+        h = require_square(self.h, "h")
         n = h.shape[0]
         zeta = np.asarray(self.zeta, dtype=complex).ravel()
-        gu = _as_matrix(self.gamma_up, "gamma_up")
-        gd = _as_matrix(self.gamma_down, "gamma_down")
+        gu = require_square(self.gamma_up, "gamma_up")
+        gd = require_square(self.gamma_down, "gamma_down")
         if zeta.size != n or gu.shape != (n, n) or gd.shape != (n, n):
             raise DimensionMismatchError("generator dimensions differ")
         _require_hermitian_generators(h=h, gamma_up=gu, gamma_down=gd)
         scat = []
         for eta_j, u_j in self.scatterers:
-            u_j = _as_matrix(u_j, "scatterer")
+            u_j = require_square(u_j, "scatterer")
             if u_j.shape != (n, n):
                 raise DimensionMismatchError("scatterer dimension differs")
             if not eta_j >= 0:
@@ -267,9 +258,8 @@ def integrate_kinetics(
     for t, y in zip(times, snapshots):
         r = y[: n * n].reshape(n, n)
         alpha = y[n * n:n * n + n]
-        herm = hermiticity_residual(r)
-        if herm > 1e-9 * (1.0 + max_abs(r)):
-            raise PhysicalityLostError("Hermiticity lost", herm, float(t))
+        if not is_hermitian(r, GENERATOR_HERMITIAN_TOL):
+            raise PhysicalityLostError("Hermiticity lost", max_abs(r - r.conj().T), float(t))
         r = 0.5 * (r + r.conj().T)
         try:
             out.append(ReducedField(r, alpha, psd_tol=DRIFT_PSD_TOL))
@@ -279,20 +269,12 @@ def integrate_kinetics(
     return out
 
 
-def _finite(m, what):
-    """``m``, once every entry is checked finite: a NaN or an infinity in a
-    family would otherwise reach numpy's linear algebra or pass as NaN rates."""
-    if not np.all(np.isfinite(m)):
-        raise NonFiniteStateError(f"{what} has non-finite entries")
-    return m
-
-
 def _derivative(family, t, analytic, fd_step, what):
     if analytic is not None:
         d = np.asarray(analytic(t), dtype=complex)
     else:
         d = central_difference(family, t, fd_step)
-    return _finite(np.atleast_2d(d), f"d{what}/dt")
+    return require_finite(np.atleast_2d(d), f"d{what}/dt")
 
 
 def _one_norms(x):
@@ -308,7 +290,7 @@ def _checked_inverse(x, what):
     of kappa_2 for an n x n matrix and equals it for a 1 x 1 one.
     """
     try:
-        inverse = np.linalg.inv(_finite(x, what))
+        inverse = np.linalg.inv(require_finite(x, what))
     except np.linalg.LinAlgError:
         raise SingularMatrixError(f"{what} is singular") from None
     cond = np.max(_one_norms(x) * _one_norms(inverse))
@@ -329,7 +311,7 @@ def extract_closed_generator(
     ``PASSIVE_UNITARY_TOL``); the derivative is taken from ``dx_up`` when
     supplied, otherwise by central differences with step ``fd_step``.
     """
-    x = _finite(_as_matrix(x_up(t), "X_up"), "X_up")
+    x = require_finite(require_square(x_up(t), "X_up"), "X_up")
     n = x.shape[0]
     if max_abs(x @ x.conj().T - np.eye(n)) > PASSIVE_UNITARY_TOL:
         raise NotClassicalClosedError(
@@ -354,8 +336,8 @@ def extract_open_generators(
     Positivity of the extracted rates is reported by the caller via
     ``psd_witnesses`` or ``validity_report``, never silently enforced.
     """
-    xs = _as_matrix(x_up_s(t), "X_up_S")
-    xc = _finite(_as_matrix(x_down_c(t), "X_down_C"), "X_down_C")
+    xs = require_square(x_up_s(t), "X_up_S")
+    xc = require_finite(require_square(x_down_c(t), "X_down_C"), "X_down_C")
     if xs.shape[0] != xc.shape[0]:
         raise DimensionMismatchError("X_up_S / X_down_C row counts differ")
     dxs = _derivative(x_up_s, t, dx_up_s, fd_step, "X_up_S")
@@ -397,13 +379,13 @@ class ValidityReport:
 
 
 def validity_report(
-    times, gamma_up: np.ndarray, gamma_down: np.ndarray, tol: float = 1e-10, floor=0.0
+    times, gamma_up: np.ndarray, gamma_down: np.ndarray, floor=0.0
 ) -> ValidityReport:
     """Scan rates sampled at strictly ascending ``times`` against the positivity
     conditions.  Each rate is a ``(samples, n, n)`` stack of Hermitian matrices
     (checked); a sample is valid iff the smallest eigenvalue of each rate is at
-    least ``-max(tol (1 + max|gamma_up| + max|gamma_down|), floor)`` at that
-    sample.  ``floor`` (a scalar or one value per sample) is the absolute
+    least ``-max(RATE_PSD_TOL (1 + max|gamma_up| + max|gamma_down|), floor)``
+    at that sample.  ``floor`` (a scalar or one value per sample) is the absolute
     roundoff the rates carry, for rates extracted from large amplitudes."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not times.size == len(gamma_up) == len(gamma_down):
@@ -414,7 +396,7 @@ def validity_report(
     up = np.linalg.eigvalsh(gamma_up)[:, 0]
     dn = np.linalg.eigvalsh(gamma_down)[:, 0]
     scale = 1.0 + matrix_max(np.abs(gamma_up)) + matrix_max(np.abs(gamma_down))
-    limit = np.maximum(tol * scale, floor)
+    limit = np.maximum(RATE_PSD_TOL * scale, floor)
     valid = (up >= -limit) & (dn >= -limit)
     witness = np.minimum(up, dn)
     worst = int(np.argmin(witness)) if witness.size else 0

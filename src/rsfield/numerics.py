@@ -1,9 +1,10 @@
 """Dense complex linear algebra and exponential integrators.
 
 Eigensolves go to LAPACK through ``numpy.linalg``.  What this module
-adds is contract enforcement: explicit Hermiticity checks,
-eigendecomposition residual verification, positive-semidefinite
-witnesses and a common error vocabulary used by the physics modules.
+adds is contract enforcement: the package's one Hermiticity, squareness
+and finiteness test (``is_hermitian``, ``require_square``,
+``require_finite``), eigendecomposition residual verification and
+positive-semidefinite witnesses.
 
 Every evolution the package integrates is linear, so it is propagated
 by exponentials rather than by a general-purpose ODE solver:
@@ -49,6 +50,7 @@ All quantities are dimensionless or expressed in natural units
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -116,41 +118,50 @@ def matrix_max(a: np.ndarray) -> np.ndarray:
     return np.moveaxis(a.reshape(a.shape[:-2] + (-1,)), -1, 0).copy().max(axis=0)
 
 
-def hermiticity_residual(m: np.ndarray) -> float:
-    """Return ``max |M - M^dag|``."""
-    m = np.asarray(m)
-    return max_abs(m - m.conj().T)
+def require_finite(a, what: str) -> np.ndarray:
+    """``a`` as an array; a NaN or an infinity raises ``NonFiniteStateError``."""
+    a = np.asarray(a)
+    if not np.isfinite(a).all():
+        raise NonFiniteStateError(f"{what} has a non-finite entry")
+    return a
 
 
-def require_square(m: np.ndarray, what: str = "matrix") -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
+def require_square(m, what: str) -> np.ndarray:
+    """``m`` as a complex square matrix; a scalar is a 1x1 one."""
+    m = np.atleast_2d(np.asarray(m, dtype=complex))
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"{what} must be square, got shape {m.shape}")
     return m
 
 
-def require_hermitian(
-    m: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "matrix"
-) -> np.ndarray:
-    """Validate ``M = M^dag`` within ``tol * (1 + max|M|)`` and return M.
+def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+    """``max|M - M^dag| <= tol (1 + max|M|)`` and M finite, for a square matrix
+    M or each of a stack ``(..., n, n)``; inf - inf in the residual is silenced."""
+    m = np.asarray(m)
+    scale = np.abs(m).max(axis=(-2, -1), initial=0.0)
+    with np.errstate(invalid="ignore"):
+        residual = np.abs(m - np.swapaxes(m, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
+    return np.isfinite(scale) & (residual <= tol * (1.0 + scale))
 
-    A non-finite entry is rejected before the residual, whose inf - inf
-    would be NaN; ``not residual <= limit`` rejects a NaN all the same."""
-    m = require_square(m, what)
-    scale = max_abs(m)
-    if not math.isfinite(scale):
-        raise NonHermitianError(f"{what} is not Hermitian: it has a non-finite entry")
-    res = hermiticity_residual(m)
-    if not res <= tol * (1.0 + scale):
-        raise NonHermitianError(
-            f"{what} is not Hermitian: residual {res:.3e} exceeds tolerance"
-        )
+
+def require_hermitian(m, tol: float = HERMITIAN_TOL, what: str = "matrix") -> np.ndarray:
+    """``m`` as a complex array once it is a square matrix (``require_square``)
+    or a stack ``(..., n, n)`` of them and ``is_hermitian`` holds for each."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 3 or m.shape[-1] != m.shape[-2]:
+        m = require_square(m, what)
+    if not np.all(is_hermitian(m, tol)):
+        raise NonHermitianError(f"{what} is not finite and Hermitian within {tol:g}")
     return m
 
 
-def hermitian_eigh(
-    m: np.ndarray, tol: float = HERMITIAN_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def _hermitian_part(m: np.ndarray, what: str) -> np.ndarray:
+    """(M + M^dag) / 2 of one matrix M that ``require_hermitian`` accepts."""
+    m = require_hermitian(require_square(m, what), what=what)
+    return 0.5 * (m + m.conj().T)
+
+
+def hermitian_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix with residual verification.
 
     Returns ``(w, v)`` with real eigenvalues ``w`` ascending and unitary
@@ -158,8 +169,7 @@ def hermitian_eigh(
     is checked against the (symmetrized) input to guard against silent
     LAPACK failures.
     """
-    m = require_hermitian(m, tol)
-    sym = 0.5 * (m + m.conj().T)
+    sym = _hermitian_part(m, "matrix")
     try:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -172,12 +182,6 @@ def hermitian_eigh(
     return w, v
 
 
-def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending."""
-    w, _ = hermitian_eigh(m, tol)
-    return w
-
-
 def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> tuple[bool, float]:
     """Positive-semidefiniteness check with witness.
 
@@ -185,8 +189,7 @@ def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> tuple[bool, float]:
     ``lambda_min >= -tol * (1 + max|M|)``.  The witness (the smallest
     eigenvalue) is returned either way.
     """
-    m = require_hermitian(m, what="PSD candidate")
-    sym = 0.5 * (m + m.conj().T)
+    sym = _hermitian_part(m, "PSD candidate")
     try:
         w = np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -222,19 +225,25 @@ def _taylor(apply, v, degree: int, scale: float):
     return total
 
 
+@functools.lru_cache(maxsize=16)
+def _taylor_plan(norm: float) -> tuple[int, int]:
+    """The pair (s, m) of ``TAYLOR_THETA`` with the fewest applications of A
+    (m s) such that norm / s <= theta_m; cached, as evolutions repeat a norm."""
+    return min(
+        ((math.ceil(norm / theta), m) for m, theta in TAYLOR_THETA.items()),
+        key=lambda plan: plan[0] * plan[1],
+    )
+
+
 def expmv(apply: Callable[[np.ndarray], np.ndarray], v: np.ndarray, norm: float) -> np.ndarray:
     """exp(A) v for the linear map A = ``apply`` (which returns a fresh
     array) with ||A||_1 <= ``norm``.
 
-    Takes s substeps of the degree-m Taylor series, the pair of
-    ``TAYLOR_THETA`` with the fewest applications of A (m s) such that
-    norm / s <= theta_m.  A zero ``norm`` takes no substep and returns ``v``
+    Takes s substeps of the degree-m Taylor series, (s, m) from
+    ``_taylor_plan``.  A zero ``norm`` takes no substep and returns ``v``
     itself.
     """
-    substeps, degree = min(
-        ((math.ceil(norm / theta), m) for m, theta in TAYLOR_THETA.items()),
-        key=lambda plan: plan[0] * plan[1],
-    )
+    substeps, degree = _taylor_plan(norm)
     for _ in range(substeps):
         v = _taylor(apply, v, degree, 1.0 / substeps)
     return v
@@ -288,9 +297,8 @@ def central_difference(
         raise DerivativeUnavailableError(
             f"cannot evaluate function at t={t} +/- {h}: {exc}"
         ) from exc
-    if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
-        raise NonFiniteStateError(f"non-finite function value at t={t} +/- {h}")
-    return (fp - fm) / (2.0 * h)
+    what = f"function value at t={t} +/- {h}"
+    return (require_finite(fp, what) - require_finite(fm, what)) / (2.0 * h)
 
 
 def _su11_bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -390,8 +398,7 @@ def propagate_magnus(generator, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarr
             generator, nodes[k0:k1], nodes[k0 + 1:k1 + 1] - nodes[k0:k1]
         )
         u[:, k0 + 1:k1 + 1] = _prefix_products(maps, u[:, k0])
-    if not np.all(np.isfinite(u)):
-        raise NonFiniteStateError("non-finite state in Magnus propagation")
+    require_finite(u, "state in Magnus propagation")
     np.cumsum(integral, out=integral)
     return u, integral
 
@@ -655,9 +662,7 @@ def _chain(maps: np.ndarray, y: np.ndarray) -> np.ndarray:
     out[0] = y
     for k, e in enumerate(maps):
         out[k + 1] = e @ out[k]
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteStateError("non-finite state in linear propagation")
-    return out
+    return require_finite(out, "state in linear propagation")
 
 
 def _propagate_linear(generator, nodes: np.ndarray, y0: np.ndarray) -> np.ndarray:

@@ -22,8 +22,8 @@ Entropies are functions of r_alpha = r - |alpha><alpha|:
     s_w = tr ln(r_alpha + 1) + N
 
 with the 0 ln 0 := 0 convention.  Matrix logarithms are evaluated by
-eigendecomposition; eigenvalues below -tol raise, mild negatives from
-floating-point noise are clamped to zero.
+eigendecomposition; eigenvalues below -PHYSICAL_TOL (1 + max|r_alpha|)
+raise, mild negatives from floating-point noise are clamped to zero.
 """
 
 from __future__ import annotations
@@ -36,34 +36,32 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidMomentsError,
-    NonFiniteStateError,
     NonHermitianError,
     NonHermitianObservableError,
     NotClassicalOpenError,
     NotPhysicalError,
     StructureViolationError,
 )
-from .numerics import HERMITIAN_TOL, hermitian_eigh, hermiticity_residual, is_psd, max_abs
+from .numerics import (
+    HERMITIAN_TOL,
+    hermitian_eigh,
+    is_hermitian,
+    is_psd,
+    max_abs,
+    require_finite,
+    require_square,
+)
 from .symplectic import BogoliubovMap, is_classical_open
 
 PHYSICAL_TOL = 1e-8
 STRUCTURE_TOL = 1e-8
 
 
-def _hermitian(m: np.ndarray, tol: float) -> bool:
-    """``max|M - M^dag| <= tol (1 + max|M|)``; false for a NaN, and for an
-    infinity, which is tested first so that no inf - inf is formed."""
-    scale = max_abs(m)
-    return math.isfinite(scale) and hermiticity_residual(m) <= tol * (1.0 + scale)
-
-
 def _as_vector(v, n: int | None = None, what: str = "vector") -> np.ndarray:
     v = np.asarray(v, dtype=complex).ravel()
     if n is not None and v.size != n:
         raise DimensionMismatchError(f"{what} has size {v.size}, expected {n}")
-    if not np.isfinite(v).all():
-        raise NonFiniteStateError(f"{what} is not finite")
-    return v
+    return require_finite(v, what)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,11 +73,7 @@ class ReducedField:
     psd_tol: float = field(default=PHYSICAL_TOL, compare=False, repr=False)
 
     def __post_init__(self):
-        r = np.array(self.r, dtype=complex)
-        if r.ndim != 2 or r.shape[0] != r.shape[1]:
-            raise DimensionMismatchError(f"r must be square, got {r.shape}")
-        if not _hermitian(r, HERMITIAN_TOL):
-            raise NonHermitianError("single-particle density matrix not Hermitian")
+        r = require_square(np.array(self.r, dtype=complex), "r")
         ok, witness = is_psd(r, self.psd_tol)
         if not ok:
             raise NotPhysicalError("negative mode occupation", witness)
@@ -106,14 +100,10 @@ class ConjugateField:
     alpha_star: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.c, dtype=complex)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise DimensionMismatchError(f"c must be square, got {c.shape}")
-        scale = max_abs(c)
-        if not math.isfinite(scale):
-            raise InvalidMomentsError("anomalous moment matrix is not finite")
-        if not max_abs(c - c.T) <= HERMITIAN_TOL * (1.0 + scale):
-            raise InvalidMomentsError("anomalous moment matrix is not symmetric")
+        c = require_square(np.array(self.c, dtype=complex), "c")
+        scale = max_abs(c)  # tested finite first, so that no inf - inf is formed
+        if not (math.isfinite(scale) and max_abs(c - c.T) <= HERMITIAN_TOL * (1.0 + scale)):
+            raise InvalidMomentsError("anomalous moment matrix is not finite and symmetric")
         alpha_star = _as_vector(self.alpha_star, c.shape[0], "alpha_star")
         c.setflags(write=False)
         alpha_star.setflags(write=False)
@@ -131,26 +121,25 @@ class GeneralizedField:
 
     g: np.ndarray
     a_vec: np.ndarray
-    structure_tol: float = field(default=STRUCTURE_TOL, compare=False, repr=False)
 
     def __post_init__(self):
-        g = np.array(self.g, dtype=complex)
-        if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2:
+        g = require_square(np.array(self.g, dtype=complex), "g")
+        if g.shape[0] % 2:
             raise DimensionMismatchError(f"g must be 2Nx2N, got {g.shape}")
         n = g.shape[0] // 2
         a_vec = _as_vector(self.a_vec, 2 * n, "A")
-        if not _hermitian(g, self.structure_tol):
+        if not is_hermitian(g, STRUCTURE_TOL):
             raise StructureViolationError("generalized moment matrix not Hermitian")
         scale = 1.0 + max_abs(g)
         r, c = g[:n, :n], g[:n, n:]
-        if not max_abs(g[n:, :n] - c.conj()) <= self.structure_tol * scale:
+        if not max_abs(g[n:, :n] - c.conj()) <= STRUCTURE_TOL * scale:
             raise StructureViolationError("lower-left block is not conj(c)")
-        if not max_abs(g[n:, n:] - (r.T + np.eye(n))) <= self.structure_tol * scale:
+        if not max_abs(g[n:, n:] - (r.T + np.eye(n))) <= STRUCTURE_TOL * scale:
             raise StructureViolationError(
                 "lower-right block differs from transpose(r) + 1; "
                 "the applied transformation was likely not symplectic"
             )
-        if not max_abs(a_vec[n:] - a_vec[:n].conj()) <= self.structure_tol * (
+        if not max_abs(a_vec[n:] - a_vec[:n].conj()) <= STRUCTURE_TOL * (
             1.0 + max_abs(a_vec)
         ):
             raise StructureViolationError("amplitude halves are not conjugate")
@@ -163,14 +152,14 @@ class GeneralizedField:
     def n_modes(self) -> int:
         return self.g.shape[0] // 2
 
-    def split(self, psd_tol: float = PHYSICAL_TOL) -> tuple[ReducedField, ConjugateField]:
+    def split(self) -> tuple[ReducedField, ConjugateField]:
         """Recover the reduced and conjugate fields from the blocks."""
         n = self.n_modes
         r = 0.5 * (self.g[:n, :n] + self.g[:n, :n].conj().T)
         c = 0.5 * (self.g[:n, n:] + self.g[n:, :n].conj().T)
         c = 0.5 * (c + c.T)
         return (
-            ReducedField(r, self.a_vec[:n], psd_tol=psd_tol),
+            ReducedField(r, self.a_vec[:n]),
             ConjugateField(c, self.a_vec[n:]),
         )
 
@@ -211,7 +200,7 @@ def transform_generalized(gf: GeneralizedField, m: BogoliubovMap) -> Generalized
         )
     g = m.x @ gf.g @ m.x.conj().T
     a = m.x @ gf.a_vec
-    return GeneralizedField(g, a, structure_tol=gf.structure_tol)
+    return GeneralizedField(g, a)
 
 
 def transform_closed(
@@ -297,7 +286,7 @@ def expect_additive(rf: ReducedField, o: np.ndarray) -> float:
     o = np.asarray(o, dtype=complex)
     if o.shape != rf.r.shape:
         raise DimensionMismatchError(f"observable shape {o.shape} != {rf.r.shape}")
-    if not _hermitian(o, HERMITIAN_TOL):
+    if not is_hermitian(o):
         raise NonHermitianObservableError("additive observable must be Hermitian")
     val = complex(np.trace(rf.r @ o))
     if not abs(val.imag) <= 1e-10 * (1.0 + abs(val)):
@@ -313,25 +302,25 @@ def expect_linear(rf: ReducedField, sigma: np.ndarray) -> float:
     return float(2.0 * np.vdot(sigma, rf.alpha).real)
 
 
-def _displaced_spectrum(rf: ReducedField, tol: float) -> np.ndarray:
+def _displaced_spectrum(rf: ReducedField) -> np.ndarray:
     r_alpha = rf.r - np.outer(rf.alpha, rf.alpha.conj())
     w, _ = hermitian_eigh(0.5 * (r_alpha + r_alpha.conj().T))
-    if w.size and w[0] < -tol * (1.0 + max_abs(r_alpha)):
+    if w.size and w[0] < -PHYSICAL_TOL * (1.0 + max_abs(r_alpha)):
         raise NotPhysicalError(
             "r - |alpha><alpha| has a negative eigenvalue", float(w[0])
         )
     return np.clip(w, 0.0, None)
 
 
-def entropy_v(rf: ReducedField, tol: float = PHYSICAL_TOL) -> float:
+def entropy_v(rf: ReducedField) -> float:
     """Reduced von Neumann entropy of (r, alpha)."""
-    w = _displaced_spectrum(rf, tol)
+    w = _displaced_spectrum(rf)
     wp = w + 1.0
     s = np.sum(wp * np.log(wp)) - np.sum(w[w > 0] * np.log(w[w > 0]))
     return float(s)
 
 
-def entropy_w(rf: ReducedField, tol: float = PHYSICAL_TOL) -> float:
+def entropy_w(rf: ReducedField) -> float:
     """Reduced Wehrl entropy of (r, alpha); always >= n_modes."""
-    w = _displaced_spectrum(rf, tol)
+    w = _displaced_spectrum(rf)
     return float(np.sum(np.log(w + 1.0)) + rf.n_modes)

@@ -550,6 +550,8 @@ class TestExitCodes:
         ("amplify", {"m": float("-inf")}),
         ("amplify", {"m": [-1.0]}),
         ("amplify", {"kappa": [], "m": []}),
+        ("fock-check", {"angle": 100.0}),
+        ("fock-check", {"angle": -7.0}),
     ])
     def test_malformed_value_exits_two(self, tmp_path, capsys, command, change):
         # a bad value is a configuration error (exit 2) naming the key, not a

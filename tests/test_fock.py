@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import dop853
-from rsfield.errors import TruncationOverflowError
+from rsfield.errors import NonFiniteStateError, TruncationOverflowError
 from rsfield.fock import (
     FockState,
     QuadraticHamiltonian,
@@ -107,6 +107,32 @@ class TestHamiltonianApply:
         h = QuadraticHamiltonian(*rng.standard_normal(6))
         phi, psi = random_amplitudes(9, rng), random_amplitudes(9, rng)
         assert abs(np.vdot(phi, h.apply(psi)) - np.vdot(h.apply(phi), psi)) < 1e-12
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_state_rejected(self, value):
+        amp = FockState.vacuum(4).amplitudes.copy()
+        amp[2, 1] = value
+        with pytest.raises(NonFiniteStateError):
+            FockState(amp)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["number_a", "exchange_im", "pair_re", "pair_im"])
+    def test_hamiltonian_rejected(self, field, value):
+        # pair_im = nan once reached math.ceil in expmv as a builtin error
+        with pytest.raises(NonFiniteStateError):
+            QuadraticHamiltonian(**{field: value})
+
+    def test_evolve_rejects_a_nan_state(self):
+        # a state that bypassed validation: every check of evolve reads
+        # ``not value <= limit``, so a NaN spread to the boundary fails it
+        state = FockState.vacuum(6)
+        amp = state.amplitudes.copy()
+        amp[2, 2] = np.nan
+        object.__setattr__(state, "amplitudes", amp)
+        with pytest.raises(TruncationOverflowError):
+            evolve(state, QuadraticHamiltonian(exchange_im=0.5), 1.0)
 
 
 class TestEvolve:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from rsfield.numerics import (
     central_difference,
     expm,
     expmv,
-    hermitian_eigenvalues,
     hermitian_eigh,
+    is_hermitian,
     is_psd,
     max_abs,
     require_hermitian,
@@ -53,17 +54,17 @@ def bisection_spectrum(m: np.ndarray, lo: float, hi: float, grid: int = 4000) ->
 
 class TestHermitianEigenvalues:
     def test_identity(self):
-        w = hermitian_eigenvalues(np.eye(3, dtype=complex))
+        w = hermitian_eigh(np.eye(3, dtype=complex))[0]
         assert np.allclose(w, [1.0, 1.0, 1.0], atol=1e-14)
 
     def test_diagonal(self):
-        w = hermitian_eigenvalues(np.diag([2.0, -1.0]).astype(complex))
+        w = hermitian_eigh(np.diag([2.0, -1.0]).astype(complex))[0]
         assert np.allclose(w, [-1.0, 2.0], atol=1e-14)
 
     def test_random_hermitian_against_bisection(self, rng):
         z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         m = 0.5 * (z + z.conj().T)
-        w = hermitian_eigenvalues(m)
+        w = hermitian_eigh(m)[0]
         assert np.min(np.diff(w)) > 1e-3  # simple spectrum for this seed
         roots = bisection_spectrum(m, w[0] - 1.0, w[-1] + 1.0)
         assert len(roots) == 6
@@ -72,17 +73,17 @@ class TestHermitianEigenvalues:
     def test_deterministic_across_calls(self, rng):
         z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         m = z + z.conj().T
-        w1 = hermitian_eigenvalues(m)
-        w2 = hermitian_eigenvalues(m.copy())
+        w1 = hermitian_eigh(m)[0]
+        w2 = hermitian_eigh(m.copy())[0]
         assert np.array_equal(w1, w2)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianError):
-            hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            hermitian_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))[0]
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatchError):
-            hermitian_eigenvalues(np.zeros((2, 3)))
+            hermitian_eigh(np.zeros((2, 3)))[0]
 
     # a NaN residual compares false with any limit, and an infinity's
     # residual would be inf - inf: each is rejected as not Hermitian
@@ -95,6 +96,36 @@ class TestHermitianEigenvalues:
     def test_eigh_rejects_nan(self):
         with pytest.raises(NonHermitianError):
             hermitian_eigh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+class TestIsHermitian:
+    def test_stack_flags_exactly_the_bad_matrices(self, rng):
+        # one non-Hermitian matrix, one with an infinity on the diagonal (its
+        # residual is inf - inf) and one with a NaN among Hermitian ones, and
+        # no RuntimeWarning
+        z = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
+        stack = z + np.swapaxes(z, -1, -2).conj()
+        stack[1, 0, 2] += 1e-6
+        stack[3, 1, 1] = np.inf
+        stack[4, 2, 2] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_hermitian(stack).tolist() == [True, False, True, False, False, True]
+            assert is_hermitian(stack[0]) and not is_hermitian(stack[3])
+            # a lone infinity off the diagonal leaves residual and limit both infinite
+            assert not is_hermitian(np.array([[0.0, np.inf], [0.0, 0.0]]))
+
+    def test_require_hermitian_names_the_stack(self):
+        stack = np.zeros((4, 2, 2))
+        stack[2, 0, 1] = 1.0
+        with pytest.raises(NonHermitianError, match="gamma_up"):
+            require_hermitian(stack, what="gamma_up")
+
+    @pytest.mark.parametrize("check", [hermitian_eigh, is_psd])
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (2, 3)])
+    def test_one_square_matrix_only(self, check, shape):
+        with pytest.raises(DimensionMismatchError):
+            check(np.zeros(shape))
 
 
 class TestIsPsd:
