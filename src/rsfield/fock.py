@@ -13,6 +13,14 @@ expectation values:
 
     r_kk' = <a_k'^dag a_k>,   alpha_k = <a_k>,   c_kk' = <a_k' a_k>.
 
+a psi and b psi are read as slices of the amplitude array on their
+support (n1 < n_max, respectively n2 < n_max), never as zero-filled
+copies, and each moment is one inner product over the common support of
+its two factors; r is the Gram matrix of a psi and b psi.  The oracle
+compares plain arrays: ``oracle_deviation`` assembles g and A of both
+states (the layout of ``rsf.from_state_moments``) and builds no
+validated moment object between an evolution and its deviation.
+
 Truncation quality is tracked through the boundary population (total
 amplitude on states with n1 = n_max or n2 = n_max); every consumer
 checks it before trusting the result.  This module exists as an oracle:
@@ -26,9 +34,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, TruncationOverflowError
+from .errors import DimensionMismatchError, NonFiniteStateError, TruncationOverflowError
 from .numerics import expmv, max_abs, require_finite, require_square
-from .rsf import ConjugateField, GeneralizedField, ReducedField, from_state_moments
+from .rsf import (
+    ConjugateField, GeneralizedField, ReducedField, _generalized_arrays, from_state_moments,
+)
 from .symplectic import BogoliubovMap, from_blocks
 
 BOUNDARY_PRE_TOL = 1e-8
@@ -92,45 +102,33 @@ class FockState:
         return _boundary_population(self.amplitudes)
 
 
-def _shift(amp: np.ndarray, mode: int, step: int) -> np.ndarray:
-    """a_mode (``step`` -1) or a_mode^dag (``step`` +1) on a (d, d) amplitude
-    array, truncated: raising drops the n_max shell, which would feed
-    n_max + 1, a state the truncated basis does not have."""
-    root = np.sqrt(np.arange(1, amp.shape[0]))
-    out = np.zeros_like(amp)
-    if step < 0:
-        # (a psi)[n] = sqrt(n+1) psi[n+1]
-        if mode == 0:
-            out[:-1, :] = root[:, None] * amp[1:, :]
-        else:
-            out[:, :-1] = root[None, :] * amp[:, 1:]
-    else:
-        # (a^dag psi)[n] = sqrt(n) psi[n-1]
-        if mode == 0:
-            out[1:, :] = root[:, None] * amp[:-1, :]
-        else:
-            out[:, 1:] = root[None, :] * amp[:, :-1]
-    return out
-
-
 def apply_ladder(state: FockState, mode: int, which: str) -> FockState:
     """Apply a_mode ("lower") or a_mode^dag ("raise") to the state.
 
     The result is in general unnormalized (operator action, not
     evolution).  Raising amplitude off the cutoff boundary is dropped
-    and recorded in ``lost_weight``.
+    and recorded in ``lost_weight``: the n_max shell would feed n_max + 1,
+    a state the truncated basis does not have.
     """
     if mode not in (0, 1):
         raise DimensionMismatchError(f"mode must be 0 or 1, got {mode}")
     if which not in ("raise", "lower"):
         raise DimensionMismatchError(f"which must be 'raise' or 'lower', got {which!r}")
     amp = state.amplitudes
+    out = np.zeros_like(amp)
+    # the mode's axis first: for mode 1 both are transposed views
+    src, dst = (amp, out) if mode == 0 else (amp.T, out.T)
+    root = np.sqrt(np.arange(1, amp.shape[0]))[:, None]
     lost = state.lost_weight
     if which == "raise":
-        # the dropped weight is (n_max + 1) |psi|^2 on the n_max shell
-        edge = amp[-1, :] if mode == 0 else amp[:, -1]
-        lost += float(amp.shape[0] * np.sum(np.abs(edge) ** 2))
-    return FockState(_shift(amp, mode, 1 if which == "raise" else -1), lost_weight=lost)
+        # (a^dag psi)[n] = sqrt(n) psi[n-1]; the dropped weight is
+        # (n_max + 1) |psi|^2 on the n_max shell
+        lost += float(amp.shape[0] * np.sum(np.abs(src[-1]) ** 2))
+        dst[1:] = root * src[:-1]
+    else:
+        # (a psi)[n] = sqrt(n+1) psi[n+1]
+        dst[:-1] = root * src[1:]
+    return FockState(out, lost_weight=lost)
 
 
 @dataclass(frozen=True)
@@ -212,11 +210,6 @@ class QuadraticHamiltonian:
 
         return apply
 
-    def apply(self, amp: np.ndarray) -> np.ndarray:
-        """H psi on the truncated (d, d) amplitude array, through
-        ``operator`` (the one definition of H psi)."""
-        return self.operator(amp.shape[0], 1.0)(amp).reshape(amp.shape)
-
 
 def evolve(state: FockState, h: QuadraticHamiltonian, t: float) -> FockState:
     """Schroedinger evolution exp(-i H t) by ``numerics.expmv`` in
@@ -228,10 +221,11 @@ def evolve(state: FockState, h: QuadraticHamiltonian, t: float) -> FockState:
     (|number_a| + |number_b| + 2 |E| + 2 |P|) on the truncated basis (every
     ladder matrix element is at most n_max), so H = 0 or t = 0 returns the
     state exactly.
-    Raises ``TruncationOverflowError`` if the boundary population exceeds
-    its threshold before the evolution or at any checkpoint (read from the
-    raw amplitudes); checks norm preservation at the end, on the one
-    ``FockState`` it returns.
+    Raises ``NonFiniteStateError`` if the step's norm bound is not finite,
+    before H is built, and ``TruncationOverflowError`` if the boundary
+    population exceeds its threshold before the evolution or at any
+    checkpoint (read from the raw amplitudes); checks norm preservation at
+    the end, on the one ``FockState`` it returns.
     """
     if t < 0:
         raise DimensionMismatchError(f"evolution time must be nonnegative, got {t}")
@@ -245,6 +239,9 @@ def evolve(state: FockState, h: QuadraticHamiltonian, t: float) -> FockState:
         + 2.0 * abs(complex(h.exchange_re, h.exchange_im))
         + 2.0 * abs(complex(h.pair_re, h.pair_im))
     )
+    # before H is built: a finite bound caps every entry of -i step H
+    if not np.isfinite(norm * step):
+        raise NonFiniteStateError(f"norm bound of step H is not finite ({norm:.3e} x {step:.3e})")
     shape = state.amplitudes.shape
     amp = state.amplitudes.ravel()
     apply = h.operator(shape[0], -1j * step)
@@ -265,25 +262,31 @@ def evolve(state: FockState, h: QuadraticHamiltonian, t: float) -> FockState:
 def _moments(state: FockState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The moments (r, alpha, c) of the state, unvalidated.
 
-    r is assembled as a Gram matrix of the lowered states, so it is
-    positive semidefinite by construction.
+    a psi and b psi are slices of the amplitudes on their support, and each
+    moment is one inner product over the common support of its factors.
+    r is the Gram matrix of a psi and b psi, so it is Hermitian and
+    positive semidefinite by construction; c is symmetric by construction.
     """
     if not state.boundary_population() <= BOUNDARY_POST_TOL:
         raise TruncationOverflowError(
             f"boundary population {state.boundary_population():.3e} too large to trust moments"
         )
     psi = state.amplitudes
-    lowered = [_shift(psi, 0, -1), _shift(psi, 1, -1)]
-    r = np.empty((2, 2), dtype=complex)
-    c = np.empty((2, 2), dtype=complex)
-    alpha = np.empty(2, dtype=complex)
-    for k in range(2):
-        alpha[k] = np.vdot(psi, lowered[k])
-        for kp in range(2):
-            r[k, kp] = np.vdot(lowered[kp], lowered[k])
-            # c_kk' = <a_k' a_k>: lower twice, then overlap with psi
-            c[k, kp] = np.vdot(psi, _shift(lowered[k], kp, -1))
-    return 0.5 * (r + r.conj().T), alpha, 0.5 * (c + c.T)
+    root = np.sqrt(np.arange(1, psi.shape[0]))
+    # (a psi)[n1, n2] = sqrt(n1 + 1) psi[n1 + 1, n2] on n1 < n_max, and
+    # (b psi) likewise on n2 < n_max
+    a_psi = root[:, None] * psi[1:]
+    b_psi = psi[:, 1:] * root
+    alpha = np.array([np.vdot(psi[:-1], a_psi), np.vdot(psi[:, :-1], b_psi)])
+    # r_01 = <b psi | a psi> over n1, n2 < n_max
+    r01 = np.vdot(b_psi[:-1], a_psi[:, :-1])
+    r = np.array([[np.vdot(a_psi, a_psi).real, r01],
+                  [r01.conjugate(), np.vdot(b_psi, b_psi).real]])
+    # c_kk' = <psi | a_k' a_k psi>, a_k' applied to the slice a_k psi
+    c01 = np.vdot(psi[:-1, :-1], a_psi[:, 1:] * root)
+    c = np.array([[np.vdot(psi[:-2], root[:-1, None] * a_psi[1:]), c01],
+                  [c01, np.vdot(psi[:, :-2], b_psi[:, 1:] * root[:-1])]])
+    return r, alpha, c
 
 
 def measure_rsf(state: FockState) -> tuple[ReducedField, ConjugateField]:
@@ -301,19 +304,15 @@ def measure_generalized(state: FockState) -> GeneralizedField:
 def oracle_deviation(m: BogoliubovMap, initial: FockState, evolved: FockState) -> float:
     """Max deviation between the covariant update and the brute force.
 
-    The generalized moments measured on ``evolved`` are compared entrywise
-    against X g X^dag with g measured on ``initial``.  ``m`` must be the
-    analytic map of the evolution that took ``initial`` to ``evolved``
-    (see the catalog helpers below).
+    The generalized moments (g, A) of ``evolved`` are compared entrywise
+    against X g X^dag and X A with (g, A) of ``initial``, all plain arrays
+    (``_moments`` in the layout of ``rsf.from_state_moments``).  ``m`` must
+    be the analytic map of the evolution that took ``initial`` to
+    ``evolved`` (see the catalog helpers below).
     """
-    g0 = measure_generalized(initial)
-    g1 = measure_generalized(evolved)
-    predicted = m.x @ g0.g @ m.x.conj().T
-    pred_amp = m.x @ g0.a_vec
-    return max(
-        max_abs(g1.g - predicted),
-        max_abs(g1.a_vec - pred_amp),
-    )
+    g0, a0 = _generalized_arrays(*_moments(initial))
+    g1, a1 = _generalized_arrays(*_moments(evolved))
+    return max(max_abs(g1 - m.x @ g0 @ m.x.conj().T), max_abs(a1 - m.x @ a0))
 
 
 def oracle_check_transform(

@@ -58,6 +58,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidMomentsError,
     NotClassicalClosedError,
+    NotPhysicalError,
     PhysicalityLostError,
     SingularMatrixError,
 )
@@ -263,7 +264,7 @@ def integrate_kinetics(
         r = 0.5 * (r + r.conj().T)
         try:
             out.append(ReducedField(r, alpha, psd_tol=DRIFT_PSD_TOL))
-        except Exception as exc:
+        except NotPhysicalError as exc:
             _, witness = is_psd(r, 0.0)
             raise PhysicalityLostError(f"positivity lost: {exc}", witness, float(t))
     return out

@@ -241,8 +241,10 @@ def expmv(apply: Callable[[np.ndarray], np.ndarray], v: np.ndarray, norm: float)
 
     Takes s substeps of the degree-m Taylor series, (s, m) from
     ``_taylor_plan``.  A zero ``norm`` takes no substep and returns ``v``
-    itself.
+    itself; a non-finite one raises ``NonFiniteStateError``.
     """
+    if not math.isfinite(norm):
+        raise NonFiniteStateError(f"non-finite norm bound {norm} of the map to exponentiate")
     substeps, degree = _taylor_plan(norm)
     for _ in range(substeps):
         v = _taylor(apply, v, degree, 1.0 / substeps)

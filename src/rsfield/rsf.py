@@ -173,6 +173,16 @@ def vacuum(n_modes: int) -> tuple[ReducedField, ConjugateField]:
     return ReducedField(z, zv), ConjugateField(z, zv)
 
 
+def _generalized_arrays(
+    r: np.ndarray, alpha: np.ndarray, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The plain arrays g = [[r, c], [conj(c), transpose(r) + 1]] and
+    A = alpha (+) conj(alpha), unvalidated: the one place the layout is
+    written."""
+    g = np.block([[r, c], [c.conj(), r.T + np.eye(r.shape[0])]])
+    return g, np.concatenate([alpha, alpha.conj()])
+
+
 def from_state_moments(
     r: np.ndarray, alpha: np.ndarray, c: np.ndarray
 ) -> GeneralizedField:
@@ -182,10 +192,7 @@ def from_state_moments(
         cf = ConjugateField(c, np.conj(rf.alpha))
     except (NonHermitianError, NotPhysicalError, InvalidMomentsError) as exc:
         raise InvalidMomentsError(f"invalid state moments: {exc}") from exc
-    n = rf.n_modes
-    g = np.block([[rf.r, cf.c], [cf.c.conj(), rf.r.T + np.eye(n)]])
-    a_vec = np.concatenate([rf.alpha, rf.alpha.conj()])
-    return GeneralizedField(g, a_vec)
+    return GeneralizedField(*_generalized_arrays(rf.r, rf.alpha, cf.c))
 
 
 def transform_generalized(gf: GeneralizedField, m: BogoliubovMap) -> GeneralizedField:

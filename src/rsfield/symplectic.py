@@ -46,6 +46,7 @@ is one the CLI accepts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -113,7 +114,8 @@ class BogoliubovMap:
     ``system_scale``, from which the limit of |X_down_S| derives, is the
     same over the system rows.  Products and inverses derive both from the
     map they come from (``compose``, ``inverse``), through the private
-    ``_scales``.
+    ``_scales``.  An entry that is not finite, or whose square overflows,
+    raises ``NotSymplecticError``.
     """
 
     n_sys: int
@@ -137,8 +139,16 @@ class BogoliubovMap:
             )
         x.setflags(write=False)
         object.__setattr__(self, "x", x)
+        # a NaN or infinite entry, or a scale past the float range, fails
+        # before the residual's products are formed (``** 2`` would raise
+        # OverflowError)
+        top = max_abs(x)
+        if not math.isfinite(top * top):
+            raise NotSymplecticError(
+                f"largest entry {top:.3e} is not finite or its square overflows", math.inf
+            )
         if _scales is None:
-            _scales = (max_abs(x) ** 2, max_abs(x[:self.n_sys]) ** 2)
+            _scales = (top ** 2, max_abs(x[:self.n_sys]) ** 2)
         object.__setattr__(self, "scale", float(_scales[0]))
         object.__setattr__(self, "system_scale", float(_scales[1]))
         # ``not res <= limit`` also rejects a NaN residual or limit

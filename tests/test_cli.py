@@ -552,6 +552,8 @@ class TestExitCodes:
         ("amplify", {"kappa": [], "m": []}),
         ("fock-check", {"angle": 100.0}),
         ("fock-check", {"angle": -7.0}),
+        ("fock-check", {"squeeze": 400.0}),
+        ("fock-check", {"squeeze": 1000.0}),
     ])
     def test_malformed_value_exits_two(self, tmp_path, capsys, command, change):
         # a bad value is a configuration error (exit 2) naming the key, not a

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import dop853
+from rsfield.cli import FOCK_KEYS, FOCK_THRESHOLDS
 from rsfield.errors import NonFiniteStateError, TruncationOverflowError
 from rsfield.fock import (
     FockState,
     QuadraticHamiltonian,
+    _moments,
     apply_ladder,
     beam_splitter_pair,
     coherent_state,
@@ -18,16 +20,21 @@ from rsfield.fock import (
 )
 from rsfield.numerics import is_psd, max_abs
 from rsfield.rsf import expect_additive
-from rsfield.symplectic import identity_map
+from rsfield.symplectic import from_blocks, identity_map
 
 SINH2_03 = 0.09273260912113383
 
 
-def dense_hamiltonian(h: QuadraticHamiltonian, n_max: int) -> np.ndarray:
-    """H as a (d^2, d^2) matrix built from Kronecker ladder operators."""
+def dense_ladders(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The truncated a and b as (d^2, d^2) Kronecker products."""
     d = n_max + 1
     a1 = np.diag(np.sqrt(np.arange(1, d)), k=1)
-    a, b = np.kron(a1, np.eye(d)), np.kron(np.eye(d), a1)
+    return np.kron(a1, np.eye(d)), np.kron(np.eye(d), a1)
+
+
+def dense_hamiltonian(h: QuadraticHamiltonian, n_max: int) -> np.ndarray:
+    """H as a (d^2, d^2) matrix built from Kronecker ladder operators."""
+    a, b = dense_ladders(n_max)
     ad, bd = a.T, b.T
     return (
         h.number_a * (ad @ a) + h.number_b * (bd @ b)
@@ -81,7 +88,7 @@ class TestHamiltonianApply:
         hm = dense_hamiltonian(h, 5)
         for _ in range(3):
             psi = random_amplitudes(6, rng)
-            assert max_abs(h.apply(psi).ravel() - hm @ psi.ravel()) < 1e-12
+            assert max_abs(h.operator(6, 1.0)(psi) - hm @ psi.ravel()) < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 9])
     def test_operator_term_by_term(self, d, rng):
@@ -105,8 +112,9 @@ class TestHamiltonianApply:
 
     def test_is_hermitian(self, rng):
         h = QuadraticHamiltonian(*rng.standard_normal(6))
+        apply = h.operator(9, 1.0)
         phi, psi = random_amplitudes(9, rng), random_amplitudes(9, rng)
-        assert abs(np.vdot(phi, h.apply(psi)) - np.vdot(h.apply(phi), psi)) < 1e-12
+        assert abs(np.vdot(phi, apply(psi)) - np.vdot(apply(phi), psi)) < 1e-12
 
 
 class TestNonFiniteInput:
@@ -123,6 +131,12 @@ class TestNonFiniteInput:
         # pair_im = nan once reached math.ceil in expmv as a builtin error
         with pytest.raises(NonFiniteStateError):
             QuadraticHamiltonian(**{field: value})
+
+    def test_evolve_rejects_an_overflowing_norm_bound(self):
+        # 4 x 1e308 overflows: raised before H is built, whose diagonal
+        # would overflow with a warning, not as a builtin error of the plan
+        with pytest.raises(NonFiniteStateError):
+            evolve(FockState.vacuum(4), QuadraticHamiltonian(number_a=1e308), 1.0)
 
     def test_evolve_rejects_a_nan_state(self):
         # a state that bypassed validation: every check of evolve reads
@@ -257,6 +271,21 @@ class TestOracleCheckTransform:
         dev = oracle_check_transform(m, coherent_state(0.4, 0.3j, 12), h, 1.3)
         assert dev <= 1e-8
 
+    @pytest.mark.parametrize("check", ["squeeze", "beam_splitter"])
+    def test_wrong_map_is_rejected(self, check):
+        # the squeezer's map with X_down negated, and the beam splitter's map
+        # at -angle, each on the state of its fock-check entry
+        if check == "squeeze":
+            h, m = squeeze_pair(FOCK_KEYS["squeeze"], 1.0)
+            wrong = from_blocks(m.x_up, -m.x_down, n_sys=1, n_env=1)
+            state = FockState.vacuum(FOCK_KEYS["cutoff"])
+        else:
+            h, _ = beam_splitter_pair(FOCK_KEYS["angle"])
+            _, wrong = beam_splitter_pair(-FOCK_KEYS["angle"])
+            state = FockState.number_state(1, 0, FOCK_KEYS["cutoff"])
+        dev = oracle_check_transform(wrong, state, h, 1.0)
+        assert dev > 1e4 * FOCK_THRESHOLDS[check]
+
     def test_doubling_cutoff_shrinks_squeeze_deviation(self):
         h, m = squeeze_pair(0.3, 1.0)
         dev_small = oracle_check_transform(m, FockState.vacuum(6), h, 1.0)
@@ -314,6 +343,25 @@ class TestComposedEvolution:
         total = compose(m_bs, m_sq)
         predicted = total.x @ g0.g @ total.x.conj().T
         assert max_abs(g1.g - predicted) < 1e-6
+
+
+class TestMoments:
+    @pytest.mark.parametrize("n_max", [3, 5, 12])
+    def test_match_dense_ladder_matrices(self, n_max, rng):
+        # random states with an empty n_max shell, so clear of the boundary
+        ladders = dense_ladders(n_max)
+        for _ in range(3):
+            amp = random_amplitudes(n_max + 1, rng)
+            amp[-1, :] = amp[:, -1] = 0.0
+            amp /= np.linalg.norm(amp)
+            r, alpha, c = _moments(FockState(amp))
+            psi = amp.ravel()
+            for k in range(2):
+                assert abs(alpha[k] - np.vdot(psi, ladders[k] @ psi)) < 1e-14
+                for kp in range(2):
+                    lk, lkp = ladders[k], ladders[kp]
+                    assert abs(r[k, kp] - np.vdot(psi, lkp.T @ lk @ psi)) < 1e-14
+                    assert abs(c[k, kp] - np.vdot(psi, lkp @ lk @ psi)) < 1e-14
 
 
 class TestMeasureRsf:

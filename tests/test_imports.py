@@ -1,7 +1,9 @@
-"""Lint: no module of the package imports a name it never uses.
+"""Lint: no module of the package imports a name it never uses, and no
+module-level private name goes unread.
 
 No linter ships with the test dependencies, so this walks each module's
-syntax tree.  ``__init__`` is exempt: its imports are the public API.
+syntax tree.  ``__init__`` is exempt from the import check: its imports
+are the public API.
 """
 
 import ast
@@ -35,3 +37,41 @@ def test_no_unused_imports(path):
 def test_lint_sees_an_unused_import():
     source = "from .errors import NonHermitianError, NotPhysicalError\nraise NotPhysicalError\n"
     assert unused_imports(source) == ["NonHermitianError"]
+
+
+def unread_private_names(sources: dict) -> list:
+    """Module-level ``_name`` functions, classes and constants, over the
+    modules ``sources`` maps to their text, that no module reads: by name,
+    as an attribute or through an import."""
+    defined, read = set(), set()
+    for source in sources.values():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    return sorted(private - read)
+
+
+def test_no_unread_private_names():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unread_private_names(sources) == []
+
+
+def test_lint_sees_an_unread_private_name():
+    sources = {
+        "a": "_LIMIT = 1\ndef _used():\n    return _LIMIT\ndef _left():\n    pass\n",
+        "b": "from .a import _used\nfrom . import a\n_used()\n_kept = a._helper\n",
+        "c": "def _helper():\n    pass\n",
+    }
+    assert unread_private_names(sources) == ["_kept", "_left"]

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import dop853, haar_unitary, random_physical_fields
+from rsfield import kinetics
 from rsfield.errors import (
+    ConvergenceError,
     DimensionMismatchError,
     InvalidMomentsError,
     NonFiniteStateError,
@@ -228,6 +230,17 @@ class TestIntegrateKinetics:
         bad = scalar_gens(g_up=-1.0)  # indefinite creation rate
         with pytest.raises(PhysicalityLostError):
             integrate_kinetics(rf, bad, (0.0, 1.0), [0.5, 1.0])
+
+    def test_snapshot_failure_other_than_positivity_keeps_its_type(self, monkeypatch):
+        # only a negative occupation is a loss of positivity; an eigensolver
+        # failure in the snapshot's check is not reported as one
+        def failing(*args, **kwargs):
+            raise ConvergenceError("eigensolver did not converge")
+
+        monkeypatch.setattr(kinetics, "ReducedField", failing)
+        rf, _ = vacuum(1)
+        with pytest.raises(ConvergenceError):
+            integrate_kinetics(rf, KineticGenerators.zeros(1), (0.0, 1.0), [1.0])
 
     def test_rejects_samples_outside_span(self):
         rf = ReducedField(np.array([[0.5]], dtype=complex), np.array([0.2]))

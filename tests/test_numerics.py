@@ -196,6 +196,12 @@ class TestExpmv:
         psi = np.array([1.0 + 2j, 0.5])
         assert expmv(lambda x: 0.0 * x, psi, 0.0) is psi
 
+    @pytest.mark.parametrize("norm", [math.inf, math.nan])
+    def test_non_finite_norm_is_rejected(self, norm):
+        # the step plan once reached math.ceil and raised a builtin error
+        with pytest.raises(NonFiniteStateError):
+            expmv(lambda x: x, np.array([1.0 + 0j]), norm)
+
 
 def reading_taylor(apply, v, degree, scale):
     """The Taylor series with the stop test reading the partial sum's norm at

@@ -218,6 +218,22 @@ class TestRoundoffLimit:
         with pytest.raises(NotSymplecticError):
             BogoliubovMap(1, 1, np.where(np.eye(4) == 1, np.nan, x))
 
+    @pytest.mark.parametrize("r", [356.0, 400.0])
+    def test_entries_whose_square_overflows_are_rejected(self, r):
+        # cosh(400)^2 once raised a builtin OverflowError from ``** 2``;
+        # squeeze_map(355) still builds, its scale 5.6e307
+        with pytest.raises(NotSymplecticError, match="square overflows"):
+            squeeze_map(r)
+
+    @pytest.mark.parametrize("value", [np.inf, complex(0.0, -np.inf)])
+    def test_infinite_entry_is_rejected_without_a_warning(self, value):
+        # the suite turns warnings into errors, so an inf - inf formed in the
+        # residual would fail this test before the map rejected the entry
+        x = np.eye(4, dtype=complex)
+        x[0, 3] = value
+        with pytest.raises(NotSymplecticError, match="not finite"):
+            BogoliubovMap(1, 1, x)
+
     def test_without_environment_both_scales_agree(self):
         m = from_blocks(np.cosh(3.0) * np.eye(2), np.sinh(3.0) * np.eye(2)[::-1], 2)
         for k in (m, m.inverse(), compose(m, m.inverse()), compose(m.inverse(), m)):
