@@ -532,9 +532,10 @@ def run_fock_check(cfg: dict | None, out_dir: Path) -> RunReport:
     # one turn holds every beam-splitter map; the evolution's work grows with |angle|
     if not abs(angle) <= 2.0 * math.pi:
         raise ConfigError(f"config.angle must lie in [-2 pi, 2 pi], got {angle}")
-    # the squeezed vacuum holds tanh^{2(cutoff+1)} |squeeze| beyond the cutoff
+    # the squeezed vacuum holds tanh^{2(cutoff+1)} |squeeze| beyond the cutoff;
+    # only the squeeze check reads the value
     beyond = math.tanh(abs(squeeze)) ** (2 * (cutoff + 1))
-    if not beyond <= BOUNDARY_POST_TOL:
+    if "squeeze" in checks and not beyond <= BOUNDARY_POST_TOL:
         raise ConfigError(
             f"config.squeeze {squeeze} leaves {beyond:.3e} of the squeezed vacuum beyond "
             f"cutoff {cutoff}, above {BOUNDARY_POST_TOL:g}; lower it or raise the cutoff"

@@ -234,11 +234,14 @@ def evolve(state: FockState, h: QuadraticHamiltonian, t: float) -> FockState:
             f"initial boundary population {state.boundary_population():.3e} too large"
         )
     step = t / CHECKPOINTS
-    norm = state.n_max * (
-        abs(h.number_a) + abs(h.number_b)
-        + 2.0 * abs(complex(h.exchange_re, h.exchange_im))
-        + 2.0 * abs(complex(h.pair_re, h.pair_im))
-    )
+    try:
+        norm = state.n_max * (
+            abs(h.number_a) + abs(h.number_b)
+            + 2.0 * abs(complex(h.exchange_re, h.exchange_im))
+            + 2.0 * abs(complex(h.pair_re, h.pair_im))
+        )
+    except OverflowError:  # a complex coefficient's modulus is past the float range
+        norm = np.inf
     # before H is built: a finite bound caps every entry of -i step H
     if not np.isfinite(norm * step):
         raise NonFiniteStateError(f"norm bound of step H is not finite ({norm:.3e} x {step:.3e})")

@@ -363,6 +363,18 @@ class TestRunFockCheck:
             assert alone.columns["check"] == [check]
             assert alone.columns["deviation"][0] == devs[check]
 
+    @pytest.mark.parametrize("cfg", [
+        {"checks": ["beam_splitter"], "cutoff": 2},
+        {"checks": ["beam_splitter"], "cutoff": 3},
+        {"checks": ["identity"], "squeeze": 400.0},
+    ])
+    def test_squeeze_range_binds_only_the_squeeze_check(self, tmp_path, cfg):
+        # the default squeeze 0.3 leaves 6e-4 beyond cutoff 2, and 400 leaves
+        # all of it; a run without the squeeze check never reads the value
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["fock-check", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+
     def test_check_selection(self, tmp_path):
         report = run_fock_check({"checks": ["identity"]}, tmp_path)
         assert report.columns["check"] == ["identity"]

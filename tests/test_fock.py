@@ -132,11 +132,17 @@ class TestNonFiniteInput:
         with pytest.raises(NonFiniteStateError):
             QuadraticHamiltonian(**{field: value})
 
-    def test_evolve_rejects_an_overflowing_norm_bound(self):
-        # 4 x 1e308 overflows: raised before H is built, whose diagonal
-        # would overflow with a warning, not as a builtin error of the plan
+    @pytest.mark.parametrize("coefficients", [
+        {"number_a": 1e308},
+        {"exchange_re": 1.5e308, "exchange_im": 1.5e308},
+        {"pair_re": 1.5e308, "pair_im": -1.5e308},
+    ])
+    def test_evolve_rejects_an_overflowing_norm_bound(self, coefficients):
+        # 4 x 1e308 overflows, and so does the modulus of 1.5e308 (1 + i):
+        # raised before H is built, whose entries would overflow with a
+        # warning, not as a builtin error of abs() or of the plan
         with pytest.raises(NonFiniteStateError):
-            evolve(FockState.vacuum(4), QuadraticHamiltonian(number_a=1e308), 1.0)
+            evolve(FockState.vacuum(4), QuadraticHamiltonian(**coefficients), 1.0)
 
     def test_evolve_rejects_a_nan_state(self):
         # a state that bypassed validation: every check of evolve reads
