@@ -27,8 +27,8 @@ still = CasimirScenario(
     t_end=10.0,
 )
 sol = solve_modes(still, 11)
-print(f"sigma = {sol.medium.sigma:.6f}")
-m = still.medium().at(0.0)
+print(f"sigma = {sol.scenario.resolved_sigma:.6f}")
+m = still.coefficients(0.0)
 w_eff = OMEGA * np.sqrt(m.alpha * m.big_delta)
 print(f"effective mode frequency omega * sqrt(alpha * Delta) = {w_eff:.6f}")
 for i in (0, 5, 10):
@@ -51,11 +51,10 @@ driven = CasimirScenario(
 sol = solve_modes(driven, 9)
 # solve_modes holds the left pair (f_L+, f_L-) as the conjugate of the right
 # pair; propagate it on its own from (0, 1), as a generic linear system
-medium = driven.medium()
 
 
 def mode_matrix(t):
-    m = medium.at(t)
+    m = driven.coefficients(t)
     a = -1j * OMEGA * np.array([[m.eta_plus, -m.eta_minus], [m.eta_minus, -m.eta_plus]])
     return np.moveaxis(a, (0, 1), (-2, -1))
 

@@ -64,10 +64,11 @@ equal to the generic open-system extraction on the same family, and the
 photon density obeys the growth law d n/dT = gamma_up (n + 1).
 
 Every per-sample quantity is one function of a ``ModeSolution``, which
-carries its resolved ``MediumCoefficients``, evaluated over the whole
-sample axis: ``ModeSolution.density``, ``casimir_maps``,
-``closed_form_generators``, ``extracted_generators`` and
-``growth_law_residual``.  The dense output ``sol.at(t)`` is the same
+carries its ``CasimirScenario`` (the run's one parameter object, whose
+``coefficients`` gives delta, alpha, Delta, eta_pm and the phase rate at
+any time), evaluated over the whole sample axis:
+``ModeSolution.density``, ``casimir_maps``, ``closed_form_generators``,
+``extracted_generators`` and ``growth_law_residual``.  The dense output ``sol.at(t)`` is the same
 solution at other times, so for ``integrate_kinetics``
 ``casimir_generator_callback`` and ``casimir_generators_extracted`` apply
 the same functions to ``sol.at(t)`` at arrays of node times;
@@ -81,7 +82,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -207,32 +208,14 @@ class MediumSample:
     phase_rate: float
 
 
-@dataclass(frozen=True)
-class MediumCoefficients:
-    """The coefficient functions delta, alpha, Delta, eta_pm of one scenario."""
-
-    refractive_index: float
-    omega: float
-    theta: float
-    sigma: float
-    profile: VelocityProfile
-
-    def at(self, t) -> MediumSample:
-        """The coefficients at a time, or as arrays at an array of times."""
-        beta = self.profile.beta(t)
-        n2 = self.refractive_index ** 2
-        delta = (n2 - 1.0) / (n2 - beta * beta)
-        alpha = 1.0 - delta * beta * beta
-        cos_t = math.cos(self.theta)
-        big_delta = 1.0 - delta * beta * beta * cos_t * cos_t
-        s2 = self.sigma ** 2
-        eta_plus = 0.5 * (alpha / s2 + s2 * big_delta)
-        eta_minus = 0.5 * (alpha / s2 - s2 * big_delta)
-        phase_rate = self.omega * delta * beta * cos_t
-        return MediumSample(
-            beta=beta, delta=delta, alpha=alpha, big_delta=big_delta,
-            eta_plus=eta_plus, eta_minus=eta_minus, phase_rate=phase_rate,
-        )
+def _medium_terms(refractive_index: float, theta: float, beta):
+    """delta, alpha and Delta at the speed ``beta`` (a float or an array)."""
+    n2 = refractive_index ** 2
+    delta = (n2 - 1.0) / (n2 - beta * beta)
+    alpha = 1.0 - delta * beta * beta
+    cos_t = math.cos(theta)
+    big_delta = 1.0 - delta * beta * beta * cos_t * cos_t
+    return delta, alpha, big_delta
 
 
 @dataclass(frozen=True)
@@ -243,7 +226,9 @@ class CasimirScenario:
     the angle between k and the motion axis.  ``sigma`` is either an
     explicit positive number or "auto", meaning [alpha/Delta]^(1/4)
     evaluated at the pre-motion velocity beta(0) (which makes a constant
-    profile production-free).
+    profile production-free); the number it stands for is resolved once, at
+    construction, into ``resolved_sigma``.  ``coefficients`` evaluates the
+    medium at any time.
     """
 
     refractive_index: float
@@ -252,6 +237,7 @@ class CasimirScenario:
     profile: VelocityProfile
     t_end: float
     sigma: float | str = "auto"
+    resolved_sigma: float = field(init=False)
 
     def __post_init__(self):
         _require_finite(self, ("refractive_index", "omega", "theta", "t_end")
@@ -269,27 +255,26 @@ class CasimirScenario:
                 raise ConfigError(f"sigma must be positive or 'auto', got {self.sigma!r}")
         elif self.sigma <= 0:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        sigma = auto_sigma(self) if isinstance(self.sigma, str) else float(self.sigma)
+        object.__setattr__(self, "resolved_sigma", sigma)
 
-    def resolved_sigma(self) -> float:
-        return auto_sigma(self) if isinstance(self.sigma, str) else float(self.sigma)
-
-    def medium(self) -> MediumCoefficients:
-        return MediumCoefficients(
-            refractive_index=self.refractive_index,
-            omega=self.omega,
-            theta=self.theta,
-            sigma=self.resolved_sigma(),
-            profile=self.profile,
+    def coefficients(self, t) -> MediumSample:
+        """The medium coefficients at a time, or as arrays at an array of times."""
+        beta = self.profile.beta(t)
+        delta, alpha, big_delta = _medium_terms(self.refractive_index, self.theta, beta)
+        s2 = self.resolved_sigma ** 2
+        return MediumSample(
+            beta=beta, delta=delta, alpha=alpha, big_delta=big_delta,
+            eta_plus=0.5 * (alpha / s2 + s2 * big_delta),
+            eta_minus=0.5 * (alpha / s2 - s2 * big_delta),
+            phase_rate=self.omega * delta * beta * math.cos(self.theta),
         )
 
 
 def auto_sigma(s: CasimirScenario) -> float:
     """The production-free polarization choice [alpha/Delta]^(1/4) at t=0."""
-    probe = MediumCoefficients(
-        refractive_index=s.refractive_index, omega=s.omega, theta=s.theta,
-        sigma=1.0, profile=s.profile,
-    ).at(0.0)
-    return (probe.alpha / probe.big_delta) ** 0.25
+    _, alpha, big_delta = _medium_terms(s.refractive_index, s.theta, s.profile.beta(0.0))
+    return (alpha / big_delta) ** 0.25
 
 
 def _conj(z):
@@ -301,10 +286,11 @@ def _conj(z):
 class ModeSolution:
     """Propagated mode trajectory with conserved-quantity diagnostics.
 
-    ``medium`` holds the coefficients it was propagated with (including the
-    resolved sigma, ``medium.sigma``).  The left pair (``f_lp``, ``f_lm``)
-    is the right pair's conjugate.  ``ccr_residual`` is the CCR residual per
-    sample, computed from the current amplitudes and not checked here.
+    ``scenario`` holds the parameters it was propagated with, the resolved
+    sigma ``scenario.resolved_sigma`` included.  The left pair (``f_lp``,
+    ``f_lm``) is the right pair's conjugate.  ``ccr_residual`` is the CCR
+    residual per sample, computed from the current amplitudes and not
+    checked here.
     ``propagator`` is the ``numerics`` solution it was sampled from, the
     dense output of ``at``; ``route`` names the route that solved it
     (``solve_modes``), and ``steps`` (the Magnus steps kept, over one period
@@ -315,7 +301,6 @@ class ModeSolution:
     """
 
     scenario: CasimirScenario
-    medium: MediumCoefficients
     times: np.ndarray
     f_rp: np.ndarray
     f_rm: np.ndarray
@@ -372,14 +357,14 @@ class ModeSolution:
         return np.abs(self.f_rm) ** 2
 
 
-def _mode_generator(medium: MediumCoefficients):
+def _mode_generator(s: CasimirScenario):
     """A(t) = -i omega [[eta_plus, -eta_minus], [eta_minus, -eta_plus]] in the
     real su(1,1) coordinates (a, p, q) of ``numerics.magnus_steps``, a =
     -omega eta_plus, p = 0, q = omega eta_minus, with the phase rate."""
-    omega = medium.omega
+    omega = s.omega
 
     def generator(t):
-        m = medium.at(t)
+        m = s.coefficients(t)
         return -omega * m.eta_plus, np.zeros_like(t), omega * m.eta_minus, m.phase_rate
 
     return generator
@@ -462,8 +447,7 @@ def _solve_modes(s, samples, rtol, atol, floquet: bool) -> ModeSolution:
             raise ConfigError("sample times must be ascending and nonempty")
         if times[0] < 0.0 or times[-1] > s.t_end * (1 + 1e-12):
             raise ConfigError("sample times must lie within [0, t_end]")
-    medium = s.medium()
-    generator = _mode_generator(medium)
+    generator = _mode_generator(s)
     # the first grid takes about one step per radian of the faster of the
     # mode and the drive (doubled up to numerics.FIRST_GRID_STEPS steps);
     # step doubling refines it
@@ -479,7 +463,7 @@ def _solve_modes(s, samples, rtol, atol, floquet: bool) -> ModeSolution:
         propagator = solve_magnus(generator, _breakpoints(s), step, rtol=rtol, atol=atol)
         values = propagator.at(times)
     (f_rp, v), phi = values
-    return ModeSolution(s, medium, times, f_rp, _conj(v), phi, propagator)
+    return ModeSolution(s, times, f_rp, _conj(v), phi, propagator)
 
 
 def _casimir_matrices(sol: ModeSolution, index) -> np.ndarray:
@@ -529,13 +513,14 @@ def closed_form_generators(sol: ModeSolution) -> tuple:
     gamma_down is exactly zero: the production process never destroys
     photons.  |f_R+| >= 1 by the CCR invariant, so no division hazard.
     """
-    m = sol.medium.at(sol.times)
-    omega = sol.medium.omega
+    s = sol.scenario
+    m = s.coefficients(sol.times)
+    omega = s.omega
     ap2 = np.abs(sol.f_rp) ** 2
     h = omega * (
         m.eta_plus
         - m.eta_minus * (sol.f_rm * np.conj(sol.f_rp)).real / ap2
-        + m.delta * m.beta * math.cos(sol.medium.theta)
+        + m.delta * m.beta * math.cos(s.theta)
     )
     gamma_up = 2.0 * omega * m.eta_minus * (sol.f_rp * np.conj(sol.f_rm)).imag / ap2
     return h, gamma_up
@@ -560,8 +545,8 @@ def _family(sol: ModeSolution) -> tuple:
     a solution at its times and its time derivatives, taken from the mode
     equations instead of finite differences: (X_up_S, X_down_C, dX_up_S/dt,
     dX_down_C/dt) as 1x1 matrices, each ``shape(times) + (1, 1)``."""
-    m = sol.medium.at(sol.times)
-    omega = sol.medium.omega
+    m = sol.scenario.coefficients(sol.times)
+    omega = sol.scenario.omega
     em = np.exp(-1j * sol.phi)
     dfp = -1j * omega * (m.eta_plus * sol.f_rp - m.eta_minus * sol.f_rm)
     dfm = 1j * omega * (m.eta_plus * sol.f_rm - m.eta_minus * sol.f_rp)

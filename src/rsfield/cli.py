@@ -26,7 +26,8 @@ of the extraction-rate limits, are
 uses: 1e-8, or 256 eps times the photon-number scale where that is larger;
 the classicality columns are ``symplectic.classical_mask``'s.
 Every numeric config key goes through ``_number``, so a malformed value is
-a configuration error.  Exit status: 0 all checks passed, 1 an invariant or
+a configuration error; ``parse_casimir_config`` turns the scenario keys
+into the run's one ``CasimirScenario``, which a sweep point varies.  Exit status: 0 all checks passed, 1 an invariant or
 threshold failed (or the solver gave up), 2 configuration error.
 """
 
@@ -38,7 +39,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -60,6 +61,7 @@ from .csvtext import write_csv as _write_csv
 from .errors import ConfigError, RsfieldError
 from .fock import (
     BOUNDARY_POST_TOL,
+    BOUNDARY_PRE_TOL,
     FockState,
     QuadraticHamiltonian,
     apply_ladder,
@@ -163,6 +165,9 @@ def load_config(path: str | Path) -> dict:
 
 
 def parse_casimir_config(cfg: dict) -> dict:
+    """The checked config of a ``casimir``, ``sweep`` or ``extract`` run: its
+    keys, with the scenario keys replaced by the ``CasimirScenario`` they
+    make, under ``"scenario"``."""
     out = _require_keys(cfg, CASIMIR_KEYS, "config")
     prof = _require_keys(out["profile"], PROFILE_KEYS, "config.profile")
     out["profile"] = VelocityProfile(kind=prof["kind"], **{
@@ -181,18 +186,10 @@ def parse_casimir_config(cfg: dict) -> dict:
         out["sweep"] = _require_keys(
             out["sweep"], {axis: None for axis in SWEEP_AXES}, "config.sweep"
         )
+    out["scenario"] = CasimirScenario(**{
+        f.name: out.pop(f.name) for f in fields(CasimirScenario) if f.init
+    })
     return out
-
-
-def build_scenario(cfg: dict) -> CasimirScenario:
-    return CasimirScenario(
-        refractive_index=cfg["refractive_index"],
-        omega=cfg["omega"],
-        theta=cfg["theta"],
-        profile=cfg["profile"],
-        t_end=cfg["t_end"],
-        sigma=cfg["sigma"],
-    )
 
 
 @dataclass
@@ -276,8 +273,7 @@ def _violations(gates: dict) -> list:
 
 
 def _solve(cfg: dict) -> ModeSolution:
-    s = build_scenario(cfg)
-    return solve_modes(s, cfg["samples"], rtol=cfg["rel_tol"], atol=cfg["abs_tol"])
+    return solve_modes(cfg["scenario"], cfg["samples"], rtol=cfg["rel_tol"], atol=cfg["abs_tol"])
 
 
 def _casimir_columns(sol: ModeSolution) -> dict:
@@ -348,18 +344,14 @@ def run_casimir(cfg: dict, out_dir: Path, csv_name: str = "casimir.csv") -> RunR
 
 
 def sweep_grid(cfg: dict) -> list:
+    s = cfg["scenario"]
+    defaults = {"omega": s.omega, "theta": s.theta,
+                "drive_frequency": s.profile.drive_frequency, "beta0": s.profile.beta0}
     axes = []
     for axis in SWEEP_AXES:
         values = (cfg["sweep"] or {}).get(axis)
         if values is None:
-            if axis == "omega":
-                values = [cfg["omega"]]
-            elif axis == "theta":
-                values = [cfg["theta"]]
-            elif axis == "drive_frequency":
-                values = [cfg["profile"].drive_frequency]
-            else:
-                values = [cfg["profile"].beta0]
+            values = [defaults[axis]]
         if not isinstance(values, (list, tuple)) or not values:
             raise ConfigError(f"sweep.{axis} must be a nonempty list")
         axes.append([_number(v, f"config.sweep.{axis}") for v in values])
@@ -369,31 +361,19 @@ def sweep_grid(cfg: dict) -> list:
     ]
 
 
-def _point_config(cfg: dict, point: dict) -> dict:
-    out = dict(cfg)
-    out["omega"] = point["omega"]
-    out["theta"] = point["theta"]
-    prof = cfg["profile"]
-    out["profile"] = VelocityProfile(
-        kind=prof.kind,
-        beta0=point["beta0"],
-        drive_frequency=point["drive_frequency"],
-        duration=prof.duration,
-        ramp_time=prof.ramp_time,
-        hold_time=prof.hold_time,
-    )
-    out["sweep"] = None
-    return out
-
-
 def run_sweep(cfg: dict, out_dir: Path) -> RunReport:
     grid = sweep_grid(cfg)
+    s = cfg["scenario"]
     out_dir.mkdir(parents=True, exist_ok=True)
     names = [f"casimir_{index:03d}.csv" for index in range(len(grid))]
     density, status, failures = [], [], []
     for index, (point, name) in enumerate(zip(grid, names)):
         try:
-            report = run_casimir(_point_config(cfg, point), out_dir, csv_name=name)
+            # a point the scenario rejects (a superluminal beta0) is an error row
+            profile = replace(s.profile, beta0=point["beta0"],
+                              drive_frequency=point["drive_frequency"])
+            scenario = replace(s, omega=point["omega"], theta=point["theta"], profile=profile)
+            report = run_casimir({**cfg, "scenario": scenario}, out_dir, csv_name=name)
         except RsfieldError as exc:
             status.append("error")
             density.append(float("nan"))
@@ -540,11 +520,23 @@ def run_fock_check(cfg: dict | None, out_dir: Path) -> RunReport:
             f"config.squeeze {squeeze} leaves {beyond:.3e} of the squeezed vacuum beyond "
             f"cutoff {cutoff}, above {BOUNDARY_POST_TOL:g}; lower it or raise the cutoff"
         )
+    # the coherent states of identity and observables, each held to the
+    # boundary gate it meets first: evolve's on entry, or the moments'
+    states = {}
+    for check, z2, tol in (("identity", -0.2, BOUNDARY_PRE_TOL),
+                           ("observables", 0.2j, BOUNDARY_POST_TOL)):
+        if check in checks:
+            states[check] = coherent_state(0.3, z2, cutoff)
+            edge = states[check].boundary_population()
+            if not edge <= tol:
+                raise ConfigError(
+                    f"config.cutoff {cutoff} leaves {edge:.3e} of the {check} check's "
+                    f"coherent state on its boundary shell, above {tol:g}; raise the cutoff"
+                )
     deviation = {}
     if "identity" in checks:
         deviation["identity"] = oracle_check_transform(
-            identity_map(1, 1), coherent_state(0.3, -0.2, cutoff),
-            QuadraticHamiltonian(), 1.0,
+            identity_map(1, 1), states["identity"], QuadraticHamiltonian(), 1.0,
         )
     if "beam_splitter" in checks:
         h, m = beam_splitter_pair(angle)
@@ -557,7 +549,7 @@ def run_fock_check(cfg: dict | None, out_dir: Path) -> RunReport:
     if "observables" in checks:
         # z1 conj(z2) is not real, so r_01 = <a_1^dag a_0> is complex and a
         # transposed or conjugated r shows in the deviation
-        state = coherent_state(0.3, 0.2j, cutoff)
+        state = states["observables"]
         deviation["observables"] = _observables_deviation(state, measure_rsf(state)[0], seed)
 
     checks = list(deviation)

@@ -42,7 +42,9 @@ period of ``solve_floquet`` start on the first grid of the ladder
 N0 2^j, N0 their first grid, that holds at least ``FIRST_GRID_STEPS``
 steps: below it a level costs little more than its fixed overhead.
 ``solve_linear``, whose every step is a dense ``expm``, starts on its
-first grid.  Every grid propagated is a rung of that ladder.
+first grid.  Every grid propagated is a rung of that ladder, and none
+holds more than ``MAGNUS_MAX_STEPS`` steps: ``ConvergenceError`` is raised
+before a grid past the cap is built, the first grid included.
 
 All quantities are dimensionless or expressed in natural units
 (hbar = c = 1); matrices and vectors are plain complex numpy arrays.
@@ -480,41 +482,46 @@ def _refine(propagate, breakpoints, initial_step: float, rtol: float, atol: floa
     two grids share and ``accept(fine, coarse)`` passes the pair (each grid
     as ``(nodes, arrays)``; a pair it turns down fails like any other);
     returns the finer grid and its arrays, the largest estimate and the step
-    counts propagated, in order.  Raises ``ConvergenceError`` past
+    counts propagated, in order.  Raises ``ConvergenceError`` before it
+    propagates any grid, the first one included, of more than
     ``MAGNUS_MAX_STEPS`` steps, or as soon as two consecutive pairs each cut
     the estimate by less than half (in the asymptotic range each doubling
     cuts it by about 64): the tolerance then lies below the roundoff floor
     of the propagation.
     """
     breaks = np.asarray(breakpoints, dtype=float)
-    counts = np.maximum(1, np.ceil(np.diff(breaks) / initial_step)).astype(int)
+    # float counts until a grid is built: a step far below the span stays a
+    # large count instead of wrapping round as an int
+    counts = np.maximum(1.0, np.ceil(np.diff(breaks) / initial_step))
     while counts.sum() < first_steps:
         counts = 2 * counts
-    nodes = _grid(breaks, counts)
-    values = propagate(nodes)
-    grids = [int(counts.sum())]
-    estimates = []
+    grids, estimates, coarse = [], [], None
     while True:
-        counts = 2 * counts
         if counts.sum() > MAGNUS_MAX_STEPS:
             raise ConvergenceError(
                 f"Magnus propagation not within rtol={rtol:g}, atol={atol:g} "
-                f"at {MAGNUS_MAX_STEPS} steps"
+                f"at {MAGNUS_MAX_STEPS} steps: the {'next' if grids else 'first'} grid "
+                f"holds {counts.sum():.7g} steps"
             )
-        coarse = nodes, values
-        nodes = _grid(breaks, counts)
+        nodes = _grid(breaks, counts.astype(int))
         values = propagate(nodes)
         grids.append(nodes.size - 1)
-        worst, ok = zip(*(_doubling_error(f, c, rtol, atol) for f, c in zip(values, coarse[1])))
-        estimates.append(max(worst))
-        if all(ok) and accept((nodes, values), coarse):
-            return (nodes, values), estimates[-1], tuple(grids)
-        if len(estimates) >= 3 and all(2.0 * b > a for a, b in zip(estimates[-3:], estimates[-2:])):
-            raise ConvergenceError(
-                f"Magnus propagation stalled at the roundoff floor: error estimate "
-                f"{estimates[-1]:.3g} not within rtol={rtol:g}, atol={atol:g} "
-                f"at {nodes.size - 1} steps"
-            )
+        if coarse is not None:
+            worst, ok = zip(*(_doubling_error(f, c, rtol, atol)
+                              for f, c in zip(values, coarse[1])))
+            estimates.append(max(worst))
+            if all(ok) and accept((nodes, values), coarse):
+                return (nodes, values), estimates[-1], tuple(grids)
+            if len(estimates) >= 3 and all(
+                2.0 * b > a for a, b in zip(estimates[-3:], estimates[-2:])
+            ):
+                raise ConvergenceError(
+                    f"Magnus propagation stalled at the roundoff floor: error estimate "
+                    f"{estimates[-1]:.3g} not within rtol={rtol:g}, atol={atol:g} "
+                    f"at {nodes.size - 1} steps"
+                )
+        coarse = nodes, values
+        counts = 2 * counts
 
 
 def _check_tolerances(rtol: float, atol: float) -> None:

@@ -78,7 +78,7 @@ def test_criterion_02_no_production_at_constant_velocity():
             profile=VelocityProfile.constant(beta), t_end=10.0 / OMEGA,
         )
         sol = solve_modes(s, 21)
-        m = s.medium().at(0.0)
+        m = s.coefficients(0.0)
         w_eff = OMEGA * np.sqrt(m.alpha * m.big_delta)
         worst_n = max(worst_n, float(np.max(sol.density())))
         worst_phase = max(

@@ -190,7 +190,7 @@ class TestSolveModes:
     def test_constant_speed_effective_frequency(self):
         s = CasimirScenario(1.5, 1.0, 0.6, VelocityProfile.constant(0.2), 10.0)
         sol = solve_modes(s, 21)
-        m = s.medium().at(0.0)
+        m = s.coefficients(0.0)
         w_eff = s.omega * np.sqrt(m.alpha * m.big_delta)
         assert np.max(sol.density()) <= 1e-12
         assert max_abs(sol.f_rp - np.exp(-1j * w_eff * sol.times)) < 1e-8
@@ -473,7 +473,7 @@ class TestClosedFormGenerators:
     def test_constant_speed_phase_rates(self):
         s = CasimirScenario(1.5, 1.0, 0.6, VelocityProfile.constant(0.25), 6.0)
         sol = solve_modes(s, 7)
-        m = s.medium().at(0.0)
+        m = s.coefficients(0.0)
         expected_h = s.omega * (np.sqrt(m.alpha * m.big_delta) + m.delta * 0.25 * np.cos(0.6))
         h, gamma_up = closed_form_generators(sol)
         assert np.all(np.abs(h[::3] - expected_h) <= 1e-10)
@@ -666,10 +666,9 @@ class TestMediumCoefficients:
     def test_formula_relations_along_catalog(self):
         for profile in PROFILE_CATALOG:
             s = CasimirScenario(1.5, 1.0, 0.9, profile, 12.0, sigma=1.2)
-            medium = s.medium()
             n2 = 1.5**2
             for t in np.linspace(0.0, 12.0, 49):
-                m = medium.at(float(t))
+                m = s.coefficients(float(t))
                 beta = profile.beta(float(t))
                 assert 0.0 <= m.delta < 1.0
                 assert m.delta == pytest.approx((n2 - 1) / (n2 - beta**2), rel=1e-14)
@@ -686,9 +685,8 @@ class TestMediumCoefficients:
 
     def test_vacuum_medium_is_inert(self):
         s = CasimirScenario(1.0, 1.0, 0.9, VelocityProfile.sinusoid(0.6, 2.0), 6.0)
-        medium = s.medium()
         for t in np.linspace(0.0, 6.0, 13):
-            m = medium.at(float(t))
+            m = s.coefficients(float(t))
             assert m.delta == 0.0
             assert m.eta_minus == pytest.approx(0.0, abs=1e-15)
 
@@ -700,9 +698,8 @@ class TestEtaMinusCatalog:
         theta = np.pi / 3
         for profile in PROFILE_CATALOG:
             s = CasimirScenario(1.5, 1.0, theta, profile, 12.0)
-            medium = s.medium()
             ts = np.linspace(0.0, 12.0, 601)
-            eta = max(abs(medium.at(float(t)).eta_minus) for t in ts)
+            eta = max(abs(s.coefficients(float(t)).eta_minus) for t in ts)
             beta_dev = max(abs(profile.beta(float(t)) - profile.beta(0.0)) for t in ts)
             assert (eta <= 1e-12) == (beta_dev <= 1e-12)
 
@@ -748,12 +745,11 @@ class TestFockBruteForce:
 
         s = sinusoid_scenario(theta=np.pi / 2, drive=1.0, t_end=10.0)
         sol = solve_modes(s, 11, rtol=1e-12, atol=1e-14)
-        medium = s.medium()
         omega = s.omega
 
         def pair_generator(t):
             p = sol.at(t)
-            m = medium.at(t)
+            m = s.coefficients(t)
             fp, fm = p.f_rp, p.f_rm
             dfp = -1j * omega * (m.eta_plus * fp - m.eta_minus * fm)
             dfm = 1j * omega * (m.eta_plus * fm - m.eta_minus * fp)
@@ -868,7 +864,7 @@ class TestReferenceRoute:
         # fixed grids, no error control: halving h divides the error by ~64
         s = CasimirScenario(1.5, 1.0, np.pi / 4, VelocityProfile.sinusoid(0.4, 2.0), 10.0)
         ref = np.array(reference_modes(s, [s.t_end]))[:, 0]
-        generator = casimir._mode_generator(s.medium())
+        generator = casimir._mode_generator(s)
         errors = []
         for steps in (40, 80, 160):
             nodes = np.linspace(0.0, s.t_end, steps + 1)
@@ -1014,7 +1010,7 @@ class TestFloquetRoute:
         # while the step-doubling estimate alone reads 1e-15
         s = sinusoid_scenario(t_end=200.0)
         times = np.linspace(0.0, s.t_end, 201)
-        generator = casimir._mode_generator(s.medium())
+        generator = casimir._mode_generator(s)
         with pytest.raises(ConvergenceError, match="roundoff"):
             numerics.solve_floquet(generator, np.pi, s.t_end, 0.5, times, 1e-13, 1e-15)
         sol = solve_modes(s, 201, rtol=1e-13, atol=1e-15)

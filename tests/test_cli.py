@@ -88,6 +88,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="subluminal"):
             parse_casimir_config(load_config(p))
 
+    @pytest.mark.parametrize("sigma", ["auto", 1.3])
+    def test_parsed_scenario_is_built_from_the_same_keys(self, tmp_path, sigma):
+        cfg = write_config(tmp_path / "c.json", sigma=sigma)
+        parsed = parse_casimir_config(cfg)
+        expected = CasimirScenario(
+            refractive_index=cfg["refractive_index"], omega=cfg["omega"], theta=cfg["theta"],
+            profile=VelocityProfile(**cfg["profile"]), t_end=cfg["t_end"], sigma=sigma,
+        )
+        assert parsed["scenario"] == expected
+        assert sorted(parsed) == ["abs_tol", "out_dir", "rel_tol", "samples", "scenario", "sweep"]
+
     def test_exit_code_two_on_bad_config(self, tmp_path, capsys):
         p = tmp_path / "c.json"
         write_config(p, profile={"kind": "sinusoid", "beta0": 1.2,
@@ -124,7 +135,7 @@ class TestRunCasimir:
         report = run_casimir(parse_casimir_config(cfg), tmp_path)
         assert report.ok
         cols = {name: c.tolist() for name, c in report.columns.items()}
-        period_end = solve_modes_direct(cli.build_scenario(parse_casimir_config(cfg)),
+        period_end = solve_modes_direct(parse_casimir_config(cfg)["scenario"],
                                         [0.0, np.pi], rtol=1e-11, atol=1e-13)
         max_rate = max(abs(r) for r in cols["_growth_rate"])
         again = {
@@ -262,6 +273,16 @@ class TestRunSweep:
         assert statuses.count("error") == 1
         assert (tmp_path / "sw" / "casimir_000.csv").exists()
 
+    def test_top_level_scenario_is_checked_under_a_sweep(self, tmp_path, capsys):
+        # the parsed config holds the top-level scenario, so an omega that the
+        # sweep overrides at every point is still a configuration error
+        p = tmp_path / "c.json"
+        write_config(p, omega=-1.0, sweep={"omega": [1.0]})
+        code = main(["sweep", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: omega must be positive, got -1.0\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestRunAmplify:
     def test_unit_rate_vacuum(self, tmp_path):
@@ -386,8 +407,28 @@ class TestRunFockCheck:
     def test_exit_zero_through_main(self, tmp_path):
         assert main(["fock-check", "--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("check, cutoff", [("identity", 6), ("observables", 5)])
+    def test_smallest_cutoff_of_a_coherent_check_runs(self, tmp_path, check, cutoff):
+        # one below these cutoffs is a configuration error
+        # (test_malformed_value_exits_two); at them the check runs and passes
+        report = run_fock_check({"checks": [check], "cutoff": cutoff}, tmp_path)
+        assert report.ok and report.columns["check"] == [check]
+
 
 class TestExitCodes:
+    def test_first_grid_past_the_step_cap_exits_one(self, tmp_path, capsys):
+        # omega 2e6 over t_end 1 asks for a first grid of 2e6 steps, past the
+        # cap of 2^20: the run fails before any grid is propagated
+        p = tmp_path / "c.json"
+        write_config(p, omega=2e6, t_end=1.0, profile={"kind": "constant", "beta0": 0.2})
+        code = main(["casimir", "--config", str(p), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (
+            "run failed: ConvergenceError: Magnus propagation not within rtol=1e-11, "
+            "atol=1e-13 at 1048576 steps: the first grid holds 2000000 steps\n"
+        )
+
     def test_loose_tolerance_exits_one_on_growth_law(self, tmp_path, capsys):
         # at a hopeless tolerance CCR still holds (every Magnus step map is
         # in SU(1,1)), but the dense output no longer follows the growth law:
@@ -566,6 +607,8 @@ class TestExitCodes:
         ("fock-check", {"angle": -7.0}),
         ("fock-check", {"squeeze": 400.0}),
         ("fock-check", {"squeeze": 1000.0}),
+        *[("fock-check", {"cutoff": c, "checks": ["identity"]}) for c in range(2, 6)],
+        *[("fock-check", {"cutoff": c, "checks": ["observables"]}) for c in range(2, 5)],
     ])
     def test_malformed_value_exits_two(self, tmp_path, capsys, command, change):
         # a bad value is a configuration error (exit 2) naming the key, not a
@@ -580,6 +623,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error: config.") and next(iter(change)) in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key,value", [
         ("cutoff", 12.0), ("cutoff", "12"), ("seed", 3.0), ("seed", "3"),

@@ -1,5 +1,6 @@
 """The demos and the README Quick tour run against the current API."""
 
+import json
 import re
 import runpy
 from pathlib import Path
@@ -38,6 +39,19 @@ def test_readme_gate_list_names_every_gate():
     run = CasimirScenario(1.5, 1.0, 0.7, VelocityProfile.constant(0.2), 1.0)
     cols = cli._casimir_columns(solve_modes(run, 5))
     assert listed == list(cli._gates(cols, 1.0))
+
+
+def test_readme_config_keys_are_the_clis():
+    # the keys of the JSON example are cli.CASIMIR_KEYS, in its order, and
+    # those the amplify and fock-check sentences name are AMPLIFY_KEYS and
+    # FOCK_KEYS, as the gate list above is cli._gates
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"## Command line.*?```json\n(.*?)```", readme, re.S).group(1)
+    assert list(json.loads(example)) == list(cli.CASIMIR_KEYS)
+    text = " ".join(readme.split())
+    for command, keys in (("amplify", cli.AMPLIFY_KEYS), ("fock-check", cli.FOCK_KEYS)):
+        sentence = re.search(rf"The `{command}` config takes (.*?)[:;]", text).group(1)
+        assert re.findall(r"`(\w+)`", sentence) == list(keys)
 
 
 def _quoted_resonant_grids(route: str) -> tuple:

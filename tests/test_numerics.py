@@ -383,9 +383,9 @@ def su11_element(rows):
     return np.moveaxis(np.array([[u, v], [np.conj(v), np.conj(u)]]), (0, 1), (-2, -1))
 
 
-W3_MEDIUM = CasimirScenario(
+W3_SCENARIO = CasimirScenario(
     1.5, 1.0, np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), 600.0
-).medium()
+)
 
 
 class TestMagnusSteps:
@@ -415,7 +415,7 @@ class TestMagnusSteps:
         if branch == "hyperbolic":
             generator, t0, h = boost_generator, np.linspace(0.0, 5.0, 50), 0.1
         else:
-            generator = casimir._mode_generator(W3_MEDIUM)
+            generator = casimir._mode_generator(W3_SCENARIO)
             t0 = np.linspace(0.0, 600.0, 600)
             h = 1.0 / 64.0 if branch == "elliptic" else 1e-5  # W3's steps; dense output
         maps, _ = numerics.magnus_steps(generator, t0, np.full(t0.shape, h))
@@ -479,7 +479,7 @@ class TestSolveMagnus:
         # a node, the period P included, is read as stored, not by a partial
         # step of length 0; a time between nodes still takes one
         period = 2.0 * math.pi / 0.98
-        generator = casimir._mode_generator(W3_MEDIUM)
+        generator = casimir._mode_generator(W3_SCENARIO)
         direct = solve_magnus(generator, [0.0, period], 0.5)
         floquet = numerics.solve_floquet(
             generator, period, 3.5 * period, 0.5, np.array([0.0, 3.5 * period])
@@ -579,6 +579,27 @@ class TestSkippedDoublings:
             numerics._refine(self._law, [0.0, 1.0], 1.0 / 8.0, 1e-6, 1e-12,
                              accept=lambda fine, coarse: False)
 
+    def test_step_cap_binds_the_first_grid(self, monkeypatch):
+        # a first grid past the cap is turned down before it is propagated,
+        # with an error naming its step count and the cap; a step far below
+        # the span is a huge count, not one that wraps round as an int
+        propagated = []
+
+        def counting(nodes):
+            propagated.append(nodes.size - 1)
+            return self._law(nodes)
+
+        monkeypatch.setattr(numerics, "MAGNUS_MAX_STEPS", 64)
+        with pytest.raises(ConvergenceError, match=r"at 64 steps: the first grid holds 200 steps$"):
+            numerics._refine(counting, [0.0, 1.0], 1.0 / 200.0, 1e-6, 1e-12)
+        with pytest.raises(ConvergenceError, match=r"the first grid holds 1e\+300 steps$"):
+            numerics._refine(counting, [0.0, 1.0], 1e-300, 1e-6, 1e-12)
+        assert propagated == []
+        # a first grid at the cap is propagated, and the doubling past it is not
+        with pytest.raises(ConvergenceError, match=r"at 64 steps: the next grid holds 128 steps$"):
+            numerics._refine(counting, [0.0, 1.0], 1.0 / 64.0, 1e-6, 1e-12)
+        assert propagated == [64]
+
     def test_solve_linear_keeps_its_first_grid(self, monkeypatch):
         # every sample time is a node and every step costs a dense expm, so
         # the floor of the Magnus solvers' first grid does not apply
@@ -616,7 +637,7 @@ class TestSkippedDoublings:
 
         monkeypatch.setattr(numerics, "propagate_magnus", counting)
         monkeypatch.setattr(numerics, "MAGNUS_MAX_STEPS", 4800)
-        generator = casimir._mode_generator(W3_MEDIUM)
+        generator = casimir._mode_generator(W3_SCENARIO)
         capped = r"not within rtol=1e-11, atol=1e-13 at 4800 steps"
         with pytest.raises(ConvergenceError, match=capped):
             solve_magnus(generator, [0.0, 600.0], 1.0, rtol=1e-11, atol=1e-13)
