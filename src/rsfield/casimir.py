@@ -228,7 +228,9 @@ class CasimirScenario:
     evaluated at the pre-motion velocity beta(0) (which makes a constant
     profile production-free); the number it stands for is resolved once, at
     construction, into ``resolved_sigma``.  ``coefficients`` evaluates the
-    medium at any time.
+    medium at any time; a scenario whose n^2 or sigma^2 leaves the float
+    range, whose sigma^2 is zero, or whose coefficients at t = 0 are not
+    finite is a ``ConfigError`` naming the key.
     """
 
     refractive_index: float
@@ -255,8 +257,20 @@ class CasimirScenario:
                 raise ConfigError(f"sigma must be positive or 'auto', got {self.sigma!r}")
         elif self.sigma <= 0:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        # n^2 and sigma^2 enter every coefficient: past the float range, or
+        # with sigma^2 at zero, the medium has no finite coefficients
+        if not math.isfinite(self.refractive_index * self.refractive_index):
+            raise ConfigError(f"refractive_index {self.refractive_index} is too large: "
+                              "its square overflows")
         sigma = auto_sigma(self) if isinstance(self.sigma, str) else float(self.sigma)
+        if not 0.0 < sigma * sigma < math.inf:
+            raise ConfigError(f"sigma {sigma} is out of range: its square is {sigma * sigma}")
         object.__setattr__(self, "resolved_sigma", sigma)
+        at_rest = self.coefficients(0.0)
+        overflowed = [f.name for f in dataclasses.fields(at_rest)
+                      if not math.isfinite(getattr(at_rest, f.name))]
+        if overflowed:
+            raise ConfigError(f"sigma {sigma} makes {', '.join(overflowed)} at t = 0 non-finite")
 
     def coefficients(self, t) -> MediumSample:
         """The medium coefficients at a time, or as arrays at an array of times."""

@@ -10,6 +10,11 @@ Subcommands (console script ``rsfield``):
 * ``extract``    -- generator trajectory (closed form and generic
                     extraction) with validity witnesses.
 
+``COMMAND_FLAGS`` is the one source of each command's flags and their
+types, and so of the argv grammar, the usage lines and the argv errors
+(``_parse_argv``): ``--flag value`` or ``--flag=value``, no abbreviations,
+and exit 2 with the usage line on any argv error.
+
 Configuration is a single JSON document; unknown keys are rejected so
 that a typo in a physics parameter cannot silently fall back to a
 default.  Every CSV goes through ``csvtext.write_csv``, which writes each
@@ -33,8 +38,6 @@ threshold failed (or the solver gave up), 2 configuration error.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import random
@@ -42,6 +45,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from itertools import product
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -618,59 +622,105 @@ RUNNERS = {"casimir": run_casimir, "sweep": run_sweep, "amplify": run_amplify,
            "fock-check": run_fock_check, "extract": run_extract}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rsfield",
-        description="moving-medium photon production and reduced-field checks",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in RUNNERS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=name != "fock-check", help="JSON config path")
-        p.add_argument("--out", default=None,
-                       help="output directory (default: config out_dir or ./out)")
-        if name in CASIMIR_COMMANDS:
-            p.add_argument("--rel-tol", type=float, default=None,
-                           help="override integrator relative tolerance")
-        if name != "fock-check":
-            p.add_argument("--samples", type=int, default=None,
-                           help="override sample count")
-    return parser
+# Each command's flags, flag -> (type, required): the one source of the argv
+# grammar, the usage lines and the argv errors.
+_CASIMIR_FLAGS = {"--config": (str, True), "--out": (str, False),
+                  "--rel-tol": (float, False), "--samples": (int, False)}
+COMMAND_FLAGS = {
+    "casimir": _CASIMIR_FLAGS,
+    "sweep": _CASIMIR_FLAGS,
+    "amplify": {"--config": (str, True), "--out": (str, False), "--samples": (int, False)},
+    "fock-check": {"--config": (str, False), "--out": (str, False)},
+    "extract": _CASIMIR_FLAGS,
+}
+HELP_FLAGS = ("-h", "--help")
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """``build_parser()``, built on the first call of ``main`` and reused: a
-    parse leaves the parser as it was, and building one costs about 1 ms."""
-    return build_parser()
+def _usage(command: str | None) -> str:
+    """The usage line of ``command``, or of the program when it is None."""
+    if command is None:
+        return f"usage: rsfield [-h] {{{','.join(COMMAND_FLAGS)}}} ..."
+    parts = []
+    for flag, (_, required) in COMMAND_FLAGS[command].items():
+        part = f"{flag} {flag[2:].replace('-', '_').upper()}"
+        parts.append(part if required else f"[{part}]")
+    return f"usage: rsfield {command} [-h] {' '.join(parts)}"
 
 
-def _resolve_out(args, cfg) -> Path:
+def _argv_error(command: str | None, reason: str) -> NoReturn:
+    print(_usage(command), file=sys.stderr)
+    print(f"rsfield: error: {reason}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _parse_argv(argv) -> tuple[str, dict]:
+    """The command of ``argv`` and its flags' values by field name
+    (``--rel-tol`` -> ``rel_tol``), read against ``COMMAND_FLAGS``.  A flag
+    is ``--flag value`` or ``--flag=value``; the token after a flag is always
+    its value, and a repeated flag keeps its last value.  ``-h`` prints the
+    usage and exits 0; a malformed argv prints the usage and the reason to
+    stderr and exits 2."""
+    argv = list(argv)
+    if argv and argv[0] in HELP_FLAGS:
+        print("\n".join(_usage(command) for command in COMMAND_FLAGS))
+        raise SystemExit(0)
+    if not argv:
+        _argv_error(None, "a command is required")
+    command, tokens = argv[0], iter(argv[1:])
+    flags = COMMAND_FLAGS.get(command)
+    if flags is None:
+        _argv_error(None, f"unknown command {command!r} (choose from {', '.join(COMMAND_FLAGS)})")
+    values = {}
+    for token in tokens:
+        if token in HELP_FLAGS:
+            print(_usage(command))
+            raise SystemExit(0)
+        flag, has_value, value = token.partition("=")
+        if flag not in flags:
+            if any(flag in other for other in COMMAND_FLAGS.values()):
+                _argv_error(command, f"{command} does not take {flag}")
+            _argv_error(command, f"unrecognized argument {token!r}")
+        if not has_value:
+            value = next(tokens, None)
+            if value is None:
+                _argv_error(command, f"{flag} expects a value")
+        kind = flags[flag][0]
+        try:
+            values[flag] = kind(value)
+        except ValueError:
+            _argv_error(command, f"{flag} must be {'an integer' if kind is int else 'a number'}, "
+                                 f"got {value!r}")
+    for flag, (_, required) in flags.items():
+        if required and flag not in values:
+            _argv_error(command, f"{command} requires {flag}")
+    return command, {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+
+
+def _resolve_out(out: str | None, cfg) -> Path:
     configured = cfg.get("out_dir") if isinstance(cfg, dict) else None
     if configured is not None and not isinstance(configured, str):
         raise ConfigError(f"config.out_dir must be a path string, got {configured!r}")
-    return Path(args.out or configured or "out")
+    return Path(out or configured or "out")
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    command, flags = _parse_argv(sys.argv[1:] if argv is None else argv)
     try:
-        cfg = load_config(args.config) if args.config else None
+        cfg = load_config(flags["config"]) if flags.get("config") else None
         # flags override config keys before validation, so one check covers both
-        overrides = {key: value for key, value in vars(args).items()
-                     if key in ("rel_tol", "samples") and value is not None}
+        overrides = {key: flags[key] for key in ("rel_tol", "samples") if key in flags}
         if overrides and isinstance(cfg, dict):
             cfg = {**cfg, **overrides}
-        if args.command in CASIMIR_COMMANDS:
+        if command in CASIMIR_COMMANDS:
             cfg = parse_casimir_config(cfg)
-        report = RUNNERS[args.command](cfg, _resolve_out(args, cfg))
+        report = RUNNERS[command](cfg, _resolve_out(flags.get("out"), cfg))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except RsfieldError as exc:
         print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    _print_report(args.command, report)
+    _print_report(command, report)
     return 0 if report.ok else 1
 
 

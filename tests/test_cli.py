@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -626,6 +627,28 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key,value", [
+        ("refractive_index", 1e160),
+        ("refractive_index", 1e200),
+        ("sigma", 1e160),
+        ("sigma", 1e200),
+        ("sigma", 1e-200),
+        ("sigma", 1e-160),
+    ])
+    def test_overflowing_medium_exits_two(self, tmp_path, capsys, key, value):
+        # n^2 or sigma^2 past the float range, sigma^2 at zero, or eta_pm at
+        # t = 0 past it: a configuration error naming the key, with no
+        # warning, no traceback and no CSV
+        p = tmp_path / "c.json"
+        write_config(p, **{key: value})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["casimir", "--config", str(p), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"config error: {key} ") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key,value", [
         ("cutoff", 12.0), ("cutoff", "12"), ("seed", 3.0), ("seed", "3"),
     ])
     def test_integral_value_of_an_integer_key_runs(self, tmp_path, key, value):
@@ -847,13 +870,32 @@ class TestImportHygiene:
         """)
         run_python(code, tmp_path)
 
+    def test_commands_run_without_argparse(self, tmp_path):
+        # the argv is read against cli.COMMAND_FLAGS: a first op pays for no
+        # argparse import (gettext, locale and its compiled regexes)
+        write_config(tmp_path / "c.json")
+        code = textwrap.dedent("""
+            import sys
+            import rsfield.cli as cli
+            assert cli.main(["casimir", "--config", "c.json", "--out", "c"]) == 0
+            assert cli.main(["fock-check", "--out", "f"]) == 0
+            try:
+                cli.main(["casimir", "--out", "bad"])
+            except SystemExit as exc:
+                assert exc.code == 2, exc.code
+            else:
+                raise AssertionError("a missing --config ran")
+            assert "argparse" not in sys.modules
+        """)
+        run_python(code, tmp_path)
+
 
 class TestParserReuse:
     def test_one_process_matches_fresh_runs(self, tmp_path):
-        # main builds its parser once per process and reuses it: a sequence
-        # of calls in one process writes the CSVs of separate fresh runs, and
-        # no flag of one call (--rel-tol, a rejected argv) reaches the next;
-        # at omega = 5 the period's grids at the two tolerances differ
+        # a sequence of calls of main in one process writes the CSVs and
+        # exit codes of separate fresh runs, and no flag of one call
+        # (--rel-tol, a rejected argv) reaches the next; at omega = 5 the
+        # period's grids at the two tolerances differ
         write_config(tmp_path / "c.json", omega=5.0)
         calls = [
             ["casimir", "--config", "c.json", "--out", "{}/tight", "--rel-tol", "1e-9"],
@@ -864,9 +906,6 @@ class TestParserReuse:
         codes = [0, 0, 2, 0]
         code = textwrap.dedent(f"""
             import rsfield.cli as cli
-            built = []
-            build = cli.build_parser
-            cli.build_parser = lambda: built.append(1) or build()
             codes = []
             for argv in {calls!r}:
                 try:
@@ -874,7 +913,6 @@ class TestParserReuse:
                 except SystemExit as exc:
                     codes.append(exc.code)
             assert codes == {codes!r}, codes
-            assert len(built) == 1, built
         """)
         run_python(code, tmp_path)
         path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
@@ -894,8 +932,112 @@ class TestParserReuse:
                         for d in ("tight", "plain"))
         assert tight != plain  # so a leaked --rel-tol would show
 
-    def test_build_parser_returns_a_fresh_parser(self):
-        assert cli.build_parser() is not cli.build_parser()
+
+CHOOSE = " (choose from casimir, sweep, amplify, fock-check, extract)"
+
+
+class TestArgv:
+    """The argv grammar of ``cli.COMMAND_FLAGS``: ``--flag value`` or
+    ``--flag=value``, the token after a flag always its value, the last of a
+    repeated flag kept, no abbreviations, exit 2 on any argv error."""
+
+    @pytest.mark.parametrize("argv,reason", [
+        ([], "a command is required"),
+        (["bogus"], "unknown command 'bogus'" + CHOOSE),
+        (["--config", "{c}", "casimir"], "unknown command '--config'" + CHOOSE),
+        (["casimir", "--config", "{c}", "--bogus", "1"], "unrecognized argument '--bogus'"),
+        (["casimir", "--conf", "{c}"], "unrecognized argument '--conf'"),
+        (["casimir", "--config", "{c}", "stray"], "unrecognized argument 'stray'"),
+        (["amplify", "--config", "{c}", "--rel-tol", "1e-9"], "amplify does not take --rel-tol"),
+        (["fock-check", "--samples=3"], "fock-check does not take --samples"),
+        (["casimir", "--config", "{c}", "--out"], "--out expects a value"),
+        (["casimir", "--config", "{c}", "--samples", "1.5"],
+         "--samples must be an integer, got '1.5'"),
+        (["casimir", "--config", "{c}", "--rel-tol=tight"],
+         "--rel-tol must be a number, got 'tight'"),
+        (["extract", "--config", "{c}", "--samples", "x", "-h"],
+         "--samples must be an integer, got 'x'"),
+        (["casimir", "--out", "{o}"], "casimir requires --config"),
+        (["sweep"], "sweep requires --config"),
+    ])
+    def test_argv_error_exits_two_with_usage(self, tmp_path, capsys, argv, reason):
+        write_config(tmp_path / "c.json")
+        names = {"c": str(tmp_path / "c.json"), "o": str(tmp_path / "o")}
+        argv = [a.format(**names) for a in argv]
+        command = argv[0] if argv and argv[0] in cli.COMMAND_FLAGS else None
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"{cli._usage(command)}\nrsfield: error: {reason}\n"
+        assert not (tmp_path / "o").exists() and not (tmp_path / "out").exists()
+
+    def test_usage_lines_come_from_the_table(self):
+        assert cli._usage(None) == (
+            "usage: rsfield [-h] {casimir,sweep,amplify,fock-check,extract} ..."
+        )
+        assert cli._usage("casimir") == (
+            "usage: rsfield casimir [-h] --config CONFIG [--out OUT] "
+            "[--rel-tol REL_TOL] [--samples SAMPLES]"
+        )
+        assert cli._usage("amplify") == (
+            "usage: rsfield amplify [-h] --config CONFIG [--out OUT] [--samples SAMPLES]"
+        )
+        assert cli._usage("fock-check") == (
+            "usage: rsfield fock-check [-h] [--config CONFIG] [--out OUT]"
+        )
+        assert list(cli.COMMAND_FLAGS) == list(cli.RUNNERS)
+
+    @pytest.mark.parametrize("argv,usage", [
+        (["-h"], None),
+        (["--help"], None),
+        (["casimir", "-h"], "casimir"),
+        (["fock-check", "--out", "o", "--help"], "fock-check"),
+    ])
+    def test_help_prints_the_usage_and_exits_zero(self, capsys, argv, usage):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 0
+        assert err == ""
+        lines = [cli._usage(usage)] if usage else [cli._usage(c) for c in cli.COMMAND_FLAGS]
+        assert out == "\n".join(lines) + "\n"
+
+    def test_equals_form_writes_the_same_csv(self, tmp_path):
+        write_config(tmp_path / "c.json")
+        config = str(tmp_path / "c.json")
+        assert main(["casimir", "--config", config, "--out", str(tmp_path / "a"),
+                     "--samples", "7"]) == 0
+        assert main(["casimir", f"--config={config}", f"--out={tmp_path / 'b'}",
+                     "--samples=7"]) == 0
+        a, b = ((tmp_path / d / "casimir.csv").read_bytes() for d in "ab")
+        assert a == b and a.count(b"\n") == 8
+
+    def test_repeated_flag_keeps_its_last_value(self, tmp_path):
+        # at omega = 5 the period's grids at rel_tol 1e-9 and 1e-11 differ
+        write_config(tmp_path / "c.json", omega=5.0)
+        config = str(tmp_path / "c.json")
+        assert main(["casimir", "--config", config, "--out", str(tmp_path / "once"),
+                     "--rel-tol", "1e-9"]) == 0
+        assert main(["casimir", "--config", "missing.json", "--config", config,
+                     "--out", str(tmp_path / "first"), "--out", str(tmp_path / "twice"),
+                     "--rel-tol", "1e-11", "--rel-tol=1e-9"]) == 0
+        assert not (tmp_path / "first").exists()
+        assert main(["casimir", "--config", config, "--out", str(tmp_path / "plain")]) == 0
+        once, twice, plain = ((tmp_path / d / "casimir.csv").read_bytes()
+                              for d in ("once", "twice", "plain"))
+        assert once == twice != plain
+
+    @pytest.mark.parametrize("value", ["-5", "-inf"])
+    def test_value_starting_with_a_dash_fails_validation(self, tmp_path, capsys, value):
+        # the token after --rel-tol is its value even when it starts with "-"
+        write_config(tmp_path / "c.json")
+        code = main(["casimir", "--config", str(tmp_path / "c.json"),
+                     "--out", str(tmp_path / "o"), "--rel-tol", value])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: config.rel_tol")
+        assert not (tmp_path / "o").exists()
 
 
 class TestNoSvd:
