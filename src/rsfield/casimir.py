@@ -267,8 +267,7 @@ class CasimirScenario:
             raise ConfigError(f"sigma {sigma} is out of range: its square is {sigma * sigma}")
         object.__setattr__(self, "resolved_sigma", sigma)
         at_rest = self.coefficients(0.0)
-        overflowed = [f.name for f in dataclasses.fields(at_rest)
-                      if not math.isfinite(getattr(at_rest, f.name))]
+        overflowed = [name for name, value in vars(at_rest).items() if not math.isfinite(value)]
         if overflowed:
             raise ConfigError(f"sigma {sigma} makes {', '.join(overflowed)} at t = 0 non-finite")
 
