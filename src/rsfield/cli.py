@@ -115,7 +115,9 @@ def _require_keys(cfg: dict, allowed: dict, where: str) -> dict:
 def _number(value, name: str, integer: bool = False):
     """``value`` of config key ``name`` as a finite float, or with ``integer``
     as an int (``12``, ``12.0`` and ``"12"`` alike, not ``12.7``); anything
-    else is a ``ConfigError``, not a traceback."""
+    else, a JSON boolean included, is a ``ConfigError``, not a traceback."""
+    if isinstance(value, bool):  # float(True) would read it as 1
+        raise ConfigError(f"{name} must be a number, got the boolean {json.dumps(value)}")
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):
@@ -491,12 +493,10 @@ def _observables_deviation(state: FockState, rf, seed: int) -> float:
     # 20 complex 2x2 matrices of standard normal parts from stdlib ``random``:
     # importing ``numpy.random`` would cost more than the draws
     rng = random.Random(seed)
-    draws = np.array([rng.gauss(0.0, 1.0) for _ in range(160)]).view(complex)
-    dev = 0.0
-    for z in draws.reshape(20, 2, 2):
-        o = 0.5 * (z + z.conj().T)
-        dev = max(dev, float(abs(expect_additive(rf, o) - np.sum(o * moments).real)))
-    return dev
+    z = np.array([rng.gauss(0.0, 1.0) for _ in range(160)]).view(complex).reshape(20, 2, 2)
+    o = 0.5 * (z + np.swapaxes(z, -1, -2).conj())
+    brute = np.sum(o * moments, axis=(-2, -1)).real
+    return float(np.max(np.abs(expect_additive(rf, o) - brute)))
 
 
 def run_fock_check(cfg: dict | None, out_dir: Path) -> RunReport:

@@ -7,7 +7,9 @@ Taylor series of H (``numerics.expmv``).  H is built once per evolution
 (``QuadraticHamiltonian.operator``) from its nonzero terms only and acts on
 the flattened amplitude array: a number diagonal plus one coefficient
 table per ladder term, each term one contiguous update of the flat array
-at a fixed shift (O(d^2) memory; no d^2 x d^2 operator is ever formed).
+at a fixed shift, formed after the first in one scratch array that the
+operator keeps (O(d^2) memory; no d^2 x d^2 operator is ever formed, and an
+application allocates only its result).
 The reduced/conjugate field moments are then measured as plain
 expectation values:
 
@@ -22,8 +24,9 @@ states (the layout of ``rsf.from_state_moments``) and builds no
 validated moment object between an evolution and its deviation.
 
 Truncation quality is tracked through the boundary population (total
-amplitude on states with n1 = n_max or n2 = n_max); every consumer
-checks it before trusting the result.  This module exists as an oracle:
+probability on states with n1 = n_max or n2 = n_max, the inner products of
+the shell's row and column with themselves); every consumer checks it
+before trusting the result.  This module exists as an oracle:
 the mesoscopic formalism is validated against it, never the reverse.
 """
 
@@ -49,9 +52,10 @@ CHECKPOINTS = 8
 
 def _boundary_population(amp: np.ndarray) -> float:
     """Total probability on the n1 = n_max or n2 = n_max shell of a (d, d)
-    amplitude array."""
-    edge = np.sum(np.abs(amp[-1, :]) ** 2) + np.sum(np.abs(amp[:-1, -1]) ** 2)
-    return float(edge)
+    amplitude array: the squared norms of its last row and of the rest of
+    its last column."""
+    row, column = amp[-1, :], amp[:-1, -1]
+    return float(np.vdot(row, row).real + np.vdot(column, column).real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +159,9 @@ class QuadraticHamiltonian:
 
     def operator(self, d: int, scale: complex) -> Callable[[np.ndarray], np.ndarray]:
         """The map psi -> scale H psi on the d^2 amplitudes of a (d, d) array,
-        read as ``psi.ravel()``; built once, it returns a fresh flat array.
+        read as ``psi.ravel()``; built once, it returns a fresh flat array
+        (each term after the first is formed in one scratch array that the
+        operator owns, so an operator serves one evaluation at a time).
 
         H = a^dag (E b + P b^dag) + a (E* b^dag + P* b) plus the number
         terms, with E = exchange_re + i exchange_im and P = pair_re +
@@ -198,14 +204,18 @@ class QuadraticHamiltonian:
             else:
                 terms.append((slice(None, shift), slice(-shift, None), table.ravel()[-shift:]))
 
+        scratch = np.empty(d * d, dtype=complex)
+        first, rest = terms[:1], [(*term, scratch[:term[2].size]) for term in terms[1:]]
+
         def apply(psi: np.ndarray) -> np.ndarray:
             p = psi.ravel()
             out = np.zeros(p.size, dtype=complex)
-            if terms:
-                dst, src, coef = terms[0]
+            for dst, src, coef in first:
                 np.multiply(coef, p[src], out=out[dst])
-            for dst, src, coef in terms[1:]:
-                out[dst] += coef * p[src]
+            for dst, src, coef, part in rest:
+                np.multiply(coef, p[src], out=part)
+                target = out[dst]
+                np.add(target, part, out=target)
             return out
 
         return apply

@@ -13,7 +13,9 @@ by exponentials rather than by a general-purpose ODE solver:
   of a matrix-free A, in substeps whose number and degree follow from a
   bound on ||A||_1 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)
   488); each series stops once its terms fall below unit roundoff.
-  The truncated-Fock oracle uses it.
+  Its work is linear in the bound, so a plan of more than
+  ``EXPMV_MAX_APPLICATIONS`` applications of A raises ``ConvergenceError``
+  before A is applied.  The truncated-Fock oracle uses it.
 * ``expm`` is the dense exponential of a matrix or a stack of them, by
   scaling and squaring of the same Taylor series.
 * ``solve_magnus`` propagates the 2x2 systems dU/dt = A(t) U of the
@@ -101,6 +103,14 @@ FIRST_GRID_STEPS = 128
 TAYLOR_THETA = {5: 2.4e-3, 10: 0.144, 15: 0.641, 20: 1.44, 25: 2.43, 30: 3.54,
                 35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9}
 UNIT_ROUNDOFF = 2.0 ** -53
+# most applications of A (m s) that one ``expmv`` plans: about 5.56 per unit
+# of ||A||_1, so ||A||_1 up to about 1.88e5.  A Taylor term on the 29^2
+# amplitudes of cutoff 28 takes under 10 us, so a call at the cap runs for
+# seconds at desk cutoffs.  The beam splitter of ``rsfield fock-check``
+# (|angle| <= 2 pi) plans at most 8.8 n_max applications per checkpoint and
+# its squeeze fewer, so the cap binds only past a cutoff of 1.2e5, whose
+# amplitudes alone would take 230 GB
+EXPMV_MAX_APPLICATIONS = 2 ** 20
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -209,18 +219,28 @@ def _taylor(apply, v, degree: int, scale: float):
     The partial sum's norm, one more reduction, is read only once the two
     terms fall below 2 u times the sum of all terms' norms so far: that sum
     bounds the partial sum's norm (the factor 2 spares the rounding of
-    both sums), so until then the test cannot pass.
+    both sums), so until then the test cannot pass.  The first term's sum
+    is the one new array, which every later term updates in place; the
+    magnitudes of every norm go to one buffer.
     """
+    magnitudes = np.empty(np.shape(v))
+
+    def peak(x):
+        return np.maximum.reduce(np.abs(x, out=magnitudes), axis=None, initial=0.0)
+
     total = term = v
-    previous = bound = np.abs(v).max(initial=0.0)
+    previous = bound = peak(v)
     for k in range(1, degree + 1):
         term = apply(term)
         term *= scale / k
-        total = total + term
-        size = np.abs(term).max(initial=0.0)
+        if k == 1:
+            total = v + term
+        else:
+            total += term
+        size = peak(term)
         bound += size
         if previous + size <= 2.0 * UNIT_ROUNDOFF * bound and (
-            previous + size <= UNIT_ROUNDOFF * np.abs(total).max(initial=0.0)
+            previous + size <= UNIT_ROUNDOFF * peak(total)
         ):
             break
         previous = size
@@ -239,15 +259,22 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
 
 def expmv(apply: Callable[[np.ndarray], np.ndarray], v: np.ndarray, norm: float) -> np.ndarray:
     """exp(A) v for the linear map A = ``apply`` (which returns a fresh
-    array) with ||A||_1 <= ``norm``.
+    array) with ||A||_1 <= ``norm``; ``v`` is read, never written.
 
     Takes s substeps of the degree-m Taylor series, (s, m) from
     ``_taylor_plan``.  A zero ``norm`` takes no substep and returns ``v``
-    itself; a non-finite one raises ``NonFiniteStateError``.
+    itself; a non-finite one raises ``NonFiniteStateError``, and one whose
+    plan holds more than ``EXPMV_MAX_APPLICATIONS`` applications of A
+    (m s) raises ``ConvergenceError``, both before A is applied.
     """
     if not math.isfinite(norm):
         raise NonFiniteStateError(f"non-finite norm bound {norm} of the map to exponentiate")
     substeps, degree = _taylor_plan(norm)
+    if substeps * degree > EXPMV_MAX_APPLICATIONS:
+        raise ConvergenceError(
+            f"exp(A) v with ||A||_1 <= {norm:.3e} plans {substeps * degree:.3e} applications "
+            f"of A, above the cap of {EXPMV_MAX_APPLICATIONS}"
+        )
     for _ in range(substeps):
         v = _taylor(apply, v, degree, 1.0 / substeps)
     return v

@@ -177,9 +177,14 @@ def _generalized_arrays(
     r: np.ndarray, alpha: np.ndarray, c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The plain arrays g = [[r, c], [conj(c), transpose(r) + 1]] and
-    A = alpha (+) conj(alpha), unvalidated: the one place the layout is
-    written."""
-    g = np.block([[r, c], [c.conj(), r.T + np.eye(r.shape[0])]])
+    A = alpha (+) conj(alpha), unvalidated and complex, g written block by
+    block: the one place the layout is written."""
+    n = r.shape[0]
+    g = np.empty((2 * n, 2 * n), dtype=complex)
+    g[:n, :n] = r
+    g[:n, n:] = c
+    np.conjugate(c, out=g[n:, :n])
+    np.add(r.T, np.eye(n), out=g[n:, n:])
     return g, np.concatenate([alpha, alpha.conj()])
 
 
@@ -288,19 +293,21 @@ def transform_open_vacuum_env(rf_sys: ReducedField, m: BogoliubovMap) -> Reduced
     return ReducedField(0.5 * (r + r.conj().T), alpha, psd_tol=rf_sys.psd_tol)
 
 
-def expect_additive(rf: ReducedField, o: np.ndarray) -> float:
-    """Expectation of an additive observable: ``tr(r o)``."""
+def expect_additive(rf: ReducedField, o: np.ndarray) -> float | np.ndarray:
+    """Expectation ``tr(r o)`` of an additive observable, or of each of a
+    stack ``(..., n, n)`` of them: a float for one matrix, an array of the
+    stack's leading shape for a stack."""
     o = np.asarray(o, dtype=complex)
-    if o.shape != rf.r.shape:
-        raise DimensionMismatchError(f"observable shape {o.shape} != {rf.r.shape}")
-    if not is_hermitian(o):
+    if o.shape[-2:] != rf.r.shape:
+        raise DimensionMismatchError(f"observable shape {o.shape} does not end in {rf.r.shape}")
+    if not np.all(is_hermitian(o)):
         raise NonHermitianObservableError("additive observable must be Hermitian")
-    val = complex(np.trace(rf.r @ o))
-    if not abs(val.imag) <= 1e-10 * (1.0 + abs(val)):
+    val = np.trace(rf.r @ o, axis1=-2, axis2=-1)
+    if not np.all(np.abs(val.imag) <= 1e-10 * (1.0 + np.abs(val))):
         raise NonHermitianObservableError(
-            f"expectation has spurious imaginary part {val.imag:.3e}"
+            f"expectation has spurious imaginary part {np.max(np.abs(val.imag)):.3e}"
         )
-    return val.real
+    return float(val.real) if o.ndim == 2 else val.real
 
 
 def expect_linear(rf: ReducedField, sigma: np.ndarray) -> float:

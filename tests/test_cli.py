@@ -610,6 +610,16 @@ class TestExitCodes:
         ("fock-check", {"squeeze": 1000.0}),
         *[("fock-check", {"cutoff": c, "checks": ["identity"]}) for c in range(2, 6)],
         *[("fock-check", {"cutoff": c, "checks": ["observables"]}) for c in range(2, 5)],
+        # a JSON boolean is not a number: float(true) would read it as 1
+        ("casimir", {"omega": True}),
+        ("casimir", {"theta": False}),
+        ("casimir", {"profile": {"kind": "sinusoid", "beta0": 0.2, "drive_frequency": True}}),
+        ("casimir", {"sigma": True}),
+        ("sweep", {"sweep": {"drive_frequency": [1.0, True]}}),
+        ("amplify", {"kappa": [True]}),
+        ("fock-check", {"seed": True}),
+        ("fock-check", {"angle": True}),
+        ("fock-check", {"cutoff": True}),
     ])
     def test_malformed_value_exits_two(self, tmp_path, capsys, command, change):
         # a bad value is a configuration error (exit 2) naming the key, not a

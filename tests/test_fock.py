@@ -3,10 +3,11 @@ import pytest
 
 from conftest import dop853
 from rsfield.cli import FOCK_KEYS, FOCK_THRESHOLDS
-from rsfield.errors import NonFiniteStateError, TruncationOverflowError
+from rsfield.errors import ConvergenceError, NonFiniteStateError, TruncationOverflowError
 from rsfield.fock import (
     FockState,
     QuadraticHamiltonian,
+    _boundary_population,
     _moments,
     apply_ladder,
     beam_splitter_pair,
@@ -46,6 +47,16 @@ def dense_hamiltonian(h: QuadraticHamiltonian, n_max: int) -> np.ndarray:
 def random_amplitudes(d: int, rng) -> np.ndarray:
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return z / np.linalg.norm(z)
+
+
+class TestBoundaryPopulation:
+    @pytest.mark.parametrize("d", [2, 3, 12, 29])
+    def test_matches_the_shell_sum(self, d, rng):
+        amp = random_amplitudes(d, rng)
+        shell = np.zeros((d, d), dtype=bool)
+        shell[-1, :] = shell[:, -1] = True
+        expected = np.sum(np.abs(amp[shell]) ** 2)
+        assert abs(_boundary_population(amp) - expected) <= 1e-15 * expected
 
 
 class TestLadder:
@@ -109,6 +120,17 @@ class TestHamiltonianApply:
             for support in [np.ones((d, d))] + edges:
                 psi = support * random_amplitudes(d, rng)
                 assert max_abs(apply(psi) - hm @ psi.ravel()) < 1e-12
+
+    def test_each_application_returns_its_own_array(self, rng):
+        # the terms share one scratch array; a result is never that array
+        h = QuadraticHamiltonian(*rng.standard_normal(6))
+        apply = h.operator(5, 1.0)
+        phi, psi = random_amplitudes(5, rng), random_amplitudes(5, rng)
+        first = apply(phi)
+        kept = first.copy()
+        second = apply(psi)
+        assert np.array_equal(first, kept)
+        assert np.array_equal(second, apply(psi))
 
     def test_is_hermitian(self, rng):
         h = QuadraticHamiltonian(*rng.standard_normal(6))
@@ -241,6 +263,21 @@ class TestEvolve:
         monkeypatch.setattr(QuadraticHamiltonian, "operator", counting)
         evolve(state, h, 1.0)
         assert len(counts) == applications
+
+    def test_large_norm_raises_before_h_is_applied(self, monkeypatch):
+        # number_a 1e3, 1e4 and 1e5 at cutoff 4 took 0.009, 0.08 and 0.8 s;
+        # 1e8 would take about two hours
+        counts = []
+        build = QuadraticHamiltonian.operator
+
+        def counting(self, d, scale):
+            apply = build(self, d, scale)
+            return lambda psi: counts.append(1) or apply(psi)
+
+        monkeypatch.setattr(QuadraticHamiltonian, "operator", counting)
+        with pytest.raises(ConvergenceError, match="applications"):
+            evolve(FockState.vacuum(4), QuadraticHamiltonian(number_a=1e8), 1.0)
+        assert not counts
 
     def test_truncation_overflow_detected(self):
         h, _ = squeeze_pair(1.2, 1.0)  # far too much squeezing for n_max=4

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -202,6 +203,21 @@ class TestExpmv:
         with pytest.raises(NonFiniteStateError):
             expmv(lambda x: x, np.array([1.0 + 0j]), norm)
 
+    @pytest.mark.parametrize("norm", [2e5, 1e8, 1e300])
+    def test_plan_past_the_cap_raises_before_any_work(self, norm):
+        # the work is linear in the norm: 1e300 once planned ~5e298 substeps
+        # and never returned
+        applied = []
+        with pytest.raises(ConvergenceError, match=re.escape(f"{norm:.3e}") + ".*applications"):
+            expmv(lambda x: applied.append(1) or x, np.array([1.0 + 0j]), norm)
+        assert not applied
+
+    def test_cap_admits_the_fock_check_beam_splitter(self):
+        # |angle| <= 2 pi over eight checkpoints at cutoff 1e4, whose
+        # amplitudes already take 1.6 GB: ||step H||_1 <= n_max 4 pi / 8
+        substeps, degree = numerics._taylor_plan(1e4 * 4.0 * math.pi / 8.0)
+        assert 10 * substeps * degree < numerics.EXPMV_MAX_APPLICATIONS
+
 
 def reading_taylor(apply, v, degree, scale):
     """The Taylor series with the stop test reading the partial sum's norm at
@@ -268,6 +284,17 @@ class TestTaylorStop:
             self.assert_same(
                 monkeypatch, lambda: expmv(lambda x: -1j * t * (h @ x), psi, bound * t)
             )
+
+    def test_read_only_vector_is_left_intact(self, rng, monkeypatch):
+        # the partial sum is updated in place, never the vector it starts from
+        z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        h = 0.5 * (z + z.conj().T)
+        psi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        psi.setflags(write=False)
+        before = psi.copy()
+        bound = float(np.abs(h).sum(axis=0).max())
+        self.assert_same(monkeypatch, lambda: expmv(lambda x: -1j * (h @ x), psi, bound))
+        assert np.array_equal(psi, before)
 
     def test_cancelling_terms(self, monkeypatch):
         # exp(-3) to degree 40: the terms' norms sum to e^3 while the sum is

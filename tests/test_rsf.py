@@ -17,6 +17,7 @@ from rsfield.rsf import (
     ConjugateField,
     GeneralizedField,
     ReducedField,
+    _generalized_arrays,
     entropy_v,
     entropy_w,
     expect_additive,
@@ -100,6 +101,16 @@ class TestFieldValidation:
 
 
 class TestFromStateMoments:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_layout_is_the_block_matrix(self, n, rng):
+        # filled block by block, bit for bit the layout np.block writes
+        r = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        alpha = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        g, a_vec = _generalized_arrays(r, alpha, c)
+        assert np.array_equal(g, np.block([[r, c], [c.conj(), r.T + np.eye(n)]]))
+        assert np.array_equal(a_vec, np.concatenate([alpha, alpha.conj()]))
+
     def test_vacuum_assembly(self):
         rf, cf = vacuum(2)
         gf = from_state_moments(rf.r, rf.alpha, cf.c)
@@ -338,6 +349,29 @@ class TestObservables:
         rf = ReducedField([[1.0]], [0])
         with pytest.raises(NonHermitianObservableError):
             expect_additive(rf, [[np.inf]])
+
+    def test_stack_gives_each_single_value(self, rng):
+        rf, _ = random_physical_fields(2, rng)
+        z = rng.standard_normal((20, 2, 2)) + 1j * rng.standard_normal((20, 2, 2))
+        o = 0.5 * (z + np.swapaxes(z, -1, -2).conj())
+        single = [expect_additive(rf, x) for x in o]
+        assert all(type(v) is float for v in single)
+        stacked = expect_additive(rf, o)
+        assert stacked.shape == (20,)
+        assert np.array_equal(stacked, single)
+
+    def test_stack_with_one_non_hermitian_observable_raises(self, rng):
+        rf, _ = random_physical_fields(2, rng)
+        o = np.tile(np.eye(2, dtype=complex), (20, 1, 1))
+        o[13, 0, 1] = 1.0
+        with pytest.raises(NonHermitianObservableError):
+            expect_additive(rf, o)
+
+    @pytest.mark.parametrize("shape", [(20, 3, 3), (20, 2, 3), (4, 2), (2,), ()])
+    def test_wrong_trailing_shape_raises(self, rng, shape):
+        rf, _ = random_physical_fields(2, rng)
+        with pytest.raises(DimensionMismatchError):
+            expect_additive(rf, np.zeros(shape))
 
     def test_linear_vanishes_without_displacement(self):
         rf, _ = vacuum(2)
