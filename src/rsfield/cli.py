@@ -10,10 +10,15 @@ Subcommands (console script ``rsfield``):
 * ``extract``    -- generator trajectory (closed form and generic
                     extraction) with validity witnesses.
 
-``COMMAND_FLAGS`` is the one source of each command's flags and their
-types, and so of the argv grammar, the usage lines and the argv errors
-(``_parse_argv``): ``--flag value`` or ``--flag=value``, no abbreviations,
-and exit 2 with the usage line on any argv error.
+``COMMANDS`` is the one table keyed by command name: each command's
+flags and their types, its config parser and its runner.  The flags make
+the argv grammar, the usage lines and the argv errors (``_parse_argv``):
+``--flag value`` or ``--flag=value``, no abbreviations, and exit 2 with the
+usage line on any argv error.  ``main`` reads argv, loads the JSON config,
+lets the flags override its keys and parses it whole before the runner
+starts: every configuration error, an out-of-budget ``samples`` or
+``cutoff`` included, exits 2 before any output is written, and a runner
+takes only a parsed config and raises no ``ConfigError``.
 
 Configuration is a single JSON document; unknown keys are rejected so
 that a typo in a physics parameter cannot silently fall back to a
@@ -95,27 +100,26 @@ CSV_COLUMNS = (
 
 def _require_keys(cfg: dict, allowed: dict, where: str) -> dict:
     """Reject unknown keys and fill defaults; ``allowed`` maps key -> default
-    (``...`` marks a required key)."""
+    (``...`` marks a required key).  An ``out_dir`` must be a path string."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where} must be a JSON object")
     unknown = set(cfg) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
-    out = {}
-    for key, default in allowed.items():
-        if key in cfg:
-            out[key] = cfg[key]
-        elif default is ...:
-            raise ConfigError(f"missing required key '{key}' in {where}")
-        else:
-            out[key] = default
+    missing = [key for key, default in allowed.items() if default is ... and key not in cfg]
+    if missing:
+        raise ConfigError(f"missing required key '{missing[0]}' in {where}")
+    out = {key: cfg.get(key, default) for key, default in allowed.items()}
+    if not isinstance(out.get("out_dir"), (str, type(None))):
+        raise ConfigError(f"{where}.out_dir must be a path string, got {out['out_dir']!r}")
     return out
 
 
-def _number(value, name: str, integer: bool = False):
-    """``value`` of config key ``name`` as a finite float, or with ``integer``
-    as an int (``12``, ``12.0`` and ``"12"`` alike, not ``12.7``); anything
-    else, a JSON boolean included, is a ``ConfigError``, not a traceback."""
+def _number(value, name: str, integer: bool = False, most: float = math.inf):
+    """``value`` of config key ``name`` as a finite float no larger than
+    ``most``, or with ``integer`` as an int (``12``, ``12.0`` and ``"12"``
+    alike, not ``12.7``); anything else, a JSON boolean included, is a
+    ``ConfigError``, not a traceback."""
     if isinstance(value, bool):  # float(True) would read it as 1
         raise ConfigError(f"{name} must be a number, got the boolean {json.dumps(value)}")
     try:
@@ -124,6 +128,8 @@ def _number(value, name: str, integer: bool = False):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(number):
         raise ConfigError(f"{name} must be finite, got {value!r}")
+    if number > most:
+        raise ConfigError(f"{name} must be at most {most}, got {value!r}")
     if not integer:
         return number
     if not number.is_integer():
@@ -165,9 +171,29 @@ def load_config(path: str | Path) -> dict:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
+        cfg = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    return cfg
+
+
+# The bytes of the largest single array a config may ask a run for.  Each
+# parser bounds its size keys by the array they scale most: ``samples`` by
+# ``casimir_maps``' (samples, 4, 4) complex stack or by ``integrate_kinetics``'
+# (samples, d, d) complex stack of interval maps, d = (modes + 1)^2, and
+# ``cutoff`` by a Fock state's (cutoff + 1)^2 complex amplitudes.
+ARRAY_BUDGET = 2**30
+
+
+def _samples(value, row_bytes: int) -> int:
+    """Config key ``samples`` as an integer >= 2 whose per-sample array of
+    ``row_bytes`` bytes fits ``ARRAY_BUDGET``."""
+    samples = _number(value, "config.samples", integer=True, most=ARRAY_BUDGET // row_bytes)
+    if samples < 2:
+        raise ConfigError("samples must be an integer >= 2")
+    return samples
 
 
 def parse_casimir_config(cfg: dict) -> dict:
@@ -185,13 +211,10 @@ def parse_casimir_config(cfg: dict) -> dict:
         raise ConfigError("config.rel_tol and config.abs_tol must be positive")
     if not isinstance(out["sigma"], str):  # "auto", or a name CasimirScenario rejects
         out["sigma"] = _number(out["sigma"], "config.sigma")
-    out["samples"] = _number(out["samples"], "config.samples", integer=True)
-    if out["samples"] < 2:
-        raise ConfigError("samples must be an integer >= 2")
-    if out["sweep"] is not None:
-        out["sweep"] = _require_keys(
-            out["sweep"], {axis: None for axis in SWEEP_AXES}, "config.sweep"
-        )
+    out["samples"] = _samples(out["samples"], 16 * 4 * 4)
+    # every axis, None where the sweep leaves it out
+    out["sweep"] = _require_keys({} if out["sweep"] is None else out["sweep"],
+                                 dict.fromkeys(SWEEP_AXES), "config.sweep")
     out["scenario"] = CasimirScenario(**{
         f.name: out.pop(f.name) for f in fields(CasimirScenario) if f.init
     })
@@ -349,26 +372,28 @@ def run_casimir(cfg: dict, out_dir: Path, csv_name: str = "casimir.csv") -> RunR
     return RunReport(columns=cols, summary=summary, failures=_violations(gates))
 
 
-def sweep_grid(cfg: dict) -> list:
-    s = cfg["scenario"]
+def parse_sweep_config(cfg: dict) -> dict:
+    """``parse_casimir_config``'s config plus its ``"grid"``: every point of the
+    sweep, a dict of the ``SWEEP_AXES``, an axis the sweep leaves out held at
+    the scenario's value."""
+    out = parse_casimir_config(cfg)
+    s = out["scenario"]
     defaults = {"omega": s.omega, "theta": s.theta,
                 "drive_frequency": s.profile.drive_frequency, "beta0": s.profile.beta0}
     axes = []
     for axis in SWEEP_AXES:
-        values = (cfg["sweep"] or {}).get(axis)
+        values = out["sweep"][axis]
         if values is None:
             values = [defaults[axis]]
         if not isinstance(values, (list, tuple)) or not values:
             raise ConfigError(f"sweep.{axis} must be a nonempty list")
         axes.append([_number(v, f"config.sweep.{axis}") for v in values])
-    return [
-        {"omega": w, "theta": th, "drive_frequency": dr, "beta0": b}
-        for w, th, dr, b in product(*axes)
-    ]
+    out["grid"] = [dict(zip(SWEEP_AXES, point)) for point in product(*axes)]
+    return out
 
 
 def run_sweep(cfg: dict, out_dir: Path) -> RunReport:
-    grid = sweep_grid(cfg)
+    grid = cfg["grid"]
     s = cfg["scenario"]
     out_dir.mkdir(parents=True, exist_ok=True)
     names = [f"casimir_{index:03d}.csv" for index in range(len(grid))]
@@ -419,23 +444,29 @@ AMPLIFY_KEYS = {
 }
 
 
-def run_amplify(cfg: dict, out_dir: Path) -> RunReport:
-    cfg = _require_keys(cfg, AMPLIFY_KEYS, "config")
+def parse_amplify_config(cfg: dict) -> dict:
+    """The checked config of an ``amplify`` run: its keys, plus the
+    ``AmplifierSpec`` that ``kappa`` and ``m`` make, under ``"spec"``."""
+    out = _require_keys(cfg, AMPLIFY_KEYS, "config")
     rates = {}
     for key in ("kappa", "m"):  # a number, or a list of them, one per mode
-        values = cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
+        values = out[key] if isinstance(out[key], list) else [out[key]]
         rates[key] = [_number(v, f"config.{key}") for v in values]
     try:
-        spec = AmplifierSpec(**rates)
+        out["spec"] = AmplifierSpec(**rates)
     except RsfieldError as exc:
         raise ConfigError(f"config.kappa/m: {exc}") from exc
-    samples = _number(cfg["samples"], "config.samples", integer=True)
-    if samples < 2:
-        raise ConfigError("samples must be an integer >= 2")
-    t_end = _number(cfg["t_end"], "config.t_end")
-    if t_end < 0:
-        raise ConfigError(f"config.t_end must be nonnegative, got {t_end}")
-    times = np.linspace(0.0, t_end, samples)
+    # the kinetic state y of n modes has (n + 1)^2 entries
+    out["samples"] = _samples(out["samples"], 16 * (out["spec"].n_modes + 1) ** 4)
+    out["t_end"] = _number(out["t_end"], "config.t_end")
+    if out["t_end"] < 0:
+        raise ConfigError(f"config.t_end must be nonnegative, got {out['t_end']}")
+    return out
+
+
+def run_amplify(cfg: dict, out_dir: Path) -> RunReport:
+    spec, t_end = cfg["spec"], cfg["t_end"]
+    times = np.linspace(0.0, t_end, cfg["samples"])
     rf0, _ = vacuum(spec.n_modes)
     snaps = integrate_kinetics(rf0, amplifier_generators(spec), (0.0, t_end), times)
     deviation, closed_number = [], []
@@ -499,20 +530,24 @@ def _observables_deviation(state: FockState, rf, seed: int) -> float:
     return float(np.max(np.abs(expect_additive(rf, o) - brute)))
 
 
-def run_fock_check(cfg: dict | None, out_dir: Path) -> RunReport:
-    cfg = _require_keys({} if cfg is None else cfg, FOCK_KEYS, "config")
-    checks = cfg["checks"]
+def parse_fock_config(cfg: dict) -> dict:
+    """The checked config of a ``fock-check`` run: its keys, the numbers read
+    and held to the cutoff, plus the coherent states of the ``identity`` and
+    ``observables`` checks it lists, under ``"states"``."""
+    out = _require_keys(cfg, FOCK_KEYS, "config")
+    checks = out["checks"]
     if not (isinstance(checks, list) and checks and all(isinstance(c, str) for c in checks)):
         raise ConfigError(f"config.checks must be a nonempty list of check names, got {checks!r}")
     unknown = set(checks) - set(FOCK_THRESHOLDS)
     if unknown:
         raise ConfigError(f"unknown fock checks: {', '.join(sorted(unknown))}")
-    cutoff = _number(cfg["cutoff"], "config.cutoff", integer=True)
+    cutoff = out["cutoff"] = _number(out["cutoff"], "config.cutoff", integer=True,
+                                     most=math.isqrt(ARRAY_BUDGET // 16) - 1)
     if cutoff < 2:
         raise ConfigError(f"config.cutoff must be at least 2, got {cutoff}")
-    seed = _number(cfg["seed"], "config.seed", integer=True)
-    squeeze = _number(cfg["squeeze"], "config.squeeze")
-    angle = _number(cfg["angle"], "config.angle")
+    out["seed"] = _number(out["seed"], "config.seed", integer=True)
+    squeeze = out["squeeze"] = _number(out["squeeze"], "config.squeeze")
+    angle = out["angle"] = _number(out["angle"], "config.angle")
     # one turn holds every beam-splitter map; the evolution's work grows with |angle|
     if not abs(angle) <= 2.0 * math.pi:
         raise ConfigError(f"config.angle must lie in [-2 pi, 2 pi], got {angle}")
@@ -526,7 +561,7 @@ def run_fock_check(cfg: dict | None, out_dir: Path) -> RunReport:
         )
     # the coherent states of identity and observables, each held to the
     # boundary gate it meets first: evolve's on entry, or the moments'
-    states = {}
+    states = out["states"] = {}
     for check, z2, tol in (("identity", -0.2, BOUNDARY_PRE_TOL),
                            ("observables", 0.2j, BOUNDARY_POST_TOL)):
         if check in checks:
@@ -537,24 +572,29 @@ def run_fock_check(cfg: dict | None, out_dir: Path) -> RunReport:
                     f"config.cutoff {cutoff} leaves {edge:.3e} of the {check} check's "
                     f"coherent state on its boundary shell, above {tol:g}; raise the cutoff"
                 )
+    return out
+
+
+def run_fock_check(cfg: dict, out_dir: Path) -> RunReport:
+    checks, cutoff, states = cfg["checks"], cfg["cutoff"], cfg["states"]
     deviation = {}
     if "identity" in checks:
         deviation["identity"] = oracle_check_transform(
             identity_map(1, 1), states["identity"], QuadraticHamiltonian(), 1.0,
         )
     if "beam_splitter" in checks:
-        h, m = beam_splitter_pair(angle)
+        h, m = beam_splitter_pair(cfg["angle"])
         deviation["beam_splitter"] = oracle_check_transform(
             m, FockState.number_state(1, 0, cutoff), h, 1.0,
         )
     if "squeeze" in checks:
-        h, m = squeeze_pair(squeeze, 1.0)
+        h, m = squeeze_pair(cfg["squeeze"], 1.0)
         deviation["squeeze"] = oracle_check_transform(m, FockState.vacuum(cutoff), h, 1.0)
     if "observables" in checks:
         # z1 conj(z2) is not real, so r_01 = <a_1^dag a_0> is complex and a
         # transposed or conjugated r shows in the deviation
         state = states["observables"]
-        deviation["observables"] = _observables_deviation(state, measure_rsf(state)[0], seed)
+        deviation["observables"] = _observables_deviation(state, measure_rsf(state)[0], cfg["seed"])
 
     checks = list(deviation)
     columns = {
@@ -609,29 +649,19 @@ def run_extract(cfg: dict, out_dir: Path) -> RunReport:
     return RunReport(columns=cols, summary=summary, failures=failures)
 
 
-def _print_report(name: str, report: RunReport) -> None:
-    print(f"[{name}] {'OK' if report.ok else 'FAILED'}")
-    for key, value in report.summary.items():
-        print(f"  {key}: {value}")
-    for failure in report.failures:
-        print(f"  violated: {failure}")
-
-
-CASIMIR_COMMANDS = ("casimir", "sweep", "extract")
-RUNNERS = {"casimir": run_casimir, "sweep": run_sweep, "amplify": run_amplify,
-           "fock-check": run_fock_check, "extract": run_extract}
-
-
-# Each command's flags, flag -> (type, required): the one source of the argv
-# grammar, the usage lines and the argv errors.
+# Each command's flags, flag -> (type, required), its config parser and its
+# runner: the one source of the argv grammar, the usage lines, the argv errors
+# and main's dispatch.
 _CASIMIR_FLAGS = {"--config": (str, True), "--out": (str, False),
                   "--rel-tol": (float, False), "--samples": (int, False)}
-COMMAND_FLAGS = {
-    "casimir": _CASIMIR_FLAGS,
-    "sweep": _CASIMIR_FLAGS,
-    "amplify": {"--config": (str, True), "--out": (str, False), "--samples": (int, False)},
-    "fock-check": {"--config": (str, False), "--out": (str, False)},
-    "extract": _CASIMIR_FLAGS,
+COMMANDS = {
+    "casimir": (_CASIMIR_FLAGS, parse_casimir_config, run_casimir),
+    "sweep": (_CASIMIR_FLAGS, parse_sweep_config, run_sweep),
+    "amplify": ({"--config": (str, True), "--out": (str, False), "--samples": (int, False)},
+                parse_amplify_config, run_amplify),
+    "fock-check": ({"--config": (str, False), "--out": (str, False)},
+                   parse_fock_config, run_fock_check),
+    "extract": (_CASIMIR_FLAGS, parse_casimir_config, run_extract),
 }
 HELP_FLAGS = ("-h", "--help")
 
@@ -639,9 +669,9 @@ HELP_FLAGS = ("-h", "--help")
 def _usage(command: str | None) -> str:
     """The usage line of ``command``, or of the program when it is None."""
     if command is None:
-        return f"usage: rsfield [-h] {{{','.join(COMMAND_FLAGS)}}} ..."
+        return f"usage: rsfield [-h] {{{','.join(COMMANDS)}}} ..."
     parts = []
-    for flag, (_, required) in COMMAND_FLAGS[command].items():
+    for flag, (_, required) in COMMANDS[command][0].items():
         part = f"{flag} {flag[2:].replace('-', '_').upper()}"
         parts.append(part if required else f"[{part}]")
     return f"usage: rsfield {command} [-h] {' '.join(parts)}"
@@ -655,21 +685,21 @@ def _argv_error(command: str | None, reason: str) -> NoReturn:
 
 def _parse_argv(argv) -> tuple[str, dict]:
     """The command of ``argv`` and its flags' values by field name
-    (``--rel-tol`` -> ``rel_tol``), read against ``COMMAND_FLAGS``.  A flag
+    (``--rel-tol`` -> ``rel_tol``), read against ``COMMANDS``.  A flag
     is ``--flag value`` or ``--flag=value``; the token after a flag is always
     its value, and a repeated flag keeps its last value.  ``-h`` prints the
     usage and exits 0; a malformed argv prints the usage and the reason to
     stderr and exits 2."""
     argv = list(argv)
     if argv and argv[0] in HELP_FLAGS:
-        print("\n".join(_usage(command) for command in COMMAND_FLAGS))
+        print("\n".join(_usage(command) for command in COMMANDS))
         raise SystemExit(0)
     if not argv:
         _argv_error(None, "a command is required")
     command, tokens = argv[0], iter(argv[1:])
-    flags = COMMAND_FLAGS.get(command)
-    if flags is None:
-        _argv_error(None, f"unknown command {command!r} (choose from {', '.join(COMMAND_FLAGS)})")
+    if command not in COMMANDS:
+        _argv_error(None, f"unknown command {command!r} (choose from {', '.join(COMMANDS)})")
+    flags = COMMANDS[command][0]
     values = {}
     for token in tokens:
         if token in HELP_FLAGS:
@@ -677,7 +707,7 @@ def _parse_argv(argv) -> tuple[str, dict]:
             raise SystemExit(0)
         flag, has_value, value = token.partition("=")
         if flag not in flags:
-            if any(flag in other for other in COMMAND_FLAGS.values()):
+            if any(flag in other for other, _, _ in COMMANDS.values()):
                 _argv_error(command, f"{command} does not take {flag}")
             _argv_error(command, f"unrecognized argument {token!r}")
         if not has_value:
@@ -696,31 +726,25 @@ def _parse_argv(argv) -> tuple[str, dict]:
     return command, {flag[2:].replace("-", "_"): value for flag, value in values.items()}
 
 
-def _resolve_out(out: str | None, cfg) -> Path:
-    configured = cfg.get("out_dir") if isinstance(cfg, dict) else None
-    if configured is not None and not isinstance(configured, str):
-        raise ConfigError(f"config.out_dir must be a path string, got {configured!r}")
-    return Path(out or configured or "out")
-
-
 def main(argv=None) -> int:
     command, flags = _parse_argv(sys.argv[1:] if argv is None else argv)
+    _, parse, run = COMMANDS[command]
     try:
-        cfg = load_config(flags["config"]) if flags.get("config") else None
+        cfg = load_config(flags["config"]) if flags.get("config") else {}
         # flags override config keys before validation, so one check covers both
-        overrides = {key: flags[key] for key in ("rel_tol", "samples") if key in flags}
-        if overrides and isinstance(cfg, dict):
-            cfg = {**cfg, **overrides}
-        if command in CASIMIR_COMMANDS:
-            cfg = parse_casimir_config(cfg)
-        report = RUNNERS[command](cfg, _resolve_out(flags.get("out"), cfg))
+        cfg = parse({**cfg, **{key: flags[key] for key in ("rel_tol", "samples") if key in flags}})
+        report = run(cfg, Path(flags.get("out") or cfg["out_dir"] or "out"))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except RsfieldError as exc:
         print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    _print_report(command, report)
+    print(f"[{command}] {'OK' if report.ok else 'FAILED'}")
+    for key, value in report.summary.items():
+        print(f"  {key}: {value}")
+    for failure in report.failures:
+        print(f"  violated: {failure}")
     return 0 if report.ok else 1
 
 

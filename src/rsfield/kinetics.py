@@ -77,7 +77,6 @@ from .numerics import (
 )
 from .rsf import ReducedField
 
-HBAR = 1.0
 UNITARY_TOL = 1e-10
 PASSIVE_UNITARY_TOL = 1e-8  # |X_up X_up^dag - 1| of a family for extract_closed_generator
 ETA_SUM_TOL = 1e-10
@@ -319,7 +318,7 @@ def extract_closed_generator(
             "family is not passive: X_up is not unitary at the requested time"
         )
     y = _derivative(x_up, t, dx_up, fd_step, "X_up") @ _checked_inverse(x, "X_up")
-    h = 0.5j * (y - y.conj().T) * HBAR
+    h = 0.5j * (y - y.conj().T)
     return h
 
 
@@ -360,7 +359,7 @@ def open_generator_arrays(xs, xc, dxs, dxc) -> tuple[np.ndarray, np.ndarray, np.
     dd = dxc @ xc_dag + xc @ np.swapaxes(dxc, -1, -2).conj()
     w = dd - y @ d - d @ y_dag
     w = 0.5 * (w + np.swapaxes(w, -1, -2).conj())
-    h = -0.5 * HBAR * (-1j * (y - y_dag))
+    h = -0.5 * (-1j * (y - y_dag))
     gamma_down = w - (y + y_dag)
     _require_hermitian_generators(h=h, gamma_up=w, gamma_down=gamma_down)
     return h, w, gamma_down

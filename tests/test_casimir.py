@@ -1125,7 +1125,8 @@ def _verdicts(tmp_path, command, cfg, monkeypatch, solve):
     wrote."""
     monkeypatch.setattr(cli, "solve_modes", solve)
     out = tmp_path / solve.__name__
-    report = cli.RUNNERS[command](cli.parse_casimir_config(cfg), out)
+    _, parse, run = cli.COMMANDS[command]
+    report = run(parse(cfg), out)
     gates = [re.findall(r"(\w+) \(value", failure) for failure in report.failures]
     return report.ok, gates, sorted(p.name for p in out.iterdir())
 

@@ -60,6 +60,90 @@ def write_config(path, **overrides):
     return cfg
 
 
+# the config errors of test_malformed_value_exits_two: a bad value of the
+# key that each change sets
+MALFORMED = [
+    ("casimir", {"omega": "fast"}),
+    ("casimir", {"omega": None}),
+    ("casimir", {"rel_tol": "tight"}),
+    ("casimir", {"rel_tol": 0.0}),
+    ("casimir", {"rel_tol": -1e-3}),
+    ("casimir", {"t_end": float("nan")}),
+    ("sweep", {"sweep": {"drive_frequency": [1.0, "x"]}}),
+    ("fock-check", {"cutoff": "big"}),
+    ("fock-check", {"cutoff": 12.7}),
+    ("fock-check", {"squeeze": "x"}),
+    ("fock-check", {"angle": None}),
+    ("fock-check", {"seed": "a"}),
+    ("fock-check", {"checks": "squeeze"}),
+    ("amplify", {"t_end": "x"}),
+    ("amplify", {"t_end": -1.0}),
+    ("fock-check", {"cutoff": 0}),
+    ("fock-check", {"cutoff": 1}),
+    ("fock-check", {"cutoff": -3}),
+    ("casimir", {"out_dir": 5}),
+    ("fock-check", {"out_dir": ["x"]}),
+    ("fock-check", {"checks": []}),
+    ("amplify", {"kappa": float("nan")}),
+    ("amplify", {"kappa": [float("inf")]}),
+    ("amplify", {"kappa": -1.0}),
+    ("amplify", {"m": [float("nan")]}),
+    ("amplify", {"m": float("-inf")}),
+    ("amplify", {"m": [-1.0]}),
+    ("amplify", {"kappa": [], "m": []}),
+    ("fock-check", {"angle": 100.0}),
+    ("fock-check", {"angle": -7.0}),
+    ("fock-check", {"squeeze": 400.0}),
+    ("fock-check", {"squeeze": 1000.0}),
+    *[("fock-check", {"cutoff": c, "checks": ["identity"]}) for c in range(2, 6)],
+    *[("fock-check", {"cutoff": c, "checks": ["observables"]}) for c in range(2, 5)],
+    # a JSON boolean is not a number: float(true) would read it as 1
+    ("casimir", {"omega": True}),
+    ("casimir", {"theta": False}),
+    ("casimir", {"profile": {"kind": "sinusoid", "beta0": 0.2, "drive_frequency": True}}),
+    ("casimir", {"sigma": True}),
+    ("sweep", {"sweep": {"drive_frequency": [1.0, True]}}),
+    ("amplify", {"kappa": [True]}),
+    ("fock-check", {"seed": True}),
+    ("fock-check", {"angle": True}),
+    ("fock-check", {"cutoff": True}),
+]
+
+# the media of test_overflowing_medium_exits_two, (key, value)
+OVERFLOWING = [
+    ("refractive_index", 1e160),
+    ("refractive_index", 1e200),
+    ("sigma", 1e160),
+    ("sigma", 1e200),
+    ("sigma", 1e-200),
+    ("sigma", 1e-160),
+]
+
+# the config files of test_json_array_config_exits_two
+JSON_ARRAYS = ["[]", "[1, 2]"]
+
+# runs past the array budget, (command, change, extra argv): without the
+# bound each asked numpy for terabytes and ended in a traceback at once
+OVERSIZED = [
+    ("fock-check", {"cutoff": 1e6}, []),
+    ("fock-check", {"cutoff": 1000000, "checks": ["beam_splitter"]}, []),
+    *[(command, {"samples": 1e12}, []) for command in ("casimir", "sweep", "extract", "amplify")],
+    *[(command, {}, ["--samples", "1000000000000"])
+      for command in ("casimir", "sweep", "extract", "amplify")],
+]
+
+
+def write_command_config(path, command, change):
+    """A config of ``command`` with ``change`` applied, or the text ``change``."""
+    if isinstance(change, str):
+        path.write_text(change, encoding="utf-8")
+    elif command in ("casimir", "sweep", "extract"):
+        write_config(path, **change)
+    else:
+        base = {"amplify": {"kappa": [1.0], "m": [0.0]}}.get(command, {})
+        path.write_text(json.dumps({**base, **change}), encoding="utf-8")
+
+
 class TestConfigValidation:
     def test_unknown_key_is_named(self, tmp_path):
         p = tmp_path / "c.json"
@@ -230,9 +314,9 @@ class TestRunSweep:
     def test_single_point_sweep_matches_plain_run(self, tmp_path):
         cfg = parse_casimir_config(write_config(tmp_path / "c.json"))
         plain = run_casimir(cfg, tmp_path / "plain")
-        cfg_sweep = dict(cfg)
-        cfg_sweep["sweep"] = {"omega": [1.0], "theta": None,
-                              "drive_frequency": None, "beta0": None}
+        cfg_sweep = cli.parse_sweep_config(write_config(
+            tmp_path / "s.json", sweep={"omega": [1.0], "theta": None,
+                                        "drive_frequency": None, "beta0": None}))
         sweep = run_sweep(cfg_sweep, tmp_path / "sw")
         assert sweep.summary["points"] == 1
         a = (tmp_path / "plain" / "casimir.csv").read_bytes()
@@ -240,9 +324,10 @@ class TestRunSweep:
         assert a == b
 
     def test_grid_creates_deterministic_files(self, tmp_path):
-        cfg = parse_casimir_config(write_config(tmp_path / "c.json", samples=11, t_end=5.0))
-        cfg["sweep"] = {"omega": [0.8, 1.0, 1.2], "theta": None,
-                        "drive_frequency": [1.6, 2.0, 2.4], "beta0": None}
+        cfg = cli.parse_sweep_config(write_config(
+            tmp_path / "c.json", samples=11, t_end=5.0,
+            sweep={"omega": [0.8, 1.0, 1.2], "theta": None,
+                   "drive_frequency": [1.6, 2.0, 2.4], "beta0": None}))
         report = run_sweep(cfg, tmp_path / "sw")
         assert report.summary["points"] == 9
         names = sorted(f.name for f in (tmp_path / "sw").glob("casimir_*.csv"))
@@ -252,11 +337,10 @@ class TestRunSweep:
         # scan the drive frequency; the reported best point must be the
         # argmax of the per-point final densities (resonance located by
         # the scan itself)
-        cfg = parse_casimir_config(
-            write_config(tmp_path / "c.json", theta=np.pi / 2, samples=11, t_end=15.0)
-        )
-        cfg["sweep"] = {"omega": None, "theta": None,
-                        "drive_frequency": [0.6, 1.0, 1.6, 2.0, 2.6], "beta0": None}
+        cfg = cli.parse_sweep_config(write_config(
+            tmp_path / "c.json", theta=np.pi / 2, samples=11, t_end=15.0,
+            sweep={"omega": None, "theta": None,
+                   "drive_frequency": [0.6, 1.0, 1.6, 2.0, 2.6], "beta0": None}))
         report = run_sweep(cfg, tmp_path / "sw")
         densities = report.columns["final_photon_density"]
         assert report.summary["best_index"] == int(np.argmax(densities))
@@ -264,9 +348,10 @@ class TestRunSweep:
         assert report.summary["best_point"]["drive_frequency"] == 1.0
 
     def test_failed_point_is_isolated(self, tmp_path):
-        cfg = parse_casimir_config(write_config(tmp_path / "c.json", samples=11, t_end=5.0))
-        cfg["sweep"] = {"omega": None, "theta": None, "drive_frequency": None,
-                        "beta0": [0.2, 1.5]}
+        cfg = cli.parse_sweep_config(write_config(
+            tmp_path / "c.json", samples=11, t_end=5.0,
+            sweep={"omega": None, "theta": None, "drive_frequency": None,
+                   "beta0": [0.2, 1.5]}))
         report = run_sweep(cfg, tmp_path / "sw")
         assert not report.ok
         statuses = report.columns["status"]
@@ -288,7 +373,7 @@ class TestRunSweep:
 class TestRunAmplify:
     def test_unit_rate_vacuum(self, tmp_path):
         cfg = {"kappa": [1.0], "m": [0.0], "t_end": 1.0, "samples": 6}
-        report = run_amplify(cfg, tmp_path)
+        report = run_amplify(cli.parse_amplify_config(cfg), tmp_path)
         assert report.ok
         assert report.summary["max_relative_deviation"] <= 1e-8
         assert report.columns["closed_total_number"][-1] == pytest.approx(
@@ -297,13 +382,13 @@ class TestRunAmplify:
 
     def test_zero_rate_exact(self, tmp_path):
         cfg = {"kappa": [0.0], "m": [0.3], "t_end": 2.0, "samples": 4}
-        report = run_amplify(cfg, tmp_path)
+        report = run_amplify(cli.parse_amplify_config(cfg), tmp_path)
         assert report.ok
         assert report.summary["max_relative_deviation"] < 1e-12
 
     def test_per_mode_rates(self, tmp_path):
         cfg = {"kappa": [1.0, 2.0], "m": [0.5, 0.0], "t_end": 1.0, "samples": 5}
-        report = run_amplify(cfg, tmp_path)
+        report = run_amplify(cli.parse_amplify_config(cfg), tmp_path)
         assert report.ok
         assert report.summary["max_relative_deviation"] <= 1e-8
 
@@ -345,7 +430,7 @@ class TestWriteCsv:
 
 class TestRunFockCheck:
     def test_default_catalog_passes(self, tmp_path):
-        report = run_fock_check(None, tmp_path)
+        report = run_fock_check(cli.parse_fock_config({}), tmp_path)
         assert report.ok
         devs = dict(zip(report.columns["check"], report.columns["deviation"]))
         assert devs["squeeze"] <= 1e-6
@@ -355,7 +440,8 @@ class TestRunFockCheck:
     def test_nonzero_observables_deviation_writes_true(self, tmp_path, monkeypatch):
         real = cli.expect_additive
         monkeypatch.setattr(cli, "expect_additive", lambda rf, o: real(rf, o) + 1e-12)
-        report = run_fock_check({"checks": ["observables"], "cutoff": 8}, tmp_path)
+        report = run_fock_check(cli.parse_fock_config({"checks": ["observables"], "cutoff": 8}),
+                                tmp_path)
         assert report.ok
         check, deviation, _, passed = (
             (tmp_path / "fock_check.csv").read_text().splitlines()[1].split(",")
@@ -377,10 +463,10 @@ class TestRunFockCheck:
 
     def test_squeeze_and_observables_share_one_squeezed_state(self, tmp_path):
         cfg = {"checks": ["identity", "beam_splitter", "squeeze", "observables"]}
-        devs = dict(zip(*(run_fock_check(cfg, tmp_path / "all").columns[c]
+        devs = dict(zip(*(run_fock_check(cli.parse_fock_config(cfg), tmp_path / "all").columns[c]
                           for c in ("check", "deviation"))))
         for check in ("squeeze", "observables"):
-            alone = run_fock_check({"checks": [check]}, tmp_path / check)
+            alone = run_fock_check(cli.parse_fock_config({"checks": [check]}), tmp_path / check)
             assert alone.ok
             assert alone.columns["check"] == [check]
             assert alone.columns["deviation"][0] == devs[check]
@@ -398,12 +484,12 @@ class TestRunFockCheck:
         assert main(["fock-check", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
 
     def test_check_selection(self, tmp_path):
-        report = run_fock_check({"checks": ["identity"]}, tmp_path)
+        report = run_fock_check(cli.parse_fock_config({"checks": ["identity"]}), tmp_path)
         assert report.columns["check"] == ["identity"]
 
     def test_unknown_check_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="wigner"):
-            run_fock_check({"checks": ["wigner"]}, tmp_path)
+            cli.parse_fock_config({"checks": ["wigner"]})
 
     def test_exit_zero_through_main(self, tmp_path):
         assert main(["fock-check", "--out", str(tmp_path / "o")]) == 0
@@ -412,7 +498,8 @@ class TestRunFockCheck:
     def test_smallest_cutoff_of_a_coherent_check_runs(self, tmp_path, check, cutoff):
         # one below these cutoffs is a configuration error
         # (test_malformed_value_exits_two); at them the check runs and passes
-        report = run_fock_check({"checks": [check], "cutoff": cutoff}, tmp_path)
+        report = run_fock_check(cli.parse_fock_config({"checks": [check], "cutoff": cutoff}),
+                                tmp_path)
         assert report.ok and report.columns["check"] == [check]
 
 
@@ -518,7 +605,7 @@ class TestExitCodes:
 
 
     @pytest.mark.parametrize("command", ["amplify", "fock-check"])
-    @pytest.mark.parametrize("text", ["[]", "[1, 2]"])
+    @pytest.mark.parametrize("text", JSON_ARRAYS)
     def test_json_array_config_exits_two(self, tmp_path, capsys, command, text):
         p = tmp_path / "c.json"
         p.write_text(text, encoding="utf-8")
@@ -575,75 +662,19 @@ class TestExitCodes:
         gate = r"violated: extraction_gamma_down_zero \(value 1\.000e-06, limit 1\.000e-08, t=\S+\)"
         assert re.search(gate, capsys.readouterr().out)
 
-    @pytest.mark.parametrize("command,change", [
-        ("casimir", {"omega": "fast"}),
-        ("casimir", {"omega": None}),
-        ("casimir", {"rel_tol": "tight"}),
-        ("casimir", {"rel_tol": 0.0}),
-        ("casimir", {"rel_tol": -1e-3}),
-        ("casimir", {"t_end": float("nan")}),
-        ("sweep", {"sweep": {"drive_frequency": [1.0, "x"]}}),
-        ("fock-check", {"cutoff": "big"}),
-        ("fock-check", {"cutoff": 12.7}),
-        ("fock-check", {"squeeze": "x"}),
-        ("fock-check", {"angle": None}),
-        ("fock-check", {"seed": "a"}),
-        ("fock-check", {"checks": "squeeze"}),
-        ("amplify", {"t_end": "x"}),
-        ("amplify", {"t_end": -1.0}),
-        ("fock-check", {"cutoff": 0}),
-        ("fock-check", {"cutoff": 1}),
-        ("fock-check", {"cutoff": -3}),
-        ("casimir", {"out_dir": 5}),
-        ("fock-check", {"out_dir": ["x"]}),
-        ("fock-check", {"checks": []}),
-        ("amplify", {"kappa": float("nan")}),
-        ("amplify", {"kappa": [float("inf")]}),
-        ("amplify", {"kappa": -1.0}),
-        ("amplify", {"m": [float("nan")]}),
-        ("amplify", {"m": float("-inf")}),
-        ("amplify", {"m": [-1.0]}),
-        ("amplify", {"kappa": [], "m": []}),
-        ("fock-check", {"angle": 100.0}),
-        ("fock-check", {"angle": -7.0}),
-        ("fock-check", {"squeeze": 400.0}),
-        ("fock-check", {"squeeze": 1000.0}),
-        *[("fock-check", {"cutoff": c, "checks": ["identity"]}) for c in range(2, 6)],
-        *[("fock-check", {"cutoff": c, "checks": ["observables"]}) for c in range(2, 5)],
-        # a JSON boolean is not a number: float(true) would read it as 1
-        ("casimir", {"omega": True}),
-        ("casimir", {"theta": False}),
-        ("casimir", {"profile": {"kind": "sinusoid", "beta0": 0.2, "drive_frequency": True}}),
-        ("casimir", {"sigma": True}),
-        ("sweep", {"sweep": {"drive_frequency": [1.0, True]}}),
-        ("amplify", {"kappa": [True]}),
-        ("fock-check", {"seed": True}),
-        ("fock-check", {"angle": True}),
-        ("fock-check", {"cutoff": True}),
-    ])
+    @pytest.mark.parametrize("command,change", MALFORMED)
     def test_malformed_value_exits_two(self, tmp_path, capsys, command, change):
         # a bad value is a configuration error (exit 2) naming the key, not a
         # traceback, a "run failed" (exit 1) or a silently rounded number
         p = tmp_path / "c.json"
-        if command in ("casimir", "sweep"):
-            write_config(p, **change)
-        else:
-            base = {"amplify": {"kappa": [1.0], "m": [0.0]}}.get(command, {})
-            p.write_text(json.dumps({**base, **change}), encoding="utf-8")
+        write_command_config(p, command, change)
         code = main([command, "--config", str(p), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error: config.") and next(iter(change)) in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("key,value", [
-        ("refractive_index", 1e160),
-        ("refractive_index", 1e200),
-        ("sigma", 1e160),
-        ("sigma", 1e200),
-        ("sigma", 1e-200),
-        ("sigma", 1e-160),
-    ])
+    @pytest.mark.parametrize("key,value", OVERFLOWING)
     def test_overflowing_medium_exits_two(self, tmp_path, capsys, key, value):
         # n^2 or sigma^2 past the float range, sigma^2 at zero, or eta_pm at
         # t = 0 past it: a configuration error naming the key, with no
@@ -658,15 +689,58 @@ class TestExitCodes:
         assert err.startswith(f"config error: {key} ") and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command,change,flags", OVERSIZED)
+    def test_oversized_run_exits_two(self, tmp_path, capsys, command, change, flags):
+        # a samples or cutoff whose largest array exceeds cli.ARRAY_BUDGET is a
+        # configuration error naming the key, not a numpy allocation traceback
+        p = tmp_path / "c.json"
+        write_command_config(p, command, change)
+        code = main([command, "--config", str(p), "--out", str(tmp_path / "o"), *flags])
+        err = capsys.readouterr().err
+        key = "cutoff" if command == "fock-check" else "samples"
+        assert code == 2
+        assert err.startswith(f"config error: config.{key} must be at most ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("cutoff,ok", [(8191, True), (8192, False), (9000, False)])
+    def test_cutoff_bound_at_the_parser(self, cutoff, ok):
+        # (cutoff + 1)^2 complex amplitudes of 16 bytes: cutoff 8191 fills the
+        # 1 GiB budget exactly; neither check below builds a state at parse time
+        cfg = {"cutoff": cutoff, "checks": ["beam_splitter", "squeeze"]}
+        if ok:
+            assert cli.parse_fock_config(cfg)["cutoff"] == cutoff
+        else:
+            with pytest.raises(ConfigError, match=r"^config\.cutoff must be at most 8191, got"):
+                cli.parse_fock_config(cfg)
+
+    @pytest.mark.parametrize("parse,base,row_bytes", [
+        # the (samples, 4, 4) complex map stack
+        (parse_casimir_config, "casimir", 16 * 4 * 4),
+        (cli.parse_sweep_config, "casimir", 16 * 4 * 4),
+        # the (samples, d, d) complex interval maps, d = (modes + 1)^2
+        (cli.parse_amplify_config, {"kappa": [1.0], "m": [0.0]}, 16 * 4 * 4),
+        (cli.parse_amplify_config, {"kappa": [1.0, 2.0], "m": 0.0}, 16 * 9 * 9),
+    ], ids=["casimir", "sweep", "amplify_one_mode", "amplify_two_modes"])
+    def test_samples_bound_at_the_parser(self, tmp_path, parse, base, row_bytes):
+        if base == "casimir":
+            base = write_config(tmp_path / "c.json")
+        most = 2**30 // row_bytes
+        assert parse({**base, "samples": most})["samples"] == most
+        with pytest.raises(ConfigError, match=rf"^config\.samples must be at most {most}, got"):
+            parse({**base, "samples": most + 1})
+
     @pytest.mark.parametrize("key,value", [
         ("cutoff", 12.0), ("cutoff", "12"), ("seed", 3.0), ("seed", "3"),
     ])
     def test_integral_value_of_an_integer_key_runs(self, tmp_path, key, value):
         # an integral float or an integer string is the integer, as int()
         # read it before; only a fractional or non-numeric value is an error
-        report = run_fock_check({"checks": ["observables"], "cutoff": 8, key: value}, tmp_path)
+        report = run_fock_check(
+            cli.parse_fock_config({"checks": ["observables"], "cutoff": 8, key: value}), tmp_path
+        )
         expected = run_fock_check(
-            {"checks": ["observables"], "cutoff": 8, key: int(float(value))}, tmp_path / "int"
+            cli.parse_fock_config({"checks": ["observables"], "cutoff": 8, key: int(float(value))}),
+            tmp_path / "int",
         )
         assert report.columns == expected.columns and not report.failures
 
@@ -674,7 +748,7 @@ class TestExitCodes:
         cfg = parse_casimir_config(write_config(tmp_path / "c.json", samples=5.0, t_end=2.0))
         assert cfg["samples"] == 5 and isinstance(cfg["samples"], int)
         cfg = {"kappa": [1.0], "m": [0.0], "t_end": 1.0, "samples": "4"}
-        assert len(cli.run_amplify(cfg, tmp_path).columns["t"]) == 4
+        assert len(cli.run_amplify(cli.parse_amplify_config(cfg), tmp_path).columns["t"]) == 4
 
     def test_classicality_columns_are_the_library_masks(self):
         # _casimir_columns reads the map scales off the f's; its masks are
@@ -729,6 +803,31 @@ class TestExitCodes:
             assert np.max(limit) > 1e-6, name
             assert np.array_equal(limits[name], limit), name
         assert np.array_equal(cli._rate_roundoff(cols, 1.0), rates)
+
+
+class TestParseBeforeRun:
+    """A config is parsed whole before its command's runner starts: every
+    configuration error exits 2 with no runner called and no output."""
+
+    @pytest.mark.parametrize("command,change,flags", [
+        *[(command, change, []) for command, change in MALFORMED],
+        *[(command, text, []) for command in ("amplify", "fock-check") for text in JSON_ARRAYS],
+        *[("casimir", {key: value}, []) for key, value in OVERFLOWING],
+        *OVERSIZED,
+    ])
+    def test_config_error_exits_before_the_runner(self, tmp_path, capsys, monkeypatch,
+                                                  command, change, flags):
+        def never(cfg, out_dir):
+            pytest.fail(f"{command}'s runner started on a bad config")
+
+        for name, (argv_flags, parse, _) in list(cli.COMMANDS.items()):
+            monkeypatch.setitem(cli.COMMANDS, name, (argv_flags, parse, never))
+        p = tmp_path / "c.json"
+        write_command_config(p, command, change)
+        code = main([command, "--config", str(p), "--out", str(tmp_path / "o"), *flags])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "o").exists()
 
 
 class TestExtractCommand:
@@ -881,7 +980,7 @@ class TestImportHygiene:
         run_python(code, tmp_path)
 
     def test_commands_run_without_argparse(self, tmp_path):
-        # the argv is read against cli.COMMAND_FLAGS: a first op pays for no
+        # the argv is read against cli.COMMANDS: a first op pays for no
         # argparse import (gettext, locale and its compiled regexes)
         write_config(tmp_path / "c.json")
         code = textwrap.dedent("""
@@ -947,7 +1046,7 @@ CHOOSE = " (choose from casimir, sweep, amplify, fock-check, extract)"
 
 
 class TestArgv:
-    """The argv grammar of ``cli.COMMAND_FLAGS``: ``--flag value`` or
+    """The argv grammar of ``cli.COMMANDS``: ``--flag value`` or
     ``--flag=value``, the token after a flag always its value, the last of a
     repeated flag kept, no abbreviations, exit 2 on any argv error."""
 
@@ -974,7 +1073,7 @@ class TestArgv:
         write_config(tmp_path / "c.json")
         names = {"c": str(tmp_path / "c.json"), "o": str(tmp_path / "o")}
         argv = [a.format(**names) for a in argv]
-        command = argv[0] if argv and argv[0] in cli.COMMAND_FLAGS else None
+        command = argv[0] if argv and argv[0] in cli.COMMANDS else None
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -997,7 +1096,6 @@ class TestArgv:
         assert cli._usage("fock-check") == (
             "usage: rsfield fock-check [-h] [--config CONFIG] [--out OUT]"
         )
-        assert list(cli.COMMAND_FLAGS) == list(cli.RUNNERS)
 
     @pytest.mark.parametrize("argv,usage", [
         (["-h"], None),
@@ -1011,7 +1109,7 @@ class TestArgv:
         out, err = capsys.readouterr()
         assert exc.value.code == 0
         assert err == ""
-        lines = [cli._usage(usage)] if usage else [cli._usage(c) for c in cli.COMMAND_FLAGS]
+        lines = [cli._usage(usage)] if usage else [cli._usage(c) for c in cli.COMMANDS]
         assert out == "\n".join(lines) + "\n"
 
     def test_equals_form_writes_the_same_csv(self, tmp_path):
