@@ -70,17 +70,17 @@ class AmplifierSpec:
         return self.kappa.size
 
 
-def amplified_rsf(spec: AmplifierSpec, rf0: ReducedField, t: float) -> ReducedField:
-    """Closed-form amplified field at time t."""
+def amplified_rsf(spec: AmplifierSpec, rf0: ReducedField, t) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form amplified field ``(r, alpha)`` at a time ``t`` or at each
+    of an array of times, shaped ``shape(t) + (n, n)`` and ``shape(t) + (n,)``:
+    the formula is evaluated once, broadcast over the times."""
     if rf0.n_modes != spec.n_modes:
-        raise DimensionMismatchError(
-            f"field has {rf0.n_modes} modes, spec has {spec.n_modes}"
-        )
+        raise DimensionMismatchError(f"field has {rf0.n_modes} modes, spec has {spec.n_modes}")
+    t = np.asarray(t, dtype=float)[..., None]
     env = np.exp(spec.kappa * t)
     occ = (1.0 + spec.m) * (np.exp(2.0 * spec.kappa * t) - 1.0)
-    r = np.outer(env, env) * rf0.r + np.diag(occ).astype(complex)
-    alpha = env * rf0.alpha
-    return ReducedField(r, alpha, psd_tol=rf0.psd_tol)
+    r = env[..., :, None] * env[..., None, :] * rf0.r + occ[..., None] * np.eye(spec.n_modes)
+    return r, env * rf0.alpha
 
 
 def amplifier_generators(spec: AmplifierSpec) -> KineticGenerators:

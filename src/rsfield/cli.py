@@ -81,7 +81,7 @@ from .fock import (
     squeeze_pair,
 )
 from .kinetics import integrate_kinetics, validity_report
-from .numerics import max_abs
+from .numerics import matrix_max
 from .rsf import expect_additive, vacuum
 from .symplectic import SYMPLECTIC_TOL, classical_mask, identity_map, roundoff_limit
 
@@ -179,17 +179,19 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
-# The bytes of the largest single array a config may ask a run for.  Each
-# parser bounds its size keys by the array they scale most: ``samples`` by
-# ``casimir_maps``' (samples, 4, 4) complex stack or by ``integrate_kinetics``'
-# (samples, d, d) complex stack of interval maps, d = (modes + 1)^2, and
-# ``cutoff`` by a Fock state's (cutoff + 1)^2 complex amplitudes.
+# The bytes a run may peak at.  Each parser bounds its size keys by the peak
+# memory per unit they scale, measured as the growth of peak RSS between two
+# sizes in fresh processes (2 vCPU Xeon, Python 3.11, numpy 2.4) and rounded
+# up to a power of two: ``samples`` of ``casimir``, ``sweep`` and ``extract``
+# at 1.3 KB per sample (2048 B), of ``amplify`` at 4.5 times its (samples,
+# d, d) complex interval maps (8 x 16 d^2 B), and ``cutoff`` at 13.7 arrays
+# of the (cutoff + 1)^2 complex Fock amplitudes (16 x 16 B per amplitude).
 ARRAY_BUDGET = 2**30
 
 
 def _samples(value, row_bytes: int) -> int:
-    """Config key ``samples`` as an integer >= 2 whose per-sample array of
-    ``row_bytes`` bytes fits ``ARRAY_BUDGET``."""
+    """Config key ``samples`` as an integer >= 2 whose run, at ``row_bytes``
+    bytes per sample, fits ``ARRAY_BUDGET``."""
     samples = _number(value, "config.samples", integer=True, most=ARRAY_BUDGET // row_bytes)
     if samples < 2:
         raise ConfigError("samples must be an integer >= 2")
@@ -211,7 +213,7 @@ def parse_casimir_config(cfg: dict) -> dict:
         raise ConfigError("config.rel_tol and config.abs_tol must be positive")
     if not isinstance(out["sigma"], str):  # "auto", or a name CasimirScenario rejects
         out["sigma"] = _number(out["sigma"], "config.sigma")
-    out["samples"] = _samples(out["samples"], 16 * 4 * 4)
+    out["samples"] = _samples(out["samples"], 2048)
     # every axis, None where the sweep leaves it out
     out["sweep"] = _require_keys({} if out["sweep"] is None else out["sweep"],
                                  dict.fromkeys(SWEEP_AXES), "config.sweep")
@@ -446,21 +448,44 @@ AMPLIFY_KEYS = {
 
 def parse_amplify_config(cfg: dict) -> dict:
     """The checked config of an ``amplify`` run: its keys, plus the
-    ``AmplifierSpec`` that ``kappa`` and ``m`` make, under ``"spec"``."""
+    ``AmplifierSpec`` that ``kappa`` and ``m`` make, under ``"spec"``.  Each
+    mode's rate 2 kappa (1 + m) must be finite, and so must its occupation at
+    ``t_end``, (1 + m)(exp(2 kappa t_end) - 1), times the larger of 2 and the
+    number of modes."""
     out = _require_keys(cfg, AMPLIFY_KEYS, "config")
     rates = {}
     for key in ("kappa", "m"):  # a number, or a list of them, one per mode
         values = out[key] if isinstance(out[key], list) else [out[key]]
         rates[key] = [_number(v, f"config.{key}") for v in values]
     try:
-        out["spec"] = AmplifierSpec(**rates)
+        spec = out["spec"] = AmplifierSpec(**rates)
     except RsfieldError as exc:
         raise ConfigError(f"config.kappa/m: {exc}") from exc
-    # the kinetic state y of n modes has (n + 1)^2 entries
-    out["samples"] = _samples(out["samples"], 16 * (out["spec"].n_modes + 1) ** 4)
-    out["t_end"] = _number(out["t_end"], "config.t_end")
-    if out["t_end"] < 0:
-        raise ConfigError(f"config.t_end must be nonnegative, got {out['t_end']}")
+    # d = (modes + 1)^2 is the size of the kinetic state y
+    out["samples"] = _samples(out["samples"], 8 * 16 * (spec.n_modes + 1) ** 4)
+    t_end = out["t_end"] = _number(out["t_end"], "config.t_end")
+    if t_end < 0:
+        raise ConfigError(f"config.t_end must be nonnegative, got {t_end}")
+    # In Python floats, so that an overflow raises nothing but this error.
+    # The kinetic route grows a mode at g = 2 kappa (1 + m) - 2 kappa m, not
+    # finite where the rate is not, and moved away from 2 kappa by rounding
+    # as m nears 2^53.  Where g is not 0, expm squares each interval's growth,
+    # rounded to unit roundoff of a 1-norm that the rates dominate once large,
+    # so its exponent may exceed g t_end by 2^-50 times their sum times t_end.
+    # The larger exponent bounds a mode's occupation on both routes, and
+    # r + r^dag and the trace of r add up two or all modes' occupations.
+    modes = list(zip(spec.kappa.tolist(), spec.m.tolist()))
+    slack = 2.0 ** -50 * t_end * sum(2.0 * k * (1.0 + mj) for k, mj in modes)
+    for k, mj in modes:
+        g = 2.0 * k * (1.0 + mj) - 2.0 * k * mj
+        exponent = max(2.0 * k * t_end, g * t_end + (slack if g else 0.0))
+        try:
+            occupation = (1.0 + mj) * math.expm1(exponent)
+        except OverflowError:
+            occupation = math.inf
+        if not (math.isfinite(g) and math.isfinite(occupation * max(2, len(modes)))):
+            raise ConfigError(f"config.kappa/m/t_end: a mode's rate 2 kappa (1 + m) or occupation "
+                              f"(1 + m)(exp(2 kappa t_end) - 1) leaves the float range")
     return out
 
 
@@ -468,23 +493,18 @@ def run_amplify(cfg: dict, out_dir: Path) -> RunReport:
     spec, t_end = cfg["spec"], cfg["t_end"]
     times = np.linspace(0.0, t_end, cfg["samples"])
     rf0, _ = vacuum(spec.n_modes)
-    snaps = integrate_kinetics(rf0, amplifier_generators(spec), (0.0, t_end), times)
-    deviation, closed_number = [], []
-    for t, snap in zip(times, snaps):
-        closed = amplified_rsf(spec, rf0, float(t))
-        scale = 1.0 + max_abs(closed.r)
-        deviation.append(max(
-            max_abs(snap.r - closed.r) / scale,
-            max_abs(snap.alpha - closed.alpha) / scale,
-        ))
-        closed_number.append(np.trace(closed.r).real)
+    r, alpha = integrate_kinetics(rf0, amplifier_generators(spec), (0.0, t_end), times)
+    closed_r, closed_alpha = amplified_rsf(spec, rf0, times)
+    deviation = np.maximum(
+        matrix_max(np.abs(r - closed_r)), matrix_max(np.abs(alpha - closed_alpha)[:, None])
+    ) / (1.0 + matrix_max(np.abs(closed_r)))
     columns = {
         "t": times,
         "relative_deviation": deviation,
-        "closed_total_number": closed_number,
-        "kinetic_total_number": [np.trace(snap.r).real for snap in snaps],
+        "closed_total_number": np.trace(closed_r, axis1=-2, axis2=-1).real,
+        "kinetic_total_number": np.trace(r, axis1=-2, axis2=-1).real,
     }
-    summary = {"max_relative_deviation": max(deviation), "threshold": AMPLIFY_LIMIT}
+    summary = {"max_relative_deviation": float(np.max(deviation)), "threshold": AMPLIFY_LIMIT}
     gates = {"closed_form_mismatch": _gate(times, deviation, AMPLIFY_LIMIT)}
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "amplify.csv", columns)
@@ -542,7 +562,7 @@ def parse_fock_config(cfg: dict) -> dict:
     if unknown:
         raise ConfigError(f"unknown fock checks: {', '.join(sorted(unknown))}")
     cutoff = out["cutoff"] = _number(out["cutoff"], "config.cutoff", integer=True,
-                                     most=math.isqrt(ARRAY_BUDGET // 16) - 1)
+                                     most=math.isqrt(ARRAY_BUDGET // (16 * 16)) - 1)
     if cutoff < 2:
         raise ConfigError(f"config.cutoff must be at least 2, got {cutoff}")
     out["seed"] = _number(out["seed"], "config.seed", integer=True)

@@ -14,6 +14,12 @@ whose rates eta_j >= 0 sum to one.  Note the bookkeeping this fixes: the
 inhomogeneous (state-independent) term is gamma_up alone, and the
 anticommutator carries gamma_up - gamma_down.
 
+``integrate_kinetics`` takes a validated ``ReducedField`` and generators
+and returns the field at every sample time as plain stacks, r
+``(samples, n, n)`` and alpha ``(samples, n)``: its Hermiticity and
+positivity checks run once over the whole stack, so no value object is
+built per sample.
+
 Generator extraction inverts this correspondence for smooth families of
 Bogoliubov maps.
 
@@ -58,7 +64,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidMomentsError,
     NotClassicalClosedError,
-    NotPhysicalError,
     PhysicalityLostError,
     SingularMatrixError,
 )
@@ -149,9 +154,7 @@ class KineticGenerators:
 
     def psd_witnesses(self) -> tuple[float, float]:
         """Smallest eigenvalues of (gamma_up, gamma_down)."""
-        _, w_up = is_psd(self.gamma_up, 0.0)
-        _, w_dn = is_psd(self.gamma_down, 0.0)
-        return w_up, w_dn
+        return tuple(is_psd(np.stack([self.gamma_up, self.gamma_down]), 0.0)[1])
 
 
 def kinetic_rhs(
@@ -220,8 +223,9 @@ def integrate_kinetics(
     sample_times: Sequence[float],
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-) -> list[ReducedField]:
-    """Integrate the kinetic equations; returns snapshots at sample times.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate the kinetic equations; returns the field ``(r, alpha)`` at the
+    sample times as stacks ``(samples, n, n)`` and ``(samples, n)``.
 
     The equations are linear in y = (r, alpha, conj(alpha), 1)
     (``_kinetic_matrix``) and are propagated by ``numerics.solve_linear``.
@@ -231,9 +235,11 @@ def integrate_kinetics(
     ``(h, zeta, gamma_up, gamma_down)``, shaped ``(times, n, n)``,
     ``(times, n)``, ``(times, n, n)`` and ``(times, n, n)`` (no
     scatterers), propagated by sixth-order Magnus steps whose global error
-    ``rtol``/``atol`` bound.  Each snapshot is re-validated; positivity
-    loss beyond the drift tolerance raises ``PhysicalityLostError`` with
-    the offending time.
+    ``rtol``/``atol`` bound.  The whole stack is checked at once: each r
+    must be Hermitian within ``GENERATOR_HERMITIAN_TOL`` (and is then
+    symmetrized) and positive semidefinite within ``DRIFT_PSD_TOL``;
+    the first sample that fails either raises ``PhysicalityLostError``
+    with its residual or witness and its time.
     """
     n = rf0.n_modes
     times = np.asarray(sample_times, dtype=float)
@@ -253,20 +259,19 @@ def integrate_kinetics(
     else:
         matrices = _kinetic_matrix(gen.h, gen.zeta, gen.gamma_up, gen.gamma_down, gen.scatterers)
     y0 = np.concatenate([rf0.r.ravel(), rf0.alpha, rf0.alpha.conj(), [1.0]])
-    snapshots = solve_linear(matrices, y0, np.append(t0, times), rtol=rtol, atol=atol)[1:]
-    out = []
-    for t, y in zip(times, snapshots):
-        r = y[: n * n].reshape(n, n)
-        alpha = y[n * n:n * n + n]
-        if not is_hermitian(r, GENERATOR_HERMITIAN_TOL):
-            raise PhysicalityLostError("Hermiticity lost", max_abs(r - r.conj().T), float(t))
-        r = 0.5 * (r + r.conj().T)
-        try:
-            out.append(ReducedField(r, alpha, psd_tol=DRIFT_PSD_TOL))
-        except NotPhysicalError as exc:
-            _, witness = is_psd(r, 0.0)
-            raise PhysicalityLostError(f"positivity lost: {exc}", witness, float(t))
-    return out
+    y = solve_linear(matrices, y0, np.append(t0, times), rtol=rtol, atol=atol)[1:]
+    r = y[:, : n * n].reshape(-1, n, n)
+    hermitian = is_hermitian(r, GENERATOR_HERMITIAN_TOL)
+    sym = 0.5 * (r + np.swapaxes(r, -1, -2).conj())
+    psd, witness = is_psd(sym, DRIFT_PSD_TOL)
+    failed = ~(hermitian & psd)
+    if failed.any():
+        k = int(np.argmax(failed))
+        if not hermitian[k]:
+            raise PhysicalityLostError("Hermiticity lost", max_abs(r[k] - r[k].conj().T), times[k])
+        raise PhysicalityLostError(f"positivity lost: negative mode occupation (witness "
+                                   f"{witness[k]:.3e})", witness[k], times[k])
+    return sym, y[:, n * n:n * n + n]
 
 
 def _derivative(family, t, analytic, fd_step, what):
@@ -369,7 +374,6 @@ def open_generator_arrays(xs, xc, dxs, dxc) -> tuple[np.ndarray, np.ndarray, np.
 class ValidityReport:
     """Per-time positivity scan of the rates along a trajectory."""
 
-    times: np.ndarray
     gamma_up_min_eig: np.ndarray
     gamma_down_min_eig: np.ndarray
     valid: np.ndarray
@@ -401,7 +405,6 @@ def validity_report(
     witness = np.minimum(up, dn)
     worst = int(np.argmin(witness)) if witness.size else 0
     return ValidityReport(
-        times=times,
         gamma_up_min_eig=up,
         gamma_down_min_eig=dn,
         valid=valid,

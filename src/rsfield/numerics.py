@@ -168,9 +168,10 @@ def require_hermitian(m, tol: float = HERMITIAN_TOL, what: str = "matrix") -> np
 
 
 def _hermitian_part(m: np.ndarray, what: str) -> np.ndarray:
-    """(M + M^dag) / 2 of one matrix M that ``require_hermitian`` accepts."""
-    m = require_hermitian(require_square(m, what), what=what)
-    return 0.5 * (m + m.conj().T)
+    """(M + M^dag) / 2 of a matrix M, or of each of a stack, that
+    ``require_hermitian`` accepts."""
+    m = require_hermitian(m, what=what)
+    return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
 
 
 def hermitian_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -181,7 +182,7 @@ def hermitian_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     is checked against the (symmetrized) input to guard against silent
     LAPACK failures.
     """
-    sym = _hermitian_part(m, "matrix")
+    sym = _hermitian_part(require_square(m, "matrix"), "matrix")
     try:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -194,20 +195,21 @@ def hermitian_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> tuple[bool, float]:
-    """Positive-semidefiniteness check with witness.
+def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Positive-semidefiniteness check with witness, of a matrix or of each
+    matrix of a stack ``(..., n, n)`` in one eigensolve.
 
-    Returns ``(verdict, lambda_min)``; the verdict is true iff
-    ``lambda_min >= -tol * (1 + max|M|)``.  The witness (the smallest
-    eigenvalue) is returned either way.
+    Returns ``(verdict, lambda_min)``, one of each per matrix; the verdict
+    is true iff ``lambda_min >= -tol * (1 + max|M|)``.  The witness (the
+    smallest eigenvalue) is returned either way.
     """
     sym = _hermitian_part(m, "PSD candidate")
     try:
         w = np.linalg.eigvalsh(sym)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    lam_min = float(w[0]) if w.size else 0.0
-    return lam_min >= -tol * (1.0 + max_abs(sym)), lam_min
+    lam_min = (w[..., 0] if w.shape[-1] else np.zeros(w.shape[:-1]))[()]  # scalar for one matrix
+    return lam_min >= -tol * (1.0 + np.abs(sym).max(axis=(-2, -1), initial=0.0)), lam_min
 
 
 def _taylor(apply, v, degree: int, scale: float):

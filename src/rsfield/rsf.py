@@ -29,7 +29,7 @@ raise, mild negatives from floating-point noise are clamped to zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,11 +70,10 @@ class ReducedField:
 
     r: np.ndarray
     alpha: np.ndarray
-    psd_tol: float = field(default=PHYSICAL_TOL, compare=False, repr=False)
 
     def __post_init__(self):
         r = require_square(np.array(self.r, dtype=complex), "r")
-        ok, witness = is_psd(r, self.psd_tol)
+        ok, witness = is_psd(r, PHYSICAL_TOL)
         if not ok:
             raise NotPhysicalError("negative mode occupation", witness)
         alpha = _as_vector(self.alpha, r.shape[0], "alpha")
@@ -245,7 +244,7 @@ def transform_closed(
         + xd @ (rf.r.T + np.eye(n)) @ xd.conj().T
     )
     alpha = xu @ rf.alpha + xd @ cf.alpha_star
-    return ReducedField(0.5 * (r + r.conj().T), alpha, psd_tol=rf.psd_tol)
+    return ReducedField(0.5 * (r + r.conj().T), alpha)
 
 
 def reduce_to_system(
@@ -263,7 +262,7 @@ def reduce_to_system(
     r_s = rf.r[:n_sys, :n_sys]
     c_s = cf.c[:n_sys, :n_sys]
     return (
-        ReducedField(r_s, rf.alpha[:n_sys], psd_tol=rf.psd_tol),
+        ReducedField(r_s, rf.alpha[:n_sys]),
         ConjugateField(c_s, cf.alpha_star[:n_sys]),
         rf.r[:n_sys, n_sys:].copy(),
         cf.c[:n_sys, n_sys:].copy(),
@@ -290,7 +289,7 @@ def transform_open_vacuum_env(rf_sys: ReducedField, m: BogoliubovMap) -> Reduced
     b = m.blocks()
     r = b.up_s @ rf_sys.r @ b.up_s.conj().T + b.down_c @ b.down_c.conj().T
     alpha = b.up_s @ rf_sys.alpha
-    return ReducedField(0.5 * (r + r.conj().T), alpha, psd_tol=rf_sys.psd_tol)
+    return ReducedField(0.5 * (r + r.conj().T), alpha)
 
 
 def expect_additive(rf: ReducedField, o: np.ndarray) -> float | np.ndarray:

@@ -22,29 +22,39 @@ class TestClosedForm:
     def test_time_zero_is_identity(self, rng):
         rf, _ = random_physical_fields(2, rng)
         spec = AmplifierSpec(kappa=[0.5, 1.5], m=[0.2, 0.0])
-        out = amplified_rsf(spec, rf, 0.0)
-        assert max_abs(out.r - rf.r) < 1e-14
-        assert max_abs(out.alpha - rf.alpha) < 1e-14
+        r, alpha = amplified_rsf(spec, rf, 0.0)
+        assert max_abs(r - rf.r) < 1e-14
+        assert max_abs(alpha - rf.alpha) < 1e-14
 
     def test_vacuum_growth(self):
         rf, _ = vacuum(1)
-        out = amplified_rsf(AmplifierSpec(kappa=1.0, m=0.0), rf, 1.0)
-        assert out.r[0, 0].real == pytest.approx(E2_MINUS_1, rel=1e-12)
+        r, _ = amplified_rsf(AmplifierSpec(kappa=1.0, m=0.0), rf, 1.0)
+        assert r[0, 0].real == pytest.approx(E2_MINUS_1, rel=1e-12)
 
     def test_zero_rate_is_constant(self, rng):
         rf, _ = random_physical_fields(2, rng)
         spec = AmplifierSpec(kappa=[0.0, 0.0], m=[0.7, 0.1])
-        out = amplified_rsf(spec, rf, 3.0)
-        assert max_abs(out.r - rf.r) < 1e-13
+        r, _ = amplified_rsf(spec, rf, 3.0)
+        assert max_abs(r - rf.r) < 1e-13
+
+    def test_array_of_times_matches_each_time_bitwise(self, rng):
+        rf, _ = random_physical_fields(2, rng)
+        spec = AmplifierSpec(kappa=[0.8, 0.3], m=[0.0, 0.5])
+        times = np.array([[0.0, 0.3, 1.1], [1.7, 2.0, 5.5]])
+        r, alpha = amplified_rsf(spec, rf, times)
+        assert r.shape == (2, 3, 2, 2) and alpha.shape == (2, 3, 2)
+        for index in np.ndindex(times.shape):
+            r_t, alpha_t = amplified_rsf(spec, rf, float(times[index]))
+            assert np.array_equal(r[index], r_t) and np.array_equal(alpha[index], alpha_t)
 
     def test_displaced_purity_preserved(self, rng):
         # r - |alpha><alpha| stays PSD along the closed form
         rf, _ = random_physical_fields(2, rng)
         spec = AmplifierSpec(kappa=[0.8, 0.3], m=[0.0, 0.5])
         for t in (0.2, 0.7, 1.5):
-            out = amplified_rsf(spec, rf, t)
+            r, alpha = amplified_rsf(spec, rf, t)
             ok, witness = is_psd(
-                out.r - np.outer(out.alpha, out.alpha.conj()), 1e-10
+                r - np.outer(alpha, alpha.conj()), 1e-10
             )
             assert ok, witness
 
@@ -121,35 +131,35 @@ class TestKineticsEquivalence:
         spec = AmplifierSpec(kappa=1.0, m=0.0)
         rf, _ = vacuum(1)
         samples = np.linspace(0.0, 1.0, 6)
-        snaps = integrate_kinetics(
+        r, alpha = integrate_kinetics(
             rf, amplifier_generators(spec), (0.0, 1.0), samples, rtol=1e-11, atol=1e-13
         )
-        for t, s in zip(samples, snaps):
-            closed = amplified_rsf(spec, rf, t)
-            scale = 1.0 + max_abs(closed.r)
-            assert max_abs(s.r - closed.r) / scale < 1e-8
+        for t, r_k in zip(samples, r):
+            closed_r, _ = amplified_rsf(spec, rf, t)
+            scale = 1.0 + max_abs(closed_r)
+            assert max_abs(r_k - closed_r) / scale < 1e-8
 
     def test_thermal_bath_cross_check(self):
         spec = AmplifierSpec(kappa=1.0, m=0.5)
         rf, _ = vacuum(1)
         samples = [0.25, 0.75, 1.0]
-        snaps = integrate_kinetics(
+        r, alpha = integrate_kinetics(
             rf, amplifier_generators(spec), (0.0, 1.0), samples, rtol=1e-11, atol=1e-13
         )
-        for t, s in zip(samples, snaps):
-            closed = amplified_rsf(spec, rf, t)
-            scale = 1.0 + max_abs(closed.r)
-            assert max_abs(s.r - closed.r) / scale < 1e-8
+        for t, r_k in zip(samples, r):
+            closed_r, _ = amplified_rsf(spec, rf, t)
+            scale = 1.0 + max_abs(closed_r)
+            assert max_abs(r_k - closed_r) / scale < 1e-8
 
     def test_multimode_displaced_cross_check(self, rng):
         spec = AmplifierSpec(kappa=[1.0, 2.0], m=[0.5, 0.0])
         rf, _ = random_physical_fields(2, rng)
         samples = [0.3, 0.6, 1.0]
-        snaps = integrate_kinetics(
+        r, alpha = integrate_kinetics(
             rf, amplifier_generators(spec), (0.0, 1.0), samples, rtol=1e-11, atol=1e-13
         )
-        for t, s in zip(samples, snaps):
-            closed = amplified_rsf(spec, rf, t)
-            scale = 1.0 + max_abs(closed.r)
-            assert max_abs(s.r - closed.r) / scale < 1e-8
-            assert max_abs(s.alpha - closed.alpha) / scale < 1e-8
+        for t, r_k, alpha_k in zip(samples, r, alpha):
+            closed_r, closed_alpha = amplified_rsf(spec, rf, t)
+            scale = 1.0 + max_abs(closed_r)
+            assert max_abs(r_k - closed_r) / scale < 1e-8
+            assert max_abs(alpha_k - closed_alpha) / scale < 1e-8

@@ -710,13 +710,13 @@ class TestKineticsRoundTrip:
         sol = solve_modes(s, 21, rtol=1e-12, atol=1e-14)
         rf0, _ = vacuum(1)
         gen = casimir_generator_callback(sol)
-        snaps = integrate_kinetics(
+        r, _ = integrate_kinetics(
             rf0, gen, (0.0, 10.0), [5.0, 10.0], rtol=1e-12, atol=1e-14
         )
         n_direct = abs(sol.at(5.0).f_rm) ** 2
-        assert abs(snaps[0].r[0, 0].real - n_direct) <= 1e-6 * max(n_direct, 1e-12)
+        assert abs(r[0][0, 0].real - n_direct) <= 1e-6 * max(n_direct, 1e-12)
         n_final = sol.density()[-1]
-        assert abs(snaps[1].r[0, 0].real - n_final) <= 1e-6 * n_final
+        assert abs(r[1][0, 0].real - n_final) <= 1e-6 * n_final
 
     def test_extracted_generator_trajectory_round_trip(self):
         s = sinusoid_scenario(theta=np.pi / 2, t_end=6.0)
@@ -726,9 +726,9 @@ class TestKineticsRoundTrip:
         def gen(t):
             return casimir_generators_extracted(sol, t)
 
-        snaps = integrate_kinetics(rf0, gen, (0.0, 6.0), [6.0], rtol=1e-11, atol=1e-13)
+        r, _ = integrate_kinetics(rf0, gen, (0.0, 6.0), [6.0], rtol=1e-11, atol=1e-13)
         n_final = sol.density()[-1]
-        assert abs(snaps[0].r[0, 0].real - n_final) <= 1e-6 * n_final
+        assert abs(r[0][0, 0].real - n_final) <= 1e-6 * n_final
 
 
 class TestFockBruteForce:

@@ -1,17 +1,22 @@
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rsfield import cli, csvtext
+from rsfield import cli, csvtext, errors
 from rsfield.casimir import (
     CasimirScenario,
     VelocityProfile,
@@ -406,12 +411,103 @@ class TestRunAmplify:
         assert main(["amplify", "--config", str(p), "--out", out, "--samples", "1"]) == 2
         assert "samples must be an integer >= 2" in capsys.readouterr().err
 
+    def test_builds_no_field_per_sample(self, tmp_path, monkeypatch):
+        built = []
+        post_init = ReducedField.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ReducedField, "__post_init__", counting)
+        counts = []
+        for samples in (2, 1000):
+            built.clear()
+            p = tmp_path / f"{samples}.json"
+            p.write_text(json.dumps({"kappa": [1.0, 0.5], "m": 0.5, "samples": samples}))
+            assert main(["amplify", "--config", str(p), "--out", str(tmp_path / str(samples))]) == 0
+            counts.append(len(built))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("change", [
+        {"kappa": 355.0}, {"kappa": 354.0, "m": 1e10}, {"m": 1e308}, {"t_end": 1e6},
+    ])
+    def test_overflowing_amplifier_exits_two(self, tmp_path, capsys, change):
+        # a rate 2 kappa (1 + m) or an occupation at t_end past the float range
+        # is a configuration error naming the key, with no warning
+        p = tmp_path / "a.json"
+        p.write_text(json.dumps({"kappa": 1.0, "m": 0.0, **change}), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["amplify", "--config", str(p), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: config.") and list(change)[-1] in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kappa,code", [(354.0, 0), (354.544, 0), (354.545, 2)])
+    def test_largest_admitted_rate_runs(self, tmp_path, kappa, code):
+        # the occupation e^(2 kappa) - 1 at t_end = 1 is admitted up to half
+        # the largest float, as the kinetic route forms r + r^dag
+        p = tmp_path / "a.json"
+        p.write_text(json.dumps({"kappa": kappa, "m": 0.0}), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["amplify", "--config", str(p), "--out", str(tmp_path / "o")]) == code
+
     def test_tolerance_keys_rejected(self, tmp_path, capsys):
         # the constant generators are propagated exactly; no tolerance applies
         p = tmp_path / "a.json"
         p.write_text(json.dumps({"kappa": [1.0], "m": [0.0], "rel_tol": 1e-30}), encoding="utf-8")
         assert main(["amplify", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "rel_tol" in capsys.readouterr().err
+
+
+def _log_uniform(low: int, high: int):
+    """0, or 10^e for e uniform in [low, high]."""
+    return st.one_of(st.just(0.0), st.floats(low, high).map(lambda e: 10.0 ** e))
+
+
+class TestAmplifyContract:
+    # every amplify run ends in exactly one of three ways: exit 0; exit 2
+    # with a config error naming a key; or exit 1 with a named RsfieldError
+    # or a violated gate.  No traceback and no warning, over many decades
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        rates=st.integers(1, 3).flatmap(lambda modes: st.tuples(
+            st.lists(_log_uniform(-8, 8), min_size=modes, max_size=modes),
+            st.lists(_log_uniform(-8, 308), min_size=modes, max_size=modes),
+        )),
+        t_end=_log_uniform(-8, 8),
+        samples=st.integers(2, 20),
+        by_flag=st.booleans(),
+    )
+    def test_every_run_ends_in_a_named_outcome(self, rates, t_end, samples, by_flag):
+        kappa, m = rates
+        cfg = {"kappa": kappa, "m": m, "t_end": t_end}
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "a.json"
+            p.write_text(json.dumps(cfg if by_flag else {**cfg, "samples": samples}))
+            argv = ["amplify", "--config", str(p), "--out", str(Path(tmp) / "o")]
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = main(argv + (["--samples", str(samples)] if by_flag else []))
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in out + err
+        if code == 0:
+            assert out.startswith("[amplify] OK") and not err
+        elif code == 2:
+            assert re.fullmatch(r"config error: config\.(kappa|m|t_end|samples)\b[^\n]*\n", err)
+        else:
+            assert code == 1
+            failed = re.fullmatch(r"run failed: (\w+): [^\n]*\n", err)
+            if failed:
+                assert issubclass(getattr(errors, failed[1]), errors.RsfieldError)
+            else:
+                assert not err and out.startswith("[amplify] FAILED")
+                assert "\n  violated: closed_form_mismatch (value " in out
 
 
 class TestWriteCsv:
@@ -702,24 +798,25 @@ class TestExitCodes:
         assert err.startswith(f"config error: config.{key} must be at most ")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("cutoff,ok", [(8191, True), (8192, False), (9000, False)])
+    @pytest.mark.parametrize("cutoff,ok", [(2047, True), (2048, False), (9000, False)])
     def test_cutoff_bound_at_the_parser(self, cutoff, ok):
-        # (cutoff + 1)^2 complex amplitudes of 16 bytes: cutoff 8191 fills the
-        # 1 GiB budget exactly; neither check below builds a state at parse time
+        # (cutoff + 1)^2 complex amplitudes at 16 x 16 bytes each: cutoff 2047
+        # fills the 1 GiB budget exactly; neither check below builds a state at
+        # parse time
         cfg = {"cutoff": cutoff, "checks": ["beam_splitter", "squeeze"]}
         if ok:
             assert cli.parse_fock_config(cfg)["cutoff"] == cutoff
         else:
-            with pytest.raises(ConfigError, match=r"^config\.cutoff must be at most 8191, got"):
+            with pytest.raises(ConfigError, match=r"^config\.cutoff must be at most 2047, got"):
                 cli.parse_fock_config(cfg)
 
     @pytest.mark.parametrize("parse,base,row_bytes", [
-        # the (samples, 4, 4) complex map stack
-        (parse_casimir_config, "casimir", 16 * 4 * 4),
-        (cli.parse_sweep_config, "casimir", 16 * 4 * 4),
-        # the (samples, d, d) complex interval maps, d = (modes + 1)^2
-        (cli.parse_amplify_config, {"kappa": [1.0], "m": [0.0]}, 16 * 4 * 4),
-        (cli.parse_amplify_config, {"kappa": [1.0, 2.0], "m": 0.0}, 16 * 9 * 9),
+        # a casimir run's peak memory per sample
+        (parse_casimir_config, "casimir", 2048),
+        (cli.parse_sweep_config, "casimir", 2048),
+        # 8 times the (samples, d, d) complex interval maps, d = (modes + 1)^2
+        (cli.parse_amplify_config, {"kappa": [1.0], "m": [0.0]}, 8 * 16 * 4 * 4),
+        (cli.parse_amplify_config, {"kappa": [1.0, 2.0], "m": 0.0}, 8 * 16 * 9 * 9),
     ], ids=["casimir", "sweep", "amplify_one_mode", "amplify_two_modes"])
     def test_samples_bound_at_the_parser(self, tmp_path, parse, base, row_bytes):
         if base == "casimir":

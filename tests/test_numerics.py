@@ -122,8 +122,10 @@ class TestIsHermitian:
         with pytest.raises(NonHermitianError, match="gamma_up"):
             require_hermitian(stack, what="gamma_up")
 
-    @pytest.mark.parametrize("check", [hermitian_eigh, is_psd])
-    @pytest.mark.parametrize("shape", [(3, 2, 2), (2, 3)])
+    # hermitian_eigh takes one square matrix; is_psd also a stack of them
+    @pytest.mark.parametrize("check,shape", [
+        (hermitian_eigh, (3, 2, 2)), (hermitian_eigh, (2, 3)), (is_psd, (2, 3)), (is_psd, (3, 2, 3)),
+    ], ids=["shape0-hermitian_eigh", "shape1-hermitian_eigh", "shape1-is_psd", "stack-is_psd"])
     def test_one_square_matrix_only(self, check, shape):
         with pytest.raises(DimensionMismatchError):
             check(np.zeros(shape))
@@ -148,6 +150,14 @@ class TestIsPsd:
     def test_rejects_nan(self):
         with pytest.raises(NonHermitianError):
             is_psd(np.array([[np.nan]]))
+
+    def test_stack_matches_each_matrix(self):
+        # one verdict and witness per matrix, each at its own scale
+        stack = np.array([np.diag(d) for d in ([1.0, 2.0], [1.0, -1e-6], [1e6, -1e-6])])
+        ok, witness = is_psd(stack, 1e-10)
+        assert ok.tolist() == [True, False, True]
+        for k, m in enumerate(stack):
+            assert (ok[k], witness[k]) == is_psd(m, 1e-10)
 
 
 class TestExpm:
