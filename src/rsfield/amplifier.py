@@ -73,12 +73,14 @@ class AmplifierSpec:
 def amplified_rsf(spec: AmplifierSpec, rf0: ReducedField, t) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form amplified field ``(r, alpha)`` at a time ``t`` or at each
     of an array of times, shaped ``shape(t) + (n, n)`` and ``shape(t) + (n,)``:
-    the formula is evaluated once, broadcast over the times."""
+    the formula is evaluated once, broadcast over the times, with
+    exp(2 kappa t) - 1 as ``expm1``, which keeps it where 2 kappa t is below
+    unit roundoff."""
     if rf0.n_modes != spec.n_modes:
         raise DimensionMismatchError(f"field has {rf0.n_modes} modes, spec has {spec.n_modes}")
     t = np.asarray(t, dtype=float)[..., None]
     env = np.exp(spec.kappa * t)
-    occ = (1.0 + spec.m) * (np.exp(2.0 * spec.kappa * t) - 1.0)
+    occ = (1.0 + spec.m) * np.expm1(2.0 * spec.kappa * t)
     r = env[..., :, None] * env[..., None, :] * rf0.r + occ[..., None] * np.eye(spec.n_modes)
     return r, env * rf0.alpha
 

@@ -229,8 +229,9 @@ class CasimirScenario:
     profile production-free); the number it stands for is resolved once, at
     construction, into ``resolved_sigma``.  ``coefficients`` evaluates the
     medium at any time; a scenario whose n^2 or sigma^2 leaves the float
-    range, whose sigma^2 is zero, or whose coefficients at t = 0 are not
-    finite is a ``ConfigError`` naming the key.
+    range, whose sigma^2 is zero, or whose eta_plus at t = 0 is not below
+    sqrt(alpha Delta / eps) (sigma about 1.2e4 times its "auto" value or
+    more, or 1/1.2e4 or less) is a ``ConfigError`` naming the key.
     """
 
     refractive_index: float
@@ -266,10 +267,16 @@ class CasimirScenario:
         if not 0.0 < sigma * sigma < math.inf:
             raise ConfigError(f"sigma {sigma} is out of range: its square is {sigma * sigma}")
         object.__setattr__(self, "resolved_sigma", sigma)
-        at_rest = self.coefficients(0.0)
-        overflowed = [name for name, value in vars(at_rest).items() if not math.isfinite(value)]
-        if overflowed:
-            raise ConfigError(f"sigma {sigma} makes {', '.join(overflowed)} at t = 0 non-finite")
+        # a Magnus step's rotation r^2 = p^2 + q^2 - a^2, -(omega h)^2 alpha
+        # Delta, cancels from terms of (omega h eta_plus)^2: from eta_plus^2 =
+        # alpha Delta / eps on, roundoff is the whole of it (``magnus_steps``).
+        # A finite eta_plus bounds every other coefficient.
+        m = self.coefficients(0.0)
+        limit = math.sqrt(m.alpha * m.big_delta / np.finfo(float).eps)
+        if not m.eta_plus < limit:
+            raise ConfigError(f"sigma {sigma} makes eta_plus at t = 0 {m.eta_plus:.3e}, not below "
+                              f"sqrt(alpha Delta / eps) = {limit:.3e}: every Magnus step's "
+                              "rotation would be roundoff")
 
     def coefficients(self, t) -> MediumSample:
         """The medium coefficients at a time, or as arrays at an array of times."""
@@ -587,18 +594,12 @@ def casimir_generators_extracted(sol: ModeSolution, t) -> tuple:
     return h, np.zeros(h.shape[:-1], dtype=complex), up, down
 
 
-@dataclass(frozen=True, eq=False)
-class GrowthLawReport:
-    """Residuals of d n/dT = gamma_up (n + 1) along a trajectory."""
-
-    density_rate: np.ndarray
-    residuals: np.ndarray
-    max_residual: float
-    max_rate: float
-
-
-def growth_law_residual(sol: ModeSolution, gamma_up: np.ndarray | None = None) -> GrowthLawReport:
-    """Check the production growth law by numerical differentiation.
+def growth_law_residual(
+    sol: ModeSolution, gamma_up: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check the production growth law by numerical differentiation: returns
+    ``(density_rate, residuals)`` at the samples, d n/dT and |d n/dT -
+    gamma_up (n + 1)|.
 
     d n/dT is taken from fourth-order finite differences of the dense
     |f_R-(t)|^2 (one-sided at the span edges, and on the sample's own side
@@ -634,10 +635,4 @@ def growth_law_residual(sol: ModeSolution, gamma_up: np.ndarray | None = None) -
     f0, f1, f2, f3, f4 = density.T
     one_sided = (-25 * f0 + 48 * f1 - 36 * f2 + 16 * f3 - 3 * f4) / (12 * h)
     rates = np.where(side == 0, (f0 - 8 * f1 + 8 * f2 - f3) / (12 * h), side * one_sided)
-    residuals = np.abs(rates - gamma_up * (sol.density() + 1.0))
-    return GrowthLawReport(
-        density_rate=rates,
-        residuals=residuals,
-        max_residual=float(np.max(residuals)) if residuals.size else 0.0,
-        max_rate=float(np.max(np.abs(rates))) if rates.size else 0.0,
-    )
+    return rates, np.abs(rates - gamma_up * (sol.density() + 1.0))

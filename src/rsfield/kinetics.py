@@ -54,6 +54,7 @@ there), not a numerical error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -216,6 +217,21 @@ def _kinetic_matrix(h, zeta, gamma_up, gamma_down, scatterers=()) -> np.ndarray:
     return m
 
 
+def _constant_entry(m: np.ndarray) -> float:
+    """The constant entry c of y for the constant kinetic matrix ``m``: the
+    least power of two above the ratio of the source column's 1-norm to the
+    largest 1-norm of the other columns (at most 2^1023), or 1 where that
+    ratio is at most 1 or not finite.  Dividing the source column by c and
+    carrying c in y solves the same equations, with a column that no longer
+    sets the scaling of ``expm``: a large gamma_up would otherwise take as
+    many extra squarings, each compounding the roundoff of the rest."""
+    norms = np.abs(m).sum(axis=0)
+    source, rest = norms[-1], norms[:-1].max()
+    if not 0.0 < rest < source:
+        return 1.0
+    return math.ldexp(1.0, min(math.frexp(source / rest)[1], 1023))
+
+
 def integrate_kinetics(
     rf0: ReducedField,
     gen,
@@ -230,8 +246,9 @@ def integrate_kinetics(
     The equations are linear in y = (r, alpha, conj(alpha), 1)
     (``_kinetic_matrix``) and are propagated by ``numerics.solve_linear``.
     ``gen`` is either a constant ``KineticGenerators``, propagated by one
-    exact matrix exponential per sample interval, or a callable that takes
-    a 1-D array of times and returns the generators there as stacks
+    exact matrix exponential per sample interval with y's constant entry
+    carried as the power of two of ``_constant_entry``, or a callable that
+    takes a 1-D array of times and returns the generators there as stacks
     ``(h, zeta, gamma_up, gamma_down)``, shaped ``(times, n, n)``,
     ``(times, n)``, ``(times, n, n)`` and ``(times, n, n)`` (no
     scatterers), propagated by sixth-order Magnus steps whose global error
@@ -246,6 +263,7 @@ def integrate_kinetics(
     t0, t1 = t_span
     if np.any(times < t0) or np.any(times > t1):
         raise DimensionMismatchError(f"sample times outside integrated span {t_span}")
+    c = 1.0
     if callable(gen):
         def matrices(t):
             h, zeta, up, down = (np.asarray(x, dtype=complex) for x in gen(t))
@@ -258,7 +276,9 @@ def integrate_kinetics(
         raise DimensionMismatchError("generator/field mode counts differ")
     else:
         matrices = _kinetic_matrix(gen.h, gen.zeta, gen.gamma_up, gen.gamma_down, gen.scatterers)
-    y0 = np.concatenate([rf0.r.ravel(), rf0.alpha, rf0.alpha.conj(), [1.0]])
+        c = _constant_entry(matrices)
+        matrices[:, -1] /= c
+    y0 = np.concatenate([rf0.r.ravel(), rf0.alpha, rf0.alpha.conj(), [c]])
     y = solve_linear(matrices, y0, np.append(t0, times), rtol=rtol, atol=atol)[1:]
     r = y[:, : n * n].reshape(-1, n, n)
     hermitian = is_hermitian(r, GENERATOR_HERMITIAN_TOL)
@@ -370,27 +390,17 @@ def open_generator_arrays(xs, xc, dxs, dxc) -> tuple[np.ndarray, np.ndarray, np.
     return h, w, gamma_down
 
 
-@dataclass(frozen=True, eq=False)
-class ValidityReport:
-    """Per-time positivity scan of the rates along a trajectory."""
-
-    gamma_up_min_eig: np.ndarray
-    gamma_down_min_eig: np.ndarray
-    valid: np.ndarray
-    all_valid: bool
-    worst_time: float
-    worst_witness: float
-
-
 def validity_report(
     times, gamma_up: np.ndarray, gamma_down: np.ndarray, floor=0.0
-) -> ValidityReport:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scan rates sampled at strictly ascending ``times`` against the positivity
-    conditions.  Each rate is a ``(samples, n, n)`` stack of Hermitian matrices
-    (checked); a sample is valid iff the smallest eigenvalue of each rate is at
-    least ``-max(RATE_PSD_TOL (1 + max|gamma_up| + max|gamma_down|), floor)``
-    at that sample.  ``floor`` (a scalar or one value per sample) is the absolute
-    roundoff the rates carry, for rates extracted from large amplitudes."""
+    conditions: returns the smallest eigenvalue of each rate and the verdict
+    at every sample, ``(gamma_up_min_eig, gamma_down_min_eig, valid)``.  Each
+    rate is a ``(samples, n, n)`` stack of Hermitian matrices (checked); a
+    sample is valid iff the smallest eigenvalue of each rate is at least
+    ``-max(RATE_PSD_TOL (1 + max|gamma_up| + max|gamma_down|), floor)`` there.
+    ``floor`` (a scalar or one value per sample) is the absolute roundoff the
+    rates carry, for rates extracted from large amplitudes."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not times.size == len(gamma_up) == len(gamma_down):
         raise DimensionMismatchError("times/generators lengths differ")
@@ -401,14 +411,4 @@ def validity_report(
     dn = np.linalg.eigvalsh(gamma_down)[:, 0]
     scale = 1.0 + matrix_max(np.abs(gamma_up)) + matrix_max(np.abs(gamma_down))
     limit = np.maximum(RATE_PSD_TOL * scale, floor)
-    valid = (up >= -limit) & (dn >= -limit)
-    witness = np.minimum(up, dn)
-    worst = int(np.argmin(witness)) if witness.size else 0
-    return ValidityReport(
-        gamma_up_min_eig=up,
-        gamma_down_min_eig=dn,
-        valid=valid,
-        all_valid=bool(np.all(valid)),
-        worst_time=float(times[worst]) if witness.size else float("nan"),
-        worst_witness=float(witness[worst]) if witness.size else 0.0,
-    )
+    return up, dn, (up >= -limit) & (dn >= -limit)

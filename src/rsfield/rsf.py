@@ -44,7 +44,7 @@ from .errors import (
 )
 from .numerics import (
     HERMITIAN_TOL,
-    hermitian_eigh,
+    hermitian_eigvalsh,
     is_hermitian,
     is_psd,
     max_abs,
@@ -286,9 +286,10 @@ def transform_open_vacuum_env(rf_sys: ReducedField, m: BogoliubovMap) -> Reduced
         raise NotClassicalOpenError(
             "map couples system creation/annihilation sectors (X_down_S != 0)"
         )
-    b = m.blocks()
-    r = b.up_s @ rf_sys.r @ b.up_s.conj().T + b.down_c @ b.down_c.conj().T
-    alpha = b.up_s @ rf_sys.alpha
+    ns = m.n_sys
+    up_s, down_c = m.x_up[:ns, :ns], m.x_down[:ns, ns:]
+    r = up_s @ rf_sys.r @ up_s.conj().T + down_c @ down_c.conj().T
+    alpha = up_s @ rf_sys.alpha
     return ReducedField(0.5 * (r + r.conj().T), alpha)
 
 
@@ -317,7 +318,7 @@ def expect_linear(rf: ReducedField, sigma: np.ndarray) -> float:
 
 def _displaced_spectrum(rf: ReducedField) -> np.ndarray:
     r_alpha = rf.r - np.outer(rf.alpha, rf.alpha.conj())
-    w, _ = hermitian_eigh(0.5 * (r_alpha + r_alpha.conj().T))
+    _, w = hermitian_eigvalsh(0.5 * (r_alpha + r_alpha.conj().T), "r - |alpha><alpha|")
     if w.size and w[0] < -PHYSICAL_TOL * (1.0 + max_abs(r_alpha)):
         raise NotPhysicalError(
             "r - |alpha><alpha| has a negative eigenvalue", float(w[0])

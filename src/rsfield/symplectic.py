@@ -84,20 +84,6 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class BlockView:
-    """System/environment sub-blocks of the upper and lower blocks."""
-
-    up_s: np.ndarray
-    up_c: np.ndarray
-    up_cp: np.ndarray
-    up_e: np.ndarray
-    down_s: np.ndarray
-    down_c: np.ndarray
-    down_cp: np.ndarray
-    down_e: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class BogoliubovMap:
     """A validated symplectic matrix with a fixed system/environment split.
 
@@ -179,16 +165,6 @@ class BogoliubovMap:
     def x_down(self) -> np.ndarray:
         n = self.n_modes
         return self.x[:n, n:]
-
-    def blocks(self) -> BlockView:
-        ns = self.n_sys
-        up, down = self.x_up, self.x_down
-        return BlockView(
-            up_s=up[:ns, :ns], up_c=up[:ns, ns:],
-            up_cp=up[ns:, :ns], up_e=up[ns:, ns:],
-            down_s=down[:ns, :ns], down_c=down[:ns, ns:],
-            down_cp=down[ns:, :ns], down_e=down[ns:, ns:],
-        )
 
     def symplectic_residual(self) -> float:
         """Residual ``max |X S X^dag - S|`` of the stored matrix."""

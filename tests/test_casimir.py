@@ -520,34 +520,34 @@ class TestGrowthLaw:
     def test_still_medium_identically_zero(self):
         s = CasimirScenario(1.5, 1.0, 0.5, VelocityProfile.constant(0.0), 6.0, sigma=1.0)
         sol = solve_modes(s, 13)
-        rep = growth_law_residual(sol)
-        assert rep.max_residual <= 1e-10
+        _, residuals = growth_law_residual(sol)
+        assert np.max(residuals) <= 1e-10
 
     def test_constant_speed_both_sides_vanish(self):
         s = CasimirScenario(1.5, 1.0, 0.9, VelocityProfile.constant(0.2), 6.0)
         sol = solve_modes(s, 13)
-        rep = growth_law_residual(sol)
-        assert rep.max_residual <= 1e-10
+        _, residuals = growth_law_residual(sol)
+        assert np.max(residuals) <= 1e-10
 
     def test_sinusoid_self_consistency(self):
         s = sinusoid_scenario()
         sol = solve_modes(s, 41, rtol=1e-12, atol=1e-14)
-        rep = growth_law_residual(sol)
-        assert rep.max_residual <= 1e-6 * rep.max_rate
+        rates, residuals = growth_law_residual(sol)
+        assert np.max(residuals) <= 1e-6 * np.max(np.abs(rates))
 
     @pytest.mark.parametrize("s", [sinusoid_scenario(), ramp_scenario()])
     def test_central_stencil_away_from_kinks(self, s):
         # samples at least 2h from every kink (all inner samples of a sinusoid)
         # keep the plain central stencil, bit for bit
         sol = solve_modes(s, 31, rtol=1e-11, atol=1e-13)
-        rep = growth_law_residual(sol)
+        rates, _ = growth_law_residual(sol)
         h = min(5e-4 / max(s.omega, s.profile.drive_frequency), s.t_end / 8.0)
         t = sol.times
         far = np.all(np.abs(t[:, None] - np.array([*s.profile.kinks(), np.inf])) >= 2 * h, 1)
         inner = far & (t - 2 * h >= 0.0) & (t + 2 * h <= s.t_end)
         f_rm = sol.at((t[inner, None] + np.array([-2, -1, 1, 2]) * h).ravel()).f_rm
         f0, f1, f2, f3 = (np.abs(f_rm.reshape(-1, 4)) ** 2).T
-        assert np.array_equal(rep.density_rate[inner], (f0 - 8 * f1 + 8 * f2 - f3) / (12 * h))
+        assert np.array_equal(rates[inner], (f0 - 8 * f1 + 8 * f2 - f3) / (12 * h))
         assert inner.sum() == t.size - 2 - (3 if s.profile.kinks() else 0)
 
     @pytest.mark.parametrize("s", [sinusoid_scenario(), ramp_scenario()])
@@ -573,8 +573,8 @@ class TestGrowthLaw:
         near = np.add.outer(s.profile.kinks(), [-3e-4, 0.0, 3e-4]).ravel()
         times = np.sort(np.concatenate([np.linspace(0.0, 6.0, 31), near]))
         sol = solve_modes(s, times, rtol=1e-11, atol=1e-13)
-        rep = growth_law_residual(sol)
-        assert rep.max_residual <= max(GROWTH_LIMIT * rep.max_rate, 1e-12 * s.omega)
+        rates, residuals = growth_law_residual(sol)
+        assert np.max(residuals) <= max(GROWTH_LIMIT * np.max(np.abs(rates)), 1e-12 * s.omega)
 
     def test_ramp_kinks_still_catch_a_wrong_rate(self):
         s = ramp_scenario()
@@ -583,32 +583,32 @@ class TestGrowthLaw:
         at_kink = np.any(np.isclose(sol.times[:, None], s.profile.kinks()), 1)
         assert at_kink.sum() == 3
         wrong = np.where(at_kink, gamma_up * (1 + 1e-3), gamma_up)
-        rep = growth_law_residual(sol, gamma_up=wrong)
-        assert rep.max_residual > max(GROWTH_LIMIT * rep.max_rate, 1e-12 * s.omega)
+        rates, residuals = growth_law_residual(sol, gamma_up=wrong)
+        assert np.max(residuals) > max(GROWTH_LIMIT * np.max(np.abs(rates)), 1e-12 * s.omega)
 
     def test_rate_sign_matches_creation_rate_sign(self):
         # wherever gamma_up < 0 the density must actually be decreasing
         s = sinusoid_scenario()
         sol = solve_modes(s, 81, rtol=1e-12, atol=1e-14)
-        rep = growth_law_residual(sol)
-        floor = 1e-8 * max(rep.max_rate, 1e-30)
+        rates, _ = growth_law_residual(sol)
+        floor = 1e-8 * max(np.max(np.abs(rates)), 1e-30)
         _, gamma_up = closed_form_generators(sol)
-        assert np.all(rep.density_rate[gamma_up < -floor] < 0.0)
-        assert np.all(gamma_up[rep.density_rate > floor] > 0.0)
+        assert np.all(rates[gamma_up < -floor] < 0.0)
+        assert np.all(gamma_up[rates > floor] > 0.0)
 
     def test_creation_rate_psd_cross_check(self):
         # is_psd verdict on the 1x1 rate matrix tracks the density slope
         s = sinusoid_scenario(theta=np.pi / 2, t_end=10.0)
         sol = solve_modes(s, 21, rtol=1e-12, atol=1e-14)
-        rep = growth_law_residual(sol)
-        floor = 1e-6 * rep.max_rate
+        rates, _ = growth_law_residual(sol)
+        floor = 1e-6 * np.max(np.abs(rates))
         _, _, gamma_up, _ = casimir_generator_callback(sol)(sol.times)
         for i in range(21):
             ok, witness = is_psd(gamma_up[i], 1e-12)
-            if rep.density_rate[i] > floor:
+            if rates[i] > floor:
                 assert ok
             if witness < -1e-12 * (1 + abs(witness)):
-                assert rep.density_rate[i] < floor
+                assert rates[i] < floor
 
 
 class TestProfileCatalogRuns:
@@ -901,8 +901,8 @@ def test_invariants_and_reference_over_profiles(profile, refractive_index, theta
     scale = 1.0 + np.abs(sol.f_rp) ** 2
     assert np.all(np.abs(sol.ccr_residual) <= 1e-13 * scale)
     h, gamma_up = closed_form_generators(sol)
-    rep = growth_law_residual(sol, gamma_up=gamma_up)
-    assert rep.max_residual <= max(GROWTH_LIMIT * rep.max_rate, 1e-12 * s.omega)
+    rates, residuals = growth_law_residual(sol, gamma_up=gamma_up)
+    assert np.max(residuals) <= max(GROWTH_LIMIT * np.max(np.abs(rates)), 1e-12 * s.omega)
     ext_h, ext_up, ext_down = extracted_generators(sol)
     assert np.max(np.abs(h - ext_h[:, 0, 0])) <= EXTRACTION_LIMIT * s.omega
     assert np.max(np.abs(gamma_up - ext_up[:, 0, 0])) <= EXTRACTION_LIMIT * s.omega

@@ -123,6 +123,8 @@ OVERFLOWING = [
     ("sigma", 1e-200),
     ("sigma", 1e-160),
 ]
+# finite media whose Magnus steps would lose their rotation to roundoff
+ILL_CONDITIONED = [("sigma", 1e150), ("sigma", 1e-150)]
 
 # the config files of test_json_array_config_exits_two
 JSON_ARRAYS = ["[]", "[1, 2]"]
@@ -455,6 +457,19 @@ class TestRunAmplify:
             warnings.simplefilter("error")
             assert main(["amplify", "--config", str(p), "--out", str(tmp_path / "o")]) == code
 
+    @pytest.mark.parametrize("kappa,m", [(1e-250, 1e300), (1.0, 1e12)])
+    def test_extreme_rates_match_the_closed_form(self, tmp_path, capsys, kappa, m):
+        # exp(2 kappa t) - 1 below unit roundoff must not cancel to 0 in the
+        # closed form, and a source column of gamma_up ~ 2e12 must not over-scale
+        # the kinetic route's exponentials
+        p = tmp_path / "a.json"
+        p.write_text(json.dumps({"kappa": kappa, "m": m}), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["amplify", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+        deviation = re.search(r"max_relative_deviation: (\S+)", capsys.readouterr().out)
+        assert float(deviation[1]) <= 1e-12
+
     def test_tolerance_keys_rejected(self, tmp_path, capsys):
         # the constant generators are propagated exactly; no tolerance applies
         p = tmp_path / "a.json"
@@ -770,11 +785,12 @@ class TestExitCodes:
         assert err.startswith("config error: config.") and next(iter(change)) in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("key,value", OVERFLOWING)
+    @pytest.mark.parametrize("key,value", OVERFLOWING + ILL_CONDITIONED)
     def test_overflowing_medium_exits_two(self, tmp_path, capsys, key, value):
-        # n^2 or sigma^2 past the float range, sigma^2 at zero, or eta_pm at
-        # t = 0 past it: a configuration error naming the key, with no
-        # warning, no traceback and no CSV
+        # n^2 or sigma^2 past the float range, sigma^2 at zero, or a sigma
+        # whose eta_plus at t = 0 cancels the Magnus step's rotation to
+        # roundoff: a configuration error naming the key, with no warning, no
+        # traceback and no CSV
         p = tmp_path / "c.json"
         write_config(p, **{key: value})
         with warnings.catch_warnings():
@@ -911,6 +927,7 @@ class TestParseBeforeRun:
         *[(command, text, []) for command in ("amplify", "fock-check") for text in JSON_ARRAYS],
         *[("casimir", {key: value}, []) for key, value in OVERFLOWING],
         *OVERSIZED,
+        *[("casimir", {key: value}, []) for key, value in ILL_CONDITIONED],
     ])
     def test_config_error_exits_before_the_runner(self, tmp_path, capsys, monkeypatch,
                                                   command, change, flags):
@@ -942,6 +959,21 @@ class TestExtractCommand:
         lines = (tmp_path / "o" / "extract.csv").read_text().splitlines()
         assert lines[0].split(",")[0] == "T"
         assert len(lines) == 10
+
+    def test_summary_names_the_worst_sample(self, tmp_path, monkeypatch, capsys):
+        # the summary reads all_valid, worst_time and worst_witness off the
+        # scan's arrays: the smaller witness of either rate, at its sample
+        def scan(times, gamma_up, gamma_down, floor=0.0):
+            up = np.array([1.0, 0.5, -0.3, 0.2, 0.0])
+            down = np.array([0.0, -0.4, 0.0, 0.1, 0.0])
+            return up, down, np.array([True, False, False, True, True])
+
+        monkeypatch.setattr(cli, "validity_report", scan)
+        p = tmp_path / "c.json"
+        write_config(p, samples=5)
+        assert main(["extract", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+        out = capsys.readouterr().out
+        assert "  all_valid: False\n  worst_time: 2.5\n  worst_witness: -0.4\n" in out
 
     def test_generator_columns_match_casimir(self, tmp_path):
         p = tmp_path / "c.json"

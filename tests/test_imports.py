@@ -1,5 +1,6 @@
-"""Lint: no module of the package imports a name it never uses, and no
-module-level private name goes unread.
+"""Lint: no module of the package imports a name it never uses, no
+module-level private name goes unread, and no module-level public name goes
+unnamed outside its own definition.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree.  ``__init__`` is exempt from the import check: its imports
@@ -7,11 +8,13 @@ are the public API.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rsfield"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "rsfield"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -39,6 +42,31 @@ def test_lint_sees_an_unused_import():
     assert unused_imports(source) == ["NonHermitianError"]
 
 
+def _defined(node) -> set:
+    """The names a module-level statement defines: a function, a class or
+    the plain names it assigns."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {t.id for t in targets if isinstance(t, ast.Name)}
+    return set()
+
+
+def _read(tree) -> set:
+    """The names a syntax tree reads: by name, as an attribute or through an
+    import."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
 def unread_private_names(sources: dict) -> list:
     """Module-level ``_name`` functions, classes and constants, over the
     modules ``sources`` maps to their text, that no module reads: by name,
@@ -47,18 +75,8 @@ def unread_private_names(sources: dict) -> list:
     for source in sources.values():
         tree = ast.parse(source)
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.add(node.name)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined.update(t.id for t in targets if isinstance(t, ast.Name))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
+            defined |= _defined(node)
+        read |= _read(tree)
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     return sorted(private - read)
 
@@ -75,3 +93,35 @@ def test_lint_sees_an_unread_private_name():
         "c": "def _helper():\n    pass\n",
     }
     assert unread_private_names(sources) == ["_kept", "_left"]
+
+
+def orphaned_public_names(package: dict, others: dict, docs: str) -> list:
+    """Module-level public functions, classes and constants of the modules
+    ``package`` maps to their text that no module-level statement of
+    ``package`` or ``others`` other than their own definition reads (by name,
+    as an attribute or through an import) and that ``docs`` does not name as
+    a word.  Dunder and private names are exempt."""
+    trees = [ast.parse(source) for source in [*package.values(), *others.values()]]
+    public = {name for tree in trees[:len(package)] for node in tree.body
+              for name in _defined(node) if not name.startswith("_")}
+    named = {name for tree in trees for node in tree.body for name in _read(node) - _defined(node)}
+    named |= {name for name in public if re.search(rf"\b{name}\b", docs)}
+    return sorted(public - named)
+
+
+def test_no_orphaned_public_names():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in (ROOT / "src").rglob("*.py")}
+    others = {str(p): p.read_text(encoding="utf-8")
+              for folder in ("tests", "demos") for p in (ROOT / folder).rglob("*.py")}
+    assert orphaned_public_names(package, others, (ROOT / "README.md").read_text()) == []
+
+
+def test_lint_sees_an_orphaned_public_name():
+    package = {
+        "a": "LIMIT = 2\nSPARE = 3\ndef used():\n    return LIMIT\n"
+             "def left():\n    return left()\nclass Told:\n    pass\n"
+             "__version__ = '1'\n_hidden = 0\n",
+        "b": "from .a import used\n",
+    }
+    others = {"test_a": "import a\nassert a.SPARE\n"}
+    assert orphaned_public_names(package, others, "`Told` is documented; leftover") == ["left"]

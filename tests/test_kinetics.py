@@ -18,6 +18,8 @@ from rsfield.kinetics import (
     CONDITION_LIMIT,
     KineticGenerators,
     _checked_inverse,
+    _constant_entry,
+    _kinetic_matrix,
     extract_closed_generator,
     extract_open_generators,
     integrate_kinetics,
@@ -199,6 +201,16 @@ class TestIntegrateKinetics:
         gens = scalar_gens(g_up=2.0, g_dn=0.0)  # kappa=1, m=0
         r, _ = integrate_kinetics(rf, gens, (0.0, 1.0), [1.0])
         assert r[0][0, 0].real == pytest.approx(E2_MINUS_1, rel=1e-9)
+
+    @pytest.mark.parametrize("g_up,g_dn,c", [
+        (2.0, 0.0, 1.0), (3.0, 1.0, 2.0), (2e12 + 2.0, 2e12, 2.0 ** 40), (0.5, 0.5, 1.0),
+    ])
+    def test_constant_entry_is_the_power_of_two_above_the_source_ratio(self, g_up, g_dn, c):
+        # the source column (gamma_up, 1-norm g_up) against the r column's
+        # g_up - g_dn; no scaling where the rest is zero or the larger
+        gens = scalar_gens(g_up=g_up, g_dn=g_dn)
+        m = _kinetic_matrix(gens.h, gens.zeta, gens.gamma_up, gens.gamma_down)
+        assert _constant_entry(m) == c
 
     def test_trace_nondecreasing_with_pure_creation(self):
         rf, _ = vacuum(2)
@@ -517,27 +529,27 @@ class TestCheckedInverse:
             assert np.array_equal(_checked_inverse(x, "X"), np.linalg.inv(x))
 
 
-class TestValidityReport:
+class TestValidityScan:
     def test_all_zero_trajectory_is_valid(self):
         times = np.array([0.0, 1.0, 2.0])
         zeros = np.zeros((3, 2, 2), dtype=complex)
-        rep = validity_report(times, zeros, zeros)
-        assert rep.all_valid
+        _, _, valid = validity_report(times, zeros, zeros)
+        assert valid.tolist() == [True, True, True]
 
     def test_amplifier_trajectory_valid(self):
         times = np.linspace(0.0, 1.0, 5)
-        rep = validity_report(times, np.full((5, 1, 1), 2.0), np.full((5, 1, 1), 0.6))
-        assert rep.all_valid
-        assert np.all(rep.gamma_up_min_eig == 2.0)
+        up, down, valid = validity_report(times, np.full((5, 1, 1), 2.0), np.full((5, 1, 1), 0.6))
+        assert valid.all()
+        assert np.all(up == 2.0) and np.allclose(down, 0.6, rtol=1e-15, atol=0.0)
 
     def test_worst_time_reported(self):
+        # the negative eigenvalue is returned at its sample, which alone fails
+        # (run_extract reads its time and witness off these arrays)
         times = np.array([0.0, 1.0, 2.0])
         gamma_up = np.array([1.0, -0.3, 0.5]).reshape(3, 1, 1)
-        rep = validity_report(times, gamma_up, np.zeros((3, 1, 1)))
-        assert not rep.all_valid
-        assert rep.valid.tolist() == [True, False, True]
-        assert rep.worst_time == 1.0
-        assert rep.worst_witness == pytest.approx(-0.3)
+        up, down, valid = validity_report(times, gamma_up, np.zeros((3, 1, 1)))
+        assert valid.tolist() == [True, False, True]
+        assert up.tolist() == pytest.approx([1.0, -0.3, 0.5]) and down.tolist() == [0.0] * 3
 
     def test_floor_per_sample(self):
         # an eigenvalue of -1e-9 is roundoff where the floor covers it, and a
@@ -545,21 +557,19 @@ class TestValidityReport:
         times = np.array([0.0, 1.0, 2.0])
         gamma_down = np.full((3, 1, 1), -1e-9)
         up = np.zeros((3, 1, 1))
-        assert not validity_report(times, up, gamma_down).valid.any()
-        rep = validity_report(times, up, gamma_down, floor=np.array([2e-9, 5e-10, 2e-9]))
-        assert rep.valid.tolist() == [True, False, True]
-        rep = validity_report(times, gamma_down, up, floor=2e-9)
-        assert rep.all_valid
+        assert not validity_report(times, up, gamma_down)[2].any()
+        _, _, valid = validity_report(times, up, gamma_down, floor=np.array([2e-9, 5e-10, 2e-9]))
+        assert valid.tolist() == [True, False, True]
+        assert validity_report(times, gamma_down, up, floor=2e-9)[2].all()
 
     def test_matches_per_generator_witnesses(self, rng):
         # batched eigvalsh gives the witnesses KineticGenerators reports one by one
         z = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
         rates = z @ np.swapaxes(z, -1, -2).conj() - 1.5 * np.eye(3)
-        rep = validity_report(np.arange(6.0), rates, rates[::-1])
+        up, down, _ = validity_report(np.arange(6.0), rates, rates[::-1])
         for i in range(6):
             gen = KineticGenerators(np.zeros((3, 3)), np.zeros(3), rates[i], rates[5 - i])
-            assert np.allclose([rep.gamma_up_min_eig[i], rep.gamma_down_min_eig[i]],
-                               gen.psd_witnesses(), rtol=0.0, atol=1e-12)
+            assert np.allclose([up[i], down[i]], gen.psd_witnesses(), rtol=0.0, atol=1e-12)
 
     def test_rejects_bad_inputs(self):
         ok = np.zeros((3, 1, 1))

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_passive, random_physical_fields, random_symplectic
 from rsfield.errors import (
+    ConvergenceError,
     DimensionMismatchError,
     InvalidMomentsError,
     NonFiniteStateError,
@@ -418,6 +419,17 @@ class TestEntropies:
         rf = ReducedField(np.array([[0.25]], dtype=complex), np.array([1.0]))
         with pytest.raises(NotPhysicalError):
             entropy_v(rf)
+
+    @pytest.mark.parametrize("entropy", [entropy_v, entropy_w])
+    def test_eigensolver_failure_is_a_convergence_error(self, monkeypatch, entropy):
+        rf, _ = vacuum(2)
+
+        def fail(m):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(ConvergenceError, match="no convergence"):
+            entropy(rf)
 
 
 class TestOracleEquivalence:

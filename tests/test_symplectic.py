@@ -286,13 +286,10 @@ class TestInvariants:
         assert np.array_equal(np.diag(s).real, [1, 1, -1, -1])
 
     def test_blocks_partition_dimensions(self, rng):
+        # X_up and X_down are the N x N upper blocks, whatever the partition
         m = random_symplectic(5, rng, n_sys=2)
-        b = m.blocks()
-        assert b.up_s.shape == (2, 2)
-        assert b.up_c.shape == (2, 3)
-        assert b.up_cp.shape == (3, 2)
-        assert b.up_e.shape == (3, 3)
-        assert b.down_s.shape == (2, 2)
+        assert m.x_up.shape == m.x_down.shape == (5, 5)
+        assert np.array_equal(np.block([m.x_up, m.x_down]), m.x[:5])
 
 
 class TestOpenLimitIgnoresEnvironment:
