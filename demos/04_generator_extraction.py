@@ -45,7 +45,7 @@ xs = lambda t: np.array([[np.cosh(kappa * t)]], dtype=complex)
 xc = lambda t: np.array([[np.sinh(kappa * t)]], dtype=complex)
 print("   t     gamma_up       2k tanh(kt)    gamma_down")
 for t in (0.25, 0.75, 1.5):
-    gens = extract_open_generators(xs, xc, t, fd_step=1e-6)
+    gens = extract_open_generators(xs, xc, t)
     print(f"  {t:4.2f}   {gens.gamma_up[0, 0].real: .8f}   "
           f"{2 * kappa * np.tanh(kappa * t): .8f}   "
           f"{gens.gamma_down[0, 0].real: .2e}")

@@ -23,7 +23,7 @@ print("=" * 70)
 spec = AmplifierSpec(kappa=1.0, m=0.0)
 rf0, _ = vacuum(1)
 times = np.linspace(0.0, 1.0, 5)
-r, _ = integrate_kinetics(rf0, amplifier_generators(spec), (0.0, 1.0), times,
+r, _ = integrate_kinetics(rf0, amplifier_generators(spec), 0.0, times,
                           rtol=1e-11, atol=1e-13)
 print("   t     kinetic r(t)    closed form     |difference|")
 for t, r_k in zip(times, r):
@@ -42,7 +42,7 @@ gens = amplifier_generators(spec2)
 print("gamma_up  =", np.diag(gens.gamma_up).real, "  (2 kappa (1 + m))")
 print("gamma_down=", np.diag(gens.gamma_down).real, "  (2 kappa m)")
 rf0, _ = vacuum(2)
-r, _ = integrate_kinetics(rf0, gens, (0.0, 1.0), [1.0], rtol=1e-11, atol=1e-13)
+r, _ = integrate_kinetics(rf0, gens, 0.0, [1.0], rtol=1e-11, atol=1e-13)
 closed_r, _ = amplified_rsf(spec2, rf0, 1.0)
 print("occupations at t=1:", r[0].diagonal().real.round(6))
 print("closed form       :", closed_r.diagonal().real.round(6))

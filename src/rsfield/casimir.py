@@ -99,7 +99,13 @@ from .numerics import (
 )
 from .symplectic import BogoliubovMap, symplectic_residuals
 
-PROFILE_KINDS = ("constant", "sinusoid", "smooth_pulse", "linear_ramp_windowed")
+# each profile kind and the keys it reads besides beta0
+PROFILE_KINDS = {
+    "constant": (),
+    "sinusoid": ("drive_frequency",),
+    "smooth_pulse": ("duration",),
+    "linear_ramp_windowed": ("ramp_time", "hold_time"),
+}
 
 
 def _require_finite(owner, names) -> None:
@@ -133,7 +139,7 @@ class VelocityProfile:
     hold_time: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in PROFILE_KINDS:
+        if not (isinstance(self.kind, str) and self.kind in PROFILE_KINDS):
             raise ConfigError(f"unknown profile kind {self.kind!r}")
         _require_finite(self, ("beta0", "drive_frequency", "duration", "ramp_time", "hold_time"))
         if abs(self.beta0) >= 1.0:
@@ -611,8 +617,20 @@ def growth_law_residual(
     caller that already has them.
     """
     s = sol.scenario
-    # t_end / 8 keeps a one-sided 5-point stencil inside the span
-    h = min(5e-4 / max(s.omega, s.profile.drive_frequency), s.t_end / 8.0)
+    # 5e-4 of the shortest time scale: 1 / omega, 1 / drive_frequency, or a
+    # duration that the profile's kind reads (a zero hold is none) down to
+    # 1e-5 / omega.  Outside a short pulse or ramp n changes at about the rate
+    # omega, and there a step below 5e-9 / omega leaves a roundoff of about
+    # 11 eps n / h, past the gate's 1e-6 relative.  t_end / 8 keeps a
+    # one-sided 5-point stencil inside the span
+    rates = [s.omega]
+    for key in PROFILE_KINDS[s.profile.kind]:
+        value = getattr(s.profile, key)
+        if key == "drive_frequency":
+            rates.append(value)
+        elif value > 0:
+            rates.append(min(1.0 / value, 1e5 * s.omega))
+    h = min(5e-4 / max(rates), s.t_end / 8.0)
     if gamma_up is None:
         _, gamma_up = closed_form_generators(sol)
     t = sol.times

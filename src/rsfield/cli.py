@@ -22,7 +22,9 @@ takes only a parsed config and raises no ``ConfigError``.
 
 Configuration is a single JSON document; unknown keys are rejected so
 that a typo in a physics parameter cannot silently fall back to a
-default.  Every CSV goes through ``csvtext.write_csv``, which writes each
+default, and so is a key that the run would not read: a profile key of
+another kind, or a ``sweep`` outside the ``sweep`` command.  Every CSV
+goes through ``csvtext.write_csv``, which writes each
 float exactly as ``f"{v:.17g}"``: a table of 256 or more floats and booleans
 gets its digits from numpy, and Python formats a smaller table and any value
 next to a rounding tie, non-finite, or nonzero outside [1e-280, 1e280].  The
@@ -56,6 +58,7 @@ import numpy as np
 
 from .amplifier import AmplifierSpec, amplified_rsf, amplifier_generators
 from .casimir import (
+    PROFILE_KINDS,
     CasimirScenario,
     ModeSolution,
     VelocityProfile,
@@ -89,6 +92,9 @@ EXTRACTION_LIMIT = 1e-7  # relative to omega
 GAMMA_DOWN_LIMIT = 1e-8  # relative to omega
 GROWTH_LIMIT = 1e-6  # relative to the peak density rate
 AMPLIFY_LIMIT = 1e-8
+# the most relative change t_end |g - 2 kappa| that the kinetic route's rounded
+# rate g = 2 kappa (1 + m) - 2 kappa m may make in an amplify occupation
+AMPLIFY_RATE_TOL = 1e-6
 
 CSV_COLUMNS = (
     "T", "re_fRp", "im_fRp", "re_fRm", "im_fRm", "re_fLp", "im_fLp",
@@ -140,6 +146,8 @@ def _number(value, name: str, integer: bool = False, most: float = math.inf):
         return int(number)
 
 
+# the keys of a profile object; a profile takes kind, beta0 and the keys its
+# kind reads (``casimir.PROFILE_KINDS``)
 PROFILE_KEYS = {
     "kind": ...,
     "beta0": ...,
@@ -159,7 +167,6 @@ CASIMIR_KEYS = {
     "samples": 201,
     "rel_tol": 1e-11,
     "abs_tol": 1e-13,
-    "sweep": None,
     "out_dir": None,
 }
 
@@ -199,14 +206,19 @@ def _samples(value, row_bytes: int) -> int:
 
 
 def parse_casimir_config(cfg: dict) -> dict:
-    """The checked config of a ``casimir``, ``sweep`` or ``extract`` run: its
-    keys, with the scenario keys replaced by the ``CasimirScenario`` they
-    make, under ``"scenario"``."""
+    """The checked config of a ``casimir`` or ``extract`` run: its keys, with the
+    scenario keys replaced by the ``CasimirScenario`` they make, under
+    ``"scenario"``.  A key that the run would not read, one of another
+    profile kind or a ``sweep``, is unknown."""
     out = _require_keys(cfg, CASIMIR_KEYS, "config")
-    prof = _require_keys(out["profile"], PROFILE_KEYS, "config.profile")
-    out["profile"] = VelocityProfile(kind=prof["kind"], **{
+    given = out["profile"]
+    prof = _require_keys(given, PROFILE_KEYS, "config.profile")
+    kind = prof["kind"]
+    out["profile"] = VelocityProfile(kind=kind, **{
         key: _number(prof[key], f"config.profile.{key}") for key in PROFILE_KEYS if key != "kind"
     })
+    _require_keys(given, dict.fromkeys(("kind", "beta0", *PROFILE_KINDS[kind])),
+                  f"config.profile of kind {kind}")
     for key in ("refractive_index", "omega", "theta", "t_end", "rel_tol", "abs_tol"):
         out[key] = _number(out[key], f"config.{key}")
     if out["rel_tol"] <= 0 or out["abs_tol"] <= 0:
@@ -214,9 +226,6 @@ def parse_casimir_config(cfg: dict) -> dict:
     if not isinstance(out["sigma"], str):  # "auto", or a name CasimirScenario rejects
         out["sigma"] = _number(out["sigma"], "config.sigma")
     out["samples"] = _samples(out["samples"], 2048)
-    # every axis, None where the sweep leaves it out
-    out["sweep"] = _require_keys({} if out["sweep"] is None else out["sweep"],
-                                 dict.fromkeys(SWEEP_AXES), "config.sweep")
     out["scenario"] = CasimirScenario(**{
         f.name: out.pop(f.name) for f in fields(CasimirScenario) if f.init
     })
@@ -375,16 +384,22 @@ def run_casimir(cfg: dict, out_dir: Path, csv_name: str = "casimir.csv") -> RunR
 
 
 def parse_sweep_config(cfg: dict) -> dict:
-    """``parse_casimir_config``'s config plus its ``"grid"``: every point of the
-    sweep, a dict of the ``SWEEP_AXES``, an axis the sweep leaves out held at
-    the scenario's value."""
-    out = parse_casimir_config(cfg)
+    """``parse_casimir_config``'s config of all keys but ``sweep``, plus its
+    ``"grid"``: every point of the sweep, a dict of the ``SWEEP_AXES``, an
+    axis the sweep leaves out held at the scenario's value.  The sweep may
+    not vary ``drive_frequency`` where the profile's kind does not read it."""
+    out = parse_casimir_config({key: v for key, v in cfg.items() if key != "sweep"})
     s = out["scenario"]
+    kind = s.profile.kind
+    # the axes the profile reads, None where the sweep leaves one out
+    sweep = _require_keys({} if cfg.get("sweep") is None else cfg["sweep"], dict.fromkeys(
+        axis for axis in SWEEP_AXES if axis in ("omega", "theta", "beta0", *PROFILE_KINDS[kind])
+    ), f"config.sweep over a {kind} profile")
     defaults = {"omega": s.omega, "theta": s.theta,
                 "drive_frequency": s.profile.drive_frequency, "beta0": s.profile.beta0}
     axes = []
     for axis in SWEEP_AXES:
-        values = out["sweep"][axis]
+        values = sweep.get(axis)
         if values is None:
             values = [defaults[axis]]
         if not isinstance(values, (list, tuple)) or not values:
@@ -448,10 +463,15 @@ AMPLIFY_KEYS = {
 
 def parse_amplify_config(cfg: dict) -> dict:
     """The checked config of an ``amplify`` run: its keys, plus the
-    ``AmplifierSpec`` that ``kappa`` and ``m`` make, under ``"spec"``.  Each
-    mode's rate 2 kappa (1 + m) must be finite, and so must its occupation at
-    ``t_end``, (1 + m)(exp(2 kappa t_end) - 1), times the larger of 2 and the
-    number of modes."""
+    ``AmplifierSpec`` that ``kappa`` and ``m`` make, under ``"spec"``, and the
+    gate's limit, under ``"limit"``.  Each mode's rate 2 kappa (1 + m) must be
+    finite, and so must its occupation at ``t_end``, (1 + m)(exp(2 kappa
+    t_end) - 1), times the larger of 2 and the number of modes.  The kinetic
+    route grows a mode at its rounded rate g = 2 kappa (1 + m) - 2 kappa m,
+    which moves the occupation at t by between t |g - 2 kappa| / 2 and
+    t |g - 2 kappa| relative: the limit is the larger of ``AMPLIFY_LIMIT`` and
+    twice the largest t_end |g - 2 kappa|, and an ``m`` that makes that
+    change pass ``AMPLIFY_RATE_TOL`` has cost g its leading digits."""
     out = _require_keys(cfg, AMPLIFY_KEYS, "config")
     rates = {}
     for key in ("kappa", "m"):  # a number, or a list of them, one per mode
@@ -473,6 +493,7 @@ def parse_amplify_config(cfg: dict) -> dict:
     # routes, and r + r^dag and the trace of r add up two or all modes'
     # occupations.
     modes = list(zip(spec.kappa.tolist(), spec.m.tolist()))
+    drift = 0.0
     for k, mj in modes:
         g = 2.0 * k * (1.0 + mj) - 2.0 * k * mj
         exponent = max(2.0 * k * t_end, g * t_end)
@@ -483,6 +504,12 @@ def parse_amplify_config(cfg: dict) -> dict:
         if not (math.isfinite(g) and math.isfinite(occupation * max(2, len(modes)))):
             raise ConfigError(f"config.kappa/m/t_end: a mode's rate 2 kappa (1 + m) or occupation "
                               f"(1 + m)(exp(2 kappa t_end) - 1) leaves the float range")
+        drift = max(drift, t_end * abs(g - 2.0 * k))
+    if drift > AMPLIFY_RATE_TOL:
+        raise ConfigError(f"config.m: the kinetic rate g = 2 kappa (1 + m) - 2 kappa m has lost "
+                          f"its leading digits, t_end |g - 2 kappa| = {drift:.3g} is past "
+                          f"{AMPLIFY_RATE_TOL:g}; lower m")
+    out["limit"] = max(AMPLIFY_LIMIT, 2.0 * drift)
     return out
 
 
@@ -490,7 +517,7 @@ def run_amplify(cfg: dict, out_dir: Path) -> RunReport:
     spec, t_end = cfg["spec"], cfg["t_end"]
     times = np.linspace(0.0, t_end, cfg["samples"])
     rf0, _ = vacuum(spec.n_modes)
-    r, alpha = integrate_kinetics(rf0, amplifier_generators(spec), (0.0, t_end), times)
+    r, alpha = integrate_kinetics(rf0, amplifier_generators(spec), 0.0, times)
     closed_r, closed_alpha = amplified_rsf(spec, rf0, times)
     deviation = np.maximum(
         matrix_max(np.abs(r - closed_r)), matrix_max(np.abs(alpha - closed_alpha)[:, None])
@@ -501,8 +528,8 @@ def run_amplify(cfg: dict, out_dir: Path) -> RunReport:
         "closed_total_number": np.trace(closed_r, axis1=-2, axis2=-1).real,
         "kinetic_total_number": np.trace(r, axis1=-2, axis2=-1).real,
     }
-    summary = {"max_relative_deviation": float(np.max(deviation)), "threshold": AMPLIFY_LIMIT}
-    gates = {"closed_form_mismatch": _gate(times, deviation, AMPLIFY_LIMIT)}
+    summary = {"max_relative_deviation": float(np.max(deviation)), "threshold": cfg["limit"]}
+    gates = {"closed_form_mismatch": _gate(times, deviation, cfg["limit"])}
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "amplify.csv", columns)
     return RunReport(columns=columns, summary=summary, failures=_violations(gates))
@@ -643,7 +670,7 @@ def run_extract(cfg: dict, out_dir: Path) -> RunReport:
     sol = _solve(cfg)
     cols = _casimir_columns(sol)
     cols["gamma_up_min_eig"], cols["gamma_down_min_eig"], cols["valid"] = validity_report(
-        cols["T"], cols["gamma_up_extracted"][:, None, None],
+        cols["gamma_up_extracted"][:, None, None],
         cols["gamma_down_extracted"][:, None, None],
         floor=_rate_roundoff(cols, sol.scenario.omega),
     )

@@ -305,7 +305,7 @@ def _moments(state: FockState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def measure_rsf(state: FockState) -> tuple[ReducedField, ConjugateField]:
     """Reduced and conjugate field moments of the state (``_moments``)."""
     r, alpha, c = _moments(state)
-    return ReducedField(r, alpha), ConjugateField(c, np.conj(alpha))
+    return ReducedField(r, alpha), ConjugateField(c)
 
 
 def measure_generalized(state: FockState) -> GeneralizedField:

@@ -235,13 +235,14 @@ def _constant_entry(m: np.ndarray) -> float:
 def integrate_kinetics(
     rf0: ReducedField,
     gen,
-    t_span: tuple[float, float],
+    t0: float,
     sample_times: Sequence[float],
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the kinetic equations; returns the field ``(r, alpha)`` at the
-    sample times as stacks ``(samples, n, n)`` and ``(samples, n)``.
+    """Integrate the kinetic equations from ``rf0`` at time ``t0``; returns the
+    field ``(r, alpha)`` at the sample times, none before ``t0``, as stacks
+    ``(samples, n, n)`` and ``(samples, n)``.
 
     The equations are linear in y = (r, alpha, conj(alpha), 1)
     (``_kinetic_matrix``) and are propagated by ``numerics.solve_linear``.
@@ -260,9 +261,8 @@ def integrate_kinetics(
     """
     n = rf0.n_modes
     times = np.asarray(sample_times, dtype=float)
-    t0, t1 = t_span
-    if np.any(times < t0) or np.any(times > t1):
-        raise DimensionMismatchError(f"sample times outside integrated span {t_span}")
+    if np.any(times < t0):
+        raise DimensionMismatchError(f"sample times before the start t0={t0}")
     c = 1.0
     if callable(gen):
         def matrices(t):
@@ -294,11 +294,11 @@ def integrate_kinetics(
     return sym, y[:, n * n:n * n + n]
 
 
-def _derivative(family, t, analytic, fd_step, what):
+def _derivative(family, t, analytic, what):
     if analytic is not None:
         d = np.asarray(analytic(t), dtype=complex)
     else:
-        d = central_difference(family, t, fd_step)
+        d = central_difference(family, t, DEFAULT_FD_STEP)
     return require_finite(np.atleast_2d(d), f"d{what}/dt")
 
 
@@ -328,13 +328,12 @@ def extract_closed_generator(
     x_up: Callable[[float], np.ndarray],
     t: float,
     dx_up: Callable[[float], np.ndarray] | None = None,
-    fd_step: float = DEFAULT_FD_STEP,
 ) -> np.ndarray:
     """Hamiltonian of a smooth passive family: h = (i/2)(Y - Y^dag).
 
     ``x_up`` must evaluate to a unitary matrix near ``t`` (checked to
     ``PASSIVE_UNITARY_TOL``); the derivative is taken from ``dx_up`` when
-    supplied, otherwise by central differences with step ``fd_step``.
+    supplied, otherwise by central differences with step ``DEFAULT_FD_STEP``.
     """
     x = require_finite(require_square(x_up(t), "X_up"), "X_up")
     n = x.shape[0]
@@ -342,7 +341,7 @@ def extract_closed_generator(
         raise NotClassicalClosedError(
             "family is not passive: X_up is not unitary at the requested time"
         )
-    y = _derivative(x_up, t, dx_up, fd_step, "X_up") @ _checked_inverse(x, "X_up")
+    y = _derivative(x_up, t, dx_up, "X_up") @ _checked_inverse(x, "X_up")
     h = 0.5j * (y - y.conj().T)
     return h
 
@@ -353,11 +352,12 @@ def extract_open_generators(
     t: float,
     dx_up_s: Callable[[float], np.ndarray] | None = None,
     dx_down_c: Callable[[float], np.ndarray] | None = None,
-    fd_step: float = DEFAULT_FD_STEP,
 ) -> KineticGenerators:
     """Generators (h, gamma_up, gamma_down) of a vacuum-environment family.
 
-    Implements the correspondence documented in the module docstring.
+    Implements the correspondence documented in the module docstring; each
+    derivative is taken from ``dx_up_s`` / ``dx_down_c`` when supplied,
+    otherwise by central differences with step ``DEFAULT_FD_STEP``.
     Positivity of the extracted rates is reported by the caller via
     ``psd_witnesses`` or ``validity_report``, never silently enforced.
     """
@@ -365,8 +365,8 @@ def extract_open_generators(
     xc = require_finite(require_square(x_down_c(t), "X_down_C"), "X_down_C")
     if xs.shape[0] != xc.shape[0]:
         raise DimensionMismatchError("X_up_S / X_down_C row counts differ")
-    dxs = _derivative(x_up_s, t, dx_up_s, fd_step, "X_up_S")
-    dxc = _derivative(x_down_c, t, dx_down_c, fd_step, "X_down_C")
+    dxs = _derivative(x_up_s, t, dx_up_s, "X_up_S")
+    dxc = _derivative(x_down_c, t, dx_down_c, "X_down_C")
     if dxs.shape != xs.shape or dxc.shape != xc.shape:
         raise DerivativeUnavailableError("derivative shape mismatch")
     h, gamma_up, gamma_down = open_generator_arrays(xs, xc, dxs, dxc)
@@ -391,21 +391,19 @@ def open_generator_arrays(xs, xc, dxs, dxc) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def validity_report(
-    times, gamma_up: np.ndarray, gamma_down: np.ndarray, floor=0.0
+    gamma_up: np.ndarray, gamma_down: np.ndarray, floor=0.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scan rates sampled at strictly ascending ``times`` against the positivity
-    conditions: returns the smallest eigenvalue of each rate and the verdict
-    at every sample, ``(gamma_up_min_eig, gamma_down_min_eig, valid)``.  Each
-    rate is a ``(samples, n, n)`` stack of Hermitian matrices (checked); a
-    sample is valid iff the smallest eigenvalue of each rate is at least
+    """Scan sampled rates against the positivity conditions: returns the
+    smallest eigenvalue of each rate and the verdict at every sample,
+    ``(gamma_up_min_eig, gamma_down_min_eig, valid)``.  Each rate is a
+    ``(samples, n, n)`` stack of Hermitian matrices (checked), the two of
+    equal length; a sample is valid iff the smallest eigenvalue of each rate
+    is at least
     ``-max(RATE_PSD_TOL (1 + max|gamma_up| + max|gamma_down|), floor)`` there.
     ``floor`` (a scalar or one value per sample) is the absolute roundoff the
     rates carry, for rates extracted from large amplitudes."""
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or not times.size == len(gamma_up) == len(gamma_down):
-        raise DimensionMismatchError("times/generators lengths differ")
-    if np.any(np.diff(times) <= 0):
-        raise DimensionMismatchError("times must be strictly ascending")
+    if len(gamma_up) != len(gamma_down):
+        raise DimensionMismatchError("gamma_up/gamma_down lengths differ")
     _require_hermitian_generators(gamma_up=gamma_up, gamma_down=gamma_down)
     up = np.linalg.eigvalsh(gamma_up)[:, 0]
     dn = np.linalg.eigvalsh(gamma_down)[:, 0]

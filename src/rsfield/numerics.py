@@ -479,7 +479,7 @@ class MagnusSolution:
 
 
 def _refine(propagate, breakpoints, initial_step: float, rtol: float, atol: float,
-            first_steps: int = 1, accept=lambda fine, coarse: True):
+            first_steps: int = 1, accept=lambda fine, coarse: fine):
     """Step doubling shared by the Magnus solvers.  ``propagate(nodes)``
     returns a tuple of arrays whose last axis runs over the nodes; the grid
     is uniform between ``breakpoints`` (ascending; each one is a node).
@@ -489,14 +489,15 @@ def _refine(propagate, breakpoints, initial_step: float, rtol: float, atol: floa
     Richardson estimate |X_2N - X_N| / 63 of the global error meets
     ``atol + rtol |X|`` for every entry X of every array at every node the
     two grids share and ``accept(fine, coarse)`` passes the pair (each grid
-    as ``(nodes, arrays)``; a pair it turns down fails like any other);
-    returns the finer grid and its arrays, the largest estimate and the step
-    counts propagated, in order.  Raises ``ConvergenceError`` before it
-    propagates any grid, the first one included, of more than
-    ``MAGNUS_MAX_STEPS`` steps, or as soon as two consecutive pairs each cut
-    the estimate by less than half (in the asymptotic range each doubling
-    cuts it by about 64): the tolerance then lies below the roundoff floor
-    of the propagation.
+    as ``(nodes, arrays)``): it returns what the pair is accepted as, by
+    default the finer grid and its arrays, or None to turn the pair down,
+    which then fails like any other.  Returns the accepted pair's value, the
+    largest estimate and the step counts propagated, in order.  Raises
+    ``ConvergenceError`` before it propagates any grid, the first one
+    included, of more than ``MAGNUS_MAX_STEPS`` steps, or as soon as two
+    consecutive pairs each cut the estimate by less than half (in the
+    asymptotic range each doubling cuts it by about 64): the tolerance then
+    lies below the roundoff floor of the propagation.
     """
     breaks = np.asarray(breakpoints, dtype=float)
     # float counts until a grid is built: a step far below the span stays a
@@ -519,8 +520,9 @@ def _refine(propagate, breakpoints, initial_step: float, rtol: float, atol: floa
             worst, ok = zip(*(_doubling_error(f, c, rtol, atol)
                               for f, c in zip(values, coarse[1])))
             estimates.append(max(worst))
-            if all(ok) and accept((nodes, values), coarse):
-                return (nodes, values), estimates[-1], tuple(grids)
+            accepted = accept((nodes, values), coarse) if all(ok) else None
+            if accepted is not None:
+                return accepted, estimates[-1], tuple(grids)
             if len(estimates) >= 3 and all(
                 2.0 * b > a for a, b in zip(estimates[-3:], estimates[-2:])
             ):
@@ -581,8 +583,6 @@ class FloquetSolution:
         self.nodes = period.nodes
         self.end = float(end)
         self.cycles = int(self.end // self.nodes[-1])
-        self.error_estimate = period.error_estimate
-        self.grids = period.grids
         self.powers = np.empty((2, self.cycles + 1), dtype=complex)
         self.powers[:, 0] = 1.0, 0.0
         self.powers[:, 1:] = period.u[:, -1:]
@@ -591,6 +591,14 @@ class FloquetSolution:
     @property
     def steps(self) -> int:
         return self.period.steps
+
+    @property
+    def grids(self) -> tuple:
+        return self.period.grids
+
+    @property
+    def error_estimate(self) -> float:
+        return self.period.error_estimate
 
     def periods(self, times: np.ndarray) -> np.ndarray:
         """k = min(floor(t / P), K) at each of the ``times`` in the span."""
@@ -636,11 +644,11 @@ def solve_floquet(
     the roundoff misses, no finer period helps, and ``ConvergenceError`` is
     raised, as where the period's step doubling raises it.
     ``error_estimate`` is the largest composed estimate and ``grids`` the
-    period's step counts, in order.
+    period's step counts, in order: the solution returned is the one the
+    check composed for the accepted pair, with the values it composed.
     """
     _check_tolerances(rtol, atol)
     cycles = float(end // period)
-    composed = {}
 
     def composed_check(*pair):
         solution, coarse_solution = (FloquetSolution(MagnusSolution(
@@ -658,16 +666,18 @@ def solve_floquet(
             )
         estimates = [np.maximum(np.abs(f - c) / 63.0, r)
                      for f, c, r in zip(fine, coarse, roundoff)]
-        composed.update(estimate=max(float(np.max(e)) for e in estimates), values=fine[1:])
-        return all(np.all(e <= limit) for e, limit in zip(estimates, limits))
+        if not all(np.all(e <= limit) for e, limit in zip(estimates, limits)):
+            return None
+        solution.period.error_estimate = max(float(np.max(e)) for e in estimates)
+        return solution, fine[1:]
 
-    (nodes, values), _, grids = _refine(
+    (solution, values), _, grids = _refine(
         lambda grid: propagate_magnus(generator, grid), [0.0, period],
         initial_step / cycles ** (1.0 / 6.0), rtol / cycles, atol / cycles,
         FIRST_GRID_STEPS, composed_check,
     )
-    solution = MagnusSolution(generator, nodes, *values, composed["estimate"], grids)
-    return FloquetSolution(solution, end), composed["values"]
+    solution.period.grids = grids
+    return solution, values
 
 
 def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:

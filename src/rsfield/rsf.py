@@ -5,10 +5,11 @@ An N-mode bosonic state is summarized by three nested moment sets:
 * reduced field (r, alpha):     r_kk' = <a_k'^dag a_k>, alpha_k = <a_k>;
   r is the single-particle density matrix (Hermitian, PSD, diagonal =
   mode occupations), alpha the averaged field.
-* conjugate field (c, alpha*):  c_kk' = <a_k' a_k> (symmetric) and the
-  conjugate amplitude.  These are the anomalous moments the reduced
-  field deliberately discards; a general Bogoliubov map couples the two
-  sets, which is exactly what the classicality predicates detect.
+* conjugate field c:            c_kk' = <a_k' a_k> (symmetric).  These are
+  the anomalous moments the reduced field deliberately discards; a
+  general Bogoliubov map couples the two sets, which is exactly what the
+  classicality predicates detect.  The conjugate amplitude is
+  conj(alpha), read from the reduced field of the same state.
 * generalized field (g, A):     the 2N-dimensional assembly
 
       g = [[r, c], [conj(c), transpose(r) + 1]],   A = alpha (+) conj(alpha),
@@ -93,21 +94,17 @@ class ReducedField:
 
 @dataclass(frozen=True, eq=False)
 class ConjugateField:
-    """Anomalous moments ``c_kk' = <a_k' a_k>`` and conjugate amplitude."""
+    """Anomalous moments ``c_kk' = <a_k' a_k>``."""
 
     c: np.ndarray
-    alpha_star: np.ndarray
 
     def __post_init__(self):
         c = require_square(np.array(self.c, dtype=complex), "c")
         scale = max_abs(c)  # tested finite first, so that no inf - inf is formed
         if not (math.isfinite(scale) and max_abs(c - c.T) <= HERMITIAN_TOL * (1.0 + scale)):
             raise InvalidMomentsError("anomalous moment matrix is not finite and symmetric")
-        alpha_star = _as_vector(self.alpha_star, c.shape[0], "alpha_star")
         c.setflags(write=False)
-        alpha_star.setflags(write=False)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "alpha_star", alpha_star)
 
     @property
     def n_modes(self) -> int:
@@ -157,10 +154,7 @@ class GeneralizedField:
         r = 0.5 * (self.g[:n, :n] + self.g[:n, :n].conj().T)
         c = 0.5 * (self.g[:n, n:] + self.g[n:, :n].conj().T)
         c = 0.5 * (c + c.T)
-        return (
-            ReducedField(r, self.a_vec[:n]),
-            ConjugateField(c, self.a_vec[n:]),
-        )
+        return ReducedField(r, self.a_vec[:n]), ConjugateField(c)
 
 
 def vacuum(n_modes: int) -> tuple[ReducedField, ConjugateField]:
@@ -168,8 +162,7 @@ def vacuum(n_modes: int) -> tuple[ReducedField, ConjugateField]:
     if n_modes < 1:
         raise DimensionMismatchError("need at least one mode")
     z = np.zeros((n_modes, n_modes), dtype=complex)
-    zv = np.zeros(n_modes, dtype=complex)
-    return ReducedField(z, zv), ConjugateField(z, zv)
+    return ReducedField(z, np.zeros(n_modes, dtype=complex)), ConjugateField(z)
 
 
 def _generalized_arrays(
@@ -193,7 +186,7 @@ def from_state_moments(
     """Assemble the generalized field from (r, alpha, c) of one state."""
     try:
         rf = ReducedField(r, alpha)
-        cf = ConjugateField(c, np.conj(rf.alpha))
+        cf = ConjugateField(c)
     except (NonHermitianError, NotPhysicalError, InvalidMomentsError) as exc:
         raise InvalidMomentsError(f"invalid state moments: {exc}") from exc
     return GeneralizedField(*_generalized_arrays(rf.r, rf.alpha, cf.c))
@@ -231,11 +224,6 @@ def transform_closed(
     n = rf.n_modes
     if cf.n_modes != n or m.n_modes != n:
         raise DimensionMismatchError("field/map mode counts differ")
-    if max_abs(cf.alpha_star - np.conj(rf.alpha)) > 1e-10 * (1.0 + max_abs(rf.alpha)):
-        raise InvalidMomentsError(
-            "conjugate amplitude does not match the reduced field's amplitude; "
-            "the two moment sets must describe one state"
-        )
     xu, xd = m.x_up, m.x_down
     r = (
         xu @ rf.r @ xu.conj().T
@@ -243,7 +231,7 @@ def transform_closed(
         + xd @ cf.c.conj().T @ xu.conj().T
         + xd @ (rf.r.T + np.eye(n)) @ xd.conj().T
     )
-    alpha = xu @ rf.alpha + xd @ cf.alpha_star
+    alpha = xu @ rf.alpha + xd @ np.conj(rf.alpha)
     return ReducedField(0.5 * (r + r.conj().T), alpha)
 
 
@@ -263,7 +251,7 @@ def reduce_to_system(
     c_s = cf.c[:n_sys, :n_sys]
     return (
         ReducedField(r_s, rf.alpha[:n_sys]),
-        ConjugateField(c_s, cf.alpha_star[:n_sys]),
+        ConjugateField(c_s),
         rf.r[:n_sys, n_sys:].copy(),
         cf.c[:n_sys, n_sys:].copy(),
     )

@@ -52,16 +52,16 @@ def random_physical_fields(
         r = 0.5 * (r + r.conj().T)
         c = c + np.outer(alpha, alpha)
         c = 0.5 * (c + c.T)
-    return ReducedField(r, alpha), ConjugateField(c, alpha.conj())
+    return ReducedField(r, alpha), ConjugateField(c)
 
 
-def dop853(rhs, y0, t_span, times, rtol=1e-13, atol=1e-15):
-    """States of dy/dt = rhs(t, y) at ``times`` (within ``t_span``) from scipy's
+def dop853(rhs, y0, span, times, rtol=1e-13, atol=1e-15):
+    """States of dy/dt = rhs(t, y) at ``times`` (within ``span``) from scipy's
     adaptive DOP853 and its dense output, shape ``(len(times), dim)``."""
     y0 = np.asarray(y0, dtype=complex)
-    if t_span[1] == t_span[0]:
+    if span[1] == span[0]:
         return np.tile(y0, (len(times), 1))
-    res = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=rtol, atol=atol, dense_output=True)
+    res = solve_ivp(rhs, span, y0, method="DOP853", rtol=rtol, atol=atol, dense_output=True)
     assert res.success, res.message
     return res.sol(np.asarray(times, dtype=float)).T
 

@@ -120,7 +120,7 @@ class TestBogoliubovFamily:
             return np.diag(np.sinh(kappa * t)).astype(complex)
 
         for t in (0.2, 0.9, 1.7):
-            gens = extract_open_generators(xs, xc, t, fd_step=1e-6)
+            gens = extract_open_generators(xs, xc, t)
             assert max_abs(gens.gamma_down) < 1e-7
             expected_up = np.diag(2.0 * kappa * np.tanh(kappa * t))
             assert max_abs(gens.gamma_up - expected_up) < 1e-7
@@ -132,7 +132,7 @@ class TestKineticsEquivalence:
         rf, _ = vacuum(1)
         samples = np.linspace(0.0, 1.0, 6)
         r, alpha = integrate_kinetics(
-            rf, amplifier_generators(spec), (0.0, 1.0), samples, rtol=1e-11, atol=1e-13
+            rf, amplifier_generators(spec), 0.0, samples, rtol=1e-11, atol=1e-13
         )
         for t, r_k in zip(samples, r):
             closed_r, _ = amplified_rsf(spec, rf, t)
@@ -144,7 +144,7 @@ class TestKineticsEquivalence:
         rf, _ = vacuum(1)
         samples = [0.25, 0.75, 1.0]
         r, alpha = integrate_kinetics(
-            rf, amplifier_generators(spec), (0.0, 1.0), samples, rtol=1e-11, atol=1e-13
+            rf, amplifier_generators(spec), 0.0, samples, rtol=1e-11, atol=1e-13
         )
         for t, r_k in zip(samples, r):
             closed_r, _ = amplified_rsf(spec, rf, t)
@@ -156,7 +156,7 @@ class TestKineticsEquivalence:
         rf, _ = random_physical_fields(2, rng)
         samples = [0.3, 0.6, 1.0]
         r, alpha = integrate_kinetics(
-            rf, amplifier_generators(spec), (0.0, 1.0), samples, rtol=1e-11, atol=1e-13
+            rf, amplifier_generators(spec), 0.0, samples, rtol=1e-11, atol=1e-13
         )
         for t, r_k, alpha_k in zip(samples, r, alpha):
             closed_r, closed_alpha = amplified_rsf(spec, rf, t)

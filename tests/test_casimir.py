@@ -500,7 +500,7 @@ class TestClosedFormGenerators:
         def member(k):
             return lambda t: casimir._family(sol.at(t))[k]
 
-        ext = extract_open_generators(member(0), member(1), float(sol.times[13]), fd_step=1e-5)
+        ext = extract_open_generators(member(0), member(1), float(sol.times[13]))
         assert abs(h[13] - ext.h[0, 0]) < 1e-5
         assert abs(gamma_up[13] - ext.gamma_up[0, 0]) < 1e-5
 
@@ -711,7 +711,7 @@ class TestKineticsRoundTrip:
         rf0, _ = vacuum(1)
         gen = casimir_generator_callback(sol)
         r, _ = integrate_kinetics(
-            rf0, gen, (0.0, 10.0), [5.0, 10.0], rtol=1e-12, atol=1e-14
+            rf0, gen, 0.0, [5.0, 10.0], rtol=1e-12, atol=1e-14
         )
         n_direct = abs(sol.at(5.0).f_rm) ** 2
         assert abs(r[0][0, 0].real - n_direct) <= 1e-6 * max(n_direct, 1e-12)
@@ -726,7 +726,7 @@ class TestKineticsRoundTrip:
         def gen(t):
             return casimir_generators_extracted(sol, t)
 
-        r, _ = integrate_kinetics(rf0, gen, (0.0, 6.0), [6.0], rtol=1e-11, atol=1e-13)
+        r, _ = integrate_kinetics(rf0, gen, 0.0, [6.0], rtol=1e-11, atol=1e-13)
         n_final = sol.density()[-1]
         assert abs(r[0][0, 0].real - n_final) <= 1e-6 * n_final
 
@@ -1042,6 +1042,43 @@ class TestFloquetRoute:
         for name in ("f_rp", "f_rm", "phi"):
             x, y = getattr(sol, name), getattr(direct, name)
             assert np.all(np.abs(x - y) <= 1e-13 + 1e-11 * np.abs(y))
+
+    @pytest.mark.parametrize("s", [
+        w3_scenario(600.0), sinusoid_scenario(theta=np.pi / 2, beta0=0.6, drive=0.98, t_end=400.0),
+    ], ids=["w3_t600", "composed_miss"])
+    def test_composes_the_accepted_pair_once(self, monkeypatch, s):
+        # every grid propagated takes one prefix scan per chunk of steps, and
+        # every pair whose period nodes pass composes both of its solutions,
+        # one scan of the K monodromy powers each; the accepted pair's fine
+        # solution is the one returned, so no further scan follows
+        scans, built = [], []
+        prefix, init = numerics._prefix_products, numerics.FloquetSolution.__init__
+
+        def counting_scan(maps, u0):
+            scans.append(maps.shape[-1])
+            return prefix(maps, u0)
+
+        def counting_init(self, period, end):
+            built.append(self)
+            init(self, period, end)
+
+        monkeypatch.setattr(numerics, "_prefix_products", counting_scan)
+        monkeypatch.setattr(numerics.FloquetSolution, "__init__", counting_init)
+        sol = solve_modes(s, 201, rtol=1e-11, atol=1e-13)
+        grids = sol.propagator.grids
+        assert len(scans) == sum(math.ceil(g / numerics.MAGNUS_CHUNK) for g in grids) + len(built)
+        assert sol.propagator is built[-2]  # each check builds the fine solution first
+        # the values are those of a solution built again from the accepted
+        # period, bit for bit
+        period = sol.propagator.period
+        again = numerics.FloquetSolution(numerics.MagnusSolution(
+            casimir._mode_generator(s), period.nodes, period.u, period.integral,
+            sol.error_estimate, grids), s.t_end)
+        assert np.array_equal(again.powers, sol.propagator.powers)
+        (f_rp, v), phi = again.at(sol.times)
+        assert np.array_equal(f_rp, sol.f_rp) and np.array_equal(np.conj(v), sol.f_rm)
+        assert np.array_equal(phi, sol.phi)
+        assert sol.error_estimate > 0.0 and len(grids) >= 2
 
 
 # solves whose first grid the floor numerics.FIRST_GRID_STEPS raises, or not

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -114,6 +115,21 @@ MALFORMED = [
     ("fock-check", {"cutoff": True}),
 ]
 
+# configs with a key that nothing would read, (command, change, key): each
+# exits 2 naming the key
+_SINUSOID = {"kind": "sinusoid", "beta0": 0.2, "drive_frequency": 2.0}
+UNREAD = [
+    ("casimir", {"profile": {**_SINUSOID, "duration": 3.0}}, "duration"),
+    ("casimir", {"profile": {**_SINUSOID, "ramp_time": 3.0}}, "ramp_time"),
+    ("extract", {"profile": {**_SINUSOID, "hold_time": 1.0}}, "hold_time"),
+    ("casimir", {"profile": {"kind": "constant", "beta0": 0.2, "drive_frequency": 2.0}},
+     "drive_frequency"),
+    ("casimir", {"sweep": {"omega": [1.0]}}, "sweep"),
+    ("extract", {"sweep": {"omega": [1.0]}}, "sweep"),
+    ("sweep", {"profile": {"kind": "smooth_pulse", "beta0": 0.2, "duration": 10.0},
+               "sweep": {"drive_frequency": [1.0, 2.0]}}, "drive_frequency"),
+]
+
 # the media of test_overflowing_medium_exits_two, (key, value)
 OVERFLOWING = [
     ("refractive_index", 1e160),
@@ -189,7 +205,7 @@ class TestConfigValidation:
             profile=VelocityProfile(**cfg["profile"]), t_end=cfg["t_end"], sigma=sigma,
         )
         assert parsed["scenario"] == expected
-        assert sorted(parsed) == ["abs_tol", "out_dir", "rel_tol", "samples", "scenario", "sweep"]
+        assert sorted(parsed) == ["abs_tol", "out_dir", "rel_tol", "samples", "scenario"]
 
     def test_exit_code_two_on_bad_config(self, tmp_path, capsys):
         p = tmp_path / "c.json"
@@ -201,6 +217,28 @@ class TestConfigValidation:
 
 
 class TestRunCasimir:
+    @pytest.mark.parametrize("change", [
+        {"omega": 0.233, "theta": 2.56, "t_end": 0.00708,
+         "profile": {"kind": "smooth_pulse", "beta0": 0.3, "duration": 0.00775}},
+        {"theta": 0.9, "t_end": 14.0, "samples": 201,
+         "profile": {"kind": "linear_ramp_windowed", "beta0": 0.3, "ramp_time": 1e-3,
+                     "hold_time": 3.0}},
+        {"theta": 0.9, "t_end": 14.0, "samples": 201,
+         "profile": {"kind": "linear_ramp_windowed", "beta0": 0.3, "ramp_time": 1e-9,
+                     "hold_time": 3.0}},
+    ], ids=["short_pulse", "short_ramp", "sudden_ramp"])
+    def test_growth_law_step_follows_the_profile(self, tmp_path, capsys, change):
+        # a step of 5e-4 / omega was an eighth of the short pulse (residual
+        # 2.8e-9 against 2.3e-13) and spanned the short ramp's corner; from
+        # 5e-4 of the duration the pulse reads 3.0e-19.  The step stops at
+        # 5e-9 / omega, so the sudden ramp's roundoff stays below the limit
+        p = tmp_path / "c.json"
+        write_config(p, **change)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["casimir", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert code == 0, capsys.readouterr().out
+
     def test_constant_profile_run(self, tmp_path):
         p = tmp_path / "c.json"
         cfg = write_config(p, profile={"kind": "constant", "beta0": 0.2})
@@ -476,6 +514,35 @@ class TestRunAmplify:
         p.write_text(json.dumps({"kappa": [1.0], "m": [0.0], "rel_tol": 1e-30}), encoding="utf-8")
         assert main(["amplify", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "rel_tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kappa,m,limit", [
+        (0.37, 1e10, 4.5776367185723643e-07), (0.013, 3.2e10, 1.9264221191167552e-07),
+        (1.0, 1e12, cli.AMPLIFY_LIMIT),
+    ])
+    def test_limit_takes_the_rounded_rate(self, tmp_path, capsys, kappa, m, limit):
+        # the kinetic route grows at g = 2 kappa (1 + m) - 2 kappa m, which
+        # rounds by 2.3e-7 and 9.6e-8 in the first two and not at all in the
+        # third; the limit is twice t_end |g - 2 kappa| over the 1e-8 floor
+        p = tmp_path / "a.json"
+        p.write_text(json.dumps({"kappa": kappa, "m": m}), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["amplify", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+        assert f"  threshold: {limit!r}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kappa", [1.0, 0.001])
+    def test_rate_without_its_digits_exits_two(self, tmp_path, capsys, kappa):
+        # at m = 1e16, 2 kappa (1 + m) - 2 kappa m is 0 or a few ulps of
+        # 2 kappa m: the kinetic route no longer models the amplifier
+        p = tmp_path / "a.json"
+        p.write_text(json.dumps({"kappa": kappa, "m": 1e16}), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["amplify", "--config", str(p), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: config.m: the kinetic rate g ") and "lower m" in err
+        assert not (tmp_path / "o").exists()
 
 
 def _log_uniform(low: int, high: int):
@@ -928,6 +995,9 @@ class TestParseBeforeRun:
         *[("casimir", {key: value}, []) for key, value in OVERFLOWING],
         *OVERSIZED,
         *[("casimir", {key: value}, []) for key, value in ILL_CONDITIONED],
+        *[(command, change, []) for command, change, _ in UNREAD],
+        # a kind that is no string names no entry of casimir.PROFILE_KINDS
+        ("casimir", {"profile": {"kind": ["sinusoid"], "beta0": 0.2}}, []),
     ])
     def test_config_error_exits_before_the_runner(self, tmp_path, capsys, monkeypatch,
                                                   command, change, flags):
@@ -942,6 +1012,19 @@ class TestParseBeforeRun:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,change,key", UNREAD)
+    def test_unread_key_is_named(self, tmp_path, capsys, command, change, key):
+        # a key of another profile kind, a sweep outside the sweep command or
+        # a drive sweep of a profile with no drive would go unread
+        p = tmp_path / "c.json"
+        write_command_config(p, command, change)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(p), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert re.fullmatch(rf"config error: unknown key\(s\) in config[^\n]*: {key}\n",
+                            capsys.readouterr().err)
 
 
 class TestExtractCommand:
@@ -963,7 +1046,7 @@ class TestExtractCommand:
     def test_summary_names_the_worst_sample(self, tmp_path, monkeypatch, capsys):
         # the summary reads all_valid, worst_time and worst_witness off the
         # scan's arrays: the smaller witness of either rate, at its sample
-        def scan(times, gamma_up, gamma_down, floor=0.0):
+        def scan(gamma_up, gamma_down, floor=0.0):
             up = np.array([1.0, 0.5, -0.3, 0.2, 0.0])
             down = np.array([0.0, -0.4, 0.0, 0.1, 0.0])
             return up, down, np.array([True, False, False, True, True])
@@ -1066,6 +1149,24 @@ class TestCsvBytes:
         rows = [line.split(",") for line in summary[1:]]
         assert [row[-2] for row in rows] == ["ok", "error", "ok", "error"]
         assert [row[-3] for row in rows[1::2]] == ["nan", "nan"]
+
+
+class TestBenchHeaders:
+    def test_csv_headers_are_the_benchmarks(self, tmp_path):
+        # perfbench checks every op's CSV header against the column lists
+        # copied into perfbench/workloads.py; read (not imported or edited)
+        # here, so that a column change fails this test instead of every op
+        tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
+        bench = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                 and node.targets[0].id in ("CASIMIR_COLUMNS", "FOCK_COLUMNS")}
+        write_config(tmp_path / "c.json", samples=3, t_end=1.0)
+        assert main(["casimir", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path)]) == 0
+        assert main(["fock-check", "--out", str(tmp_path)]) == 0
+        for name, columns in (("casimir.csv", "CASIMIR_COLUMNS"), ("fock_check.csv", "FOCK_COLUMNS")):
+            header = (tmp_path / name).read_text(encoding="utf-8").splitlines()[0]
+            assert header.split(",") == bench[columns], name
+        assert list(cli.CSV_COLUMNS) == bench["CASIMIR_COLUMNS"]
 
 
 class TestImportHygiene:

@@ -187,11 +187,11 @@ class TestIntegrateKinetics:
             return stacks
 
         with pytest.raises(NonHermitianError):
-            integrate_kinetics(rf, gen, (0.0, 1.0), [1.0])
+            integrate_kinetics(rf, gen, 0.0, [1.0])
 
     def test_zero_generators_constant(self):
         rf = ReducedField(np.array([[0.5]], dtype=complex), np.array([0.2 + 0.1j]))
-        r, alpha = integrate_kinetics(rf, KineticGenerators.zeros(1), (0.0, 2.0), [0.0, 1.0, 2.0])
+        r, alpha = integrate_kinetics(rf, KineticGenerators.zeros(1), 0.0, [0.0, 1.0, 2.0])
         for r_k, alpha_k in zip(r, alpha):
             assert max_abs(r_k - rf.r) < 1e-12
             assert max_abs(alpha_k - rf.alpha) < 1e-12
@@ -199,7 +199,7 @@ class TestIntegrateKinetics:
     def test_vacuum_amplification_reaches_e2_minus_1(self):
         rf, _ = vacuum(1)
         gens = scalar_gens(g_up=2.0, g_dn=0.0)  # kappa=1, m=0
-        r, _ = integrate_kinetics(rf, gens, (0.0, 1.0), [1.0])
+        r, _ = integrate_kinetics(rf, gens, 0.0, [1.0])
         assert r[0][0, 0].real == pytest.approx(E2_MINUS_1, rel=1e-9)
 
     @pytest.mark.parametrize("g_up,g_dn,c", [
@@ -220,7 +220,7 @@ class TestIntegrateKinetics:
             gamma_up=np.array([[0.5, 0.2], [0.2, 0.3]], dtype=complex),
             gamma_down=np.zeros((2, 2)),
         )
-        r, _ = integrate_kinetics(rf, gens, (0.0, 2.0), np.linspace(0.0, 2.0, 9))
+        r, _ = integrate_kinetics(rf, gens, 0.0, np.linspace(0.0, 2.0, 9))
         traces = [np.trace(r_k).real for r_k in r]
         assert np.all(np.diff(traces) > -1e-12)
 
@@ -233,26 +233,26 @@ class TestIntegrateKinetics:
             gamma_down=np.zeros((2, 2)),
             scatterers=((1.0, haar_unitary(2, rng)),),
         )
-        r, _ = integrate_kinetics(rf, gens, (0.0, 3.0), [3.0])
+        r, _ = integrate_kinetics(rf, gens, 0.0, [3.0])
         assert np.trace(r[0]).real == pytest.approx(1.2, abs=1e-10)
 
     def test_positivity_loss_is_reported(self):
         rf, _ = vacuum(1)
         bad = scalar_gens(g_up=-1.0)  # indefinite creation rate
         with pytest.raises(PhysicalityLostError):
-            integrate_kinetics(rf, bad, (0.0, 1.0), [0.5, 1.0])
+            integrate_kinetics(rf, bad, 0.0, [0.5, 1.0])
 
     def test_positivity_loss_names_the_first_failing_sample(self):
         rf, _ = vacuum(1)
         bad = scalar_gens(g_up=-1.0)  # r(t) = exp(-t) - 1
         with pytest.raises(PhysicalityLostError, match=r"^positivity lost: negative mode "
                            r"occupation \(witness -3\.935e-01\) at t=0\.5 \(witness") as exc:
-            integrate_kinetics(rf, bad, (0.0, 1.0), [0.0, 0.5, 1.0])
+            integrate_kinetics(rf, bad, 0.0, [0.0, 0.5, 1.0])
         assert exc.value.time == 0.5 and exc.value.witness == pytest.approx(np.expm1(-0.5))
 
     def test_returns_the_field_as_two_stacks(self):
         rf = ReducedField(np.diag([0.5, 0.2]).astype(complex), np.array([0.2 + 0.1j, -0.3]))
-        r, alpha = integrate_kinetics(rf, KineticGenerators.zeros(2), (0.0, 1.0), [0.0, 0.5, 1.0])
+        r, alpha = integrate_kinetics(rf, KineticGenerators.zeros(2), 0.0, [0.0, 0.5, 1.0])
         assert type(r) is np.ndarray and r.shape == (3, 2, 2)
         assert type(alpha) is np.ndarray and alpha.shape == (3, 2)
 
@@ -265,12 +265,12 @@ class TestIntegrateKinetics:
         rf, _ = vacuum(1)
         monkeypatch.setattr(np.linalg, "eigvalsh", failing)
         with pytest.raises(ConvergenceError):
-            integrate_kinetics(rf, KineticGenerators.zeros(1), (0.0, 1.0), [1.0])
+            integrate_kinetics(rf, KineticGenerators.zeros(1), 0.0, [1.0])
 
     def test_rejects_samples_outside_span(self):
         rf = ReducedField(np.array([[0.5]], dtype=complex), np.array([0.2]))
-        with pytest.raises(DimensionMismatchError):
-            integrate_kinetics(rf, KineticGenerators.zeros(1), (0.0, 1.0), [0.5, 2.0])
+        with pytest.raises(DimensionMismatchError, match="before the start t0=1.0"):
+            integrate_kinetics(rf, KineticGenerators.zeros(1), 1.0, [0.5, 2.0])
 
     def test_constant_generators_match_dop853(self, rng):
         rf0, _ = random_physical_fields(2, rng)
@@ -282,7 +282,7 @@ class TestIntegrateKinetics:
             scatterers=((0.3, haar_unitary(2, rng)), (0.7, haar_unitary(2, rng))),
         )
         times = [0.0, 0.4, 1.1, 2.0]
-        r_k, alpha_k = integrate_kinetics(rf0, gens, (0.0, 2.0), times)
+        r_k, alpha_k = integrate_kinetics(rf0, gens, 0.0, times)
         ref = dop853_kinetics(rf0, lambda _t: gens, times)
         for s_r, s_alpha, (r, alpha) in zip(r_k, alpha_k, ref):
             assert max_abs(s_r - r) < 1e-11 * (1.0 + max_abs(r))
@@ -304,7 +304,7 @@ class TestIntegrateKinetics:
             return KineticGenerators(*(x[0] for x in gen(np.array([t]))))
 
         times = [0.0, 0.4, 1.1, 2.0]
-        r_k, alpha_k = integrate_kinetics(rf0, gen, (0.0, 2.0), times, rtol=1e-12, atol=1e-14)
+        r_k, alpha_k = integrate_kinetics(rf0, gen, 0.0, times, rtol=1e-12, atol=1e-14)
         ref = dop853_kinetics(rf0, gen_at, times)
         for s_r, s_alpha, (r, alpha) in zip(r_k, alpha_k, ref):
             assert max_abs(s_r - r) < 1e-10 * (1.0 + max_abs(r))
@@ -371,12 +371,12 @@ class TestExtractClosed:
 
         def gens(t):
             return stacked(
-                KineticGenerators(extract_closed_generator(fam, s, fd_step=1e-6),
+                KineticGenerators(extract_closed_generator(fam, s),
                                   np.zeros(2), np.zeros((2, 2)), np.zeros((2, 2)))
                 for s in t
             )
 
-        r, alpha = integrate_kinetics(rf0, gens, (0.0, 1.0), [0.5, 1.0], rtol=1e-10)
+        r, alpha = integrate_kinetics(rf0, gens, 0.0, [0.5, 1.0], rtol=1e-10)
         for t, r_k, alpha_k in zip((0.5, 1.0), r, alpha):
             x = fam(t)
             assert max_abs(r_k - x @ r0 @ x.conj().T) < 1e-7
@@ -389,7 +389,7 @@ class TestExtractOpen:
         xs = lambda t: np.array([[np.cosh(kappa * t)]], dtype=complex)
         xc = lambda t: np.array([[np.sinh(kappa * t)]], dtype=complex)
         t = 0.9
-        gens = extract_open_generators(xs, xc, t, fd_step=1e-6)
+        gens = extract_open_generators(xs, xc, t)
         expected = 2.0 * kappa * np.tanh(kappa * t)
         assert gens.gamma_up[0, 0].real == pytest.approx(expected, abs=1e-7)
         assert abs(gens.gamma_down[0, 0]) < 1e-7
@@ -399,7 +399,7 @@ class TestExtractOpen:
         omega = 1.4
         xs = lambda t: np.array([[np.exp(-1j * omega * t)]], dtype=complex)
         xc = lambda t: np.zeros((1, 1), dtype=complex)
-        gens = extract_open_generators(xs, xc, 0.6, fd_step=1e-6)
+        gens = extract_open_generators(xs, xc, 0.6)
         assert gens.h[0, 0].real == pytest.approx(omega, abs=1e-6)
         assert abs(gens.gamma_up[0, 0]) < 1e-8
         assert abs(gens.gamma_down[0, 0]) < 1e-8
@@ -421,7 +421,7 @@ class TestExtractOpen:
             )
 
         for t in (0.3, 0.8, 1.5):
-            gens = extract_open_generators(xs, xc, t, fd_step=1e-6)
+            gens = extract_open_generators(xs, xc, t)
             dx = central_difference(xs, t, 1e-6)
             y = dx @ np.linalg.inv(xs(t))
             y_r = y + y.conj().T
@@ -470,7 +470,7 @@ class TestExtractOpen:
             )
 
         times = [0.4, 1.0, 1.6]
-        r, alpha = integrate_kinetics(rf0, gens, (0.0, 1.6), times, rtol=1e-11, atol=1e-13)
+        r, alpha = integrate_kinetics(rf0, gens, 0.0, times, rtol=1e-11, atol=1e-13)
         for t, r_k, alpha_k in zip(times, r, alpha):
             x, c = xs(t), xc(t)
             expected_r = x @ r0 @ x.conj().T + c @ c.conj().T
@@ -481,7 +481,7 @@ class TestExtractOpen:
         xs = lambda t: np.array([[t]], dtype=complex)  # singular at t=0
         xc = lambda t: np.zeros((1, 1), dtype=complex)
         with pytest.raises(SingularMatrixError):
-            extract_open_generators(xs, xc, 0.0, fd_step=1e-6)
+            extract_open_generators(xs, xc, 0.0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
     @pytest.mark.parametrize("where", ["x_up_s", "x_down_c", "dx_up_s", "dx_down_c"])
@@ -531,53 +531,46 @@ class TestCheckedInverse:
 
 class TestValidityScan:
     def test_all_zero_trajectory_is_valid(self):
-        times = np.array([0.0, 1.0, 2.0])
         zeros = np.zeros((3, 2, 2), dtype=complex)
-        _, _, valid = validity_report(times, zeros, zeros)
+        _, _, valid = validity_report(zeros, zeros)
         assert valid.tolist() == [True, True, True]
 
     def test_amplifier_trajectory_valid(self):
-        times = np.linspace(0.0, 1.0, 5)
-        up, down, valid = validity_report(times, np.full((5, 1, 1), 2.0), np.full((5, 1, 1), 0.6))
+        up, down, valid = validity_report(np.full((5, 1, 1), 2.0), np.full((5, 1, 1), 0.6))
         assert valid.all()
         assert np.all(up == 2.0) and np.allclose(down, 0.6, rtol=1e-15, atol=0.0)
 
     def test_worst_time_reported(self):
         # the negative eigenvalue is returned at its sample, which alone fails
         # (run_extract reads its time and witness off these arrays)
-        times = np.array([0.0, 1.0, 2.0])
         gamma_up = np.array([1.0, -0.3, 0.5]).reshape(3, 1, 1)
-        up, down, valid = validity_report(times, gamma_up, np.zeros((3, 1, 1)))
+        up, down, valid = validity_report(gamma_up, np.zeros((3, 1, 1)))
         assert valid.tolist() == [True, False, True]
         assert up.tolist() == pytest.approx([1.0, -0.3, 0.5]) and down.tolist() == [0.0] * 3
 
     def test_floor_per_sample(self):
         # an eigenvalue of -1e-9 is roundoff where the floor covers it, and a
         # violation where only the relative 1e-10 (1 + max|gamma|) applies
-        times = np.array([0.0, 1.0, 2.0])
         gamma_down = np.full((3, 1, 1), -1e-9)
         up = np.zeros((3, 1, 1))
-        assert not validity_report(times, up, gamma_down)[2].any()
-        _, _, valid = validity_report(times, up, gamma_down, floor=np.array([2e-9, 5e-10, 2e-9]))
+        assert not validity_report(up, gamma_down)[2].any()
+        _, _, valid = validity_report(up, gamma_down, floor=np.array([2e-9, 5e-10, 2e-9]))
         assert valid.tolist() == [True, False, True]
-        assert validity_report(times, gamma_down, up, floor=2e-9)[2].all()
+        assert validity_report(gamma_down, up, floor=2e-9)[2].all()
 
     def test_matches_per_generator_witnesses(self, rng):
         # batched eigvalsh gives the witnesses KineticGenerators reports one by one
         z = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
         rates = z @ np.swapaxes(z, -1, -2).conj() - 1.5 * np.eye(3)
-        up, down, _ = validity_report(np.arange(6.0), rates, rates[::-1])
+        up, down, _ = validity_report(rates, rates[::-1])
         for i in range(6):
             gen = KineticGenerators(np.zeros((3, 3)), np.zeros(3), rates[i], rates[5 - i])
             assert np.allclose([up[i], down[i]], gen.psd_witnesses(), rtol=0.0, atol=1e-12)
 
     def test_rejects_bad_inputs(self):
-        ok = np.zeros((3, 1, 1))
         with pytest.raises(DimensionMismatchError):
-            validity_report([0.0, 1.0], ok, ok)
-        with pytest.raises(DimensionMismatchError):
-            validity_report([0.0, 1.0, 1.0], ok, ok)
+            validity_report(np.zeros((3, 1, 1)), np.zeros((2, 1, 1)))
         skew = np.zeros((3, 2, 2), dtype=complex)
         skew[:, 0, 1] = 1.0
         with pytest.raises(NonHermitianError):
-            validity_report([0.0, 1.0, 2.0], skew, np.zeros((3, 2, 2)))
+            validity_report(skew, np.zeros((3, 2, 2)))

@@ -585,15 +585,16 @@ class TestSkippedDoublings:
 
     def test_turned_down_pair_doubles_on(self):
         # the hook sees only pairs whose nodes pass, and a pair it turns down
-        # is failed: the grid doubles on from it, on the same ladder
+        # (returns None for) is failed: the grid doubles on from it, on the
+        # same ladder; what it accepts a pair as is what _refine returns
         seen = []
 
         def accept(fine, coarse):
             seen.append((fine[0].size - 1, coarse[0].size - 1))
-            return fine[0].size - 1 >= 64
+            return fine[0] if fine[0].size - 1 >= 64 else None
 
-        (nodes, _), _, grids = numerics._refine(self._law, [0.0, 1.0], 1.0 / 8.0,
-                                                1e-6, 1e-12, accept=accept)
+        nodes, _, grids = numerics._refine(self._law, [0.0, 1.0], 1.0 / 8.0,
+                                           1e-6, 1e-12, accept=accept)
         assert seen == [(32, 16), (64, 32)]
         assert grids == (8, 16, 32, 64) and nodes.size == 65
 
@@ -604,7 +605,7 @@ class TestSkippedDoublings:
 
         def accept(fine, coarse):
             seen.append(fine[0].size - 1)
-            return len(seen) == 3
+            return fine if len(seen) == 3 else None
 
         _, estimate, grids = numerics._refine(lambda nodes: (np.ones(nodes.size),), [0.0, 1.0],
                                               1.0 / 8.0, 1e-6, 1e-12, accept=accept)
@@ -614,7 +615,7 @@ class TestSkippedDoublings:
         monkeypatch.setattr(numerics, "MAGNUS_MAX_STEPS", 256)
         with pytest.raises(ConvergenceError, match=r"^Magnus propagation not within .* at 256 steps"):
             numerics._refine(self._law, [0.0, 1.0], 1.0 / 8.0, 1e-6, 1e-12,
-                             accept=lambda fine, coarse: False)
+                             accept=lambda fine, coarse: None)
 
     def test_step_cap_binds_the_first_grid(self, monkeypatch):
         # a first grid past the cap is turned down before it is propagated,
