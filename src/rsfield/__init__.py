@@ -26,6 +26,7 @@ from .casimir import (
     closed_form_generators,
     extracted_generators,
     floquet_exponent,
+    growth_law_error,
     growth_law_residual,
     solve_modes,
 )
@@ -54,6 +55,7 @@ from .rsf import (
 )
 from .symplectic import (
     BogoliubovMap,
+    classicality,
     compose,
     from_blocks,
     identity_map,

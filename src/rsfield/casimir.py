@@ -68,10 +68,11 @@ carries its ``CasimirScenario`` (the run's one parameter object, whose
 ``coefficients`` gives delta, alpha, Delta, eta_pm and the phase rate at
 any time), evaluated over the whole sample axis:
 ``ModeSolution.density``, ``casimir_maps``, ``closed_form_generators``,
-``extracted_generators`` and ``growth_law_residual``.  The dense output ``sol.at(t)`` is the same
-solution at other times, so for ``integrate_kinetics``
-``casimir_generator_callback`` and ``casimir_generators_extracted`` apply
-the same functions to ``sol.at(t)`` at arrays of node times;
+``extracted_generators`` and ``growth_law_residual`` (with
+``growth_law_error``, its stencils' difference error at chosen samples).
+The dense output ``sol.at(t)`` is the same solution at other times, so
+for ``integrate_kinetics`` ``casimir_generator_callback`` and
+``casimir_generators_extracted`` apply the same functions to ``sol.at(t)`` at arrays of node times;
 ``casimir_map`` is the validated, raising ``BogoliubovMap`` at one sample.
 ``solve_modes`` and ``casimir_maps`` leave their residuals unchecked, for
 the CLI's gate table (``cli._gates``).
@@ -600,6 +601,50 @@ def casimir_generators_extracted(sol: ModeSolution, t) -> tuple:
     return h, np.zeros(h.shape[:-1], dtype=complex), up, down
 
 
+def _growth_stencils(sol: ModeSolution) -> tuple:
+    """The growth law's step h and each sample's stencil side."""
+    s = sol.scenario
+    # 5e-4 of the shortest time scale: 1 / omega, 1 / drive_frequency, or a
+    # duration that the profile's kind reads (a zero hold is none) down to
+    # 1e-5 / omega.  Outside a short pulse or ramp n changes at about the rate
+    # omega, and there a step below 5e-9 / omega leaves a roundoff of about
+    # 11 eps n / h, past the gate's 1e-6 relative.  t_end / 8 keeps a
+    # one-sided 5-point stencil inside the span
+    rates = [s.omega]
+    for key in PROFILE_KINDS[s.profile.kind]:
+        value = getattr(s.profile, key)
+        if key == "drive_frequency":
+            rates.append(value)
+        elif value > 0:
+            rates.append(min(1.0 / value, 1e5 * s.omega))
+    h = min(5e-4 / max(rates), s.t_end / 8.0)
+    t = sol.times
+    # stencil t + k h: one-sided forward (side 1) at the start, backward (side -1)
+    # at the end, central (side 0, four points) elsewhere
+    side = np.where(t - 2 * h < 0.0, 1, np.where(t + 2 * h > s.t_end, -1, 0))
+    for kink in s.profile.kinks():
+        # a central stencil across a kink misses the growth law; go one-sided
+        # on the sample's own side, or the other side where that one would
+        # leave the span (the other side then fits, since t_end >= 8 h)
+        own = np.where(t < kink, -1, 1)
+        own = np.where((t + 4 * h * own < 0.0) | (t + 4 * h * own > s.t_end), -own, own)
+        side = np.where((side == 0) & (np.abs(t - kink) < 2 * h), own, side)
+    return h, side
+
+
+def _density_rates(sol: ModeSolution, t: np.ndarray, side: np.ndarray, h: float) -> np.ndarray:
+    """d n/dT at the times ``t`` by the fourth-order stencils t + k h of ``side``
+    on the dense |f_R-(t)|^2; only the points a stencil reads are evaluated."""
+    k = np.where(side[:, None] != 0, side[:, None] * np.arange(5), [-2, -1, 1, 2, 0])
+    read = np.ones(k.shape, dtype=bool)
+    read[side == 0, 4] = False
+    density = np.zeros(k.shape)
+    density[read] = sol.at((t[:, None] + k * h)[read]).density()
+    f0, f1, f2, f3, f4 = density.T
+    one_sided = (-25 * f0 + 48 * f1 - 36 * f2 + 16 * f3 - 3 * f4) / (12 * h)
+    return np.where(side == 0, (f0 - 8 * f1 + 8 * f2 - f3) / (12 * h), side * one_sided)
+
+
 def growth_law_residual(
     sol: ModeSolution, gamma_up: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -616,41 +661,17 @@ def growth_law_residual(
     closed-form rates at the samples (``closed_form_generators``) from a
     caller that already has them.
     """
-    s = sol.scenario
-    # 5e-4 of the shortest time scale: 1 / omega, 1 / drive_frequency, or a
-    # duration that the profile's kind reads (a zero hold is none) down to
-    # 1e-5 / omega.  Outside a short pulse or ramp n changes at about the rate
-    # omega, and there a step below 5e-9 / omega leaves a roundoff of about
-    # 11 eps n / h, past the gate's 1e-6 relative.  t_end / 8 keeps a
-    # one-sided 5-point stencil inside the span
-    rates = [s.omega]
-    for key in PROFILE_KINDS[s.profile.kind]:
-        value = getattr(s.profile, key)
-        if key == "drive_frequency":
-            rates.append(value)
-        elif value > 0:
-            rates.append(min(1.0 / value, 1e5 * s.omega))
-    h = min(5e-4 / max(rates), s.t_end / 8.0)
     if gamma_up is None:
         _, gamma_up = closed_form_generators(sol)
-    t = sol.times
-    # stencil t + k h: one-sided forward (side 1) at the start, backward (side -1)
-    # at the end, central (side 0, four points) elsewhere
-    side = np.where(t - 2 * h < 0.0, 1, np.where(t + 2 * h > s.t_end, -1, 0))
-    for kink in s.profile.kinks():
-        # a central stencil across a kink misses the growth law; go one-sided
-        # on the sample's own side, or the other side where that one would
-        # leave the span (the other side then fits, since t_end >= 8 h)
-        own = np.where(t < kink, -1, 1)
-        own = np.where((t + 4 * h * own < 0.0) | (t + 4 * h * own > s.t_end), -own, own)
-        side = np.where((side == 0) & (np.abs(t - kink) < 2 * h), own, side)
-    k = np.where(side[:, None] != 0, side[:, None] * np.arange(5), [-2, -1, 1, 2, 0])
-    # only the points a stencil reads are evaluated, each on its own
-    read = np.ones(k.shape, dtype=bool)
-    read[side == 0, 4] = False
-    density = np.zeros(k.shape)
-    density[read] = sol.at((t[:, None] + k * h)[read]).density()
-    f0, f1, f2, f3, f4 = density.T
-    one_sided = (-25 * f0 + 48 * f1 - 36 * f2 + 16 * f3 - 3 * f4) / (12 * h)
-    rates = np.where(side == 0, (f0 - 8 * f1 + 8 * f2 - f3) / (12 * h), side * one_sided)
+    h, side = _growth_stencils(sol)
+    rates = _density_rates(sol, sol.times, side, h)
     return rates, np.abs(rates - gamma_up * (sol.density() + 1.0))
+
+
+def growth_law_error(sol: ModeSolution, rates: np.ndarray, index) -> np.ndarray:
+    """The difference error of ``growth_law_residual``'s ``rates`` at the
+    samples ``index``: each sample's stencil is taken again at h/2, on the
+    same side, and the fourth-order estimate is 16/15 |rate(h) - rate(h/2)|."""
+    h, side = _growth_stencils(sol)
+    half = _density_rates(sol, sol.times[index], side[index], 0.5 * h)
+    return np.abs(rates[index] - half) * (16.0 / 15.0)

@@ -25,18 +25,18 @@ that a typo in a physics parameter cannot silently fall back to a
 default, and so is a key that the run would not read: a profile key of
 another kind, or a ``sweep`` outside the ``sweep`` command.  Every CSV
 goes through ``csvtext.write_csv``, which writes each
-float exactly as ``f"{v:.17g}"``: a table of 256 or more floats and booleans
-gets its digits from numpy, and Python formats a smaller table and any value
-next to a rounding tie, non-finite, or nonzero outside [1e-280, 1e280].  The
-integrator is deterministic, so identical configs produce bitwise
-identical CSVs.  A run is one dict of column arrays, from the solution to
+float exactly as ``f"{v:.17g}"``: a table of floats and booleans gets its
+digits from numpy, and Python formats a table with a str or int column and
+any value next to a rounding tie, non-finite, or nonzero outside
+[1e-280, 1e280].  The integrator is deterministic, so identical configs
+produce bitwise identical CSVs.  A run is one dict of column arrays, from the solution to
 the CSV and the summary; ``_gates`` compares every invariant with its limit,
 and a violating run still writes both before it names the invariant, value,
 limit and time.  The CCR and symplectic limits, and the roundoff floor
 of the extraction-rate limits, are
 ``symplectic.roundoff_limit``, the limit the library's ``BogoliubovMap``
 uses: 1e-8, or 256 eps times the photon-number scale where that is larger;
-the classicality columns are ``symplectic.classical_mask``'s.
+the classicality columns and gates are ``symplectic.classicality``'s.
 Every numeric config key goes through ``_number``, so a malformed value is
 a configuration error; ``parse_casimir_config`` turns the scenario keys
 into the run's one ``CasimirScenario``, which a sweep point varies.  Exit status: 0 all checks passed, 1 an invariant or
@@ -66,6 +66,7 @@ from .casimir import (
     closed_form_generators,
     extracted_generators,
     floquet_exponent,
+    growth_law_error,
     growth_law_residual,
     solve_modes,
 )
@@ -86,7 +87,7 @@ from .fock import (
 from .kinetics import integrate_kinetics, validity_report
 from .numerics import matrix_max
 from .rsf import expect_additive, vacuum
-from .symplectic import SYMPLECTIC_TOL, classical_mask, identity_map, roundoff_limit
+from .symplectic import SYMPLECTIC_TOL, classicality, identity_map, roundoff_limit
 
 EXTRACTION_LIMIT = 1e-7  # relative to omega
 GAMMA_DOWN_LIMIT = 1e-8  # relative to omega
@@ -258,15 +259,15 @@ class Gate:
 
 
 def _gate(times: np.ndarray, residual, limit) -> Gate:
-    """``residual`` against ``limit`` at every sample; ``residual`` may stack
-    several residuals, ``(k, samples)``.  A zero limit takes a verdict column
-    (1 where the sample fails); its first failing sample is the worst."""
+    """``residual`` against ``limit`` (a scalar or one per sample) at every
+    sample; the worst sample is the one of largest |residual| / limit, where
+    a limit that underflowed to zero ranks a nonzero residual first."""
     res = np.asarray(residual, dtype=float)
     mag = np.abs(res)
     lim = np.broadcast_to(np.asarray(limit, dtype=float), res.shape)
     ratio = np.divide(mag, lim, out=np.where(mag > 0.0, np.inf, 0.0), where=lim > 0.0)
-    worst = np.unravel_index(np.argmax(ratio), res.shape)
-    return Gate(float(res[worst]), float(lim[worst]), float(times[worst[-1]]))
+    worst = int(np.argmax(ratio))
+    return Gate(float(res[worst]), float(lim[worst]), float(times[worst]))
 
 
 def _rate_roundoff(cols: dict, omega: float, floor: float = 0.0) -> np.ndarray:
@@ -279,7 +280,6 @@ def _gates(cols: dict, omega: float) -> dict:
     """Every invariant of a ``casimir`` run as a ``Gate``, by name; the only
     place where one is compared with its limit."""
     t = cols["T"]
-    growth = max(GROWTH_LIMIT * float(np.max(np.abs(cols["_growth_rate"]))), 1e-12 * omega)
     return {
         "ccr_invariant": _gate(
             t, cols["ccr_residual"], roundoff_limit(cols["_photon_sum"], SYMPLECTIC_TOL),
@@ -288,7 +288,7 @@ def _gates(cols: dict, omega: float) -> dict:
             t, cols["_symplectic_residual"],
             roundoff_limit(cols["_map_scale"], SYMPLECTIC_TOL),
         ),
-        "open_classicality": _gate(t, ~cols["classical_open"], 0.0),
+        "open_classicality": _gate(t, cols["_open_residual"], cols["_open_limit"]),
         "extraction_h_agreement": _gate(
             t, cols["h"] - cols["h_extracted"], EXTRACTION_LIMIT * omega,
         ),
@@ -300,7 +300,7 @@ def _gates(cols: dict, omega: float) -> dict:
             t, cols["gamma_down_extracted"],
             _rate_roundoff(cols, omega, GAMMA_DOWN_LIMIT * omega),
         ),
-        "growth_law": _gate(t, cols["growth_residual"], growth),
+        "growth_law": _gate(t, cols["growth_residual"], cols["_growth_limit"]),
     }
 
 
@@ -321,16 +321,22 @@ def _casimir_columns(sol: ModeSolution) -> dict:
     ``casimir`` and ``extract`` both select their CSV columns from it, and
     the names starting with ``_`` feed only the gates and the summary."""
     x, symplectic = casimir_maps(sol)
-    # the map's entries are f_R+ and f_R- times unit phases, in the system
-    # row and the environment row alike, so both of its scales, as in
-    # ``symplectic.BogoliubovMap``, are max(|f_R+|^2, |f_R-|^2);
+    # max|X_ij|^2 scales the symplectic limit, as in ``symplectic.BogoliubovMap``;
     # |f_R+|^2 + |f_R-|^2 scales the CCR and extraction-rate limits
     f_lp, f_lm = sol.f_lp, sol.f_lm
     rp, rm = (f.real ** 2 + f.imag ** 2 for f in (sol.f_rp, sol.f_rm))
-    scale = np.maximum(rp, rm)
+    closed_residual, closed_limit = classicality(x, 2)
+    open_residual, open_limit = classicality(x, 1)
     h, gamma_up = closed_form_generators(sol)
     ext_h, ext_up, ext_down = extracted_generators(sol)
     growth_rate, growth_residual = growth_law_residual(sol, gamma_up=gamma_up)
+    growth_limit = np.full(growth_rate.shape, max(
+        GROWTH_LIMIT * float(np.max(np.abs(growth_rate))), 1e-12 * sol.scenario.omega))
+    # a sample past the limit adds its stencil's difference error to it; a
+    # passing run evaluates no further stencil
+    over = np.flatnonzero(growth_residual > growth_limit)
+    if over.size:
+        growth_limit[over] += growth_law_error(sol, growth_rate, over)
     return {
         "T": sol.times,
         "re_fRp": sol.f_rp.real, "im_fRp": sol.f_rp.imag,
@@ -346,12 +352,15 @@ def _casimir_columns(sol: ModeSolution) -> dict:
         "gamma_up_extracted": ext_up[:, 0, 0].real,
         "gamma_down_extracted": ext_down[:, 0, 0].real,
         "growth_residual": growth_residual,
-        "classical_closed": classical_mask(x, 2),
-        "classical_open": classical_mask(x, 1),
+        "classical_closed": closed_residual <= closed_limit,
+        "classical_open": open_residual <= open_limit,
+        "_open_residual": open_residual,
+        "_open_limit": open_limit,
         "_symplectic_residual": symplectic,
-        "_map_scale": scale,
+        "_map_scale": matrix_max(np.abs(x)) ** 2,
         "_photon_sum": rp + rm,
         "_growth_rate": growth_rate,
+        "_growth_limit": growth_limit,
     }
 
 

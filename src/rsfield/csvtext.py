@@ -1,10 +1,10 @@
 """CSV text of column tables, with every float exactly as ``f"{v:.17g}"``.
 
 CPython prints a float with 17 significant digits through its bignum
-``dtoa``, about 0.8 us per value.  A table of floats and booleans with at
-least ``SMALL_TABLE`` values takes its text from a few numpy passes instead,
-byte for byte the same; a smaller table, or one with other columns, is
-written one value at a time.
+``dtoa``, about 0.8 us per value.  A table of floats and booleans takes its
+text from a few numpy passes instead, byte for byte the same, whatever its
+size; a table with any other column (str or int) is written one value at a
+time.
 
 * **Digits.**  For a finite x with |x| in ``RANGE`` and k = floor(log10 |x|),
   the 17 digits are the integer D = round-half-even(|x| 10^(16-k)).  The
@@ -32,7 +32,6 @@ from pathlib import Path
 
 import numpy as np
 
-SMALL_TABLE = 256  # values; a smaller table is written one value at a time
 CHUNK = 4096  # values per pass, which bounds the temporaries
 TIE_MARGIN = 1e-6
 RANGE = (1e-280, 1e280)
@@ -223,8 +222,7 @@ def write_csv(path: Path, columns: dict) -> None:
     arrays = [np.asarray(v) for v in columns.values()]
     with open(path, "wb") as fh:
         fh.write((",".join(columns) + "\n").encode())
-        kinds = {v.dtype.kind for v in arrays}
-        if sum(v.size for v in arrays) < SMALL_TABLE or not kinds <= {"f", "b"}:
+        if not {v.dtype.kind for v in arrays} <= {"f", "b"}:
             lines = zip(*map(_words, arrays))
             fh.write("".join(",".join(line) + "\n" for line in lines).encode())
             return

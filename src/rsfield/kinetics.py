@@ -106,7 +106,7 @@ class KineticGenerators:
     Hermiticity of h and the rates, unitarity of the scatterers and the
     eta-sum rule are enforced at construction.  Positivity of the rates
     is *not*: extracted generators may legitimately fail it, and
-    ``psd_witnesses`` / ``validity_report`` expose the verdict.
+    ``validity_report`` exposes the verdict.
     """
 
     h: np.ndarray
@@ -152,10 +152,6 @@ class KineticGenerators:
     @property
     def n_modes(self) -> int:
         return self.h.shape[0]
-
-    def psd_witnesses(self) -> tuple[float, float]:
-        """Smallest eigenvalues of (gamma_up, gamma_down)."""
-        return tuple(is_psd(np.stack([self.gamma_up, self.gamma_down]), 0.0)[1])
 
 
 def kinetic_rhs(
@@ -329,7 +325,8 @@ def extract_closed_generator(
     t: float,
     dx_up: Callable[[float], np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Hamiltonian of a smooth passive family: h = (i/2)(Y - Y^dag).
+    """Hamiltonian of a smooth passive family: h = (i/2)(Y - Y^dag), the
+    open-system h of ``open_generator_arrays`` with X_down_C = 0.
 
     ``x_up`` must evaluate to a unitary matrix near ``t`` (checked to
     ``PASSIVE_UNITARY_TOL``); the derivative is taken from ``dx_up`` when
@@ -341,9 +338,8 @@ def extract_closed_generator(
         raise NotClassicalClosedError(
             "family is not passive: X_up is not unitary at the requested time"
         )
-    y = _derivative(x_up, t, dx_up, "X_up") @ _checked_inverse(x, "X_up")
-    h = 0.5j * (y - y.conj().T)
-    return h
+    zero = np.zeros_like(x)
+    return open_generator_arrays(x, zero, _derivative(x_up, t, dx_up, "X_up"), zero)[0]
 
 
 def extract_open_generators(
@@ -359,7 +355,7 @@ def extract_open_generators(
     derivative is taken from ``dx_up_s`` / ``dx_down_c`` when supplied,
     otherwise by central differences with step ``DEFAULT_FD_STEP``.
     Positivity of the extracted rates is reported by the caller via
-    ``psd_witnesses`` or ``validity_report``, never silently enforced.
+    ``validity_report``, never silently enforced.
     """
     xs = require_square(x_up_s(t), "X_up_S")
     xc = require_finite(require_square(x_down_c(t), "X_down_C"), "X_down_C")

@@ -433,7 +433,8 @@ def _doubling_error(fine, coarse, rtol, atol) -> tuple[float, bool]:
         f = fine[..., 2 * i:2 * (i + MAGNUS_CHUNK):2]
         err = np.abs(f - coarse[..., i:i + MAGNUS_CHUNK]) / 63.0
         worst = max(worst, float(err.max()))
-        ok = ok and bool(np.all(err <= atol + rtol * np.abs(f)))
+        with np.errstate(over="ignore"):  # a tolerance past the float range admits all
+            ok = ok and bool(np.all(err <= atol + rtol * np.abs(f)))
     return worst, ok
 
 
@@ -501,8 +502,10 @@ def _refine(propagate, breakpoints, initial_step: float, rtol: float, atol: floa
     """
     breaks = np.asarray(breakpoints, dtype=float)
     # float counts until a grid is built: a step far below the span stays a
-    # large count instead of wrapping round as an int
-    counts = np.maximum(1.0, np.ceil(np.diff(breaks) / initial_step))
+    # large count instead of wrapping round as an int, an infinite one past
+    # the float range
+    with np.errstate(over="ignore"):
+        counts = np.maximum(1.0, np.ceil(np.diff(breaks) / initial_step))
     while counts.sum() < first_steps:
         counts = 2 * counts
     grids, estimates, coarse = [], [], None

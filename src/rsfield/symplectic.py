@@ -39,9 +39,9 @@ and for a product its factors' roundoff, as above, so ``compose(m,
 m.inverse())`` stays closed-classical while a squeezer with
 |X_down| ~ sqrt(n) is not called passive at any n.  The open verdict reads
 the system's own rows only (``system_scale``), so a large environment does
-not widen the limit of |X_down_S|.  The CLI's invariant gates and
-classicality columns use the same functions, so a map the library accepts
-is one the CLI accepts.
+not widen the limit of |X_down_S|.  The verdicts and the CLI read the same
+``classicality`` residual and limit and the same scale max|X_ij|^2, so a
+map the library accepts is one the CLI accepts.
 """
 
 from __future__ import annotations
@@ -126,15 +126,14 @@ class BogoliubovMap:
         x.setflags(write=False)
         object.__setattr__(self, "x", x)
         # a NaN or infinite entry, or a scale past the float range, fails
-        # before the residual's products are formed (``** 2`` would raise
-        # OverflowError)
+        # before the residual's products are formed
         top = max_abs(x)
         if not math.isfinite(top * top):
             raise NotSymplecticError(
                 f"largest entry {top:.3e} is not finite or its square overflows", math.inf
             )
         if _scales is None:
-            _scales = (top ** 2, max_abs(x[:self.n_sys]) ** 2)
+            _scales = (top * top, max_abs(x[:self.n_sys]) ** 2)
         object.__setattr__(self, "scale", float(_scales[0]))
         object.__setattr__(self, "system_scale", float(_scales[1]))
         # ``not res <= limit`` also rejects a NaN residual or limit
@@ -251,30 +250,23 @@ def compose(a: BogoliubovMap, b: BogoliubovMap) -> BogoliubovMap:
     return BogoliubovMap(a.n_sys, a.n_env, x, max(a.tol, b.tol), (scale, system))
 
 
-def classical_mask(x: np.ndarray, n_sys: int) -> np.ndarray:
-    """``max |X_down_S| <= roundoff_limit(max |X_sys|, CLASSICAL_TOL)`` for
-    each matrix in a stack ``(..., 2N, 2N)`` whose first ``n_sys`` modes are
-    the system, X_sys being its system rows; ``n_sys = N`` (no environment)
-    makes it the closed-system condition on ``max |X_down|``."""
+def classicality(x: np.ndarray, n_sys: int, scale=None) -> tuple:
+    """``(max |X_down_S|, roundoff_limit(scale, CLASSICAL_TOL))`` of each matrix
+    in a stack ``(..., 2N, 2N)`` whose first ``n_sys`` modes are the system,
+    classical where the first is within the second; ``n_sys = N`` gives
+    ``max |X_down|``.  ``scale`` defaults to ``max |X_sys|``, its system rows'."""
     n = x.shape[-1] // 2
     rows = np.abs(x[..., :n_sys, :])
-    down_s = matrix_max(rows[..., n:n + n_sys])
-    return down_s <= roundoff_limit(matrix_max(rows), CLASSICAL_TOL)
-
-
-def _classical(m: BogoliubovMap, n_sys: int, scale: float) -> bool:
-    """``max |X_down_S|`` over the first ``n_sys`` modes within the roundoff
-    limit of the entry scale ``scale / max |X_sys|``, X_sys their rows."""
-    n = m.n_modes
-    rows = m.x[:n_sys]
-    limit = roundoff_limit(scale / max_abs(rows), CLASSICAL_TOL)
-    return bool(max_abs(rows[:, n:n + n_sys]) <= limit)
+    if scale is None:
+        scale = matrix_max(rows)
+    return matrix_max(rows[..., n:n + n_sys]), roundoff_limit(scale, CLASSICAL_TOL)
 
 
 def is_classical_closed(m: BogoliubovMap) -> bool:
     """True iff the map is passive: ``max |X_down|`` within
     ``roundoff_limit(m.scale / max |X|, CLASSICAL_TOL)``."""
-    return _classical(m, m.n_modes, m.scale)
+    value, limit = classicality(m.x, m.n_modes, m.scale / max_abs(m.x))
+    return bool(value <= limit)
 
 
 def is_classical_open(m: BogoliubovMap) -> bool:
@@ -283,4 +275,5 @@ def is_classical_open(m: BogoliubovMap) -> bool:
     system rows, a limit the environment's rows do not widen."""
     if m.n_sys < 1:
         raise DimensionMismatchError("open-system classicality needs n_sys >= 1")
-    return _classical(m, m.n_sys, m.system_scale)
+    value, limit = classicality(m.x, m.n_sys, m.system_scale / max_abs(m.x[:m.n_sys]))
+    return bool(value <= limit)

@@ -9,7 +9,7 @@ from rsfield.amplifier import (
     amplifier_generators,
 )
 from rsfield.errors import DimensionMismatchError
-from rsfield.kinetics import extract_open_generators, integrate_kinetics
+from rsfield.kinetics import extract_open_generators, integrate_kinetics, validity_report
 from rsfield.numerics import is_psd, max_abs
 from rsfield.rsf import transform_open_vacuum_env, vacuum
 from rsfield.symplectic import is_classical_closed, is_classical_open
@@ -77,8 +77,8 @@ class TestGenerators:
 
     def test_rates_are_psd(self):
         g = amplifier_generators(AmplifierSpec(kappa=[1.0, 2.0], m=[0.5, 0.0]))
-        up, dn = g.psd_witnesses()
-        assert up >= 0.0 and dn >= 0.0
+        up, dn, valid = validity_report(g.gamma_up[None], g.gamma_down[None])
+        assert up[0] >= 0.0 and dn[0] >= 0.0 and valid.all()
 
 
 class TestSpec:

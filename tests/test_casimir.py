@@ -21,6 +21,7 @@ from rsfield.casimir import (
     closed_form_generators,
     extracted_generators,
     floquet_exponent,
+    growth_law_error,
     growth_law_residual,
     solve_modes,
     solve_modes_direct,
@@ -566,6 +567,31 @@ class TestGrowthLaw:
         growth_law_residual(sol)
         one_sided = 2 + len(s.profile.kinks())
         assert points == [4 * (31 - one_sided) + 5 * one_sided]
+
+    def test_difference_error_is_the_half_step_estimate(self, monkeypatch):
+        # each requested sample's stencil again at h/2, on its own side: the
+        # forward edge, a central sample and the backward edge read 5 + 4 + 5
+        # points, and the central estimate is 16/15 |rate(h) - rate(h/2)|
+        s = sinusoid_scenario()
+        sol = solve_modes(s, 31, rtol=1e-11, atol=1e-13)
+        rates, _ = growth_law_residual(sol)
+        points = []
+        real = casimir.ModeSolution.at
+
+        def at(self, t):
+            points.append(np.size(t))
+            return real(self, t)
+
+        monkeypatch.setattr(casimir.ModeSolution, "at", at)
+        error = growth_law_error(sol, rates, np.array([0, 15, 30]))
+        assert points == [14]
+        monkeypatch.undo()
+        h = 5e-4 / s.profile.drive_frequency
+        f0, f1, f2, f3 = real(sol, sol.times[15] + np.array([-1, -0.5, 0.5, 1]) * h).density()
+        half = (f0 - 8 * f1 + 8 * f2 - f3) / (6 * h)
+        assert error[1] == abs(rates[15] - half) * (16.0 / 15.0)
+        # a smooth run's difference error is far below the gate's 1e-6 relative
+        assert np.max(error) < 1e-8 * np.max(np.abs(rates))
 
     def test_ramp_kinks_meet_the_bound(self):
         # samples on each kink and 0.6 h to either side of it

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsfield import cli, csvtext, errors
+from rsfield import casimir, cli, csvtext, errors
 from rsfield.casimir import (
     CasimirScenario,
     VelocityProfile,
@@ -43,8 +43,10 @@ from rsfield.numerics import FloquetSolution
 from rsfield.rsf import ReducedField
 from rsfield.symplectic import (
     SYMPLECTIC_TOL,
-    classical_mask,
+    classicality,
     is_classical_closed,
+    is_classical_open,
+    roundoff_limit,
     symplectic_residuals,
 )
 
@@ -238,6 +240,31 @@ class TestRunCasimir:
             warnings.simplefilter("error")
             code = main(["casimir", "--config", str(p), "--out", str(tmp_path / "o")])
         assert code == 0, capsys.readouterr().out
+
+    def test_growth_law_limit_takes_the_difference_error(self, tmp_path, capsys):
+        # a pulse of 1e-7, far below 1e-5 / omega, which the capped step does
+        # not resolve: at t = 0 its stencil reads 3.48e-13 against the floor
+        # 1e-12 omega = 2.33e-13, and again at h/2 -1.8e-14, so the sample's
+        # limit gains 16/15 of the difference, to 6.2e-13
+        p = tmp_path / "c.json"
+        write_config(p, omega=0.233, theta=0.9, t_end=14.0, samples=201,
+                     profile={"kind": "smooth_pulse", "beta0": 0.3, "duration": 1e-7})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["casimir", "--config", str(p), "--out", str(tmp_path / "o")])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        value = float(re.search(r"growth_law_max_residual: (\S+)", out)[1])
+        bound = float(re.search(r"growth_law_bound: (\S+)", out)[1])
+        assert 0.233e-12 < value < bound < 1e-12
+
+    def test_passing_growth_law_evaluates_no_further_stencil(self, tmp_path, monkeypatch):
+        def never(*args):
+            pytest.fail("a passing run took a stencil again at h/2")
+
+        monkeypatch.setattr(cli, "growth_law_error", never)
+        report = run_casimir(parse_casimir_config(write_config(tmp_path / "c.json")), tmp_path)
+        assert report.ok
 
     def test_constant_profile_run(self, tmp_path):
         p = tmp_path / "c.json"
@@ -550,6 +577,41 @@ def _log_uniform(low: int, high: int):
     return st.one_of(st.just(0.0), st.floats(low, high).map(lambda e: 10.0 ** e))
 
 
+def run_main(argv) -> tuple:
+    """``main(argv)`` in process with warnings as errors: its exit code,
+    stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# a gate's report line: its name, worst value, limit and time
+GATE_LINE = r"\w+ \(value [^ ,]+, limit [^ ,]+, t=[^ )]+\)"
+
+
+def assert_named_outcome(command, code, out, err, keys, failure=GATE_LINE):
+    """The run ended in one of three ways, with no traceback: exit 0; exit 2
+    with a config error naming one of ``keys`` (a regex); or exit 1 with a
+    named ``RsfieldError`` or violated lines that each match ``failure``."""
+    assert "Traceback" not in out + err
+    if code == 0:
+        assert out.startswith(f"[{command}] OK") and not err
+    elif code == 2:
+        assert re.fullmatch(rf"config error: [^\n]*\b({keys})\b[^\n]*\n", err), err
+    else:
+        assert code == 1
+        failed = re.fullmatch(r"run failed: (\w+): [^\n]*\n", err)
+        if failed:
+            assert issubclass(getattr(errors, failed[1]), errors.RsfieldError)
+        else:
+            assert not err and out.startswith(f"[{command}] FAILED")
+            violated = re.findall(r"^  violated: (.*)$", out, re.MULTILINE)
+            assert violated and all(re.fullmatch(failure, v) for v in violated), violated
+
+
 class TestAmplifyContract:
     # every amplify run ends in exactly one of three ways: exit 0; exit 2
     # with a config error naming a key; or exit 1 with a named RsfieldError
@@ -571,25 +633,176 @@ class TestAmplifyContract:
             p = Path(tmp) / "a.json"
             p.write_text(json.dumps(cfg if by_flag else {**cfg, "samples": samples}))
             argv = ["amplify", "--config", str(p), "--out", str(Path(tmp) / "o")]
-            out, err = io.StringIO(), io.StringIO()
-            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(err):
-                warnings.simplefilter("error")
-                code = main(argv + (["--samples", str(samples)] if by_flag else []))
-        out, err = out.getvalue(), err.getvalue()
-        assert "Traceback" not in out + err
-        if code == 0:
-            assert out.startswith("[amplify] OK") and not err
-        elif code == 2:
-            assert re.fullmatch(r"config error: config\.(kappa|m|t_end|samples)\b[^\n]*\n", err)
-        else:
-            assert code == 1
-            failed = re.fullmatch(r"run failed: (\w+): [^\n]*\n", err)
-            if failed:
-                assert issubclass(getattr(errors, failed[1]), errors.RsfieldError)
-            else:
-                assert not err and out.startswith("[amplify] FAILED")
-                assert "\n  violated: closed_form_mismatch (value " in out
+            code, out, err = run_main(argv + (["--samples", str(samples)] if by_flag else []))
+        if code == 2:
+            assert err.startswith("config error: config.")
+        assert_named_outcome("amplify", code, out, err, r"kappa|m|t_end|samples",
+                             r"closed_form_mismatch \(value [^\n]*")
+
+
+def _scaled(exponents, unit: float):
+    """10^e / unit for e drawn from ``exponents``."""
+    return exponents.map(lambda e: 10.0 ** e / unit)
+
+
+# the keys a casimir config error may name
+CASIMIR_ERROR_KEYS = "|".join([*cli.CASIMIR_KEYS, *cli.PROFILE_KEYS, "sweep"])
+# a value no key takes, with a key it is put under; the draws leave it out
+# of most configs
+BAD_VALUES = st.tuples(
+    st.sampled_from(["refractive_index", "omega", "theta", "sigma", "t_end", "samples",
+                     "rel_tol", "abs_tol"]),
+    st.sampled_from([None, "x", -1.0, 0.0, True, 1e308, [1.0], {}]),
+)
+
+
+@st.composite
+def casimir_configs(draw):
+    """A casimir config with omega t_end and drive t_end at most 1e3 and at
+    most 50 samples, over every profile kind; a few carry a bad value."""
+    t_end = draw(_scaled(st.floats(-2, 2), 1.0))
+    kind = draw(st.sampled_from(sorted(casimir.PROFILE_KINDS)))
+    profile = {"kind": kind, "beta0": draw(st.floats(-0.99, 0.99))}
+    if kind == "sinusoid":
+        profile["drive_frequency"] = draw(_scaled(st.floats(-2, 3), t_end))
+    elif kind == "smooth_pulse":
+        profile["duration"] = draw(_scaled(st.floats(-8, 0.5), 1.0 / t_end))
+    elif kind == "linear_ramp_windowed":
+        profile["ramp_time"] = draw(_scaled(st.floats(-8, -0.4), 1.0 / t_end))
+        profile["hold_time"] = draw(st.one_of(st.just(0.0),
+                                              _scaled(st.floats(-3, -0.4), 1.0 / t_end)))
+    cfg = {
+        "refractive_index": draw(st.floats(1.0, 3.0)),
+        "omega": draw(_scaled(st.floats(-3, 3), t_end)),
+        "theta": draw(st.floats(0.0, math.pi)),
+        "sigma": draw(st.one_of(st.just("auto"), _scaled(st.floats(-2, 2), 1.0))),
+        "profile": profile,
+        "t_end": t_end,
+        "samples": draw(st.integers(2, 50)),
+        "rel_tol": draw(st.sampled_from([1e-11, 1e-9, 1e-6, 1e-3])),
+    }
+    bad = draw(st.one_of(st.none(), st.none(), st.none(), BAD_VALUES))
+    if bad:
+        cfg[bad[0]] = bad[1]
+    return cfg
+
+
+def _sweep_config(cfg, axis, values):
+    """``cfg`` with a sweep of ``values`` over ``axis``, a drive sweep only
+    over a sinusoid."""
+    if axis == "drive_frequency" and cfg["profile"]["kind"] != "sinusoid":
+        axis = "omega"
+    return {**cfg, "sweep": {axis: values}}
+
+
+class TestConfigContract:
+    """``TestAmplifyContract``'s contract for the other commands: every run
+    ends in exit 0, exit 2 naming a key, or exit 1 with a named error or
+    violated gates; no traceback and no warning."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(cfg=casimir_configs(), command=st.sampled_from(["casimir", "extract"]))
+    def test_casimir_and_extract(self, cfg, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "c.json"
+            p.write_text(json.dumps(cfg))
+            code, out, err = run_main([command, "--config", str(p), "--out", str(Path(tmp) / "o")])
+        assert_named_outcome(command, code, out, err, CASIMIR_ERROR_KEYS)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(cfg=casimir_configs(),
+           axis=st.sampled_from(["omega", "theta", "beta0", "drive_frequency"]),
+           values=st.lists(st.floats(0.0, 1.2), min_size=1, max_size=3))
+    def test_sweep_of_at_most_three_points(self, cfg, axis, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "c.json"
+            p.write_text(json.dumps(_sweep_config(cfg, axis, values)))
+            code, out, err = run_main(["sweep", "--config", str(p), "--out", str(Path(tmp) / "o")])
+        failure = rf"point \d+: (\w+Error: .*|{GATE_LINE}(,{GATE_LINE})*)"
+        assert_named_outcome("sweep", code, out, err, CASIMIR_ERROR_KEYS, failure)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        checks=st.lists(st.sampled_from(sorted(cli.FOCK_THRESHOLDS)), min_size=1, max_size=4,
+                        unique=True),
+        cutoff=st.integers(2, 30),
+        squeeze=st.floats(-2.0, 2.0),
+        angle=st.floats(-7.0, 7.0),
+        seed=st.integers(0, 2**32),
+    )
+    def test_fock_check(self, checks, cutoff, squeeze, angle, seed):
+        cfg = {"checks": checks, "cutoff": cutoff, "squeeze": squeeze, "angle": angle,
+               "seed": seed}
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "f.json"
+            p.write_text(json.dumps(cfg))
+            code, out, err = run_main(["fock-check", "--config", str(p),
+                                       "--out", str(Path(tmp) / "o")])
+        assert_named_outcome("fock-check", code, out, err, "|".join(cli.FOCK_KEYS),
+                             "|".join(cli.FOCK_THRESHOLDS))
+
+    @pytest.mark.parametrize("command,change,reason", [
+        ("casimir", "{", r"config is not valid JSON"),
+        ("casimir", {"profile": [1]}, r"config\.profile must be a JSON object"),
+        ("sweep", {"sweep": [1]}, r"config\.sweep over a sinusoid profile must be a JSON object"),
+        ("sweep", {"sweep": {"omega": []}}, r"sweep\.omega must be a nonempty list"),
+        ("sweep", {"sweep": {"omega": 1.0}}, r"sweep\.omega must be a nonempty list"),
+        ("extract", {"t_end": 0}, r"t_end must be positive"),
+        ("casimir", {"sigma": "bogus"}, r"sigma must be positive or 'auto', got 'bogus'"),
+        ("casimir", {"profile": {"kind": "sinusoid", "beta0": 0.2, "drive_frequency": 0}},
+         r"sinusoid profile needs drive_frequency > 0"),
+        ("casimir", {"profile": {"kind": "smooth_pulse", "beta0": 0.2, "duration": 0}},
+         r"smooth_pulse profile needs duration > 0"),
+        ("casimir", {"profile": {"kind": "linear_ramp_windowed", "beta0": 0.2, "ramp_time": 0}},
+         r"linear_ramp_windowed profile needs ramp_time > 0"),
+        ("casimir", {"profile": {"kind": "linear_ramp_windowed", "beta0": 0.2, "ramp_time": 1.0,
+                                 "hold_time": -1.0}}, r"hold_time must be nonnegative"),
+    ], ids=["invalid_json", "profile_list", "sweep_list", "sweep_empty", "sweep_scalar",
+            "t_end_zero", "sigma_bogus", "drive_zero", "duration_zero", "ramp_zero",
+            "hold_negative"])
+    def test_rejected_config_names_its_reason(self, tmp_path, command, change, reason):
+        p = tmp_path / "c.json"
+        write_command_config(p, command, change)
+        code, out, err = run_main([command, "--config", str(p), "--out", str(tmp_path / "o")])
+        assert code == 2 and not out
+        assert re.fullmatch(rf"config error: {reason}[^\n]*\n", err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["casimir", "extract"])
+    @pytest.mark.parametrize("change", [{"omega": 1e308}, {"rel_tol": 1e308}],
+                             ids=["omega", "rel_tol"])
+    def test_values_past_the_float_range_raise_no_warning(self, tmp_path, command, change):
+        # an initial step whose step count overflows, and a tolerance whose
+        # product with an amplitude does, once warned from numpy
+        p = tmp_path / "c.json"
+        write_config(p, **change)
+        code, out, err = run_main([command, "--config", str(p), "--out", str(tmp_path / "o")])
+        assert_named_outcome(command, code, out, err, CASIMIR_ERROR_KEYS)
+        if "omega" in change:
+            assert err.startswith("run failed: ConvergenceError: ") and "holds inf steps" in err
+
+    def test_missing_config_file_exits_two(self, tmp_path):
+        missing = tmp_path / "absent.json"
+        code, _, err = run_main(["casimir", "--config", str(missing)])
+        assert code == 2 and err == f"config error: config file not found: {missing}\n"
+
+    def test_samples_in_exponent_notation_is_the_integer(self, tmp_path):
+        p = tmp_path / "c.json"
+        write_config(p, samples="1e3", t_end=2.0)
+        code, _, err = run_main(["casimir", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert code == 0 and not err
+        assert len((tmp_path / "o" / "casimir.csv").read_text().splitlines()) == 1001
+
+    def test_sweep_point_past_a_gate_is_an_invariant_violation(self, tmp_path):
+        # test_loose_tolerance_exits_one_on_growth_law's run as a sweep point
+        p = tmp_path / "c.json"
+        write_config(p, t_end=300.0, samples=11, rel_tol=1e-3, sweep={"omega": [1.0]},
+                     profile={"kind": "sinusoid", "beta0": 0.5, "drive_frequency": 0.05})
+        code, out, _ = run_main(["sweep", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert re.search(r"^  violated: point 0: growth_law \(value ", out, re.MULTILINE)
+        rows = (tmp_path / "o" / "sweep_summary.csv").read_text().splitlines()
+        assert rows[1].split(",")[-2] == "invariant_violation"
 
 
 class TestWriteCsv:
@@ -681,6 +894,21 @@ class TestRunFockCheck:
         assert report.ok and report.columns["check"] == [check]
 
 
+def gates_and_limits(cols, monkeypatch) -> tuple:
+    """``cli._gates(cols, 1.0)`` and the limit each gate was given, by name,
+    broadcast to the samples."""
+    recorded = []
+    real_gate = cli._gate
+
+    def recording(times, residual, limit):
+        recorded.append(np.broadcast_to(limit, np.shape(residual)))
+        return real_gate(times, residual, limit)
+
+    monkeypatch.setattr(cli, "_gate", recording)
+    gates = cli._gates(cols, 1.0)
+    return gates, dict(zip(gates, recorded))
+
+
 class TestExitCodes:
     def test_first_grid_past_the_step_cap_exits_one(self, tmp_path, capsys):
         # omega 2e6 over t_end 1 asks for a first grid of 2e6 steps, past the
@@ -704,10 +932,14 @@ class TestExitCodes:
         write_config(p, t_end=300.0, samples=11,
                      profile={"kind": "sinusoid", "beta0": 0.5,
                               "drive_frequency": 0.05})
-        code = main(["casimir", "--config", str(p), "--out", str(tmp_path / "o"),
-                     "--rel-tol", "1e-3"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["casimir", "--config", str(p), "--out", str(tmp_path / "o"),
+                         "--rel-tol", "1e-3"])
         assert code == 1
         out = capsys.readouterr().out
+        # the difference error added to the failing samples' limits does
+        # not hide a trajectory that misses the law
         assert "violated: growth_law" in out
         assert "violated: ccr_invariant" not in out
         # extract answers for the extraction gates only, and those hold
@@ -931,17 +1163,40 @@ class TestExitCodes:
         assert len(cli.run_amplify(cli.parse_amplify_config(cfg), tmp_path).columns["t"]) == 4
 
     def test_classicality_columns_are_the_library_masks(self):
-        # _casimir_columns reads the map scales off the f's; its masks are
-        # classical_mask's on the map stack, sample for sample
+        # the columns are symplectic.classicality's verdicts on the map
+        # stack, sample for sample, and the open gate reads its residual and
+        # limit; the symplectic scale is the stack's max|X_ij|^2
         s = CasimirScenario(1.5, 1.0, np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), 300.0)
         sol = solve_modes(s, 201)
         cols = cli._casimir_columns(sol)
         x, _ = casimir_maps(sol)
+        closed, open_ = classicality(x, n_sys=2), classicality(x, n_sys=1)
         assert cols["classical_closed"][0] and not cols["classical_closed"][-1]
-        assert np.array_equal(cols["classical_closed"], classical_mask(x, n_sys=2))
-        assert np.array_equal(cols["classical_open"], classical_mask(x, n_sys=1))
-        np.testing.assert_allclose(cols["_map_scale"], np.max(np.abs(x), axis=(-2, -1)) ** 2,
-                                   rtol=1e-14)
+        assert np.array_equal(cols["classical_closed"], closed[0] <= closed[1])
+        assert np.array_equal(cols["classical_open"], open_[0] <= open_[1])
+        assert np.array_equal(cols["_open_residual"], open_[0])
+        assert np.array_equal(cols["_open_limit"], open_[1])
+        assert np.array_equal(cols["_map_scale"], np.max(np.abs(x), axis=(-2, -1)) ** 2)
+
+    @pytest.mark.parametrize("t_end", [800.0, 1000.0, 3000.0])
+    def test_cli_checks_are_the_library_checks(self, monkeypatch, t_end):
+        # W3 up to n = 6.1e29: at every sample the limit of the symplectic
+        # gate is, bit for bit, the one casimir_map's BogoliubovMap checks;
+        # the classicality columns are the library's verdicts; and the open
+        # gate reads max|X_down_S| against a positive limit
+        s = CasimirScenario(1.5, 1.0, np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), t_end)
+        sol = solve_modes(s, 201, rtol=1e-11, atol=1e-13)
+        cols = cli._casimir_columns(sol)
+        gates, limits = gates_and_limits(cols, monkeypatch)
+        symplectic = limits["symplectic_residual"]
+        for i in range(201):
+            m = casimir_map(sol, i)
+            assert roundoff_limit(m.scale, SYMPLECTIC_TOL) == symplectic[i], i
+            assert is_classical_closed(m) == cols["classical_closed"][i], i
+            assert is_classical_open(m) == cols["classical_open"][i], i
+        x, _ = casimir_maps(sol)
+        gate = gates["open_classicality"]
+        assert gate.limit > 0.0 and gate.value == np.max(np.abs(x[:, 0, 2]))
 
     def test_resonant_map_past_n_3e26_is_not_passive(self):
         # W3 at T=3000 (n = 6.1e29): |X_down| ~ 7.8e14 is far above the
@@ -959,23 +1214,16 @@ class TestExitCodes:
         # CCR, symplectic and extraction-rate limits equal, bit for bit,
         # max(floor, 256 eps scale) written out with the scales of each gate
         s = CasimirScenario(1.5, 1.0, np.pi / 2, VelocityProfile.sinusoid(0.4, 0.98), 800.0)
-        cols = cli._casimir_columns(solve_modes(s, 201, rtol=1e-11, atol=1e-13))
-        recorded = []
-        real_gate = cli._gate
-
-        def recording(times, residual, limit):
-            recorded.append(np.broadcast_to(limit, np.shape(residual)))
-            return real_gate(times, residual, limit)
-
-        monkeypatch.setattr(cli, "_gate", recording)
-        limits = dict(zip(cli._gates(cols, 1.0), recorded))
+        sol = solve_modes(s, 201, rtol=1e-11, atol=1e-13)
+        cols = cli._casimir_columns(sol)
+        _, limits = gates_and_limits(cols, monkeypatch)
         eps = np.finfo(float).eps
-        rp, rm, lp, lm = (cols[f"re_{f}"] ** 2 + cols[f"im_{f}"] ** 2
-                          for f in ("fRp", "fRm", "fLp", "fLm"))
+        rp, rm = (cols[f"re_{f}"] ** 2 + cols[f"im_{f}"] ** 2 for f in ("fRp", "fRm"))
         rates = 256.0 * eps * (rp + rm) * 1.0
+        entries = np.max(np.abs(casimir_maps(sol)[0]), axis=(-2, -1))
         expected = {
             "ccr_invariant": np.maximum(1e-8, 256.0 * eps * (rp + rm)),
-            "symplectic_residual": np.maximum(1e-8, 256.0 * eps * np.max([rp, rm, lp, lm], axis=0)),
+            "symplectic_residual": np.maximum(1e-8, 256.0 * eps * entries * entries),
             "extraction_gamma_agreement": np.maximum(1e-7, rates),
             "extraction_gamma_down_zero": np.maximum(1e-8, rates),
         }
@@ -1120,7 +1368,15 @@ class TestCsvBytes:
             written.append((path, columns))
             real(path, columns)
 
+        python = set()
+        real_words = csvtext._words
+
+        def words(values):
+            python.add(Path(written[-1][0]).name)
+            return real_words(values)
+
         monkeypatch.setattr(cli, "_write_csv", record)
+        monkeypatch.setattr(csvtext, "_words", words)
         write_config(tmp_path / "long.json", t_end=20.0, samples=401)
         write_config(tmp_path / "sweep.json", samples=41,
                      sweep={"beta0": [0.2, 1.5], "omega": [0.8, 1.0]})
@@ -1140,9 +1396,11 @@ class TestCsvBytes:
         assert names == ["amplify.csv", "amplify.csv", "casimir.csv", "casimir_000.csv",
                          "casimir_002.csv", "extract.csv", "fock_check.csv",
                          "sweep_summary.csv"]
-        sizes = [sum(np.asarray(v).size for v in cols.values()) for _, cols in written]
-        # tables on both sides of the bound between the two writers
-        assert min(sizes) < csvtext.SMALL_TABLE <= max(sizes)
+        # only a table with a str or int column is formatted by Python; the
+        # float-and-boolean tables take the kernel at any size, 44 values up
+        assert python == {"fock_check.csv", "sweep_summary.csv"}
+        assert min(sum(np.asarray(v).size for v in cols.values()) for path, cols in written
+                   if Path(path).name not in python) == 44
         for path, columns in written:
             assert Path(path).read_text(encoding="utf-8") == reference_csv(columns), path
         summary = (tmp_path / "2" / "sweep_summary.csv").read_text().splitlines()

@@ -80,18 +80,29 @@ class TestDigits:
 
 class TestWriteCsv:
     @pytest.mark.parametrize("rows", [3, 400])
-    def test_both_sides_of_the_small_table_bound(self, tmp_path, rows):
-        # 3 x 3 values are written one by one, 400 x 3 by the kernel
+    def test_column_kinds_select_the_writer(self, tmp_path, monkeypatch, rows):
+        # floats and booleans take the kernel at any size; a str or an int
+        # column sends the whole table to Python, value by value
         rng = np.random.default_rng(rows)
         cols = {"x": rng.standard_normal(rows), "flag": rng.standard_normal(rows) > 0,
                 "y": rng.standard_normal(rows) * 1e-9}
-        assert (rows * 3 >= csvtext.SMALL_TABLE) == (rows == 400)
-        write_csv(tmp_path / "t.csv", cols)
-        want = "x,flag,y\n" + "".join(
-            f"{x:.17g},{'true' if f else 'false'},{y:.17g}\n"
+        want = ["x,flag,y", *(
+            f"{x:.17g},{'true' if f else 'false'},{y:.17g}"
             for x, f, y in zip(*(np.asarray(c).tolist() for c in cols.values()))
-        )
-        assert (tmp_path / "t.csv").read_text() == want
+        )]
+
+        def never(*args):
+            pytest.fail("the table took the other writer")
+
+        monkeypatch.setattr(csvtext, "_words", never)
+        write_csv(tmp_path / "t.csv", cols)
+        assert (tmp_path / "t.csv").read_text() == "".join(f"{w}\n" for w in want)
+        monkeypatch.undo()
+        monkeypatch.setattr(csvtext, "_lines", never)
+        for extra in (np.arange(rows), [f"s{i}" for i in range(rows)]):
+            write_csv(tmp_path / "t.csv", {**cols, "extra": extra})
+            got = (tmp_path / "t.csv").read_text().splitlines()
+            assert got == [f"{w},{e}" for w, e in zip(want, ["extra", *map(str, extra)])]
 
     def test_rows_across_chunks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(csvtext, "CHUNK", 64)

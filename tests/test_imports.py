@@ -1,6 +1,7 @@
 """Lint: no module of the package imports a name it never uses, no
-module-level private name goes unread, and no module-level public name goes
-unnamed outside its own definition.
+module-level private name goes unread, and no module-level public name or
+public method or property of a class goes unnamed outside its own
+definition.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree.  ``__init__`` is exempt from the import check: its imports
@@ -9,6 +10,7 @@ are the public API.
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -109,11 +111,16 @@ def orphaned_public_names(package: dict, others: dict, docs: str) -> list:
     return sorted(public - named)
 
 
-def test_no_orphaned_public_names():
+def _repo_sources() -> tuple:
+    """(the package's modules, the tests and demos, README) as texts."""
     package = {p.stem: p.read_text(encoding="utf-8") for p in (ROOT / "src").rglob("*.py")}
     others = {str(p): p.read_text(encoding="utf-8")
               for folder in ("tests", "demos") for p in (ROOT / folder).rglob("*.py")}
-    assert orphaned_public_names(package, others, (ROOT / "README.md").read_text()) == []
+    return package, others, (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def test_no_orphaned_public_names():
+    assert orphaned_public_names(*_repo_sources()) == []
 
 
 def test_lint_sees_an_orphaned_public_name():
@@ -125,3 +132,43 @@ def test_lint_sees_an_orphaned_public_name():
     }
     others = {"test_a": "import a\nassert a.SPARE\n"}
     assert orphaned_public_names(package, others, "`Told` is documented; leftover") == ["left"]
+
+
+def orphaned_public_members(package: dict, others: dict, docs: str) -> list:
+    """Public methods and properties, as ``Class.name``, of the module-level
+    classes of ``package`` that no module of ``package`` or ``others`` reads
+    as an attribute outside the member's own body and that ``docs`` does not
+    name as a word.  Dunder and private members are exempt."""
+    trees = [ast.parse(source) for source in [*package.values(), *others.values()]]
+    reads = Counter(node.attr for tree in trees for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute))
+    orphaned = []
+    for tree in trees[:len(package)]:
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for member in cls.body:
+                if not isinstance(member, ast.FunctionDef) or member.name.startswith("_"):
+                    continue
+                own = sum(isinstance(node, ast.Attribute) and node.attr == member.name
+                          for node in ast.walk(member))
+                if reads[member.name] <= own and not re.search(rf"\b{member.name}\b", docs):
+                    orphaned.append(f"{cls.name}.{member.name}")
+    return sorted(orphaned)
+
+
+def test_no_orphaned_public_members():
+    assert orphaned_public_members(*_repo_sources()) == []
+
+
+def test_lint_sees_an_orphaned_public_member():
+    package = {
+        "a": "class Map:\n    x = 1\n    @property\n    def size(self):\n        return 2\n"
+             "    def used(self):\n        return self.size\n"
+             "    def left(self):\n        return self.left()\n"
+             "    def told(self):\n        pass\n    def _hidden(self):\n        pass\n"
+             "    def __len__(self):\n        return 0\n"
+             "class Spare:\n    @property\n    def spare(self):\n        return 0\n",
+    }
+    others = {"test_a": "import a\nassert a.Map().used()\n"}
+    assert orphaned_public_members(package, others, "`told` is documented") == [
+        "Map.left", "Spare.spare",
+    ]

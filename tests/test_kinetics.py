@@ -113,11 +113,12 @@ class TestGeneratorValidation:
                 scatterers=tuple(zip(etas, (u, np.eye(2)))),
             )
 
-    def test_psd_witnesses_expose_indefinite_rates(self):
+    def test_validity_report_exposes_indefinite_rates(self):
+        # the generators take an indefinite rate; validity_report flags it
         g = scalar_gens(g_up=-0.5)
-        w_up, w_dn = g.psd_witnesses()
-        assert w_up == pytest.approx(-0.5)
-        assert w_dn == 0.0
+        w_up, w_dn, valid = validity_report(g.gamma_up[None], g.gamma_down[None])
+        assert w_up.tolist() == [pytest.approx(-0.5)]
+        assert w_dn.tolist() == [0.0] and valid.tolist() == [False]
 
 
 class TestKineticRhs:
@@ -559,13 +560,13 @@ class TestValidityScan:
         assert validity_report(gamma_down, up, floor=2e-9)[2].all()
 
     def test_matches_per_generator_witnesses(self, rng):
-        # batched eigvalsh gives the witnesses KineticGenerators reports one by one
+        # batched eigvalsh gives each rate's smallest eigenvalue, one by one
         z = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
         rates = z @ np.swapaxes(z, -1, -2).conj() - 1.5 * np.eye(3)
         up, down, _ = validity_report(rates, rates[::-1])
         for i in range(6):
-            gen = KineticGenerators(np.zeros((3, 3)), np.zeros(3), rates[i], rates[5 - i])
-            assert np.allclose([up[i], down[i]], gen.psd_witnesses(), rtol=0.0, atol=1e-12)
+            smallest = [np.linalg.eigvalsh(r)[0] for r in (rates[i], rates[5 - i])]
+            assert np.allclose([up[i], down[i]], smallest, rtol=0.0, atol=1e-12)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DimensionMismatchError):

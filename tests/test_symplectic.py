@@ -9,7 +9,7 @@ from rsfield.symplectic import (
     CLASSICAL_TOL,
     SYMPLECTIC_TOL,
     BogoliubovMap,
-    classical_mask,
+    classicality,
     compose,
     from_blocks,
     identity_map,
@@ -174,8 +174,10 @@ class TestClassicality:
         m = squeeze_map(np.arcsinh(np.sqrt(n)))
         assert not is_classical_closed(m)
         assert not is_classical_closed(m.inverse())
-        assert not classical_mask(m.x, 2)
-        assert is_classical_open(m) and classical_mask(m.x, 1)
+        value, limit = classicality(m.x, 2)
+        assert not value <= limit
+        value, limit = classicality(m.x, 1)
+        assert is_classical_open(m) and value <= limit
 
     def test_open_needs_system_modes(self):
         m = identity_map(0, 2)
