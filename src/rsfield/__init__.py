@@ -26,7 +26,6 @@ from .casimir import (
     closed_form_generators,
     extracted_generators,
     floquet_exponent,
-    growth_law_error,
     growth_law_residual,
     solve_modes,
 )

@@ -68,8 +68,7 @@ carries its ``CasimirScenario`` (the run's one parameter object, whose
 ``coefficients`` gives delta, alpha, Delta, eta_pm and the phase rate at
 any time), evaluated over the whole sample axis:
 ``ModeSolution.density``, ``casimir_maps``, ``closed_form_generators``,
-``extracted_generators`` and ``growth_law_residual`` (with
-``growth_law_error``, its stencils' difference error at chosen samples).
+``extracted_generators`` and ``growth_law_residual`` (with its limits).
 The dense output ``sol.at(t)`` is the same solution at other times, so
 for ``integrate_kinetics`` ``casimir_generator_callback`` and
 ``casimir_generators_extracted`` apply the same functions to ``sol.at(t)`` at arrays of node times;
@@ -601,6 +600,9 @@ def casimir_generators_extracted(sol: ModeSolution, t) -> tuple:
     return h, np.zeros(h.shape[:-1], dtype=complex), up, down
 
 
+GROWTH_LIMIT = 1e-6  # of the growth-law residual, relative to the peak density rate
+
+
 def _growth_stencils(sol: ModeSolution) -> tuple:
     """The growth law's step h and each sample's stencil side."""
     s = sol.scenario
@@ -647,10 +649,10 @@ def _density_rates(sol: ModeSolution, t: np.ndarray, side: np.ndarray, h: float)
 
 def growth_law_residual(
     sol: ModeSolution, gamma_up: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check the production growth law by numerical differentiation: returns
-    ``(density_rate, residuals)`` at the samples, d n/dT and |d n/dT -
-    gamma_up (n + 1)|.
+    ``(density_rate, residuals, limits)`` at the samples, d n/dT, |d n/dT -
+    gamma_up (n + 1)| and the limit of each residual.
 
     d n/dT is taken from fourth-order finite differences of the dense
     |f_R-(t)|^2 (one-sided at the span edges, and on the sample's own side
@@ -660,18 +662,22 @@ def growth_law_residual(
     consistency check, not an identity.  ``gamma_up`` takes the
     closed-form rates at the samples (``closed_form_generators``) from a
     caller that already has them.
+
+    The limit is ``GROWTH_LIMIT`` times the peak |d n/dT|, at least 1e-12
+    omega.  A sample past it takes its stencil again at h/2, on the same
+    side, and adds the fourth-order estimate 16/15 |rate(h) - rate(h/2)| of
+    the difference error to its limit; a passing run evaluates no further
+    stencil.
     """
     if gamma_up is None:
         _, gamma_up = closed_form_generators(sol)
     h, side = _growth_stencils(sol)
     rates = _density_rates(sol, sol.times, side, h)
-    return rates, np.abs(rates - gamma_up * (sol.density() + 1.0))
-
-
-def growth_law_error(sol: ModeSolution, rates: np.ndarray, index) -> np.ndarray:
-    """The difference error of ``growth_law_residual``'s ``rates`` at the
-    samples ``index``: each sample's stencil is taken again at h/2, on the
-    same side, and the fourth-order estimate is 16/15 |rate(h) - rate(h/2)|."""
-    h, side = _growth_stencils(sol)
-    half = _density_rates(sol, sol.times[index], side[index], 0.5 * h)
-    return np.abs(rates[index] - half) * (16.0 / 15.0)
+    residuals = np.abs(rates - gamma_up * (sol.density() + 1.0))
+    limits = np.full(rates.shape, max(
+        GROWTH_LIMIT * float(np.max(np.abs(rates))), 1e-12 * sol.scenario.omega))
+    over = np.flatnonzero(residuals > limits)
+    if over.size:
+        half = _density_rates(sol, sol.times[over], side[over], 0.5 * h)
+        limits[over] += np.abs(rates[over] - half) * (16.0 / 15.0)
+    return rates, residuals, limits

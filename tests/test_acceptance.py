@@ -124,7 +124,7 @@ def test_criterion_05_growth_law(drive_runs):
     worst_residual = 0.0
     max_rate = 0.0
     for _, sol in drive_runs:
-        rates, residuals = growth_law_residual(sol)
+        rates, residuals, _ = growth_law_residual(sol)
         worst_residual = max(worst_residual, np.max(residuals))
         max_rate = max(max_rate, np.max(np.abs(rates)))
     bound = 1e-6 * max_rate

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from rsfield import casimir, cli, numerics
 from rsfield.casimir import (
+    GROWTH_LIMIT,
     CasimirScenario,
     VelocityProfile,
     auto_sigma,
@@ -21,12 +22,11 @@ from rsfield.casimir import (
     closed_form_generators,
     extracted_generators,
     floquet_exponent,
-    growth_law_error,
     growth_law_residual,
     solve_modes,
     solve_modes_direct,
 )
-from rsfield.cli import EXTRACTION_LIMIT, GAMMA_DOWN_LIMIT, GROWTH_LIMIT
+from rsfield.cli import EXTRACTION_LIMIT, GAMMA_DOWN_LIMIT
 from rsfield.errors import ConfigError, ConvergenceError, DimensionMismatchError
 from rsfield.kinetics import extract_open_generators, integrate_kinetics
 from rsfield.numerics import central_difference, is_psd, max_abs
@@ -521,19 +521,19 @@ class TestGrowthLaw:
     def test_still_medium_identically_zero(self):
         s = CasimirScenario(1.5, 1.0, 0.5, VelocityProfile.constant(0.0), 6.0, sigma=1.0)
         sol = solve_modes(s, 13)
-        _, residuals = growth_law_residual(sol)
+        _, residuals, _ = growth_law_residual(sol)
         assert np.max(residuals) <= 1e-10
 
     def test_constant_speed_both_sides_vanish(self):
         s = CasimirScenario(1.5, 1.0, 0.9, VelocityProfile.constant(0.2), 6.0)
         sol = solve_modes(s, 13)
-        _, residuals = growth_law_residual(sol)
+        _, residuals, _ = growth_law_residual(sol)
         assert np.max(residuals) <= 1e-10
 
     def test_sinusoid_self_consistency(self):
         s = sinusoid_scenario()
         sol = solve_modes(s, 41, rtol=1e-12, atol=1e-14)
-        rates, residuals = growth_law_residual(sol)
+        rates, residuals, _ = growth_law_residual(sol)
         assert np.max(residuals) <= 1e-6 * np.max(np.abs(rates))
 
     @pytest.mark.parametrize("s", [sinusoid_scenario(), ramp_scenario()])
@@ -541,7 +541,7 @@ class TestGrowthLaw:
         # samples at least 2h from every kink (all inner samples of a sinusoid)
         # keep the plain central stencil, bit for bit
         sol = solve_modes(s, 31, rtol=1e-11, atol=1e-13)
-        rates, _ = growth_law_residual(sol)
+        rates, _, _ = growth_law_residual(sol)
         h = min(5e-4 / max(s.omega, s.profile.drive_frequency), s.t_end / 8.0)
         t = sol.times
         far = np.all(np.abs(t[:, None] - np.array([*s.profile.kinks(), np.inf])) >= 2 * h, 1)
@@ -569,12 +569,15 @@ class TestGrowthLaw:
         assert points == [4 * (31 - one_sided) + 5 * one_sided]
 
     def test_difference_error_is_the_half_step_estimate(self, monkeypatch):
-        # each requested sample's stencil again at h/2, on its own side: the
-        # forward edge, a central sample and the backward edge read 5 + 4 + 5
-        # points, and the central estimate is 16/15 |rate(h) - rate(h/2)|
+        # a rate off by 1 at three samples puts them past the plain limit; each
+        # takes its stencil again at h/2, on its own side: the forward edge, a
+        # central sample and the backward edge read 5 + 4 + 5 points, and the
+        # central estimate 16/15 |rate(h) - rate(h/2)| joins that sample's limit
         s = sinusoid_scenario()
         sol = solve_modes(s, 31, rtol=1e-11, atol=1e-13)
-        rates, _ = growth_law_residual(sol)
+        _, gamma_up = closed_form_generators(sol)
+        over = [0, 15, 30]
+        gamma_up[over] += 1.0
         points = []
         real = casimir.ModeSolution.at
 
@@ -583,15 +586,19 @@ class TestGrowthLaw:
             return real(self, t)
 
         monkeypatch.setattr(casimir.ModeSolution, "at", at)
-        error = growth_law_error(sol, rates, np.array([0, 15, 30]))
-        assert points == [14]
+        rates, residuals, limits = growth_law_residual(sol, gamma_up=gamma_up)
+        assert points == [4 * 29 + 5 * 2, 14]
         monkeypatch.undo()
+        plain = max(GROWTH_LIMIT * np.max(np.abs(rates)), 1e-12 * s.omega)
+        assert np.all(np.delete(limits, over) == plain)
         h = 5e-4 / s.profile.drive_frequency
         f0, f1, f2, f3 = real(sol, sol.times[15] + np.array([-1, -0.5, 0.5, 1]) * h).density()
         half = (f0 - 8 * f1 + 8 * f2 - f3) / (6 * h)
-        assert error[1] == abs(rates[15] - half) * (16.0 / 15.0)
-        # a smooth run's difference error is far below the gate's 1e-6 relative
-        assert np.max(error) < 1e-8 * np.max(np.abs(rates))
+        assert limits[15] == plain + abs(rates[15] - half) * (16.0 / 15.0)
+        # a smooth run's difference error is far below the gate's 1e-6
+        # relative, so it does not hide the wrong rates
+        assert np.max(limits - plain) < 1e-8 * np.max(np.abs(rates))
+        assert np.all(residuals[over] > limits[over])
 
     def test_ramp_kinks_meet_the_bound(self):
         # samples on each kink and 0.6 h to either side of it
@@ -599,7 +606,7 @@ class TestGrowthLaw:
         near = np.add.outer(s.profile.kinks(), [-3e-4, 0.0, 3e-4]).ravel()
         times = np.sort(np.concatenate([np.linspace(0.0, 6.0, 31), near]))
         sol = solve_modes(s, times, rtol=1e-11, atol=1e-13)
-        rates, residuals = growth_law_residual(sol)
+        rates, residuals, _ = growth_law_residual(sol)
         assert np.max(residuals) <= max(GROWTH_LIMIT * np.max(np.abs(rates)), 1e-12 * s.omega)
 
     def test_ramp_kinks_still_catch_a_wrong_rate(self):
@@ -609,14 +616,17 @@ class TestGrowthLaw:
         at_kink = np.any(np.isclose(sol.times[:, None], s.profile.kinks()), 1)
         assert at_kink.sum() == 3
         wrong = np.where(at_kink, gamma_up * (1 + 1e-3), gamma_up)
-        rates, residuals = growth_law_residual(sol, gamma_up=wrong)
+        rates, residuals, limits = growth_law_residual(sol, gamma_up=wrong)
         assert np.max(residuals) > max(GROWTH_LIMIT * np.max(np.abs(rates)), 1e-12 * s.omega)
+        # the difference error does not hide a moved rate (the last kink's is 0)
+        moved = wrong != gamma_up
+        assert moved.sum() == 2 and np.all(residuals[moved] > limits[moved])
 
     def test_rate_sign_matches_creation_rate_sign(self):
         # wherever gamma_up < 0 the density must actually be decreasing
         s = sinusoid_scenario()
         sol = solve_modes(s, 81, rtol=1e-12, atol=1e-14)
-        rates, _ = growth_law_residual(sol)
+        rates, _, _ = growth_law_residual(sol)
         floor = 1e-8 * max(np.max(np.abs(rates)), 1e-30)
         _, gamma_up = closed_form_generators(sol)
         assert np.all(rates[gamma_up < -floor] < 0.0)
@@ -626,7 +636,7 @@ class TestGrowthLaw:
         # is_psd verdict on the 1x1 rate matrix tracks the density slope
         s = sinusoid_scenario(theta=np.pi / 2, t_end=10.0)
         sol = solve_modes(s, 21, rtol=1e-12, atol=1e-14)
-        rates, _ = growth_law_residual(sol)
+        rates, _, _ = growth_law_residual(sol)
         floor = 1e-6 * np.max(np.abs(rates))
         _, _, gamma_up, _ = casimir_generator_callback(sol)(sol.times)
         for i in range(21):
@@ -927,7 +937,7 @@ def test_invariants_and_reference_over_profiles(profile, refractive_index, theta
     scale = 1.0 + np.abs(sol.f_rp) ** 2
     assert np.all(np.abs(sol.ccr_residual) <= 1e-13 * scale)
     h, gamma_up = closed_form_generators(sol)
-    rates, residuals = growth_law_residual(sol, gamma_up=gamma_up)
+    rates, residuals, _ = growth_law_residual(sol, gamma_up=gamma_up)
     assert np.max(residuals) <= max(GROWTH_LIMIT * np.max(np.abs(rates)), 1e-12 * s.omega)
     ext_h, ext_up, ext_down = extracted_generators(sol)
     assert np.max(np.abs(h - ext_h[:, 0, 0])) <= EXTRACTION_LIMIT * s.omega
@@ -1188,6 +1198,7 @@ def _verdicts(tmp_path, command, cfg, monkeypatch, solve):
     wrote."""
     monkeypatch.setattr(cli, "solve_modes", solve)
     out = tmp_path / solve.__name__
+    out.mkdir()  # as main does before the runner
     _, parse, run = cli.COMMANDS[command]
     report = run(parse(cfg), out)
     gates = [re.findall(r"(\w+) \(value", failure) for failure in report.failures]

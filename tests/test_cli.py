@@ -116,6 +116,11 @@ MALFORMED = [
     ("fock-check", {"angle": True}),
     ("fock-check", {"cutoff": True}),
 ]
+# 1.25e-7 of the squeezed vacuum but 4.5e-6 of its pair moment lie beyond the
+# cutoff: admitted by the population alone, it failed the squeeze check at 5.07e-6
+SQUEEZE_TAIL = [
+    ("fock-check", {"squeeze": 0.9236984507943009, "checks": ["squeeze"], "cutoff": 24}),
+]
 
 # configs with a key that nothing would read, (command, change, key): each
 # exits 2 naming the key
@@ -156,6 +161,22 @@ OVERSIZED = [
     *[(command, {}, ["--samples", "1000000000000"])
       for command in ("casimir", "sweep", "extract", "amplify")],
 ]
+
+
+def made(path: Path) -> Path:
+    """``path``, created as ``main`` creates a run's output directory before
+    its runner starts."""
+    path.mkdir()
+    return path
+
+
+# a gate's report line, ``name: value V, limit L, t=T``
+REPORT_LINE = re.compile(r"^  (.+): (value (\S+), limit (\S+), t=(\S+))$", re.MULTILINE)
+
+
+def printed_gates(out: str) -> dict:
+    """The gate lines of a printed report, (value, limit, t) by name."""
+    return {m[1]: tuple(map(float, m.groups()[2:])) for m in REPORT_LINE.finditer(out)}
 
 
 def write_command_config(path, command, change):
@@ -254,17 +275,20 @@ class TestRunCasimir:
             code = main(["casimir", "--config", str(p), "--out", str(tmp_path / "o")])
         out = capsys.readouterr().out
         assert code == 0, out
-        value = float(re.search(r"growth_law_max_residual: (\S+)", out)[1])
-        bound = float(re.search(r"growth_law_bound: (\S+)", out)[1])
-        assert 0.233e-12 < value < bound < 1e-12
+        value, limit, t = printed_gates(out)["growth_law"]
+        assert 0.233e-12 < value < limit < 1e-12 and t == 0.0
 
     def test_passing_growth_law_evaluates_no_further_stencil(self, tmp_path, monkeypatch):
-        def never(*args):
-            pytest.fail("a passing run took a stencil again at h/2")
+        steps = []
+        real = casimir._density_rates
 
-        monkeypatch.setattr(cli, "growth_law_error", never)
+        def recording(sol, t, side, h):
+            steps.append(h)
+            return real(sol, t, side, h)
+
+        monkeypatch.setattr(casimir, "_density_rates", recording)
         report = run_casimir(parse_casimir_config(write_config(tmp_path / "c.json")), tmp_path)
-        assert report.ok
+        assert report.ok and len(steps) == 1
 
     def test_constant_profile_run(self, tmp_path):
         p = tmp_path / "c.json"
@@ -283,34 +307,23 @@ class TestRunCasimir:
         assert report.summary["final_photon_density"] > 1e-10
         assert report.summary["classical_closed_final"] is False
         assert report.summary["classical_open_always"] is True
-        assert report.summary["max_ccr_residual"] <= 1e-8
-        assert report.summary["max_symplectic_residual"] <= 1e-8
+        assert np.max(np.abs(report.columns["ccr_residual"])) <= 1e-8
+        assert np.max(report.columns["_symplectic_residual"]) <= 1e-8
 
     def test_summary_recomputes_from_columns(self, tmp_path):
-        # the summary's numpy reductions against plain loops over the columns
+        # the summary's numpy reductions against plain loops over the columns;
+        # it restates no gate
         cfg = write_config(tmp_path / "c.json")
         report = run_casimir(parse_casimir_config(cfg), tmp_path)
         assert report.ok
         cols = {name: c.tolist() for name, c in report.columns.items()}
         period_end = solve_modes_direct(parse_casimir_config(cfg)["scenario"],
                                         [0.0, np.pi], rtol=1e-11, atol=1e-13)
-        max_rate = max(abs(r) for r in cols["_growth_rate"])
         again = {
             "final_photon_density": cols["n_density"][-1],
-            "max_ccr_residual": max(abs(r) for r in cols["ccr_residual"]),
-            "max_symplectic_residual": max(cols["_symplectic_residual"]),
             "classical_closed_final": cols["classical_closed"][-1],
             "classical_open_always": all(cols["classical_open"]),
             "gamma_up_min": min(cols["gamma_up"]),
-            "growth_law_max_residual": max(cols["growth_residual"]),
-            "growth_law_bound": max(cli.GROWTH_LIMIT * max_rate, 1e-12),
-            "extraction_max_h_deviation": max(
-                abs(a - b) for a, b in zip(cols["h"], cols["h_extracted"])
-            ),
-            "extraction_max_gamma_deviation": max(
-                abs(a - b) for a, b in zip(cols["gamma_up"], cols["gamma_up_extracted"])
-            ),
-            "extraction_max_gamma_down": max(abs(r) for r in cols["gamma_down_extracted"]),
             "endpoint_velocity_mismatch": abs(0.2 * np.sin(2.0 * cols["T"][-1])),
             # from the direct route's U(P), P = pi: |Re u_M| = 0.99965 < 1
             "floquet_exponent": math.acosh(max(1.0, abs(period_end.f_rp[-1].real))) / np.pi,
@@ -327,6 +340,14 @@ class TestRunCasimir:
                 assert again[key] == value
             else:
                 assert abs(again[key] - value) <= 1e-12
+        # each gate is its column at the sample of largest residual / limit
+        for name, residual, limit in [
+            ("ccr_invariant", cols["ccr_residual"], [1e-8] * len(cols["T"])),
+            ("growth_law", cols["growth_residual"], cols["_growth_limit"]),
+        ]:
+            ratios = [abs(r) / lim for r, lim in zip(residual, limit)]
+            worst = ratios.index(max(ratios))
+            assert report.gates[name] == cli.Gate(residual[worst], limit[worst], cols["T"][worst])
 
     def test_csv_schema_and_roundtrip_precision(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
@@ -368,7 +389,7 @@ class TestRouteReport:
     ], ids=["floquet", "ramp", "roundoff_fallback"])
     def test_summary_and_report_name_the_route(self, tmp_path, capsys, overrides, route, steps):
         cfg = parse_casimir_config(write_config(tmp_path / "c.json", **overrides))
-        report = run_casimir(cfg, tmp_path / "run")
+        report = run_casimir(cfg, made(tmp_path / "run"))
         assert (report.summary["route"], report.summary["steps"]) == (route, steps)
         sol = cli._solve(cfg)
         assert (sol.route, sol.steps) == (route, steps)
@@ -385,11 +406,11 @@ class TestRouteReport:
 class TestRunSweep:
     def test_single_point_sweep_matches_plain_run(self, tmp_path):
         cfg = parse_casimir_config(write_config(tmp_path / "c.json"))
-        plain = run_casimir(cfg, tmp_path / "plain")
+        plain = run_casimir(cfg, made(tmp_path / "plain"))
         cfg_sweep = cli.parse_sweep_config(write_config(
             tmp_path / "s.json", sweep={"omega": [1.0], "theta": None,
                                         "drive_frequency": None, "beta0": None}))
-        sweep = run_sweep(cfg_sweep, tmp_path / "sw")
+        sweep = run_sweep(cfg_sweep, made(tmp_path / "sw"))
         assert sweep.summary["points"] == 1
         a = (tmp_path / "plain" / "casimir.csv").read_bytes()
         b = (tmp_path / "sw" / "casimir_000.csv").read_bytes()
@@ -400,7 +421,7 @@ class TestRunSweep:
             tmp_path / "c.json", samples=11, t_end=5.0,
             sweep={"omega": [0.8, 1.0, 1.2], "theta": None,
                    "drive_frequency": [1.6, 2.0, 2.4], "beta0": None}))
-        report = run_sweep(cfg, tmp_path / "sw")
+        report = run_sweep(cfg, made(tmp_path / "sw"))
         assert report.summary["points"] == 9
         names = sorted(f.name for f in (tmp_path / "sw").glob("casimir_*.csv"))
         assert names == [f"casimir_{i:03d}.csv" for i in range(9)]
@@ -413,7 +434,7 @@ class TestRunSweep:
             tmp_path / "c.json", theta=np.pi / 2, samples=11, t_end=15.0,
             sweep={"omega": None, "theta": None,
                    "drive_frequency": [0.6, 1.0, 1.6, 2.0, 2.6], "beta0": None}))
-        report = run_sweep(cfg, tmp_path / "sw")
+        report = run_sweep(cfg, made(tmp_path / "sw"))
         densities = report.columns["final_photon_density"]
         assert report.summary["best_index"] == int(np.argmax(densities))
         # the peak sits at the drive nearest the effective mode frequency
@@ -424,12 +445,16 @@ class TestRunSweep:
             tmp_path / "c.json", samples=11, t_end=5.0,
             sweep={"omega": None, "theta": None, "drive_frequency": None,
                    "beta0": [0.2, 1.5]}))
-        report = run_sweep(cfg, tmp_path / "sw")
+        report = run_sweep(cfg, made(tmp_path / "sw"))
         assert not report.ok
-        statuses = report.columns["status"]
-        assert statuses.count("ok") == 1
-        assert statuses.count("error") == 1
-        assert (tmp_path / "sw" / "casimir_000.csv").exists()
+        assert report.columns["status"] == ["ok", "error"]
+        # the error point writes no CSV, and the summary names none for it
+        assert report.columns["csv"] == ["casimir_000.csv", ""]
+        assert sorted(f.name for f in (tmp_path / "sw").iterdir()) == [
+            "casimir_000.csv", "sweep_summary.csv"]
+        assert (tmp_path / "sw" / "sweep_summary.csv").read_text().splitlines()[2].endswith(
+            ",error,")
+        assert report.failures[-1].startswith("point 1: ConfigError: ")
 
     def test_top_level_scenario_is_checked_under_a_sweep(self, tmp_path, capsys):
         # the parsed config holds the top-level scenario, so an omega that the
@@ -447,7 +472,7 @@ class TestRunAmplify:
         cfg = {"kappa": [1.0], "m": [0.0], "t_end": 1.0, "samples": 6}
         report = run_amplify(cli.parse_amplify_config(cfg), tmp_path)
         assert report.ok
-        assert report.summary["max_relative_deviation"] <= 1e-8
+        assert report.gates["closed_form_mismatch"].value <= 1e-8
         assert report.columns["closed_total_number"][-1] == pytest.approx(
             E2_MINUS_1, rel=1e-10
         )
@@ -456,13 +481,13 @@ class TestRunAmplify:
         cfg = {"kappa": [0.0], "m": [0.3], "t_end": 2.0, "samples": 4}
         report = run_amplify(cli.parse_amplify_config(cfg), tmp_path)
         assert report.ok
-        assert report.summary["max_relative_deviation"] < 1e-12
+        assert np.max(report.columns["relative_deviation"]) < 1e-12
 
     def test_per_mode_rates(self, tmp_path):
         cfg = {"kappa": [1.0, 2.0], "m": [0.5, 0.0], "t_end": 1.0, "samples": 5}
         report = run_amplify(cli.parse_amplify_config(cfg), tmp_path)
         assert report.ok
-        assert report.summary["max_relative_deviation"] <= 1e-8
+        assert report.gates["closed_form_mismatch"].value <= 1e-8
 
     def test_exit_zero_through_main(self, tmp_path):
         p = tmp_path / "a.json"
@@ -532,8 +557,7 @@ class TestRunAmplify:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["amplify", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
-        deviation = re.search(r"max_relative_deviation: (\S+)", capsys.readouterr().out)
-        assert float(deviation[1]) <= 1e-12
+        assert printed_gates(capsys.readouterr().out)["closed_form_mismatch"][0] <= 1e-12
 
     def test_tolerance_keys_rejected(self, tmp_path, capsys):
         # the constant generators are propagated exactly; no tolerance applies
@@ -555,7 +579,9 @@ class TestRunAmplify:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["amplify", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
-        assert f"  threshold: {limit!r}\n" in capsys.readouterr().out
+        assert printed_gates(capsys.readouterr().out)["closed_form_mismatch"][1] == float(
+            f"{limit:.3e}")
+        assert cli.parse_amplify_config({"kappa": kappa, "m": m})["limit"] == limit
 
     @pytest.mark.parametrize("kappa", [1.0, 0.001])
     def test_rate_without_its_digits_exits_two(self, tmp_path, capsys, kappa):
@@ -718,7 +744,7 @@ class TestConfigContract:
             p = Path(tmp) / "c.json"
             p.write_text(json.dumps(_sweep_config(cfg, axis, values)))
             code, out, err = run_main(["sweep", "--config", str(p), "--out", str(Path(tmp) / "o")])
-        failure = rf"point \d+: (\w+Error: .*|{GATE_LINE}(,{GATE_LINE})*)"
+        failure = rf"point \d+: (\w+Error: .*|{GATE_LINE})"
         assert_named_outcome("sweep", code, out, err, CASIMIR_ERROR_KEYS, failure)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -738,8 +764,7 @@ class TestConfigContract:
             p.write_text(json.dumps(cfg))
             code, out, err = run_main(["fock-check", "--config", str(p),
                                        "--out", str(Path(tmp) / "o")])
-        assert_named_outcome("fock-check", code, out, err, "|".join(cli.FOCK_KEYS),
-                             "|".join(cli.FOCK_THRESHOLDS))
+        assert_named_outcome("fock-check", code, out, err, "|".join(cli.FOCK_KEYS))
 
     @pytest.mark.parametrize("command,change,reason", [
         ("casimir", "{", r"config is not valid JSON"),
@@ -854,10 +879,11 @@ class TestRunFockCheck:
 
     def test_squeeze_and_observables_share_one_squeezed_state(self, tmp_path):
         cfg = {"checks": ["identity", "beam_splitter", "squeeze", "observables"]}
-        devs = dict(zip(*(run_fock_check(cli.parse_fock_config(cfg), tmp_path / "all").columns[c]
-                          for c in ("check", "deviation"))))
+        columns = run_fock_check(cli.parse_fock_config(cfg), made(tmp_path / "all")).columns
+        devs = dict(zip(columns["check"], columns["deviation"]))
         for check in ("squeeze", "observables"):
-            alone = run_fock_check(cli.parse_fock_config({"checks": [check]}), tmp_path / check)
+            alone = run_fock_check(cli.parse_fock_config({"checks": [check]}),
+                                   made(tmp_path / check))
             assert alone.ok
             assert alone.columns["check"] == [check]
             assert alone.columns["deviation"][0] == devs[check]
@@ -873,6 +899,31 @@ class TestRunFockCheck:
         p = tmp_path / "c.json"
         p.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["fock-check", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+
+    def test_admitted_squeeze_passes_at_every_cutoff(self, tmp_path):
+        # the largest squeeze the parser admits at each cutoff, to 1e-12, runs
+        # and passes: the pair moment's tail, not the population beyond the
+        # cutoff, bounds what the check compares
+        def admitted(squeeze, cutoff):
+            try:
+                cli.parse_fock_config({"checks": ["squeeze"], "cutoff": cutoff, "squeeze": squeeze})
+            except ConfigError as exc:
+                assert str(exc).startswith("config.squeeze ")
+                return False
+            return True
+
+        for cutoff in range(2, 41):
+            low, high = 0.0, 2.0
+            while high - low > 1e-12:
+                mid = 0.5 * (low + high)
+                low, high = (mid, high) if admitted(mid, cutoff) else (low, mid)
+            p = tmp_path / f"{cutoff}.json"
+            p.write_text(json.dumps({"checks": ["squeeze"], "cutoff": cutoff, "squeeze": low}))
+            code, out, err = run_main(["fock-check", "--config", str(p),
+                                       "--out", str(tmp_path / str(cutoff))])
+            assert code == 0 and not err, (cutoff, low, out, err)
+        # the benchmark's squeeze, and the default one at the default cutoff
+        assert admitted(0.303, 28) and admitted(FOCK_KEYS["squeeze"], FOCK_KEYS["cutoff"])
 
     def test_check_selection(self, tmp_path):
         report = run_fock_check(cli.parse_fock_config({"checks": ["identity"]}), tmp_path)
@@ -1000,6 +1051,14 @@ class TestExitCodes:
         assert main(["casimir", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
         assert "violated" not in capsys.readouterr().out
 
+    def test_unwritable_csv_exits_one(self, tmp_path):
+        # a directory where the CSV goes: the run fails by name, not by traceback
+        (tmp_path / "o" / "fock_check.csv").mkdir(parents=True)
+        code, out, err = run_main(["fock-check", "--out", str(tmp_path / "o")])
+        assert code == 1 and not out
+        assert re.fullmatch(r"run failed: IsADirectoryError: \[Errno 21\] Is a directory: "
+                            r"'[^']*fock_check\.csv'\n", err)
+
     def test_out_dir_from_config(self, tmp_path):
         p = tmp_path / "c.json"
         write_config(p, samples=5, t_end=2.0, out_dir=str(tmp_path / "configured"))
@@ -1052,7 +1111,8 @@ class TestExitCodes:
         assert main(["casimir", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
         assert (tmp_path / "o" / "casimir.csv").exists()
         out = capsys.readouterr().out
-        assert "max_symplectic_residual" in out
+        assert "  final_photon_density: " in out
+        assert re.search(r"  symplectic_residual: value 2\.\d+e-06, limit 1\.000e-08, t=", out)
         gate = r"violated: symplectic_residual \(value 2\.\d+e-06, limit 1\.000e-08, t="
         assert re.search(gate, out)
 
@@ -1072,7 +1132,7 @@ class TestExitCodes:
         gate = r"violated: extraction_gamma_down_zero \(value 1\.000e-06, limit 1\.000e-08, t=\S+\)"
         assert re.search(gate, capsys.readouterr().out)
 
-    @pytest.mark.parametrize("command,change", MALFORMED)
+    @pytest.mark.parametrize("command,change", MALFORMED + SQUEEZE_TAIL)
     def test_malformed_value_exits_two(self, tmp_path, capsys, command, change):
         # a bad value is a configuration error (exit 2) naming the key, not a
         # traceback, a "run failed" (exit 1) or a silently rounded number
@@ -1152,7 +1212,7 @@ class TestExitCodes:
         )
         expected = run_fock_check(
             cli.parse_fock_config({"checks": ["observables"], "cutoff": 8, key: int(float(value))}),
-            tmp_path / "int",
+            made(tmp_path / "int"),
         )
         assert report.columns == expected.columns and not report.failures
 
@@ -1246,6 +1306,7 @@ class TestParseBeforeRun:
         *[(command, change, []) for command, change, _ in UNREAD],
         # a kind that is no string names no entry of casimir.PROFILE_KINDS
         ("casimir", {"profile": {"kind": ["sinusoid"], "beta0": 0.2}}, []),
+        *[(command, change, []) for command, change in SQUEEZE_TAIL],
     ])
     def test_config_error_exits_before_the_runner(self, tmp_path, capsys, monkeypatch,
                                                   command, change, flags):
@@ -1260,6 +1321,34 @@ class TestParseBeforeRun:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @pytest.mark.parametrize("case", ["out_is_a_file", "config_is_a_directory",
+                                      "config_not_utf8"])
+    def test_unusable_path_exits_before_the_runner(self, tmp_path, monkeypatch, command, case):
+        # an --out that names a file, or a config that is a directory or not
+        # UTF-8, is a configuration error naming the path, with no traceback
+        def never(cfg, out_dir):
+            pytest.fail(f"{command}'s runner started with an unusable path")
+
+        for name, (argv_flags, parse, _) in list(cli.COMMANDS.items()):
+            monkeypatch.setitem(cli.COMMANDS, name, (argv_flags, parse, never))
+        config, out = tmp_path / "c.json", tmp_path / "o"
+        write_command_config(config, command, {})
+        if case == "out_is_a_file":
+            out.write_text("taken", encoding="utf-8")
+            reason = f"cannot create the output directory {out}: File exists"
+        elif case == "config_is_a_directory":
+            config = tmp_path / "dir.json"
+            config.mkdir()
+            reason = f"cannot read config {config}: Is a directory"
+        else:
+            config.write_bytes(b"\xff\xfe{}")
+            reason = (f"cannot read config {config}: 'utf-8' codec can't decode byte 0xff in "
+                      f"position 0: invalid start byte")
+        code, stdout, err = run_main([command, "--config", str(config), "--out", str(out)])
+        assert (code, stdout, err) == (2, "", f"config error: {reason}\n")
+        assert out.is_file() == (case == "out_is_a_file")
 
     @pytest.mark.parametrize("command,change,key", UNREAD)
     def test_unread_key_is_named(self, tmp_path, capsys, command, change, key):
@@ -1406,7 +1495,47 @@ class TestCsvBytes:
         summary = (tmp_path / "2" / "sweep_summary.csv").read_text().splitlines()
         rows = [line.split(",") for line in summary[1:]]
         assert [row[-2] for row in rows] == ["ok", "error", "ok", "error"]
+        assert [row[-1] for row in rows] == ["casimir_000.csv", "", "casimir_002.csv", ""]
         assert [row[-3] for row in rows[1::2]] == ["nan", "nan"]
+
+
+class TestReportLines:
+    def test_printed_gates_are_the_report_gates(self, tmp_path, monkeypatch):
+        # every command prints each gate of its RunReport once, in order, as
+        # "name: value V, limit L, t=T", and a violated line for each gate that
+        # failed, in the same form, then a sweep's point errors
+        reports = {}
+        for name, (argv_flags, parse, run) in list(cli.COMMANDS.items()):
+            def recording(cfg, out_dir, run=run, name=name):
+                reports[name] = run(cfg, out_dir)
+                return reports[name]
+
+            monkeypatch.setitem(cli.COMMANDS, name, (argv_flags, parse, recording))
+        monkeypatch.setitem(cli.FOCK_THRESHOLDS, "beam_splitter", 0.0)  # fails at 2.8e-16
+        write_config(tmp_path / "loose.json", t_end=300.0, samples=11, rel_tol=1e-3,
+                     profile={"kind": "sinusoid", "beta0": 0.5, "drive_frequency": 0.05})
+        write_config(tmp_path / "sweep.json", samples=11, sweep={"beta0": [0.2, 1.5]})
+        (tmp_path / "amp.json").write_text(json.dumps({"kappa": [1.0, 0.5], "m": 0.5}))
+        runs = [("casimir", "loose", 1), ("extract", "loose", 0), ("sweep", "sweep", 1),
+                ("amplify", "amp", 0), ("fock-check", None, 1)]
+        for command, config, expected in runs:
+            argv = [command, "--out", str(tmp_path / command)]
+            code, out, err = run_main(argv + (["--config", str(tmp_path / f"{config}.json")]
+                                              if config else []))
+            report = reports[command]
+            assert (code, err) == (expected, "") and report.ok == (code == 0)
+            lines = {m[1]: m[2] for m in REPORT_LINE.finditer(out)}
+            assert list(lines) == list(report.gates) != [], command
+            for name, (value, limit, t) in printed_gates(out).items():
+                g = report.gates[name]
+                assert (value, limit, t) == tuple(
+                    float(f"{x:{spec}}") for x, spec in
+                    ((g.value, ".3e"), (g.limit, ".3e"), (g.time, ".6g"))), name
+            violated = re.findall(r"^  violated: (.*)$", out, re.MULTILINE)
+            assert violated == [f"{name} ({lines[name]})"
+                                for name, g in report.gates.items() if not g.ok] + report.errors
+            assert all(re.fullmatch(rf"(point \d+: )?{GATE_LINE}", v) for v in violated
+                       if v not in report.errors)
 
 
 class TestBenchHeaders:
