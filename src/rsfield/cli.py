@@ -81,9 +81,12 @@ from .fock import (
     QuadraticHamiltonian,
     apply_ladder,
     beam_splitter_pair,
+    coherent_moments,
     coherent_state,
+    evolve,
     measure_rsf,
     oracle_check_transform,
+    oracle_deviation,
     squeeze_pair,
 )
 from .kinetics import integrate_kinetics, validity_report
@@ -549,12 +552,14 @@ FOCK_THRESHOLDS = {
     "identity": 1e-10,
     "observables": 1e-6,
 }
-# The share of the squeeze threshold that the tail of the pair moment beyond
-# the cutoff may take (``parse_fock_config``).  The deviation is 0.57-1.25
-# times the tail at cutoffs 2-40 and nears twice it at large cutoffs (1.74 at
-# 200); at cutoff 2 the edge's squeezed vacuum keeps 6.0e-7 on the boundary
-# shell, under the 1e-6 that ``fock.evolve`` allows.
-SQUEEZE_TAIL_SHARE = 0.05
+# The share of a check's threshold that the tail of its moments beyond the
+# cutoff may take (``parse_fock_config``).  For the squeeze check the
+# deviation is 0.57-1.25 times the tail at cutoffs 2-40 and nears twice it at
+# large cutoffs (1.74 at 200); at cutoff 2 the edge's squeezed vacuum keeps
+# 6.0e-7 on the boundary shell, under the 1e-6 that ``fock.evolve`` allows.
+# For the identity check the tail bounds the deviation, and the rest of the
+# threshold is left to roundoff.
+TAIL_SHARE = 0.05
 
 
 def _observables_deviation(state: FockState, rf, seed: int) -> float:
@@ -607,25 +612,45 @@ def parse_fock_config(cfg: dict) -> dict:
     lam = math.tanh(abs(squeeze))
     tail = lam ** (2 * cutoff + 1) * (cutoff + 1 + lam * lam / (1.0 - lam * lam)) \
         if lam < 1.0 else math.inf
-    limit = SQUEEZE_TAIL_SHARE * FOCK_THRESHOLDS["squeeze"]
+    limit = TAIL_SHARE * FOCK_THRESHOLDS["squeeze"]
     if "squeeze" in checks and not tail <= limit:
         raise ConfigError(
             f"config.squeeze {squeeze} leaves {tail:.3e} of the squeezed vacuum's pair moment "
             f"<ab> beyond cutoff {cutoff}, above {limit:g}; lower it or raise the cutoff"
         )
-    # the coherent states of identity and observables, each held to the
-    # boundary gate it meets first: evolve's on entry, or the moments'
+    # the coherent states (z1, z2) of identity and observables, each held to
+    # the boundary gate it meets first: evolve's on entry, or the moments'
     states = out["states"] = {}
-    for check, z2, tol in (("identity", -0.2, BOUNDARY_PRE_TOL),
-                           ("observables", 0.2j, BOUNDARY_POST_TOL)):
+    for check, z, tol in (("identity", (0.3, -0.2), BOUNDARY_PRE_TOL),
+                          ("observables", (0.3, 0.2j), BOUNDARY_POST_TOL)):
         if check in checks:
-            states[check] = coherent_state(0.3, z2, cutoff)
-            edge = states[check].boundary_population()
+            states[check] = z, coherent_state(*z, cutoff)
+            edge = states[check][1].boundary_population()
             if not edge <= tol:
                 raise ConfigError(
                     f"config.cutoff {cutoff} leaves {edge:.3e} of the {check} check's "
                     f"coherent state on its boundary shell, above {tol:g}; raise the cutoff"
                 )
+    # The identity check compares the truncated coherent state's moments
+    # with their closed forms (z_k, z_k conj(z_k'), z_k z_k').  Each measured
+    # moment is its closed form times Poisson masses F1(a) F2(b), a, b >= N - 2
+    # at cutoff N, so it misses at most max(|z|, |z|^2) (Q1 + Q2) of it, with
+    # Q_k = P(n_k >= N - 1) <= p_k(N - 1) / (1 - lam_k / N) for the Poisson
+    # law p_k of mean lam_k = |z_k|^2 < N.  This tail bounds the deviation;
+    # cutoff 8 is the first admitted (2.6e-12 against 7.9e-13 measured).
+    if "identity" in checks:
+        z = np.abs(states["identity"][0])
+        lam = z * z
+        tail = max(z.max(), lam.max()) * sum(
+            k ** (cutoff - 1) * math.exp(-k - math.lgamma(cutoff)) / (1.0 - k / cutoff)
+            for k in lam
+        )
+        limit = TAIL_SHARE * FOCK_THRESHOLDS["identity"]
+        if not tail <= limit:
+            raise ConfigError(
+                f"config.cutoff {cutoff} leaves {tail:.3e} of the identity check's coherent "
+                f"moments beyond it, above {limit:g}; raise the cutoff"
+            )
     return out
 
 
@@ -633,8 +658,11 @@ def run_fock_check(cfg: dict, out_dir: Path) -> RunReport:
     checks, cutoff, states = cfg["checks"], cfg["cutoff"], cfg["states"]
     deviation = {}
     if "identity" in checks:
-        deviation["identity"] = oracle_check_transform(
-            identity_map(1, 1), states["identity"], QuadraticHamiltonian(), 1.0,
+        # the evolved moments against the coherent state's closed-form ones,
+        # so the truncation and the evolution both show in the deviation
+        z, state = states["identity"]
+        deviation["identity"] = oracle_deviation(
+            identity_map(1, 1), coherent_moments(*z), evolve(state, QuadraticHamiltonian(), 1.0),
         )
     if "beam_splitter" in checks:
         h, m = beam_splitter_pair(cfg["angle"])
@@ -647,7 +675,7 @@ def run_fock_check(cfg: dict, out_dir: Path) -> RunReport:
     if "observables" in checks:
         # z1 conj(z2) is not real, so r_01 = <a_1^dag a_0> is complex and a
         # transposed or conjugated r shows in the deviation
-        state = states["observables"]
+        _, state = states["observables"]
         deviation["observables"] = _observables_deviation(state, measure_rsf(state)[0], cfg["seed"])
 
     # each check at its evolution's time; the observables' state does not evolve

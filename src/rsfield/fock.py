@@ -3,7 +3,8 @@
 Pure states of two bosonic modes are stored as amplitude arrays
 ``psi[n1, n2]`` over the basis |n1, n2> with 0 <= n_i <= n_max.  States
 are evolved as exp(-i H t) psi for quadratic Hamiltonians by a truncated
-Taylor series of H (``numerics.expmv``).  H is built once per evolution
+Taylor series of H (``numerics.expmv``), one plan per evolution whose
+checkpoints are read from the same series.  H is built once per evolution
 (``QuadraticHamiltonian.operator``) from its nonzero terms only and acts on
 the flattened amplitude array: a number diagonal plus one coefficient
 table per ladder term, each term one contiguous update of the flat array
@@ -26,7 +27,10 @@ validated moment object between an evolution and its deviation.
 Truncation quality is tracked through the boundary population (total
 probability on states with n1 = n_max or n2 = n_max, the inner products of
 the shell's row and column with themselves); every consumer checks it
-before trusting the result.  This module exists as an oracle:
+before trusting the result.  An evolution checks it at ``CHECKPOINTS``
+equal steps: the series that evolves the state also returns the shell's
+2 n_max + 1 amplitudes at each inner checkpoint, and no state is formed
+between them.  This module exists as an oracle:
 the mesoscopic formalism is validated against it, never the reverse.
 """
 
@@ -222,16 +226,19 @@ class QuadraticHamiltonian:
 
 
 def evolve(state: FockState, h: QuadraticHamiltonian, t: float) -> FockState:
-    """Schroedinger evolution exp(-i H t) by ``numerics.expmv`` in
-    ``CHECKPOINTS`` equal substeps.
+    """Schroedinger evolution exp(-i H t) by one ``numerics.expmv`` plan,
+    with the boundary population checked at ``CHECKPOINTS`` equal steps.
 
-    The operator -i step H is built once (``QuadraticHamiltonian.operator``,
-    nonzero terms only) and serves every substep, on the flattened
+    The operator -i t H is built once (``QuadraticHamiltonian.operator``,
+    nonzero terms only) and serves every Taylor term, on the flattened
     amplitudes.  The Taylor steps are sized from ||H||_1 <= n_max
     (|number_a| + |number_b| + 2 |E| + 2 |P|) on the truncated basis (every
     ladder matrix element is at most n_max), so H = 0 or t = 0 returns the
-    state exactly.
-    Raises ``NonFiniteStateError`` if the step's norm bound is not finite,
+    state exactly.  The inner checkpoints k t / CHECKPOINTS are read from
+    the same series: ``expmv`` returns only the boundary shell's amplitudes
+    at each (the last row and the rest of the last column), the final
+    checkpoint is the evolved state's.
+    Raises ``NonFiniteStateError`` if the norm bound of t H is not finite,
     before H is built, and ``TruncationOverflowError`` if the boundary
     population exceeds its threshold before the evolution or at any
     checkpoint (read from the raw amplitudes); checks norm preservation at
@@ -243,7 +250,6 @@ def evolve(state: FockState, h: QuadraticHamiltonian, t: float) -> FockState:
         raise TruncationOverflowError(
             f"initial boundary population {state.boundary_population():.3e} too large"
         )
-    step = t / CHECKPOINTS
     try:
         norm = state.n_max * (
             abs(h.number_a) + abs(h.number_b)
@@ -252,20 +258,23 @@ def evolve(state: FockState, h: QuadraticHamiltonian, t: float) -> FockState:
         )
     except OverflowError:  # a complex coefficient's modulus is past the float range
         norm = np.inf
-    # before H is built: a finite bound caps every entry of -i step H
-    if not np.isfinite(norm * step):
-        raise NonFiniteStateError(f"norm bound of step H is not finite ({norm:.3e} x {step:.3e})")
-    shape = state.amplitudes.shape
-    amp = state.amplitudes.ravel()
-    apply = h.operator(shape[0], -1j * step)
-    for k in range(1, CHECKPOINTS + 1):
-        amp = expmv(apply, amp, norm * step)
-        edge = _boundary_population(amp.reshape(shape))
+    # before H is built: a finite bound caps every entry of -i t H
+    if not np.isfinite(norm * t):
+        raise NonFiniteStateError(f"norm bound of t H is not finite ({norm:.3e} x {t:.3e})")
+    d = state.n_max + 1
+    # the shell in the flat index n1 d + n2: the last row, then the rest of the last column
+    shell = np.concatenate([np.arange(d * (d - 1), d * d), np.arange(d - 1, d * (d - 1), d)])
+    amp, edges = expmv(h.operator(d, -1j * t), state.amplitudes.ravel(), norm * t,
+                       shell, np.arange(1, CHECKPOINTS) / CHECKPOINTS)
+    amp = amp.reshape(d, d)
+    populations = np.append(np.sum(edges.real ** 2 + edges.imag ** 2, axis=1),
+                            _boundary_population(amp))
+    for k, edge in enumerate(populations, 1):
         if not edge <= BOUNDARY_POST_TOL:
             raise TruncationOverflowError(
-                f"boundary population {edge:.3e} at t={k * step:.4g}; raise the cutoff"
+                f"boundary population {edge:.3e} at t={k * t / CHECKPOINTS:.4g}; raise the cutoff"
             )
-    out = FockState(amp.reshape(shape), lost_weight=state.lost_weight)
+    out = FockState(amp, lost_weight=state.lost_weight)
     drift = abs(out.norm_squared() - state.norm_squared())
     if not drift <= 1e-9:
         raise TruncationOverflowError(f"norm drifted by {drift:.3e} during evolution")
@@ -314,16 +323,18 @@ def measure_generalized(state: FockState) -> GeneralizedField:
     return from_state_moments(*_moments(state))
 
 
-def oracle_deviation(m: BogoliubovMap, initial: FockState, evolved: FockState) -> float:
+def oracle_deviation(m: BogoliubovMap, initial: tuple, evolved: FockState) -> float:
     """Max deviation between the covariant update and the brute force.
 
     The generalized moments (g, A) of ``evolved`` are compared entrywise
-    against X g X^dag and X A with (g, A) of ``initial``, all plain arrays
-    (``_moments`` in the layout of ``rsf.from_state_moments``).  ``m`` must
-    be the analytic map of the evolution that took ``initial`` to
-    ``evolved`` (see the catalog helpers below).
+    against X g X^dag and X A with (g, A) of ``initial``, the moments
+    (r, alpha, c) of the state before the evolution, measured (``_moments``)
+    or in closed form (``coherent_moments``); all are plain arrays in the
+    layout of ``rsf.from_state_moments``.  ``m`` must be the analytic map
+    of the evolution that reached ``evolved`` (see the catalog helpers
+    below).
     """
-    g0, a0 = _generalized_arrays(*_moments(initial))
+    g0, a0 = _generalized_arrays(*initial)
     g1, a1 = _generalized_arrays(*_moments(evolved))
     return max(max_abs(g1 - m.x @ g0 @ m.x.conj().T), max_abs(a1 - m.x @ a0))
 
@@ -335,7 +346,7 @@ def oracle_check_transform(
     t: float,
 ) -> float:
     """``oracle_deviation`` of ``initial`` evolved under ``h`` for time ``t``."""
-    return oracle_deviation(m, initial, evolve(initial, h, t))
+    return oracle_deviation(m, _moments(initial), evolve(initial, h, t))
 
 
 def squeeze_pair(kappa: float, t: float):
@@ -383,3 +394,11 @@ def coherent_state(z1: complex, z2: complex = 0.0, n_max: int = DEFAULT_CUTOFF) 
         return np.exp(-0.5 * abs(z) ** 2 + n * np.log(complex(z)) - 0.5 * log_fact)
     amp = np.outer(amps(z1), amps(z2))
     return FockState(amp)
+
+
+def coherent_moments(z1: complex, z2: complex = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The moments (r, alpha, c) of the untruncated product coherent state
+    |z1> (x) |z2> in closed form: alpha_k = z_k, r_kk' = z_k conj(z_k') and
+    c_kk' = z_k z_k'."""
+    z = np.array([z1, z2], dtype=complex)
+    return np.outer(z, z.conj()), z, np.outer(z, z)

@@ -13,7 +13,9 @@ by exponentials rather than by a general-purpose ODE solver:
   of a matrix-free A, in substeps whose number and degree follow from a
   bound on ||A||_1 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)
   488); each series stops once its terms fall below unit roundoff.
-  Its work is linear in the bound, so a plan of more than
+  From the same series it also reads chosen entries of exp(p A) v at
+  points p in [0, 1], so one plan serves a whole evolution and its
+  checkpoints.  Its work is linear in the bound, so a plan of more than
   ``EXPMV_MAX_APPLICATIONS`` applications of A raises ``ConvergenceError``
   before A is applied.  The truncated-Fock oracle uses it.
 * ``expm`` is the dense exponential of a matrix or a stack of them, by
@@ -106,9 +108,11 @@ UNIT_ROUNDOFF = 2.0 ** -53
 # of ||A||_1, so ||A||_1 up to about 1.88e5.  A Taylor term on the 29^2
 # amplitudes of cutoff 28 takes under 10 us, so a call at the cap runs for
 # seconds at desk cutoffs.  The beam splitter of ``rsfield fock-check``
-# (|angle| <= 2 pi) plans at most 8.8 n_max applications per checkpoint and
-# its squeeze fewer, so the cap binds only past a cutoff of 1.2e5, whose
-# amplitudes alone would take 230 GB
+# (|angle| <= 2 pi, ||t H||_1 <= 4 pi n_max) plans about 70 n_max
+# applications for its whole evolution, one plan that also reads its
+# checkpoints, and its squeeze fewer; so the cap binds only past a cutoff of
+# 1.5e4, whose amplitudes alone would take 3.6 GB, seven times the 2047 that
+# ``fock-check`` admits
 EXPMV_MAX_APPLICATIONS = 2 ** 20
 
 
@@ -192,11 +196,13 @@ def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> tuple[np.ndarray, np.ndarray]
     return lam_min >= -tol * (1.0 + np.abs(sym).max(axis=(-2, -1), initial=0.0)), lam_min
 
 
-def _taylor(apply, v, degree: int, scale: float):
+def _taylor(apply, v, degree: int, scale: float, read=None):
     """sum_{k <= degree} (scale A)^k v / k! for A = ``apply``, stopped once two
     consecutive terms together fall below unit roundoff relative to the
     partial sum (max-entry norms, Al-Mohy & Higham's test).  ``apply``
-    must return a fresh array: the term is scaled in place.
+    must return a fresh array: the term is scaled in place.  ``read``, when
+    given, is called as ``read(k, term_k)`` with each term k >= 1 once it
+    is scaled, the last one summed included, and must not write to it.
 
     The partial sum's norm, one more reduction, is read only once the two
     terms fall below 2 u times the sum of all terms' norms so far: that sum
@@ -215,6 +221,8 @@ def _taylor(apply, v, degree: int, scale: float):
     for k in range(1, degree + 1):
         term = apply(term)
         term *= scale / k
+        if read is not None:
+            read(k, term)
         if k == 1:
             total = v + term
         else:
@@ -239,7 +247,8 @@ def _taylor_plan(norm: float) -> tuple[int, int]:
     )
 
 
-def expmv(apply: Callable[[np.ndarray], np.ndarray], v: np.ndarray, norm: float) -> np.ndarray:
+def expmv(apply: Callable[[np.ndarray], np.ndarray], v: np.ndarray, norm: float,
+          watch: np.ndarray | None = None, points: Sequence[float] = ()):
     """exp(A) v for the linear map A = ``apply`` (which returns a fresh
     array) with ||A||_1 <= ``norm``; ``v`` is read, never written.
 
@@ -248,6 +257,18 @@ def expmv(apply: Callable[[np.ndarray], np.ndarray], v: np.ndarray, norm: float)
     itself; a non-finite one raises ``NonFiniteStateError``, and one whose
     plan holds more than ``EXPMV_MAX_APPLICATIONS`` applications of A
     (m s) raises ``ConvergenceError``, both before A is applied.
+
+    Given ``watch``, an index array into ``v``, and ``points`` p in [0, 1],
+    returns ``(exp(A) v, readings)`` instead: ``readings[j]`` holds the
+    entries ``watch`` of exp(p_j A) v, complex, read from the same series
+    (Al-Mohy & Higham's e^{tA} b at many t).  A point p > 0 lies at
+    fraction f in (0, 1] of substep i = ceil(p s) - 1, and exp(f A / s) is
+    that substep's series with term k scaled by f^k: the substep keeps the
+    entries ``watch`` of each term it sums, (m + 1) len(watch) numbers and
+    no full vector, and a point reads sum_k f^k term_k[watch].  Each such
+    series stops on the full substep's test, whose terms bound f^k term_k;
+    a substep that holds no point, and every call without ``watch``, take
+    the plain series bit for bit.
     """
     if not math.isfinite(norm):
         raise NonFiniteStateError(f"non-finite norm bound {norm} of the map to exponentiate")
@@ -257,9 +278,28 @@ def expmv(apply: Callable[[np.ndarray], np.ndarray], v: np.ndarray, norm: float)
             f"exp(A) v with ||A||_1 <= {norm:.3e} plans {substeps * degree:.3e} applications "
             f"of A, above the cap of {EXPMV_MAX_APPLICATIONS}"
         )
-    for _ in range(substeps):
-        v = _taylor(apply, v, degree, 1.0 / substeps)
-    return v
+    watched = watch is not None
+    watch = np.asarray(watch if watched else (), dtype=np.intp)
+    # the substep that holds each point, -1 at p = 0 (or with no substep)
+    at = np.asarray(points, dtype=float) * substeps
+    substep = np.ceil(at) - 1.0
+    readings = np.empty((at.size, watch.size), dtype=complex)
+    readings[substep < 0] = v[watch]
+    for i in range(substeps):
+        here = np.flatnonzero(substep == i)
+        if here.size == 0:
+            v = _taylor(apply, v, degree, 1.0 / substeps)
+            continue
+        # term_k[watch] of every term summed; the terms never read stay zero
+        terms = np.zeros((degree + 1, watch.size), dtype=complex)
+        terms[0] = v[watch]
+
+        def read(k, term):
+            terms[k] = term[watch]
+
+        v = _taylor(apply, v, degree, 1.0 / substeps, read)
+        readings[here] = ((at[here] - i)[:, None] ** np.arange(degree + 1)) @ terms
+    return (v, readings) if watched else v
 
 
 def expm(a: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ from rsfield.cli import (
     run_sweep,
 )
 from rsfield.errors import ConfigError
-from rsfield.fock import coherent_state, measure_rsf
+from rsfield.fock import FockState, coherent_state, measure_rsf
 from rsfield.numerics import FloquetSolution
 from rsfield.rsf import ReducedField
 from rsfield.symplectic import (
@@ -116,10 +116,15 @@ MALFORMED = [
     ("fock-check", {"angle": True}),
     ("fock-check", {"cutoff": True}),
 ]
-# 1.25e-7 of the squeezed vacuum but 4.5e-6 of its pair moment lie beyond the
-# cutoff: admitted by the population alone, it failed the squeeze check at 5.07e-6
-SQUEEZE_TAIL = [
+# moments the cutoff leaves out: 1.25e-7 of the squeezed vacuum but 4.5e-6 of
+# its pair moment lie beyond cutoff 24 (admitted by the population alone, it
+# failed the squeeze check at 5.07e-6), and the identity check's coherent
+# state at cutoffs 6 and 7, whose boundary shell passes, misses 4.1e-9 and
+# 6.2e-11 of its closed-form moments
+MOMENT_TAIL = [
     ("fock-check", {"squeeze": 0.9236984507943009, "checks": ["squeeze"], "cutoff": 24}),
+    ("fock-check", {"cutoff": 6, "checks": ["identity"]}),
+    ("fock-check", {"cutoff": 7, "checks": ["identity"]}),
 ]
 
 # configs with a key that nothing would read, (command, change, key): each
@@ -925,6 +930,42 @@ class TestRunFockCheck:
         # the benchmark's squeeze, and the default one at the default cutoff
         assert admitted(0.303, 28) and admitted(FOCK_KEYS["squeeze"], FOCK_KEYS["cutoff"])
 
+    def test_admitted_identity_cutoff_passes(self, tmp_path):
+        # the closed-form moments' tail rejects cutoffs 6 and 7, where the
+        # truncated state's moments miss 4.1e-9 and 6.2e-11 of them; every
+        # cutoff it admits runs and passes
+        def admitted(cutoff):
+            try:
+                cli.parse_fock_config({"checks": ["identity"], "cutoff": cutoff})
+            except ConfigError as exc:
+                assert str(exc).startswith(f"config.cutoff {cutoff} ")
+                return False
+            return True
+
+        cutoffs = [c for c in range(2, 41) if admitted(c)]
+        assert cutoffs == list(range(8, 41))
+        for cutoff in cutoffs:
+            p = tmp_path / f"{cutoff}.json"
+            p.write_text(json.dumps({"checks": ["identity"], "cutoff": cutoff}))
+            code, out, err = run_main(["fock-check", "--config", str(p),
+                                       "--out", str(tmp_path / str(cutoff))])
+            assert code == 0 and not err, (cutoff, out, err)
+        assert admitted(FOCK_KEYS["cutoff"]) and admitted(28)
+
+    def test_identity_check_catches_a_perturbed_amplitude(self, tmp_path):
+        # the evolved moments are compared with the coherent state's closed
+        # form, not with the same state's: <1, 0| moved by 1e-8 relative
+        # reads a deviation of 2.9e-9, past the threshold 1e-10
+        cfg = cli.parse_fock_config({"checks": ["identity"]})
+        assert run_fock_check(cfg, made(tmp_path / "exact")).ok
+        z, state = cfg["states"]["identity"]
+        amp = state.amplitudes.copy()
+        amp[1, 0] *= 1.0 + 1e-8
+        cfg["states"]["identity"] = z, FockState(amp)
+        report = run_fock_check(cfg, made(tmp_path / "perturbed"))
+        assert not report.ok
+        assert report.gates["identity"].value > FOCK_THRESHOLDS["identity"]
+
     def test_check_selection(self, tmp_path):
         report = run_fock_check(cli.parse_fock_config({"checks": ["identity"]}), tmp_path)
         assert report.columns["check"] == ["identity"]
@@ -936,7 +977,7 @@ class TestRunFockCheck:
     def test_exit_zero_through_main(self, tmp_path):
         assert main(["fock-check", "--out", str(tmp_path / "o")]) == 0
 
-    @pytest.mark.parametrize("check, cutoff", [("identity", 6), ("observables", 5)])
+    @pytest.mark.parametrize("check, cutoff", [("identity", 8), ("observables", 5)])
     def test_smallest_cutoff_of_a_coherent_check_runs(self, tmp_path, check, cutoff):
         # one below these cutoffs is a configuration error
         # (test_malformed_value_exits_two); at them the check runs and passes
@@ -1132,7 +1173,7 @@ class TestExitCodes:
         gate = r"violated: extraction_gamma_down_zero \(value 1\.000e-06, limit 1\.000e-08, t=\S+\)"
         assert re.search(gate, capsys.readouterr().out)
 
-    @pytest.mark.parametrize("command,change", MALFORMED + SQUEEZE_TAIL)
+    @pytest.mark.parametrize("command,change", MALFORMED + MOMENT_TAIL)
     def test_malformed_value_exits_two(self, tmp_path, capsys, command, change):
         # a bad value is a configuration error (exit 2) naming the key, not a
         # traceback, a "run failed" (exit 1) or a silently rounded number
@@ -1306,7 +1347,7 @@ class TestParseBeforeRun:
         *[(command, change, []) for command, change, _ in UNREAD],
         # a kind that is no string names no entry of casimir.PROFILE_KINDS
         ("casimir", {"profile": {"kind": ["sinusoid"], "beta0": 0.2}}, []),
-        *[(command, change, []) for command, change in SQUEEZE_TAIL],
+        *[(command, change, []) for command, change in MOMENT_TAIL],
     ])
     def test_config_error_exits_before_the_runner(self, tmp_path, capsys, monkeypatch,
                                                   command, change, flags):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -241,9 +243,11 @@ class TestEvolve:
     @pytest.mark.parametrize(
         "h, state, applications",
         [
-            # eight checkpoints, each one series stopped after 13 or 11 terms
-            (squeeze_pair(0.3, 1.0)[0], FockState.vacuum(28), 104),
-            (beam_splitter_pair(0.7)[0], FockState.number_state(1, 0, 28), 88),
+            # one plan for the whole evolution, whose series also read the
+            # checkpoints: 2 substeps stopped after 23 terms (||t H||_1 <=
+            # 16.8), and 4 after 13 (39.2)
+            (squeeze_pair(0.3, 1.0)[0], FockState.vacuum(28), 46),
+            (beam_splitter_pair(0.7)[0], FockState.number_state(1, 0, 28), 52),
             (QuadraticHamiltonian(), FockState.vacuum(28), 0),
         ],
     )
@@ -283,6 +287,17 @@ class TestEvolve:
         h, _ = squeeze_pair(1.2, 1.0)  # far too much squeezing for n_max=4
         with pytest.raises(TruncationOverflowError):
             evolve(FockState.vacuum(4), h, 1.0)
+
+    def test_crossing_seen_only_mid_evolution_is_caught(self):
+        # a full turn of the beam splitter takes |1, 1> back to itself, so at
+        # cutoff 3 the final state alone is exact; at cutoff 2 half of it
+        # sits on the boundary shell at the first checkpoint
+        h, _ = beam_splitter_pair(math.pi)
+        out = evolve(FockState.number_state(1, 1, 3), h, 1.0)
+        assert abs(abs(out.amplitudes[1, 1]) ** 2 - 1.0) <= 1e-15
+        assert out.boundary_population() == 0.0
+        with pytest.raises(TruncationOverflowError, match=r"at t=0\.125; raise the cutoff"):
+            evolve(FockState.number_state(1, 1, 2), h, 1.0)
 
     def test_truncation_overflow_names_the_checkpoint(self):
         # squeezing 0.3 t: the n_max = 8 shell holds 3e-9 at t = 1 and 5e-5

@@ -223,10 +223,34 @@ class TestExpmv:
         assert not applied
 
     def test_cap_admits_the_fock_check_beam_splitter(self):
-        # |angle| <= 2 pi over eight checkpoints at cutoff 1e4, whose
-        # amplitudes already take 1.6 GB: ||step H||_1 <= n_max 4 pi / 8
-        substeps, degree = numerics._taylor_plan(1e4 * 4.0 * math.pi / 8.0)
-        assert 10 * substeps * degree < numerics.EXPMV_MAX_APPLICATIONS
+        # |angle| <= 2 pi at cutoff 2047, the largest fock-check admits, in
+        # one plan for the whole evolution: ||t H||_1 <= n_max 4 pi
+        substeps, degree = numerics._taylor_plan(2047 * 4.0 * math.pi)
+        assert (substeps, degree) == (2599, 55)
+        assert substeps * degree == 142_945 < numerics.EXPMV_MAX_APPLICATIONS
+
+    @pytest.mark.parametrize("scale", [0.5, 10.0, 100.0])
+    def test_watched_points_match_separate_calls(self, rng, scale):
+        # norms that plan 1, 2 and 12 substeps; the points include substep
+        # boundaries of each plan (1, 1/2, and 1/4, 3/4 of 12)
+        z = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
+        h = 0.5 * (z + z.conj().T)
+        h *= scale / float(np.abs(h).sum(axis=0).max())
+        psi = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+        watch = np.array([9, 0, 4])
+        points = [0.125, 0.25, 0.3, 0.5, 0.75, 0.9, 1.0]
+        out, readings = expmv(lambda x: -1j * (h @ x), psi, scale, watch, points)
+        assert np.array_equal(out, expmv(lambda x: -1j * (h @ x), psi, scale))
+        assert readings.shape == (len(points), watch.size)
+        for p, reading in zip(points, readings):
+            alone = expmv(lambda x: -1j * p * (h @ x), psi, p * scale)
+            assert max_abs(reading - alone[watch]) <= 1e-14 * max_abs(psi)
+
+    def test_watched_points_without_a_substep(self):
+        psi = np.array([1.0 + 2j, 0.5, -3j])
+        out, readings = expmv(lambda x: 0.0 * x, psi, 0.0, np.array([2, 0]), [0.25, 0.5])
+        assert out is psi
+        assert np.array_equal(readings, [[-3j, 1.0 + 2j]] * 2)
 
 
 def reading_taylor(apply, v, degree, scale):
