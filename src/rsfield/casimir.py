@@ -99,13 +99,21 @@ from .numerics import (
 )
 from .symplectic import BogoliubovMap, symplectic_residuals
 
-# each profile kind and the keys it reads besides beta0
+# each profile kind and the keys it reads besides beta0; with the fields of
+# the run types, the config schema (``cli.PROFILE_KEYS``, ``cli.CASIMIR_KEYS``)
 PROFILE_KINDS = {
     "constant": (),
     "sinusoid": ("drive_frequency",),
     "smooth_pulse": ("duration",),
     "linear_ramp_windowed": ("ramp_time", "hold_time"),
 }
+
+
+def kind_keys(kind) -> tuple:
+    """``PROFILE_KINDS[kind]``; a kind it does not list is a ``ConfigError``."""
+    if not (isinstance(kind, str) and kind in PROFILE_KINDS):
+        raise ConfigError(f"unknown profile kind {kind!r}")
+    return PROFILE_KINDS[kind]
 
 
 def _require_finite(owner, names) -> None:
@@ -139,17 +147,14 @@ class VelocityProfile:
     hold_time: float = 0.0
 
     def __post_init__(self):
-        if not (isinstance(self.kind, str) and self.kind in PROFILE_KINDS):
-            raise ConfigError(f"unknown profile kind {self.kind!r}")
+        keys = kind_keys(self.kind)
         _require_finite(self, ("beta0", "drive_frequency", "duration", "ramp_time", "hold_time"))
         if abs(self.beta0) >= 1.0:
             raise ConfigError(f"profile must stay subluminal: |beta0|={abs(self.beta0)} >= 1")
-        if self.kind == "sinusoid" and self.drive_frequency <= 0:
-            raise ConfigError("sinusoid profile needs drive_frequency > 0")
-        if self.kind == "smooth_pulse" and self.duration <= 0:
-            raise ConfigError("smooth_pulse profile needs duration > 0")
-        if self.kind == "linear_ramp_windowed" and self.ramp_time <= 0:
-            raise ConfigError("linear_ramp_windowed profile needs ramp_time > 0")
+        # the keys of the kind are positive, but a hold may be empty
+        for key in keys:
+            if key != "hold_time" and getattr(self, key) <= 0:
+                raise ConfigError(f"{self.kind} profile needs {key} > 0")
         if self.hold_time < 0:
             raise ConfigError("hold_time must be nonnegative")
 

@@ -20,30 +20,34 @@ starts: every configuration error, an out-of-budget ``samples`` or
 ``cutoff`` included, exits 2 before any output is written, and a runner
 takes only a parsed config and raises no ``ConfigError``.
 
-Configuration is a single JSON document; unknown keys are rejected so
-that a typo in a physics parameter cannot silently fall back to a
-default, and so is a key that the run would not read: a profile key of
-another kind, or a ``sweep`` outside the ``sweep`` command.  Every CSV
-goes through ``csvtext.write_csv``, which writes each
-float exactly as ``f"{v:.17g}"``: a table of floats and booleans gets its
-digits from numpy, and Python formats a table with a str or int column and
-any value next to a rounding tie, non-finite, or nonzero outside
-[1e-280, 1e280].  The integrator is deterministic, so identical configs
-produce bitwise identical CSVs.  A run is one dict of column arrays, from
-the solution to the CSV and the summary.  Every check of every command is
-one ``Gate`` of ``RunReport.gates`` (``_gates`` compares each casimir
-invariant with its limit), printed once as its value, limit and time; the
-summary restates none, and a violating run still writes its CSV before it
-names the gate.  The CCR and symplectic limits, and the roundoff floor
-of the extraction-rate limits, are
-``symplectic.roundoff_limit``, the limit the library's ``BogoliubovMap``
-uses: 1e-8, or 256 eps times the photon-number scale where that is larger;
-the classicality columns and gates are ``symplectic.classicality``'s.
-Every numeric config key goes through ``_number``, so a malformed value is
-a configuration error; ``parse_casimir_config`` turns the scenario keys
-into the run's one ``CasimirScenario``, which a sweep point varies.  Exit
-status: 0 all checks passed, 1 a check failed (or the solver gave up, or a
-CSV could not be written), 2 configuration error.
+Configuration is a single JSON document; unknown keys are rejected so that
+a typo in a physics parameter cannot silently fall back to a default, and
+so is a key that the run would not read: a profile key of another kind, or
+a ``sweep`` outside the ``sweep`` command.  The run types are the schema:
+a profile's, a scenario's and an amplifier's keys, order and defaults are
+the fields of ``VelocityProfile``, ``CasimirScenario`` and
+``AmplifierSpec`` (``_fields``), and a profile reads only the keys of its
+kind (``casimir.PROFILE_KINDS``).  Every CSV goes through
+``csvtext.write_csv``, which writes each float exactly as ``f"{v:.17g}"``:
+a table of floats and booleans gets its digits from numpy, and Python
+formats a table with a str or int column and any value next to a rounding
+tie, non-finite, or nonzero outside [1e-280, 1e280].  The integrator is
+deterministic, so identical configs produce bitwise identical CSVs.  A run
+is one dict of column arrays, from the solution to the CSV and the
+summary.  Every check of every command is one ``Gate`` of
+``RunReport.gates`` (``_gates`` compares each casimir invariant with its
+limit), printed once as its value, limit and time; the summary restates
+none, and a violating run still writes its CSV before it names the gate.
+The CCR and symplectic limits, and the roundoff floor of the
+extraction-rate limits, are ``symplectic.roundoff_limit``, the limit the
+library's ``BogoliubovMap`` uses: 1e-8, or 256 eps times the photon-number
+scale where that is larger; the classicality columns and gates are
+``symplectic.classicality``'s.  Every numeric config key goes through
+``_number``, so a malformed value is a configuration error;
+``parse_casimir_config`` turns the scenario keys into the run's one
+``CasimirScenario``, which a sweep point varies.  Exit status: 0 all
+checks passed, 1 a check failed (or the solver gave up, or a CSV could not
+be written), 2 configuration error.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
 from typing import NoReturn
@@ -61,7 +65,6 @@ import numpy as np
 
 from .amplifier import AmplifierSpec, amplified_rsf, amplifier_generators
 from .casimir import (
-    PROFILE_KINDS,
     CasimirScenario,
     ModeSolution,
     VelocityProfile,
@@ -70,6 +73,7 @@ from .casimir import (
     extracted_generators,
     floquet_exponent,
     growth_law_residual,
+    kind_keys,
     solve_modes,
 )
 from .csvtext import write_csv as _write_csv
@@ -77,6 +81,7 @@ from .errors import ConfigError, RsfieldError
 from .fock import (
     BOUNDARY_POST_TOL,
     BOUNDARY_PRE_TOL,
+    DEFAULT_CUTOFF,
     FockState,
     QuadraticHamiltonian,
     apply_ladder,
@@ -151,29 +156,18 @@ def _number(value, name: str, integer: bool = False, most: float = math.inf):
         return int(number)
 
 
+def _fields(cls) -> dict:
+    """The key table of the fields that dataclass ``cls`` takes: name ->
+    default, ``...`` where a field has none."""
+    return {f.name: ... if f.default is MISSING else f.default for f in fields(cls) if f.init}
+
+
 # the keys of a profile object; a profile takes kind, beta0 and the keys its
 # kind reads (``casimir.PROFILE_KINDS``)
-PROFILE_KEYS = {
-    "kind": ...,
-    "beta0": ...,
-    "drive_frequency": 0.0,
-    "duration": 0.0,
-    "ramp_time": 0.0,
-    "hold_time": 0.0,
-}
+PROFILE_KEYS = _fields(VelocityProfile)
 
-CASIMIR_KEYS = {
-    "refractive_index": ...,
-    "omega": ...,
-    "theta": ...,
-    "sigma": "auto",
-    "profile": ...,
-    "t_end": ...,
-    "samples": 201,
-    "rel_tol": 1e-11,
-    "abs_tol": 1e-13,
-    "out_dir": None,
-}
+CASIMIR_KEYS = {**_fields(CasimirScenario), "samples": 201, "rel_tol": 1e-11, "abs_tol": 1e-13,
+                "out_dir": None}
 
 SWEEP_AXES = ("omega", "theta", "drive_frequency", "beta0")
 
@@ -219,14 +213,14 @@ def parse_casimir_config(cfg: dict) -> dict:
     ``"scenario"``.  A key that the run would not read, one of another
     profile kind or a ``sweep``, is unknown."""
     out = _require_keys(cfg, CASIMIR_KEYS, "config")
+    # the profile's keys are checked against its kind's before any value is read
     given = out["profile"]
-    prof = _require_keys(given, PROFILE_KEYS, "config.profile")
-    kind = prof["kind"]
-    out["profile"] = VelocityProfile(kind=kind, **{
-        key: _number(prof[key], f"config.profile.{key}") for key in PROFILE_KEYS if key != "kind"
+    kind = _require_keys(given, PROFILE_KEYS, "config.profile")["kind"]
+    reads = ("beta0", *kind_keys(kind))
+    _require_keys(given, dict.fromkeys(("kind", *reads)), f"config.profile of kind {kind}")
+    out["profile"] = VelocityProfile(kind, **{
+        key: _number(given[key], f"config.profile.{key}") for key in reads if key in given
     })
-    _require_keys(given, dict.fromkeys(("kind", "beta0", *PROFILE_KINDS[kind])),
-                  f"config.profile of kind {kind}")
     for key in ("refractive_index", "omega", "theta", "t_end", "rel_tol", "abs_tol"):
         out[key] = _number(out[key], f"config.{key}")
     if out["rel_tol"] <= 0 or out["abs_tol"] <= 0:
@@ -234,9 +228,7 @@ def parse_casimir_config(cfg: dict) -> dict:
     if not isinstance(out["sigma"], str):  # "auto", or a name CasimirScenario rejects
         out["sigma"] = _number(out["sigma"], "config.sigma")
     out["samples"] = _samples(out["samples"], 2048)
-    out["scenario"] = CasimirScenario(**{
-        f.name: out.pop(f.name) for f in fields(CasimirScenario) if f.init
-    })
+    out["scenario"] = CasimirScenario(**{key: out.pop(key) for key in _fields(CasimirScenario)})
     return out
 
 
@@ -395,17 +387,17 @@ def parse_sweep_config(cfg: dict) -> dict:
     out = parse_casimir_config({key: v for key, v in cfg.items() if key != "sweep"})
     s = out["scenario"]
     kind = s.profile.kind
-    # the axes the profile reads, None where the sweep leaves one out
+    # the axes of the scenario and those of the profile that its kind reads,
+    # None where the sweep leaves one out
+    reads = ("beta0", *kind_keys(kind))
     sweep = _require_keys({} if cfg.get("sweep") is None else cfg["sweep"], dict.fromkeys(
-        axis for axis in SWEEP_AXES if axis in ("omega", "theta", "beta0", *PROFILE_KINDS[kind])
+        axis for axis in SWEEP_AXES if axis not in PROFILE_KEYS or axis in reads
     ), f"config.sweep over a {kind} profile")
-    defaults = {"omega": s.omega, "theta": s.theta,
-                "drive_frequency": s.profile.drive_frequency, "beta0": s.profile.beta0}
     axes = []
     for axis in SWEEP_AXES:
         values = sweep.get(axis)
         if values is None:
-            values = [defaults[axis]]
+            values = [getattr(s.profile if axis in PROFILE_KEYS else s, axis)]
         if not isinstance(values, (list, tuple)) or not values:
             raise ConfigError(f"sweep.{axis} must be a nonempty list")
         axes.append([_number(v, f"config.sweep.{axis}") for v in values])
@@ -422,9 +414,9 @@ def run_sweep(cfg: dict, out_dir: Path) -> RunReport:
         try:
             # a point the scenario rejects (a superluminal beta0) is an error
             # row, and writes no CSV
-            profile = replace(s.profile, beta0=point["beta0"],
-                              drive_frequency=point["drive_frequency"])
-            scenario = replace(s, omega=point["omega"], theta=point["theta"], profile=profile)
+            profile = {axis: v for axis, v in point.items() if axis in PROFILE_KEYS}
+            scenario = replace(s, profile=replace(s.profile, **profile),
+                               **{axis: v for axis, v in point.items() if axis not in profile})
             report = run_casimir({**cfg, "scenario": scenario}, out_dir, csv_name=name)
         except RsfieldError as exc:
             name = ""
@@ -457,13 +449,7 @@ def run_sweep(cfg: dict, out_dir: Path) -> RunReport:
     return RunReport(columns, summary, gates, errors)
 
 
-AMPLIFY_KEYS = {
-    "kappa": ...,
-    "m": ...,
-    "t_end": 1.0,
-    "samples": 11,
-    "out_dir": None,
-}
+AMPLIFY_KEYS = {**_fields(AmplifierSpec), "t_end": 1.0, "samples": 11, "out_dir": None}
 
 
 def parse_amplify_config(cfg: dict) -> dict:
@@ -479,7 +465,7 @@ def parse_amplify_config(cfg: dict) -> dict:
     change pass ``AMPLIFY_RATE_TOL`` has cost g its leading digits."""
     out = _require_keys(cfg, AMPLIFY_KEYS, "config")
     rates = {}
-    for key in ("kappa", "m"):  # a number, or a list of them, one per mode
+    for key in _fields(AmplifierSpec):  # a number, or a list of them, one per mode
         values = out[key] if isinstance(out[key], list) else [out[key]]
         rates[key] = [_number(v, f"config.{key}") for v in values]
     try:
@@ -537,20 +523,20 @@ def run_amplify(cfg: dict, out_dir: Path) -> RunReport:
     return RunReport(columns, {}, {"closed_form_mismatch": _gate(times, deviation, cfg["limit"])})
 
 
-FOCK_KEYS = {
-    "checks": ["squeeze", "beam_splitter", "identity", "observables"],
-    "cutoff": 12,
-    "squeeze": 0.3,
-    "angle": 0.7,
-    "seed": 20240817,
-    "out_dir": None,
-}
-
 FOCK_THRESHOLDS = {
     "squeeze": 1e-6,
     "beam_splitter": 1e-8,
     "identity": 1e-10,
     "observables": 1e-6,
+}
+
+FOCK_KEYS = {
+    "checks": list(FOCK_THRESHOLDS),
+    "cutoff": DEFAULT_CUTOFF,
+    "squeeze": 0.3,
+    "angle": 0.7,
+    "seed": 20240817,
+    "out_dir": None,
 }
 # The share of a check's threshold that the tail of its moments beyond the
 # cutoff may take (``parse_fock_config``).  For the squeeze check the

@@ -6,10 +6,10 @@ are evolved as exp(-i H t) psi for quadratic Hamiltonians by a truncated
 Taylor series of H (``numerics.expmv``), one plan per evolution whose
 checkpoints are read from the same series.  H is built once per evolution
 (``QuadraticHamiltonian.operator``) from its nonzero terms only and acts on
-the flattened amplitude array: a number diagonal plus one coefficient
-table per ladder term, each term one contiguous update of the flat array
-at a fixed shift, formed after the first in one scratch array that the
-operator keeps (O(d^2) memory; no d^2 x d^2 operator is ever formed, and an
+the flattened amplitude array: one coefficient table per shift that a
+term makes in the flat index, each one contiguous update of the flat
+array, formed after the first in one scratch array that the operator
+keeps (O(d^2) memory; no d^2 x d^2 operator is ever formed, and an
 application allocates only its result).
 The reduced/conjugate field moments are then measured as plain
 expectation values:
@@ -36,6 +36,7 @@ the mesoscopic formalism is validated against it, never the reverse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,6 +53,18 @@ BOUNDARY_PRE_TOL = 1e-8
 BOUNDARY_POST_TOL = 1e-6
 DEFAULT_CUTOFF = 12
 CHECKPOINTS = 8
+
+
+def _ladder(p: int, q: int, n, d: int):
+    """|<n - q + p| (a^dag)^p a^q |n>|^2 = n! (n - q + p)! / (n - q)!^2 on the
+    d levels of one mode, and 0 where n < q or n - q + p >= d; for an int n,
+    or elementwise for an int array."""
+    out = (n >= q) & (n - q + p < d)
+    for k in range(q):
+        out = out * (n - k)
+    for k in range(1, p + 1):
+        out = out * (n - q + k)
+    return out
 
 
 def _boundary_population(amp: np.ndarray) -> float:
@@ -161,55 +174,56 @@ class QuadraticHamiltonian:
     def __post_init__(self):
         require_finite(list(vars(self).values()), "Hamiltonian coefficients")
 
+    def terms(self) -> tuple:
+        """Each term of H once, as (c, (p_a, q_a), (p_b, q_b)) for c (a^dag)^p_a
+        a^q_a (b^dag)^p_b b^q_b: ``operator`` and ``norm_bound`` read H from
+        here alone.  E = exchange_re + i exchange_im, P = pair_re + i pair_im."""
+        e, p = complex(self.exchange_re, self.exchange_im), complex(self.pair_re, self.pair_im)
+        return ((self.number_a, (1, 1), (0, 0)), (self.number_b, (0, 0), (1, 1)),
+                (e, (1, 0), (0, 1)), (e.conjugate(), (0, 1), (1, 0)),
+                (p, (1, 0), (1, 0)), (p.conjugate(), (0, 1), (0, 1)))
+
+    def norm_bound(self, d: int) -> float:
+        """A bound on ||H||_1 on d levels per mode, inf past the float range:
+        a term adds to a column at most |c| times its largest matrix element,
+        at the highest n that it maps into the basis (``_ladder`` grows with n)."""
+        def largest(p, q):
+            return _ladder(p, q, d - 1 - max(p - q, 0), d)
+
+        try:
+            return sum((abs(c) * math.sqrt(largest(*a) * largest(*b))
+                        for c, a, b in self.terms() if c != 0), 0.0)
+        except OverflowError:  # abs() of a complex coefficient
+            return math.inf
+
     def operator(self, d: int, scale: complex) -> Callable[[np.ndarray], np.ndarray]:
         """The map psi -> scale H psi on the d^2 amplitudes of a (d, d) array,
         read as ``psi.ravel()``; built once, it returns a fresh flat array
-        (each term after the first is formed in one scratch array that the
+        (each update after the first is formed in one scratch array that the
         operator owns, so an operator serves one evaluation at a time).
 
-        H = a^dag (E b + P b^dag) + a (E* b^dag + P* b) plus the number
-        terms, with E = exchange_re + i exchange_im and P = pair_re +
-        i pair_im.  In the flat index n1 d + n2 each ladder term moves
-        amplitude by a fixed shift: d - 1 for a^dag b, -(d - 1) for a b^dag,
-        d + 1 for a^dag b^dag and -(d + 1) for a b.  So each nonzero term is
-        one contiguous update ``out[s:] += C * p[:-s]`` (or ``out[:s] +=
-        C * p[-s:]``), whose table C holds scale c sqrt(i+1) sqrt(j+1) at
-        the source index and zero where the shift would wrap across a row
-        or raise off the n_max shell.  That is exactly H projected onto the
-        truncated basis.  Terms with a zero coefficient, and a zero number
-        diagonal, are never applied.
+        In the flat index n1 d + n2 a term of ``terms`` moves amplitude by
+        the shift (p_a - q_a) d + p_b - q_b (d - 1 for a^dag b, d + 1 for
+        a^dag b^dag, 0 for a number term).  So the nonzero terms of one
+        shift are one contiguous update ``out[s:] += C * p[:-s]`` (or
+        ``out[:s] += C * p[-s:]``), whose table C holds scale c times both
+        modes' ``_ladder`` elements at the source index: zero where the
+        shift would wrap across a row or raise off the n_max shell, so that
+        is exactly H projected onto the truncated basis.
         """
-        n = np.arange(d)
-        root = np.sqrt(np.arange(1, d))
-        ladder = np.outer(root, root)
-        # (destination, source, table) of each term applied, the first written
-        # and the others added
-        terms = []
-        if self.number_a != 0 or self.number_b != 0:
-            diag = scale * (self.number_a * n[:, None] + self.number_b * n[None, :])
-            terms.append((slice(None), slice(None), np.asarray(diag, dtype=complex).ravel()))
-        exchange = complex(self.exchange_re, self.exchange_im)
-        pair = complex(self.pair_re, self.pair_im)
-        # (coefficient, destination offsets, source offsets) in (n1, n2) of
-        # a^dag b, a b^dag, a^dag b^dag, a b
-        for c, (dst1, dst2), (src1, src2) in (
-            (exchange, (1, 0), (0, 1)),
-            (exchange.conjugate(), (0, 1), (1, 0)),
-            (pair, (1, 1), (0, 0)),
-            (pair.conjugate(), (0, 0), (1, 1)),
-        ):
-            if c == 0:
-                continue
-            table = np.zeros((d, d), dtype=complex)
-            table[src1:src1 + d - 1, src2:src2 + d - 1] = scale * c * ladder
-            shift = (dst1 - src1) * d + dst2 - src2
-            if shift > 0:
-                terms.append((slice(shift, None), slice(None, -shift), table.ravel()[:-shift]))
-            else:
-                terms.append((slice(None, shift), slice(-shift, None), table.ravel()[-shift:]))
+        terms = [term for term in self.terms() if term[0] != 0]
+        root = {pq: np.sqrt(_ladder(*pq, np.arange(d), d)) for _, a, b in terms for pq in (a, b)}
+        tables = {}  # each shift's table, summed over its terms in their order
+        for c, a, b in terms:
+            shift = (a[0] - a[1]) * d + b[0] - b[1]
+            tables[shift] = tables.get(shift, 0) + (scale * c * np.outer(root[a], root[b])).ravel()
+        # (destination, source, table) of each shift, the first written and
+        # the others added
+        updates = [(slice(s, None), slice(None, d * d - s), table[:d * d - s]) if s >= 0
+                   else (slice(None, s), slice(-s, None), table[-s:]) for s, table in tables.items()]
 
         scratch = np.empty(d * d, dtype=complex)
-        first, rest = terms[:1], [(*term, scratch[:term[2].size]) for term in terms[1:]]
+        first, rest = updates[:1], [(*u, scratch[:u[2].size]) for u in updates[1:]]
 
         def apply(psi: np.ndarray) -> np.ndarray:
             p = psi.ravel()
@@ -231,10 +245,10 @@ def evolve(state: FockState, h: QuadraticHamiltonian, t: float) -> FockState:
 
     The operator -i t H is built once (``QuadraticHamiltonian.operator``,
     nonzero terms only) and serves every Taylor term, on the flattened
-    amplitudes.  The Taylor steps are sized from ||H||_1 <= n_max
-    (|number_a| + |number_b| + 2 |E| + 2 |P|) on the truncated basis (every
-    ladder matrix element is at most n_max), so H = 0 or t = 0 returns the
-    state exactly.  The inner checkpoints k t / CHECKPOINTS are read from
+    amplitudes.  The Taylor steps are sized from the bound on ||H||_1 that
+    ``QuadraticHamiltonian.norm_bound`` takes from the same terms, n_max
+    (|number_a| + |number_b| + 2 |E| + 2 |P|), so H = 0 or t = 0 returns
+    the state exactly.  The inner checkpoints k t / CHECKPOINTS are read from
     the same series: ``expmv`` returns only the boundary shell's amplitudes
     at each (the last row and the rest of the last column), the final
     checkpoint is the evolved state's.
@@ -250,18 +264,11 @@ def evolve(state: FockState, h: QuadraticHamiltonian, t: float) -> FockState:
         raise TruncationOverflowError(
             f"initial boundary population {state.boundary_population():.3e} too large"
         )
-    try:
-        norm = state.n_max * (
-            abs(h.number_a) + abs(h.number_b)
-            + 2.0 * abs(complex(h.exchange_re, h.exchange_im))
-            + 2.0 * abs(complex(h.pair_re, h.pair_im))
-        )
-    except OverflowError:  # a complex coefficient's modulus is past the float range
-        norm = np.inf
+    d = state.n_max + 1
+    norm = h.norm_bound(d)
     # before H is built: a finite bound caps every entry of -i t H
     if not np.isfinite(norm * t):
         raise NonFiniteStateError(f"norm bound of t H is not finite ({norm:.3e} x {t:.3e})")
-    d = state.n_max + 1
     # the shell in the flat index n1 d + n2: the last row, then the rest of the last column
     shell = np.concatenate([np.arange(d * (d - 1), d * d), np.arange(d - 1, d * (d - 1), d)])
     amp, edges = expmv(h.operator(d, -1j * t), state.amplitudes.ravel(), norm * t,

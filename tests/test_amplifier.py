@@ -163,3 +163,18 @@ class TestKineticsEquivalence:
             scale = 1.0 + max_abs(closed_r)
             assert max_abs(r_k - closed_r) / scale < 1e-8
             assert max_abs(alpha_k - closed_alpha) / scale < 1e-8
+
+
+class TestInputChecks:
+    """Each input check of the module that no other test reaches, by a
+    minimal bad input."""
+
+    @pytest.mark.parametrize("call,match", [
+        (lambda: AmplifierSpec([[1.0]], [0.0]), "scalar or 1-d"),
+        (lambda: AmplifierSpec([1.0, 2.0], [0.0, 0.0, 0.0]), "lengths differ"),
+        (lambda: amplified_rsf(AmplifierSpec([1.0, 1.0], [0.0]), vacuum(1)[0], 0.0),
+         "field has 1 modes, spec has 2"),
+    ], ids=["kappa_2d", "rate_lengths", "field_modes"])
+    def test_bad_input_raises(self, call, match):
+        with pytest.raises(DimensionMismatchError, match=match):
+            call()

@@ -1229,3 +1229,15 @@ class TestFloquetCliVerdicts:
         floquet = _verdicts(tmp_path, command, cfg, monkeypatch, solve_modes)
         direct = _verdicts(tmp_path, command, cfg, monkeypatch, solve_modes_direct)
         assert floquet == direct
+
+
+class TestInputChecks:
+    """Each input check of the module, reached by a minimal bad input."""
+
+    @pytest.mark.parametrize("samples,match", [
+        ([0.0, 2.0, 1.0], "ascending"), ([], "ascending"), ([0.0, 11.0], r"within \[0, t_end\]"),
+    ], ids=["descending", "empty", "past_t_end"])
+    def test_bad_sample_times_raise(self, samples, match):
+        s = CasimirScenario(1.5, 1.0, 0.7, VelocityProfile.constant(0.2), 10.0)
+        with pytest.raises(ConfigError, match=match):
+            solve_modes(s, samples)

@@ -787,9 +787,16 @@ class TestConfigContract:
          r"linear_ramp_windowed profile needs ramp_time > 0"),
         ("casimir", {"profile": {"kind": "linear_ramp_windowed", "beta0": 0.2, "ramp_time": 1.0,
                                  "hold_time": -1.0}}, r"hold_time must be nonnegative"),
+        # a key of another kind is unknown before its value is read
+        ("casimir", {"profile": {"kind": "sinusoid", "beta0": 0.2, "drive_frequency": 2.0,
+                                 "hold_time": -1.0}},
+         r"unknown key\(s\) in config\.profile of kind sinusoid: hold_time"),
+        ("casimir", {"profile": {"kind": "sinusoid", "beta0": 0.2, "drive_frequency": 2.0,
+                                 "duration": "x"}},
+         r"unknown key\(s\) in config\.profile of kind sinusoid: duration"),
     ], ids=["invalid_json", "profile_list", "sweep_list", "sweep_empty", "sweep_scalar",
             "t_end_zero", "sigma_bogus", "drive_zero", "duration_zero", "ramp_zero",
-            "hold_negative"])
+            "hold_negative", "other_kind_hold_negative", "other_kind_duration_text"])
     def test_rejected_config_names_its_reason(self, tmp_path, command, change, reason):
         p = tmp_path / "c.json"
         write_command_config(p, command, change)

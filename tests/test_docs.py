@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from rsfield import cli
-from rsfield.casimir import CasimirScenario, VelocityProfile, solve_modes, solve_modes_direct
+from rsfield.casimir import (
+    PROFILE_KINDS, CasimirScenario, VelocityProfile, solve_modes, solve_modes_direct,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -52,6 +54,23 @@ def test_readme_config_keys_are_the_clis():
     for command, keys in (("amplify", cli.AMPLIFY_KEYS), ("fock-check", cli.FOCK_KEYS)):
         sentence = re.search(rf"The `{command}` config takes (.*?)[:;]", text).group(1)
         assert re.findall(r"`(\w+)`", sentence) == list(keys)
+
+
+def test_readme_sweep_axes_are_the_clis():
+    # the axes the sweep sentence names are cli.SWEEP_AXES, in its order
+    text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    sentence = re.search(r"lists values for any of the axes (.*?) of `sweep_summary.csv`", text)
+    assert re.findall(r"`(\w+)`", sentence.group(1)) == list(cli.SWEEP_AXES)
+
+
+def test_readme_profiles_table_is_profile_kinds():
+    # each row of the Profiles table names a kind and the keys it reads
+    # besides kind and beta0, as casimir.PROFILE_KINDS does, in its order
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    body = re.search(r"\n## Profiles\n.*?^\| -[- |]*\n(.*?)\n\n", readme, re.S | re.M).group(1)
+    rows = re.findall(r"^\| `(\w+)` +\|([^|]*)\|$", body, re.M)
+    assert [(kind, tuple(re.findall(r"`(\w+)`", keys))) for kind, keys in rows] \
+        == list(PROFILE_KINDS.items())
 
 
 def _quoted_resonant_grids(route: str) -> tuple:

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import dop853
+from rsfield import fock
 from rsfield.cli import FOCK_KEYS, FOCK_THRESHOLDS
-from rsfield.errors import ConvergenceError, NonFiniteStateError, TruncationOverflowError
+from rsfield.errors import (
+    ConvergenceError, DimensionMismatchError, NonFiniteStateError, TruncationOverflowError,
+)
 from rsfield.fock import (
     FockState,
     QuadraticHamiltonian,
     _boundary_population,
+    _ladder,
     _moments,
     apply_ladder,
     beam_splitter_pair,
@@ -122,6 +126,35 @@ class TestHamiltonianApply:
             for support in [np.ones((d, d))] + edges:
                 psi = support * random_amplitudes(d, rng)
                 assert max_abs(apply(psi) - hm @ psi.ravel()) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 9])
+    def test_ladder_factors_are_the_truncated_monomials(self, d):
+        # column n of (a^dag)^p a^q, from truncated ladder matrices, holds the
+        # root of _ladder(p, q, n, d) in row n - q + p and nothing else
+        a = np.diag(np.sqrt(np.arange(1, d)), k=1)
+        for p in range(3):
+            for q in range(3):
+                dense = np.linalg.matrix_power(a.T, p) @ np.linalg.matrix_power(a, q)
+                expected = np.zeros((d, d))
+                for n, element in enumerate(np.sqrt(_ladder(p, q, np.arange(d), d))):
+                    if element:
+                        expected[n - q + p, n] = element
+                assert max_abs(dense - expected) <= 1e-12 * d ** (p + q)
+
+    @pytest.mark.parametrize("d", [2, 3, 9, 29])
+    def test_norm_bound_covers_each_term(self, d, rng):
+        # each coefficient alone and all six: the bound is at least ||H||_1 of
+        # the dense truncated H, and is n_max (|number_a| + |number_b| + 2 |E|
+        # + 2 |P|) to rounding
+        coefficients = rng.standard_normal(6)
+        for c in [coefficients] + [np.where(np.arange(6) == i, coefficients, 0.0)
+                                   for i in range(6)]:
+            h = QuadraticHamiltonian(*c)
+            bound = h.norm_bound(d)
+            assert np.abs(dense_hamiltonian(h, d - 1)).sum(axis=0).max() <= bound * (1 + 1e-14)
+            by_hand = (d - 1) * (abs(c[0]) + abs(c[1]) + 2 * abs(complex(c[2], c[3]))
+                                 + 2 * abs(complex(c[4], c[5])))
+            assert bound == pytest.approx(by_hand, rel=1e-14)
 
     def test_each_application_returns_its_own_array(self, rng):
         # the terms share one scratch array; a result is never that array
@@ -442,3 +475,32 @@ class TestGeneralizedMeasurement:
         st = FockState.number_state(5, 5, 5)
         with pytest.raises(TruncationOverflowError):
             measure_rsf(st)
+
+
+class TestInputChecks:
+    """Each input check of the module, reached by a minimal bad input."""
+
+    @pytest.mark.parametrize("call,error,match", [
+        (lambda: FockState(np.ones((1, 1))), DimensionMismatchError, "d >= 2"),
+        (lambda: apply_ladder(FockState.vacuum(3), 2, "raise"), DimensionMismatchError,
+         "mode must be 0 or 1"),
+        (lambda: apply_ladder(FockState.vacuum(3), 0, "up"), DimensionMismatchError,
+         "which must be"),
+        (lambda: evolve(FockState.vacuum(3), QuadraticHamiltonian(), -1.0),
+         DimensionMismatchError, "nonnegative"),
+        (lambda: evolve(FockState.number_state(3, 0, 3), QuadraticHamiltonian(), 1.0),
+         TruncationOverflowError, "initial boundary population"),
+    ], ids=["one_level", "ladder_mode", "ladder_direction", "negative_time", "boundary_before"])
+    def test_bad_input_raises(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
+    def test_norm_drift_raises(self, monkeypatch):
+        # H is Hermitian on the truncated basis, so no input drifts the norm:
+        # a series that scales the state by 1.001 stands in for one that did
+        def scaled(apply, v, norm, watch, points):
+            return 1.001 * v, np.zeros((len(points), len(watch)), dtype=complex)
+
+        monkeypatch.setattr(fock, "expmv", scaled)
+        with pytest.raises(TruncationOverflowError, match="norm drifted"):
+            evolve(FockState.vacuum(4), beam_splitter_pair(0.7)[0], 1.0)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import dop853, haar_unitary, random_physical_fields
+from rsfield import kinetics
 from rsfield.errors import (
     ConvergenceError,
+    DerivativeUnavailableError,
     DimensionMismatchError,
     InvalidMomentsError,
     NonFiniteStateError,
@@ -575,3 +577,44 @@ class TestValidityScan:
         skew[:, 0, 1] = 1.0
         with pytest.raises(NonHermitianError):
             validity_report(skew, np.zeros((3, 2, 2)))
+
+
+Z2 = np.zeros((2, 2))
+
+
+class TestInputChecks:
+    """Each input check of the module, reached by a minimal bad input."""
+
+    @pytest.mark.parametrize("call,error,match", [
+        (lambda: KineticGenerators(Z2, np.zeros(1), Z2, Z2), DimensionMismatchError,
+         "generator dimensions differ"),
+        (lambda: KineticGenerators(Z2, np.zeros(2), Z2, Z2, scatterers=((1.0, np.eye(3)),)),
+         DimensionMismatchError, "scatterer dimension"),
+        (lambda: kinetic_rhs(vacuum(1)[0], KineticGenerators.zeros(2)), DimensionMismatchError,
+         "generators act on 2 modes"),
+        (lambda: integrate_kinetics(vacuum(1)[0], lambda t: (Z2, np.zeros(2), Z2, Z2), 0.0,
+                                    [1.0]), DimensionMismatchError, "mode counts differ"),
+        (lambda: integrate_kinetics(vacuum(1)[0], KineticGenerators.zeros(2), 0.0, [1.0]),
+         DimensionMismatchError, "mode counts differ"),
+        (lambda: extract_open_generators(lambda t: np.eye(2), lambda t: np.zeros((1, 1)), 0.0),
+         DimensionMismatchError, "row counts differ"),
+        (lambda: extract_open_generators(lambda t: np.eye(1), lambda t: np.zeros((1, 1)), 0.0,
+                                         dx_up_s=lambda t: Z2),
+         DerivativeUnavailableError, "shape mismatch"),
+    ], ids=["zeta_size", "scatterer_size", "rhs_modes", "callable_modes", "generator_modes",
+            "family_rows", "derivative_shape"])
+    def test_bad_input_raises(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
+    def test_hermiticity_lost_raises(self, monkeypatch):
+        # Hermitian generators keep r Hermitian, so no input loses it: a
+        # solver that returns r = 1 + i stands in for one that did
+        def solved(matrices, y0, times, rtol, atol):
+            y = np.tile(np.asarray(y0, dtype=complex), (len(times), 1))
+            y[:, 0] = 1.0 + 1.0j
+            return y
+
+        monkeypatch.setattr(kinetics, "solve_linear", solved)
+        with pytest.raises(PhysicalityLostError, match="Hermiticity lost"):
+            integrate_kinetics(vacuum(1)[0], KineticGenerators.zeros(1), 0.0, [1.0])

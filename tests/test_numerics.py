@@ -9,6 +9,7 @@ from rsfield import casimir, numerics
 from rsfield.casimir import CasimirScenario, VelocityProfile
 from rsfield.errors import (
     ConvergenceError,
+    DerivativeUnavailableError,
     DimensionMismatchError,
     NonFiniteStateError,
     NonHermitianError,
@@ -704,3 +705,16 @@ class TestSkippedDoublings:
         with pytest.raises(ConvergenceError, match=capped):
             solve_magnus(generator, [0.0, 600.0], 1.0, rtol=1e-11, atol=1e-13)
         assert propagated == [600, 1200, 2400, 4800]
+
+
+class TestInputChecks:
+    """Each input check of the module that no other test reaches, by a
+    minimal bad input."""
+
+    @pytest.mark.parametrize("call,error,match", [
+        (lambda: central_difference(lambda t: 1 / 0, 0.0, 1e-3), DerivativeUnavailableError,
+         "cannot evaluate"),
+    ], ids=["derivative_unavailable"])
+    def test_bad_input_raises(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()

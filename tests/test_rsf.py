@@ -451,3 +451,39 @@ class TestOracleEquivalence:
         assert max_abs(rf.r - np.diag([1.0, 0.0])) < 1e-12
         assert max_abs(cf.c) < 1e-12
         assert max_abs(rf.alpha) < 1e-12
+
+
+def _generalized_with_asymmetric_c():
+    # g Hermitian with c = [[0, 1], [0, 0]]: its lower-left block is c^dag,
+    # not conj(c)
+    c = np.array([[0.0, 1.0], [0.0, 0.0]])
+    g = np.block([[np.zeros((2, 2)), c], [c.T, np.eye(2)]])
+    return GeneralizedField(g, np.zeros(4))
+
+
+class TestInputChecks:
+    """Each input check of the module that no other test reaches, by a
+    minimal bad input."""
+
+    @pytest.mark.parametrize("call,error,match", [
+        (lambda: ReducedField(np.eye(2), [0.0]), DimensionMismatchError, "alpha has size 1"),
+        (lambda: vacuum(0), DimensionMismatchError, "at least one mode"),
+        (lambda: transform_closed(*vacuum(1), identity_map(2)), DimensionMismatchError,
+         "mode counts differ"),
+        (lambda: reduce_to_system(*vacuum(2), 0), DimensionMismatchError, "n_sys=0"),
+        (lambda: transform_open_vacuum_env(vacuum(2)[0], identity_map(1, 1)),
+         DimensionMismatchError, "system field has 2 modes"),
+        # r and o each within the Hermiticity tolerance, their product not
+        (lambda: expect_additive(ReducedField([[1e6, 4e-7j], [4e-7j, 1e6]], [0.0, 0.0]),
+                                 [[0.0, 1.0], [1.0, 0.0]]),
+         NonHermitianObservableError, "spurious imaginary part"),
+        (lambda: GeneralizedField(np.zeros((3, 3)), np.zeros(3)), DimensionMismatchError,
+         "2Nx2N"),
+        (_generalized_with_asymmetric_c, StructureViolationError, "lower-left block"),
+        (lambda: GeneralizedField(np.diag([0.0, 1.0]), [1.0, 0.0]), StructureViolationError,
+         "amplitude halves"),
+    ], ids=["alpha_size", "no_modes", "closed_modes", "n_sys_zero", "open_modes",
+            "imaginary_expectation", "odd_g", "lower_left", "amplitude_halves"])
+    def test_bad_input_raises(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()

@@ -322,3 +322,19 @@ class TestOpenLimitIgnoresEnvironment:
         rf, _ = vacuum(1)
         out = transform_open_vacuum_env(rf, m)
         assert max_abs(out.r) == 0.0
+
+
+class TestInputChecks:
+    """Each input check of ``BogoliubovMap`` that no other test reaches, by a
+    minimal bad input."""
+
+    @pytest.mark.parametrize("args,error,match", [
+        ((-1, 1, np.eye(2)), DimensionMismatchError, "invalid partition"),
+        ((0, 0, np.zeros((0, 0))), DimensionMismatchError, "invalid partition"),
+        ((1, 0, np.eye(4)), DimensionMismatchError, "does not match 2N=2"),
+        # symplectic (X S X^dag = S), but the lower right is not conj(1)
+        ((1, 0, np.diag([1.0, 1.0j])), NotSymplecticError, "not conjugates"),
+    ], ids=["negative_partition", "no_modes", "shape", "conjugate_blocks"])
+    def test_bad_input_raises(self, args, error, match):
+        with pytest.raises(error, match=match):
+            BogoliubovMap(*args)
