@@ -19,7 +19,13 @@ are d f/dt = A(t) f with A(t) = -i omega [[eta_plus, -eta_minus],
 [eta_minus, -eta_plus]] in su(1,1), so the fundamental matrix
 U = [[f_R+, f_L+], [f_R-, f_L-]], whose columns are the pairs from (1, 0)
 and (0, 1), lies in SU(1,1): f_L- = conj(f_R+) and f_L+ = conj(f_R-)
-exactly.  ``solve_modes`` propagates U, stored as its first row
+exactly.  sigma is only a frame: eta_plus = lambda cosh 2 rho and
+eta_minus = lambda sinh 2 rho, with lambda = sqrt(alpha Delta), rho =
+ln(sigma_inst(t) / sigma) and sigma_inst = [alpha/Delta]^(1/4) at the
+current speed, so U_sigma = B(c) U_auto B(-c) with B(c) = exp(c sigma_x)
+and the constant c = ln(sigma_auto / sigma).  ``solve_modes`` solves every
+run at sigma = "auto" and takes its amplitudes, sampled and dense, to
+sigma's frame (``_frame``).  It propagates U, stored as its first row
 (f_R+, conj(f_R-)), by sixth-order Magnus steps with the closed-form
 exponential (``numerics.solve_magnus``), so every step map lies in
 SU(1,1) to roundoff and the helicity symmetry holds by representation:
@@ -37,11 +43,14 @@ is integrated by Gauss quadrature on the same nodes and shares the
 step-doubling error control.
 
 The CCR invariant |f_R+|^2 - |f_R-|^2 = 1 holds at all times; the
-per-mode photon density produced from vacuum is n(T) = |f_R-(T)|^2
+per-mode photon density in sigma's frame is n(T) = |f_R-(T)|^2
 (the infinite-volume delta(0) normalization is never materialized).
 With sigma = "auto" = [alpha/Delta]^(1/4) at the pre-motion velocity,
 eta_minus vanishes identically for constant beta and the mode only
 picks up the phase exp(-i omega sqrt(alpha Delta) t): no production.
+The photon number in the medium's own vacuum at T, the frame of
+sigma_inst(T), is the entry (2, 1) of B(-rho_auto(T)) U_auto(T), which no
+sigma changes (``ModeSolution.final_instantaneous_density``).
 
 The two modes (right helicity at k, left helicity at -k) assemble into
 a two-mode Bogoliubov map (system = first mode, environment = second):
@@ -82,6 +91,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -238,11 +248,13 @@ class CasimirScenario:
     explicit positive number or "auto", meaning [alpha/Delta]^(1/4)
     evaluated at the pre-motion velocity beta(0) (which makes a constant
     profile production-free); the number it stands for is resolved once, at
-    construction, into ``resolved_sigma``.  ``coefficients`` evaluates the
-    medium at any time; a scenario whose n^2 or sigma^2 leaves the float
-    range, whose sigma^2 is zero, or whose eta_plus at t = 0 is not below
-    sqrt(alpha Delta / eps) (sigma about 1.2e4 times its "auto" value or
-    more, or 1/1.2e4 or less) is a ``ConfigError`` naming the key.
+    construction, into ``resolved_sigma``.  sigma is a frame: every run is
+    solved at "auto" and an explicit sigma taken to its frame exactly
+    (``_frame``).  ``coefficients`` evaluates the medium at any time, in
+    sigma's frame; a scenario whose n^2 leaves the float range, or whose
+    frame lies so far from "auto" that e^(6|c|), c = ln(sigma_auto / sigma),
+    does (sigma about 2.4e51 times its "auto" value or more, or 1/2.4e51 or
+    less), is a ``ConfigError`` naming the key.
     """
 
     refractive_index: float
@@ -269,25 +281,24 @@ class CasimirScenario:
                 raise ConfigError(f"sigma must be positive or 'auto', got {self.sigma!r}")
         elif self.sigma <= 0:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
-        # n^2 and sigma^2 enter every coefficient: past the float range, or
-        # with sigma^2 at zero, the medium has no finite coefficients
+        # n^2 enters every coefficient: past the float range the medium has
+        # no finite coefficients
         if not math.isfinite(self.refractive_index * self.refractive_index):
             raise ConfigError(f"refractive_index {self.refractive_index} is too large: "
                               "its square overflows")
         sigma = auto_sigma(self) if isinstance(self.sigma, str) else float(self.sigma)
-        if not 0.0 < sigma * sigma < math.inf:
-            raise ConfigError(f"sigma {sigma} is out of range: its square is {sigma * sigma}")
         object.__setattr__(self, "resolved_sigma", sigma)
-        # a Magnus step's rotation r^2 = p^2 + q^2 - a^2, -(omega h)^2 alpha
-        # Delta, cancels from terms of (omega h eta_plus)^2: from eta_plus^2 =
-        # alpha Delta / eps on, roundoff is the whole of it (``magnus_steps``).
-        # A finite eta_plus bounds every other coefficient.
-        m = self.coefficients(0.0)
-        limit = math.sqrt(m.alpha * m.big_delta / np.finfo(float).eps)
-        if not m.eta_plus < limit:
-            raise ConfigError(f"sigma {sigma} makes eta_plus at t = 0 {m.eta_plus:.3e}, not below "
-                              f"sqrt(alpha Delta / eps) = {limit:.3e}: every Magnus step's "
-                              "rotation would be roundoff")
+        # The run is solved at sigma = "auto" and taken to sigma's frame by
+        # B(c), c = ln(sigma_auto / sigma) (``_frame``), which scales the
+        # amplitudes by up to e^{2|c|} and the sigma-frame generators' eta_pm
+        # f_R+ f_R- by up to e^{6|c|}.  alpha / Delta lies in [2^-52, 1] at a
+        # subluminal float beta(0), so sigma_auto lies in [1e-4, 1], and a
+        # factor inside the float range also keeps sigma^2 finite and nonzero.
+        c = _frame_shift(self)
+        if not 6.0 * abs(c) < math.log(sys.float_info.max):
+            raise ConfigError(f"sigma {sigma} is out of range: its frame lies {abs(c):.4g} e-folds "
+                              f"from sigma_auto = {auto_sigma(self):.6g}, and e^(6|c|) leaves the "
+                              "float range")
 
     def coefficients(self, t) -> MediumSample:
         """The medium coefficients at a time, or as arrays at an array of times."""
@@ -308,6 +319,26 @@ def auto_sigma(s: CasimirScenario) -> float:
     return (alpha / big_delta) ** 0.25
 
 
+def _frame_shift(s: CasimirScenario) -> float:
+    """c = ln(sigma_auto / sigma) of the scenario's frame; 0 at sigma = "auto"."""
+    return math.log(auto_sigma(s)) - math.log(s.resolved_sigma)
+
+
+def _frame(s: CasimirScenario, f_rp, v) -> tuple:
+    """(f_R+, f_R-) in the frame of ``s.resolved_sigma`` from the first row
+    (f_R+, conj(f_R-)) of the sigma = "auto" propagator: U_sigma = B(c)
+    U_auto B(-c) keeps the real parts and maps (Im f_R+, Im f_R-) by
+    [[cosh 2c, sinh 2c], [sinh 2c, cosh 2c]]; at c = 0 the amplitudes are
+    returned as they are."""
+    f_rm = _conj(v)
+    c = _frame_shift(s)
+    if c == 0.0:
+        return f_rp, f_rm
+    ch, sh = math.cosh(2.0 * c), math.sinh(2.0 * c)
+    return (f_rp.real + 1j * (ch * f_rp.imag + sh * f_rm.imag),
+            f_rm.real + 1j * (sh * f_rp.imag + ch * f_rm.imag))
+
+
 def _conj(z):
     """conj(z) with every zero part +0 (an exact zero is written 0, not -0)."""
     return np.conj(z) + 0.0
@@ -318,17 +349,18 @@ class ModeSolution:
     """Propagated mode trajectory with conserved-quantity diagnostics.
 
     ``scenario`` holds the parameters it was propagated with, the resolved
-    sigma ``scenario.resolved_sigma`` included.  The left pair (``f_lp``,
-    ``f_lm``) is the right pair's conjugate.  ``ccr_residual`` is the CCR
-    residual per sample, computed from the current amplitudes and not
-    checked here.
-    ``propagator`` is the ``numerics`` solution it was sampled from, the
-    dense output of ``at``; ``route`` names the route that solved it
-    (``solve_modes``), and ``steps`` (the Magnus steps kept, over one period
-    on the Floquet route) and ``error_estimate`` (the largest step-doubling
-    estimate of their global error in any amplitude or in phi; on the
-    Floquet route, of the composed values, roundoff included) are the
-    propagator's.
+    sigma ``scenario.resolved_sigma`` included, and the amplitudes are in
+    sigma's frame.  The left pair (``f_lp``, ``f_lm``) is the right pair's
+    conjugate.  ``ccr_residual`` is the CCR residual per sample, computed
+    from the current amplitudes and not checked here.
+    ``propagator`` is the ``numerics`` solution at sigma = "auto" it was
+    sampled from, the dense output of ``at``; ``route`` names the route that
+    solved it (``solve_modes``), and ``steps`` (the Magnus steps kept, over
+    one period on the Floquet route) and ``error_estimate`` (the largest
+    step-doubling estimate of their global error in any amplitude or in phi;
+    on the Floquet route, of the composed values, roundoff included) are the
+    propagator's, the latter times e^(2|c|), the norm of the map to sigma's
+    frame.
     """
 
     scenario: CasimirScenario
@@ -350,7 +382,7 @@ class ModeSolution:
 
     @property
     def error_estimate(self) -> float:
-        return self.propagator.error_estimate
+        return self.propagator.error_estimate * math.exp(2.0 * abs(_frame_shift(self.scenario)))
 
     @property
     def f_lp(self) -> np.ndarray:
@@ -370,18 +402,26 @@ class ModeSolution:
     def at(self, t) -> "ModeSolution":
         """The solution at a time or a 1-D array of times inside the propagated
         span, from the dense output: ``times`` is ``t`` as an array (0-d for a
-        time) and the amplitudes and phase are shaped like it.  A node of the
-        propagator is read as stored; any other time takes one partial Magnus
-        step."""
+        time) and the amplitudes and phase are shaped like it, in sigma's
+        frame.  A node of the propagator is read as stored; any other time
+        takes one partial Magnus step."""
         (f_rp, v), phi = self.propagator.at(t)
+        f_rp, f_rm = _frame(self.scenario, f_rp, v)
         return dataclasses.replace(
-            self, times=np.asarray(t, dtype=float), f_rp=f_rp, f_rm=_conj(v), phi=phi
+            self, times=np.asarray(t, dtype=float), f_rp=f_rp, f_rm=f_rm, phi=phi
         )
 
-    def endpoint_velocity_mismatch(self) -> float:
-        """|beta(T) - beta(0)|; nonzero means no clean in/out photon picture."""
-        p = self.scenario.profile
-        return abs(p.beta(float(self.times[-1])) - p.beta(0.0))
+    def final_instantaneous_density(self) -> float:
+        """The photon number at t_end in the medium's instantaneous vacuum,
+        |cosh rho f_R-^auto - sinh rho f_R+^auto|^2 with rho =
+        ln(sigma_inst(t_end) / sigma_auto): the entry (2, 1) of B(-rho)
+        U_auto(t_end), read from the sigma = "auto" propagator, so the same
+        for every sigma, and 0 at constant speed."""
+        s = self.scenario
+        (f_rp, v), _ = self.propagator.at(s.t_end)
+        _, alpha, big_delta = _medium_terms(s.refractive_index, s.theta, s.profile.beta(s.t_end))
+        rho = math.log((alpha / big_delta) ** 0.25 / auto_sigma(s))
+        return float(abs(math.cosh(rho) * np.conj(v) - math.sinh(rho) * f_rp) ** 2)
 
     def density(self) -> np.ndarray:
         """Per-sample photon density |f_R-|^2."""
@@ -389,13 +429,15 @@ class ModeSolution:
 
 
 def _mode_generator(s: CasimirScenario):
-    """A(t) = -i omega [[eta_plus, -eta_minus], [eta_minus, -eta_plus]] in the
-    real su(1,1) coordinates (a, p, q) of ``numerics.magnus_steps``, a =
-    -omega eta_plus, p = 0, q = omega eta_minus, with the phase rate."""
-    omega = s.omega
+    """A(t) = -i omega [[eta_plus, -eta_minus], [eta_minus, -eta_plus]] of the
+    sigma = "auto" frame, whatever ``s.sigma`` (``_frame`` takes the solution
+    to it), in the real su(1,1) coordinates (a, p, q) of
+    ``numerics.magnus_steps``, a = -omega eta_plus, p = 0, q = omega
+    eta_minus, with the phase rate."""
+    omega, auto = s.omega, dataclasses.replace(s, sigma="auto")
 
     def generator(t):
-        m = s.coefficients(t)
+        m = auto.coefficients(t)
         return -omega * m.eta_plus, np.zeros_like(t), omega * m.eta_minus, m.phase_rate
 
     return generator
@@ -494,7 +536,7 @@ def _solve_modes(s, samples, rtol, atol, floquet: bool) -> ModeSolution:
         propagator = solve_magnus(generator, _breakpoints(s), step, rtol=rtol, atol=atol)
         values = propagator.at(times)
     (f_rp, v), phi = values
-    return ModeSolution(s, times, f_rp, _conj(v), phi, propagator)
+    return ModeSolution(s, times, *_frame(s, f_rp, v), phi, propagator)
 
 
 def _casimir_matrices(sol: ModeSolution, index) -> np.ndarray:

@@ -370,7 +370,7 @@ def run_casimir(cfg: dict, out_dir: Path, csv_name: str = "casimir.csv") -> RunR
         "classical_closed_final": bool(cols["classical_closed"][-1]),
         "classical_open_always": bool(np.all(cols["classical_open"])),
         "gamma_up_min": float(np.min(cols["gamma_up"])),
-        "endpoint_velocity_mismatch": sol.endpoint_velocity_mismatch(),
+        "final_instantaneous_density": sol.final_instantaneous_density(),
         "floquet_exponent": floquet_exponent(sol),
         "route": sol.route,
         "steps": sol.steps,
@@ -679,7 +679,7 @@ def run_fock_check(cfg: dict, out_dir: Path) -> RunReport:
 
 EXTRACT_COLUMNS = (
     "T", "h", "gamma_up", "h_extracted", "gamma_up_extracted",
-    "gamma_down_extracted", "gamma_up_min_eig", "gamma_down_min_eig", "valid",
+    "gamma_down_extracted", "valid",
 )
 
 
@@ -693,12 +693,13 @@ EXTRACT_GATES = (
 def run_extract(cfg: dict, out_dir: Path) -> RunReport:
     sol = _solve(cfg)
     cols = _casimir_columns(sol)
-    cols["gamma_up_min_eig"], cols["gamma_down_min_eig"], cols["valid"] = validity_report(
+    # the rates are 1x1: their smallest eigenvalues repeat the rate columns, unwritten
+    up, down, cols["valid"] = validity_report(
         cols["gamma_up_extracted"][:, None, None],
         cols["gamma_down_extracted"][:, None, None],
         floor=_rate_roundoff(cols, sol.scenario.omega),
     )
-    witness = np.minimum(cols["gamma_up_min_eig"], cols["gamma_down_min_eig"])
+    witness = np.minimum(up, down)
     worst = int(np.argmin(witness))
     gates = _gates(cols, sol.scenario.omega)
     summary = {

@@ -67,7 +67,10 @@ def _as_vector(v, n: int | None = None, what: str = "vector") -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ReducedField:
-    """Single-particle density matrix and averaged field amplitude."""
+    """Single-particle density matrix and averaged field amplitude.  ``r`` is
+    stored as the Hermitian part (r + r^dag) / 2 of the matrix given, which
+    must be Hermitian within ``HERMITIAN_TOL`` and PSD within
+    ``PHYSICAL_TOL``."""
 
     r: np.ndarray
     alpha: np.ndarray
@@ -78,6 +81,7 @@ class ReducedField:
         if not ok:
             raise NotPhysicalError("negative mode occupation", witness)
         alpha = _as_vector(self.alpha, r.shape[0], "alpha")
+        r = 0.5 * (r + r.conj().T)
         r.setflags(write=False)
         alpha.setflags(write=False)
         object.__setattr__(self, "r", r)
@@ -232,7 +236,7 @@ def transform_closed(
         + xd @ (rf.r.T + np.eye(n)) @ xd.conj().T
     )
     alpha = xu @ rf.alpha + xd @ np.conj(rf.alpha)
-    return ReducedField(0.5 * (r + r.conj().T), alpha)
+    return ReducedField(r, alpha)
 
 
 def reduce_to_system(
@@ -278,7 +282,7 @@ def transform_open_vacuum_env(rf_sys: ReducedField, m: BogoliubovMap) -> Reduced
     up_s, down_c = m.x_up[:ns, :ns], m.x_down[:ns, ns:]
     r = up_s @ rf_sys.r @ up_s.conj().T + down_c @ down_c.conj().T
     alpha = up_s @ rf_sys.alpha
-    return ReducedField(0.5 * (r + r.conj().T), alpha)
+    return ReducedField(r, alpha)
 
 
 def expect_additive(rf: ReducedField, o: np.ndarray) -> float | np.ndarray:

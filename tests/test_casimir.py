@@ -1,7 +1,10 @@
+import dataclasses
 import functools
 import json
 import math
 import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -828,18 +831,92 @@ class TestFockBruteForce:
         assert max_abs(g_meas - g_pred) < 1e-9
 
 
-class TestEndpointFlag:
-    def test_pulse_returns_to_rest(self):
-        s = CasimirScenario(
-            1.5, 1.0, np.pi / 4, VelocityProfile.smooth_pulse(0.2, 10.0), 10.0
-        )
-        sol = solve_modes(s, 11)
-        assert sol.endpoint_velocity_mismatch() == 0.0
+# the media of TestSigmaFrame, each at sigma = "auto"
+FRAME_MEDIA = {
+    "sinusoid": sinusoid_scenario(),
+    "constant": CasimirScenario(1.5, 1.0, 0.9, VelocityProfile.constant(0.5), 40.0),
+    "pulse": CasimirScenario(1.5, 1.0, 0.9, VelocityProfile.smooth_pulse(0.4, 10.0), 15.0),
+    "ramp": CasimirScenario(1.5, 1.0, 0.9, VelocityProfile.linear_ramp(0.3, 2.0, 1.0), 6.0),
+}
+FRAME_SIGMAS = (0.8, 1.3, 20.0, 0.05, 0.014, 30.0)
+# the configs of the comparison set whose explicit sigma, 20 to 71 times from
+# "auto", stalled the solver when it integrated each sigma's own equations
+FAR_FRAMES = ["readme_sigma_20", "readme_sigma_0.05", "still_sigma_0.014", "still_sigma_30"]
+COMPARISON = Path(__file__).resolve().parent / "comparison" / "casimir"
 
-    def test_interrupted_drive_is_flagged(self):
-        s = sinusoid_scenario(t_end=0.7)  # stops mid-swing
-        sol = solve_modes(s, 8)
-        assert sol.endpoint_velocity_mismatch() > 1e-3
+
+def frame_factor(s: CasimirScenario) -> float:
+    """e^(2|c|), c = ln(sigma_auto / sigma): the norm of the map to sigma's frame."""
+    ratio = auto_sigma(s) / s.resolved_sigma
+    return max(ratio, 1.0 / ratio) ** 2
+
+
+class TestSigmaFrame:
+    """sigma only conjugates: U_sigma = B(c) U_auto B(-c), B(c) = exp(c sigma_x)."""
+
+    @pytest.mark.parametrize("sigma", [0.8, 1.3])
+    @pytest.mark.parametrize("name", sorted(FRAME_MEDIA))
+    def test_explicit_sigma_matches_its_own_equations(self, name, sigma):
+        # the reference integrates sigma's own mode equations
+        s = dataclasses.replace(FRAME_MEDIA[name], sigma=sigma)
+        sol = solve_modes(s, 41, rtol=1e-10, atol=1e-12)
+        k = frame_factor(s)
+        assert_matches_reference(sol, 1e-10 * k, 1e-12 * k)
+        auto = solve_modes(FRAME_MEDIA[name], 41, rtol=1e-10, atol=1e-12)
+        assert sol.error_estimate == pytest.approx(auto.error_estimate * k, rel=1e-14)
+        # conjugation keeps the real parts, phi and the step count
+        assert np.array_equal(sol.f_rp.real, auto.f_rp.real)
+        assert np.array_equal(sol.f_rm.real, auto.f_rm.real)
+        assert np.array_equal(sol.phi, auto.phi) and sol.steps == auto.steps
+
+    @pytest.mark.parametrize("name", FAR_FRAMES)
+    def test_far_frame_runs_and_matches_its_own_equations(self, name, tmp_path):
+        path = COMPARISON / f"{name}.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["casimir", "--config", str(path), "--out", str(tmp_path)]) == 0
+        cfg = cli.parse_casimir_config(json.loads(path.read_text()))
+        sol = cli._solve(cfg)
+        ref = reference_modes(sol.scenario, sol.times)
+        scale = max(float(np.max(np.abs(f))) for f in ref[:4])
+        for value, expected in zip((sol.f_rp, sol.f_rm, sol.f_lp, sol.f_lm, sol.phi), ref):
+            assert np.max(np.abs(value - expected)) <= 1e-8 * scale
+
+    def test_no_explicit_sigma_reaches_the_solver(self):
+        s = FRAME_MEDIA["pulse"]
+        t = np.linspace(0.0, s.t_end, 7)
+        auto = casimir._mode_generator(s)(t)
+        for sigma in FRAME_SIGMAS:
+            again = casimir._mode_generator(dataclasses.replace(s, sigma=sigma))(t)
+            assert all(np.array_equal(a, b) for a, b in zip(auto, again))
+
+    @pytest.mark.parametrize("name", sorted(FRAME_MEDIA))
+    def test_instantaneous_density_does_not_depend_on_sigma(self, name):
+        s = FRAME_MEDIA[name]
+        auto = solve_modes(s, 11).final_instantaneous_density()
+        for sigma in FRAME_SIGMAS:
+            sol = solve_modes(dataclasses.replace(s, sigma=sigma), 11)
+            assert sol.final_instantaneous_density() == auto
+        if name == "constant":
+            assert auto == 0.0
+        elif name == "sinusoid":  # the drive stops mid-swing: not the sigma-frame number
+            assert abs(auto - solve_modes(s, 11).density()[-1]) > 1e-6
+        else:  # the medium is at rest again at T, in the frame of sigma = "auto"
+            assert auto == pytest.approx(solve_modes(s, 11).density()[-1], rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("sigma", ["auto", *FRAME_SIGMAS])
+    @pytest.mark.parametrize("theta", [0.0, 0.9, np.pi / 2])
+    def test_no_photons_in_the_vacuum_at_constant_speed(self, theta, sigma):
+        # zero up to the roundoff of eta_minus = 0 at sigma_auto, (eps omega T)^2
+        s = CasimirScenario(1.5, 1.0, theta, VelocityProfile.constant(0.5), 10.0, sigma=sigma)
+        assert solve_modes(s, 5).final_instantaneous_density() <= (1e-15 * s.t_end) ** 2
+
+    def test_floquet_exponent_does_not_depend_on_sigma(self):
+        s = sinusoid_scenario(theta=np.pi / 2, beta0=0.4, drive=0.98, t_end=30.0)
+        mu = floquet_exponent(solve_modes(s, 11))
+        assert mu > 0.0
+        for sigma in FRAME_SIGMAS:
+            assert floquet_exponent(solve_modes(dataclasses.replace(s, sigma=sigma), 11)) == mu
 
 
 class TestScenarioValidation:

@@ -151,7 +151,8 @@ OVERFLOWING = [
     ("sigma", 1e-200),
     ("sigma", 1e-160),
 ]
-# finite media whose Magnus steps would lose their rotation to roundoff
+# finite sigmas whose frame, e^(6|c|) with c = ln(sigma_auto / sigma), leaves
+# the float range
 ILL_CONDITIONED = [("sigma", 1e150), ("sigma", 1e-150)]
 
 # the config files of test_json_array_config_exits_two
@@ -324,12 +325,19 @@ class TestRunCasimir:
         cols = {name: c.tolist() for name, c in report.columns.items()}
         period_end = solve_modes_direct(parse_casimir_config(cfg)["scenario"],
                                         [0.0, np.pi], rtol=1e-11, atol=1e-13)
+        beta = 0.2 * math.sin(2.0 * cols["T"][-1])
+        delta = (1.5 ** 2 - 1.0) / (1.5 ** 2 - beta * beta)
+        rho = 0.25 * math.log((1.0 - delta * beta * beta) / (1.0 - 0.5 * delta * beta * beta))
         again = {
             "final_photon_density": cols["n_density"][-1],
             "classical_closed_final": cols["classical_closed"][-1],
             "classical_open_always": all(cols["classical_open"]),
             "gamma_up_min": min(cols["gamma_up"]),
-            "endpoint_velocity_mismatch": abs(0.2 * np.sin(2.0 * cols["T"][-1])),
+            # sigma_auto = 1 at beta(0) = 0, so rho = ln(sigma_inst(T)) and the
+            # columns are the frame of sigma = "auto"
+            "final_instantaneous_density": abs(
+                math.cosh(rho) * complex(cols["re_fRm"][-1], cols["im_fRm"][-1])
+                - math.sinh(rho) * complex(cols["re_fRp"][-1], cols["im_fRp"][-1])) ** 2,
             # from the direct route's U(P), P = pi: |Re u_M| = 0.99965 < 1
             "floquet_exponent": math.acosh(max(1.0, abs(period_end.f_rp[-1].real))) / np.pi,
             # three whole periods: the period's last grid is the one kept
@@ -1194,10 +1202,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key,value", OVERFLOWING + ILL_CONDITIONED)
     def test_overflowing_medium_exits_two(self, tmp_path, capsys, key, value):
-        # n^2 or sigma^2 past the float range, sigma^2 at zero, or a sigma
-        # whose eta_plus at t = 0 cancels the Magnus step's rotation to
-        # roundoff: a configuration error naming the key, with no warning, no
-        # traceback and no CSV
+        # n^2 past the float range, or a sigma so far from "auto" that its
+        # frame's factor e^(6|c|) is: a configuration error naming the key,
+        # with no warning, no traceback and no CSV
         p = tmp_path / "c.json"
         write_config(p, **{key: value})
         with warnings.catch_warnings():
@@ -1462,7 +1469,7 @@ class TestExtractCommand:
     def test_valid_column_does_not_depend_on_tolerance_at_large_photon_number(
         self, tmp_path
     ):
-        # W3 at T=800 (n ~ 3.4e7): gamma_down_min_eig is roundoff of a few
+        # W3 at T=800 (n ~ 3.4e7): gamma_down_extracted is roundoff of a few
         # 1e-9 that changes with the tolerance; judged against the rates'
         # roundoff floor, both tolerances give the same verdicts
         p = tmp_path / "c.json"
@@ -1477,7 +1484,7 @@ class TestExtractCommand:
             header, *rows = (out / "extract.csv").read_text().splitlines()
             names = header.split(",")
             valid[tol] = [r.split(",")[names.index("valid")] for r in rows]
-            down[tol] = [float(r.split(",")[names.index("gamma_down_min_eig")]) for r in rows]
+            down[tol] = [float(r.split(",")[names.index("gamma_down_extracted")]) for r in rows]
         assert valid["1e-11"] == valid["1e-13"]
         # the roundoff is there, and the genuinely negative gamma_up stays invalid
         assert min(down["1e-11"] + down["1e-13"]) < -1e-9

@@ -473,9 +473,9 @@ class TestInputChecks:
         (lambda: reduce_to_system(*vacuum(2), 0), DimensionMismatchError, "n_sys=0"),
         (lambda: transform_open_vacuum_env(vacuum(2)[0], identity_map(1, 1)),
          DimensionMismatchError, "system field has 2 modes"),
-        # r and o each within the Hermiticity tolerance, their product not
-        (lambda: expect_additive(ReducedField([[1e6, 4e-7j], [4e-7j, 1e6]], [0.0, 0.0]),
-                                 [[0.0, 1.0], [1.0, 0.0]]),
+        # o within the Hermiticity tolerance, its expectation not
+        (lambda: expect_additive(ReducedField(np.ones((2, 2)), [0.0, 0.0]),
+                                 [[1e6, 4e-7j], [4e-7j, -1e6]]),
          NonHermitianObservableError, "spurious imaginary part"),
         (lambda: GeneralizedField(np.zeros((3, 3)), np.zeros(3)), DimensionMismatchError,
          "2Nx2N"),
@@ -487,3 +487,10 @@ class TestInputChecks:
     def test_bad_input_raises(self, call, error, match):
         with pytest.raises(error, match=match):
             call()
+
+    def test_field_keeps_the_hermitian_part_of_r(self):
+        # r within the Hermiticity tolerance: its anti-Hermitian part is not
+        # kept, so an exactly Hermitian observable reads no imaginary part
+        rf = ReducedField([[1e6, 4e-7j], [4e-7j, 1e6]], [0.0, 0.0])
+        assert np.array_equal(rf.r, np.diag([1e6, 1e6]))
+        assert expect_additive(rf, [[0.0, 1.0], [1.0, 0.0]]) == 0.0
